@@ -11,7 +11,7 @@ from crgeo.constructions import (
     anticanonical_structure,
     make_kahler_einstein,
     make_product_base,
-    submersion_ricci_residual,
+    submersion_residuals,
 )
 from crgeo.pseudohermitian import ph_einstein_residual
 
@@ -20,20 +20,21 @@ for kind in ("fubini_study", "complex_hyperbolic", "flat"):
     ac = anticanonical_structure(ke)
     pts = ac.chart.sample(16, seed=42)
     ein = ph_einstein_residual(ac.webster, pts)
-    print(f"{kind:22s} scal_h = {ke.scal_h:+.1f}   scal_W = {ein.scal_mean:+.12f}"
-          f"   Einstein residual = {ein.einstein:.2e}")
+    print(f"{kind:22s} scal_h = {ke.scal_h:+.1f}   scal_W = {ein['scal_mean']:+.12f}"
+          f"   Einstein residual = {ein['webster_einstein'].max():.2e}")
 
 print("\nRiemannian submersion relations over the round base:")
 ke = make_kahler_einstein("fubini_study", 1)
 ac = anticanonical_structure(ke)
-sub = submersion_ricci_residual(ac, ac.chart.sample(16, seed=42))
-print("  Ric(T,T) = m/2:       ", sub.reeb_tt)
-print("  Ric(T, X*) = 0:       ", sub.reeb_mixed)
-print("  Ric_h from upstairs:  ", sub.base_relation)
-print("  Ric_h = -W(X*, JY*):  ", sub.webster_relation)
+sub = submersion_residuals(ac, ac.chart.sample(16, seed=42))
+print("  Ric(T,T) = m/2:       ", sub["submersion_reeb_tt"].max())
+print("  Ric(T, X*) = 0:       ", sub["submersion_reeb_mixed"].max())
+print("  Ric_h from upstairs:  ", sub["submersion_base"].max())
+print("  Ric_h = -W(X*, JY*):  ", sub["submersion_webster"].max())
 
 print("\nnegative control (sphere x flat base, m = 2):")
 prod = make_product_base()
 acp = anticanonical_structure(prod)
 einp = ph_einstein_residual(acp.webster, acp.chart.sample(16, seed=42))
-print("  Einstein residual =", round(einp.einstein, 4), " (order one, as it must be)")
+print("  Einstein residual =", round(float(einp["webster_einstein"].max()), 4),
+      " (order one, as it must be)")

@@ -26,26 +26,26 @@ pts = fc.chart.sample(16, seed=42)
 
 print("S_W = scal_h / (2m(m+1)) =", fc.sw)
 rec = fefferman_ricci_residual(fc, pts)
-print("closed-form Ricci residual:     ", rec["ricci_closed_form"])
-print("Ric(P,P)=m/2 etc residual:      ", rec["ricci_components"])
-print("parallel field nabla(T*-S_W P): ", rec["parallel_vertical"])
-print("never Einstein, trace-free norm:", rec["non_einstein_certificate"])
+print("closed-form Ricci residual:     ", rec["fefferman_ricci_closed_form"].max())
+print("Ric(P,P)=m/2 etc residual:      ", rec["fefferman_ricci_components"].max())
+print("parallel field nabla(T*-S_W P): ", rec["parallel_vertical_field"].max())
+print("never Einstein, trace-free norm:", rec["non_einstein_certificate"].min())
 
 rm = einstein_rescale(fc)
 res = rescale_residuals(rm, pts)
 print("\nconformal factor cos^-2(t/(m+2)), lambda =", rm.einstein_constant)
-print("Einstein residual of the rescaled metric:", res["rescaled_einstein"])
-print("conformal ODE residual:                  ", res["conformal_ode"])
+print("Einstein residual of the rescaled metric:", res["rescaled_einstein"].max())
+print("conformal ODE residual:                  ", res["conformal_ode"].max())
 
 t2 = explicit_einstein_metric(ke)
 print("\nexplicit chart metric (independent build):")
 for name, value in explicit_einstein_residuals(t2, t2.chart.sample(16, seed=42)).items():
-    print(f"  {name:24s} {value:.3e}")
+    print(f"  {name:24s} {value.max():.3e}")
 print("agreement with the pipeline under the fiber identification:",
-      pipeline_agreement_residual(rm, t2, pts))
+      pipeline_agreement_residual(rm, t2, pts).max())
 
 print("\nRicci-flat case (flat base): the rescaled metric is flat-Ricci")
 ke0 = make_kahler_einstein("flat", 1)
 rm0 = einstein_rescale(fefferman_metric(anticanonical_structure(ke0)))
 pts0 = rm0.fc.chart.sample(16, seed=42)
-print("max |Ric| =", rescale_residuals(rm0, pts0)["rescaled_einstein"])
+print("max |Ric| =", rescale_residuals(rm0, pts0)["rescaled_einstein"].max())

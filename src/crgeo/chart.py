@@ -67,9 +67,6 @@ class Chart:
         hi = np.array([b - margin * (b - a) for a, b in self.bounds])
         return lo + (hi - lo) * rng.random((n, self.dim))
 
-    def center(self) -> np.ndarray:
-        return np.array([[0.5 * (a + b) for a, b in self.bounds]])
-
     # -- field constructors ----------------------------------------------
     def coord(self, i) -> "ScalarField":
         if isinstance(i, str):
@@ -205,9 +202,6 @@ class TensorField:
 
     def __call__(self, pts) -> np.ndarray:
         return jet_data(self, pts, 0)[0]
-
-    def data(self, pts, order: int) -> list[np.ndarray]:
-        return jet_data(self, pts, order)
 
 
 class ScalarField(TensorField):
@@ -410,29 +404,22 @@ class _Matrix(_ComponentStack):
         d = self.chart.dim
         return type(self)(self.chart, [[self.components[i, j] * f for j in range(d)] for i in range(d)])
 
+    def apply(self, x: VectorField, y: VectorField) -> ScalarField:
+        """Bilinear evaluation sum_ij c_ij X^i Y^j."""
+        d = self.chart.dim
+        total = self.chart.zero_field()
+        for i in range(d):
+            for j in range(d):
+                total = total + self.components[i, j] * x.components[i] * y.components[j]
+        return total
+
 
 class TwoForm(_Matrix):
     """Antisymmetric component matrix b_ij = b(e_i, e_j)."""
 
-    def apply(self, x: VectorField, y: VectorField) -> ScalarField:
-        d = self.chart.dim
-        total = self.chart.zero_field()
-        for i in range(d):
-            for j in range(d):
-                total = total + self.components[i, j] * x.components[i] * y.components[j]
-        return total
-
 
 class SymmetricTwoTensor(_Matrix):
     """Symmetric component matrix s_ij = s(e_i, e_j)."""
-
-    def apply(self, x: VectorField, y: VectorField) -> ScalarField:
-        d = self.chart.dim
-        total = self.chart.zero_field()
-        for i in range(d):
-            for j in range(d):
-                total = total + self.components[i, j] * x.components[i] * y.components[j]
-        return total
 
 
 class Endomorphism(_Matrix):

@@ -4,8 +4,8 @@
                --points N --seed S [--tol <check>=<val>] [--out <path>]
     verify list [--machine]
 
-Exit codes: 0 all checks pass, 1 a check failed, 2 usage or
-construction error.
+Exit codes: 0 all checks pass, 1 a check failed or could not be
+evaluated, 2 usage error.
 """
 
 from __future__ import annotations

@@ -36,13 +36,15 @@ from .chart import (
     symmetric_product,
 )
 from .errors import PreconditionError, UsageError
-from .metric import MetricField, conformal_rescale, curvature_from_connection, riemann
+from .metric import MetricField, conformal_rescale, curvature_from_connection, point_max, riemann
 from .pseudohermitian import (
     PHStructure,
     WebsterData,
     make_structure,
     ph_einstein_residual,
     webster_connection,
+    webster_curvature,
+    webster_curvature_from_riemann,
 )
 
 EINSTEIN_PRECONDITION_TOL = 1e-6
@@ -53,9 +55,6 @@ class ImaginaryConnectionForm:
     """iR-valued one-form i * real; curvature in real representatives is d(real)."""
 
     real: OneForm
-
-    def curvature_real(self):
-        return exterior_derivative(self.real)
 
 
 # ----------------------------------------------------------------------
@@ -85,8 +84,8 @@ class KahlerEinsteinChart:
         ]
         return Endomorphism(self.chart, rows)
 
-    def kahler_residuals(self, pts) -> dict[str, float]:
-        """dgamma = h(., J.), Ric = (scal/2m) h, nabla J = 0, da = Ric(., J.)."""
+    def kahler_residuals(self, pts) -> dict[str, np.ndarray]:
+        """Per point: dgamma = h(., J.), Ric = (scal/2m) h, nabla J = 0, da = Ric(., J.)."""
         from .metric import covariant_derivative
 
         pts = self.chart.points(pts)
@@ -94,22 +93,21 @@ class KahlerEinsteinChart:
         jmat = self.complex_structure
         omega = np.einsum("nia,aj->nij", hval, jmat)
         dgam = exterior_derivative(self.gamma)(pts)
-        res_gamma = float(np.abs(dgam - omega).max())
 
         curv = riemann(self.metric, pts)
         nabla_j = covariant_derivative(self.metric, self.j_field, pts)
         ric_form = np.einsum("nia,aj->nij", curv.ricci, jmat)
         da = exterior_derivative(self.ricci_potential)(pts)
         out = {
-            "kahler_potential": res_gamma,
-            "kahler_parallel": float(np.abs(nabla_j).max()),
-            "ricci_potential": float(np.abs(da - ric_form).max()),
+            "kahler_potential": point_max(dgam - omega),
+            "kahler_parallel": point_max(nabla_j),
+            "ricci_form_potential": point_max(da - ric_form),
         }
         if self.einstein:
-            out["einstein_base"] = float(
-                np.abs(curv.ricci - (self.scal_h / (2 * self.m)) * hval).max()
+            out["kahler_einstein_base"] = point_max(
+                curv.ricci - (self.scal_h / (2 * self.m)) * hval
             )
-            out["scal_constant"] = float(np.abs(curv.scalar - self.scal_h).max())
+            out["kahler_scal_constant"] = np.abs(curv.scalar - self.scal_h)
         return out
 
 
@@ -267,32 +265,6 @@ class AnticanonicalChart:
     def webster(self) -> WebsterData:
         return webster_connection(self.ph)
 
-    def connection_curvature_residual(self, pts) -> float:
-        """d(real rho_ac) must equal the pulled-back Ricci form Ric(., J.)."""
-        pts = self.chart.points(pts)
-        da = exterior_derivative(self.connection.real)(pts)
-        base_pts = pts[:, : 2 * self.m]
-        ric = riemann(self.base.metric, base_pts).ricci
-        ric_form = np.einsum("nia,aj->nij", ric, self.base.complex_structure)
-        full = np.zeros_like(da)
-        full[:, : 2 * self.m, : 2 * self.m] = ric_form
-        return float(np.abs(da - full).max())
-
-    def dtheta_pullback_residual(self, pts) -> float:
-        """dtheta = pullback of h(J., .) on H."""
-        pts = self.chart.points(pts)
-        dt = self.ph.dtheta(pts)
-        base_pts = pts[:, : 2 * self.m]
-        hval = self.base.metric(base_pts)
-        hj = np.einsum("ai,naj->nij", self.base.complex_structure, hval)
-        proj = self.ph.h_projector(pts)
-        d = self.chart.dim
-        hj_full = np.zeros((pts.shape[0], d, d))
-        hj_full[:, : 2 * self.m, : 2 * self.m] = hj
-        lhs = np.einsum("nia,nij,njb->nab", proj, dt, proj)
-        rhs = np.einsum("nia,nij,njb->nab", proj, hj_full, proj)
-        return float(np.abs(lhs - rhs).max())
-
 
 def anticanonical_structure(ke: KahlerEinsteinChart, fiber_bound=(-1.5, 1.5)) -> AnticanonicalChart:
     """Induced contact structure on base x S^1 in the scalar-curvature gauge.
@@ -334,52 +306,62 @@ def anticanonical_structure(ke: KahlerEinsteinChart, fiber_bound=(-1.5, 1.5)) ->
     )
 
 
-@dataclass(frozen=True)
-class SubmersionResiduals:
-    reeb_tt: float  # Ric(T,T) = (m/2) g(T,T)
-    reeb_mixed: float  # Ric(T, X*) = 0
-    base_relation: float  # Ric_h(X,Y) = Ric_g(X*,Y*) + (1/2) g(X*,Y*)
-    webster_relation: float  # Ric_h(X,Y) = -W(X*, J Y*)
+def submersion_residuals(ac: AnticanonicalChart, pts) -> dict[str, np.ndarray]:
+    """Per-point relations between the circle bundle and its Kaehler base.
 
-
-def submersion_ricci_residual(ac: AnticanonicalChart, pts) -> SubmersionResiduals:
-    """Ricci relations of the circle-bundle Riemannian submersion."""
+    The connection curvature d(real rho_ac) = Ric_h(., J.), dtheta = h(J., .)
+    on H, and the Ricci relations of the Riemannian submersion.
+    """
     ph = ac.ph
     pts = ac.chart.points(pts)
     m = ac.m
+    d = ac.chart.dim
+    base_pts = pts[:, : 2 * m]
+    jmat = ac.base.complex_structure
+    ric_h = riemann(ac.base.metric, base_pts).ricci
+
+    da = exterior_derivative(ac.connection.real)(pts)
+    ric_form = np.zeros_like(da)
+    ric_form[:, : 2 * m, : 2 * m] = np.einsum("nia,aj->nij", ric_h, jmat)
+
+    hj = np.zeros((pts.shape[0], d, d))
+    hj[:, : 2 * m, : 2 * m] = np.einsum("ai,naj->nij", jmat, ac.base.metric(base_pts))
+    proj = ph.h_projector(pts)
+    dt_h = np.einsum("nia,nij,njb->nab", proj, ph.dtheta(pts), proj)
+    hj_h = np.einsum("nia,nij,njb->nab", proj, hj, proj)
+
     gval = ph.metric(pts)
     curv = riemann(ph.metric, pts)
     reeb = ph.reeb(pts)
     tval = ph.theta(pts)
 
+    # Ric(T,T) = (m/2) g(T,T)
     ric_tt = np.einsum("ni,nj,nij->n", reeb, reeb, curv.ricci)
     g_tt = np.einsum("ni,nj,nij->n", reeb, reeb, gval)
-    res_tt = float(np.abs(ric_tt - 0.5 * m * g_tt).max())
 
     # horizontal lifts of the base coordinate fields: X* = X-hat - theta(X-hat) T
-    d = ac.chart.dim
     lifts = np.zeros((pts.shape[0], 2 * m, d))
     for a in range(2 * m):
         lifts[:, a, a] = 1.0
         lifts[:, a, :] -= tval[:, a, None] * reeb
 
+    # Ric(T, X*) = 0 and Ric_h(X,Y) = Ric_g(X*,Y*) + (1/2) g(X*,Y*)
     ric_t = np.einsum("ni,nij->nj", reeb, curv.ricci)
-    res_mixed = float(np.abs(np.einsum("nj,naj->na", ric_t, lifts)).max())
-
-    base_pts = pts[:, : 2 * m]
-    ric_h = riemann(ac.base.metric, base_pts).ricci
     ric_up = np.einsum("nai,nbj,nij->nab", lifts, lifts, curv.ricci)
     g_up = np.einsum("nai,nbj,nij->nab", lifts, lifts, gval)
-    res_base = float(np.abs(ric_h - ric_up - 0.5 * g_up).max())
 
-    from .pseudohermitian import webster_curvature
-
+    # Ric_h(X,Y) = -W(X*, J Y*)
     wcurv = webster_curvature(ac.webster, pts)
-    jval = ph.J(pts)
-    jlifts = np.einsum("nij,naj->nai", jval, lifts)
+    jlifts = np.einsum("nij,naj->nai", ph.J(pts), lifts)
     w_up = np.einsum("nai,nbj,nij->nab", lifts, jlifts, wcurv.ricci_rep)
-    res_webster = float(np.abs(ric_h + w_up).max())
-    return SubmersionResiduals(res_tt, res_mixed, res_base, res_webster)
+    return {
+        "connection_curvature": point_max(da - ric_form),
+        "dtheta_pullback": point_max(dt_h - hj_h),
+        "submersion_reeb_tt": np.abs(ric_tt - 0.5 * m * g_tt),
+        "submersion_reeb_mixed": point_max(np.einsum("nj,naj->na", ric_t, lifts)),
+        "submersion_base": point_max(ric_h - ric_up - 0.5 * g_up),
+        "submersion_webster": point_max(ric_h + w_up),
+    }
 
 
 # ----------------------------------------------------------------------
@@ -414,15 +396,17 @@ def fefferman_metric(ac: AnticanonicalChart, fiber_bound=(-2.8, 2.8)) -> Fefferm
     Requires the Einstein condition: only then does the Webster connection
     form admit the local potential A_W = i (m+2)/2 (ds + (2 scal_W / (m(m+2))) theta).
     """
-    sample = ac.chart.sample(8, 2024)
-    ein = ph_einstein_residual(ac.webster, sample)
-    if ein.einstein > EINSTEIN_PRECONDITION_TOL or ein.scal_deviation > EINSTEIN_PRECONDITION_TOL:
+    ein = ph_einstein_residual(ac.webster, ac.chart.sample(8, 2024))
+    residual = ein["webster_einstein"].max()
+    deviation = ein["webster_scal_constant"].max()
+    if residual > EINSTEIN_PRECONDITION_TOL or deviation > EINSTEIN_PRECONDITION_TOL:
         raise PreconditionError(
-            f"input is not pseudo-Hermitian Einstein: residual {ein.einstein:.3e}, "
-            f"scalar deviation {ein.scal_deviation:.3e}"
+            f"input is not pseudo-Hermitian Einstein: residual {residual:.3e}, "
+            f"scalar deviation {deviation:.3e}"
         )
     # measured Webster scalar; snap the Ricci-flat gauge exactly to zero
-    scal_w = ein.scal_mean if abs(ein.scal_mean) > 1e-10 else 0.0
+    scal_mean = ein["scal_mean"]
+    scal_w = scal_mean if abs(scal_mean) > 1e-10 else 0.0
     m = ac.m
     chart = ac.chart.extend("s", fiber_bound)
     theta_total = pullback_oneform(chart, ac.ph.theta)
@@ -479,8 +463,8 @@ class RescaledMetric:
     # t = t_scale * s, phi = -log(cos(t / (m+2)))
     t_scale: float
 
-    def ode_residual(self, pts) -> float:
-        """phi'' - (phi')^2 = 1/(m+2)^2 in the rescaling coordinate."""
+    def ode_residual(self, pts) -> np.ndarray:
+        """Per point: phi'' - (phi')^2 = 1/(m+2)^2 and phi = phi(t)."""
         m = self.fc.m
         pts = self.fc.chart.points(pts)
         v, d1, d2 = jet_data(self.phi, pts, 2)
@@ -489,8 +473,7 @@ class RescaledMetric:
         phi_t = d1[:, s_index] / dt_ds
         phi_tt = d2[:, s_index, s_index] / dt_ds**2
         res = phi_tt - phi_t**2 - 1.0 / (m + 2) ** 2
-        fiber_only = np.abs(d1[:, :s_index]).max() if s_index else 0.0
-        return float(max(np.abs(res).max(), fiber_only))
+        return point_max(res, d1[:, :s_index])
 
 
 def einstein_rescale(fc: FeffermanChart) -> RescaledMetric:
@@ -567,8 +550,8 @@ def _directional_nabla(gamma, a_vals, b_vals, b_grads):
 # Fefferman residual record
 # ----------------------------------------------------------------------
 
-def fefferman_structure_residuals(fc: FeffermanChart, pts) -> dict[str, float]:
-    """Normalization, lightlike fibers, connection curvature, closed form."""
+def fefferman_structure_residuals(fc: FeffermanChart, pts) -> dict[str, np.ndarray]:
+    """Per point: normalization, lightlike fibers and forms, the closed form."""
     pts = fc.chart.points(pts)
     m = fc.m
     fval = fc.metric(pts)
@@ -584,43 +567,31 @@ def fefferman_structure_residuals(fc: FeffermanChart, pts) -> dict[str, float]:
     light_theta = np.einsum("nij,ni,nj->n", finv, thval, thval)
     light_a = np.einsum("nij,ni,nj->n", finv, athval, athval)
 
-    # dA_W = -pullback(Ric_W) in real representatives: d(a_W) = -W
-    from .pseudohermitian import webster_curvature
-
-    pts_m = pts[:, :-1]
-    wcurv = webster_curvature(fc.ac.webster, pts_m)
-    da_w = exterior_derivative(fc.webster_connection_form.real)(pts)
-    w_full = np.zeros_like(da_w)
-    w_full[:, :-1, :-1] = wcurv.ricci_rep
-    res_curv = float(np.abs(da_w + w_full).max())
-
     db = exterior_derivative(fc.parallel_one_form)(pts)
-    res_closed = float(np.abs(db).max())
 
     # f-dual of T* - S_W P is (2/(m+2)) * (rho_c + rho_ac) in real reps
     vvals = tsval - fc.sw * pval
     dual = np.einsum("nij,ni->nj", fval, vvals)
     bval = fc.parallel_one_form(pts)
-    res_dual = float(np.abs(dual - (2.0 / (m + 2)) * bval).max())
 
     return {
-        "normalization": float(np.abs(f_pt - 1.0).max()),
-        "lightlike": float(max(np.abs(f_pp).max(), np.abs(f_tt).max())),
-        "lightlike_forms": float(max(np.abs(light_theta).max(), np.abs(light_a).max())),
-        "connection_curvature": res_curv,
-        "closed_one_form": res_closed,
-        "parallel_dual_form": res_dual,
+        "fefferman_normalization": np.abs(f_pt - 1.0),
+        "fefferman_lightlike": point_max(f_pp, f_tt),
+        "fefferman_lightlike_forms": point_max(light_theta, light_a),
+        "closed_one_form": point_max(db),
+        "parallel_dual_form": point_max(dual - (2.0 / (m + 2)) * bval),
     }
 
 
-def fefferman_ricci_residual(fc: FeffermanChart, pts) -> dict[str, float]:
-    """Ricci and curvature identities of the Fefferman metric.
+def fefferman_ricci_residual(fc: FeffermanChart, pts) -> dict[str, np.ndarray]:
+    """Per-point curvature identities of the Fefferman metric.
 
     (a) closed form Ric = m S_W f + (2m/(m+2)^2) b o b with b the real
     representative of rho_c + rho_ac; (b) vertical component values;
     (c) curvature component identities; (d) the covariant-derivative
     table on an adapted frame; (e) the parallel vertical field;
-    (f) the Killing residual of T*; (g) the never-Einstein certificate.
+    (f) the Killing residual of T*; (g) the never-Einstein certificate;
+    (h) dA_W = -Ric_W in real representatives.
     """
     from .metric import (
         _christoffel_arrays,
@@ -645,8 +616,8 @@ def fefferman_ricci_residual(fc: FeffermanChart, pts) -> dict[str, float]:
 
     bval = fc.parallel_one_form(pts)
     closed = m * sw * fval + (2.0 * m / (m + 2) ** 2) * np.einsum("ni,nj->nij", bval, bval)
-    scale = max(1.0, float(np.abs(ric).max()))
-    res_closed_form = float(np.abs(ric - closed).max()) / scale
+    scale = max(1.0, np.abs(ric).max())
+    res_closed_form = point_max(ric - closed) / scale
 
     # adapted frame: base unitary frame lifted twice; all frame fields,
     # the vertical fields, and the parallel candidate share one jet batch
@@ -666,50 +637,32 @@ def fefferman_ricci_residual(fc: FeffermanChart, pts) -> dict[str, float]:
     me_data = jet_data_multi(m_frame, pts_m, 1)
     e_m_vals = [d[0] for d in me_data]
 
-    ric_pp = np.einsum("nij,ni,nj->n", ric, pval, pval)
-    ric_tp = np.einsum("nij,ni,nj->n", ric, tsval, pval)
-    ric_tt = np.einsum("nij,ni,nj->n", ric, tsval, tsval)
-    res_components = float(
-        max(
-            np.abs(ric_pp - 0.5 * m).max(),
-            np.abs(ric_tp - 0.5 * m * sw).max(),
-            np.abs(ric_tt - 0.5 * m * sw**2).max(),
-        )
-    )
-
-    res_mixed = 0.0
+    # (b) Ric(P,P) = m/2, Ric(T*,P) = m S_W/2, Ric(T*,T*) = m S_W^2/2, mixed terms vanish
+    components = [
+        np.einsum("nij,ni,nj->n", ric, pval, pval) - 0.5 * m,
+        np.einsum("nij,ni,nj->n", ric, tsval, pval) - 0.5 * m * sw,
+        np.einsum("nij,ni,nj->n", ric, tsval, tsval) - 0.5 * m * sw**2,
+    ]
     for ev in e_vals:
-        res_mixed = max(
-            res_mixed,
-            float(np.abs(np.einsum("nij,ni,nj->n", ric, tsval, ev)).max()),
-            float(np.abs(np.einsum("nij,ni,nj->n", ric, pval, ev)).max()),
-        )
-    res_components = max(res_components, res_mixed)
+        components.append(np.einsum("nij,ni,nj->n", ric, tsval, ev))
+        components.append(np.einsum("nij,ni,nj->n", ric, pval, ev))
 
     # (c) curvature identities
-    res_rpt = float(np.abs(np.einsum("nijkl,ni,nj->nkl", rup, pval, tsval)).max())
+    identities = [np.einsum("nijkl,ni,nj->nkl", rup, pval, tsval)]
     tppart = tsval + sw * pval
 
-    gamma_w, dgamma_w, g_m, dg_m, gamma_m, dgamma_m, ginv_m = fc.ac.webster.connection_data(
-        pts_m, 1
-    )
-    rup_w, _ = curvature_from_connection(gamma_w, dgamma_w, g_m)
+    gamma_w, dgamma_w, g_m, *_ = fc.ac.webster.connection_data(pts_m, 1)
+    rup_w, r4_w = curvature_from_connection(gamma_w, dgamma_w, g_m)
     dtheta_m = fc.ac.ph.dtheta(pts_m)
     jval_m = fc.ac.ph.J(pts_m)
 
-    res_curv_ids = res_rpt
-    for i, ei in enumerate(e_vals):
+    for ei in e_vals:
         # R(e_i*, P) T* = (1/4) S_W e_i*
-        expr = np.einsum("nijkl,ni,nj,nk->nl", rup, ei, pval, tsval) - 0.25 * sw * ei
-        res_curv_ids = max(res_curv_ids, float(np.abs(expr).max()))
+        identities.append(np.einsum("nijkl,ni,nj,nk->nl", rup, ei, pval, tsval) - 0.25 * sw * ei)
         # R(T*, e_i*) e_i* = (1/4) S_W (T* + S_W P)
-        expr = (
-            np.einsum("nijkl,ni,nj,nk->nl", rup, tsval, ei, ei) - 0.25 * sw * tppart
-        )
-        res_curv_ids = max(res_curv_ids, float(np.abs(expr).max()))
+        identities.append(np.einsum("nijkl,ni,nj,nk->nl", rup, tsval, ei, ei) - 0.25 * sw * tppart)
         # R(P, e_i*) e_i* = (1/4) (T* + S_W P)
-        expr = np.einsum("nijkl,ni,nj,nk->nl", rup, pval, ei, ei) - 0.25 * tppart
-        res_curv_ids = max(res_curv_ids, float(np.abs(expr).max()))
+        identities.append(np.einsum("nijkl,ni,nj,nk->nl", rup, pval, ei, ei) - 0.25 * tppart)
     for i, ei in enumerate(e_vals):
         for j, ej in enumerate(e_vals):
             if i == j:
@@ -722,55 +675,45 @@ def fefferman_ricci_residual(fc: FeffermanChart, pts) -> dict[str, float]:
             jej = np.einsum("nab,nb->na", jval_m, emj)
             jej_lift = np.zeros((pts.shape[0], chart.dim))
             jej_lift[:, :-1] = jej
-            expr = (
+            identities.append(
                 np.einsum("nijkl,ni,nj,nk->nl", rup, ei, ej, ej)
                 - rw_lift
                 - 1.5 * sw * dth[:, None] * jej_lift
             )
-            res_curv_ids = max(res_curv_ids, float(np.abs(expr).max()))
 
     # (d) covariant derivative table
-    res_table = 0.0
-    for a_vals in (p_vals, t_vals):
-        for b_vals, b_grads in ((p_vals, p_grads), (t_vals, t_grads)):
-            res_table = max(
-                res_table,
-                float(np.abs(_directional_nabla(gamma_f, a_vals, b_vals, b_grads)).max()),
-            )
+    table = [
+        _directional_nabla(gamma_f, a_vals, b_vals, b_grads)
+        for a_vals in (p_vals, t_vals)
+        for b_vals, b_grads in ((p_vals, p_grads), (t_vals, t_grads))
+    ]
     for i, (ev, eg) in enumerate(e_data):
         jei = np.einsum("nab,nb->na", jval_m, e_m_vals[i])
         jei_lift = np.zeros((pts.shape[0], chart.dim))
         jei_lift[:, :-1] = jei
         # nabla_P e* = nabla_e* P = (1/2) (J e)*
-        expr = _directional_nabla(gamma_f, p_vals, ev, eg) - 0.5 * jei_lift
-        res_table = max(res_table, float(np.abs(expr).max()))
-        expr = _directional_nabla(gamma_f, ev, p_vals, p_grads) - 0.5 * jei_lift
-        res_table = max(res_table, float(np.abs(expr).max()))
+        table.append(_directional_nabla(gamma_f, p_vals, ev, eg) - 0.5 * jei_lift)
+        table.append(_directional_nabla(gamma_f, ev, p_vals, p_grads) - 0.5 * jei_lift)
         # nabla_T* e* = nabla_e* T* = (1/2) S_W (J e)*
-        expr = _directional_nabla(gamma_f, t_vals, ev, eg) - 0.5 * sw * jei_lift
-        res_table = max(res_table, float(np.abs(expr).max()))
-        expr = _directional_nabla(gamma_f, ev, t_vals, t_grads) - 0.5 * sw * jei_lift
-        res_table = max(res_table, float(np.abs(expr).max()))
+        table.append(_directional_nabla(gamma_f, t_vals, ev, eg) - 0.5 * sw * jei_lift)
+        table.append(_directional_nabla(gamma_f, ev, t_vals, t_grads) - 0.5 * sw * jei_lift)
 
-    gamma_w0 = gamma_w
     for i, (evi, _) in enumerate(e_data):
         for j in range(len(f_frame)):
             emv, emg = me_data[j]
-            w_vec = _directional_nabla(gamma_w0, e_m_vals[i], emv, emg)
+            w_vec = _directional_nabla(gamma_w, e_m_vals[i], emv, emg)
             w_lift = np.zeros((pts.shape[0], chart.dim))
             w_lift[:, :-1] = w_vec
             dth = np.einsum("nij,ni,nj->n", dtheta_m, e_m_vals[i], e_m_vals[j])
-            expr = (
+            table.append(
                 _directional_nabla(gamma_f, evi, *e_data[j])
                 - w_lift
                 + 0.5 * dth[:, None] * tsval
                 + 0.5 * sw * dth[:, None] * pval
             )
-            res_table = max(res_table, float(np.abs(expr).max()))
 
     # (e) parallel vertical field T* - S_W P
     nabla_v = v_grads + np.einsum("nkab,nb->nak", gamma_f, v_vals)
-    res_parallel = float(np.abs(nabla_v).max())
 
     # (f) Killing residual of T*
     lie = (
@@ -778,27 +721,32 @@ def fefferman_ricci_residual(fc: FeffermanChart, pts) -> dict[str, float]:
         + np.einsum("nkj,nik->nij", fval, t_grads)
         + np.einsum("nik,njk->nij", fval, t_grads)
     )
-    res_killing = float(np.abs(lie).max())
 
     # (g) never Einstein: frame-normalized trace-free Ricci norm (lower bound)
     tf = ric - (scalar / chart.dim)[:, None, None] * fval
     on_frame, _ = orthonormal_frame(fval)
-    cert = float(
-        np.abs(np.einsum("nai,nbj,nij->nab", on_frame, on_frame, tf)).max(axis=(1, 2)).min()
-    )
+
+    # (h) dA_W = -pullback(Ric_W) in real representatives: d(a_W) = -W
+    wcurv = webster_curvature_from_riemann(fc.ac.ph, pts_m, r4_w)
+    da_w = exterior_derivative(fc.webster_connection_form.real)(pts)
+    w_full = np.zeros_like(da_w)
+    w_full[:, :-1, :-1] = wcurv.ricci_rep
 
     return {
-        "ricci_closed_form": res_closed_form,
-        "ricci_components": res_components,
-        "curvature_identities": res_curv_ids,
-        "covariant_table": res_table,
-        "parallel_vertical": res_parallel,
-        "killing_reeb_lift": res_killing,
-        "non_einstein_certificate": cert,
+        "fefferman_connection_curvature": point_max(da_w + w_full),
+        "fefferman_ricci_closed_form": res_closed_form,
+        "fefferman_ricci_components": point_max(*components),
+        "fefferman_curvature_identities": point_max(*identities),
+        "fefferman_covariant_table": point_max(*table),
+        "parallel_vertical_field": point_max(nabla_v),
+        "killing_reeb_lift": point_max(lie),
+        "non_einstein_certificate": point_max(
+            np.einsum("nai,nbj,nij->nab", on_frame, on_frame, tf)
+        ),
     }
 
 
-def fefferman_expression_residual(fc: FeffermanChart, pts) -> float:
+def fefferman_expression_residual(fc: FeffermanChart, pts) -> np.ndarray:
     """Independent assembly of the Fefferman metric from base data.
 
     Ricci-flat gauge: f = h + (4/(m+2)) theta o a_W.  Otherwise
@@ -825,42 +773,43 @@ def fefferman_expression_residual(fc: FeffermanChart, pts) -> float:
         assembled = h_full + coeff * (
             -np.einsum("ni,nj->nij", bval, bval) + np.einsum("ni,nj->nij", cval, cval)
         )
-    return float(np.abs(assembled - fval).max())
+    return point_max(assembled - fval)
 
 
 # ----------------------------------------------------------------------
 # rescaling residuals
 # ----------------------------------------------------------------------
 
-def rescale_residuals(rm: RescaledMetric, pts) -> dict[str, float]:
-    """Einstein condition of the rescaled metric and the conformal ODE."""
+def _scalar_residual(scalar, target):
+    """|scal - target|, relative to |target| unless the target is zero."""
+    if target == 0.0:
+        return np.abs(scalar)
+    return np.abs(scalar - target) / abs(target)
+
+
+def rescale_residuals(rm: RescaledMetric, pts) -> dict[str, np.ndarray]:
+    """Per point: Einstein condition of the rescaled metric and the conformal ODE."""
     fc = rm.fc
     pts = fc.chart.points(pts)
     curv = riemann(rm.metric, pts)
     gval = rm.metric(pts)
     lam = rm.einstein_constant
-    res_einstein = float(np.abs(curv.ricci - lam * gval).max())
-    target_scal = lam * fc.chart.dim
-    if lam == 0.0:
-        res_scal = float(np.abs(curv.scalar).max())
-    else:
-        res_scal = float(np.abs(curv.scalar - target_scal).max() / abs(target_scal))
     return {
-        "rescaled_einstein": res_einstein,
-        "rescaled_scalar": res_scal,
+        "rescaled_einstein": point_max(curv.ricci - lam * gval),
+        "rescaled_scalar": _scalar_residual(curv.scalar, lam * fc.chart.dim),
         "conformal_ode": rm.ode_residual(pts),
     }
 
 
-def slice_identity_residual(rm: RescaledMetric, n: int = 8, seed: int = 42) -> float:
+def slice_identity_residual(rm: RescaledMetric, n: int = 8, seed: int = 42) -> np.ndarray:
     """At s = 0 the rescaled metric coincides with the Fefferman metric."""
     fc = rm.fc
     pts = fc.chart.sample(n, seed)
     pts[:, -1] = 0.0
-    return float(np.abs(rm.metric(pts) - fc.metric(pts)).max())
+    return point_max(rm.metric(pts) - fc.metric(pts))
 
 
-def correction_structure_residual(rm: RescaledMetric, pts) -> float:
+def correction_structure_residual(rm: RescaledMetric, pts) -> np.ndarray:
     """Ricci-flat gauge: the conformal correction has only a (P,P) component."""
     from .metric import conformal_ricci_correction
 
@@ -871,15 +820,15 @@ def correction_structure_residual(rm: RescaledMetric, pts) -> float:
     vecs = [fefferman_lift(fc, horizontal_lift(fc.ac, x))(pts) for x in base_frame]
     vecs.append(fc.reeb_lift(pts))
     pvals = fc.vertical_canonical(pts)
-    worst = 0.0
-    for i, u in enumerate(vecs):
-        for v in vecs[i:]:
-            worst = max(worst, float(np.abs(np.einsum("nij,ni,nj->n", corr, u, v)).max()))
-        worst = max(worst, float(np.abs(np.einsum("nij,ni,nj->n", corr, u, pvals)).max()))
+    terms = [
+        np.einsum("nij,ni,nj->n", corr, u, v)
+        for i, u in enumerate(vecs)
+        for v in vecs[i:] + [pvals]
+    ]
+    worst = point_max(*terms)
+    # the (P,P) component itself must not vanish
     pp = np.einsum("nij,ni,nj->n", corr, pvals, pvals)
-    if np.abs(pp).min() <= 0.0:
-        worst = max(worst, 1.0)
-    return worst
+    return np.where(pp == 0.0, np.maximum(worst, 1.0), worst)
 
 
 # ----------------------------------------------------------------------
@@ -1008,38 +957,35 @@ def explicit_einstein_metric(ke: KahlerEinsteinChart) -> ExplicitEinsteinMetric:
     )
 
 
-def explicit_einstein_residuals(t2: ExplicitEinsteinMetric, pts) -> dict[str, float]:
-    """Einstein condition, product structure, and Sasaki cross-check."""
+def explicit_einstein_residuals(t2: ExplicitEinsteinMetric, pts) -> dict[str, np.ndarray]:
+    """Per point: Einstein condition, product structure, and Sasaki cross-check.
+
+    The Sasaki factor is checked at its own sample of the same size.
+    """
     pts = t2.chart.points(pts)
     curv = riemann(t2.metric, pts)
     gval = t2.metric(pts)
-    res_einstein = float(np.abs(curv.ricci - t2.einstein_constant * gval).max())
-    if t2.einstein_constant == 0.0:
-        res_scal = float(np.abs(curv.scalar).max())
-    else:
-        target = t2.einstein_constant * t2.chart.dim
-        res_scal = float(np.abs(curv.scalar - target).max() / abs(target))
-    out = {"einstein": res_einstein, "scalar": res_scal}
+    lam = t2.einstein_constant
+    out = {
+        "explicit_einstein": point_max(curv.ricci - lam * gval),
+        "explicit_scalar": _scalar_residual(curv.scalar, lam * t2.chart.dim),
+    }
 
     if t2.sasaki_metric is not None:
         sp = t2.sasaki_chart.sample(pts.shape[0], 977)
         scurv = riemann(t2.sasaki_metric, sp)
         sval = t2.sasaki_metric(sp)
-        out["sasaki_einstein"] = float(
-            np.abs(scurv.ricci - t2.sasaki_constant * sval).max()
-        )
+        out["sasaki_einstein"] = point_max(scurv.ricci - t2.sasaki_constant * sval)
         # product structure of the unrescaled metric along the line factor
         li = t2.line_index
         ucurv = riemann(t2.unrescaled, pts)
         uval = t2.unrescaled(pts)
-        out["product_line_metric"] = float(
-            np.abs(np.delete(uval[:, li, :], li, axis=1)).max()
-        )
-        out["product_line_curvature"] = float(np.abs(ucurv.riemann[:, li]).max())
+        out["sasaki_product"] = point_max(np.delete(uval[:, li, :], li, axis=1))
+        out["sasaki_product_curvature"] = point_max(ucurv.riemann[:, li])
     return out
 
 
-def pipeline_agreement_residual(rm: RescaledMetric, t2: ExplicitEinsteinMetric, pts) -> float:
+def pipeline_agreement_residual(rm: RescaledMetric, t2: ExplicitEinsteinMetric, pts) -> np.ndarray:
     """The pipeline rescaled metric equals the explicit one under the
     documented affine fiber identification."""
     fc = rm.fc
@@ -1049,7 +995,7 @@ def pipeline_agreement_residual(rm: RescaledMetric, t2: ExplicitEinsteinMetric, 
     f_pipe = rm.metric(pts)
     f_exp = t2.metric(mapped)
     pulled = np.einsum("ca,ncd,db->nab", a, f_exp, a)
-    return float(np.abs(pulled - f_pipe).max())
+    return point_max(pulled - f_pipe)
 
 
 # ----------------------------------------------------------------------
@@ -1068,10 +1014,10 @@ def perturbed_structure(ac: AnticanonicalChart, amplitude: float = 0.2) -> PHStr
     return make_structure(chart, theta_p, ac.base.complex_structure, ac.m, ac.ph.levi_signature)
 
 
-def gauge_shift_scal_residual(ac: AnticanonicalChart, pts, amplitude: float = 0.05) -> float:
-    """scal_W computed from theta and from theta + df (basic f) must agree."""
-    from .pseudohermitian import webster_curvature
-
+def gauge_shift_scal_residual(
+    ac: AnticanonicalChart, pts, scal, amplitude: float = 0.05
+) -> np.ndarray:
+    """scal_W from theta + df (basic f) must agree with ``scal``, that of theta, at pts."""
     chart = ac.chart
     f = chart.coord(0) * chart.coord(1) * amplitude
     df = differential(f)
@@ -1086,6 +1032,4 @@ def gauge_shift_scal_residual(ac: AnticanonicalChart, pts, amplitude: float = 0.
     )
     wd_hat = webster_connection(ph_hat)
     pts = chart.points(pts)
-    scal_hat = webster_curvature(wd_hat, pts).scalar
-    scal = webster_curvature(ac.webster, pts).scalar
-    return float(np.abs(scal_hat - scal).max())
+    return np.abs(webster_curvature(wd_hat, pts).scalar - scal)

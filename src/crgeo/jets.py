@@ -114,15 +114,7 @@ class Jet:
 
     def __mul__(self, other):
         if isinstance(other, Jet):
-            k = self.order
-            a, b = self.comp, other.comp
-            if k == 0:
-                return Jet(a * b)
-            ia, ib, scatter = _mul_index(k)
-            prods = a[ia] * b[ib]
-            shape = prods.shape[1:]
-            out = scatter @ prods.reshape(len(ia), -1)
-            return Jet(out.reshape((scatter.shape[0],) + shape))
+            return _convolve(self, other, np.multiply)
         return Jet(self.comp * other)
 
     __rmul__ = __mul__
@@ -239,14 +231,29 @@ def sqrt(x):
 # jet linear algebra (matrix dims are the trailing axes of comp)
 # ----------------------------------------------------------------------
 
-def _jet_matmul(a: Jet, b: Jet) -> Jet:
+def _convolve(a: Jet, b: Jet, product) -> Jet:
+    # gather the disjoint coefficient pairs, multiply them with ``product``
+    # and scatter-add each pair onto the union of its generators
     k = a.order
     if k == 0:
-        return Jet(a.comp @ b.comp)
+        return Jet(product(a.comp, b.comp))
     ia, ib, scatter = _mul_index(k)
-    prods = a.comp[ia] @ b.comp[ib]
+    prods = product(a.comp[ia], b.comp[ib])
     out = scatter @ prods.reshape(len(ia), -1)
     return Jet(out.reshape((scatter.shape[0],) + prods.shape[1:]))
+
+
+def _outer(x, y):
+    return x[..., :, None] * y[..., None, :]
+
+
+def _jet_matmul(a: Jet, b: Jet) -> Jet:
+    return _convolve(a, b, np.matmul)
+
+
+def _jet_outer(a: Jet, b: Jet) -> Jet:
+    """Outer product over the last value axis of two vector-valued jets."""
+    return _convolve(a, b, _outer)
 
 
 def jet_solve(a: Jet, b: Jet, min_det: float = 1e-10) -> Jet:

@@ -45,21 +45,24 @@ class MetricField(SymmetricTwoTensor):
         return MetricField(self.chart, comp, self.signature)
 
     def verify_signature(self, pts) -> None:
+        """Raise DegeneracyError at the first degenerate or wrongly signed point."""
         g = self(pts)
         det = np.abs(np.linalg.det(g))
-        if det.min() <= _DET_FLOOR:
-            raise DegeneracyError(f"metric degenerate at a sampled point: |det| = {det.min():.3e}")
         eig = np.linalg.eigvalsh(g)
-        plus = int(np.round((eig > 0).sum(1).mean()))
-        minus = int(np.round((eig < 0).sum(1).mean()))
-        if (plus, minus) != self.signature:
-            raise DegeneracyError(
-                f"eigenvalue signs {(plus, minus)} do not match declared signature {self.signature}"
-            )
+        for n in range(len(g)):
+            if det[n] <= _DET_FLOOR:
+                raise DegeneracyError(f"metric degenerate at sample point {n}: |det| = {det[n]:.3e}")
+            signs = (int((eig[n] > 0).sum()), int((eig[n] < 0).sum()))
+            if signs != self.signature:
+                raise DegeneracyError(
+                    f"eigenvalue signs {signs} at sample point {n} do not match "
+                    f"declared signature {self.signature}"
+                )
 
 
-def metric_from_matrix(chart: Chart, rows, signature) -> MetricField:
-    return MetricField(chart, rows, signature)
+def point_max(*arrays) -> np.ndarray:
+    """Per-point max |a| over every non-point axis, taken across (N, ...) arrays."""
+    return np.max([np.abs(a).reshape(len(a), -1).max(axis=1) for a in arrays], axis=0)
 
 
 def inverse_metric(gval: np.ndarray) -> np.ndarray:
@@ -119,7 +122,6 @@ class CurvatureTensor:
     """Curvature data of a metric at a point batch."""
 
     riemann: np.ndarray  # (N,d,d,d,d) fully covariant R(e_i,e_j,e_k,e_l)
-    riemann_up: np.ndarray  # (N,i,j,k,l) with last index raised
     ricci: np.ndarray  # (N,d,d)
     scalar: np.ndarray  # (N,)
 
@@ -140,10 +142,10 @@ def riemann(metric: MetricField, pts) -> CurvatureTensor:
     g, dg, d2g = jet_data(metric, pts, 2)
     gamma, ginv, c = _christoffel_arrays(g, dg)
     dgamma, _ = _dchristoffel_arrays(g, dg, d2g, gamma, ginv, c)
-    rup, r4 = curvature_from_connection(gamma, dgamma, g)
+    _, r4 = curvature_from_connection(gamma, dgamma, g)
     ricci = np.einsum("nab,najkb->njk", ginv, r4)
     scalar = np.einsum("njk,njk->n", ginv, ricci)
-    return CurvatureTensor(r4, rup, ricci, scalar)
+    return CurvatureTensor(r4, ricci, scalar)
 
 
 # ----------------------------------------------------------------------

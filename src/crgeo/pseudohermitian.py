@@ -35,7 +35,7 @@ from .chart import (
     symmetric_product,
 )
 from .errors import DegeneracyError, PreconditionError
-from .jets import Jet, jet_solve
+from .jets import Jet, _jet_outer, jet_solve
 from .metric import (
     MetricField,
     _christoffel_arrays,
@@ -43,7 +43,7 @@ from .metric import (
     covariant_from_arrays,
     curvature_from_connection,
     field_variance,
-    killing_residual,
+    point_max,
 )
 
 TSPH_TOL = 1e-8
@@ -137,17 +137,6 @@ class LiftedComplexStructure(Endomorphism):
         return Jet(comp)
 
 
-def _jet_outer(a: Jet, b: Jet) -> Jet:
-    from .jets import _mul_index
-
-    if a.order == 0:
-        return Jet(a.comp[..., :, None] * b.comp[..., None, :])
-    ia, ib, scatter = _mul_index(a.order)
-    prods = a.comp[ia][..., :, None] * b.comp[ib][..., None, :]
-    out = scatter @ prods.reshape(len(ia), -1)
-    return Jet(out.reshape((scatter.shape[0],) + prods.shape[1:]))
-
-
 # ----------------------------------------------------------------------
 # the structure
 # ----------------------------------------------------------------------
@@ -232,9 +221,9 @@ class PHStructure:
         reeb = self.reeb(pts)
         return np.eye(self.chart.dim)[None] - np.einsum("ni,nj->nij", reeb, tval)
 
-    # -- structural residuals -------------------------------------------
-    def structure_residuals(self, pts) -> dict[str, float]:
-        """Contact, J^2, Levi-symmetry, and CR-integrability residuals."""
+    # -- structural residuals (per sample point) ----------------------------
+    def structure_residuals(self, pts) -> dict[str, np.ndarray]:
+        """Contact determinant, J^2, Levi-symmetry, and CR-integrability residuals."""
         pts = self.chart.points(pts)
         tval = self.theta(pts)
         dtval = self.dtheta(pts)
@@ -244,31 +233,22 @@ class PHStructure:
 
         proj = np.eye(d)[None] - np.einsum("ni,nj->nij", reeb, tval)
         j2 = np.einsum("nij,njk->nik", jval, jval)
-        res_j = max(
-            float(np.abs(j2 + proj).max()),
-            float(np.abs(np.einsum("nij,nj->ni", jval, reeb)).max()),
-        )
-
         levi = np.einsum("nia,naj->nij", dtval, jval)
-        res_levi = float(np.abs(levi - levi.transpose(0, 2, 1)).max())
-
         b = np.einsum("ni,nj->nij", tval, tval) - dtval
-        res_contact = float(np.abs(np.linalg.det(b)).min())
-
         return {
-            "contact_min_det": res_contact,
-            "j_squared": res_j,
-            "levi_symmetric": res_levi,
-            "integrability": self.integrability_residual(pts),
+            "contact_nondegenerate": np.abs(np.linalg.det(b)),
+            "complex_structure": point_max(j2 + proj, np.einsum("nij,nj->ni", jval, reeb)),
+            "levi_symmetric": point_max(levi - levi.transpose(0, 2, 1)),
+            "cr_integrability": self.integrability_residual(pts),
         }
 
-    def integrability_residual(self, pts) -> float:
+    def integrability_residual(self, pts) -> np.ndarray:
         """Nijenhuis residual J([JX,Y]+[X,JY]) - [JX,JY] + [X,Y] over H pairs."""
         fields = self.horizontal_fields()
         jf = [self.J.apply(x) for x in fields]
         jval = self.J(pts)
         tval = self.theta(pts)
-        worst = 0.0
+        terms = []
         d = self.chart.dim
         for i in range(d):
             for j in range(i + 1, d):
@@ -279,18 +259,17 @@ class PHStructure:
                     - lie_bracket(jx, jy)(pts)
                     + lie_bracket(x, y)(pts)
                 )
-                worst = max(worst, float(np.abs(expr).max()))
-                worst = max(worst, float(np.abs(np.einsum("na,na->n", tval, b1)).max()))
-        return worst
+                terms += [expr, np.einsum("na,na->n", tval, b1)]
+        return point_max(*terms)
 
-    def reeb_residual(self, pts) -> float:
-        """Max violation of theta(T) = 1 and T . dtheta = 0."""
+    def reeb_residual(self, pts) -> np.ndarray:
+        """Violation of theta(T) = 1 and T . dtheta = 0."""
         tval = self.theta(pts)
         dtval = self.dtheta(pts)
         reeb = self.reeb(pts)
-        r1 = np.abs(np.einsum("ni,ni->n", tval, reeb) - 1.0).max()
-        r2 = np.abs(np.einsum("ni,nij->nj", reeb, dtval)).max()
-        return float(max(r1, r2))
+        return point_max(
+            np.einsum("ni,ni->n", tval, reeb) - 1.0, np.einsum("ni,nij->nj", reeb, dtval)
+        )
 
 
 def _sum_fields(fields):
@@ -331,44 +310,25 @@ def solved_reeb_field(ph: PHStructure) -> ReebField:
 
 
 # ----------------------------------------------------------------------
-# spec operations
+# transversal symmetry and the Webster connection
 # ----------------------------------------------------------------------
 
-def reeb_field(ph: PHStructure) -> VectorField:
-    return ph.reeb
-
-
-def g_theta(ph: PHStructure) -> MetricField:
-    return ph.metric
-
-
-@dataclass(frozen=True)
-class TsphResidual:
-    bracket: float
-    killing: float
-
-    @property
-    def value(self) -> float:
-        return self.bracket
-
-
-def transversal_symmetry_residual(ph: PHStructure, pts) -> TsphResidual:
-    """Max over an H-frame of |[T,X] + J[T,JX]|, plus the Killing residual of T."""
+def transversal_symmetry_residual(ph: PHStructure, pts) -> np.ndarray:
+    """Per-point max over an H-frame of |[T,X] + J[T,JX]| / |X|_g."""
     pts = ph.chart.points(pts)
     fields = ph.horizontal_fields()
     t = ph.reeb
     jval = ph.J(pts)
     gval = ph.metric(pts)
-    worst = 0.0
+    terms = []
     for x in fields:
         jx = ph.J.apply(x)
         expr = lie_bracket(t, x)(pts) + np.einsum(
             "nab,nb->na", jval, lie_bracket(t, jx)(pts)
         )
         norm = np.sqrt(np.abs(np.einsum("nij,ni,nj->n", gval, x(pts), x(pts))))
-        worst = max(worst, float((np.abs(expr).max(axis=1) / np.maximum(norm, 1e-12)).max()))
-    killing = float(killing_residual(ph.metric, t, pts).max())
-    return TsphResidual(bracket=worst, killing=killing)
+        terms.append(np.abs(expr).max(axis=1) / np.maximum(norm, 1e-12))
+    return np.max(terms, axis=0)
 
 
 class WebsterData:
@@ -388,22 +348,24 @@ class WebsterData:
         gamma, ginv, c = _christoffel_arrays(g, dg)
         gamma_w = gamma + d_arrays[0]
         if order == 0:
-            return gamma_w, g, ginv
+            return gamma_w, g, dg
         d2g = g_arrays[2]
         dgamma, _ = _dchristoffel_arrays(g, dg, d2g, gamma, ginv, c)
         dgamma_w = dgamma + d_arrays[1]
         return gamma_w, dgamma_w, g, dg, gamma, dgamma, ginv
 
     def covariant_derivative(self, field: TensorField, pts) -> np.ndarray:
-        gamma_w, _, _ = self.connection_data(pts, 0)
+        gamma_w = self.connection_data(pts, 0)[0]
         vals, grads = jet_data(field, pts, 1)
         return covariant_from_arrays(vals, grads, gamma_w, field_variance(field))
 
-    def axiom_residuals(self, pts) -> dict[str, float]:
-        """Residuals of the defining Tanaka-Webster axioms."""
+    def axiom_residuals(self, pts) -> dict[str, np.ndarray]:
+        """Per-point residuals of the defining Tanaka-Webster axioms on H.
+
+        Tor(T, X) = 0 is the transversal-symmetry residual.
+        """
         pts = self.ph.chart.points(pts)
-        gamma_w, gval, ginv = self.connection_data(pts, 0)
-        _, dg = jet_data(self.metric, pts, 1)
+        gamma_w, gval, dg = self.connection_data(pts, 0)
         metricity = (
             dg
             - np.einsum("nmai,nmj->naij", gamma_w, gval)
@@ -430,18 +392,13 @@ class WebsterData:
         jproj = np.einsum("nki,nia->nka", jval, proj)
         lval = self.ph.levi_form(pts)
         levi_jh = np.einsum("nka,nkl,nlb->nab", jproj, lval, proj)
-        torsion_h = max(
-            float(np.abs(tor_h - np.einsum("nab,nk->nkab", dth_h, reeb)).max()),
-            float(np.abs(dth_h - levi_jh).max()),
-        )
-
-        tsph = transversal_symmetry_residual(self.ph, pts)
         return {
-            "metricity": float(np.abs(metricity).max()),
-            "parallel_theta": float(np.abs(parallel_theta).max()),
-            "j_parallel": float(np.abs(nabla_j).max()),
-            "torsion_h": torsion_h,
-            "torsion_reeb": tsph.bracket,
+            "webster_metricity": point_max(metricity),
+            "webster_parallel_theta": point_max(parallel_theta),
+            "webster_parallel_j": point_max(nabla_j),
+            "webster_torsion_h": point_max(
+                tor_h - np.einsum("nab,nk->nkab", dth_h, reeb), dth_h - levi_jh
+            ),
         }
 
 
@@ -449,10 +406,10 @@ def webster_connection(ph: PHStructure, pts=None, tol: float = TSPH_TOL) -> Webs
     """Assemble the Webster connection, enforcing transversal symmetry."""
     if pts is None:
         pts = ph.chart.sample(8, 2024)
-    res = transversal_symmetry_residual(ph, pts)
-    if res.bracket > tol:
+    res = transversal_symmetry_residual(ph, pts).max()
+    if res > tol:
         raise PreconditionError(
-            f"structure is not transversally symmetric: residual {res.bracket:.3e} > {tol:g}"
+            f"structure is not transversally symmetric: residual {res:.3e} > {tol:g}"
         )
     return WebsterData(ph)
 
@@ -515,66 +472,63 @@ class WebsterCurvature:
     """Webster curvature with the real Ricci representative (Ric_W = i W)."""
 
     riemann: np.ndarray  # (N,d,d,d,d) fully covariant
-    riemann_up: np.ndarray  # last index raised
     ricci_rep: np.ndarray  # (N,d,d) antisymmetric W
     scalar: np.ndarray  # (N,)
 
-    def symmetry_residuals(self, jval) -> dict[str, float]:
+    def symmetry_residual(self, jval) -> np.ndarray:
+        """Antisymmetries, J-symmetry and W antisymmetry, relative to max |R_W|."""
         r = self.riemann
-        scale = max(1.0, float(np.abs(r).max()))
+        scale = max(1.0, np.abs(r).max())
         j_sym = np.einsum("nijal,nak->nijkl", r, jval) + np.einsum(
             "nijka,nal->nijkl", r, jval
         )
-        return {
-            "antisym_first": float(np.abs(r + r.transpose(0, 2, 1, 3, 4)).max()) / scale,
-            "antisym_last": float(np.abs(r + r.transpose(0, 1, 2, 4, 3)).max()) / scale,
-            "j_symmetry": float(np.abs(j_sym).max()) / scale,
-            "ricci_antisym": float(
-                np.abs(self.ricci_rep + self.ricci_rep.transpose(0, 2, 1)).max()
-            )
-            / scale,
-        }
+        return point_max(
+            r + r.transpose(0, 2, 1, 3, 4),
+            r + r.transpose(0, 1, 2, 4, 3),
+            j_sym,
+            self.ricci_rep + self.ricci_rep.transpose(0, 2, 1),
+        ) / scale
 
 
 def webster_curvature(wd: WebsterData, pts) -> WebsterCurvature:
     """Curvature of nabla_W; Ricci trace runs over the (e_a, J e_a) frame."""
     pts = wd.ph.chart.points(pts)
-    gamma_w, dgamma_w, g, dg, gamma, dgamma, ginv = wd.connection_data(pts, 1)
-    rup, r4 = curvature_from_connection(gamma_w, dgamma_w, g)
-    frame, eps = levi_adapted_frame(wd.ph, pts)
-    m = wd.ph.m
+    gamma_w, dgamma_w, g, *_ = wd.connection_data(pts, 1)
+    _, r4 = curvature_from_connection(gamma_w, dgamma_w, g)
+    return webster_curvature_from_riemann(wd.ph, pts, r4)
+
+
+def webster_curvature_from_riemann(ph: PHStructure, pts, r4) -> WebsterCurvature:
+    """Webster Ricci representative and scalar from the (4,0) curvature at pts."""
+    frame, eps = levi_adapted_frame(ph, pts)
+    m = ph.m
     e, je = frame[:, :m, :], frame[:, m:, :]
     w = np.einsum("na,nak,nal,nijkl->nij", eps, e, je, r4)
     scal = -np.einsum("na,nai,naj,nij->n", eps, e, je, w)
-    return WebsterCurvature(r4, rup, w, scal)
+    return WebsterCurvature(r4, w, scal)
 
 
-@dataclass(frozen=True)
-class EinsteinResidual:
-    einstein: float  # max |W + (scal_W / m) dtheta|
-    torsion_reeb: float
-    scal_deviation: float
-    scal_mean: float
+def ph_einstein_residual(wd: WebsterData, pts, curv: WebsterCurvature | None = None) -> dict:
+    """Einstein condition W = -(scal_W / m) dtheta with scal_W the sample mean.
 
-
-def ph_einstein_residual(wd: WebsterData, pts) -> EinsteinResidual:
-    """Residual of the Einstein condition W = -(scal_W / m) dtheta."""
+    Per point: the Einstein residual and the deviation of scal_W from its
+    mean; ``scal_mean`` is the sample statistic.  ``curv`` is the Webster
+    curvature at ``pts`` when the caller already holds it.
+    """
     pts = wd.ph.chart.points(pts)
-    curv = webster_curvature(wd, pts)
-    dtheta = wd.ph.dtheta(pts)
+    if curv is None:
+        curv = webster_curvature(wd, pts)
     scal = curv.scalar
-    res = curv.ricci_rep + (scal.mean() / wd.ph.m) * dtheta
-    tsph = transversal_symmetry_residual(wd.ph, pts)
-    return EinsteinResidual(
-        einstein=float(np.abs(res).max()),
-        torsion_reeb=tsph.bracket,
-        scal_deviation=float(np.abs(scal - scal.mean()).max()),
-        scal_mean=float(scal.mean()),
-    )
+    res = curv.ricci_rep + (scal.mean() / wd.ph.m) * wd.ph.dtheta(pts)
+    return {
+        "webster_einstein": point_max(res),
+        "webster_scal_constant": np.abs(scal - scal.mean()),
+        "scal_mean": float(scal.mean()),
+    }
 
 
-def comparison_identities_residual(wd: WebsterData, pts) -> dict[str, float]:
-    """Residuals of the Webster vs Levi-Civita curvature comparison.
+def comparison_identities_residual(wd: WebsterData, pts) -> dict[str, np.ndarray]:
+    """Per-point residuals of the Webster vs Levi-Civita curvature comparison.
 
     (a) five-term comparison formula, (b) cyclic Bianchi sum of the
     Webster curvature operator, (c) pair symmetry, (d) the Ricci relation
@@ -608,17 +562,17 @@ def comparison_identities_residual(wd: WebsterData, pts) -> dict[str, float]:
         + 0.25 * np.einsum("nk,ni,jl->nijkl", tval, tval, eye)
         - 0.25 * np.einsum("nk,nj,il->nijkl", tval, tval, eye)
     )
-    scale = max(1.0, float(np.abs(rup_w).max()))
-    res_formula = float(np.abs(rup_w - rhs).max()) / scale
+    scale = max(1.0, np.abs(rup_w).max())
+    res_formula = point_max(rup_w - rhs) / scale
 
     # (b) cyclic Bianchi sum of the Webster curvature operator
     cyc = rup_w + np.einsum("njkil->nijkl", rup_w) + np.einsum("nkijl->nijkl", rup_w)
-    res_bianchi = float(np.abs(cyc).max()) / scale
+    res_bianchi = point_max(cyc) / scale
 
     # (c) pair symmetry of the (4,0) tensor
-    res_pair = float(np.abs(r4_w - r4_w.transpose(0, 3, 4, 1, 2)).max()) / scale
+    res_pair = point_max(r4_w - r4_w.transpose(0, 3, 4, 1, 2)) / scale
 
-    curv_w = webster_curvature(wd, pts)
+    curv_w = webster_curvature_from_riemann(ph, pts, r4_w)
     ricci_g = np.einsum("nab,najkb->njk", ginv, r4_g)
     proj = eye[None] - np.einsum("ni,nj->nij", reeb, tval)
 
@@ -626,31 +580,27 @@ def comparison_identities_residual(wd: WebsterData, pts) -> dict[str, float]:
     wj = np.einsum("nia,naj->nij", curv_w.ricci_rep, jval)
     d_expr = ricci_g + wj + 0.5 * g
     d_h = np.einsum("nia,nij,njb->nab", proj, d_expr, proj)
-    res_d = float(np.abs(d_h).max())
 
     # (e) W(T, .) = 0
-    res_e = float(np.abs(np.einsum("ni,nij->nj", reeb, curv_w.ricci_rep)).max())
+    w_t = np.einsum("ni,nij->nj", reeb, curv_w.ricci_rep)
 
     # (f) Ric_g(T,T) = (m/2) g(T,T) and Ric_g(T, X) = 0 for X in H
     ric_tt = np.einsum("ni,nj,nij->n", reeb, reeb, ricci_g)
     g_tt = np.einsum("ni,nj,nij->n", reeb, reeb, g)
-    res_f_tt = float(np.abs(ric_tt - 0.5 * m * g_tt).max())
     ric_t = np.einsum("ni,nij->nj", reeb, ricci_g)
-    res_f_tx = float(np.abs(np.einsum("nj,njb->nb", ric_t, proj)).max())
 
     # (g) R_g(X, T)T = X/4 for X in H
     rxtt = np.einsum("nijkl,nj,nk->nil", rup_g, reeb, reeb)
     lhs = np.einsum("nia,nil->nal", proj, rxtt)
     rhs_g = 0.25 * np.einsum("nla->nal", proj)
-    res_g = float(np.abs(lhs - rhs_g).max())
 
     return {
         "comparison_formula": res_formula,
-        "bianchi_cyclic": res_bianchi,
-        "pair_symmetry": res_pair,
-        "ricci_h_relation": res_d,
-        "webster_ricci_reeb": res_e,
-        "ricci_reeb_tt": res_f_tt,
-        "ricci_reeb_mixed": res_f_tx,
-        "reeb_sectional": res_g,
+        "webster_bianchi_cyclic": res_bianchi,
+        "webster_pair_symmetry": res_pair,
+        "ricci_h_relation": point_max(d_h),
+        "webster_ricci_reeb": point_max(w_t),
+        "ricci_reeb_tt": np.abs(ric_tt - 0.5 * m * g_tt),
+        "ricci_reeb_mixed": point_max(np.einsum("nj,njb->nb", ric_t, proj)),
+        "reeb_sectional": point_max(lhs - rhs_g),
     }

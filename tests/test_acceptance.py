@@ -6,8 +6,10 @@ as a human-readable acceptance report:
     pytest tests/test_acceptance.py -s
 """
 
+import json
 import re
 import time
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -16,6 +18,8 @@ from crgeo.verify import SuiteConfig, render_report, run_all
 
 MAIN_ENTRIES = ["flat", "fubini_study", "complex_hyperbolic"]
 ALL_MS = [1, 2]
+GOLDEN = Path(__file__).parent / "golden"
+GENERATED_AT = re.compile(r'^[ \t]*"generated_at": "[^"\n]*",?\n', re.MULTILINE)
 
 
 def report_line(number: int, ok: bool, message: str):
@@ -41,7 +45,7 @@ def test_criterion_1_scal_relation():
         pts = ac.chart.sample(32, 42)
         ein = ph_einstein_residual(ac.webster, pts)
         elapsed = time.perf_counter() - start
-        rel = abs(ein.scal_mean - 0.5 * scal_h) / abs(0.5 * scal_h)
+        rel = abs(ein["scal_mean"] - 0.5 * scal_h) / abs(0.5 * scal_h)
         worst_rel = max(worst_rel, rel)
         worst_time = max(worst_time, elapsed)
     ok = worst_rel < 1e-7 and worst_time < 5.0
@@ -58,9 +62,9 @@ def test_criterion_2_einstein_residuals(pipeline):
     for kind in MAIN_ENTRIES:
         for m in ALL_MS:
             rec = pipeline(kind, m).webster_record
-            worst_e = max(worst_e, rec["einstein"])
-            worst_t = max(worst_t, rec["torsion_reeb"])
-    heis = pipeline("flat", 1).webster_record["einstein"]
+            worst_e = max(worst_e, rec["webster_einstein"].max())
+            worst_t = max(worst_t, rec["webster_torsion_reeb"].max())
+    heis = pipeline("flat", 1).webster_record["webster_einstein"].max()
     ok = worst_e < 1e-7 and worst_t < 1e-8 and heis < 1e-9
     report_line(2, ok, f"Einstein residual {worst_e:.2e} (tol 1e-7), torsion {worst_t:.2e} "
                        f"(tol 1e-8), Ricci-flat model {heis:.2e} (tol 1e-9)")
@@ -71,19 +75,20 @@ def test_criterion_2_einstein_residuals(pipeline):
 # ----------------------------------------------------------------------
 
 def test_criterion_3_comparison_lemma(pipeline):
-    worst = {"bianchi_cyclic": 0.0, "pair_symmetry": 0.0, "comparison_formula": 0.0}
+    worst = {"webster_bianchi_cyclic": 0.0, "webster_pair_symmetry": 0.0, "comparison_formula": 0.0}
     entries = [(k, m) for k in MAIN_ENTRIES for m in ALL_MS] + [("sphere_x_flat", 2)]
     for kind, m in entries:
         rec = pipeline(kind, m).comparison_record
         for key in worst:
-            worst[key] = max(worst[key], rec[key])
+            worst[key] = max(worst[key], rec[key].max())
     ok = (
-        worst["bianchi_cyclic"] < 1e-8
-        and worst["pair_symmetry"] < 1e-8
+        worst["webster_bianchi_cyclic"] < 1e-8
+        and worst["webster_pair_symmetry"] < 1e-8
         and worst["comparison_formula"] < 1e-7
     )
-    report_line(3, ok, f"cyclic Bianchi {worst['bianchi_cyclic']:.2e} (1e-8), pair symmetry "
-                       f"{worst['pair_symmetry']:.2e} (1e-8), comparison {worst['comparison_formula']:.2e} (1e-7)")
+    report_line(3, ok, f"cyclic Bianchi {worst['webster_bianchi_cyclic']:.2e} (1e-8), pair symmetry "
+                       f"{worst['webster_pair_symmetry']:.2e} (1e-8), "
+                       f"comparison {worst['comparison_formula']:.2e} (1e-7)")
 
 
 # ----------------------------------------------------------------------
@@ -97,10 +102,10 @@ def test_criterion_4_ricci_relations(pipeline):
             pipe = pipeline(kind, m)
             comp = pipe.comparison_record
             sub = pipe.submersion_record
-            worst["tt"] = max(worst["tt"], comp["ricci_reeb_tt"])
-            worst["mixed"] = max(worst["mixed"], comp["ricci_reeb_mixed"])
-            worst["sectional"] = max(worst["sectional"], comp["reeb_sectional"])
-            worst["base"] = max(worst["base"], sub["base_relation"])
+            worst["tt"] = max(worst["tt"], comp["ricci_reeb_tt"].max())
+            worst["mixed"] = max(worst["mixed"], comp["ricci_reeb_mixed"].max())
+            worst["sectional"] = max(worst["sectional"], comp["reeb_sectional"].max())
+            worst["base"] = max(worst["base"], sub["submersion_base"].max())
     ok = (
         worst["tt"] < 1e-7 and worst["mixed"] < 1e-8
         and worst["sectional"] < 1e-7 and worst["base"] < 1e-7
@@ -114,18 +119,23 @@ def test_criterion_4_ricci_relations(pipeline):
 # ----------------------------------------------------------------------
 
 def test_criterion_5_fefferman_structure(pipeline):
-    worst = {"normalization": 0.0, "lightlike": 0.0, "connection_curvature": 0.0}
+    worst = {
+        "fefferman_normalization": 0.0,
+        "fefferman_lightlike": 0.0,
+        "fefferman_connection_curvature": 0.0,
+    }
     for kind in MAIN_ENTRIES:
         for m in ALL_MS:
             rec = pipeline(kind, m).fefferman_record
             for key in worst:
-                worst[key] = max(worst[key], rec[key])
+                worst[key] = max(worst[key], rec[key].max())
     ok = (
-        worst["normalization"] < 1e-12 and worst["lightlike"] < 1e-12
-        and worst["connection_curvature"] < 1e-8
+        worst["fefferman_normalization"] < 1e-12 and worst["fefferman_lightlike"] < 1e-12
+        and worst["fefferman_connection_curvature"] < 1e-8
     )
-    report_line(5, ok, f"f(P,T*)=1 {worst['normalization']:.2e} (1e-12), lightlike "
-                       f"{worst['lightlike']:.2e} (1e-12), dA_W+Ric_W {worst['connection_curvature']:.2e} (1e-8)")
+    report_line(5, ok, f"f(P,T*)=1 {worst['fefferman_normalization']:.2e} (1e-12), lightlike "
+                       f"{worst['fefferman_lightlike']:.2e} (1e-12), "
+                       f"dA_W+Ric_W {worst['fefferman_connection_curvature']:.2e} (1e-8)")
 
 
 # ----------------------------------------------------------------------
@@ -134,9 +144,9 @@ def test_criterion_5_fefferman_structure(pipeline):
 
 def test_criterion_6_fefferman_ricci(pipeline):
     worst = {
-        "ricci_closed_form": 0.0,
-        "ricci_components": 0.0,
-        "parallel_vertical": 0.0,
+        "fefferman_ricci_closed_form": 0.0,
+        "fefferman_ricci_components": 0.0,
+        "parallel_vertical_field": 0.0,
         "killing_reeb_lift": 0.0,
     }
     min_cert = float("inf")
@@ -144,18 +154,19 @@ def test_criterion_6_fefferman_ricci(pipeline):
         for m in ALL_MS:
             rec = pipeline(kind, m).fefferman_record
             for key in worst:
-                worst[key] = max(worst[key], rec[key])
+                worst[key] = max(worst[key], rec[key].max())
             if m == 1:
-                min_cert = min(min_cert, rec["non_einstein_certificate"])
+                min_cert = min(min_cert, rec["non_einstein_certificate"].min())
     ok = (
-        worst["ricci_closed_form"] < 1e-6
-        and worst["ricci_components"] < 1e-7
-        and worst["parallel_vertical"] < 1e-8
+        worst["fefferman_ricci_closed_form"] < 1e-6
+        and worst["fefferman_ricci_components"] < 1e-7
+        and worst["parallel_vertical_field"] < 1e-8
         and worst["killing_reeb_lift"] < 1e-8
         and min_cert > 0.01
     )
-    report_line(6, ok, f"closed form {worst['ricci_closed_form']:.2e} (1e-6), components "
-                       f"{worst['ricci_components']:.2e} (1e-7), parallel {worst['parallel_vertical']:.2e} (1e-8), "
+    report_line(6, ok, f"closed form {worst['fefferman_ricci_closed_form']:.2e} (1e-6), components "
+                       f"{worst['fefferman_ricci_components']:.2e} (1e-7), "
+                       f"parallel {worst['parallel_vertical_field']:.2e} (1e-8), "
                        f"Killing {worst['killing_reeb_lift']:.2e} (1e-8), trace-free cert {min_cert:.3f} (> 0.01)")
 
 
@@ -171,10 +182,10 @@ def test_criterion_7_conformal_einstein(pipeline):
             rec = pipe.rescale_record
             lam = (2 * m + 1) * pipe.ke.scal_h / (4.0 * m * (m + 1))
             assert pipe.rm.einstein_constant == pytest.approx(lam, abs=1e-12)
-            worst["einstein"] = max(worst["einstein"], rec["rescaled_einstein"])
-            worst["scal"] = max(worst["scal"], rec["rescaled_scalar"])
-            worst["ode"] = max(worst["ode"], rec["conformal_ode"])
-            worst["agree"] = max(worst["agree"], pipe.theorem2_record["pipeline_agreement"])
+            worst["einstein"] = max(worst["einstein"], rec["rescaled_einstein"].max())
+            worst["scal"] = max(worst["scal"], rec["rescaled_scalar"].max())
+            worst["ode"] = max(worst["ode"], rec["conformal_ode"].max())
+            worst["agree"] = max(worst["agree"], pipe.theorem2_record["pipeline_agreement"].max())
     ok = (
         worst["einstein"] < 1e-6 and worst["scal"] < 1e-6
         and worst["ode"] < 1e-10 and worst["agree"] < 1e-6
@@ -249,8 +260,8 @@ def test_criterion_8_oracles():
 # ----------------------------------------------------------------------
 
 def test_criterion_9_negative_controls(pipeline):
-    non_einstein = pipeline("sphere_x_flat", 2).negative_record["einstein_violation"]
-    non_tsph = pipeline("perturbed_non_tsph", 1).negative_record["tsph_violation"]
+    non_einstein = pipeline("sphere_x_flat", 2).negative_record["non_einstein_detected"]
+    non_tsph = pipeline("perturbed_non_tsph", 1).negative_record["non_tsph_detected"]
     ok = non_einstein > 1e-2 and non_tsph > 1e-3
     report_line(9, ok, f"non-Einstein control {non_einstein:.3f} (> 1e-2), "
                        f"non-symmetric control {non_tsph:.4f} (> 1e-3)")
@@ -260,8 +271,24 @@ def test_criterion_9_negative_controls(pipeline):
 # 10. full deterministic suite under the time budget
 # ----------------------------------------------------------------------
 
+def moved_checks(old_text: str, new_text: str) -> list[str]:
+    """One line per check whose max_residual, value or pass differs."""
+
+    def rows(text):
+        runs = json.loads(text)["runs"]
+        return {(run["example"], c["name"]): c for run in runs for c in run["checks"]}
+
+    old, new = rows(old_text), rows(new_text)
+    lines = []
+    for key in sorted(old.keys() | new.keys()):
+        a, b = old.get(key, {}), new.get(key, {})
+        for field in ("max_residual", "value", "pass"):
+            if a.get(field) != b.get(field):
+                lines.append(f"{key[0]}/{key[1]} {field}: {a.get(field)!r} -> {b.get(field)!r}")
+    return lines
+
+
 def test_criterion_10_full_suite_runtime_and_determinism():
-    strip = re.compile(r'^\s*"generated_at".*$', re.MULTILINE)
     start = time.perf_counter()
     outputs = []
     for m in ALL_MS:
@@ -271,12 +298,18 @@ def test_criterion_10_full_suite_runtime_and_determinism():
             (r["example"], [c["name"] for c in r["checks"] if not c["pass"]])
             for r in report["runs"]
         ]
-        outputs.append(render_report(report))
+        outputs.append(GENERATED_AT.sub("", render_report(report)))
     elapsed = time.perf_counter() - start
+    # the reports are pinned byte for byte under tests/golden
+    for m, text in zip(ALL_MS, outputs):
+        golden = (GOLDEN / f"all_m{m}_p32_s42.json").read_text()
+        assert text == golden, f"m={m} report differs from tests/golden:\n" + "\n".join(
+            moved_checks(golden, text) or ["no check row moved; the report layout did"]
+        )
     # re-run one configuration: byte-identical modulo the timestamp
     cfg = SuiteConfig(example="all", m=1, suites=("all",), points=32, seed=42)
-    second = render_report(run_all(cfg))
-    deterministic = strip.sub("", outputs[0]) == strip.sub("", second)
+    second = GENERATED_AT.sub("", render_report(run_all(cfg)))
+    deterministic = outputs[0] == second
     ok = elapsed < 60.0 and deterministic
     report_line(10, ok, f"full suite (m in {{1,2}}, 32 points) in {elapsed:.1f}s (< 60s), "
                         f"deterministic: {deterministic}")

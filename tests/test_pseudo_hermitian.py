@@ -8,10 +8,8 @@ from crgeo.errors import DegeneracyError, PreconditionError
 from crgeo.pseudohermitian import (
     ReebField,
     comparison_identities_residual,
-    g_theta,
     levi_adapted_frame,
     ph_einstein_residual,
-    reeb_field,
     solved_reeb_field,
     transversal_symmetry_residual,
     webster_connection,
@@ -31,9 +29,9 @@ def pts(heisenberg):
 # ----------------------------------------------------------------------
 
 def test_heisenberg_reeb_is_vertical(heisenberg, pts):
-    reeb = reeb_field(heisenberg)(pts)
+    reeb = heisenberg.reeb(pts)
     np.testing.assert_allclose(reeb, np.tile([0.0, 0.0, -1.0], (len(pts), 1)), atol=1e-14)
-    assert heisenberg.reeb_residual(pts) < 1e-10
+    assert heisenberg.reeb_residual(pts).max() < 1e-10
 
 
 def test_scaled_gauge_reeb():
@@ -65,14 +63,14 @@ def test_non_contact_form_rejected():
 
 def test_heisenberg_structure_residuals(heisenberg, pts):
     res = heisenberg.structure_residuals(pts)
-    assert res["contact_min_det"] > 1e-10
-    assert res["j_squared"] < 1e-10
-    assert res["levi_symmetric"] < 1e-10
-    assert res["integrability"] < 1e-8
+    assert res["contact_nondegenerate"].min() > 1e-10
+    assert res["complex_structure"].max() < 1e-10
+    assert res["levi_symmetric"].max() < 1e-10
+    assert res["cr_integrability"].max() < 1e-8
 
 
 def test_g_theta_decomposition(heisenberg, pts):
-    g = g_theta(heisenberg)
+    g = heisenberg.metric
     gval = g(pts)
     reeb = heisenberg.reeb(pts)
     # g(T, T) = 1
@@ -100,22 +98,23 @@ def test_levi_frame_normalization(heisenberg, pts):
 # ----------------------------------------------------------------------
 
 def test_heisenberg_tsph(heisenberg, pts):
-    res = transversal_symmetry_residual(heisenberg, pts)
-    assert res.bracket < 1e-12
-    assert res.killing < 1e-12
+    from crgeo.metric import killing_residual
+
+    assert transversal_symmetry_residual(heisenberg, pts).max() < 1e-12
+    assert killing_residual(heisenberg.metric, heisenberg.reeb, pts).max() < 1e-12
 
 
 def test_theorem_structures_are_tsph(pipeline):
     for kind in ("flat", "fubini_study", "complex_hyperbolic"):
         pipe = pipeline(kind, 1)
         res = transversal_symmetry_residual(pipe.ac.ph, pipe.m_pts)
-        assert res.bracket < 1e-10
+        assert res.max() < 1e-10
 
 
 def test_perturbed_structure_fails_tsph(pipeline):
     pipe = pipeline("perturbed_non_tsph", 1)
-    assert pipe.negative_record["tsph_violation"] > 1e-3
-    assert pipe.negative_record["contact_min_det"] > 1e-10
+    assert pipe.negative_record["non_tsph_detected"] > 1e-3
+    assert pipe.negative_record["control_still_contact"].min() > 1e-10
 
 
 def test_webster_connection_precondition(pipeline):
@@ -134,7 +133,7 @@ def test_webster_connection_precondition(pipeline):
 def test_heisenberg_webster_axioms(heisenberg, pts):
     wd = webster_connection(heisenberg)
     res = wd.axiom_residuals(pts)
-    assert max(res.values()) < 1e-12
+    assert max(v.max() for v in res.values()) < 1e-12
 
 
 def test_heisenberg_horizontal_frames_parallel(heisenberg, pts):
@@ -156,8 +155,8 @@ def test_heisenberg_webster_flat(heisenberg, pts):
 def test_webster_curvature_symmetries(pipeline):
     pipe = pipeline("fubini_study", 1)
     curv = webster_curvature(pipe.ac.webster, pipe.m_pts)
-    res = curv.symmetry_residuals(pipe.ac.ph.J(pipe.m_pts))
-    assert max(res.values()) < 1e-8
+    res = curv.symmetry_residual(pipe.ac.ph.J(pipe.m_pts))
+    assert res.max() < 1e-8
 
 
 def test_einstein_residual_values(pipeline):
@@ -165,15 +164,15 @@ def test_einstein_residual_values(pipeline):
     for kind, expected in [("fubini_study", 1.0), ("complex_hyperbolic", -1.0)]:
         pipe = pipeline(kind, 1)
         ein = ph_einstein_residual(pipe.ac.webster, pipe.m_pts)
-        assert ein.einstein < 1e-7
-        assert ein.scal_mean == pytest.approx(expected, abs=1e-9)
-        assert ein.torsion_reeb < 1e-8
+        assert ein["webster_einstein"].max() < 1e-7
+        assert ein["scal_mean"] == pytest.approx(expected, abs=1e-9)
+        assert transversal_symmetry_residual(pipe.ac.ph, pipe.m_pts).max() < 1e-8
 
 
 def test_product_base_is_not_einstein(pipeline):
     pipe = pipeline("sphere_x_flat", 2)
-    assert pipe.negative_record["einstein_violation"] > 1e-2
-    assert pipe.negative_record["tsph_bracket"] < 1e-8
+    assert pipe.negative_record["non_einstein_detected"] > 1e-2
+    assert pipe.negative_record["control_still_tsph"].max() < 1e-8
 
 
 # ----------------------------------------------------------------------
@@ -183,15 +182,16 @@ def test_product_base_is_not_einstein(pipeline):
 def test_heisenberg_comparison_identities(heisenberg, pts):
     wd = webster_connection(heisenberg)
     res = comparison_identities_residual(wd, pts)
-    assert max(res.values()) < 1e-12
+    assert max(v.max() for v in res.values()) < 1e-12
 
 
 def test_fubini_study_comparison_identities(pipeline):
     pipe = pipeline("fubini_study", 1)
     res = comparison_identities_residual(pipe.ac.webster, pipe.m_pts)
+    res = {name: per_point.max() for name, per_point in res.items()}
     assert res["comparison_formula"] < 1e-7
-    assert res["bianchi_cyclic"] < 1e-8
-    assert res["pair_symmetry"] < 1e-8
+    assert res["webster_bianchi_cyclic"] < 1e-8
+    assert res["webster_pair_symmetry"] < 1e-8
     assert res["ricci_h_relation"] < 1e-7
     assert res["webster_ricci_reeb"] < 1e-8
     assert res["ricci_reeb_tt"] < 1e-7  # Ric(T,T) = m/2 = 1/2 here
@@ -214,4 +214,5 @@ def test_gauge_shift_preserves_scalar(pipeline):
     from crgeo.constructions import gauge_shift_scal_residual
 
     pipe = pipeline("flat", 1)
-    assert gauge_shift_scal_residual(pipe.ac, pipe.m_pts) < 1e-6
+    scal = webster_curvature(pipe.ac.webster, pipe.m_pts).scalar
+    assert gauge_shift_scal_residual(pipe.ac, pipe.m_pts, scal).max() < 1e-6

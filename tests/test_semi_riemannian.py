@@ -231,6 +231,19 @@ def test_signature_mismatch_detected(plane, flat):
         g.verify_signature(plane.sample(4, 42))
 
 
+def test_signature_flip_at_one_point_detected(plane):
+    # declared (1,1); g_yy = x - c is positive only at the sample point of largest x
+    pts = plane.sample(8, 42)
+    order = np.argsort(pts[:, 0])
+    c = 0.5 * (pts[order[-1], 0] + pts[order[-2], 0])
+    x, _ = plane.coordinate_fields()
+    one, zero = plane.constant(1.0), plane.constant(0.0)
+    g = MetricField(plane, [[one, zero], [zero, x - c]], (1, 1))
+    with pytest.raises(DegeneracyError, match=f"sample point {order[-1]} "):
+        g.verify_signature(pts)
+    g.verify_signature(np.delete(pts, order[-1], axis=0))
+
+
 def test_orthonormal_frame_indefinite():
     # Minkowski-like metric with a boost: pivoting must avoid null vectors
     gval = np.array([[[0.0, 1.0], [1.0, 0.0]]])

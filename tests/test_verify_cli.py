@@ -1,14 +1,19 @@
 """Verification driver and command-line interface."""
 
 import json
+import os
 import re
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
+import crgeo
+import crgeo.verify
 from crgeo.cli import main
 from crgeo.errors import UsageError
+from crgeo.metric import MetricField
 from crgeo.verify import SuiteConfig, render_report, run_suite
 
 STRIP_TIMESTAMP = re.compile(r'^\s*"generated_at".*$', re.MULTILINE)
@@ -80,6 +85,7 @@ def test_usage_errors_exit_two(capsys):
     assert run_cli(capsys, "run", "--example", "flat", "--m", "1", "--suite", "bogus")[0] == 2
     assert run_cli(capsys, "run", "--example", "flat", "--m", "1", "--tol", "nope=1")[0] == 2
     assert run_cli(capsys, "run", "--example", "flat", "--m", "1", "--tol", "webster_einstein")[0] == 2
+    assert run_cli(capsys, "run", "--example", "flat", "--m", "1", "--seed", "-1")[0] == 2
 
 
 def test_points_must_be_positive():
@@ -118,9 +124,13 @@ def test_out_file_written(tmp_path, capsys):
 
 
 def test_console_script_entry():
+    # the child imports the same crgeo as this session, installed or not
+    src = str(Path(crgeo.__file__).parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    env = dict(os.environ, PYTHONPATH=path)
     proc = subprocess.run(
         [sys.executable, "-m", "crgeo", "list"],
-        capture_output=True, text=True, timeout=120,
+        capture_output=True, text=True, timeout=120, env=env,
     )
     assert proc.returncode == 0
     assert "fubini_study" in proc.stdout
@@ -138,3 +148,49 @@ def test_run_all_structure(capsys):
         "flat", "fubini_study", "complex_hyperbolic",
     }
     assert doc["overall_pass"] is True
+
+
+def error_rows(capsys, *argv):
+    code, out, _ = run_cli(capsys, "run", "--example", "flat", "--m", "1", "--points", "2", *argv)
+    doc = json.loads(out)
+    return code, doc, {c["name"]: c for c in doc["checks"] if "error" in c}
+
+
+def test_missing_residual_is_a_failed_row(capsys, monkeypatch):
+    original = crgeo.verify.comparison_identities_residual
+
+    def without_sectional(wd, pts):
+        rec = original(wd, pts)
+        del rec["reeb_sectional"]
+        return rec
+
+    monkeypatch.setattr(crgeo.verify, "comparison_identities_residual", without_sectional)
+    code, doc, errors = error_rows(capsys, "--suite", "comparison")
+    assert code == 1 and doc["overall_pass"] is False
+    assert list(errors) == ["reeb_sectional"]
+    assert errors["reeb_sectional"]["pass"] is False
+    assert "reeb_sectional" in errors["reeb_sectional"]["error"]
+    assert len(doc["checks"]) == 8
+
+
+def test_error_inside_a_record_fails_every_row_of_it(capsys, monkeypatch):
+    def broken(wd, pts):
+        raise KeyError("inner")
+
+    monkeypatch.setattr(crgeo.verify, "comparison_identities_residual", broken)
+    code, doc, errors = error_rows(capsys, "--suite", "comparison")
+    assert code == 1 and doc["overall_pass"] is False
+    assert len(errors) == len(doc["checks"]) == 8
+    assert all(row["error"] == "KeyError: 'inner'" for row in errors.values())
+
+
+def test_signature_check_reports_unexpected_errors(capsys, monkeypatch):
+    def broken(self, pts):
+        raise RuntimeError("eigensolver unavailable")
+
+    monkeypatch.setattr(MetricField, "verify_signature", broken)
+    code, _, errors = error_rows(capsys, "--suite", "theorem2")
+    assert code == 1
+    row = errors["explicit_signature"]
+    assert row["pass"] is False
+    assert row["error"] == "RuntimeError: eigensolver unavailable"
