@@ -119,22 +119,6 @@ def lift_coords(jc, i: int) -> "JetCoords":
     return lifted
 
 
-def _jet_coords(pts: np.ndarray, order: int) -> JetCoords:
-    n, d = pts.shape
-    rows = 1 << order
-    batch = (n,) + (d,) * order
-    coords = []
-    for c in range(d):
-        comp = np.zeros((rows,) + batch)
-        comp[0] = pts[:, c].reshape((n,) + (1,) * order)
-        for j in range(order):
-            seed = np.zeros(d)
-            seed[c] = 1.0
-            comp[1 << j] = seed.reshape((1,) * (1 + j) + (d,) + (1,) * (order - 1 - j))
-        coords.append(Jet(comp))
-    return JetCoords(coords)
-
-
 def jet_data(field: "TensorField", pts, order: int) -> list[np.ndarray]:
     """Value and partial-derivative arrays of a field at a point batch.
 
@@ -154,20 +138,12 @@ def jet_data_multi(fields, pts, order: int) -> list[list[np.ndarray]]:
     chart = fields[0].chart
     pts = chart.points(pts)
     n, d = pts.shape
-    jc = _jet_coords(pts, order)
+    jc = JetCoords(jets.seed(pts, order))
     results = []
     for field in fields:
         if field.chart is not chart:
             raise ValueError("fields live on different charts")
-        out = field._eval_all(jc)
-        full_shape = (1 << order,) + (n,) + (d,) * order + field.shape
-        comp = np.broadcast_to(out.comp, full_shape)
-        arrays = []
-        for r in range(order + 1):
-            mask = (1 << r) - 1
-            sel = (mask,) + (slice(None),) * (1 + r) + (0,) * (order - r)
-            arrays.append(np.array(comp[sel]))
-        results.append(arrays)
+        results.append(jets.partials(field._eval_all(jc), n, d, order, field.shape))
     return results
 
 
@@ -208,6 +184,7 @@ class ScalarField(TensorField):
     """Smooth real function on a chart with exact derivative queries."""
 
     shape = ()
+    variance = ()
 
     def __init__(self, chart: Chart, fn):
         super().__init__(chart)
@@ -311,71 +288,55 @@ sqrt = _unary(jets.sqrt)
 
 
 class _ComponentStack(TensorField):
-    """Tensor field backed by an object array of scalar fields."""
+    """Tensor field backed by an object array of scalar fields.
 
-    def __init__(self, chart: Chart, components: np.ndarray):
+    ``rank`` set: the components form a (dim,) * rank array.  The
+    element-wise algebra builds its results through :meth:`_like`.
+    """
+
+    rank: int | None = None
+
+    def __init__(self, chart: Chart, components):
         super().__init__(chart)
-        comps = np.empty(components.shape, dtype=object)
-        for idx in np.ndindex(components.shape):
-            comps[idx] = as_field(chart, components[idx])
+        given = np.asarray(components, dtype=object)
+        if self.rank is not None and given.shape != (chart.dim,) * self.rank:
+            raise ValueError(
+                f"need a {(chart.dim,) * self.rank} component array, got shape {given.shape}"
+            )
+        comps = np.empty(given.shape, dtype=object)
+        for idx in np.ndindex(given.shape):
+            comps[idx] = as_field(chart, given[idx])
         self.components = comps
-        self.shape = components.shape
+        self.shape = given.shape
+
+    def _like(self, components):
+        """A field of this kind with new components (the constructor hook)."""
+        return type(self)(self.chart, components)
 
     def component(self, *idx) -> ScalarField:
         return self.components[idx]
 
     def _evaluate(self, jc):
-        flat = [self.components[idx]._eval_all(jc) for idx in np.ndindex(self.shape)]
-        batch = np.broadcast_shapes(*(j.comp.shape for j in flat))
-        stacked = np.stack([np.broadcast_to(j.comp, batch) for j in flat], axis=-1)
-        return Jet(stacked.reshape(batch + self.shape))
+        return jets.stack([c._eval_all(jc) for c in self.components.flat], self.shape)
 
+    def __add__(self, other):
+        return self._like(self.components + other.components)
 
-def _object_array(rows) -> np.ndarray:
-    arr = np.asarray(rows, dtype=object)
-    return arr
+    def __sub__(self, other):
+        return self._like(self.components - other.components)
+
+    def scaled(self, f):
+        return self._like(self.components * f)
 
 
 class VectorField(_ComponentStack):
-    def __init__(self, chart, components):
-        comps = _object_array(list(components))
-        if comps.shape != (chart.dim,):
-            raise ValueError("need one component per coordinate")
-        super().__init__(chart, comps)
-
-    def __add__(self, other):
-        return VectorField(
-            self.chart, [self.components[i] + other.components[i] for i in range(self.chart.dim)]
-        )
-
-    def __sub__(self, other):
-        return VectorField(
-            self.chart, [self.components[i] - other.components[i] for i in range(self.chart.dim)]
-        )
-
-    def scaled(self, f) -> "VectorField":
-        return VectorField(self.chart, [c * f for c in self.components])
+    rank = 1
+    variance = (1,)
 
 
 class OneForm(_ComponentStack):
-    def __init__(self, chart, components):
-        comps = _object_array(list(components))
-        if comps.shape != (chart.dim,):
-            raise ValueError("need one component per coordinate")
-        super().__init__(chart, comps)
-
-    def __add__(self, other):
-        return OneForm(
-            self.chart, [self.components[i] + other.components[i] for i in range(self.chart.dim)]
-        )
-
-    def __sub__(self, other):
-        return OneForm(
-            self.chart, [self.components[i] - other.components[i] for i in range(self.chart.dim)]
-        )
-
-    def scaled(self, f) -> "OneForm":
-        return OneForm(self.chart, [c * f for c in self.components])
+    rank = 1
+    variance = (-1,)
 
     def pair(self, x: VectorField) -> ScalarField:
         """Contraction omega(X)."""
@@ -387,22 +348,8 @@ class OneForm(_ComponentStack):
 
 
 class _Matrix(_ComponentStack):
-    def __init__(self, chart, components):
-        comps = _object_array([list(row) for row in components])
-        if comps.shape != (chart.dim, chart.dim):
-            raise ValueError("need a dim x dim component matrix")
-        super().__init__(chart, comps)
-
-    def __add__(self, other):
-        d = self.chart.dim
-        return type(self)(
-            self.chart,
-            [[self.components[i, j] + other.components[i, j] for j in range(d)] for i in range(d)],
-        )
-
-    def scaled(self, f):
-        d = self.chart.dim
-        return type(self)(self.chart, [[self.components[i, j] * f for j in range(d)] for i in range(d)])
+    rank = 2
+    variance = (-1, -1)
 
     def apply(self, x: VectorField, y: VectorField) -> ScalarField:
         """Bilinear evaluation sum_ij c_ij X^i Y^j."""
@@ -425,6 +372,8 @@ class SymmetricTwoTensor(_Matrix):
 class Endomorphism(_Matrix):
     """(1,1)-tensor with components J^i_j (output index first)."""
 
+    variance = (1, -1)
+
     def apply(self, x: VectorField) -> VectorField:
         d = self.chart.dim
         comps = []
@@ -440,11 +389,13 @@ class GenericTensorField(_ComponentStack):
     """Arbitrary-valence tensor field; ``variance[k]`` is +1 (up) or -1 (down)."""
 
     def __init__(self, chart, components, variance):
-        comps = np.asarray(components, dtype=object)
-        super().__init__(chart, comps)
-        if len(variance) != comps.ndim:
+        super().__init__(chart, components)
+        if len(variance) != len(self.shape):
             raise ValueError("variance length must match tensor rank")
         self.variance = tuple(variance)
+
+    def _like(self, components):
+        return GenericTensorField(self.chart, components, self.variance)
 
 
 # ----------------------------------------------------------------------
@@ -454,22 +405,12 @@ class GenericTensorField(_ComponentStack):
 def derivative(f: ScalarField, pts, multi_index) -> np.ndarray:
     """Exact mixed partial of f along ``multi_index`` (|index| <= 3)."""
     multi_index = tuple(multi_index)
-    k = len(multi_index)
-    if k > 3:
+    if len(multi_index) > 3:
         raise ValueError("derivative queries are supported up to order 3")
-    pts = f.chart.points(pts)
-    n, d = pts.shape
-    coords = []
-    for c in range(d):
-        comp = np.zeros((1 << k, n))
-        comp[0] = pts[:, c]
-        for j, direction in enumerate(multi_index):
-            if direction == c:
-                comp[1 << j] = 1.0
-        coords.append(Jet(comp))
-    out = f._eval_all(JetCoords(coords))
-    full = np.broadcast_to(out.comp, (1 << k, n))
-    return np.array(full[(1 << k) - 1])
+    for i in multi_index:
+        if not 0 <= i < f.chart.dim:
+            raise ValueError(f"direction {i} outside the coordinates 0..{f.chart.dim - 1}")
+    return jet_data(f, pts, len(multi_index))[-1][(slice(None),) + multi_index]
 
 
 def differential(f: ScalarField) -> OneForm:

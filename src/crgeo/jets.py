@@ -6,6 +6,10 @@ Seeding generators on coordinate directions and reading the coefficient
 of ``e_1*...*e_k`` yields exact mixed partial derivatives (to machine
 rounding) of any composition of the operations defined here; there is no
 truncation error.  Batches live in the trailing axes of ``comp``.
+
+This module alone knows the coefficient layout: :func:`seed` builds
+coordinate jets, :func:`partials` reads value and derivative arrays back,
+and :func:`stack` assembles the jet of a tensor from its components.
 """
 
 from __future__ import annotations
@@ -15,7 +19,13 @@ import numbers
 
 import numpy as np
 
-__all__ = ["Jet", "exp", "log", "sin", "cos", "sqrt", "powf", "jet_solve"]
+__all__ = [
+    "Jet", "exp", "log", "sin", "cos", "sqrt", "powf",
+    "seed", "partials", "stack", "outer", "jet_solve",
+]
+
+# smallest |det| of the order-zero matrix that jet_solve inverts
+MIN_DET = 1e-10
 
 _MUL_TABLE: dict[int, list[tuple[int, int, int]]] = {}
 _MUL_INDEX: dict[int, tuple[np.ndarray, np.ndarray, np.ndarray]] = {}
@@ -118,6 +128,10 @@ class Jet:
         return Jet(self.comp * other)
 
     __rmul__ = __mul__
+
+    def __matmul__(self, matrix: np.ndarray) -> "Jet":
+        """Product with a constant (a, b) matrix over the last value axis."""
+        return Jet(np.einsum("...a,ab->...b", self.comp, matrix))
 
     def __truediv__(self, other):
         if isinstance(other, Jet):
@@ -228,6 +242,53 @@ def sqrt(x):
 
 
 # ----------------------------------------------------------------------
+# coordinate seeding, derivative extraction and component stacking
+# ----------------------------------------------------------------------
+
+def seed(pts: np.ndarray, order: int) -> list[Jet]:
+    """Coordinate jets of an (N, d) point batch, exact to ``order``.
+
+    Generator j is seeded on every coordinate direction at once, along
+    batch axis 1 + j, so each jet has batch shape (N, d, .., d) with
+    ``order`` axes of length d; :func:`partials` reads them back.
+    """
+    n, d = pts.shape
+    batch = (n,) + (d,) * order
+    coords = []
+    for c in range(d):
+        comp = np.zeros((1 << order,) + batch)
+        comp[0] = pts[:, c].reshape((n,) + (1,) * order)
+        for j in range(order):
+            direction = np.zeros(d)
+            direction[c] = 1.0
+            comp[1 << j] = direction.reshape((1,) * (1 + j) + (d,) + (1,) * (order - 1 - j))
+        coords.append(Jet(comp))
+    return coords
+
+
+def partials(x: Jet, n: int, d: int, order: int, shape: tuple) -> list[np.ndarray]:
+    """``[v, d1, .., d_order]`` of a jet computed from :func:`seed` coordinates.
+
+    ``v`` has shape ``(N, *shape)`` and ``d_r`` shape ``(N, d*r, *shape)``,
+    where ``d_r[n, a, .., b]`` is the mixed partial along coordinates ``a..b``.
+    """
+    comp = np.broadcast_to(x.comp, (1 << order, n) + (d,) * order + tuple(shape))
+    out = []
+    for r in range(order + 1):
+        # the first r generators, seeded along batch axes 1..r
+        sel = ((1 << r) - 1,) + (slice(None),) * (1 + r) + (0,) * (order - r)
+        out.append(np.array(comp[sel]))
+    return out
+
+
+def stack(parts: list[Jet], shape: tuple) -> Jet:
+    """Jet of an array of the given value shape from its components in C order."""
+    batch = np.broadcast_shapes(*(p.comp.shape for p in parts))
+    stacked = np.stack([np.broadcast_to(p.comp, batch) for p in parts], axis=-1)
+    return Jet(stacked.reshape(batch + tuple(shape)))
+
+
+# ----------------------------------------------------------------------
 # jet linear algebra (matrix dims are the trailing axes of comp)
 # ----------------------------------------------------------------------
 
@@ -243,7 +304,7 @@ def _convolve(a: Jet, b: Jet, product) -> Jet:
     return Jet(out.reshape((scatter.shape[0],) + prods.shape[1:]))
 
 
-def _outer(x, y):
+def _outer_arrays(x, y):
     return x[..., :, None] * y[..., None, :]
 
 
@@ -251,12 +312,12 @@ def _jet_matmul(a: Jet, b: Jet) -> Jet:
     return _convolve(a, b, np.matmul)
 
 
-def _jet_outer(a: Jet, b: Jet) -> Jet:
+def outer(a: Jet, b: Jet) -> Jet:
     """Outer product over the last value axis of two vector-valued jets."""
-    return _convolve(a, b, _outer)
+    return _convolve(a, b, _outer_arrays)
 
 
-def jet_solve(a: Jet, b: Jet, min_det: float = 1e-10) -> Jet:
+def jet_solve(a: Jet, b: Jet) -> Jet:
     """Solve ``a @ x = b`` where a is (..., n, n) and b is (..., n).
 
     The order-zero part is inverted numerically; the nilpotent remainder
@@ -266,7 +327,7 @@ def jet_solve(a: Jet, b: Jet, min_det: float = 1e-10) -> Jet:
 
     a0 = a.comp[0]
     det = float(np.abs(np.linalg.det(a0)).min())
-    if det <= min_det:
+    if det <= MIN_DET:
         raise DegeneracyError(f"singular linear system: min |det| = {det:.3e}")
     inv0 = np.linalg.inv(a0)
     bj = Jet(b.comp[..., None])

@@ -27,6 +27,9 @@ from .errors import DegeneracyError
 
 _DET_FLOOR = 1e-10
 
+# smallest |g(w, w)| accepted as a Gram-Schmidt pivot
+PIVOT_TOL = 1e-10
+
 
 class MetricField(SymmetricTwoTensor):
     """Symmetric 2-tensor field with signature bookkeeping."""
@@ -38,11 +41,9 @@ class MetricField(SymmetricTwoTensor):
             raise ValueError("signature counts must sum to the chart dimension")
         self.signature = (int(n_plus), int(n_minus))
 
-    def scaled(self, f):
-        # conformal scaling by a positive factor keeps the signature
-        d = self.chart.dim
-        comp = [[self.components[i, j] * f for j in range(d)] for i in range(d)]
-        return MetricField(self.chart, comp, self.signature)
+    def _like(self, components):
+        # keeps the signature, as conformal scaling by a positive factor does
+        return MetricField(self.chart, components, self.signature)
 
     def verify_signature(self, pts) -> None:
         """Raise DegeneracyError at the first degenerate or wrongly signed point."""
@@ -172,27 +173,9 @@ def covariant_from_arrays(vals, grads, gamma, variance):
     return out
 
 
-def field_variance(field: TensorField):
-    from .chart import Endomorphism, OneForm, TwoForm, VectorField
-
-    if hasattr(field, "variance"):
-        return field.variance
-    if isinstance(field, ScalarField):
-        return ()
-    if isinstance(field, VectorField):
-        return (1,)
-    if isinstance(field, OneForm):
-        return (-1,)
-    if isinstance(field, (TwoForm, SymmetricTwoTensor)):
-        return (-1, -1)
-    if isinstance(field, Endomorphism):
-        return (1, -1)
-    raise TypeError(f"no variance known for {type(field).__name__}")
-
-
 def covariant_derivative(metric: MetricField, field: TensorField, pts) -> np.ndarray:
     """Levi-Civita covariant derivative values (N, a, *shape) at points."""
-    variance = field_variance(field)
+    variance = field.variance
     if len(variance) > 4:
         raise ValueError("valence up to (1,3) supported")
     vals, grads = jet_data(field, pts, 1)
@@ -290,42 +273,67 @@ def conformal_ricci_correction(metric: MetricField, phi: ScalarField, pts) -> np
 # pseudo-orthonormal frames
 # ----------------------------------------------------------------------
 
-def orthonormal_frame(gval: np.ndarray, pivot_tol: float = 1e-10):
+def _bilinear(g, u, w):
+    """g(u, w) over stacked points, as ``(u @ g) @ w`` per point."""
+    return (u[..., None, :] @ g @ w[..., :, None])[..., 0, 0]
+
+
+def pivoted_frame(g: np.ndarray, cands: np.ndarray, steps: int, partner=None):
+    """Pseudo-orthonormal vectors of a batch of bilinear forms by pivoted Gram-Schmidt.
+
+    ``g`` is (N, d, d) and ``cands`` (N, c, d).  Each of ``steps`` steps
+    projects every candidate off the vectors kept so far and keeps the one
+    with the largest |g(w, w)|, normalised; pivoting avoids null-vector
+    breakdown in indefinite signature, and a NaN is never chosen.  With a
+    ``partner`` endomorphism (N, d, d) the step next keeps the projected,
+    normalised image of that vector, with the same sign.  Returns
+    (vectors, signs) of shapes (N, k, d) and (N, k) in the order kept.
+    """
+    gc = g[:, None]  # one form per point, broadcast over the candidates
+    rows = np.arange(len(cands))
+    kept: list[np.ndarray] = []
+    signs: list[np.ndarray] = []
+
+    def project(w):
+        # w is (N, c, d); g-orthogonal projection off every kept vector
+        for u, s in zip(kept, signs):
+            w = w - (s[:, None] * _bilinear(gc, u[:, None], w))[..., None] * u[:, None]
+        return w
+
+    for _ in range(steps):
+        w = project(cands)
+        val = _bilinear(gc, w, w)
+        norm = np.abs(val)
+        pick = np.where(np.isnan(norm), 0.0, norm).argmax(axis=1)
+        best_norm = norm[rows, pick]
+        bad = np.flatnonzero(~(best_norm > PIVOT_TOL))
+        if bad.size:
+            raise DegeneracyError(
+                f"frame construction failed at sample point {bad[0]}: no pivot above {PIVOT_TOL:g}"
+            )
+        kept.append(w[rows, pick] / np.sqrt(best_norm)[:, None])
+        signs.append(np.sign(val[rows, pick]))
+        if partner is not None:
+            jw = project((partner @ kept[-1][..., None]).swapaxes(1, 2))[:, 0]
+            kept.append(jw / np.sqrt(np.abs(_bilinear(g, jw, jw)))[:, None])
+            signs.append(signs[-1])
+    return np.stack(kept, axis=1), np.stack(signs, axis=1)
+
+
+def orthonormal_frame(gval: np.ndarray):
     """Pointwise pseudo-orthonormal frame by pivoted Gram-Schmidt.
 
-    Pivots on the largest remaining |g(v,v)| to avoid null-vector
-    breakdown in indefinite signature.  Returns (frame, eps) with
-    frame[n, a, :] the a-th vector and eps[n, a] = g(u_a, u_a) = +-1.
+    Returns (frame, eps) with frame[n, a, :] the a-th vector and
+    eps[n, a] = g(u_a, u_a) = +-1.
     """
     npts, d, _ = gval.shape
-    frame = np.zeros((npts, d, d))
-    eps = np.zeros((npts, d))
-    for n in range(npts):
-        g = gval[n]
-        # coordinate vectors plus pairwise sums: a nondegenerate metric is
-        # non-null on at least one of these even on a lightlike basis
-        cands = [np.eye(d)[i] for i in range(d)]
-        cands += [np.eye(d)[i] + np.eye(d)[j] for i in range(d) for j in range(i + 1, d)]
-        chosen: list[np.ndarray] = []
-        signs: list[float] = []
-        for _ in range(d):
-            best, best_norm = None, 0.0
-            for v in cands:
-                w = v.copy()
-                for u, s in zip(chosen, signs):
-                    w = w - s * (u @ g @ w) * u
-                norm = abs(w @ g @ w)
-                if norm > best_norm:
-                    best, best_norm = w, norm
-            if best is None or best_norm <= pivot_tol:
-                raise DegeneracyError("frame construction failed: no pivot above tolerance")
-            s = np.sign(best @ g @ best)
-            u = best / np.sqrt(best_norm)
-            chosen.append(u)
-            signs.append(s)
-        frame[n] = np.array(chosen)
-        eps[n] = np.array(signs)
-    return frame, eps
+    eye = np.eye(d)
+    # coordinate vectors plus pairwise sums: a nondegenerate metric is
+    # non-null on at least one of these even on a lightlike basis
+    cands = np.array(
+        [eye[i] for i in range(d)] + [eye[i] + eye[j] for i in range(d) for j in range(i + 1, d)]
+    )
+    return pivoted_frame(gval, np.broadcast_to(cands, (npts,) + cands.shape), d)
 
 
 def tracefree_ricci_norm(metric: MetricField, pts) -> np.ndarray:

@@ -20,6 +20,7 @@ from functools import cached_property
 
 import numpy as np
 
+from . import jets
 from .chart import (
     Chart,
     Endomorphism,
@@ -35,14 +36,13 @@ from .chart import (
     symmetric_product,
 )
 from .errors import DegeneracyError, PreconditionError
-from .jets import Jet, _jet_outer, jet_solve
 from .metric import (
     MetricField,
     _christoffel_arrays,
     _dchristoffel_arrays,
     covariant_from_arrays,
     curvature_from_connection,
-    field_variance,
+    pivoted_frame,
     point_max,
 )
 
@@ -54,6 +54,15 @@ class _JointComponent(ScalarField):
 
     def __init__(self, parent: TensorField, idx: tuple):
         super().__init__(parent.chart, lambda jc: parent._eval_all(jc)[idx])
+
+
+def _init_joint(field: TensorField, chart: Chart, shape: tuple) -> None:
+    """Give a jointly evaluated field component views into its own jet."""
+    TensorField.__init__(field, chart)
+    field.shape = shape
+    field.components = np.empty(shape, dtype=object)
+    for idx in np.ndindex(shape):
+        field.components[idx] = _JointComponent(field, idx)
 
 
 # ----------------------------------------------------------------------
@@ -77,26 +86,17 @@ class ReebField(VectorField):
             for k in range(d):
                 b[j, k] = theta.components[j] * theta.components[k] - dtheta.components[j, k]
         self._bmat = GenericTensorField(theta.chart, b, (-1, -1))
-        TensorField.__init__(self, theta.chart)
-        arr = np.empty((d,), dtype=object)
-        for i in range(d):
-            arr[i] = _JointComponent(self, (i,))
-        self.components = arr
-        self.shape = (d,)
+        _init_joint(self, theta.chart, (d,))
+
+    def _like(self, components):
+        # algebra on the solved field yields a plain vector field
+        return VectorField(self.chart, components)
 
     def _evaluate(self, jc):
-        bj = self._bmat._eval_all(jc)
-        tj = _stack_components(self.theta, jc)
         try:
-            return jet_solve(bj, tj)
+            return jets.jet_solve(self._bmat._eval_all(jc), self.theta._eval_all(jc))
         except DegeneracyError as err:
             raise DegeneracyError(f"contact condition violated: {err}") from err
-
-
-def _stack_components(form, jc) -> Jet:
-    parts = [form.components[i]._eval_all(jc) for i in range(form.chart.dim)]
-    batch = np.broadcast_shapes(*(p.comp.shape for p in parts))
-    return Jet(np.stack([np.broadcast_to(p.comp, batch) for p in parts], axis=-1))
 
 
 # ----------------------------------------------------------------------
@@ -114,27 +114,14 @@ class LiftedComplexStructure(Endomorphism):
         self.base_j = np.asarray(base_j, dtype=float)
         self.theta = theta
         self.reeb = reeb
-        d = chart.dim
-        TensorField.__init__(self, chart)
-        arr = np.empty((d, d), dtype=object)
-        for i in range(d):
-            for j in range(d):
-                arr[i, j] = _JointComponent(self, (i, j))
-        self.components = arr
-        self.shape = (d, d)
+        bd = self.base_j.shape[0]
+        self._jmat = np.zeros((chart.dim, chart.dim))
+        self._jmat[:bd, :bd] = self.base_j
+        _init_joint(self, chart, (chart.dim, chart.dim))
 
     def _evaluate(self, jc):
-        d = self.chart.dim
-        bd = self.base_j.shape[0]
-        jmat = np.zeros((d, d))
-        jmat[:bd, :bd] = self.base_j
-        tj = _stack_components(self.theta, jc)
-        rj = self.reeb._eval_all(jc)
-        theta_w = Jet(np.einsum("...a,ab->...b", tj.comp, jmat))
-        outer = _jet_outer(rj, theta_w)
-        comp = -np.asarray(outer.comp)
-        comp[0] = comp[0] + jmat
-        return Jet(comp)
+        theta_w = self.theta._eval_all(jc) @ self._jmat
+        return -jets.outer(self.reeb._eval_all(jc), theta_w) + self._jmat
 
 
 # ----------------------------------------------------------------------
@@ -357,7 +344,7 @@ class WebsterData:
     def covariant_derivative(self, field: TensorField, pts) -> np.ndarray:
         gamma_w = self.connection_data(pts, 0)[0]
         vals, grads = jet_data(field, pts, 1)
-        return covariant_from_arrays(vals, grads, gamma_w, field_variance(field))
+        return covariant_from_arrays(vals, grads, gamma_w, field.variance)
 
     def axiom_residuals(self, pts) -> dict[str, np.ndarray]:
         """Per-point residuals of the defining Tanaka-Webster axioms on H.
@@ -418,53 +405,17 @@ def webster_connection(ph: PHStructure, pts=None, tol: float = TSPH_TOL) -> Webs
 # Levi-adapted frames and Webster curvature
 # ----------------------------------------------------------------------
 
-def levi_adapted_frame(ph: PHStructure, pts, pivot_tol: float = 1e-10):
+def levi_adapted_frame(ph: PHStructure, pts):
     """Pointwise L-orthonormal frame of H paired as (e_a, J e_a).
 
     frame[n] rows are (e_1 .. e_m, J e_1 .. J e_m); eps[n, a] is the sign
-    g_theta(e_a, e_a).  Pivots on the largest remaining |L(v, v)|.
+    g_theta(e_a, e_a).  The candidates are the projections of the
+    coordinate vectors onto H; pivots are on the largest |L(v, v)|.
     """
     pts = ph.chart.points(pts)
-    m = ph.m
-    d = ph.chart.dim
-    tval = ph.theta(pts)
-    reeb = ph.reeb(pts)
-    jval = ph.J(pts)
-    lval = ph.levi_form(pts)
-    npts = pts.shape[0]
-    frame = np.zeros((npts, 2 * m, d))
-    eps = np.zeros((npts, m))
-    for n in range(npts):
-        lmat = lval[n]
-        cands = [np.eye(d)[i] - tval[n, i] * reeb[n] for i in range(d)]
-        chosen: list[np.ndarray] = []
-        signs: list[float] = []
-        for a in range(m):
-            best, best_norm = None, 0.0
-            for v in cands:
-                w = v.copy()
-                for u, s in zip(chosen, signs):
-                    w = w - s * (u @ lmat @ w) * u
-                norm = abs(w @ lmat @ w)
-                if norm > best_norm:
-                    best, best_norm = w, norm
-            if best is None or best_norm <= pivot_tol:
-                raise DegeneracyError("H-frame construction failed: Levi form degenerate")
-            w = best.copy()
-            for u, s in zip(chosen, signs):
-                w = w - s * (u @ lmat @ w) * u
-            s = float(np.sign(w @ lmat @ w))
-            e = w / np.sqrt(abs(w @ lmat @ w))
-            je = jval[n] @ e
-            for u, su in zip(chosen + [e], signs + [s]):
-                je = je - su * (u @ lmat @ je) * u
-            je = je / np.sqrt(abs(je @ lmat @ je))
-            chosen.extend([e, je])
-            signs.extend([s, s])
-            frame[n, a] = e
-            frame[n, m + a] = je
-            eps[n, a] = s
-    return frame, eps
+    cands = ph.h_projector(pts).transpose(0, 2, 1)
+    vecs, signs = pivoted_frame(ph.levi_form(pts), cands, ph.m, partner=ph.J(pts))
+    return np.concatenate([vecs[:, 0::2], vecs[:, 1::2]], axis=1), signs[:, 0::2]
 
 
 @dataclass(frozen=True)

@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import datetime
 import json
+import math
 from dataclasses import dataclass, field
 from functools import cached_property
 
@@ -400,9 +401,11 @@ class SuiteConfig:
             raise UsageError("seed must be >= 0")
         if self.m not in (1, 2):
             raise UsageError("m must be 1 or 2")
-        for name in self.tol_overrides:
+        for name, tol in self.tol_overrides.items():
             if name not in CHECKS_BY_NAME:
                 raise UsageError(f"unknown check name in tolerance override: {name!r}")
+            if not math.isfinite(float(tol)):
+                raise UsageError(f"tolerance override for {name!r} must be finite, got {tol}")
 
 
 def run_suite(cfg: SuiteConfig) -> dict:
@@ -417,11 +420,14 @@ def run_suite(cfg: SuiteConfig) -> dict:
             f"example {cfg.example!r} is a negative control; run it with --suite all"
         )
     pipe = Pipeline(cfg.example, cfg.m, cfg.points, cfg.seed)
+    selected = [c for c in CHECKS if c.suite in suites and pipe.applies(c.name)]
+    if not selected:
+        raise UsageError(
+            f"suites {','.join(suites) or '(none)'} select no check for example {cfg.example!r}"
+        )
     checks_out = []
     overall = True
-    for check in CHECKS:
-        if check.suite not in suites or not pipe.applies(check.name):
-            continue
+    for check in selected:
         tol = float(cfg.tol_overrides.get(check.name, check.tol))
         try:
             # a missing residual or a failing construction is a failed row

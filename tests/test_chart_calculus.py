@@ -78,6 +78,29 @@ def test_order_cap(chart):
         derivative(x, [0.0, 0.0], (0, 0, 0, 0))
 
 
+def test_field_algebra_keeps_the_kind(chart):
+    from crgeo.chart import GenericTensorField
+    from crgeo.metric import MetricField
+
+    x, y = chart.coordinate_fields()
+    p = [[0.5, 0.25]]
+    v, w = VectorField(chart, [x, y]), VectorField(chart, [y, 1.0])
+    assert type(v + w) is VectorField and (v - w)(p).tolist() == [[0.25, -0.75]]
+    alpha = OneForm(chart, [x, y]).scaled(y)
+    assert type(alpha) is OneForm and alpha(p).tolist() == [[0.125, 0.0625]]
+    g = MetricField(chart, [[1.0, 0.0], [0.0, -1.0]], (1, 1)).scaled(2.0)
+    assert g.signature == (1, 1) and g(p).tolist() == [[[2.0, 0.0], [0.0, -2.0]]]
+    t = GenericTensorField(chart, [[x, y], [y, x]], (1, -1))
+    assert (t + t).variance == (1, -1) and (t + t)(p).tolist() == [[[1.0, 0.5], [0.5, 1.0]]]
+
+
+def test_derivative_rejects_directions_outside_the_chart(chart):
+    x, y = chart.coordinate_fields()
+    for direction in (5, -1):
+        with pytest.raises(ValueError, match="outside the coordinates"):
+            derivative(x * y, [[0.5, 0.25]], (direction,))
+
+
 # ----------------------------------------------------------------------
 # Lie bracket
 # ----------------------------------------------------------------------

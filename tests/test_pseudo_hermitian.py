@@ -32,6 +32,8 @@ def test_heisenberg_reeb_is_vertical(heisenberg, pts):
     reeb = heisenberg.reeb(pts)
     np.testing.assert_allclose(reeb, np.tile([0.0, 0.0, -1.0], (len(pts), 1)), atol=1e-14)
     assert heisenberg.reeb_residual(pts).max() < 1e-10
+    # algebra on the solved field gives a plain vector field
+    assert np.array_equal(heisenberg.reeb.scaled(2.0)(pts), 2.0 * reeb)
 
 
 def test_scaled_gauge_reeb():

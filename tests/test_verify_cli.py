@@ -86,6 +86,15 @@ def test_usage_errors_exit_two(capsys):
     assert run_cli(capsys, "run", "--example", "flat", "--m", "1", "--tol", "nope=1")[0] == 2
     assert run_cli(capsys, "run", "--example", "flat", "--m", "1", "--tol", "webster_einstein")[0] == 2
     assert run_cli(capsys, "run", "--example", "flat", "--m", "1", "--seed", "-1")[0] == 2
+    # suites that select no check, and a tolerance that no residual can be compared with
+    assert run_cli(capsys, "run", "--example", "flat", "--m", "1", "--suite", ",")[0] == 2
+    assert run_cli(capsys, "run", "--example", "flat", "--m", "1", "--suite", "negative")[0] == 2
+    assert run_cli(
+        capsys, "run", "--example", "all", "--m", "1", "--suite", "negative", "--points", "2"
+    )[0] == 2
+    assert run_cli(
+        capsys, "run", "--example", "flat", "--m", "1", "--tol", "webster_einstein=nan"
+    )[0] == 2
 
 
 def test_points_must_be_positive():
