@@ -32,7 +32,7 @@ from .chart import (
     VectorField,
     exterior_derivative,
     jet_data,
-    lie_bracket,
+    jet_data_multi,
     symmetric_product,
 )
 from .errors import DegeneracyError, PreconditionError
@@ -118,6 +118,10 @@ class LiftedComplexStructure(Endomorphism):
         self._jmat = np.zeros((chart.dim, chart.dim))
         self._jmat[:bd, :bd] = self.base_j
         _init_joint(self, chart, (chart.dim, chart.dim))
+
+    def _like(self, components):
+        # algebra on the lifted structure yields a plain endomorphism
+        return Endomorphism(self.chart, components)
 
     def _evaluate(self, jc):
         theta_w = self.theta._eval_all(jc) @ self._jmat
@@ -231,20 +235,20 @@ class PHStructure:
 
     def integrability_residual(self, pts) -> np.ndarray:
         """Nijenhuis residual J([JX,Y]+[X,JY]) - [JX,JY] + [X,Y] over H pairs."""
-        fields = self.horizontal_fields()
-        jf = [self.J.apply(x) for x in fields]
-        jval = self.J(pts)
-        tval = self.theta(pts)
-        terms = []
         d = self.chart.dim
+        fields = self.horizontal_fields()
+        *xs, (jval, _), (tval, _) = jet_data_multi(
+            fields + [self.J.apply(x) for x in fields] + [self.J, self.theta], pts, 1
+        )
+        x, jx = xs[:d], xs[d:]
+        terms = []
         for i in range(d):
             for j in range(i + 1, d):
-                x, y, jx, jy = fields[i], fields[j], jf[i], jf[j]
-                b1 = lie_bracket(jx, y)(pts) + lie_bracket(x, jy)(pts)
+                b1 = _bracket(jx[i], x[j]) + _bracket(x[i], jx[j])
                 expr = (
                     np.einsum("nab,nb->na", jval, b1)
-                    - lie_bracket(jx, jy)(pts)
-                    + lie_bracket(x, y)(pts)
+                    - _bracket(jx[i], jx[j])
+                    + _bracket(x[i], x[j])
                 )
                 terms += [expr, np.einsum("na,na->n", tval, b1)]
         return point_max(*terms)
@@ -257,6 +261,20 @@ class PHStructure:
         return point_max(
             np.einsum("ni,ni->n", tval, reeb) - 1.0, np.einsum("ni,nij->nj", reeb, dtval)
         )
+
+
+def _bracket(x, y) -> np.ndarray:
+    """[X, Y]^k = X^i d_i Y^k - Y^i d_i X^k from order-1 ``jet_data`` of X and Y.
+
+    Summed in the order of :func:`crgeo.chart.lie_bracket`, so it equals the
+    bracket field evaluated at the same points.
+    """
+    (xv, dx), (yv, dy) = x, y
+    total = xv[:, 0, None] * dy[:, 0] - yv[:, 0, None] * dx[:, 0]
+    for i in range(1, xv.shape[1]):
+        total = total + xv[:, i, None] * dy[:, i]
+        total = total - yv[:, i, None] * dx[:, i]
+    return total
 
 
 def _sum_fields(fields):
@@ -303,33 +321,56 @@ def solved_reeb_field(ph: PHStructure) -> ReebField:
 def transversal_symmetry_residual(ph: PHStructure, pts) -> np.ndarray:
     """Per-point max over an H-frame of |[T,X] + J[T,JX]| / |X|_g."""
     pts = ph.chart.points(pts)
+    d = ph.chart.dim
     fields = ph.horizontal_fields()
-    t = ph.reeb
-    jval = ph.J(pts)
+    *xs, t, (jval, _) = jet_data_multi(
+        fields + [ph.J.apply(x) for x in fields] + [ph.reeb, ph.J], pts, 1
+    )
+    # only values of g_theta are read: its first partials would double the batch cost
     gval = ph.metric(pts)
     terms = []
-    for x in fields:
-        jx = ph.J.apply(x)
-        expr = lie_bracket(t, x)(pts) + np.einsum(
-            "nab,nb->na", jval, lie_bracket(t, jx)(pts)
-        )
-        norm = np.sqrt(np.abs(np.einsum("nij,ni,nj->n", gval, x(pts), x(pts))))
+    for x, jx in zip(xs[:d], xs[d:]):
+        expr = _bracket(t, x) + np.einsum("nab,nb->na", jval, _bracket(t, jx))
+        norm = np.sqrt(np.abs(np.einsum("nij,ni,nj->n", gval, x[0], x[0])))
         terms.append(np.abs(expr).max(axis=1) / np.maximum(norm, 1e-12))
     return np.max(terms, axis=0)
 
 
 class WebsterData:
-    """Webster connection package: nabla_W = Levi-Civita(g_theta) + D."""
+    """Webster connection package: nabla_W = Levi-Civita(g_theta) + D.
+
+    The connection data is held per point batch, so the records reading
+    the Webster curvature at one sample share a single jet evaluation.
+    """
 
     def __init__(self, ph: PHStructure):
         self.ph = ph
         self.reeb = ph.reeb
         self.metric = ph.metric
         self.comparison = ph.comparison_tensor
+        self._connection: dict = {}  # (point bytes, shape, order) -> read-only arrays
 
     def connection_data(self, pts, order: int = 0):
-        from .chart import jet_data_multi
+        """Webster and Levi-Civita connection arrays at a point batch.
 
+        Order 0: (gamma_w, g, dg).  Order 1 adds the first partials:
+        (gamma_w, dgamma_w, g, dg, gamma, dgamma, ginv).  Order 0 is served
+        from an order-1 result when one is held; the arrays are read-only.
+        """
+        pts = self.ph.chart.points(pts)
+        key = (pts.tobytes(), pts.shape)
+        held = self._connection.get(key + (order,))
+        if held is None and order == 0 and key + (1,) in self._connection:
+            gamma_w, _, g, dg, *_ = self._connection[key + (1,)]
+            held = (gamma_w, g, dg)
+        if held is None:
+            held = self._evaluate_connection(pts, order)
+            for arr in held:
+                arr.flags.writeable = False
+            self._connection[key + (order,)] = held
+        return held
+
+    def _evaluate_connection(self, pts, order: int):
         g_arrays, d_arrays = jet_data_multi([self.metric, self.comparison], pts, order + 1)
         g, dg = g_arrays[0], g_arrays[1]
         gamma, ginv, c = _christoffel_arrays(g, dg)

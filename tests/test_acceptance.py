@@ -288,6 +288,14 @@ def moved_checks(old_text: str, new_text: str) -> list[str]:
     return lines
 
 
+def assert_golden(name: str, text: str):
+    """The report text equals tests/golden/<name> byte for byte."""
+    golden = (GOLDEN / name).read_text()
+    assert text == golden, f"{name} differs from tests/golden:\n" + "\n".join(
+        moved_checks(golden, text) or ["no check row moved; the report layout did"]
+    )
+
+
 def test_criterion_10_full_suite_runtime_and_determinism():
     start = time.perf_counter()
     outputs = []
@@ -302,10 +310,7 @@ def test_criterion_10_full_suite_runtime_and_determinism():
     elapsed = time.perf_counter() - start
     # the reports are pinned byte for byte under tests/golden
     for m, text in zip(ALL_MS, outputs):
-        golden = (GOLDEN / f"all_m{m}_p32_s42.json").read_text()
-        assert text == golden, f"m={m} report differs from tests/golden:\n" + "\n".join(
-            moved_checks(golden, text) or ["no check row moved; the report layout did"]
-        )
+        assert_golden(f"all_m{m}_p32_s42.json", text)
     # re-run one configuration: byte-identical modulo the timestamp
     cfg = SuiteConfig(example="all", m=1, suites=("all",), points=32, seed=42)
     second = GENERATED_AT.sub("", render_report(run_all(cfg)))
@@ -313,3 +318,10 @@ def test_criterion_10_full_suite_runtime_and_determinism():
     ok = elapsed < 60.0 and deterministic
     report_line(10, ok, f"full suite (m in {{1,2}}, 32 points) in {elapsed:.1f}s (< 60s), "
                         f"deterministic: {deterministic}")
+
+
+@pytest.mark.parametrize("m", ALL_MS)
+def test_two_point_catalog_matches_golden(m):
+    # the catalog at two points, where per-call overhead dominates, pinned the same way
+    cfg = SuiteConfig(example="all", m=m, suites=("all",), points=2, seed=7)
+    assert_golden(f"all_m{m}_p2_s7.json", GENERATED_AT.sub("", render_report(run_all(cfg))))

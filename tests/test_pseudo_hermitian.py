@@ -3,8 +3,9 @@
 import numpy as np
 import pytest
 
-from crgeo import Chart, OneForm
+from crgeo import Chart, Endomorphism, OneForm, lie_bracket
 from crgeo.errors import DegeneracyError, PreconditionError
+from crgeo.metric import point_max
 from crgeo.pseudohermitian import (
     ReebField,
     comparison_identities_residual,
@@ -63,6 +64,14 @@ def test_non_contact_form_rejected():
 # structure residuals and the induced metric
 # ----------------------------------------------------------------------
 
+def test_lifted_complex_structure_algebra(heisenberg, pts):
+    # algebra on the lifted J gives a plain endomorphism
+    jval = heisenberg.J(pts)
+    for doubled in (heisenberg.J.scaled(2.0), heisenberg.J + heisenberg.J):
+        assert type(doubled) is Endomorphism
+        assert np.array_equal(doubled(pts), 2.0 * jval)
+
+
 def test_heisenberg_structure_residuals(heisenberg, pts):
     res = heisenberg.structure_residuals(pts)
     assert res["contact_nondegenerate"].min() > 1e-10
@@ -104,6 +113,63 @@ def test_heisenberg_tsph(heisenberg, pts):
 
     assert transversal_symmetry_residual(heisenberg, pts).max() < 1e-12
     assert killing_residual(heisenberg.metric, heisenberg.reeb, pts).max() < 1e-12
+
+
+def reference_integrability(ph, pts):
+    """Nijenhuis residual with every bracket a ``lie_bracket`` field on its own jet batch."""
+    fields = ph.horizontal_fields()
+    jf = [ph.J.apply(x) for x in fields]
+    jval, tval = ph.J(pts), ph.theta(pts)
+    terms = []
+    for i in range(len(fields)):
+        for j in range(i + 1, len(fields)):
+            x, y, jx, jy = fields[i], fields[j], jf[i], jf[j]
+            b1 = lie_bracket(jx, y)(pts) + lie_bracket(x, jy)(pts)
+            expr = (
+                np.einsum("nab,nb->na", jval, b1)
+                - lie_bracket(jx, jy)(pts)
+                + lie_bracket(x, y)(pts)
+            )
+            terms += [expr, np.einsum("na,na->n", tval, b1)]
+    return point_max(*terms)
+
+
+def reference_tsph(ph, pts):
+    """max over X_i of |[T,X] + J[T,JX]| / |X|_g with ``lie_bracket`` fields."""
+    jval, gval = ph.J(pts), ph.metric(pts)
+    terms = []
+    for x in ph.horizontal_fields():
+        expr = lie_bracket(ph.reeb, x)(pts) + np.einsum(
+            "nab,nb->na", jval, lie_bracket(ph.reeb, ph.J.apply(x))(pts)
+        )
+        norm = np.sqrt(np.abs(np.einsum("nij,ni,nj->n", gval, x(pts), x(pts))))
+        terms.append(np.abs(expr).max(axis=1) / np.maximum(norm, 1e-12))
+    return np.max(terms, axis=0)
+
+
+def oracle_structures(heisenberg, pipeline):
+    from crgeo.constructions import perturbed_structure
+
+    yield "heisenberg", heisenberg, heisenberg.chart.sample(8, 42)
+    for kind in ("flat", "fubini_study", "complex_hyperbolic"):
+        for m in (1, 2):
+            pipe = pipeline(kind, m)
+            yield f"{kind} m={m}", pipe.ac.ph, pipe.m_pts[:8]
+    pipe = pipeline("flat", 1)
+    yield "perturbed", perturbed_structure(pipe.ac), pipe.m_pts[:8]
+
+
+def test_batched_brackets_match_the_bracket_fields(heisenberg, pipeline):
+    # the residuals take every bracket from one order-1 jet batch
+    for label, ph, pts in oracle_structures(heisenberg, pipeline):
+        for new, ref in [
+            (ph.integrability_residual(pts), reference_integrability(ph, pts)),
+            (transversal_symmetry_residual(ph, pts), reference_tsph(ph, pts)),
+        ]:
+            np.testing.assert_allclose(new, ref, rtol=1e-14, atol=1e-14, err_msg=label)
+        if label == "perturbed":
+            # an order-one residual, so the comparison above is not vacuous
+            assert transversal_symmetry_residual(ph, pts).min() > 1e-3
 
 
 def test_theorem_structures_are_tsph(pipeline):
@@ -152,6 +218,46 @@ def test_heisenberg_webster_flat(heisenberg, pts):
     assert np.abs(curv.riemann).max() < 1e-12
     assert np.abs(curv.ricci_rep).max() < 1e-12
     assert np.abs(curv.scalar).max() < 1e-12
+
+
+def test_connection_data_is_shared_across_records(monkeypatch):
+    import sys
+
+    from crgeo import chart
+    from crgeo.verify import Pipeline
+
+    pipe = Pipeline("fubini_study", 1, points=4, seed=7)
+    wd, pts = pipe.ac.webster, pipe.m_pts
+    real = chart.jet_data_multi
+    calls = []
+
+    def counting(fields, at, order):
+        calls.append((list(fields), np.array(at), order))
+        return real(fields, at, order)
+
+    for mod in [m for name, m in sys.modules.items() if name.startswith("crgeo")]:
+        if getattr(mod, "jet_data_multi", None) is real:
+            monkeypatch.setattr(mod, "jet_data_multi", counting)
+    for record in ("webster", "comparison", "submersion"):
+        getattr(pipe, f"{record}_record")
+    connection = [
+        c for c in calls
+        if c[0] == [wd.metric, wd.comparison] and c[2] == 2 and np.array_equal(c[1], pts)
+    ]
+    assert len(connection) == 1
+
+
+def test_connection_data_is_read_only_and_order_independent(heisenberg, pts):
+    wd = webster_connection(heisenberg)
+    full = wd.connection_data(pts, 1)
+    served = wd.connection_data(pts, 0)
+    for arr in full + served:
+        with pytest.raises(ValueError):
+            arr[0] = 0.0
+    # order 0 served from the held order-1 result equals a fresh evaluation
+    fresh = webster_connection(heisenberg).connection_data(pts, 0)
+    for a, b in zip(served, fresh):
+        assert np.array_equal(a, b)
 
 
 def test_webster_curvature_symmetries(pipeline):
