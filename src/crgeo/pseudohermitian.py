@@ -339,8 +339,10 @@ def transversal_symmetry_residual(ph: PHStructure, pts) -> np.ndarray:
 class WebsterData:
     """Webster connection package: nabla_W = Levi-Civita(g_theta) + D.
 
-    The connection data is held per point batch, so the records reading
-    the Webster curvature at one sample share a single jet evaluation.
+    The connection data is held for the last two point batches asked for
+    (a pipeline reads the Webster connection at the contact sample and at
+    the Fefferman sample), so the records reading the Webster curvature at
+    one sample share a single jet evaluation.
     """
 
     def __init__(self, ph: PHStructure):
@@ -348,39 +350,30 @@ class WebsterData:
         self.reeb = ph.reeb
         self.metric = ph.metric
         self.comparison = ph.comparison_tensor
-        self._connection: dict = {}  # (point bytes, shape, order) -> read-only arrays
+        self._connection: dict = {}  # (point bytes, shape) -> read-only order-1 arrays
 
     def connection_data(self, pts, order: int = 0):
         """Webster and Levi-Civita connection arrays at a point batch.
 
         Order 0: (gamma_w, g, dg).  Order 1 adds the first partials:
-        (gamma_w, dgamma_w, g, dg, gamma, dgamma, ginv).  Order 0 is served
-        from an order-1 result when one is held; the arrays are read-only.
+        (gamma_w, dgamma_w, g, dg, gamma, dgamma, ginv).  Both orders read
+        one held order-1 evaluation; the arrays are read-only.
         """
         pts = self.ph.chart.points(pts)
         key = (pts.tobytes(), pts.shape)
-        held = self._connection.get(key + (order,))
-        if held is None and order == 0 and key + (1,) in self._connection:
-            gamma_w, _, g, dg, *_ = self._connection[key + (1,)]
-            held = (gamma_w, g, dg)
-        if held is None:
-            held = self._evaluate_connection(pts, order)
-            for arr in held:
+        full = self._connection.get(key)
+        if full is None:
+            g_arrays, d_arrays = jet_data_multi([self.metric, self.comparison], pts, 2)
+            g, dg, d2g = g_arrays
+            gamma, ginv, c = _christoffel_arrays(g, dg)
+            dgamma, _ = _dchristoffel_arrays(g, dg, d2g, gamma, ginv, c)
+            full = (gamma + d_arrays[0], dgamma + d_arrays[1], g, dg, gamma, dgamma, ginv)
+            for arr in full:
                 arr.flags.writeable = False
-            self._connection[key + (order,)] = held
-        return held
-
-    def _evaluate_connection(self, pts, order: int):
-        g_arrays, d_arrays = jet_data_multi([self.metric, self.comparison], pts, order + 1)
-        g, dg = g_arrays[0], g_arrays[1]
-        gamma, ginv, c = _christoffel_arrays(g, dg)
-        gamma_w = gamma + d_arrays[0]
-        if order == 0:
-            return gamma_w, g, dg
-        d2g = g_arrays[2]
-        dgamma, _ = _dchristoffel_arrays(g, dg, d2g, gamma, ginv, c)
-        dgamma_w = dgamma + d_arrays[1]
-        return gamma_w, dgamma_w, g, dg, gamma, dgamma, ginv
+            if len(self._connection) == 2:
+                del self._connection[next(iter(self._connection))]
+            self._connection[key] = full
+        return full if order else (full[0], full[2], full[3])
 
     def covariant_derivative(self, field: TensorField, pts) -> np.ndarray:
         gamma_w = self.connection_data(pts, 0)[0]

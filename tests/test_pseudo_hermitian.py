@@ -247,17 +247,32 @@ def test_connection_data_is_shared_across_records(monkeypatch):
     assert len(connection) == 1
 
 
-def test_connection_data_is_read_only_and_order_independent(heisenberg, pts):
+def test_connection_data_is_read_only_and_held(heisenberg, pts, monkeypatch):
+    from crgeo import pseudohermitian
+
+    real = pseudohermitian.jet_data_multi
+    calls = []
+
+    def counting(fields, at, order):
+        calls.append(order)
+        return real(fields, at, order)
+
+    monkeypatch.setattr(pseudohermitian, "jet_data_multi", counting)
     wd = webster_connection(heisenberg)
-    full = wd.connection_data(pts, 1)
+    calls.clear()  # the transversal-symmetry gate of webster_connection
     served = wd.connection_data(pts, 0)
-    for arr in full + served:
+    full = wd.connection_data(pts, 1)
+    # order 0 is read from the one order-1 evaluation, whichever is asked first
+    assert calls == [2]
+    assert all(a is b for a, b in zip(served, (full[0], full[2], full[3])))
+    for arr in full:
         with pytest.raises(ValueError):
             arr[0] = 0.0
-    # order 0 served from the held order-1 result equals a fresh evaluation
-    fresh = webster_connection(heisenberg).connection_data(pts, 0)
-    for a, b in zip(served, fresh):
-        assert np.array_equal(a, b)
+    # two batches are held; a third evicts the oldest
+    other, third = heisenberg.chart.sample(4, 1), heisenberg.chart.sample(4, 2)
+    for batch in (other, third, third, other, pts):
+        wd.connection_data(batch, 1)
+    assert len(calls) == 4
 
 
 def test_webster_curvature_symmetries(pipeline):
