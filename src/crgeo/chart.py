@@ -144,6 +144,9 @@ def jet_data_multi(fields, pts, order: int) -> list[list[np.ndarray]]:
         if field.chart is not chart:
             raise ValueError("fields live on different charts")
         results.append(jets.partials(field._eval_all(jc), n, d, order, field.shape))
+        # its stacked jet is read back once: dropping it keeps one stack alive
+        # at a time (a later field reading this field's jet would re-evaluate it)
+        jc.cache.pop(field, None)
     return results
 
 

@@ -11,6 +11,7 @@ evaluated, 2 usage error.
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 
 from .errors import UsageError
@@ -67,6 +68,13 @@ def _cmd_run(args) -> int:
         tol_overrides=_parse_tols(args.tol),
     )
     cfg.validate()
+    if args.out:
+        # found before any check runs, not after the report is printed
+        out_dir = os.path.dirname(os.path.abspath(args.out))
+        if not os.path.isdir(out_dir):
+            raise UsageError(f"--out directory does not exist: {out_dir}")
+        if os.path.isdir(args.out):
+            raise UsageError(f"--out names a directory: {args.out}")
     report = run_all(cfg) if args.example == "all" else run_suite(cfg)
     text = render_report(report)
     sys.stdout.write(text)

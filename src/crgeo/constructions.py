@@ -36,7 +36,15 @@ from .chart import (
     symmetric_product,
 )
 from .errors import PreconditionError, UsageError
-from .metric import MetricField, conformal_rescale, curvature_from_connection, point_max, riemann
+from .metric import (
+    MetricField,
+    conformal_rescale,
+    curvature_from_arrays,
+    curvature_from_connection,
+    levi_civita_arrays,
+    point_max,
+    riemann,
+)
 from .pseudohermitian import (
     PHStructure,
     WebsterData,
@@ -330,8 +338,9 @@ def submersion_residuals(ac: AnticanonicalChart, pts) -> dict[str, np.ndarray]:
     dt_h = np.einsum("nia,nij,njb->nab", proj, ph.dtheta(pts), proj)
     hj_h = np.einsum("nia,nij,njb->nab", proj, hj, proj)
 
-    gval = ph.metric(pts)
-    curv = riemann(ph.metric, pts)
+    # the Levi-Civita curvature of g_theta from the held Webster connection data
+    _, _, gval, _, gamma, dgamma, ginv = ac.webster.connection_data(pts, 1)
+    curv = curvature_from_arrays(gval, gamma, dgamma, ginv)
     reeb = ph.reeb(pts)
     tval = ph.theta(pts)
 
@@ -550,11 +559,13 @@ def _directional_nabla(gamma, a_vals, b_vals, b_grads):
 # Fefferman residual record
 # ----------------------------------------------------------------------
 
-def fefferman_structure_residuals(fc: FeffermanChart, pts) -> dict[str, np.ndarray]:
-    """Per point: normalization, lightlike fibers and forms, the closed form."""
+def fefferman_structure_residuals(fc: FeffermanChart, pts, fval) -> dict[str, np.ndarray]:
+    """Per point: normalization, lightlike fibers and forms, the closed form.
+
+    ``fval`` is the value of the Fefferman metric at ``pts``.
+    """
     pts = fc.chart.points(pts)
     m = fc.m
-    fval = fc.metric(pts)
     pval = fc.vertical_canonical(pts)
     tsval = fc.reeb_lift(pts)
     f_pt = np.einsum("nij,ni,nj->n", fval, pval, tsval)
@@ -583,8 +594,10 @@ def fefferman_structure_residuals(fc: FeffermanChart, pts) -> dict[str, np.ndarr
     }
 
 
-def fefferman_ricci_residual(fc: FeffermanChart, pts) -> dict[str, np.ndarray]:
+def fefferman_ricci_residual(fc: FeffermanChart, pts, f_jets) -> dict[str, np.ndarray]:
     """Per-point curvature identities of the Fefferman metric.
+
+    ``f_jets`` is the order-2 ``jet_data`` ``[f, df, d2f]`` of the metric at ``pts``.
 
     (a) closed form Ric = m S_W f + (2m/(m+2)^2) b o b with b the real
     representative of rho_c + rho_ac; (b) vertical component values;
@@ -593,11 +606,7 @@ def fefferman_ricci_residual(fc: FeffermanChart, pts) -> dict[str, np.ndarray]:
     (f) the Killing residual of T*; (g) the never-Einstein certificate;
     (h) dA_W = -Ric_W in real representatives.
     """
-    from .metric import (
-        _christoffel_arrays,
-        _dchristoffel_arrays,
-        orthonormal_frame,
-    )
+    from .metric import orthonormal_frame
 
     chart = fc.chart
     pts = chart.points(pts)
@@ -605,14 +614,11 @@ def fefferman_ricci_residual(fc: FeffermanChart, pts) -> dict[str, np.ndarray]:
     sw = fc.sw
     pts_m = pts[:, :-1]
 
-    # one second-order metric evaluation feeds symbols, curvature, Ricci
-    f = fc.metric
-    fval, df, d2f = jet_data(f, pts, 2)
-    gamma_f, finv, c_f = _christoffel_arrays(fval, df)
-    dgamma_f, _ = _dchristoffel_arrays(fval, df, d2f, gamma_f, finv, c_f)
-    rup, r4 = curvature_from_connection(gamma_f, dgamma_f, fval)
-    ric = np.einsum("nab,najkb->njk", finv, r4)
-    scalar = np.einsum("njk,njk->n", finv, ric)
+    # the one second-order metric evaluation feeds symbols, curvature, Ricci
+    fval, df, d2f = f_jets
+    gamma_f, dgamma_f, finv = levi_civita_arrays(fval, df, d2f)
+    curv = curvature_from_arrays(fval, gamma_f, dgamma_f, finv)
+    rup, ric, scalar = curv.operator, curv.ricci, curv.scalar
 
     bval = fc.parallel_one_form(pts)
     closed = m * sw * fval + (2.0 * m / (m + 2) ** 2) * np.einsum("ni,nj->nij", bval, bval)
@@ -727,7 +733,7 @@ def fefferman_ricci_residual(fc: FeffermanChart, pts) -> dict[str, np.ndarray]:
     on_frame, _ = orthonormal_frame(fval)
 
     # (h) dA_W = -pullback(Ric_W) in real representatives: d(a_W) = -W
-    wcurv = webster_curvature_from_riemann(fc.ac.ph, pts_m, r4_w)
+    wcurv = webster_curvature_from_riemann(fc.ac.webster, pts_m, r4_w)
     da_w = exterior_derivative(fc.webster_connection_form.real)(pts)
     w_full = np.zeros_like(da_w)
     w_full[:, :-1, :-1] = wcurv.ricci_rep
@@ -746,17 +752,17 @@ def fefferman_ricci_residual(fc: FeffermanChart, pts) -> dict[str, np.ndarray]:
     }
 
 
-def fefferman_expression_residual(fc: FeffermanChart, pts) -> np.ndarray:
+def fefferman_expression_residual(fc: FeffermanChart, pts, fval) -> np.ndarray:
     """Independent assembly of the Fefferman metric from base data.
 
     Ricci-flat gauge: f = h + (4/(m+2)) theta o a_W.  Otherwise
     f = h + (4m(m+1)/((m+2)^2 scal_h)) (-(b o b) + (c o c)) with
     b, c the real representatives of rho_c + rho_ac and
     rho_c - rho_ac/(m+1); iR-valued squares expand with (i b)^2 = -b o b.
+    ``fval`` is the value of the Fefferman metric at ``pts``.
     """
     pts = fc.chart.points(pts)
     m = fc.m
-    fval = fc.metric(pts)
     h_full = np.zeros_like(fval)
     base_pts = pts[:, : 2 * m]
     h_full[:, : 2 * m, : 2 * m] = fc.ac.base.metric(base_pts)
@@ -787,12 +793,15 @@ def _scalar_residual(scalar, target):
     return np.abs(scalar - target) / abs(target)
 
 
-def rescale_residuals(rm: RescaledMetric, pts) -> dict[str, np.ndarray]:
-    """Per point: Einstein condition of the rescaled metric and the conformal ODE."""
+def rescale_residuals(rm: RescaledMetric, pts, jets) -> dict[str, np.ndarray]:
+    """Per point: Einstein condition of the rescaled metric and the conformal ODE.
+
+    ``jets`` is the order-2 ``jet_data`` of the rescaled metric at ``pts``.
+    """
     fc = rm.fc
     pts = fc.chart.points(pts)
-    curv = riemann(rm.metric, pts)
-    gval = rm.metric(pts)
+    gval, dg, d2g = jets
+    curv = curvature_from_arrays(gval, *levi_civita_arrays(gval, dg, d2g))
     lam = rm.einstein_constant
     return {
         "rescaled_einstein": point_max(curv.ricci - lam * gval),
@@ -851,6 +860,16 @@ class ExplicitEinsteinMetric:
     sasaki_metric: MetricField | None = None
     sasaki_constant: float = 0.0
     line_index: int | None = None  # flat-factor coordinate of the unrescaled product
+
+    @property
+    def checked_metrics(self) -> list[MetricField]:
+        """The metrics whose order-2 jets :func:`explicit_einstein_residuals` reads,
+        in its order: the rescaled metric, and the unrescaled product with a
+        Sasaki factor.  The first is built from the components of the second,
+        so one jet batch evaluates both."""
+        if self.sasaki_metric is None:
+            return [self.metric]
+        return [self.metric, self.unrescaled]
 
 
 def explicit_einstein_metric(ke: KahlerEinsteinChart) -> ExplicitEinsteinMetric:
@@ -957,14 +976,15 @@ def explicit_einstein_metric(ke: KahlerEinsteinChart) -> ExplicitEinsteinMetric:
     )
 
 
-def explicit_einstein_residuals(t2: ExplicitEinsteinMetric, pts) -> dict[str, np.ndarray]:
+def explicit_einstein_residuals(t2: ExplicitEinsteinMetric, pts, jets) -> dict[str, np.ndarray]:
     """Per point: Einstein condition, product structure, and Sasaki cross-check.
 
-    The Sasaki factor is checked at its own sample of the same size.
+    ``jets`` is ``jet_data_multi(t2.checked_metrics, pts, 2)``.  The Sasaki
+    factor is checked at its own sample of the same size.
     """
     pts = t2.chart.points(pts)
-    curv = riemann(t2.metric, pts)
-    gval = t2.metric(pts)
+    gval, dg, d2g = jets[0]
+    curv = curvature_from_arrays(gval, *levi_civita_arrays(gval, dg, d2g))
     lam = t2.einstein_constant
     out = {
         "explicit_einstein": point_max(curv.ricci - lam * gval),
@@ -978,21 +998,25 @@ def explicit_einstein_residuals(t2: ExplicitEinsteinMetric, pts) -> dict[str, np
         out["sasaki_einstein"] = point_max(scurv.ricci - t2.sasaki_constant * sval)
         # product structure of the unrescaled metric along the line factor
         li = t2.line_index
-        ucurv = riemann(t2.unrescaled, pts)
-        uval = t2.unrescaled(pts)
+        uval, du, d2u = jets[1]
+        ucurv = curvature_from_arrays(uval, *levi_civita_arrays(uval, du, d2u))
         out["sasaki_product"] = point_max(np.delete(uval[:, li, :], li, axis=1))
         out["sasaki_product_curvature"] = point_max(ucurv.riemann[:, li])
     return out
 
 
-def pipeline_agreement_residual(rm: RescaledMetric, t2: ExplicitEinsteinMetric, pts) -> np.ndarray:
+def pipeline_agreement_residual(
+    rm: RescaledMetric, t2: ExplicitEinsteinMetric, pts, f_pipe
+) -> np.ndarray:
     """The pipeline rescaled metric equals the explicit one under the
-    documented affine fiber identification."""
+    documented affine fiber identification.
+
+    ``f_pipe`` is the value of the rescaled metric at ``pts``.
+    """
     fc = rm.fc
     pts = fc.chart.points(pts)
     a = t2.identification
     mapped = pts @ a.T
-    f_pipe = rm.metric(pts)
     f_exp = t2.metric(mapped)
     pulled = np.einsum("ca,ncd,db->nab", a, f_exp, a)
     return point_max(pulled - f_pipe)

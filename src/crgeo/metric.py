@@ -125,6 +125,7 @@ class CurvatureTensor:
     riemann: np.ndarray  # (N,d,d,d,d) fully covariant R(e_i,e_j,e_k,e_l)
     ricci: np.ndarray  # (N,d,d)
     scalar: np.ndarray  # (N,)
+    operator: np.ndarray  # (N,d,d,d,d) R(e_i,e_j)e_k = operator[n,i,j,k,l] e_l
 
     def symmetry_residuals(self) -> dict[str, float]:
         r = self.riemann
@@ -138,15 +139,26 @@ class CurvatureTensor:
         }
 
 
-def riemann(metric: MetricField, pts) -> CurvatureTensor:
-    """Curvature, Ricci (trace of Z -> R(Z,X)Y), and scalar curvature."""
-    g, dg, d2g = jet_data(metric, pts, 2)
+def levi_civita_arrays(g, dg, d2g):
+    """(Gamma, dGamma, g^-1) from the order-2 jet data ``[g, dg, d2g]`` of a metric."""
     gamma, ginv, c = _christoffel_arrays(g, dg)
     dgamma, _ = _dchristoffel_arrays(g, dg, d2g, gamma, ginv, c)
-    _, r4 = curvature_from_connection(gamma, dgamma, g)
+    return gamma, dgamma, ginv
+
+
+def curvature_from_arrays(g, gamma, dgamma, ginv) -> CurvatureTensor:
+    """Curvature, Ricci (trace of Z -> R(Z,X)Y), and scalar curvature of the
+    Levi-Civita connection given by its arrays at a point batch."""
+    rup, r4 = curvature_from_connection(gamma, dgamma, g)
     ricci = np.einsum("nab,najkb->njk", ginv, r4)
     scalar = np.einsum("njk,njk->n", ginv, ricci)
-    return CurvatureTensor(r4, ricci, scalar)
+    return CurvatureTensor(r4, ricci, scalar, rup)
+
+
+def riemann(metric: MetricField, pts) -> CurvatureTensor:
+    """Curvature of a metric field at a point batch, from one order-2 jet evaluation."""
+    g, dg, d2g = jet_data(metric, pts, 2)
+    return curvature_from_arrays(g, *levi_civita_arrays(g, dg, d2g))
 
 
 # ----------------------------------------------------------------------

@@ -38,10 +38,10 @@ from .chart import (
 from .errors import DegeneracyError, PreconditionError
 from .metric import (
     MetricField,
-    _christoffel_arrays,
-    _dchristoffel_arrays,
     covariant_from_arrays,
+    curvature_from_arrays,
     curvature_from_connection,
+    levi_civita_arrays,
     pivoted_frame,
     point_max,
 )
@@ -213,6 +213,10 @@ class PHStructure:
         return np.eye(self.chart.dim)[None] - np.einsum("ni,nj->nij", reeb, tval)
 
     # -- structural residuals (per sample point) ----------------------------
+    def contact_determinant(self, pts) -> np.ndarray:
+        """|det(theta_j theta_k - dtheta_jk)| per point: nonzero exactly where theta is contact."""
+        return _contact_determinant(self.theta(pts), self.dtheta(pts))
+
     def structure_residuals(self, pts) -> dict[str, np.ndarray]:
         """Contact determinant, J^2, Levi-symmetry, and CR-integrability residuals."""
         pts = self.chart.points(pts)
@@ -225,9 +229,8 @@ class PHStructure:
         proj = np.eye(d)[None] - np.einsum("ni,nj->nij", reeb, tval)
         j2 = np.einsum("nij,njk->nik", jval, jval)
         levi = np.einsum("nia,naj->nij", dtval, jval)
-        b = np.einsum("ni,nj->nij", tval, tval) - dtval
         return {
-            "contact_nondegenerate": np.abs(np.linalg.det(b)),
+            "contact_nondegenerate": _contact_determinant(tval, dtval),
             "complex_structure": point_max(j2 + proj, np.einsum("nij,nj->ni", jval, reeb)),
             "levi_symmetric": point_max(levi - levi.transpose(0, 2, 1)),
             "cr_integrability": self.integrability_residual(pts),
@@ -261,6 +264,11 @@ class PHStructure:
         return point_max(
             np.einsum("ni,ni->n", tval, reeb) - 1.0, np.einsum("ni,nij->nj", reeb, dtval)
         )
+
+
+def _contact_determinant(tval, dtval) -> np.ndarray:
+    # the Reeb system matrix B_jk = theta_j theta_k - dtheta_jk of ReebField
+    return np.abs(np.linalg.det(np.einsum("ni,nj->nij", tval, tval) - dtval))
 
 
 def _bracket(x, y) -> np.ndarray:
@@ -339,10 +347,10 @@ def transversal_symmetry_residual(ph: PHStructure, pts) -> np.ndarray:
 class WebsterData:
     """Webster connection package: nabla_W = Levi-Civita(g_theta) + D.
 
-    The connection data is held for the last two point batches asked for
-    (a pipeline reads the Webster connection at the contact sample and at
-    the Fefferman sample), so the records reading the Webster curvature at
-    one sample share a single jet evaluation.
+    The connection data and the Levi-adapted frame are each held for the
+    last two point batches asked for (a pipeline reads them at the contact
+    sample and at the Fefferman sample), so the records reading the Webster
+    curvature at one sample share a single jet evaluation and one frame.
     """
 
     def __init__(self, ph: PHStructure):
@@ -350,7 +358,26 @@ class WebsterData:
         self.reeb = ph.reeb
         self.metric = ph.metric
         self.comparison = ph.comparison_tensor
-        self._connection: dict = {}  # (point bytes, shape) -> read-only order-1 arrays
+        # (point bytes, shape) -> read-only arrays, for the last two batches
+        self._connection: dict = {}
+        self._frame: dict = {}
+
+    def _held(self, store: dict, pts, compute) -> tuple:
+        key = (pts.tobytes(), pts.shape)
+        arrays = store.get(key)
+        if arrays is None:
+            arrays = compute(pts)
+            for arr in arrays:
+                arr.flags.writeable = False
+            if len(store) == 2:
+                del store[next(iter(store))]
+            store[key] = arrays
+        return arrays
+
+    def _evaluate_connection(self, pts) -> tuple:
+        (g, dg, d2g), d_arrays = jet_data_multi([self.metric, self.comparison], pts, 2)
+        gamma, dgamma, ginv = levi_civita_arrays(g, dg, d2g)
+        return (gamma + d_arrays[0], dgamma + d_arrays[1], g, dg, gamma, dgamma, ginv)
 
     def connection_data(self, pts, order: int = 0):
         """Webster and Levi-Civita connection arrays at a point batch.
@@ -360,20 +387,13 @@ class WebsterData:
         one held order-1 evaluation; the arrays are read-only.
         """
         pts = self.ph.chart.points(pts)
-        key = (pts.tobytes(), pts.shape)
-        full = self._connection.get(key)
-        if full is None:
-            g_arrays, d_arrays = jet_data_multi([self.metric, self.comparison], pts, 2)
-            g, dg, d2g = g_arrays
-            gamma, ginv, c = _christoffel_arrays(g, dg)
-            dgamma, _ = _dchristoffel_arrays(g, dg, d2g, gamma, ginv, c)
-            full = (gamma + d_arrays[0], dgamma + d_arrays[1], g, dg, gamma, dgamma, ginv)
-            for arr in full:
-                arr.flags.writeable = False
-            if len(self._connection) == 2:
-                del self._connection[next(iter(self._connection))]
-            self._connection[key] = full
+        full = self._held(self._connection, pts, self._evaluate_connection)
         return full if order else (full[0], full[2], full[3])
+
+    def levi_frame(self, pts):
+        """The held :func:`levi_adapted_frame` (frame, eps) at a point batch; read-only."""
+        pts = self.ph.chart.points(pts)
+        return self._held(self._frame, pts, lambda p: levi_adapted_frame(self.ph, p))
 
     def covariant_derivative(self, field: TensorField, pts) -> np.ndarray:
         gamma_w = self.connection_data(pts, 0)[0]
@@ -480,13 +500,13 @@ def webster_curvature(wd: WebsterData, pts) -> WebsterCurvature:
     pts = wd.ph.chart.points(pts)
     gamma_w, dgamma_w, g, *_ = wd.connection_data(pts, 1)
     _, r4 = curvature_from_connection(gamma_w, dgamma_w, g)
-    return webster_curvature_from_riemann(wd.ph, pts, r4)
+    return webster_curvature_from_riemann(wd, pts, r4)
 
 
-def webster_curvature_from_riemann(ph: PHStructure, pts, r4) -> WebsterCurvature:
+def webster_curvature_from_riemann(wd: WebsterData, pts, r4) -> WebsterCurvature:
     """Webster Ricci representative and scalar from the (4,0) curvature at pts."""
-    frame, eps = levi_adapted_frame(ph, pts)
-    m = ph.m
+    frame, eps = wd.levi_frame(pts)
+    m = wd.ph.m
     e, je = frame[:, :m, :], frame[:, m:, :]
     w = np.einsum("na,nak,nal,nijkl->nij", eps, e, je, r4)
     scal = -np.einsum("na,nai,naj,nij->n", eps, e, je, w)
@@ -523,9 +543,10 @@ def comparison_identities_residual(wd: WebsterData, pts) -> dict[str, np.ndarray
     ph = wd.ph
     pts = ph.chart.points(pts)
     m = ph.m
-    gamma_w, dgamma_w, g, dg, gamma, dgamma, ginv = wd.connection_data(pts, 1)
+    gamma_w, dgamma_w, g, _, gamma, dgamma, ginv = wd.connection_data(pts, 1)
     rup_w, r4_w = curvature_from_connection(gamma_w, dgamma_w, g)
-    rup_g, r4_g = curvature_from_connection(gamma, dgamma, g)
+    curv_g = curvature_from_arrays(g, gamma, dgamma, ginv)
+    rup_g = curv_g.operator
 
     tval = ph.theta(pts)
     dtheta, ddtheta = jet_data(ph.dtheta, pts, 1)
@@ -557,8 +578,8 @@ def comparison_identities_residual(wd: WebsterData, pts) -> dict[str, np.ndarray
     # (c) pair symmetry of the (4,0) tensor
     res_pair = point_max(r4_w - r4_w.transpose(0, 3, 4, 1, 2)) / scale
 
-    curv_w = webster_curvature_from_riemann(ph, pts, r4_w)
-    ricci_g = np.einsum("nab,najkb->njk", ginv, r4_g)
+    curv_w = webster_curvature_from_riemann(wd, pts, r4_w)
+    ricci_g = curv_g.ricci
     proj = eye[None] - np.einsum("ni,nj->nij", reeb, tval)
 
     # (d) Ric_g(X,Y) = -W(X, JY) - (1/2) g(X,Y) on H

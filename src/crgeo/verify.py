@@ -20,6 +20,7 @@ from functools import cached_property
 
 import numpy as np
 
+from .chart import jet_data_multi
 from .constructions import (
     anticanonical_structure,
     correction_structure_residual,
@@ -233,7 +234,9 @@ class Pipeline:
     """Lazy, cached construction pipeline for one catalog entry.
 
     Each ``*_record`` maps check names to residuals per sample point (or to
-    one sample statistic), plus the constants that checks report.
+    one sample statistic), plus the constants that checks report.  Metrics
+    that share component nodes are evaluated on one order-2 jet batch per
+    sample (``f_jets``, ``t2_jets``), which every record reading them uses.
     """
 
     def __init__(self, example: str, m: int, points: int, seed: int):
@@ -297,6 +300,17 @@ class Pipeline:
     def t2_pts(self):
         return self.t2.chart.sample(self.points, self.seed)
 
+    # -- metric jets shared by records ----------------------------------------
+    @cached_property
+    def f_jets(self):
+        """Order-2 jet data of f and of its rescaling e^{2 phi} f at ``f_pts``."""
+        return jet_data_multi([self.fc.metric, self.rm.metric], self.f_pts, 2)
+
+    @cached_property
+    def t2_jets(self):
+        """Order-2 jet data of the explicit metrics at ``t2_pts``."""
+        return jet_data_multi(self.t2.checked_metrics, self.t2_pts, 2)
+
     # -- cached residual records --------------------------------------------
     @cached_property
     def structure_record(self) -> dict:
@@ -334,14 +348,15 @@ class Pipeline:
 
     @cached_property
     def fefferman_record(self) -> dict:
-        rec = fefferman_structure_residuals(self.fc, self.f_pts)
-        rec.update(fefferman_ricci_residual(self.fc, self.f_pts))
-        rec["fefferman_expression"] = fefferman_expression_residual(self.fc, self.f_pts)
+        f = self.f_jets[0]
+        rec = fefferman_structure_residuals(self.fc, self.f_pts, f[0])
+        rec.update(fefferman_ricci_residual(self.fc, self.f_pts, f))
+        rec["fefferman_expression"] = fefferman_expression_residual(self.fc, self.f_pts, f[0])
         return rec
 
     @cached_property
     def rescale_record(self) -> dict:
-        rec = rescale_residuals(self.rm, self.f_pts)
+        rec = rescale_residuals(self.rm, self.f_pts, self.f_jets[1])
         rec["slice_identity"] = slice_identity_residual(self.rm, min(self.points, 8), self.seed)
         rec["einstein_constant"] = self.rm.einstein_constant
         if self.applies("correction_structure"):
@@ -350,8 +365,10 @@ class Pipeline:
 
     @cached_property
     def theorem2_record(self) -> dict:
-        rec = explicit_einstein_residuals(self.t2, self.t2_pts)
-        rec["pipeline_agreement"] = pipeline_agreement_residual(self.rm, self.t2, self.f_pts)
+        rec = explicit_einstein_residuals(self.t2, self.t2_pts, self.t2_jets)
+        rec["pipeline_agreement"] = pipeline_agreement_residual(
+            self.rm, self.t2, self.f_pts, self.f_jets[1][0]
+        )
         try:
             self.t2.metric.verify_signature(self.t2_pts)
             rec["explicit_signature"] = 0.0
@@ -371,8 +388,7 @@ class Pipeline:
         if self.applies("non_tsph_detected"):
             php = perturbed_structure(self.ac)
             rec["non_tsph_detected"] = transversal_symmetry_residual(php, self.m_pts).max()
-            contact = php.structure_residuals(self.m_pts)["contact_nondegenerate"]
-            rec["control_still_contact"] = contact
+            rec["control_still_contact"] = php.contact_determinant(self.m_pts)
         return rec
 
 

@@ -14,7 +14,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from crgeo.verify import SuiteConfig, render_report, run_all
+from crgeo.verify import SuiteConfig, render_report, run_all, run_suite
 
 MAIN_ENTRIES = ["flat", "fubini_study", "complex_hyperbolic"]
 ALL_MS = [1, 2]
@@ -275,7 +275,8 @@ def moved_checks(old_text: str, new_text: str) -> list[str]:
     """One line per check whose max_residual, value or pass differs."""
 
     def rows(text):
-        runs = json.loads(text)["runs"]
+        doc = json.loads(text)
+        runs = doc.get("runs", [doc])
         return {(run["example"], c["name"]): c for run in runs for c in run["checks"]}
 
     old, new = rows(old_text), rows(new_text)
@@ -325,3 +326,11 @@ def test_two_point_catalog_matches_golden(m):
     # the catalog at two points, where per-call overhead dominates, pinned the same way
     cfg = SuiteConfig(example="all", m=m, suites=("all",), points=2, seed=7)
     assert_golden(f"all_m{m}_p2_s7.json", GENERATED_AT.sub("", render_report(run_all(cfg))))
+
+
+@pytest.mark.parametrize("m", ALL_MS)
+def test_dense_entry_matches_golden(m):
+    # the slowest entry at 128 points, where the metric jets dominate, pinned the same way
+    cfg = SuiteConfig(example="complex_hyperbolic", m=m, suites=("all",), points=128, seed=7)
+    text = GENERATED_AT.sub("", render_report(run_suite(cfg)))
+    assert_golden(f"complex_hyperbolic_m{m}_p128_s7.json", text)

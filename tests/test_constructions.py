@@ -133,7 +133,61 @@ def test_fefferman_flat_expression(pipeline):
     # Ricci-flat gauge: f = h + (4/(m+2)) theta o (real rho_c), checked
     # against an independent assembly of the displayed expansion
     pipe = pipeline("flat", 1)
-    assert fefferman_expression_residual(pipe.fc, pipe.f_pts).max() < 1e-12
+    assert fefferman_expression_residual(pipe.fc, pipe.f_pts, pipe.f_jets[0][0]).max() < 1e-12
+
+
+@pytest.mark.parametrize("m", [1, 2])
+def test_joint_metric_jets_equal_separate_evaluation(pipeline, m):
+    # the premise of the shared batches: a metric built from another's
+    # components evaluates on one batch to the same bits as on its own
+    from crgeo.chart import jet_data, jet_data_multi
+
+    pipe = pipeline("complex_hyperbolic", m)
+    pairs = [(pipe.fc.metric, pipe.rm.metric), tuple(pipe.t2.checked_metrics)]
+    assert len(pairs[1]) == 2  # the Sasaki entries check the unrescaled metric too
+    for fields in pairs:
+        for n in (3, 16):
+            pts = fields[0].chart.sample(n, 42)
+            joint = jet_data_multi(list(fields), pts, 2)
+            for field, arrays in zip(fields, joint):
+                alone = jet_data(field, pts, 2)
+                assert all(np.array_equal(a, b) for a, b in zip(arrays, alone))
+
+
+def test_pipeline_evaluates_each_shared_metric_once(monkeypatch):
+    # f with e^{2 phi} f at f_pts, the explicit metric with its unrescaled
+    # factor at t2_pts and g_theta at m_pts each take one order-2 batch
+    import sys
+
+    from crgeo import chart
+    from crgeo.verify import Pipeline
+
+    pipe = Pipeline("fubini_study", 1, points=3, seed=7)
+    real = chart.jet_data_multi
+    calls = []
+
+    def counting(fields, at, order):
+        calls.append((list(fields), np.array(at), order))
+        return real(fields, at, order)
+
+    for mod in [m for name, m in sys.modules.items() if name.startswith("crgeo")]:
+        if getattr(mod, "jet_data_multi", None) is real:
+            monkeypatch.setattr(mod, "jet_data_multi", counting)
+    for record in ("structure", "webster", "comparison", "submersion",
+                   "fefferman", "rescale", "theorem2"):
+        getattr(pipe, f"{record}_record")
+    shared = [
+        ([pipe.fc.metric, pipe.rm.metric], pipe.f_pts),
+        ([pipe.t2.metric, pipe.t2.unrescaled], pipe.t2_pts),
+        ([pipe.ac.ph.metric], pipe.m_pts),
+    ]
+    for metrics, pts in shared:
+        batches = [
+            fields for fields, at, order in calls
+            if order == 2 and np.array_equal(at, pts) and any(f in fields for f in metrics)
+        ]
+        assert len(batches) == 1
+        assert all(f in batches[0] for f in metrics)
 
 
 def test_fefferman_ricci_isotropic_flat(pipeline):

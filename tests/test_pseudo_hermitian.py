@@ -72,6 +72,19 @@ def test_lifted_complex_structure_algebra(heisenberg, pts):
         assert np.array_equal(doubled(pts), 2.0 * jval)
 
 
+def test_field_listed_before_its_reader_in_one_batch(heisenberg, pts):
+    # one batch drops each field's own jet once read back; a later field
+    # built on it (J X reads the lifted J, which reads the solved Reeb field)
+    # still gets the arrays it gets alone
+    from crgeo.chart import jet_data, jet_data_multi
+
+    assert isinstance(heisenberg.reeb, ReebField)
+    x = heisenberg.horizontal_fields()[0]
+    fields = [heisenberg.reeb, heisenberg.J, x, heisenberg.J.apply(x)]
+    for field, arrays in zip(fields, jet_data_multi(fields, pts, 2)):
+        assert all(np.array_equal(a, b) for a, b in zip(arrays, jet_data(field, pts, 2)))
+
+
 def test_heisenberg_structure_residuals(heisenberg, pts):
     res = heisenberg.structure_residuals(pts)
     assert res["contact_nondegenerate"].min() > 1e-10
@@ -223,7 +236,7 @@ def test_heisenberg_webster_flat(heisenberg, pts):
 def test_connection_data_is_shared_across_records(monkeypatch):
     import sys
 
-    from crgeo import chart
+    from crgeo import chart, pseudohermitian
     from crgeo.verify import Pipeline
 
     pipe = Pipeline("fubini_study", 1, points=4, seed=7)
@@ -238,6 +251,14 @@ def test_connection_data_is_shared_across_records(monkeypatch):
     for mod in [m for name, m in sys.modules.items() if name.startswith("crgeo")]:
         if getattr(mod, "jet_data_multi", None) is real:
             monkeypatch.setattr(mod, "jet_data_multi", counting)
+    frames = []
+    real_frame = pseudohermitian.levi_adapted_frame
+
+    def counting_frame(ph, at):
+        frames.append(np.array(at))
+        return real_frame(ph, at)
+
+    monkeypatch.setattr(pseudohermitian, "levi_adapted_frame", counting_frame)
     for record in ("webster", "comparison", "submersion"):
         getattr(pipe, f"{record}_record")
     connection = [
@@ -245,6 +266,11 @@ def test_connection_data_is_shared_across_records(monkeypatch):
         if c[0] == [wd.metric, wd.comparison] and c[2] == 2 and np.array_equal(c[1], pts)
     ]
     assert len(connection) == 1
+    # the Levi-adapted frame at the contact sample is built once as well
+    assert sum(np.array_equal(at, pts) for at in frames) == 1
+    frame, eps = wd.levi_frame(pts)
+    with pytest.raises(ValueError):
+        frame[0] = 0.0
 
 
 def test_connection_data_is_read_only_and_held(heisenberg, pts, monkeypatch):
@@ -331,6 +357,33 @@ def test_reeb_ricci_value(pipeline):
     reeb = pipe.ac.ph.reeb(pipe.m_pts)
     ric_tt = np.einsum("nij,ni,nj->n", curv.ricci, reeb, reeb)
     np.testing.assert_allclose(ric_tt, 0.5, atol=1e-9)
+
+
+@pytest.mark.parametrize("m", [1, 2])
+def test_curvature_from_connection_data_equals_riemann(pipeline, m):
+    # the submersion record reads the curvature of g_theta from the held
+    # Webster connection data; it is the curvature of the metric alone, bitwise
+    from crgeo.metric import curvature_from_arrays, riemann
+
+    pipe = pipeline("complex_hyperbolic", m)
+    _, _, g, _, gamma, dgamma, ginv = pipe.ac.webster.connection_data(pipe.m_pts, 1)
+    held = curvature_from_arrays(g, gamma, dgamma, ginv)
+    alone = riemann(pipe.ac.ph.metric, pipe.m_pts)
+    for name in ("riemann", "ricci", "scalar", "operator"):
+        assert np.array_equal(getattr(held, name), getattr(alone, name))
+
+
+def test_contact_control_skips_the_nijenhuis_batch(monkeypatch):
+    # the deformed structure's contact check reads the determinant alone
+    from crgeo.pseudohermitian import PHStructure
+    from crgeo.verify import Pipeline
+
+    def unused(self, pts):
+        raise AssertionError("the Nijenhuis residual is not read by the contact control")
+
+    monkeypatch.setattr(PHStructure, "integrability_residual", unused)
+    pipe = Pipeline("perturbed_non_tsph", 1, points=4, seed=7)
+    assert pipe.negative_record["control_still_contact"].min() > 1e-10
 
 
 def test_gauge_shift_preserves_scalar(pipeline):

@@ -95,6 +95,12 @@ def test_usage_errors_exit_two(capsys):
     assert run_cli(
         capsys, "run", "--example", "flat", "--m", "1", "--tol", "webster_einstein=nan"
     )[0] == 2
+    # an --out file in a missing directory is rejected before any check runs
+    code, out, err = run_cli(
+        capsys, "run", "--example", "flat", "--m", "1", "--suite", "webster", "--points", "2",
+        "--out", os.path.join(os.path.dirname(__file__), "missing", "r.json"),
+    )
+    assert (code, out) == (2, "") and err.startswith("error:")
 
 
 def test_points_must_be_positive():
