@@ -11,11 +11,11 @@ import numpy as np
 from crgeo import Chart, OneForm
 from crgeo.metric import killing_residual
 from crgeo.pseudohermitian import (
+    axiom_residuals,
     comparison_identities_residual,
     make_structure,
     transversal_symmetry_residual,
     webster_connection,
-    webster_curvature,
 )
 
 chart = Chart(["x", "y", "t"], [(-1.0, 1.0), (-1.0, 1.0), (-1.5, 1.5)])
@@ -31,16 +31,16 @@ print("defining-equation residual:", ph.reeb_residual(pts).max())
 print("transversal symmetry: bracket", transversal_symmetry_residual(ph, pts).max(),
       " Killing", killing_residual(ph.metric, ph.reeb, pts).max())
 
-wd = webster_connection(ph)
+# one sample holds the connection, its curvature and the Levi frame at pts
+ws = webster_connection(ph).at(pts)
 print("\nWebster axiom residuals (max over the sample):")
-for name, value in wd.axiom_residuals(pts).items():
+for name, value in axiom_residuals(ws).items():
     print(f"  {name:24s} {value.max():.3e}")
 
-curv = webster_curvature(wd, pts)
-print("\nWebster curvature is flat:  max |R_W| =", np.abs(curv.riemann).max())
-print("Webster scalar:             ", np.abs(curv.scalar).max())
+print("\nWebster curvature is flat:  max |R_W| =", np.abs(ws.curvature[1]).max())
+print("Webster scalar:             ", np.abs(ws.ricci[1]).max())
 
 print("\ncomparison with the Levi-Civita geometry of g_theta:")
-for name, value in comparison_identities_residual(wd, pts).items():
+for name, value in comparison_identities_residual(ws).items():
     print(f"  {name:24s} {value.max():.3e}")
 print("(g_theta itself is curved: Ric(T,T) = m/2, encoded in ricci_reeb_tt)")

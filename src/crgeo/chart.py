@@ -54,7 +54,8 @@ class Chart:
         if arr.ndim != 2 or arr.shape[1] != self.dim:
             raise DomainError(f"expected points of dimension {self.dim}, got shape {arr.shape}")
         for c, (a, b) in enumerate(self.bounds):
-            if np.any(arr[:, c] <= a) or np.any(arr[:, c] >= b):
+            # negated, so that a NaN coordinate is outside too
+            if not np.all((arr[:, c] > a) & (arr[:, c] < b)):
                 raise DomainError(
                     f"coordinate {self.names[c]} outside open interval ({a}, {b})"
                 )

@@ -15,7 +15,7 @@ import os
 import sys
 
 from .errors import UsageError
-from .verify import SuiteConfig, catalog_rows, render_report, run_all, run_suite
+from .verify import SUPPORTED_M, SuiteConfig, catalog_rows, render_report, run_all, run_suite
 
 
 def _parse_tols(items) -> dict:
@@ -41,7 +41,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     run_p = sub.add_parser("run", help="run a verification suite")
     run_p.add_argument("--example", required=True, help="catalog id or 'all'")
-    run_p.add_argument("--m", type=int, required=True, choices=(1, 2))
+    run_p.add_argument("--m", type=int, required=True, choices=SUPPORTED_M)
     run_p.add_argument(
         "--suite",
         default="all",

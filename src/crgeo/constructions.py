@@ -40,19 +40,19 @@ from .metric import (
     MetricField,
     conformal_rescale,
     curvature_from_arrays,
-    curvature_from_connection,
+    curvature_from_connection,  # noqa: F401  kept bound: perfbench's tracer test wraps it here
     levi_civita_arrays,
     point_max,
     riemann,
+    tracefree_ricci_norm,
 )
 from .pseudohermitian import (
     PHStructure,
     WebsterData,
+    WebsterSample,
     make_structure,
     ph_einstein_residual,
     webster_connection,
-    webster_curvature,
-    webster_curvature_from_riemann,
 )
 
 EINSTEIN_PRECONDITION_TOL = 1e-6
@@ -172,12 +172,10 @@ def make_kahler_einstein(kind: str, m: int, scale: float = 1.0) -> KahlerEinstei
     complex_hyperbolic: the complex ball (scal = -m(m+1)/scale).
     The metric is scale * (reference metric).
     """
-    if m not in (1, 2):
-        raise UsageError(f"unsupported complex dimension m={m}")
+    if (kind, m) not in _BASE_BOUNDS:
+        raise UsageError(f"no Kaehler-Einstein chart of kind {kind!r} at m={m}")
     if scale <= 0:
         raise UsageError("scale must be positive")
-    if kind not in ("flat", "fubini_study", "complex_hyperbolic"):
-        raise UsageError(f"unknown Kaehler-Einstein kind {kind!r}")
     names = []
     for a in range(m):
         names += [f"x{a + 1}", f"y{a + 1}"]
@@ -314,14 +312,13 @@ def anticanonical_structure(ke: KahlerEinsteinChart, fiber_bound=(-1.5, 1.5)) ->
     )
 
 
-def submersion_residuals(ac: AnticanonicalChart, pts) -> dict[str, np.ndarray]:
+def submersion_residuals(ac: AnticanonicalChart, ws: WebsterSample) -> dict[str, np.ndarray]:
     """Per-point relations between the circle bundle and its Kaehler base.
 
     The connection curvature d(real rho_ac) = Ric_h(., J.), dtheta = h(J., .)
     on H, and the Ricci relations of the Riemannian submersion.
     """
-    ph = ac.ph
-    pts = ac.chart.points(pts)
+    pts = ws.pts
     m = ac.m
     d = ac.chart.dim
     base_pts = pts[:, : 2 * m]
@@ -334,15 +331,13 @@ def submersion_residuals(ac: AnticanonicalChart, pts) -> dict[str, np.ndarray]:
 
     hj = np.zeros((pts.shape[0], d, d))
     hj[:, : 2 * m, : 2 * m] = np.einsum("ai,naj->nij", jmat, ac.base.metric(base_pts))
-    proj = ph.h_projector(pts)
-    dt_h = np.einsum("nia,nij,njb->nab", proj, ph.dtheta(pts), proj)
+    (tval, _), (dtheta, _), (jval, _), (reeb, _) = ws.contact_jets
+    proj = ws.projector
+    dt_h = np.einsum("nia,nij,njb->nab", proj, dtheta, proj)
     hj_h = np.einsum("nia,nij,njb->nab", proj, hj, proj)
 
-    # the Levi-Civita curvature of g_theta from the held Webster connection data
-    _, _, gval, _, gamma, dgamma, ginv = ac.webster.connection_data(pts, 1)
-    curv = curvature_from_arrays(gval, gamma, dgamma, ginv)
-    reeb = ph.reeb(pts)
-    tval = ph.theta(pts)
+    gval = ws.connection_jets[0][0]
+    curv = ws.lc_curvature
 
     # Ric(T,T) = (m/2) g(T,T)
     ric_tt = np.einsum("ni,nj,nij->n", reeb, reeb, curv.ricci)
@@ -360,9 +355,8 @@ def submersion_residuals(ac: AnticanonicalChart, pts) -> dict[str, np.ndarray]:
     g_up = np.einsum("nai,nbj,nij->nab", lifts, lifts, gval)
 
     # Ric_h(X,Y) = -W(X*, J Y*)
-    wcurv = webster_curvature(ac.webster, pts)
-    jlifts = np.einsum("nij,naj->nai", ph.J(pts), lifts)
-    w_up = np.einsum("nai,nbj,nij->nab", lifts, jlifts, wcurv.ricci_rep)
+    jlifts = np.einsum("nij,naj->nai", jval, lifts)
+    w_up = np.einsum("nai,nbj,nij->nab", lifts, jlifts, ws.ricci[0])
     return {
         "connection_curvature": point_max(da - ric_form),
         "dtheta_pullback": point_max(dt_h - hj_h),
@@ -405,7 +399,7 @@ def fefferman_metric(ac: AnticanonicalChart, fiber_bound=(-2.8, 2.8)) -> Fefferm
     Requires the Einstein condition: only then does the Webster connection
     form admit the local potential A_W = i (m+2)/2 (ds + (2 scal_W / (m(m+2))) theta).
     """
-    ein = ph_einstein_residual(ac.webster, ac.chart.sample(8, 2024))
+    ein = ph_einstein_residual(ac.webster.at(ac.chart.sample(8, 2024)))
     residual = ein["webster_einstein"].max()
     deviation = ein["webster_scal_constant"].max()
     if residual > EINSTEIN_PRECONDITION_TOL or deviation > EINSTEIN_PRECONDITION_TOL:
@@ -606,8 +600,6 @@ def fefferman_ricci_residual(fc: FeffermanChart, pts, f_jets) -> dict[str, np.nd
     (f) the Killing residual of T*; (g) the never-Einstein certificate;
     (h) dA_W = -Ric_W in real representatives.
     """
-    from .metric import orthonormal_frame
-
     chart = fc.chart
     pts = chart.points(pts)
     m = fc.m
@@ -657,10 +649,10 @@ def fefferman_ricci_residual(fc: FeffermanChart, pts, f_jets) -> dict[str, np.nd
     identities = [np.einsum("nijkl,ni,nj->nkl", rup, pval, tsval)]
     tppart = tsval + sw * pval
 
-    gamma_w, dgamma_w, g_m, *_ = fc.ac.webster.connection_data(pts_m, 1)
-    rup_w, r4_w = curvature_from_connection(gamma_w, dgamma_w, g_m)
-    dtheta_m = fc.ac.ph.dtheta(pts_m)
-    jval_m = fc.ac.ph.J(pts_m)
+    ws = fc.ac.webster.at(pts_m)
+    gamma_w = ws.webster_symbols[0]
+    rup_w = ws.curvature[0]
+    _, (dtheta_m, _), (jval_m, _), _ = ws.contact_jets
 
     for ei in e_vals:
         # R(e_i*, P) T* = (1/4) S_W e_i*
@@ -728,15 +720,10 @@ def fefferman_ricci_residual(fc: FeffermanChart, pts, f_jets) -> dict[str, np.nd
         + np.einsum("nik,njk->nij", fval, t_grads)
     )
 
-    # (g) never Einstein: frame-normalized trace-free Ricci norm (lower bound)
-    tf = ric - (scalar / chart.dim)[:, None, None] * fval
-    on_frame, _ = orthonormal_frame(fval)
-
     # (h) dA_W = -pullback(Ric_W) in real representatives: d(a_W) = -W
-    wcurv = webster_curvature_from_riemann(fc.ac.webster, pts_m, r4_w)
     da_w = exterior_derivative(fc.webster_connection_form.real)(pts)
     w_full = np.zeros_like(da_w)
-    w_full[:, :-1, :-1] = wcurv.ricci_rep
+    w_full[:, :-1, :-1] = ws.ricci[0]
 
     return {
         "fefferman_connection_curvature": point_max(da_w + w_full),
@@ -746,9 +733,8 @@ def fefferman_ricci_residual(fc: FeffermanChart, pts, f_jets) -> dict[str, np.nd
         "fefferman_covariant_table": point_max(*table),
         "parallel_vertical_field": point_max(nabla_v),
         "killing_reeb_lift": point_max(lie),
-        "non_einstein_certificate": point_max(
-            np.einsum("nai,nbj,nij->nab", on_frame, on_frame, tf)
-        ),
+        # (g) never Einstein: frame-normalized trace-free Ricci norm (lower bound)
+        "non_einstein_certificate": tracefree_ricci_norm(fval, ric, scalar),
     }
 
 
@@ -1039,9 +1025,9 @@ def perturbed_structure(ac: AnticanonicalChart, amplitude: float = 0.2) -> PHStr
 
 
 def gauge_shift_scal_residual(
-    ac: AnticanonicalChart, pts, scal, amplitude: float = 0.05
+    ac: AnticanonicalChart, ws: WebsterSample, amplitude: float = 0.05
 ) -> np.ndarray:
-    """scal_W from theta + df (basic f) must agree with ``scal``, that of theta, at pts."""
+    """scal_W from theta + df (basic f) must agree with that of theta, read from ``ws``."""
     chart = ac.chart
     f = chart.coord(0) * chart.coord(1) * amplitude
     df = differential(f)
@@ -1054,6 +1040,5 @@ def gauge_shift_scal_residual(
         ac.ph.levi_signature,
         reeb_hint=ac.ph.reeb,
     )
-    wd_hat = webster_connection(ph_hat)
-    pts = chart.points(pts)
-    return np.abs(webster_curvature(wd_hat, pts).scalar - scal)
+    scal_hat = webster_connection(ph_hat).at(ws.pts).ricci[1]
+    return np.abs(scal_hat - ws.ricci[1])

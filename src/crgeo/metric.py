@@ -348,12 +348,9 @@ def orthonormal_frame(gval: np.ndarray):
     return pivoted_frame(gval, np.broadcast_to(cands, (npts,) + cands.shape), d)
 
 
-def tracefree_ricci_norm(metric: MetricField, pts) -> np.ndarray:
-    """Frame-normalized max norm of Ric - (scal/n) g per point."""
-    curv = riemann(metric, pts)
-    g = metric(pts)
-    n = metric.chart.dim
-    tf = curv.ricci - (curv.scalar / n)[:, None, None] * g
+def tracefree_ricci_norm(g, ricci, scalar) -> np.ndarray:
+    """Frame-normalized max norm of Ric - (scal/n) g per point, from the values of a metric."""
+    tf = ricci - (scalar / g.shape[-1])[:, None, None] * g
     frame, _ = orthonormal_frame(g)
     comps = np.einsum("nai,nbj,nij->nab", frame, frame, tf)
     return np.abs(comps).max(axis=(1, 2))

@@ -15,7 +15,7 @@ W = -(scal_W / m) dtheta and scal_W = -sum_a eps_a W(e_a, J e_a).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import functools
 from functools import cached_property
 
 import numpy as np
@@ -31,12 +31,12 @@ from .chart import (
     TensorField,
     VectorField,
     exterior_derivative,
-    jet_data,
     jet_data_multi,
     symmetric_product,
 )
 from .errors import DegeneracyError, PreconditionError
 from .metric import (
+    CurvatureTensor,
     MetricField,
     covariant_from_arrays,
     curvature_from_arrays,
@@ -208,9 +208,7 @@ class PHStructure:
 
     def h_projector(self, pts) -> np.ndarray:
         """P[n, i, j] = delta_ij - T^i theta_j, projection onto H along T."""
-        tval = self.theta(pts)
-        reeb = self.reeb(pts)
-        return np.eye(self.chart.dim)[None] - np.einsum("ni,nj->nij", reeb, tval)
+        return _h_projector(self.reeb(pts), self.theta(pts))
 
     # -- structural residuals (per sample point) ----------------------------
     def contact_determinant(self, pts) -> np.ndarray:
@@ -224,9 +222,8 @@ class PHStructure:
         dtval = self.dtheta(pts)
         jval = self.J(pts)
         reeb = self.reeb(pts)
-        d = self.chart.dim
 
-        proj = np.eye(d)[None] - np.einsum("ni,nj->nij", reeb, tval)
+        proj = _h_projector(reeb, tval)
         j2 = np.einsum("nij,njk->nik", jval, jval)
         levi = np.einsum("nia,naj->nij", dtval, jval)
         return {
@@ -264,6 +261,10 @@ class PHStructure:
         return point_max(
             np.einsum("ni,ni->n", tval, reeb) - 1.0, np.einsum("ni,nij->nj", reeb, dtval)
         )
+
+
+def _h_projector(reeb, tval) -> np.ndarray:
+    return np.eye(reeb.shape[1])[None] - np.einsum("ni,nj->nij", reeb, tval)
 
 
 def _contact_determinant(tval, dtval) -> np.ndarray:
@@ -345,102 +346,142 @@ def transversal_symmetry_residual(ph: PHStructure, pts) -> np.ndarray:
 
 
 class WebsterData:
-    """Webster connection package: nabla_W = Levi-Civita(g_theta) + D.
+    """Webster connection nabla_W = Levi-Civita(g_theta) + D of a structure.
 
-    The connection data and the Levi-adapted frame are each held for the
-    last two point batches asked for (a pipeline reads them at the contact
-    sample and at the Fefferman sample), so the records reading the Webster
-    curvature at one sample share a single jet evaluation and one frame.
+    Holds what is fixed per structure once past the transversal-symmetry
+    gate of :func:`webster_connection`; :meth:`at` evaluates it at points.
     """
 
     def __init__(self, ph: PHStructure):
         self.ph = ph
-        self.reeb = ph.reeb
         self.metric = ph.metric
         self.comparison = ph.comparison_tensor
-        # (point bytes, shape) -> read-only arrays, for the last two batches
-        self._connection: dict = {}
-        self._frame: dict = {}
 
-    def _held(self, store: dict, pts, compute) -> tuple:
-        key = (pts.tobytes(), pts.shape)
-        arrays = store.get(key)
-        if arrays is None:
-            arrays = compute(pts)
-            for arr in arrays:
-                arr.flags.writeable = False
-            if len(store) == 2:
-                del store[next(iter(store))]
-            store[key] = arrays
-        return arrays
+    def at(self, pts) -> WebsterSample:
+        return WebsterSample(self, pts)
 
-    def _evaluate_connection(self, pts) -> tuple:
-        (g, dg, d2g), d_arrays = jet_data_multi([self.metric, self.comparison], pts, 2)
-        gamma, dgamma, ginv = levi_civita_arrays(g, dg, d2g)
-        return (gamma + d_arrays[0], dgamma + d_arrays[1], g, dg, gamma, dgamma, ginv)
 
-    def connection_data(self, pts, order: int = 0):
-        """Webster and Levi-Civita connection arrays at a point batch.
+def _read_only(value):
+    if isinstance(value, np.ndarray):
+        value.setflags(write=False)
+    else:
+        for item in value if isinstance(value, (tuple, list)) else vars(value).values():
+            _read_only(item)
+    return value
 
-        Order 0: (gamma_w, g, dg).  Order 1 adds the first partials:
-        (gamma_w, dgamma_w, g, dg, gamma, dgamma, ginv).  Both orders read
-        one held order-1 evaluation; the arrays are read-only.
+
+def _member(compute):
+    """A :class:`WebsterSample` member: evaluated on first use, then shared read-only."""
+    return cached_property(functools.wraps(compute)(lambda self: _read_only(compute(self))))
+
+
+class WebsterSample:
+    """The Webster connection, its curvature and the Levi frame at one point batch.
+
+    Its caller holds it while residuals read it, so each member is evaluated
+    once per batch and every residual reading it shares the same arrays.
+    """
+
+    def __init__(self, wd: WebsterData, pts):
+        self.wd = wd
+        self.ph = wd.ph
+        self.pts = wd.ph.chart.points(pts)
+
+    @_member
+    def connection_jets(self):
+        """Jet data ``([g, dg, d2g], [D, dD])`` of g_theta and D, from one order-2 batch."""
+        g_jets, (dval, dgrad, _) = jet_data_multi([self.wd.metric, self.wd.comparison], self.pts, 2)
+        return g_jets, [dval, dgrad]  # D's second partials are read by nothing
+
+    @_member
+    def contact_jets(self):
+        """Order-1 jet data ``[value, first partials]`` of theta, dtheta, J and T."""
+        ph = self.ph
+        return jet_data_multi([ph.theta, ph.dtheta, ph.J, ph.reeb], self.pts, 1)
+
+    @_member
+    def projector(self):
+        """P[n, i, j] = delta_ij - T^i theta_j, projection onto H along T."""
+        (tval, _), _, _, (reeb, _) = self.contact_jets
+        return _h_projector(reeb, tval)
+
+    @_member
+    def levi_civita(self):
+        """(Gamma, dGamma, g^-1) of g_theta."""
+        return levi_civita_arrays(*self.connection_jets[0])
+
+    @_member
+    def webster_symbols(self):
+        """(Gamma_W, dGamma_W): the Levi-Civita symbols plus D, with their first partials."""
+        gamma, dgamma, _ = self.levi_civita
+        dval, dgrad = self.connection_jets[1]
+        return gamma + dval, dgamma + dgrad
+
+    @_member
+    def levi_frame(self):
+        """The :func:`levi_adapted_frame` (frame, eps) at these points."""
+        return levi_adapted_frame(self.ph, self.pts)
+
+    @_member
+    def curvature(self):
+        """(R_W operator, R_W (4,0) tensor) of nabla_W, as :func:`curvature_from_connection`."""
+        return curvature_from_connection(*self.webster_symbols, self.connection_jets[0][0])
+
+    @_member
+    def ricci(self):
+        """(W, scal_W): Webster Ricci representative (Ric_W = i W) and scalar.
+
+        Both traces run over the (e_a, J e_a) Levi frame.
         """
-        pts = self.ph.chart.points(pts)
-        full = self._held(self._connection, pts, self._evaluate_connection)
-        return full if order else (full[0], full[2], full[3])
+        frame, eps = self.levi_frame
+        m = self.ph.m
+        e, je = frame[:, :m, :], frame[:, m:, :]
+        w = np.einsum("na,nak,nal,nijkl->nij", eps, e, je, self.curvature[1])
+        return w, -np.einsum("na,nai,naj,nij->n", eps, e, je, w)
 
-    def levi_frame(self, pts):
-        """The held :func:`levi_adapted_frame` (frame, eps) at a point batch; read-only."""
-        pts = self.ph.chart.points(pts)
-        return self._held(self._frame, pts, lambda p: levi_adapted_frame(self.ph, p))
+    @_member
+    def lc_curvature(self) -> CurvatureTensor:
+        """Levi-Civita curvature of g_theta."""
+        return curvature_from_arrays(self.connection_jets[0][0], *self.levi_civita)
 
-    def covariant_derivative(self, field: TensorField, pts) -> np.ndarray:
-        gamma_w = self.connection_data(pts, 0)[0]
-        vals, grads = jet_data(field, pts, 1)
-        return covariant_from_arrays(vals, grads, gamma_w, field.variance)
 
-    def axiom_residuals(self, pts) -> dict[str, np.ndarray]:
-        """Per-point residuals of the defining Tanaka-Webster axioms on H.
+def axiom_residuals(ws: WebsterSample) -> dict[str, np.ndarray]:
+    """Per-point residuals of the defining Tanaka-Webster axioms on H.
 
-        Tor(T, X) = 0 is the transversal-symmetry residual.
-        """
-        pts = self.ph.chart.points(pts)
-        gamma_w, gval, dg = self.connection_data(pts, 0)
-        metricity = (
-            dg
-            - np.einsum("nmai,nmj->naij", gamma_w, gval)
-            - np.einsum("nmaj,nim->naij", gamma_w, gval)
-        )
+    Tor(T, X) = 0 is the transversal-symmetry residual.
+    """
+    gamma_w = ws.webster_symbols[0]
+    (gval, dg, _), _ = ws.connection_jets
+    metricity = (
+        dg
+        - np.einsum("nmai,nmj->naij", gamma_w, gval)
+        - np.einsum("nmaj,nim->naij", gamma_w, gval)
+    )
 
-        tval, dtv = jet_data(self.ph.theta, pts, 1)
-        parallel_theta = dtv - np.einsum("nmai,nm->nai", gamma_w, tval)
+    (tval, dtv), (dtheta, _), (jval, dj), (reeb, _) = ws.contact_jets
+    parallel_theta = dtv - np.einsum("nmai,nm->nai", gamma_w, tval)
+    nabla_j = (
+        dj
+        + np.einsum("nkam,nmi->naki", gamma_w, jval)
+        - np.einsum("nmai,nkm->naki", gamma_w, jval)
+    )
 
-        jval, dj = jet_data(self.ph.J, pts, 1)
-        nabla_j = (
-            dj
-            + np.einsum("nkam,nmi->naki", gamma_w, jval)
-            - np.einsum("nmai,nkm->naki", gamma_w, jval)
-        )
-
-        # torsion axiom on H: Tor(X, Y) = L(JX, Y) T for X, Y in H
-        proj = self.ph.h_projector(pts)
-        dtheta = self.ph.dtheta(pts)
-        reeb = self.ph.reeb(pts)
-        tor = gamma_w - np.einsum("nkji->nkij", gamma_w)
-        tor_h = np.einsum("nia,nkij,njb->nkab", proj, tor, proj)
-        dth_h = np.einsum("nia,nij,njb->nab", proj, dtheta, proj)
-        jproj = np.einsum("nki,nia->nka", jval, proj)
-        lval = self.ph.levi_form(pts)
-        levi_jh = np.einsum("nka,nkl,nlb->nab", jproj, lval, proj)
-        return {
-            "webster_metricity": point_max(metricity),
-            "webster_parallel_theta": point_max(parallel_theta),
-            "webster_parallel_j": point_max(nabla_j),
-            "webster_torsion_h": point_max(
-                tor_h - np.einsum("nab,nk->nkab", dth_h, reeb), dth_h - levi_jh
-            ),
-        }
+    # torsion axiom on H: Tor(X, Y) = L(JX, Y) T for X, Y in H
+    proj = ws.projector
+    tor = gamma_w - np.einsum("nkji->nkij", gamma_w)
+    tor_h = np.einsum("nia,nkij,njb->nkab", proj, tor, proj)
+    dth_h = np.einsum("nia,nij,njb->nab", proj, dtheta, proj)
+    jproj = np.einsum("nki,nia->nka", jval, proj)
+    lval = ws.ph.levi_form(ws.pts)
+    levi_jh = np.einsum("nka,nkl,nlb->nab", jproj, lval, proj)
+    return {
+        "webster_metricity": point_max(metricity),
+        "webster_parallel_theta": point_max(parallel_theta),
+        "webster_parallel_j": point_max(nabla_j),
+        "webster_torsion_h": point_max(
+            tor_h - np.einsum("nab,nk->nkab", dth_h, reeb), dth_h - levi_jh
+        ),
+    }
 
 
 def webster_connection(ph: PHStructure, pts=None, tol: float = TSPH_TOL) -> WebsterData:
@@ -472,59 +513,31 @@ def levi_adapted_frame(ph: PHStructure, pts):
     return np.concatenate([vecs[:, 0::2], vecs[:, 1::2]], axis=1), signs[:, 0::2]
 
 
-@dataclass(frozen=True)
-class WebsterCurvature:
-    """Webster curvature with the real Ricci representative (Ric_W = i W)."""
-
-    riemann: np.ndarray  # (N,d,d,d,d) fully covariant
-    ricci_rep: np.ndarray  # (N,d,d) antisymmetric W
-    scalar: np.ndarray  # (N,)
-
-    def symmetry_residual(self, jval) -> np.ndarray:
-        """Antisymmetries, J-symmetry and W antisymmetry, relative to max |R_W|."""
-        r = self.riemann
-        scale = max(1.0, np.abs(r).max())
-        j_sym = np.einsum("nijal,nak->nijkl", r, jval) + np.einsum(
-            "nijka,nal->nijkl", r, jval
-        )
-        return point_max(
-            r + r.transpose(0, 2, 1, 3, 4),
-            r + r.transpose(0, 1, 2, 4, 3),
-            j_sym,
-            self.ricci_rep + self.ricci_rep.transpose(0, 2, 1),
-        ) / scale
+def curvature_symmetry_residual(ws: WebsterSample) -> np.ndarray:
+    """R_W antisymmetries, J-symmetry and W antisymmetry, relative to max |R_W|."""
+    r = ws.curvature[1]
+    w = ws.ricci[0]
+    jval = ws.contact_jets[2][0]
+    scale = max(1.0, np.abs(r).max())
+    j_sym = np.einsum("nijal,nak->nijkl", r, jval) + np.einsum(
+        "nijka,nal->nijkl", r, jval
+    )
+    return point_max(
+        r + r.transpose(0, 2, 1, 3, 4),
+        r + r.transpose(0, 1, 2, 4, 3),
+        j_sym,
+        w + w.transpose(0, 2, 1),
+    ) / scale
 
 
-def webster_curvature(wd: WebsterData, pts) -> WebsterCurvature:
-    """Curvature of nabla_W; Ricci trace runs over the (e_a, J e_a) frame."""
-    pts = wd.ph.chart.points(pts)
-    gamma_w, dgamma_w, g, *_ = wd.connection_data(pts, 1)
-    _, r4 = curvature_from_connection(gamma_w, dgamma_w, g)
-    return webster_curvature_from_riemann(wd, pts, r4)
-
-
-def webster_curvature_from_riemann(wd: WebsterData, pts, r4) -> WebsterCurvature:
-    """Webster Ricci representative and scalar from the (4,0) curvature at pts."""
-    frame, eps = wd.levi_frame(pts)
-    m = wd.ph.m
-    e, je = frame[:, :m, :], frame[:, m:, :]
-    w = np.einsum("na,nak,nal,nijkl->nij", eps, e, je, r4)
-    scal = -np.einsum("na,nai,naj,nij->n", eps, e, je, w)
-    return WebsterCurvature(r4, w, scal)
-
-
-def ph_einstein_residual(wd: WebsterData, pts, curv: WebsterCurvature | None = None) -> dict:
+def ph_einstein_residual(ws: WebsterSample) -> dict:
     """Einstein condition W = -(scal_W / m) dtheta with scal_W the sample mean.
 
     Per point: the Einstein residual and the deviation of scal_W from its
-    mean; ``scal_mean`` is the sample statistic.  ``curv`` is the Webster
-    curvature at ``pts`` when the caller already holds it.
+    mean; ``scal_mean`` is the sample statistic.
     """
-    pts = wd.ph.chart.points(pts)
-    if curv is None:
-        curv = webster_curvature(wd, pts)
-    scal = curv.scalar
-    res = curv.ricci_rep + (scal.mean() / wd.ph.m) * wd.ph.dtheta(pts)
+    w, scal = ws.ricci
+    res = w + (scal.mean() / ws.ph.m) * ws.contact_jets[1][0]
     return {
         "webster_einstein": point_max(res),
         "webster_scal_constant": np.abs(scal - scal.mean()),
@@ -532,7 +545,7 @@ def ph_einstein_residual(wd: WebsterData, pts, curv: WebsterCurvature | None = N
     }
 
 
-def comparison_identities_residual(wd: WebsterData, pts) -> dict[str, np.ndarray]:
+def comparison_identities_residual(ws: WebsterSample) -> dict[str, np.ndarray]:
     """Per-point residuals of the Webster vs Levi-Civita curvature comparison.
 
     (a) five-term comparison formula, (b) cyclic Bianchi sum of the
@@ -540,20 +553,14 @@ def comparison_identities_residual(wd: WebsterData, pts) -> dict[str, np.ndarray
     on H, (e) W(T, .) = 0, (f) Ric(T,T) = m/2 and Ric(T, X) = 0,
     (g) R(X, T)T = X/4 on H.
     """
-    ph = wd.ph
-    pts = ph.chart.points(pts)
-    m = ph.m
-    gamma_w, dgamma_w, g, _, gamma, dgamma, ginv = wd.connection_data(pts, 1)
-    rup_w, r4_w = curvature_from_connection(gamma_w, dgamma_w, g)
-    curv_g = curvature_from_arrays(g, gamma, dgamma, ginv)
+    m = ws.ph.m
+    g = ws.connection_jets[0][0]
+    gamma = ws.levi_civita[0]
+    rup_w, r4_w = ws.curvature
+    curv_g = ws.lc_curvature
     rup_g = curv_g.operator
-
-    tval = ph.theta(pts)
-    dtheta, ddtheta = jet_data(ph.dtheta, pts, 1)
-    jval = ph.J(pts)
-    reeb = ph.reeb(pts)
-    d = ph.chart.dim
-    eye = np.eye(d)
+    (tval, _), (dtheta, ddtheta), (jval, _), (reeb, _) = ws.contact_jets
+    eye = np.eye(ws.ph.chart.dim)
 
     # (a) R_W(X,Y)Z = R_g(X,Y)Z - (1/2)(nabla_Z dtheta)(X,Y) T
     #     - (1/2) dtheta(X,Y) J Z + (1/4) dtheta(Y,Z) J X - (1/4) dtheta(X,Z) J Y
@@ -578,17 +585,17 @@ def comparison_identities_residual(wd: WebsterData, pts) -> dict[str, np.ndarray
     # (c) pair symmetry of the (4,0) tensor
     res_pair = point_max(r4_w - r4_w.transpose(0, 3, 4, 1, 2)) / scale
 
-    curv_w = webster_curvature_from_riemann(wd, pts, r4_w)
+    w = ws.ricci[0]
     ricci_g = curv_g.ricci
-    proj = eye[None] - np.einsum("ni,nj->nij", reeb, tval)
+    proj = ws.projector
 
     # (d) Ric_g(X,Y) = -W(X, JY) - (1/2) g(X,Y) on H
-    wj = np.einsum("nia,naj->nij", curv_w.ricci_rep, jval)
+    wj = np.einsum("nia,naj->nij", w, jval)
     d_expr = ricci_g + wj + 0.5 * g
     d_h = np.einsum("nia,nij,njb->nab", proj, d_expr, proj)
 
     # (e) W(T, .) = 0
-    w_t = np.einsum("ni,nij->nj", reeb, curv_w.ricci_rep)
+    w_t = np.einsum("ni,nij->nj", reeb, w)
 
     # (f) Ric_g(T,T) = (m/2) g(T,T) and Ric_g(T, X) = 0 for X in H
     ric_tt = np.einsum("ni,nj,nij->n", reeb, reeb, ricci_g)

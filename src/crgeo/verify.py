@@ -43,11 +43,12 @@ from .constructions import (
 from .errors import DegeneracyError, UsageError
 from .metric import killing_residual, point_max
 from .pseudohermitian import (
+    axiom_residuals,
     comparison_identities_residual,
+    curvature_symmetry_residual,
     ph_einstein_residual,
     solved_reeb_field,
     transversal_symmetry_residual,
-    webster_curvature,
 )
 
 SUITES = ("webster", "comparison", "submersion", "fefferman", "rescale", "theorem2")
@@ -93,6 +94,7 @@ CATALOG: dict[str, CatalogEntry] = {
         "negative control: contact form deformation breaking transversal symmetry",
     ),
 }
+SUPPORTED_M = tuple(sorted({m for entry in CATALOG.values() for m in entry.ms}))
 
 
 @dataclass(frozen=True)
@@ -236,7 +238,8 @@ class Pipeline:
     Each ``*_record`` maps check names to residuals per sample point (or to
     one sample statistic), plus the constants that checks report.  Metrics
     that share component nodes are evaluated on one order-2 jet batch per
-    sample (``f_jets``, ``t2_jets``), which every record reading them uses.
+    sample (``f_jets``, ``t2_jets``), and the Webster connection once at the
+    contact sample (``webster_sample``); every record reading them uses them.
     """
 
     def __init__(self, example: str, m: int, points: int, seed: int):
@@ -311,6 +314,11 @@ class Pipeline:
         """Order-2 jet data of the explicit metrics at ``t2_pts``."""
         return jet_data_multi(self.t2.checked_metrics, self.t2_pts, 2)
 
+    @cached_property
+    def webster_sample(self):
+        """The Webster connection, its curvature and the Levi frame at ``m_pts``."""
+        return self.ac.webster.at(self.m_pts)
+
     # -- cached residual records --------------------------------------------
     @cached_property
     def structure_record(self) -> dict:
@@ -324,26 +332,25 @@ class Pipeline:
 
     @cached_property
     def webster_record(self) -> dict:
-        wd, pts = self.ac.webster, self.m_pts
-        curv = webster_curvature(wd, pts)
-        rec = wd.axiom_residuals(pts)
+        ws = self.webster_sample
+        rec = axiom_residuals(ws)
         rec["webster_torsion_reeb"] = self.structure_record["tsph_bracket"]
-        rec["webster_curvature_symmetry"] = curv.symmetry_residual(self.ac.ph.J(pts))
-        rec.update(ph_einstein_residual(wd, pts, curv))
+        rec["webster_curvature_symmetry"] = curvature_symmetry_residual(ws)
+        rec.update(ph_einstein_residual(ws))
         target = 0.5 * self.ke.scal_h
         rec["webster_scal_vs_base"] = abs(rec["scal_mean"] - target) / max(1.0, abs(target))
         if self.applies("gauge_scal_invariance"):
-            rec["gauge_scal_invariance"] = gauge_shift_scal_residual(self.ac, pts, curv.scalar)
+            rec["gauge_scal_invariance"] = gauge_shift_scal_residual(self.ac, ws)
         return rec
 
     @cached_property
     def comparison_record(self) -> dict:
-        return comparison_identities_residual(self.ac.webster, self.m_pts)
+        return comparison_identities_residual(self.webster_sample)
 
     @cached_property
     def submersion_record(self) -> dict:
         rec = self.ke.kahler_residuals(self.base_pts)
-        rec.update(submersion_residuals(self.ac, self.m_pts))
+        rec.update(submersion_residuals(self.ac, self.webster_sample))
         return rec
 
     @cached_property
@@ -382,7 +389,7 @@ class Pipeline:
         # the two violations are sample maxima: detected when large anywhere
         rec = {}
         if self.applies("non_einstein_detected"):
-            ein = ph_einstein_residual(self.ac.webster, self.m_pts)
+            ein = ph_einstein_residual(self.webster_sample)
             rec["non_einstein_detected"] = ein["webster_einstein"].max()
             rec["control_still_tsph"] = transversal_symmetry_residual(self.ac.ph, self.m_pts)
         if self.applies("non_tsph_detected"):
@@ -415,8 +422,8 @@ class SuiteConfig:
             raise UsageError("points must be >= 1")
         if self.seed < 0:
             raise UsageError("seed must be >= 0")
-        if self.m not in (1, 2):
-            raise UsageError("m must be 1 or 2")
+        if self.m not in SUPPORTED_M:
+            raise UsageError(f"m must be in {SUPPORTED_M}, got {self.m}")
         for name, tol in self.tol_overrides.items():
             if name not in CHECKS_BY_NAME:
                 raise UsageError(f"unknown check name in tolerance override: {name!r}")

@@ -43,7 +43,7 @@ def test_criterion_1_scal_relation():
         assert ke.scal_h == pytest.approx(scal_h)
         ac = anticanonical_structure(ke)
         pts = ac.chart.sample(32, 42)
-        ein = ph_einstein_residual(ac.webster, pts)
+        ein = ph_einstein_residual(ac.webster.at(pts))
         elapsed = time.perf_counter() - start
         rel = abs(ein["scal_mean"] - 0.5 * scal_h) / abs(0.5 * scal_h)
         worst_rel = max(worst_rel, rel)

@@ -70,6 +70,10 @@ def test_derivative_rejects_outside_points(chart):
         derivative(x, [5.0, 0.0], (0,))
     with pytest.raises(DomainError):
         derivative(x, [3.0, 0.0], (0,))  # boundary is not inside (strict)
+    with pytest.raises(DomainError, match="coordinate x outside"):
+        derivative(x, [float("nan"), 0.0], (0,))
+    with pytest.raises(DomainError, match="coordinate y outside"):
+        (x * x)([[0.5, float("nan")]])
 
 
 def test_order_cap(chart):

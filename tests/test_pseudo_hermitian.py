@@ -8,13 +8,14 @@ from crgeo.errors import DegeneracyError, PreconditionError
 from crgeo.metric import point_max
 from crgeo.pseudohermitian import (
     ReebField,
+    axiom_residuals,
     comparison_identities_residual,
+    curvature_symmetry_residual,
     levi_adapted_frame,
     ph_einstein_residual,
     solved_reeb_field,
     transversal_symmetry_residual,
     webster_connection,
-    webster_curvature,
 )
 
 BASE_J = np.array([[0.0, -1.0], [1.0, 0.0]])
@@ -212,35 +213,39 @@ def test_webster_connection_precondition(pipeline):
 # ----------------------------------------------------------------------
 
 def test_heisenberg_webster_axioms(heisenberg, pts):
-    wd = webster_connection(heisenberg)
-    res = wd.axiom_residuals(pts)
+    ws = webster_connection(heisenberg).at(pts)
+    res = axiom_residuals(ws)
     assert max(v.max() for v in res.values()) < 1e-12
 
 
 def test_heisenberg_horizontal_frames_parallel(heisenberg, pts):
     # flat model: the Webster derivative of the projected frames vanishes
-    wd = webster_connection(heisenberg)
+    from crgeo.chart import jet_data
+    from crgeo.metric import covariant_from_arrays
+
+    gamma_w = webster_connection(heisenberg).at(pts).webster_symbols[0]
     for field in heisenberg.horizontal_fields()[:2]:
-        nabla = wd.covariant_derivative(field, pts)
+        nabla = covariant_from_arrays(*jet_data(field, pts, 1), gamma_w, field.variance)
         assert np.abs(nabla).max() < 1e-12
 
 
 def test_heisenberg_webster_flat(heisenberg, pts):
-    wd = webster_connection(heisenberg)
-    curv = webster_curvature(wd, pts)
-    assert np.abs(curv.riemann).max() < 1e-12
-    assert np.abs(curv.ricci_rep).max() < 1e-12
-    assert np.abs(curv.scalar).max() < 1e-12
+    ws = webster_connection(heisenberg).at(pts)
+    assert np.abs(ws.curvature[1]).max() < 1e-12
+    assert np.abs(ws.ricci[0]).max() < 1e-12
+    assert np.abs(ws.ricci[1]).max() < 1e-12
 
 
 def test_connection_data_is_shared_across_records(monkeypatch):
+    # the webster, comparison and submersion records read one Webster sample at m_pts
     import sys
 
     from crgeo import chart, pseudohermitian
     from crgeo.verify import Pipeline
 
-    pipe = Pipeline("fubini_study", 1, points=4, seed=7)
+    pipe = Pipeline("fubini_study", 2, points=4, seed=7)
     wd, pts = pipe.ac.webster, pipe.m_pts
+    pipe.structure_record  # the webster record reads its bracket residual
     real = chart.jet_data_multi
     calls = []
 
@@ -251,30 +256,36 @@ def test_connection_data_is_shared_across_records(monkeypatch):
     for mod in [m for name, m in sys.modules.items() if name.startswith("crgeo")]:
         if getattr(mod, "jet_data_multi", None) is real:
             monkeypatch.setattr(mod, "jet_data_multi", counting)
-    frames = []
+    frames, curvatures = [], []
     real_frame = pseudohermitian.levi_adapted_frame
+    real_curvature = pseudohermitian.curvature_from_connection
 
     def counting_frame(ph, at):
         frames.append(np.array(at))
         return real_frame(ph, at)
 
+    def counting_curvature(gamma, dgamma, g):
+        curvatures.append(np.array(g))
+        return real_curvature(gamma, dgamma, g)
+
     monkeypatch.setattr(pseudohermitian, "levi_adapted_frame", counting_frame)
+    monkeypatch.setattr(pseudohermitian, "curvature_from_connection", counting_curvature)
     for record in ("webster", "comparison", "submersion"):
         getattr(pipe, f"{record}_record")
-    connection = [
-        c for c in calls
-        if c[0] == [wd.metric, wd.comparison] and c[2] == 2 and np.array_equal(c[1], pts)
-    ]
-    assert len(connection) == 1
-    # the Levi-adapted frame at the contact sample is built once as well
+    at_m = [c for c in calls if np.array_equal(c[1], pts)]
+    assert len(at_m) <= 10  # 25 when each record evaluated its own fields
+    connection = [c[2] for c in at_m if c[0] == [wd.metric, wd.comparison]]
+    assert connection == [2]
     assert sum(np.array_equal(at, pts) for at in frames) == 1
-    frame, eps = wd.levi_frame(pts)
-    with pytest.raises(ValueError):
-        frame[0] = 0.0
+    # R_W is built once; the Levi-Civita curvature goes through metric's binding
+    assert len(curvatures) == 1
 
 
 def test_connection_data_is_read_only_and_held(heisenberg, pts, monkeypatch):
+    from functools import cached_property
+
     from crgeo import pseudohermitian
+    from crgeo.pseudohermitian import WebsterSample
 
     real = pseudohermitian.jet_data_multi
     calls = []
@@ -283,36 +294,59 @@ def test_connection_data_is_read_only_and_held(heisenberg, pts, monkeypatch):
         calls.append(order)
         return real(fields, at, order)
 
+    def arrays(value):
+        if isinstance(value, np.ndarray):
+            return [value]
+        items = value if isinstance(value, (tuple, list)) else vars(value).values()
+        return [a for item in items for a in arrays(item)]
+
     monkeypatch.setattr(pseudohermitian, "jet_data_multi", counting)
-    wd = webster_connection(heisenberg)
+    ws = webster_connection(heisenberg).at(pts)
     calls.clear()  # the transversal-symmetry gate of webster_connection
-    served = wd.connection_data(pts, 0)
-    full = wd.connection_data(pts, 1)
-    # order 0 is read from the one order-1 evaluation, whichever is asked first
-    assert calls == [2]
-    assert all(a is b for a, b in zip(served, (full[0], full[2], full[3])))
-    for arr in full:
-        with pytest.raises(ValueError):
-            arr[0] = 0.0
-    # two batches are held; a third evicts the oldest
-    other, third = heisenberg.chart.sample(4, 1), heisenberg.chart.sample(4, 2)
-    for batch in (other, third, third, other, pts):
-        wd.connection_data(batch, 1)
-    assert len(calls) == 4
+    axiom_residuals(ws)
+    comparison_identities_residual(ws)
+    ph_einstein_residual(ws)
+    # one order-2 connection batch and one order-1 contact batch serve all three
+    assert sorted(calls) == [1, 2]
+    members = [n for n, v in vars(WebsterSample).items() if isinstance(v, cached_property)]
+    assert {"connection_jets", "contact_jets", "curvature", "lc_curvature"} <= set(members)
+    for name in members:
+        assert getattr(ws, name) is getattr(ws, name)
+        for arr in arrays(getattr(ws, name)):
+            with pytest.raises(ValueError):
+                arr[...] = 0.0
+    assert sorted(calls) == [1, 2]
+
+
+@pytest.mark.parametrize("n", [1, 2, 32])
+@pytest.mark.parametrize(
+    "example, m",
+    [("flat", 1), ("flat", 2), ("fubini_study", 1), ("fubini_study", 2),
+     ("complex_hyperbolic", 1), ("complex_hyperbolic", 2), ("sphere_x_flat", 2)],
+)
+def test_sample_batches_equal_separate_evaluation(example, m, n):
+    # the sample's joint batches give the bits of the separate calls they replace
+    from crgeo.chart import jet_data
+    from crgeo.verify import Pipeline
+
+    pipe = Pipeline(example, m, points=n, seed=7)
+    ph, pts, ws = pipe.ac.ph, pipe.m_pts, pipe.webster_sample
+    for field, (val, grad) in zip([ph.theta, ph.dtheta, ph.J, ph.reeb], ws.contact_jets):
+        assert np.array_equal(val, field(pts))
+        assert np.array_equal(grad, jet_data(field, pts, 1)[1])
+    assert np.array_equal(ws.connection_jets[0][0], ph.metric(pts))
 
 
 def test_webster_curvature_symmetries(pipeline):
     pipe = pipeline("fubini_study", 1)
-    curv = webster_curvature(pipe.ac.webster, pipe.m_pts)
-    res = curv.symmetry_residual(pipe.ac.ph.J(pipe.m_pts))
-    assert res.max() < 1e-8
+    assert curvature_symmetry_residual(pipe.webster_sample).max() < 1e-8
 
 
 def test_einstein_residual_values(pipeline):
     # scal_W = scal_h / 2: 1 over the round base, -1 over the ball
     for kind, expected in [("fubini_study", 1.0), ("complex_hyperbolic", -1.0)]:
         pipe = pipeline(kind, 1)
-        ein = ph_einstein_residual(pipe.ac.webster, pipe.m_pts)
+        ein = ph_einstein_residual(pipe.webster_sample)
         assert ein["webster_einstein"].max() < 1e-7
         assert ein["scal_mean"] == pytest.approx(expected, abs=1e-9)
         assert transversal_symmetry_residual(pipe.ac.ph, pipe.m_pts).max() < 1e-8
@@ -329,14 +363,13 @@ def test_product_base_is_not_einstein(pipeline):
 # ----------------------------------------------------------------------
 
 def test_heisenberg_comparison_identities(heisenberg, pts):
-    wd = webster_connection(heisenberg)
-    res = comparison_identities_residual(wd, pts)
+    res = comparison_identities_residual(webster_connection(heisenberg).at(pts))
     assert max(v.max() for v in res.values()) < 1e-12
 
 
 def test_fubini_study_comparison_identities(pipeline):
     pipe = pipeline("fubini_study", 1)
-    res = comparison_identities_residual(pipe.ac.webster, pipe.m_pts)
+    res = comparison_identities_residual(pipe.webster_sample)
     res = {name: per_point.max() for name, per_point in res.items()}
     assert res["comparison_formula"] < 1e-7
     assert res["webster_bianchi_cyclic"] < 1e-8
@@ -361,13 +394,12 @@ def test_reeb_ricci_value(pipeline):
 
 @pytest.mark.parametrize("m", [1, 2])
 def test_curvature_from_connection_data_equals_riemann(pipeline, m):
-    # the submersion record reads the curvature of g_theta from the held
-    # Webster connection data; it is the curvature of the metric alone, bitwise
-    from crgeo.metric import curvature_from_arrays, riemann
+    # the comparison and submersion records read the curvature of g_theta from
+    # the Webster sample's connection jets; it is that of the metric alone, bitwise
+    from crgeo.metric import riemann
 
     pipe = pipeline("complex_hyperbolic", m)
-    _, _, g, _, gamma, dgamma, ginv = pipe.ac.webster.connection_data(pipe.m_pts, 1)
-    held = curvature_from_arrays(g, gamma, dgamma, ginv)
+    held = pipe.webster_sample.lc_curvature
     alone = riemann(pipe.ac.ph.metric, pipe.m_pts)
     for name in ("riemann", "ricci", "scalar", "operator"):
         assert np.array_equal(getattr(held, name), getattr(alone, name))
@@ -390,5 +422,4 @@ def test_gauge_shift_preserves_scalar(pipeline):
     from crgeo.constructions import gauge_shift_scal_residual
 
     pipe = pipeline("flat", 1)
-    scal = webster_curvature(pipe.ac.webster, pipe.m_pts).scalar
-    assert gauge_shift_scal_residual(pipe.ac, pipe.m_pts, scal).max() < 1e-6
+    assert gauge_shift_scal_residual(pipe.ac, pipe.webster_sample).max() < 1e-6

@@ -254,7 +254,9 @@ def test_orthonormal_frame_indefinite():
 
 
 def test_tracefree_norm_zero_for_einstein(plane, sphere):
-    assert tracefree_ricci_norm(sphere, plane.sample(8, 42)).max() < 1e-12
+    pts = plane.sample(8, 42)
+    curv = riemann(sphere, pts)
+    assert tracefree_ricci_norm(sphere(pts), curv.ricci, curv.scalar).max() < 1e-12
 
 
 def test_inverse_metric_guard():

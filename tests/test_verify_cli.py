@@ -86,6 +86,12 @@ def test_usage_errors_exit_two(capsys):
     assert run_cli(capsys, "run", "--example", "flat", "--m", "1", "--tol", "nope=1")[0] == 2
     assert run_cli(capsys, "run", "--example", "flat", "--m", "1", "--tol", "webster_einstein")[0] == 2
     assert run_cli(capsys, "run", "--example", "flat", "--m", "1", "--seed", "-1")[0] == 2
+    # an m no catalog entry supports: argparse rejects it, and so does the config
+    with pytest.raises(SystemExit) as exc:
+        main(["run", "--example", "all", "--m", "3"])
+    assert exc.value.code == 2
+    with pytest.raises(UsageError):
+        SuiteConfig(example="flat", m=3).validate()
     # suites that select no check, and a tolerance that no residual can be compared with
     assert run_cli(capsys, "run", "--example", "flat", "--m", "1", "--suite", ",")[0] == 2
     assert run_cli(capsys, "run", "--example", "flat", "--m", "1", "--suite", "negative")[0] == 2
@@ -174,8 +180,8 @@ def error_rows(capsys, *argv):
 def test_missing_residual_is_a_failed_row(capsys, monkeypatch):
     original = crgeo.verify.comparison_identities_residual
 
-    def without_sectional(wd, pts):
-        rec = original(wd, pts)
+    def without_sectional(ws):
+        rec = original(ws)
         del rec["reeb_sectional"]
         return rec
 
@@ -189,7 +195,7 @@ def test_missing_residual_is_a_failed_row(capsys, monkeypatch):
 
 
 def test_error_inside_a_record_fails_every_row_of_it(capsys, monkeypatch):
-    def broken(wd, pts):
+    def broken(ws):
         raise KeyError("inner")
 
     monkeypatch.setattr(crgeo.verify, "comparison_identities_residual", broken)
