@@ -130,20 +130,41 @@ def jet_data(field: "TensorField", pts, order: int) -> list[np.ndarray]:
     return jet_data_multi([field], pts, order)[0]
 
 
+# Points per jet evaluation.  Intermediate jets grow with the batch, so a
+# bound on it bounds the peak memory: 64-point blocks took the m=2,
+# 128-point complex_hyperbolic run from 350 to 200 MB of peak RSS.  Each block
+# repeats the expression-tree dispatch, so smaller blocks cost wall time: in
+# single perfbench dense_p128 runs, 32-point blocks gave 127 MB but 3.6 s of
+# wall_s, where 64-point blocks took 3.2-3.4 s and one batch 2.7-2.8 s.
+BLOCK_POINTS = 64
+
+
 def jet_data_multi(fields, pts, order: int) -> list[list[np.ndarray]]:
     """Like :func:`jet_data` for several fields on one shared jet batch.
 
     Sharing one coordinate batch lets common sub-expressions (Reeb
     solves, lifted structures, pulled-back components) evaluate once.
+    The points are evaluated in blocks of at most ``BLOCK_POINTS``.
     """
     chart = fields[0].chart
     pts = chart.points(pts)
+    for field in fields:
+        if field.chart is not chart:
+            raise ValueError("fields live on different charts")
+    if len(pts) <= BLOCK_POINTS:
+        return _jet_data_block(fields, pts, order)
+    blocks = [
+        _jet_data_block(fields, pts[i:i + BLOCK_POINTS], order)
+        for i in range(0, len(pts), BLOCK_POINTS)
+    ]
+    return [[np.concatenate(arrays) for arrays in zip(*per_field)] for per_field in zip(*blocks)]
+
+
+def _jet_data_block(fields, pts: np.ndarray, order: int) -> list[list[np.ndarray]]:
     n, d = pts.shape
     jc = JetCoords(jets.seed(pts, order))
     results = []
     for field in fields:
-        if field.chart is not chart:
-            raise ValueError("fields live on different charts")
         results.append(jets.partials(field._eval_all(jc), n, d, order, field.shape))
         # its stacked jet is read back once: dropping it keeps one stack alive
         # at a time (a later field reading this field's jet would re-evaluate it)

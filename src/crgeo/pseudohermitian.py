@@ -418,9 +418,18 @@ class WebsterSample:
         return gamma + dval, dgamma + dgrad
 
     @_member
+    def levi_form(self):
+        """L = dtheta J from the held values, summed as :attr:`PHStructure.levi_form` sums it."""
+        _, (dtheta, _), (jval, _), _ = self.contact_jets
+        total = dtheta[:, :, 0, None] * jval[:, None, 0, :]
+        for a in range(1, dtheta.shape[1]):
+            total = total + dtheta[:, :, a, None] * jval[:, None, a, :]
+        return total
+
+    @_member
     def levi_frame(self):
-        """The :func:`levi_adapted_frame` (frame, eps) at these points."""
-        return levi_adapted_frame(self.ph, self.pts)
+        """The :func:`levi_adapted_frame` (frame, eps) at these points, from held values."""
+        return _levi_frame(self.levi_form, self.projector, self.contact_jets[2][0], self.ph.m)
 
     @_member
     def curvature(self):
@@ -472,8 +481,7 @@ def axiom_residuals(ws: WebsterSample) -> dict[str, np.ndarray]:
     tor_h = np.einsum("nia,nkij,njb->nkab", proj, tor, proj)
     dth_h = np.einsum("nia,nij,njb->nab", proj, dtheta, proj)
     jproj = np.einsum("nki,nia->nka", jval, proj)
-    lval = ws.ph.levi_form(ws.pts)
-    levi_jh = np.einsum("nka,nkl,nlb->nab", jproj, lval, proj)
+    levi_jh = np.einsum("nka,nkl,nlb->nab", jproj, ws.levi_form, proj)
     return {
         "webster_metricity": point_max(metricity),
         "webster_parallel_theta": point_max(parallel_theta),
@@ -508,8 +516,12 @@ def levi_adapted_frame(ph: PHStructure, pts):
     coordinate vectors onto H; pivots are on the largest |L(v, v)|.
     """
     pts = ph.chart.points(pts)
-    cands = ph.h_projector(pts).transpose(0, 2, 1)
-    vecs, signs = pivoted_frame(ph.levi_form(pts), cands, ph.m, partner=ph.J(pts))
+    return _levi_frame(ph.levi_form(pts), ph.h_projector(pts), ph.J(pts), ph.m)
+
+
+def _levi_frame(lval, proj, jval, m: int):
+    # the frame of levi_adapted_frame from the values of L, the projector onto H and J
+    vecs, signs = pivoted_frame(lval, proj.transpose(0, 2, 1), m, partner=jval)
     return np.concatenate([vecs[:, 0::2], vecs[:, 1::2]], axis=1), signs[:, 0::2]
 
 

@@ -334,3 +334,17 @@ def test_dense_entry_matches_golden(m):
     cfg = SuiteConfig(example="complex_hyperbolic", m=m, suites=("all",), points=128, seed=7)
     text = GENERATED_AT.sub("", render_report(run_suite(cfg)))
     assert_golden(f"complex_hyperbolic_m{m}_p128_s7.json", text)
+
+
+@pytest.mark.parametrize(
+    "min_width, example, m, points",
+    [(0, "all", 2, 2), (float("inf"), "complex_hyperbolic", 1, 128)],
+)
+def test_both_product_paths_match_goldens(min_width, example, m, points, monkeypatch):
+    # every product staged, or every product on the BLAS matmul: the same bytes
+    from crgeo import jets
+
+    monkeypatch.setattr(jets, "STAGED_MIN_WIDTH", min_width)
+    cfg = SuiteConfig(example=example, m=m, suites=("all",), points=points, seed=7)
+    report = run_all(cfg) if example == "all" else run_suite(cfg)
+    assert_golden(f"{example}_m{m}_p{points}_s7.json", GENERATED_AT.sub("", render_report(report)))

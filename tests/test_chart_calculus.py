@@ -270,3 +270,21 @@ def test_jet_data_shapes(chart):
     assert d2.shape == (5, 2, 2)
     assert d3.shape == (5, 2, 2, 2)
     np.testing.assert_allclose(d2[:, 0, 1], d2[:, 1, 0], rtol=1e-13)
+
+
+def test_jet_data_multi_evaluates_point_blocks(chart):
+    # 130 points: two full blocks and a partial one, concatenated per field and order
+    from crgeo.chart import BLOCK_POINTS, jet_data_multi
+
+    x, y = chart.coordinate_fields()
+    fields = [exp(x) * log(4.0 + y) / (1.0 + x * x), VectorField(chart, [sin(x * y), x * y * y])]
+    pts = chart.sample(2 * BLOCK_POINTS + 2, 11)
+    whole = jet_data_multi(fields, pts, 2)
+    blocks = [jet_data_multi(fields, pts[i:i + BLOCK_POINTS], 2) for i in range(0, len(pts), BLOCK_POINTS)]
+    assert [len(b[0][0]) for b in blocks] == [BLOCK_POINTS, BLOCK_POINTS, 2]
+    for f, per_field in enumerate(whole):
+        for r, arr in enumerate(per_field):
+            assert np.array_equal(arr, np.concatenate([b[f][r] for b in blocks]))
+    pts[-1, 0] = 4.0  # outside the chart, in the last block
+    with pytest.raises(DomainError):
+        jet_data_multi(fields, pts, 2)

@@ -114,3 +114,90 @@ def test_jet_solve_rejects_singular():
     b = Jet(np.stack([np.ones(2), np.zeros(2)]))
     with pytest.raises(DegeneracyError):
         jet_solve(a, b)
+
+
+def test_jet_solve_rejects_nan():
+    # a NaN determinant fails the guard instead of passing NaN rows on
+    a0 = np.eye(2)
+    a0[0, 1] = np.nan
+    a = Jet(np.stack([a0, np.eye(2)]))
+    b = Jet(np.stack([np.ones(2), np.zeros(2)]))
+    with np.errstate(invalid="ignore"), pytest.raises(DegeneracyError):
+        jet_solve(a, b)
+
+
+# ----------------------------------------------------------------------
+# the staged product: each output row a sequential sum in a fixed order
+# ----------------------------------------------------------------------
+
+def sequential_product(a, b, product):
+    """out[s] = product(a[0], b[s]) + product(a[t], b[s ^ t]) + .., t ascending."""
+    rows = []
+    for s in range(len(a)):
+        acc = product(a[0], b[s])
+        for t in range(1, s + 1):
+            if t & s == t:
+                acc = acc + product(a[t], b[s ^ t])
+        rows.append(acc)
+    return np.stack(rows)
+
+
+def _operands(kind, k, width, rng):
+    rows = 1 << k
+    if kind == "multiply":
+        return rng.standard_normal((rows, width)), rng.standard_normal((rows, width))
+    if kind == "broadcast":  # a row constant across the batch, b a (width, 1) column
+        a = np.broadcast_to(rng.standard_normal((rows, 1, 3)), (rows, width, 3))
+        return a, rng.standard_normal((rows, width, 1))
+    n = -(-width // 9)
+    if kind == "matmul":
+        return rng.standard_normal((rows, n, 3, 3)), rng.standard_normal((rows, n, 3, 1))
+    return rng.standard_normal((rows, n, 3)), rng.standard_normal((rows, n, 3))  # outer
+
+
+PRODUCTS = {
+    "multiply": np.multiply, "broadcast": np.multiply,
+    "matmul": np.matmul, "outer": jets._outer_arrays,
+}
+
+
+@pytest.mark.parametrize("kind", sorted(PRODUCTS))
+@pytest.mark.parametrize("width", [1, 7, 1000, 1024, 1500, 4608])
+@pytest.mark.parametrize("k", range(6))
+def test_staged_product_is_the_sequential_sum(kind, width, k, monkeypatch):
+    # bitwise, at the widths where the BLAS matmul is and is not a sequential sum
+    rng = np.random.default_rng(1000 * k + width)
+    a, b = _operands(kind, k, width, rng)
+    product = PRODUCTS[kind]
+    expected = sequential_product(a, b, product)
+    monkeypatch.setattr(jets, "STAGED_MIN_WIDTH", 0)
+    assert np.array_equal(jets._convolve(Jet(a), Jet(b), product).comp, expected)
+    if kind == "multiply":
+        assert np.array_equal((Jet(a) * Jet(b)).comp, expected)
+
+
+@pytest.mark.parametrize("k", range(6))
+def test_staged_product_of_scalar_jets(k, monkeypatch):
+    # 1-D comp: every stage adds into a 0-d view in place
+    rng = np.random.default_rng(k)
+    a, b = rng.standard_normal(1 << k), rng.standard_normal(1 << k)
+    monkeypatch.setattr(jets, "STAGED_MIN_WIDTH", 0)
+    assert np.array_equal((Jet(a) * Jet(b)).comp, sequential_product(a, b, np.multiply))
+
+
+@pytest.mark.parametrize("k", [1, 2, 4])
+def test_wide_products_take_the_staged_path(k, monkeypatch):
+    # a row of STAGED_MIN_WIDTH elements or more (of the larger operand) is
+    # staged; a narrower one takes the gather and scatter matmul
+    staged = []
+    real = jets._staged_convolve
+    monkeypatch.setattr(jets, "_staged_convolve", lambda *args: staged.append(1) or real(*args))
+    rng = np.random.default_rng(k)
+    rows, width = 1 << k, jets.STAGED_MIN_WIDTH
+    a, b = rng.standard_normal((rows, width)), rng.standard_normal((rows, 1))
+    assert np.array_equal((Jet(a) * Jet(b)).comp, sequential_product(a, b, np.multiply))
+    assert len(staged) == 1
+    a = a[:, 1:]
+    ia, ib, scatter = jets._mul_index(k)
+    assert np.array_equal((Jet(b) * Jet(a)).comp, scatter @ (b[ia] * a[ib]))
+    assert len(staged) == 1

@@ -257,26 +257,29 @@ def test_connection_data_is_shared_across_records(monkeypatch):
         if getattr(mod, "jet_data_multi", None) is real:
             monkeypatch.setattr(mod, "jet_data_multi", counting)
     frames, curvatures = [], []
-    real_frame = pseudohermitian.levi_adapted_frame
+    real_frame = pseudohermitian._levi_frame
     real_curvature = pseudohermitian.curvature_from_connection
 
-    def counting_frame(ph, at):
-        frames.append(np.array(at))
-        return real_frame(ph, at)
+    def counting_frame(lval, proj, jval, m):
+        frames.append(np.array(lval))
+        return real_frame(lval, proj, jval, m)
 
     def counting_curvature(gamma, dgamma, g):
         curvatures.append(np.array(g))
         return real_curvature(gamma, dgamma, g)
 
-    monkeypatch.setattr(pseudohermitian, "levi_adapted_frame", counting_frame)
+    monkeypatch.setattr(pseudohermitian, "_levi_frame", counting_frame)
     monkeypatch.setattr(pseudohermitian, "curvature_from_connection", counting_curvature)
     for record in ("webster", "comparison", "submersion"):
         getattr(pipe, f"{record}_record")
     at_m = [c for c in calls if np.array_equal(c[1], pts)]
-    assert len(at_m) <= 10  # 25 when each record evaluated its own fields
+    # 8 when the Levi form and frame evaluated their own fields, 25 when each
+    # record did
+    assert len(at_m) <= 3
     connection = [c[2] for c in at_m if c[0] == [wd.metric, wd.comparison]]
     assert connection == [2]
-    assert sum(np.array_equal(at, pts) for at in frames) == 1
+    # the Levi frame is built once, from the held values
+    assert len(frames) == 1 and len(frames[0]) == len(pts)
     # R_W is built once; the Levi-Civita curvature goes through metric's binding
     assert len(curvatures) == 1
 
@@ -335,6 +338,10 @@ def test_sample_batches_equal_separate_evaluation(example, m, n):
         assert np.array_equal(val, field(pts))
         assert np.array_equal(grad, jet_data(field, pts, 1)[1])
     assert np.array_equal(ws.connection_jets[0][0], ph.metric(pts))
+    # the Levi form and frame built from the held values
+    assert np.array_equal(ws.levi_form, ph.levi_form(pts))
+    for held, separate in zip(ws.levi_frame, levi_adapted_frame(ph, pts)):
+        assert np.array_equal(held, separate)
 
 
 def test_webster_curvature_symmetries(pipeline):
