@@ -7,6 +7,19 @@ All derivative queries run on the nilpotent-jet engine in
 :mod:`crgeo.jets` and are exact to machine rounding.  Every object is
 immutable after construction and evaluation is pure, so values are
 independent of evaluation order and instances can be shared freely.
+
+Scalar expression trees fold when they are built.  A field from
+:meth:`Chart.constant` knows its value; an operation on two constants is a
+constant; ``f + 0``, ``f - 0`` and ``1 * f`` are ``f``, ``0 * f`` is the
+constant 0 and ``0 - f`` is ``-f``; and ``f`` combined with a constant
+``c`` by ``+``, ``-``, ``*`` or ``/`` runs on the scalar-jet paths
+(``Jet + c``, ``Jet * c``, ``Jet * (1.0 / c)``), not on a jet product.  Each
+scalar field also carries the set of coordinates it may depend on
+(``ScalarField.deps``), and a partial along any other coordinate is the
+constant 0, evaluated without lifting a generator.  Only exact zeros are
+dropped, so every value and partial keeps the bits of the unfolded tree, up to
+the sign of a zero.  A folded zero is exact even where the field it
+replaces is NaN or infinite (``log(x) * 0`` is 0 at x < 0).
 """
 
 from __future__ import annotations
@@ -63,6 +76,8 @@ class Chart:
 
     def sample(self, n: int, seed: int, margin: float = 0.1) -> np.ndarray:
         """Deterministic uniform draws from the margin-shrunk box."""
+        if not 0.0 <= margin < 0.5:  # negated, so that a NaN margin is rejected too
+            raise ValueError(f"sampling margin must lie in [0, 0.5), got {margin}")
         rng = np.random.default_rng(seed)
         lo = np.array([a + margin * (b - a) for a, b in self.bounds])
         hi = np.array([b - margin * (b - a) for a, b in self.bounds])
@@ -72,13 +87,14 @@ class Chart:
     def coord(self, i) -> "ScalarField":
         if isinstance(i, str):
             i = self.index(i)
-        return ScalarField(self, lambda jc, i=i: jc[i])
+        return ScalarField(self, lambda jc, i=i: jc[i], frozenset((i,)))
 
     def coordinate_fields(self):
         return tuple(self.coord(i) for i in range(self.dim))
 
     def constant(self, value: float) -> "ScalarField":
-        return ScalarField(self, lambda jc, v=float(value): Jet.constant(v, jc[0]))
+        value = float(value)
+        return ScalarField(self, lambda jc: Jet.constant(value, jc[0]), frozenset(), value)
 
     def zero_field(self) -> "ScalarField":
         return self.constant(0.0)
@@ -146,6 +162,8 @@ def jet_data_multi(fields, pts, order: int) -> list[list[np.ndarray]]:
     solves, lifted structures, pulled-back components) evaluate once.
     The points are evaluated in blocks of at most ``BLOCK_POINTS``.
     """
+    if not fields:
+        raise ValueError("no fields")
     chart = fields[0].chart
     pts = chart.points(pts)
     for field in fields:
@@ -206,14 +224,24 @@ class TensorField:
 
 
 class ScalarField(TensorField):
-    """Smooth real function on a chart with exact derivative queries."""
+    """Smooth real function on a chart with exact derivative queries.
+
+    ``deps`` is the frozenset of coordinate indices the field may depend on:
+    {i} for ``coord(i)``, {} for a constant, the union of the operands' sets
+    for arithmetic, the operand's set for ``exp``/``log``/.. and ``partial``,
+    and every coordinate for a field built from an arbitrary ``fn``.
+    ``value`` is the float of a constant field and None otherwise.  The
+    arithmetic folds by these two, as the module docstring states.
+    """
 
     shape = ()
     variance = ()
 
-    def __init__(self, chart: Chart, fn):
+    def __init__(self, chart: Chart, fn, deps: frozenset | None = None, value: float | None = None):
         super().__init__(chart)
         self._fn = fn
+        self.deps = frozenset(range(chart.dim)) if deps is None else deps
+        self.value = value
 
     def _evaluate(self, jc):
         return self._fn(jc)
@@ -223,11 +251,13 @@ class ScalarField(TensorField):
         """Exact partial derivative field along coordinate i."""
         if isinstance(i, str):
             i = self.chart.index(i)
+        if i not in self.deps:
+            return self.chart.constant(0.0)
 
         def fn(jc, i=i, base=self):
             return base._eval_all(lift_coords(jc, i)).upper()
 
-        return ScalarField(self.chart, fn)
+        return ScalarField(self.chart, fn, self.deps)
 
     # -- arithmetic --------------------------------------------------------
     def _coerce(self, other):
@@ -236,41 +266,76 @@ class ScalarField(TensorField):
                 raise ValueError("fields live on different charts")
             return other
         if isinstance(other, numbers.Number):
-            return float(other)
+            return self.chart.constant(other)
         return NotImplemented
+
+    def _join(self, other, fn) -> "ScalarField":
+        return ScalarField(self.chart, fn, self.deps | other.deps)
+
+    def _times(self, c: float) -> "ScalarField":
+        # self * c for a constant c, on the scalar-jet path
+        if c == 0.0:
+            return self.chart.constant(0.0)
+        if c == 1.0:
+            return self
+        return ScalarField(self.chart, lambda jc: self._eval_all(jc) * c, self.deps)
 
     def __add__(self, other):
         other = self._coerce(other)
         if other is NotImplemented:
             return NotImplemented
-        if isinstance(other, float):
-            return ScalarField(self.chart, lambda jc: self._eval_all(jc) + other)
-        return ScalarField(self.chart, lambda jc: self._eval_all(jc) + other._eval_all(jc))
+        a, b = self.value, other.value
+        if b == 0.0:
+            return self
+        if a == 0.0:
+            return other
+        if a is not None and b is not None:
+            return self.chart.constant(a + b)
+        if b is not None:
+            return self._join(other, lambda jc: self._eval_all(jc) + b)
+        if a is not None:
+            return self._join(other, lambda jc: other._eval_all(jc) + a)
+        return self._join(other, lambda jc: self._eval_all(jc) + other._eval_all(jc))
 
     __radd__ = __add__
 
     def __neg__(self):
-        return ScalarField(self.chart, lambda jc: -self._eval_all(jc))
+        if self.value is not None:
+            return self.chart.constant(-self.value)
+        return ScalarField(self.chart, lambda jc: -self._eval_all(jc), self.deps)
 
     def __sub__(self, other):
         other = self._coerce(other)
         if other is NotImplemented:
             return NotImplemented
-        if isinstance(other, float):
-            return ScalarField(self.chart, lambda jc: self._eval_all(jc) - other)
-        return ScalarField(self.chart, lambda jc: self._eval_all(jc) - other._eval_all(jc))
+        a, b = self.value, other.value
+        if b == 0.0:
+            return self
+        if a == 0.0:
+            return -other
+        if a is not None and b is not None:
+            return self.chart.constant(a - b)
+        if b is not None:
+            return self._join(other, lambda jc: self._eval_all(jc) - b)
+        if a is not None:
+            return self._join(other, lambda jc: a - other._eval_all(jc))
+        return self._join(other, lambda jc: self._eval_all(jc) - other._eval_all(jc))
 
     def __rsub__(self, other):
-        other = float(other)
-        return ScalarField(self.chart, lambda jc: other - self._eval_all(jc))
+        return self.chart.constant(other) - self
 
     def __mul__(self, other):
         other = self._coerce(other)
         if other is NotImplemented:
             return NotImplemented
-        if isinstance(other, float):
-            return ScalarField(self.chart, lambda jc: self._eval_all(jc) * other)
-        return ScalarField(self.chart, lambda jc: self._eval_all(jc) * other._eval_all(jc))
+        a, b = self.value, other.value
+        if a is not None and b is not None:
+            return self.chart.constant(a * b)
+        if b is not None:
+            return self._times(b)
+        if a is not None:
+            return other._times(a)
+        return self._join(other, lambda jc: self._eval_all(jc) * other._eval_all(jc))
 
     __rmul__ = __mul__
 
@@ -278,16 +343,21 @@ class ScalarField(TensorField):
         other = self._coerce(other)
         if other is NotImplemented:
             return NotImplemented
-        if isinstance(other, float):
-            return ScalarField(self.chart, lambda jc: self._eval_all(jc) * (1.0 / other))
-        return ScalarField(self.chart, lambda jc: self._eval_all(jc) / other._eval_all(jc))
+        # a / b is a * (1 / b), as in the jet engine
+        a, b = self.value, other.value
+        if a is not None and b is not None:
+            return self.chart.constant(a * (1.0 / b))
+        if b is not None:
+            return self._times(1.0 / b)
+        if a is not None:
+            return self._join(other, lambda jc: a / other._eval_all(jc))
+        return self._join(other, lambda jc: self._eval_all(jc) / other._eval_all(jc))
 
     def __rtruediv__(self, other):
-        other = float(other)
-        return ScalarField(self.chart, lambda jc: other / self._eval_all(jc))
+        return self.chart.constant(other) / self
 
     def __pow__(self, n):
-        return ScalarField(self.chart, lambda jc: self._eval_all(jc) ** n)
+        return ScalarField(self.chart, lambda jc: self._eval_all(jc) ** n, self.deps)
 
 
 def as_field(chart: Chart, value) -> ScalarField:
@@ -300,7 +370,7 @@ def as_field(chart: Chart, value) -> ScalarField:
 
 def _unary(fn):
     def wrapper(f: ScalarField) -> ScalarField:
-        return ScalarField(f.chart, lambda jc: fn(f._eval_all(jc)))
+        return ScalarField(f.chart, lambda jc: fn(f._eval_all(jc)), f.deps)
 
     return wrapper
 
@@ -508,7 +578,10 @@ def pullback_scalar(total: Chart, f: ScalarField, index_map=None) -> ScalarField
     if index_map is None:
         index_map = tuple(range(f.chart.dim))
     index_map = tuple(index_map)
-    return ScalarField(total, lambda jc: f._eval_all(_subset_coords(jc, index_map)))
+    if f.value is not None:
+        return total.constant(f.value)
+    deps = frozenset(index_map[i] for i in f.deps)
+    return ScalarField(total, lambda jc: f._eval_all(_subset_coords(jc, index_map)), deps)
 
 
 def pullback_oneform(total: Chart, omega: OneForm) -> OneForm:

@@ -7,6 +7,7 @@ from hypothesis import given, settings, strategies as st
 from crgeo import (
     Chart,
     OneForm,
+    ScalarField,
     VectorField,
     derivative,
     differential,
@@ -15,8 +16,11 @@ from crgeo import (
     symmetric_product,
     wedge,
 )
-from crgeo.chart import exp, jet_data, log, sin
+from crgeo import jets
+from crgeo.chart import exp, jet_data, jet_data_multi, lift_coords, log, pullback_scalar, sin
 from crgeo.errors import DomainError
+from crgeo.jets import Jet
+from crgeo.verify import Pipeline, SuiteConfig, run_suite
 
 
 @pytest.fixture(scope="module")
@@ -288,3 +292,152 @@ def test_jet_data_multi_evaluates_point_blocks(chart):
     pts[-1, 0] = 4.0  # outside the chart, in the last block
     with pytest.raises(DomainError):
         jet_data_multi(fields, pts, 2)
+
+
+def test_jet_data_multi_needs_a_field(chart):
+    with pytest.raises(ValueError, match="no fields"):
+        jet_data_multi([], chart.sample(2, 12), 1)
+
+
+def test_sample_rejects_a_margin_outside_the_box():
+    line = Chart(["x"], [(0.0, 1.0)])
+    for margin in (1.5, 0.5, -0.5, float("nan")):
+        with pytest.raises(ValueError, match="margin"):
+            line.sample(3, 1, margin=margin)
+    pts = line.sample(3, 1, margin=0.0)
+    assert np.all((pts >= 0.0) & (pts < 1.0))
+
+
+# ----------------------------------------------------------------------
+# build-time folding of constants and coordinate-independent partials
+# ----------------------------------------------------------------------
+
+def test_constant_arithmetic_folds(chart):
+    x, y = chart.coordinate_fields()
+    f = x * y
+    zero, one = chart.constant(0.0), chart.constant(1.0)
+    assert (f + 0.0) is f and (f + zero) is f and (zero + f) is f
+    assert (f - 0.0) is f and (f - zero) is f
+    assert (1.0 * f) is f and (f * one) is f and (f / one) is f
+    assert (0.0 * f).value == 0.0 and (f * zero).value == 0.0
+    negated = 0.0 - f
+    assert negated.value is None and negated([[0.5, 0.25]]).tolist() == [-0.125]
+    a, b = chart.constant(2.0), chart.constant(3.0)
+    assert [(a + b).value, (a - b).value, (a * b).value, (-a).value] == [5.0, -1.0, 6.0, -2.0]
+    # a / b is a * (1 / b), the bits the jet quotient gives (3 / 5 differs)
+    assert (chart.constant(3.0) / 5.0).value == 3.0 * (1.0 / 5.0) != 3.0 / 5.0
+    assert (3.0 / chart.constant(5.0)).value == 3.0 * (1.0 / 5.0)
+    assert (f * 2.5).value is None and (f * 2.5).deps == frozenset((0, 1))
+
+
+def test_dependency_sets(chart):
+    x, y = chart.coordinate_fields()
+    assert x.deps == {0} and y.deps == {1} and chart.constant(2.0).deps == frozenset()
+    assert (x * 2.0 + 1.0).deps == {0} and (x - y).deps == {0, 1}
+    assert exp(x).deps == {0} and (x**3).deps == {0} and x.partial(0).deps == {0}
+    assert exp(chart.constant(1.0)).deps == frozenset()
+    opaque = ScalarField(chart, lambda jc: jc[0])
+    assert opaque.deps == {0, 1} and opaque.partial(1).value is None
+
+
+def test_partial_along_an_absent_coordinate_is_zero(chart):
+    x, y = chart.coordinate_fields()
+    f = exp(x) * sin(x)
+    assert f.partial("y").value == 0.0 and f.partial(1).partial(0).value == 0.0
+    assert chart.constant(4.0).partial(0).value == 0.0
+    assert f.partial(0).value is None
+    pts = chart.sample(3, 13)
+    v, d1 = jet_data(f.partial(1), pts, 1)
+    assert not v.any() and not d1.any()
+
+
+def test_pullback_folds_constants_and_maps_dependencies():
+    base = Chart(["u", "v"], [(-1.0, 1.0), (-1.0, 1.0)])
+    total = Chart(["a", "u", "b", "v"], [(-1.0, 1.0)] * 4)
+    c = pullback_scalar(total, base.constant(2.5), index_map=(1, 3))
+    assert c.chart is total and c.value == 2.5
+    u, v = base.coordinate_fields()
+    f = pullback_scalar(total, u * u, index_map=(1, 3))
+    assert f.deps == {1}
+    assert pullback_scalar(total, u * v, index_map=(1, 3)).deps == {1, 3}
+    assert pullback_scalar(total, u * v).deps == {0, 1}
+    assert f.partial("a").value == 0.0 and f.partial("v").value == 0.0
+    pts = total.sample(4, 14)
+    np.testing.assert_array_equal(jet_data(f.partial("u"), pts, 0)[0], 2.0 * pts[:, 1])
+
+
+def test_folded_zeros_are_exact_where_a_field_is_nan():
+    # a folded zero does not evaluate the field it multiplies or differentiates
+    chart = Chart(["x", "y"], [(-1.0, 1.0), (-1.0, 1.0)])
+    x, _ = chart.coordinate_fields()
+    f = log(x)
+    p = [[-0.5, 0.25]]
+    with np.errstate(invalid="ignore"):
+        assert (f * 0.0)(p).tolist() == [0.0]
+        assert (f * chart.constant(0.0))(p).tolist() == [0.0]
+        assert jet_data(f.partial("y"), p, 1)[1].tolist() == [[0.0, 0.0]]
+        assert np.isnan((f * x)(p)).all()
+
+
+def _unfolded_constant(self, value):
+    return ScalarField(self, lambda jc, v=float(value): Jet.constant(v, jc[0]))
+
+
+def _lifting_partial(self, i):
+    if isinstance(i, str):
+        i = self.chart.index(i)
+    return ScalarField(self.chart, lambda jc: self._eval_all(lift_coords(jc, i)).upper())
+
+
+def _structure_jets(example, m):
+    """theta, dtheta, g_theta and the Fefferman metric at orders 0-2.
+
+    The negative control sphere_x_flat is not Einstein and has no Fefferman metric.
+    """
+    pipe = Pipeline(example, m, points=1, seed=0)
+    ph = pipe.ac.ph
+    fc = None if pipe.entry.negative else pipe.fc
+    arrays = []
+    for n in (1, 2, 65):
+        m_pts = ph.chart.sample(n, n)
+        for order in range(3):
+            for per_field in jet_data_multi([ph.theta, ph.dtheta, ph.metric], m_pts, order):
+                arrays += per_field
+            if fc is not None:
+                arrays += jet_data(fc.metric, fc.chart.sample(n, n), order)
+    return arrays
+
+
+@pytest.mark.parametrize(
+    "example, m",
+    [("flat", 1), ("flat", 2), ("fubini_study", 1), ("fubini_study", 2),
+     ("complex_hyperbolic", 1), ("complex_hyperbolic", 2), ("sphere_x_flat", 2)],
+)
+def test_folding_matches_the_unfolded_trees(example, m, monkeypatch):
+    # the oracle builds every tree as before folding: constants are opaque
+    # jets on every coordinate, and every partial lifts a generator
+    with monkeypatch.context() as unfolded:
+        unfolded.setattr(Chart, "constant", _unfolded_constant)
+        unfolded.setattr(ScalarField, "partial", _lifting_partial)
+        assert Chart(["x"], [(0.0, 1.0)]).constant(0.0).value is None
+        expected = _structure_jets(example, m)
+    got = _structure_jets(example, m)
+    # 3 batch sizes, 1 + 2 + 3 arrays over orders 0-2, 3 or 4 fields
+    assert len(got) == len(expected) == 3 * 6 * (3 if example == "sphere_x_flat" else 4)
+    for a, b in zip(got, expected):
+        assert a.shape == b.shape and np.array_equal(a, b)
+
+
+def test_folding_saves_jet_products(monkeypatch):
+    real = jets._convolve
+    calls = []
+
+    def counting(a, b, product):
+        calls.append(product)
+        return real(a, b, product)
+
+    monkeypatch.setattr(jets, "_convolve", counting)
+    report = run_suite(SuiteConfig("fubini_study", 2, points=2, seed=7))
+    assert report["overall_pass"]
+    # 8482 before constants and coordinate-independent partials folded
+    assert len(calls) <= 5637

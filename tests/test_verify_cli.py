@@ -7,6 +7,7 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import crgeo
@@ -192,6 +193,25 @@ def test_missing_residual_is_a_failed_row(capsys, monkeypatch):
     assert errors["reeb_sectional"]["pass"] is False
     assert "reeb_sectional" in errors["reeb_sectional"]["error"]
     assert len(doc["checks"]) == 8
+
+
+def test_nan_residual_is_a_failed_row(capsys, monkeypatch):
+    # a NaN at one point fails the row, however small the other residuals are
+    original = crgeo.verify.comparison_identities_residual
+
+    def with_nan(ws):
+        rec = original(ws)
+        per_point = np.array(rec["reeb_sectional"], dtype=float)
+        per_point[-1] = np.nan
+        rec["reeb_sectional"] = per_point
+        return rec
+
+    monkeypatch.setattr(crgeo.verify, "comparison_identities_residual", with_nan)
+    code, doc, errors = error_rows(capsys, "--suite", "comparison")
+    rows = {c["name"]: c for c in doc["checks"]}
+    assert code == 1 and doc["overall_pass"] is False and not errors
+    assert rows["reeb_sectional"]["pass"] is False and rows["reeb_sectional"]["max_residual"] == "nan"
+    assert [name for name, row in rows.items() if not row["pass"]] == ["reeb_sectional"]
 
 
 def test_error_inside_a_record_fails_every_row_of_it(capsys, monkeypatch):
