@@ -124,16 +124,12 @@ class JetCoords(list):
         self.lifts = {}
 
 
-def lift_coords(jc, i: int) -> "JetCoords":
+def lift_coords(jc: JetCoords, i: int) -> JetCoords:
     """Coordinates with a fresh generator seeded on coordinate i (shared)."""
-    if isinstance(jc, JetCoords):
-        hit = jc.lifts.get(i)
-        if hit is not None:
-            return hit
-    lifted = JetCoords(c.lift(1.0 if j == i else 0.0) for j, c in enumerate(jc))
-    if isinstance(jc, JetCoords):
-        jc.lifts[i] = lifted
-    return lifted
+    hit = jc.lifts.get(i)
+    if hit is None:
+        hit = jc.lifts[i] = JetCoords(c.lift(1.0 if j == i else 0.0) for j, c in enumerate(jc))
+    return hit
 
 
 def jet_data(field: "TensorField", pts, order: int) -> list[np.ndarray]:
@@ -209,14 +205,10 @@ class TensorField:
     def _evaluate(self, jcoords) -> Jet:
         raise NotImplementedError
 
-    def _eval_all(self, jcoords) -> Jet:
-        cache = getattr(jcoords, "cache", None)
-        if cache is None:
-            return self._evaluate(jcoords)
-        hit = cache.get(self)
+    def _eval_all(self, jcoords: JetCoords) -> Jet:
+        hit = jcoords.cache.get(self)
         if hit is None:
-            hit = self._evaluate(jcoords)
-            cache[self] = hit
+            hit = jcoords.cache[self] = self._evaluate(jcoords)
         return hit
 
     def __call__(self, pts) -> np.ndarray:
@@ -560,17 +552,13 @@ def wedge(alpha: OneForm, beta: OneForm) -> TwoForm:
 # transport between a base chart and an extended (fiber) chart
 # ----------------------------------------------------------------------
 
-def _subset_coords(jc, index_map: tuple) -> JetCoords:
+def _subset_coords(jc: JetCoords, index_map: tuple) -> JetCoords:
     """Shared projection of coordinate jets onto a leading-index subset."""
     key = ("subset", index_map)
-    if isinstance(jc, JetCoords):
-        hit = jc.lifts.get(key)
-        if hit is not None:
-            return hit
-    sub = JetCoords(jc[i] for i in index_map)
-    if isinstance(jc, JetCoords):
-        jc.lifts[key] = sub
-    return sub
+    hit = jc.lifts.get(key)
+    if hit is None:
+        hit = jc.lifts[key] = JetCoords(jc[i] for i in index_map)
+    return hit
 
 
 def pullback_scalar(total: Chart, f: ScalarField, index_map=None) -> ScalarField:

@@ -23,7 +23,6 @@ from .chart import (
     Endomorphism,
     OneForm,
     ScalarField,
-    SymmetricTwoTensor,
     VectorField,
     cos as field_cos,
     differential,
@@ -58,11 +57,9 @@ from .pseudohermitian import (
 EINSTEIN_PRECONDITION_TOL = 1e-6
 
 
-@dataclass(frozen=True)
-class ImaginaryConnectionForm:
-    """iR-valued one-form i * real; curvature in real representatives is d(real)."""
-
-    real: OneForm
+def _coordinate_field(kind, chart: Chart, i: int, c: float = 1.0):
+    """The constant coordinate form c dx_i (``kind`` OneForm) or field c d/dx_i (VectorField)."""
+    return kind(chart, [chart.constant(c if k == i else 0.0) for k in range(chart.dim)])
 
 
 # ----------------------------------------------------------------------
@@ -154,6 +151,25 @@ def _gamma_from_potential(chart: Chart, potential: ScalarField, m: int) -> OneFo
     return OneForm(chart, comps)
 
 
+def _kahler_chart(
+    kind: str, chart: Chart, potential: ScalarField, gamma: OneForm, ricci_potential: OneForm,
+    scal_h: float, einstein: bool = True,
+) -> KahlerEinsteinChart:
+    """The Kaehler chart of ``potential``, whose Kaehler form has the primitive ``gamma``."""
+    m = chart.dim // 2
+    return KahlerEinsteinChart(
+        kind=kind,
+        m=m,
+        chart=chart,
+        metric=MetricField(chart, _metric_from_potential(chart, potential, m), (2 * m, 0)),
+        complex_structure=_complex_structure_matrix(m),
+        gamma=gamma,
+        ricci_potential=ricci_potential,
+        scal_h=scal_h,
+        einstein=einstein,
+    )
+
+
 _BASE_BOUNDS = {
     ("flat", 1): (-1.0, 1.0),
     ("flat", 2): (-1.0, 1.0),
@@ -196,56 +212,25 @@ def make_kahler_einstein(kind: str, m: int, scale: float = 1.0) -> KahlerEinstei
         potential = field_log(1.0 - ssum) * (-2.0 * scale)
         scal_h = -m * (m + 1) / scale
 
-    comp = _metric_from_potential(chart, potential, m)
-    metric = MetricField(chart, comp, (2 * m, 0))
     gamma = _gamma_from_potential(chart, potential, m)
-    if scal_h == 0.0:
-        ricci_potential = OneForm(chart, [chart.constant(0.0)] * (2 * m))
-    else:
-        ricci_potential = gamma.scaled(scal_h / (2 * m))
-    return KahlerEinsteinChart(
-        kind=kind,
-        m=m,
-        chart=chart,
-        metric=metric,
-        complex_structure=_complex_structure_matrix(m),
-        gamma=gamma,
-        ricci_potential=ricci_potential,
-        scal_h=scal_h,
-        einstein=True,
-    )
+    return _kahler_chart(kind, chart, potential, gamma, gamma.scaled(scal_h / (2 * m)), scal_h)
 
 
 def make_product_base() -> KahlerEinsteinChart:
     """Non-Einstein Kaehler fixture: round sphere times flat factor (m = 2)."""
-    m = 2
     chart = Chart(["x1", "y1", "x2", "y2"], [(-0.7, 0.7)] * 4)
     x1, y1, x2, y2 = chart.coordinate_fields()
     sphere_potential = field_log(1.0 + x1 * x1 + y1 * y1) * 2.0
     flat_potential = (x2 * x2 + y2 * y2) * 0.5
     potential = sphere_potential + flat_potential
-    comp = _metric_from_potential(chart, potential, m)
-    metric = MetricField(chart, comp, (4, 0))
-    gamma = _gamma_from_potential(chart, potential, m)
-    # Ricci form potential: only the sphere factor contributes (lambda = 1)
-    ricci_potential = OneForm(
+    return _kahler_chart(
+        "sphere_x_flat",
         chart,
-        [
-            sphere_potential.partial(1) * 0.5,
-            sphere_potential.partial(0) * (-0.5),
-            chart.constant(0.0),
-            chart.constant(0.0),
-        ],
-    )
-    return KahlerEinsteinChart(
-        kind="sphere_x_flat",
-        m=m,
-        chart=chart,
-        metric=metric,
-        complex_structure=_complex_structure_matrix(m),
-        gamma=gamma,
-        ricci_potential=ricci_potential,
-        scal_h=float("nan"),
+        potential,
+        _gamma_from_potential(chart, potential, 2),
+        # Ricci form potential: only the sphere factor contributes (lambda = 1)
+        _gamma_from_potential(chart, sphere_potential, 2),
+        float("nan"),
         einstein=False,
     )
 
@@ -260,7 +245,7 @@ class AnticanonicalChart:
 
     base: KahlerEinsteinChart
     chart: Chart
-    connection: ImaginaryConnectionForm  # rho_ac = i * connection.real
+    connection: OneForm  # rho_ac = i * this real representative
     ph: PHStructure
 
     @property
@@ -272,7 +257,7 @@ class AnticanonicalChart:
         return webster_connection(self.ph)
 
 
-def anticanonical_structure(ke: KahlerEinsteinChart, fiber_bound=(-1.5, 1.5)) -> AnticanonicalChart:
+def anticanonical_structure(ke: KahlerEinsteinChart) -> AnticanonicalChart:
     """Induced contact structure on base x S^1 in the scalar-curvature gauge.
 
     For scal_h != 0 the gauge is theta = -(2m/scal_h) dt - gamma with
@@ -280,36 +265,22 @@ def anticanonical_structure(ke: KahlerEinsteinChart, fiber_bound=(-1.5, 1.5)) ->
     non-Einstein control) theta = -dt - gamma with rho_ac = i(dt + a_Ric).
     """
     m = ke.m
-    chart = ke.chart.extend("t", fiber_bound)
+    chart = ke.chart.extend("t", (-1.5, 1.5))
     gamma_t = pullback_oneform(chart, ke.gamma)
     ric_pot_t = pullback_oneform(chart, ke.ricci_potential)
-    dt = OneForm(chart, [chart.constant(0.0)] * (2 * m) + [chart.constant(1.0)])
+    dt = _coordinate_field(OneForm, chart, 2 * m)
 
     rho_real = dt + ric_pot_t
     use_scalar_gauge = ke.einstein and ke.scal_h != 0.0
     if use_scalar_gauge:
         theta = rho_real.scaled(-2.0 * m / ke.scal_h)
     else:
-        if ke.gamma is None:
-            raise PreconditionError("the Ricci-flat gauge requires a Kaehler potential form")
-        theta = OneForm(
-            chart,
-            [gamma_t.components[i] * (-1.0) for i in range(2 * m)]
-            + [chart.constant(-1.0)],
-        )
+        theta = (dt + gamma_t).scaled(-1.0)
     # closed-form Reeb field of these gauges (verified by residual checks)
     reeb_coeff = -ke.scal_h / (2.0 * m) if use_scalar_gauge else -1.0
-    reeb_hint = VectorField(
-        chart, [chart.constant(0.0)] * (2 * m) + [chart.constant(reeb_coeff)]
-    )
-    p, q = (m, 0)
-    ph = make_structure(chart, theta, ke.complex_structure, m, (p, q), reeb_hint=reeb_hint)
-    return AnticanonicalChart(
-        base=ke,
-        chart=chart,
-        connection=ImaginaryConnectionForm(rho_real),
-        ph=ph,
-    )
+    reeb_hint = _coordinate_field(VectorField, chart, 2 * m, reeb_coeff)
+    ph = make_structure(chart, theta, ke.complex_structure, m, (m, 0), reeb_hint=reeb_hint)
+    return AnticanonicalChart(base=ke, chart=chart, connection=rho_real, ph=ph)
 
 
 def submersion_residuals(ac: AnticanonicalChart, ws: WebsterSample) -> dict[str, np.ndarray]:
@@ -325,7 +296,7 @@ def submersion_residuals(ac: AnticanonicalChart, ws: WebsterSample) -> dict[str,
     jmat = ac.base.complex_structure
     ric_h = riemann(ac.base.metric, base_pts).ricci
 
-    da = exterior_derivative(ac.connection.real)(pts)
+    da = exterior_derivative(ac.connection)(pts)
     ric_form = np.zeros_like(da)
     ric_form[:, : 2 * m, : 2 * m] = np.einsum("nia,aj->nij", ric_h, jmat)
 
@@ -377,8 +348,8 @@ class FeffermanChart:
 
     ac: AnticanonicalChart
     chart: Chart
-    webster_connection_form: ImaginaryConnectionForm  # A_W = i * real
-    fefferman_connection_form: ImaginaryConnectionForm  # A_theta = i * real
+    webster_connection_form: OneForm  # A_W = i * this real representative
+    fefferman_connection_form: OneForm  # A_theta = i * this real representative
     metric: MetricField
     vertical_canonical: VectorField  # P, the canonical fiber direction
     reeb_lift: VectorField  # T*
@@ -386,14 +357,13 @@ class FeffermanChart:
     scal_w: float
     sw: float  # S_W = scal_h / (2m(m+1))
     theta_total: OneForm
-    levi_total: SymmetricTwoTensor
 
     @property
     def m(self) -> int:
         return self.ac.m
 
 
-def fefferman_metric(ac: AnticanonicalChart, fiber_bound=(-2.8, 2.8)) -> FeffermanChart:
+def fefferman_metric(ac: AnticanonicalChart) -> FeffermanChart:
     """Assemble the Fefferman metric of a pseudo-Hermitian Einstein structure.
 
     Requires the Einstein condition: only then does the Webster connection
@@ -411,24 +381,19 @@ def fefferman_metric(ac: AnticanonicalChart, fiber_bound=(-2.8, 2.8)) -> Fefferm
     scal_mean = ein["scal_mean"]
     scal_w = scal_mean if abs(scal_mean) > 1e-10 else 0.0
     m = ac.m
-    chart = ac.chart.extend("s", fiber_bound)
+    chart = ac.chart.extend("s", (-2.8, 2.8))
     theta_total = pullback_oneform(chart, ac.ph.theta)
     levi_total = pullback_symmetric(chart, ac.ph.levi_form)
 
-    ds = OneForm(chart, [chart.constant(0.0)] * (chart.dim - 1) + [chart.constant(1.0)])
+    ds = _coordinate_field(OneForm, chart, chart.dim - 1)
     a_w = (ds + theta_total.scaled(2.0 * scal_w / (m * (m + 2)))).scaled(0.5 * (m + 2))
     a_theta = a_w - theta_total.scaled(scal_w / (2.0 * (m + 1)))
 
     f_comp = symmetric_product(theta_total, a_theta).scaled(4.0 / (m + 2))
-    d = chart.dim
-    comp = [
-        [levi_total.components[i][j] + f_comp.components[i, j] for j in range(d)]
-        for i in range(d)
-    ]
     p, q = ac.ph.levi_signature
-    metric = MetricField(chart, comp, (2 * p + 1, 2 * q + 1))
+    metric = MetricField(chart, (levi_total + f_comp).components, (2 * p + 1, 2 * q + 1))
 
-    p_field = VectorField(chart, [chart.constant(0.0)] * (d - 1) + [chart.constant(1.0)])
+    p_field = _coordinate_field(VectorField, chart, chart.dim - 1)
     sw = scal_w / (m * (m + 1.0))
     t_hat = extend_vector(chart, ac.ph.reeb)
     t_star = t_hat - p_field.scaled(sw)
@@ -437,8 +402,8 @@ def fefferman_metric(ac: AnticanonicalChart, fiber_bound=(-2.8, 2.8)) -> Fefferm
     return FeffermanChart(
         ac=ac,
         chart=chart,
-        webster_connection_form=ImaginaryConnectionForm(a_w),
-        fefferman_connection_form=ImaginaryConnectionForm(a_theta),
+        webster_connection_form=a_w,
+        fefferman_connection_form=a_theta,
         metric=metric,
         vertical_canonical=p_field,
         reeb_lift=t_star,
@@ -446,7 +411,6 @@ def fefferman_metric(ac: AnticanonicalChart, fiber_bound=(-2.8, 2.8)) -> Fefferm
         scal_w=scal_w,
         sw=sw,
         theta_total=theta_total,
-        levi_total=levi_total,
     )
 
 
@@ -510,15 +474,10 @@ def base_unitary_frame(ke: KahlerEinsteinChart) -> list[VectorField]:
     h = ke.metric
     from .chart import sqrt as field_sqrt
 
-    def coord_field(i):
-        return VectorField(
-            chart, [chart.constant(1.0 if k == i else 0.0) for k in range(chart.dim)]
-        )
-
     es: list[VectorField] = []
     js: list[VectorField] = []
     for a in range(m):
-        v = coord_field(2 * a)
+        v = _coordinate_field(VectorField, chart, 2 * a)
         for u in es + js:
             v = v - u.scaled(h.apply(v, u))
         v = v.scaled(1.0 / field_sqrt(h.apply(v, v)))
@@ -531,15 +490,6 @@ def horizontal_lift(ac: AnticanonicalChart, x_base: VectorField) -> VectorField:
     """theta-horizontal lift X* = X-hat - theta(X-hat) T to the contact chart."""
     xhat = extend_vector(ac.chart, x_base)
     return xhat - ac.ph.reeb.scaled(ac.ph.theta.pair(xhat))
-
-
-def fefferman_lift(fc: FeffermanChart, x_m: VectorField) -> VectorField:
-    """Lift an H-field from the contact chart to the Fefferman chart.
-
-    H-fields lift with zero canonical-fiber component because the
-    connection form A_theta already annihilates them.
-    """
-    return extend_vector(fc.chart, x_m)
 
 
 def _directional_nabla(gamma, a_vals, b_vals, b_grads):
@@ -568,7 +518,7 @@ def fefferman_structure_residuals(fc: FeffermanChart, pts, fval) -> dict[str, np
 
     finv = np.linalg.inv(fval)
     thval = fc.theta_total(pts)
-    athval = fc.fefferman_connection_form.real(pts)
+    athval = fc.fefferman_connection_form(pts)
     light_theta = np.einsum("nij,ni,nj->n", finv, thval, thval)
     light_a = np.einsum("nij,ni,nj->n", finv, athval, athval)
 
@@ -618,10 +568,12 @@ def fefferman_ricci_residual(fc: FeffermanChart, pts, f_jets) -> dict[str, np.nd
     res_closed_form = point_max(ric - closed) / scale
 
     # adapted frame: base unitary frame lifted twice; all frame fields,
-    # the vertical fields, and the parallel candidate share one jet batch
+    # the vertical fields, and the parallel candidate share one jet batch.
+    # H-fields lift to the Fefferman chart with zero canonical-fiber
+    # component because the connection form A_theta already annihilates them.
     base_frame = base_unitary_frame(fc.ac.base)
     m_frame = [horizontal_lift(fc.ac, x) for x in base_frame]
-    f_frame = [fefferman_lift(fc, x) for x in m_frame]
+    f_frame = [extend_vector(chart, x) for x in m_frame]
     vfield = fc.reeb_lift - fc.vertical_canonical.scaled(sw)
     from .chart import jet_data_multi
 
@@ -721,7 +673,7 @@ def fefferman_ricci_residual(fc: FeffermanChart, pts, f_jets) -> dict[str, np.nd
     )
 
     # (h) dA_W = -pullback(Ric_W) in real representatives: d(a_W) = -W
-    da_w = exterior_derivative(fc.webster_connection_form.real)(pts)
+    da_w = exterior_derivative(fc.webster_connection_form)(pts)
     w_full = np.zeros_like(da_w)
     w_full[:, :-1, :-1] = ws.ricci[0]
 
@@ -753,7 +705,7 @@ def fefferman_expression_residual(fc: FeffermanChart, pts, fval) -> np.ndarray:
     base_pts = pts[:, : 2 * m]
     h_full[:, : 2 * m, : 2 * m] = fc.ac.base.metric(base_pts)
     thval = fc.theta_total(pts)
-    awval = fc.webster_connection_form.real(pts)
+    awval = fc.webster_connection_form(pts)
     if fc.scal_w == 0.0 or not fc.ac.base.einstein or fc.ac.base.scal_h == 0.0:
         sym = 0.5 * (np.einsum("ni,nj->nij", thval, awval) + np.einsum("ni,nj->nij", awval, thval))
         assembled = h_full + (4.0 / (m + 2)) * sym
@@ -812,7 +764,7 @@ def correction_structure_residual(rm: RescaledMetric, pts) -> np.ndarray:
     pts = fc.chart.points(pts)
     corr = conformal_ricci_correction(fc.metric, rm.phi, pts)
     base_frame = base_unitary_frame(fc.ac.base)
-    vecs = [fefferman_lift(fc, horizontal_lift(fc.ac, x))(pts) for x in base_frame]
+    vecs = [extend_vector(fc.chart, horizontal_lift(fc.ac, x))(pts) for x in base_frame]
     vecs.append(fc.reeb_lift(pts))
     pvals = fc.vertical_canonical(pts)
     terms = [
@@ -842,10 +794,8 @@ class ExplicitEinsteinMetric:
     # affine identification from Fefferman-chart coordinates (base, t, s)
     # to this chart's coordinates; rows are this chart's coordinates
     identification: np.ndarray
-    sasaki_chart: Chart | None = None
     sasaki_metric: MetricField | None = None
     sasaki_constant: float = 0.0
-    line_index: int | None = None  # flat-factor coordinate of the unrescaled product
 
     @property
     def checked_metrics(self) -> list[MetricField]:
@@ -861,7 +811,7 @@ class ExplicitEinsteinMetric:
 def explicit_einstein_metric(ke: KahlerEinsteinChart) -> ExplicitEinsteinMetric:
     """Direct chart realization of the conformally-Fefferman Einstein metrics.
 
-    Ricci-flat gauge (scal_h = 0, potential form required):
+    Ricci-flat gauge (scal_h = 0):
         cos^{-2}(t) (h + 4 dt o (gamma + ds))  on base x (t, s).
     Otherwise, with r = dv + (scal_h/2m) gamma on the circle-bundle chart:
         cos^{-2}(t) (h - (4m(m+1)/scal_h) dt o dt + (4m/((m+1) scal_h)) r o r),
@@ -873,65 +823,42 @@ def explicit_einstein_metric(ke: KahlerEinsteinChart) -> ExplicitEinsteinMetric:
     if not ke.einstein:
         raise PreconditionError("explicit Einstein construction needs an Einstein base")
     if ke.scal_h == 0.0:
-        if ke.gamma is None:
-            raise PreconditionError("the Ricci-flat gauge requires a Kaehler potential form")
         chart = ke.chart.extend("t", (-1.4, 1.4)).extend("s", (-6.0, 6.0))
         gamma_t = pullback_oneform(chart, ke.gamma)
-        dt = OneForm(chart, [chart.constant(0.0)] * base_dim + [chart.constant(1.0), chart.constant(0.0)])
-        ds = OneForm(chart, [chart.constant(0.0)] * (base_dim + 1) + [chart.constant(1.0)])
+        dt = _coordinate_field(OneForm, chart, base_dim)
+        ds = _coordinate_field(OneForm, chart, base_dim + 1)
         fiber = symmetric_product(dt, gamma_t + ds).scaled(4.0)
         h_t = pullback_symmetric(chart, ke.metric)
-        comp = [
-            [h_t.components[i, j] + fiber.components[i, j] for j in range(chart.dim)]
-            for i in range(chart.dim)
-        ]
-        unrescaled = MetricField(chart, comp, (base_dim + 1, 1))
+        unrescaled = MetricField(chart, (h_t + fiber).components, (base_dim + 1, 1))
         lam = 0.0
         # Fefferman coordinates (base, t_ac, s_c) map by t = -s_c/2, s = t_ac
         ident = np.zeros((chart.dim, chart.dim))
         ident[:base_dim, :base_dim] = np.eye(base_dim)
         ident[base_dim, base_dim + 1] = -0.5
         ident[base_dim + 1, base_dim] = 1.0
-        sasaki_chart = sasaki_metric = None
+        sasaki_metric = None
         sasaki_constant = 0.0
-        line_index = None
     else:
         scal_h = ke.scal_h
         sasaki_chart = ke.chart.extend("v", (-6.0, 6.0))
         gamma_v = pullback_oneform(sasaki_chart, ke.gamma)
-        dv = OneForm(
-            sasaki_chart, [sasaki_chart.constant(0.0)] * base_dim + [sasaki_chart.constant(1.0)]
-        )
+        dv = _coordinate_field(OneForm, sasaki_chart, base_dim)
         r_ac = dv + gamma_v.scaled(scal_h / (2.0 * m))
         sas_fiber = symmetric_product(r_ac, r_ac).scaled(4.0 * m / ((m + 1) * scal_h))
         h_v = pullback_symmetric(sasaki_chart, ke.metric)
-        sas_comp = [
-            [h_v.components[i, j] + sas_fiber.components[i, j] for j in range(sasaki_chart.dim)]
-            for i in range(sasaki_chart.dim)
-        ]
         sas_sig = (base_dim + 1, 0) if scal_h > 0 else (base_dim, 1)
-        sasaki_metric = MetricField(sasaki_chart, sas_comp, sas_sig)
+        sasaki_metric = MetricField(sasaki_chart, (h_v + sas_fiber).components, sas_sig)
         sasaki_constant = scal_h / (2.0 * (m + 1))
 
         chart = sasaki_chart.extend("t", (-1.4, 1.4))
         gamma_tt = pullback_oneform(chart, ke.gamma)
-        dv_t = OneForm(
-            chart,
-            [chart.constant(0.0)] * base_dim + [chart.constant(1.0), chart.constant(0.0)],
-        )
-        dt = OneForm(chart, [chart.constant(0.0)] * (base_dim + 1) + [chart.constant(1.0)])
+        dv_t = _coordinate_field(OneForm, chart, base_dim)
+        dt = _coordinate_field(OneForm, chart, base_dim + 1)
         r_t = dv_t + gamma_tt.scaled(scal_h / (2.0 * m))
         fiber = symmetric_product(dt, dt).scaled(-4.0 * m * (m + 1) / scal_h)
         fiber2 = symmetric_product(r_t, r_t).scaled(4.0 * m / ((m + 1) * scal_h))
         h_t = pullback_symmetric(chart, ke.metric)
-        comp = [
-            [
-                h_t.components[i, j] + fiber.components[i, j] + fiber2.components[i, j]
-                for j in range(chart.dim)
-            ]
-            for i in range(chart.dim)
-        ]
-        unrescaled = MetricField(chart, comp, (base_dim + 1, 1))
+        unrescaled = MetricField(chart, (h_t + fiber + fiber2).components, (base_dim + 1, 1))
         lam = (2 * m + 1) * scal_h / (4.0 * m * (m + 1))
         # Fefferman coordinates (base, t_ac, s_c): v = t_ac - ((m+1)/2) s_c, t = s_c/2
         ident = np.zeros((chart.dim, chart.dim))
@@ -939,26 +866,18 @@ def explicit_einstein_metric(ke: KahlerEinsteinChart) -> ExplicitEinsteinMetric:
         ident[base_dim, base_dim] = 1.0
         ident[base_dim, base_dim + 1] = -(m + 1) / 2.0
         ident[base_dim + 1, base_dim + 1] = 0.5
-        line_index = chart.dim - 1
 
     t_field = chart.coord(chart.dim - 1) if ke.scal_h != 0.0 else chart.coord(base_dim)
     factor = 1.0 / (field_cos(t_field) * field_cos(t_field))
-    comp_resc = [
-        [unrescaled.components[i, j] * factor for j in range(chart.dim)]
-        for i in range(chart.dim)
-    ]
-    metric = MetricField(chart, comp_resc, unrescaled.signature)
     return ExplicitEinsteinMetric(
         base=ke,
         chart=chart,
-        metric=metric,
+        metric=unrescaled.scaled(factor),
         unrescaled=unrescaled,
         einstein_constant=lam,
         identification=ident,
-        sasaki_chart=sasaki_chart,
         sasaki_metric=sasaki_metric,
         sasaki_constant=sasaki_constant,
-        line_index=line_index,
     )
 
 
@@ -978,12 +897,13 @@ def explicit_einstein_residuals(t2: ExplicitEinsteinMetric, pts, jets) -> dict[s
     }
 
     if t2.sasaki_metric is not None:
-        sp = t2.sasaki_chart.sample(pts.shape[0], 977)
+        sp = t2.sasaki_metric.chart.sample(pts.shape[0], 977)
         scurv = riemann(t2.sasaki_metric, sp)
         sval = t2.sasaki_metric(sp)
         out["sasaki_einstein"] = point_max(scurv.ricci - t2.sasaki_constant * sval)
-        # product structure of the unrescaled metric along the line factor
-        li = t2.line_index
+        # product structure of the unrescaled metric along the line factor,
+        # the last coordinate t
+        li = t2.chart.dim - 1
         uval, du, d2u = jets[1]
         ucurv = curvature_from_arrays(uval, *levi_civita_arrays(uval, du, d2u))
         out["sasaki_product"] = point_max(np.delete(uval[:, li, :], li, axis=1))
@@ -1012,24 +932,22 @@ def pipeline_agreement_residual(
 # negative controls and gauge invariance
 # ----------------------------------------------------------------------
 
-def perturbed_structure(ac: AnticanonicalChart, amplitude: float = 0.2) -> PHStructure:
-    """Non-invariant deformation theta + amplitude * x1 * dt: breaks the
+def perturbed_structure(ac: AnticanonicalChart) -> PHStructure:
+    """Non-invariant deformation theta + 0.2 x1 dt: breaks the
     transversal symmetry while keeping the form contact."""
     chart = ac.chart
     x1 = chart.coord(0)
     theta = ac.ph.theta
     comps = list(theta.components)
-    comps[-1] = comps[-1] + x1 * amplitude
+    comps[-1] = comps[-1] + x1 * 0.2
     theta_p = OneForm(chart, comps)
     return make_structure(chart, theta_p, ac.base.complex_structure, ac.m, ac.ph.levi_signature)
 
 
-def gauge_shift_scal_residual(
-    ac: AnticanonicalChart, ws: WebsterSample, amplitude: float = 0.05
-) -> np.ndarray:
-    """scal_W from theta + df (basic f) must agree with that of theta, read from ``ws``."""
+def gauge_shift_scal_residual(ac: AnticanonicalChart, ws: WebsterSample) -> np.ndarray:
+    """scal_W from theta + df (basic f = 0.05 x1 y1) must agree with that of theta, read from ``ws``."""
     chart = ac.chart
-    f = chart.coord(0) * chart.coord(1) * amplitude
+    f = chart.coord(0) * chart.coord(1) * 0.05
     df = differential(f)
     theta_hat = ac.ph.theta + df
     ph_hat = make_structure(

@@ -68,7 +68,7 @@ def point_max(*arrays) -> np.ndarray:
 
 def inverse_metric(gval: np.ndarray) -> np.ndarray:
     det = np.abs(np.linalg.det(gval))
-    if det.min() <= _DET_FLOOR:
+    if not det.min() > _DET_FLOOR:  # negated, so that a NaN determinant is singular too
         raise DegeneracyError(f"singular metric: min |det| = {det.min():.3e}")
     return np.linalg.inv(gval)
 
@@ -290,6 +290,15 @@ def _bilinear(g, u, w):
     return (u[..., None, :] @ g @ w[..., :, None])[..., 0, 0]
 
 
+def _require_pivots(norm, what: str) -> None:
+    """Raise at the first point whose ``norm`` is not above PIVOT_TOL (a NaN is not)."""
+    bad = np.flatnonzero(~(norm > PIVOT_TOL))
+    if bad.size:
+        raise DegeneracyError(
+            f"frame construction failed at sample point {bad[0]}: no {what} above {PIVOT_TOL:g}"
+        )
+
+
 def pivoted_frame(g: np.ndarray, cands: np.ndarray, steps: int, partner=None):
     """Pseudo-orthonormal vectors of a batch of bilinear forms by pivoted Gram-Schmidt.
 
@@ -318,16 +327,14 @@ def pivoted_frame(g: np.ndarray, cands: np.ndarray, steps: int, partner=None):
         norm = np.abs(val)
         pick = np.where(np.isnan(norm), 0.0, norm).argmax(axis=1)
         best_norm = norm[rows, pick]
-        bad = np.flatnonzero(~(best_norm > PIVOT_TOL))
-        if bad.size:
-            raise DegeneracyError(
-                f"frame construction failed at sample point {bad[0]}: no pivot above {PIVOT_TOL:g}"
-            )
+        _require_pivots(best_norm, "pivot")
         kept.append(w[rows, pick] / np.sqrt(best_norm)[:, None])
         signs.append(np.sign(val[rows, pick]))
         if partner is not None:
             jw = project((partner @ kept[-1][..., None]).swapaxes(1, 2))[:, 0]
-            kept.append(jw / np.sqrt(np.abs(_bilinear(g, jw, jw)))[:, None])
+            jw_norm = np.abs(_bilinear(g, jw, jw))
+            _require_pivots(jw_norm, "partner pivot")
+            kept.append(jw / np.sqrt(jw_norm)[:, None])
             signs.append(signs[-1])
     return np.stack(kept, axis=1), np.stack(signs, axis=1)
 

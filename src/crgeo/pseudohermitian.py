@@ -133,24 +133,25 @@ class LiftedComplexStructure(Endomorphism):
 # ----------------------------------------------------------------------
 
 class PHStructure:
-    """Contact form plus compatible complex structure on a (2m+1)-chart."""
+    """Contact form plus compatible complex structure on a (2m+1)-chart.
 
-    def __init__(self, chart: Chart, theta: OneForm, j_endo: Endomorphism, m: int, levi_signature):
+    ``dtheta`` is d(theta) and ``reeb`` the Reeb field of theta, both as
+    :func:`make_structure` builds them.
+    """
+
+    def __init__(
+        self, chart: Chart, theta: OneForm, dtheta, reeb: VectorField, j_endo: Endomorphism,
+        m: int, levi_signature,
+    ):
         if chart.dim != 2 * m + 1:
             raise ValueError("chart dimension must be 2m + 1")
         self.chart = chart
         self.theta = theta
+        self.dtheta = dtheta
+        self.reeb = reeb
         self.J = j_endo
         self.m = int(m)
         self.levi_signature = tuple(levi_signature)
-
-    @cached_property
-    def dtheta(self):
-        return exterior_derivative(self.theta)
-
-    @cached_property
-    def reeb(self) -> ReebField:
-        return ReebField(self.theta, self.dtheta)
 
     @cached_property
     def levi_form(self) -> SymmetricTwoTensor:
@@ -168,14 +169,9 @@ class PHStructure:
     @cached_property
     def metric(self) -> MetricField:
         """g_theta = L_theta + theta o theta; one extra plus direction along T."""
-        d = self.chart.dim
-        tt = symmetric_product(self.theta, self.theta)
-        comp = [
-            [self.levi_form.components[i, j] + tt.components[i, j] for j in range(d)]
-            for i in range(d)
-        ]
+        g = self.levi_form + symmetric_product(self.theta, self.theta)
         p, q = self.levi_signature
-        return MetricField(self.chart, comp, (2 * p + 1, 2 * q))
+        return MetricField(self.chart, g.components, (2 * p + 1, 2 * q))
 
     @cached_property
     def comparison_tensor(self) -> GenericTensorField:
@@ -306,21 +302,13 @@ def make_structure(
     ``reeb_hint`` supplies a closed-form Reeb field for gauges where it is
     known (keeping the expression trees shallow); it must satisfy the
     defining equations, which stay enforced as residual checks, and the
-    generic linear-system solver remains available via
-    :func:`solved_reeb_field`.
+    generic linear-system solver remains available as
+    ``ReebField(ph.theta, ph.dtheta)``.
     """
     dtheta = exterior_derivative(theta)
     reeb = reeb_hint if reeb_hint is not None else ReebField(theta, dtheta)
     j_endo = LiftedComplexStructure(chart, base_j, theta, reeb)
-    ph = PHStructure(chart, theta, j_endo, m, levi_signature)
-    ph.__dict__["dtheta"] = dtheta
-    ph.__dict__["reeb"] = reeb
-    return ph
-
-
-def solved_reeb_field(ph: PHStructure) -> ReebField:
-    """Reeb field through the generic per-point linear solve (oracle path)."""
-    return ReebField(ph.theta, ph.dtheta)
+    return PHStructure(chart, theta, dtheta, reeb, j_endo, m, levi_signature)
 
 
 # ----------------------------------------------------------------------
@@ -492,14 +480,14 @@ def axiom_residuals(ws: WebsterSample) -> dict[str, np.ndarray]:
     }
 
 
-def webster_connection(ph: PHStructure, pts=None, tol: float = TSPH_TOL) -> WebsterData:
+def webster_connection(ph: PHStructure, pts=None) -> WebsterData:
     """Assemble the Webster connection, enforcing transversal symmetry."""
     if pts is None:
         pts = ph.chart.sample(8, 2024)
     res = transversal_symmetry_residual(ph, pts).max()
-    if res > tol:
+    if res > TSPH_TOL:
         raise PreconditionError(
-            f"structure is not transversally symmetric: residual {res:.3e} > {tol:g}"
+            f"structure is not transversally symmetric: residual {res:.3e} > {TSPH_TOL:g}"
         )
     return WebsterData(ph)
 

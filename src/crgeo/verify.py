@@ -43,11 +43,11 @@ from .constructions import (
 from .errors import DegeneracyError, UsageError
 from .metric import killing_residual, point_max
 from .pseudohermitian import (
+    ReebField,
     axiom_residuals,
     comparison_identities_residual,
     curvature_symmetry_residual,
     ph_einstein_residual,
-    solved_reeb_field,
     transversal_symmetry_residual,
 )
 
@@ -325,7 +325,7 @@ class Pipeline:
         ph, pts = self.ac.ph, self.m_pts
         rec = ph.structure_residuals(pts)
         rec["reeb_defining"] = ph.reeb_residual(pts)
-        rec["reeb_linear_solve"] = point_max(solved_reeb_field(ph)(pts) - ph.reeb(pts))
+        rec["reeb_linear_solve"] = point_max(ReebField(ph.theta, ph.dtheta)(pts) - ph.reeb(pts))
         rec["tsph_bracket"] = transversal_symmetry_residual(ph, pts)
         rec["tsph_killing"] = killing_residual(ph.metric, ph.reeb, pts)
         return rec
@@ -408,6 +408,10 @@ class SuiteConfig:
     seed: int = 42
     tol_overrides: dict = field(default_factory=dict)
 
+    def __post_init__(self):
+        # a suite named twice runs and is reported once
+        self.suites = tuple(dict.fromkeys(self.suites))
+
     def resolved_suites(self, negative: bool) -> tuple[str, ...]:
         wanted = self.suites
         if "all" in wanted:
@@ -415,7 +419,7 @@ class SuiteConfig:
         for s in wanted:
             if s not in SUITES + ("negative",):
                 raise UsageError(f"unknown suite {s!r}")
-        return tuple(s for s in wanted)
+        return wanted
 
     def validate(self):
         if self.points < 1:

@@ -122,6 +122,15 @@ def test_fefferman_normalization_catalog(pipeline):
         assert rec["fefferman_lightlike"].max() < 1e-12
 
 
+def test_product_base_ricci_potential():
+    # sphere_x_flat runs only the negative suite, whose theta reads gamma alone
+    ke = make_product_base()
+    res = ke.kahler_residuals(ke.chart.sample(16, 42))
+    assert set(res) == {"kahler_potential", "kahler_parallel", "ricci_form_potential"}
+    for name, per_point in res.items():
+        assert per_point.max() < 1e-12, name
+
+
 def test_fefferman_rejects_non_einstein():
     prod = make_product_base()
     ac = anticanonical_structure(prod)

@@ -5,7 +5,7 @@ import pytest
 
 from crgeo import Chart, OneForm, VectorField
 from crgeo.errors import DegeneracyError
-from crgeo.metric import PIVOT_TOL, orthonormal_frame
+from crgeo.metric import PIVOT_TOL, orthonormal_frame, pivoted_frame
 from crgeo.pseudohermitian import levi_adapted_frame, make_structure
 
 BASE_J1 = np.array([[0.0, -1.0], [1.0, 0.0]])
@@ -109,6 +109,17 @@ def test_orthonormal_frame_names_the_degenerate_point():
     g[2, 0, 1] = g[2, 1, 0] = np.nan
     with pytest.raises(DegeneracyError, match="sample point 2:"):
         orthonormal_frame(g)
+
+
+def test_partner_without_a_pivot_names_the_point():
+    # e1 is kept at both points; its partner J e1 = e2 is null for L = diag(1, 0)
+    g = np.array([np.eye(2), np.diag([1.0, 0.0])])
+    cands = np.broadcast_to(np.eye(2), (2, 2, 2))
+    partner = np.broadcast_to(BASE_J1, (2, 2, 2))
+    with pytest.raises(DegeneracyError, match="sample point 1: no partner pivot above"):
+        pivoted_frame(g, cands, 1, partner=partner)
+    vecs, signs = pivoted_frame(g[:1], cands[:1], 1, partner=partner[:1])
+    assert np.array_equal(vecs[0], np.eye(2)) and np.array_equal(signs[0], [1.0, 1.0])
 
 
 def test_levi_frame_names_the_degenerate_point():

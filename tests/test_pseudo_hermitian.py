@@ -13,7 +13,6 @@ from crgeo.pseudohermitian import (
     curvature_symmetry_residual,
     levi_adapted_frame,
     ph_einstein_residual,
-    solved_reeb_field,
     transversal_symmetry_residual,
     webster_connection,
 )
@@ -49,7 +48,7 @@ def test_scaled_gauge_reeb():
     np.testing.assert_allclose(reeb[:, -1], -1.0, atol=1e-14)  # -s/2m = -1
     np.testing.assert_allclose(reeb[:, :-1], 0.0, atol=1e-14)
     # the generic linear solve agrees with the closed-form gauge field
-    solved = solved_reeb_field(ac.ph)
+    solved = ReebField(ac.ph.theta, ac.ph.dtheta)
     assert np.abs(solved(p) - reeb).max() < 1e-10
 
 

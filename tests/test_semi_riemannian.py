@@ -262,3 +262,6 @@ def test_tracefree_norm_zero_for_einstein(plane, sphere):
 def test_inverse_metric_guard():
     with pytest.raises(DegeneracyError):
         inverse_metric(np.zeros((1, 2, 2)))
+    # a NaN determinant is not above the floor either
+    with pytest.raises(DegeneracyError), np.errstate(invalid="ignore"):
+        inverse_metric(np.array([[[1.0, 0.0], [0.0, np.nan]]]))

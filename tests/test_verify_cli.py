@@ -57,6 +57,16 @@ def test_run_single_suite_passes(capsys):
     assert "anchor" in doc["checks"][0]
 
 
+@pytest.mark.parametrize("example", ["flat", "all"])
+def test_repeated_suite_runs_once(capsys, example):
+    args = ("run", "--example", example, "--m", "1", "--points", "2", "--suite")
+    _, once, _ = run_cli(capsys, *args, "webster")
+    code, twice, _ = run_cli(capsys, *args, "webster,webster")
+    assert code == 0
+    assert json.loads(twice)["suites"] == ["webster"]
+    assert STRIP_TIMESTAMP.sub("", twice) == STRIP_TIMESTAMP.sub("", once)
+
+
 def test_rescale_suite_reports_einstein_constant(capsys):
     code, out, _ = run_cli(
         capsys, "run", "--example", "fubini_study", "--m", "1",
