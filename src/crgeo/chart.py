@@ -20,6 +20,11 @@ constant 0, evaluated without lifting a generator.  Only exact zeros are
 dropped, so every value and partial keeps the bits of the unfolded tree, up to
 the sign of a zero.  A folded zero is exact even where the field it
 replaces is NaN or infinite (``log(x) * 0`` is 0 at x < 0).
+
+Tensor fields are assembled from their component arrays by numpy's
+element-wise object algebra, which keeps each operation's left operand.
+Every sum of components runs through :func:`ordered_sum` or
+:func:`contract`, whose order (left to right) the code fixes, not numpy.
 """
 
 from __future__ import annotations
@@ -95,9 +100,6 @@ class Chart:
     def constant(self, value: float) -> "ScalarField":
         value = float(value)
         return ScalarField(self, lambda jc: Jet.constant(value, jc[0]), frozenset(), value)
-
-    def zero_field(self) -> "ScalarField":
-        return self.constant(0.0)
 
     def __repr__(self):
         return f"Chart({', '.join(self.names)})"
@@ -374,6 +376,20 @@ cos = _unary(jets.cos)
 sqrt = _unary(jets.sqrt)
 
 
+def ordered_sum(terms):
+    """((t0 + t1) + t2) + ..: the left-to-right sum of fields, object or float arrays."""
+    terms = iter(terms)
+    total = next(terms)
+    for term in terms:
+        total = total + term
+    return total
+
+
+def contract(a: np.ndarray, b: np.ndarray):
+    """sum_k a[..., k] (x) b[k] over k ascending, each term ``a`` times ``b`` elementwise."""
+    return ordered_sum(np.multiply.outer(a[..., k], b[k]) for k in range(len(b)))
+
+
 class _ComponentStack(TensorField):
     """Tensor field backed by an object array of scalar fields.
 
@@ -427,11 +443,7 @@ class OneForm(_ComponentStack):
 
     def pair(self, x: VectorField) -> ScalarField:
         """Contraction omega(X)."""
-        d = self.chart.dim
-        total = self.components[0] * x.components[0]
-        for i in range(1, d):
-            total = total + self.components[i] * x.components[i]
-        return total
+        return ordered_sum(self.components * x.components)
 
 
 class _Matrix(_ComponentStack):
@@ -440,12 +452,7 @@ class _Matrix(_ComponentStack):
 
     def apply(self, x: VectorField, y: VectorField) -> ScalarField:
         """Bilinear evaluation sum_ij c_ij X^i Y^j."""
-        d = self.chart.dim
-        total = self.chart.zero_field()
-        for i in range(d):
-            for j in range(d):
-                total = total + self.components[i, j] * x.components[i] * y.components[j]
-        return total
+        return ordered_sum((self.components * x.components[:, None] * y.components).flat)
 
 
 class TwoForm(_Matrix):
@@ -462,14 +469,7 @@ class Endomorphism(_Matrix):
     variance = (1, -1)
 
     def apply(self, x: VectorField) -> VectorField:
-        d = self.chart.dim
-        comps = []
-        for i in range(d):
-            total = self.components[i, 0] * x.components[0]
-            for j in range(1, d):
-                total = total + self.components[i, j] * x.components[j]
-            comps.append(total)
-        return VectorField(self.chart, comps)
+        return VectorField(self.chart, contract(self.components, x.components))
 
 
 class GenericTensorField(_ComponentStack):
@@ -506,9 +506,8 @@ def differential(f: ScalarField) -> OneForm:
 
 def exterior_derivative(omega: OneForm) -> TwoForm:
     """Two-form with components (d omega)_ij = d_i omega_j - d_j omega_i."""
-    d = omega.chart.dim
-    comp = [[omega.components[j].partial(i) - omega.components[i].partial(j) for j in range(d)] for i in range(d)]
-    return TwoForm(omega.chart, comp)
+    grad = np.stack([differential(w).components for w in omega.components], axis=1)
+    return TwoForm(omega.chart, grad - grad.T)
 
 
 def lie_bracket(x: VectorField, y: VectorField) -> VectorField:
@@ -528,74 +527,58 @@ def lie_bracket(x: VectorField, y: VectorField) -> VectorField:
 
 def symmetric_product(alpha: OneForm, beta: OneForm) -> SymmetricTwoTensor:
     """Half-symmetrized product: (a o b)(X,Y) = (a(X)b(Y) + a(Y)b(X)) / 2."""
-    d = alpha.chart.dim
-    comp = [
-        [
-            (alpha.components[i] * beta.components[j] + alpha.components[j] * beta.components[i]) * 0.5
-            for j in range(d)
-        ]
-        for i in range(d)
-    ]
-    return SymmetricTwoTensor(alpha.chart, comp)
+    ab = np.multiply.outer(alpha.components, beta.components)
+    return SymmetricTwoTensor(alpha.chart, (ab + ab.T) * 0.5)
 
 
 def wedge(alpha: OneForm, beta: OneForm) -> TwoForm:
-    d = alpha.chart.dim
-    comp = [
-        [alpha.components[i] * beta.components[j] - alpha.components[j] * beta.components[i] for j in range(d)]
-        for i in range(d)
-    ]
-    return TwoForm(alpha.chart, comp)
+    ab = np.multiply.outer(alpha.components, beta.components)
+    return TwoForm(alpha.chart, ab - ab.T)
 
 
 # ----------------------------------------------------------------------
 # transport between a base chart and an extended (fiber) chart
 # ----------------------------------------------------------------------
 
-def _subset_coords(jc: JetCoords, index_map: tuple) -> JetCoords:
-    """Shared projection of coordinate jets onto a leading-index subset."""
-    key = ("subset", index_map)
+def _leading_coords(jc: JetCoords, n: int) -> JetCoords:
+    """Shared view of the leading n coordinate jets."""
+    key = ("leading", n)
     hit = jc.lifts.get(key)
     if hit is None:
-        hit = jc.lifts[key] = JetCoords(jc[i] for i in index_map)
+        hit = jc.lifts[key] = JetCoords(jc[:n])
     return hit
 
 
-def pullback_scalar(total: Chart, f: ScalarField, index_map=None) -> ScalarField:
-    """View a base-chart function on a chart extending it (fiber-constant)."""
-    if index_map is None:
-        index_map = tuple(range(f.chart.dim))
-    index_map = tuple(index_map)
+def pullback_scalar(total: Chart, f: ScalarField) -> ScalarField:
+    """View a base-chart function on a chart extending it (fiber-constant).
+
+    The base coordinates are the leading coordinates of ``total``.
+    """
+    n = f.chart.dim
+    if total.names[:n] != f.chart.names or total.bounds[:n] != f.chart.bounds:
+        raise ValueError(f"{total} does not extend {f.chart}")
     if f.value is not None:
         return total.constant(f.value)
-    deps = frozenset(index_map[i] for i in f.deps)
-    return ScalarField(total, lambda jc: f._eval_all(_subset_coords(jc, index_map)), deps)
+    return ScalarField(total, lambda jc: f._eval_all(_leading_coords(jc, n)), f.deps)
+
+
+def _pulled_back(total: Chart, field: _ComponentStack) -> np.ndarray:
+    """Components of a base field on ``total``, the fiber ones a shared constant 0."""
+    comps = np.full((total.dim,) * len(field.shape), total.constant(0.0), dtype=object)
+    pull = np.frompyfunc(lambda f: pullback_scalar(total, f), 1, 1)
+    comps[tuple(slice(n) for n in field.shape)] = pull(field.components)
+    return comps
 
 
 def pullback_oneform(total: Chart, omega: OneForm) -> OneForm:
     """Pull a base one-form back along the projection onto leading coordinates."""
-    base_dim = omega.chart.dim
-    comps = [pullback_scalar(total, omega.components[i]) for i in range(base_dim)]
-    comps += [total.constant(0.0)] * (total.dim - base_dim)
-    return OneForm(total, comps)
+    return OneForm(total, _pulled_back(total, omega))
 
 
 def pullback_symmetric(total: Chart, s: SymmetricTwoTensor) -> SymmetricTwoTensor:
-    base_dim = s.chart.dim
-    zero = total.constant(0.0)
-    comp = [
-        [
-            pullback_scalar(total, s.components[i, j]) if i < base_dim and j < base_dim else zero
-            for j in range(total.dim)
-        ]
-        for i in range(total.dim)
-    ]
-    return SymmetricTwoTensor(total, comp)
+    return SymmetricTwoTensor(total, _pulled_back(total, s))
 
 
 def extend_vector(total: Chart, x: VectorField) -> VectorField:
     """Extend a base vector field by zero fiber components."""
-    base_dim = x.chart.dim
-    comps = [pullback_scalar(total, x.components[i]) for i in range(base_dim)]
-    comps += [total.constant(0.0)] * (total.dim - base_dim)
-    return VectorField(total, comps)
+    return VectorField(total, _pulled_back(total, x))

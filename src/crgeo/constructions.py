@@ -29,6 +29,7 @@ from .chart import (
     exterior_derivative,
     jet_data,
     log as field_log,
+    ordered_sum,
     pullback_oneform,
     pullback_symmetric,
     extend_vector,
@@ -82,12 +83,7 @@ class KahlerEinsteinChart:
 
     @cached_property
     def j_field(self) -> Endomorphism:
-        d = self.chart.dim
-        rows = [
-            [self.chart.constant(self.complex_structure[i, j]) for j in range(d)]
-            for i in range(d)
-        ]
-        return Endomorphism(self.chart, rows)
+        return Endomorphism(self.chart, self.complex_structure)
 
     def kahler_residuals(self, pts) -> dict[str, np.ndarray]:
         """Per point: dgamma = h(., J.), Ric = (scal/2m) h, nabla J = 0, da = Ric(., J.)."""
@@ -197,10 +193,7 @@ def make_kahler_einstein(kind: str, m: int, scale: float = 1.0) -> KahlerEinstei
         names += [f"x{a + 1}", f"y{a + 1}"]
     bounds = [_BASE_BOUNDS[(kind, m)]] * (2 * m)
     chart = Chart(names, bounds)
-    coords = chart.coordinate_fields()
-    ssum = coords[0] * coords[0]
-    for c in coords[1:]:
-        ssum = ssum + c * c
+    ssum = ordered_sum(c * c for c in chart.coordinate_fields())
 
     if kind == "flat":
         potential = ssum * (0.5 * scale)

@@ -21,7 +21,7 @@ import numpy as np
 
 __all__ = [
     "Jet", "exp", "log", "sin", "cos", "sqrt", "powf",
-    "seed", "partials", "stack", "outer", "jet_solve",
+    "seed", "partials", "stack", "jet_solve",
 ]
 
 # smallest |det| of the order-zero matrix that jet_solve inverts
@@ -149,10 +149,6 @@ class Jet:
         return Jet(self.comp * other)
 
     __rmul__ = __mul__
-
-    def __matmul__(self, matrix: np.ndarray) -> "Jet":
-        """Product with a constant (a, b) matrix over the last value axis."""
-        return Jet(np.einsum("...a,ab->...b", self.comp, matrix))
 
     def __truediv__(self, other):
         if isinstance(other, Jet):
@@ -338,17 +334,8 @@ def _staged_convolve(a: Jet, b: Jet, product, k: int) -> Jet:
     return Jet(out)
 
 
-def _outer_arrays(x, y):
-    return x[..., :, None] * y[..., None, :]
-
-
 def _jet_matmul(a: Jet, b: Jet) -> Jet:
     return _convolve(a, b, np.matmul)
-
-
-def outer(a: Jet, b: Jet) -> Jet:
-    """Outer product over the last value axis of two vector-valued jets."""
-    return _convolve(a, b, _outer_arrays)
 
 
 def jet_solve(a: Jet, b: Jet) -> Jet:

@@ -30,8 +30,10 @@ from .chart import (
     SymmetricTwoTensor,
     TensorField,
     VectorField,
+    contract,
     exterior_derivative,
     jet_data_multi,
+    ordered_sum,
     symmetric_product,
 )
 from .errors import DegeneracyError, PreconditionError
@@ -49,22 +51,6 @@ from .metric import (
 TSPH_TOL = 1e-8
 
 
-class _JointComponent(ScalarField):
-    """Scalar view into a jointly evaluated tensor field."""
-
-    def __init__(self, parent: TensorField, idx: tuple):
-        super().__init__(parent.chart, lambda jc: parent._eval_all(jc)[idx])
-
-
-def _init_joint(field: TensorField, chart: Chart, shape: tuple) -> None:
-    """Give a jointly evaluated field component views into its own jet."""
-    TensorField.__init__(field, chart)
-    field.shape = shape
-    field.components = np.empty(shape, dtype=object)
-    for idx in np.ndindex(shape):
-        field.components[idx] = _JointComponent(field, idx)
-
-
 # ----------------------------------------------------------------------
 # Reeb field: joint jet evaluator solving the defining linear system
 # ----------------------------------------------------------------------
@@ -78,15 +64,17 @@ class ReebField(VectorField):
     """
 
     def __init__(self, theta: OneForm, dtheta):
+        TensorField.__init__(self, theta.chart)
         self.theta = theta
         self.dtheta = dtheta
-        d = theta.chart.dim
-        b = np.empty((d, d), dtype=object)
-        for j in range(d):
-            for k in range(d):
-                b[j, k] = theta.components[j] * theta.components[k] - dtheta.components[j, k]
-        self._bmat = GenericTensorField(theta.chart, b, (-1, -1))
-        _init_joint(self, theta.chart, (d,))
+        th = theta.components
+        bmat = np.multiply.outer(th, th) - dtheta.components
+        self._bmat = GenericTensorField(self.chart, bmat, (-1, -1))
+        # each component is a view into the one jointly solved jet
+        self.shape = th.shape
+        self.components = np.empty(self.shape, dtype=object)
+        for i in range(len(th)):
+            self.components[i] = ScalarField(self.chart, lambda jc, i=i: self._eval_all(jc)[i])
 
     def _like(self, components):
         # algebra on the solved field yields a plain vector field
@@ -97,35 +85,6 @@ class ReebField(VectorField):
             return jets.jet_solve(self._bmat._eval_all(jc), self.theta._eval_all(jc))
         except DegeneracyError as err:
             raise DegeneracyError(f"contact condition violated: {err}") from err
-
-
-# ----------------------------------------------------------------------
-# lifted complex structure (J(T) = 0 by construction)
-# ----------------------------------------------------------------------
-
-class LiftedComplexStructure(Endomorphism):
-    """Horizontal lift of a constant base complex structure to ker theta.
-
-    J(X) = W - theta(W) T where W carries the base action of J on the
-    leading coordinates and annihilates the fiber directions.
-    """
-
-    def __init__(self, chart: Chart, base_j: np.ndarray, theta: OneForm, reeb: VectorField):
-        self.base_j = np.asarray(base_j, dtype=float)
-        self.theta = theta
-        self.reeb = reeb
-        bd = self.base_j.shape[0]
-        self._jmat = np.zeros((chart.dim, chart.dim))
-        self._jmat[:bd, :bd] = self.base_j
-        _init_joint(self, chart, (chart.dim, chart.dim))
-
-    def _like(self, components):
-        # algebra on the lifted structure yields a plain endomorphism
-        return Endomorphism(self.chart, components)
-
-    def _evaluate(self, jc):
-        theta_w = self.theta._eval_all(jc) @ self._jmat
-        return -jets.outer(self.reeb._eval_all(jc), theta_w) + self._jmat
 
 
 # ----------------------------------------------------------------------
@@ -156,15 +115,7 @@ class PHStructure:
     @cached_property
     def levi_form(self) -> SymmetricTwoTensor:
         """L(X, Y) = dtheta(X, J Y), a full symmetric component matrix."""
-        d = self.chart.dim
-        comp = [
-            [
-                _sum_fields([self.dtheta.components[i, a] * self.J.components[a, j] for a in range(d)])
-                for j in range(d)
-            ]
-            for i in range(d)
-        ]
-        return SymmetricTwoTensor(self.chart, comp)
+        return SymmetricTwoTensor(self.chart, contract(self.dtheta.components, self.J.components))
 
     @cached_property
     def metric(self) -> MetricField:
@@ -176,31 +127,19 @@ class PHStructure:
     @cached_property
     def comparison_tensor(self) -> GenericTensorField:
         """D^k_ij = (dtheta_ij T^k - theta_i J^k_j - theta_j J^k_i) / 2."""
-        d = self.chart.dim
-        t = self.reeb
-        comp = np.empty((d, d, d), dtype=object)
-        for k in range(d):
-            for i in range(d):
-                for j in range(d):
-                    comp[k, i, j] = (
-                        self.dtheta.components[i, j] * t.components[k]
-                        - self.theta.components[i] * self.J.components[k, j]
-                        - self.theta.components[j] * self.J.components[k, i]
-                    ) * 0.5
+        dth, th = self.dtheta.components, self.theta.components
+        t, j = self.reeb.components, self.J.components
+        comp = (
+            dth[None] * t[:, None, None]
+            - th[None, :, None] * j[:, None, :]
+            - th[None, None, :] * j[:, :, None]
+        ) * 0.5
         return GenericTensorField(self.chart, comp, (1, -1, -1))
 
     def horizontal_fields(self) -> list[VectorField]:
         """Projections X_i = e_i - theta(e_i) T of the coordinate fields onto H."""
-        d = self.chart.dim
-        t = self.reeb
-        out = []
-        for i in range(d):
-            comps = []
-            for k in range(d):
-                base = self.chart.constant(1.0 if k == i else 0.0)
-                comps.append(base - self.theta.components[i] * t.components[k])
-            out.append(VectorField(self.chart, comps))
-        return out
+        theta_t = np.multiply.outer(self.theta.components, self.reeb.components)
+        return [VectorField(self.chart, row) for row in np.eye(self.chart.dim) - theta_t]
 
     def h_projector(self, pts) -> np.ndarray:
         """P[n, i, j] = delta_ij - T^i theta_j, projection onto H along T."""
@@ -282,13 +221,6 @@ def _bracket(x, y) -> np.ndarray:
     return total
 
 
-def _sum_fields(fields):
-    total = fields[0]
-    for f in fields[1:]:
-        total = total + f
-    return total
-
-
 def make_structure(
     chart: Chart,
     theta: OneForm,
@@ -307,7 +239,11 @@ def make_structure(
     """
     dtheta = exterior_derivative(theta)
     reeb = reeb_hint if reeb_hint is not None else ReebField(theta, dtheta)
-    j_endo = LiftedComplexStructure(chart, base_j, theta, reeb)
+    # J X = W - theta(W) T with W = jmat X, the base J on the leading coordinates
+    jmat = np.zeros((chart.dim, chart.dim))
+    jmat[: len(base_j), : len(base_j)] = base_j
+    theta_j = contract(theta.components, jmat)
+    j_endo = Endomorphism(chart, jmat - np.multiply.outer(reeb.components, theta_j))
     return PHStructure(chart, theta, dtheta, reeb, j_endo, m, levi_signature)
 
 
@@ -409,10 +345,8 @@ class WebsterSample:
     def levi_form(self):
         """L = dtheta J from the held values, summed as :attr:`PHStructure.levi_form` sums it."""
         _, (dtheta, _), (jval, _), _ = self.contact_jets
-        total = dtheta[:, :, 0, None] * jval[:, None, 0, :]
-        for a in range(1, dtheta.shape[1]):
-            total = total + dtheta[:, :, a, None] * jval[:, None, a, :]
-        return total
+        d = dtheta.shape[1]
+        return ordered_sum(dtheta[:, :, a, None] * jval[:, None, a, :] for a in range(d))
 
     @_member
     def levi_frame(self):

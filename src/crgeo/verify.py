@@ -12,6 +12,7 @@ nondegeneracy certificates), which pass above it.
 
 from __future__ import annotations
 
+import dataclasses
 import datetime
 import json
 import math
@@ -232,6 +233,10 @@ CHECKS: list[Check] = [
 CHECKS_BY_NAME = {c.name: c for c in CHECKS}
 
 
+def _applies(check: Check, example: str) -> bool:
+    return check.entries is None or example in check.entries
+
+
 class Pipeline:
     """Lazy, cached construction pipeline for one catalog entry.
 
@@ -243,24 +248,15 @@ class Pipeline:
     """
 
     def __init__(self, example: str, m: int, points: int, seed: int):
-        if example not in CATALOG:
-            raise UsageError(f"unknown example {example!r}")
-        entry = CATALOG[example]
-        if m not in entry.ms:
-            raise UsageError(f"example {example!r} supports m in {entry.ms}, got {m}")
-        if points < 1:
-            raise UsageError("points must be >= 1")
-        if seed < 0:
-            raise UsageError("seed must be >= 0")
-        self.entry = entry
+        # the request is checked by SuiteConfig
+        self.entry = CATALOG[example]
         self.example = example
         self.m = m
         self.points = points
         self.seed = seed
 
     def applies(self, name: str) -> bool:
-        entries = CHECKS_BY_NAME[name].entries
-        return entries is None or self.example in entries
+        return _applies(CHECKS_BY_NAME[name], self.example)
 
     # -- constructions ---------------------------------------------------
     @cached_property
@@ -401,7 +397,9 @@ class Pipeline:
 
 @dataclass
 class SuiteConfig:
-    example: str
+    """One run request, checked when it is made: a bad request raises :class:`UsageError`."""
+
+    example: str  # a catalog entry, or "all"
     m: int
     suites: tuple[str, ...] = ("all",)
     points: int = 32
@@ -411,17 +409,6 @@ class SuiteConfig:
     def __post_init__(self):
         # a suite named twice runs and is reported once
         self.suites = tuple(dict.fromkeys(self.suites))
-
-    def resolved_suites(self, negative: bool) -> tuple[str, ...]:
-        wanted = self.suites
-        if "all" in wanted:
-            return ("negative",) if negative else SUITES
-        for s in wanted:
-            if s not in SUITES + ("negative",):
-                raise UsageError(f"unknown suite {s!r}")
-        return wanted
-
-    def validate(self):
         if self.points < 1:
             raise UsageError("points must be >= 1")
         if self.seed < 0:
@@ -433,28 +420,51 @@ class SuiteConfig:
                 raise UsageError(f"unknown check name in tolerance override: {name!r}")
             if not math.isfinite(float(tol)):
                 raise UsageError(f"tolerance override for {name!r} must be finite, got {tol}")
+        if self.example != "all" and self.example not in CATALOG:
+            raise UsageError(f"unknown example {self.example!r}")
+        if "all" not in self.suites:
+            for s in self.suites:
+                if s not in SUITES + ("negative",):
+                    raise UsageError(f"unknown suite {s!r}")
+        if self.example == "all":
+            if "negative" in self.suites and "all" not in self.suites:
+                controls = [e.example for e in CATALOG.values() if e.negative and self.m in e.ms]
+                raise UsageError(
+                    "with --example all the negative controls run under --suite all; "
+                    f"or run a control entry on its own: --example {' / '.join(controls)}"
+                )
+            return
+        entry = CATALOG[self.example]
+        suites = self.resolved_suites()
+        if entry.negative and any(s != "negative" for s in suites):
+            raise UsageError(
+                f"example {self.example!r} is a negative control; run it with --suite all"
+            )
+        if self.m not in entry.ms:
+            raise UsageError(f"example {self.example!r} supports m in {entry.ms}, got {self.m}")
+        if not self.selected_checks():
+            raise UsageError(
+                f"suites {','.join(suites) or '(none)'} select no check for example {self.example!r}"
+            )
+
+    def resolved_suites(self) -> tuple[str, ...]:
+        """The suites run for a single catalog entry."""
+        if "all" in self.suites:
+            return ("negative",) if CATALOG[self.example].negative else SUITES
+        return self.suites
+
+    def selected_checks(self) -> list[Check]:
+        """The checks run for a single catalog entry, in report order."""
+        suites = self.resolved_suites()
+        return [c for c in CHECKS if c.suite in suites and _applies(c, self.example)]
 
 
 def run_suite(cfg: SuiteConfig) -> dict:
-    """Execute the configured checks; returns the report document."""
-    cfg.validate()
-    entry = CATALOG.get(cfg.example)
-    if entry is None:
-        raise UsageError(f"unknown example {cfg.example!r}")
-    suites = cfg.resolved_suites(entry.negative)
-    if entry.negative and any(s != "negative" for s in suites):
-        raise UsageError(
-            f"example {cfg.example!r} is a negative control; run it with --suite all"
-        )
+    """Execute the checks of one catalog entry; returns the report document."""
     pipe = Pipeline(cfg.example, cfg.m, cfg.points, cfg.seed)
-    selected = [c for c in CHECKS if c.suite in suites and pipe.applies(c.name)]
-    if not selected:
-        raise UsageError(
-            f"suites {','.join(suites) or '(none)'} select no check for example {cfg.example!r}"
-        )
     checks_out = []
     overall = True
-    for check in selected:
+    for check in cfg.selected_checks():
         tol = float(cfg.tol_overrides.get(check.name, check.tol))
         try:
             # a missing residual or a failing construction is a failed row
@@ -491,7 +501,7 @@ def run_suite(cfg: SuiteConfig) -> dict:
     return {
         "example": cfg.example,
         "m": cfg.m,
-        "suites": list(suites),
+        "suites": list(cfg.resolved_suites()),
         "points": cfg.points,
         "seed": cfg.seed,
         "generated_at": datetime.datetime.now(datetime.timezone.utc).isoformat(),
@@ -503,21 +513,15 @@ def run_suite(cfg: SuiteConfig) -> dict:
 
 def run_all(cfg: SuiteConfig) -> dict:
     """Run every catalog entry supporting the requested m."""
+    # every entry's request is checked before any check runs
+    subs = [
+        dataclasses.replace(cfg, example=name)
+        for name, entry in CATALOG.items()
+        if cfg.m in entry.ms and (not entry.negative or "all" in cfg.suites)
+    ]
     runs = []
     overall = True
-    for name, entry in CATALOG.items():
-        if cfg.m not in entry.ms:
-            continue
-        sub = SuiteConfig(
-            example=name,
-            m=cfg.m,
-            suites=cfg.suites,
-            points=cfg.points,
-            seed=cfg.seed,
-            tol_overrides=cfg.tol_overrides,
-        )
-        if entry.negative and "all" not in cfg.suites:
-            continue
+    for sub in subs:
         report = run_suite(sub)
         overall = overall and report["overall_pass"]
         runs.append(report)

@@ -17,7 +17,17 @@ from crgeo import (
     wedge,
 )
 from crgeo import jets
-from crgeo.chart import exp, jet_data, jet_data_multi, lift_coords, log, pullback_scalar, sin
+from crgeo.chart import (
+    contract,
+    exp,
+    jet_data,
+    jet_data_multi,
+    lift_coords,
+    log,
+    ordered_sum,
+    pullback_scalar,
+    sin,
+)
 from crgeo.errors import DomainError
 from crgeo.jets import Jet
 from crgeo.verify import Pipeline, SuiteConfig, run_suite
@@ -239,6 +249,50 @@ def test_d_squared_and_leibniz(coeffs):
 
 
 # ----------------------------------------------------------------------
+# ordered sum and contraction
+# ----------------------------------------------------------------------
+
+class Recorder:
+    """Records each + and * it takes part in; it has no reflected operators."""
+
+    def __init__(self, text):
+        self.text = text
+
+    def __add__(self, other):
+        return Recorder(f"({self.text} + {other.text})")
+
+    def __mul__(self, other):
+        return Recorder(f"{self.text}*{other.text}")
+
+
+def _recorders(name, shape):
+    out = np.empty(shape, dtype=object)
+    for idx in np.ndindex(shape):
+        out[idx] = Recorder(name + "".join(map(str, idx)))
+    return out
+
+
+def _texts(arr):
+    return np.vectorize(lambda r: r.text, otypes=[object])(arr).tolist()
+
+
+def test_ordered_sum_adds_left_to_right():
+    assert ordered_sum(_recorders("a", (4,))).text == "(((a0 + a1) + a2) + a3)"
+    rows = ordered_sum(_recorders("b", (3, 2)))  # sums arrays element by element
+    assert _texts(rows) == ["((b00 + b10) + b20)", "((b01 + b11) + b21)"]
+    np.testing.assert_array_equal(ordered_sum(np.ones((3, 2))), [3.0, 3.0])
+
+
+def test_contraction_adds_left_to_right_and_keeps_the_left_operand():
+    a, b, v = _recorders("a", (2, 3)), _recorders("b", (3, 2)), _recorders("v", (3,))
+    assert _texts(contract(a, b)) == [
+        [f"((a{i}0*b0{j} + a{i}1*b1{j}) + a{i}2*b2{j})" for j in range(2)] for i in range(2)
+    ]
+    assert _texts(contract(a, v)) == [f"((a{i}0*v0 + a{i}1*v1) + a{i}2*v2)" for i in range(2)]
+    assert _texts(contract(v, b)) == [f"((v0*b0{j} + v1*b1{j}) + v2*b2{j})" for j in range(2)]
+
+
+# ----------------------------------------------------------------------
 # symmetric product
 # ----------------------------------------------------------------------
 
@@ -353,17 +407,28 @@ def test_partial_along_an_absent_coordinate_is_zero(chart):
 
 def test_pullback_folds_constants_and_maps_dependencies():
     base = Chart(["u", "v"], [(-1.0, 1.0), (-1.0, 1.0)])
-    total = Chart(["a", "u", "b", "v"], [(-1.0, 1.0)] * 4)
-    c = pullback_scalar(total, base.constant(2.5), index_map=(1, 3))
+    total = base.extend("a", (-1.0, 1.0))
+    c = pullback_scalar(total, base.constant(2.5))
     assert c.chart is total and c.value == 2.5
     u, v = base.coordinate_fields()
-    f = pullback_scalar(total, u * u, index_map=(1, 3))
-    assert f.deps == {1}
-    assert pullback_scalar(total, u * v, index_map=(1, 3)).deps == {1, 3}
+    f = pullback_scalar(total, u * u)
+    assert f.deps == {0}
     assert pullback_scalar(total, u * v).deps == {0, 1}
     assert f.partial("a").value == 0.0 and f.partial("v").value == 0.0
     pts = total.sample(4, 14)
-    np.testing.assert_array_equal(jet_data(f.partial("u"), pts, 0)[0], 2.0 * pts[:, 1])
+    np.testing.assert_array_equal(jet_data(f.partial("u"), pts, 0)[0], 2.0 * pts[:, 0])
+
+
+def test_pullback_needs_a_chart_extending_the_base():
+    base = Chart(["u", "v"], [(-1.0, 1.0), (-1.0, 1.0)])
+    u, _ = base.coordinate_fields()
+    for total in (
+        Chart(["a", "u", "v"], [(-1.0, 1.0)] * 3),  # base coordinates not leading
+        Chart(["u", "v", "a"], [(-1.0, 1.0), (-2.0, 1.0), (-1.0, 1.0)]),  # other bounds
+        Chart(["u"], [(-1.0, 1.0)]),  # fewer coordinates
+    ):
+        with pytest.raises(ValueError, match="does not extend"):
+            pullback_scalar(total, u)
 
 
 def test_folded_zeros_are_exact_where_a_field_is_nan():
@@ -390,7 +455,7 @@ def _lifting_partial(self, i):
 
 
 def _structure_jets(example, m):
-    """theta, dtheta, g_theta and the Fefferman metric at orders 0-2.
+    """theta, dtheta, g_theta, J, D and the Fefferman metric at orders 0-2.
 
     The negative control sphere_x_flat is not Einstein and has no Fefferman metric.
     """
@@ -401,7 +466,8 @@ def _structure_jets(example, m):
     for n in (1, 2, 65):
         m_pts = ph.chart.sample(n, n)
         for order in range(3):
-            for per_field in jet_data_multi([ph.theta, ph.dtheta, ph.metric], m_pts, order):
+            fields = [ph.theta, ph.dtheta, ph.metric, ph.J, ph.comparison_tensor]
+            for per_field in jet_data_multi(fields, m_pts, order):
                 arrays += per_field
             if fc is not None:
                 arrays += jet_data(fc.metric, fc.chart.sample(n, n), order)
@@ -422,8 +488,8 @@ def test_folding_matches_the_unfolded_trees(example, m, monkeypatch):
         assert Chart(["x"], [(0.0, 1.0)]).constant(0.0).value is None
         expected = _structure_jets(example, m)
     got = _structure_jets(example, m)
-    # 3 batch sizes, 1 + 2 + 3 arrays over orders 0-2, 3 or 4 fields
-    assert len(got) == len(expected) == 3 * 6 * (3 if example == "sphere_x_flat" else 4)
+    # 3 batch sizes, 1 + 2 + 3 arrays over orders 0-2, 5 or 6 fields
+    assert len(got) == len(expected) == 3 * 6 * (5 if example == "sphere_x_flat" else 6)
     for a, b in zip(got, expected):
         assert a.shape == b.shape and np.array_equal(a, b)
 
@@ -439,5 +505,6 @@ def test_folding_saves_jet_products(monkeypatch):
     monkeypatch.setattr(jets, "_convolve", counting)
     report = run_suite(SuiteConfig("fubini_study", 2, points=2, seed=7))
     assert report["overall_pass"]
-    # 8482 before constants and coordinate-independent partials folded
-    assert len(calls) <= 5637
+    # 8482 before constants and coordinate-independent partials folded, 5637
+    # while the lifted J was one jet outer product that folded nothing
+    assert len(calls) <= 4113

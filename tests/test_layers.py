@@ -1,7 +1,7 @@
 """Layer boundary: only ``crgeo.jets`` knows the jet coefficient layout.
 
 Every other module builds and reads jets through the public functions of
-``crgeo.jets`` (``seed``, ``partials``, ``stack``, ``outer``, ...) and the
+``crgeo.jets`` (``seed``, ``partials``, ``stack``, ...) and the
 ``Jet`` operators, so a change of layout touches ``jets.py`` alone.
 
 Every module also reads each name it imports, or exports it in ``__all__``,

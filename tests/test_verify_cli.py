@@ -120,6 +120,20 @@ def test_usage_errors_exit_two(capsys):
     assert (code, out) == (2, "") and err.startswith("error:")
 
 
+def test_negative_suite_with_all_examples_names_the_way_to_run_it(capsys):
+    # the controls run under --suite all, never silently dropped from a list
+    for m, suites in ((1, "webster,negative"), (1, "negative"), (2, "negative,fefferman")):
+        code, out, err = run_cli(
+            capsys, "run", "--example", "all", "--m", str(m), "--suite", suites, "--points", "2"
+        )
+        control = "perturbed_non_tsph" if m == 1 else "sphere_x_flat"
+        assert (code, out) == (2, "")
+        assert "--suite all" in err and f"--example {control}" in err
+    with pytest.raises(SystemExit):
+        main(["run", "--help"])
+    assert "theorem2,negative" in capsys.readouterr().out
+
+
 def test_points_must_be_positive():
     with pytest.raises(UsageError):
         run_suite(SuiteConfig(example="fubini_study", m=1, points=0))
