@@ -8,18 +8,22 @@ All derivative queries run on the nilpotent-jet engine in
 immutable after construction and evaluation is pure, so values are
 independent of evaluation order and instances can be shared freely.
 
+A scalar field is a node ``(op, operands, constants)``, interned per chart by
+that key (constants by their bits), so equal subtrees are one object.
+:func:`jet_data_multi` evaluates a field list as one flat op plan per block of
+points, freeing each intermediate jet after its last reader.
+
 Scalar expression trees fold when they are built.  A field from
 :meth:`Chart.constant` knows its value; an operation on two constants is a
 constant; ``f + 0``, ``f - 0`` and ``1 * f`` are ``f``, ``0 * f`` is the
 constant 0 and ``0 - f`` is ``-f``; and ``f`` combined with a constant
 ``c`` by ``+``, ``-``, ``*`` or ``/`` runs on the scalar-jet paths
-(``Jet + c``, ``Jet * c``, ``Jet * (1.0 / c)``), not on a jet product.  Each
-scalar field also carries the set of coordinates it may depend on
-(``ScalarField.deps``), and a partial along any other coordinate is the
-constant 0, evaluated without lifting a generator.  Only exact zeros are
-dropped, so every value and partial keeps the bits of the unfolded tree, up to
-the sign of a zero.  A folded zero is exact even where the field it
-replaces is NaN or infinite (``log(x) * 0`` is 0 at x < 0).
+(``Jet + c``, ``Jet * c``, ``Jet * (1.0 / c)``), not on a jet product.  A
+partial along a coordinate outside ``ScalarField.deps`` is the constant 0,
+evaluated without lifting a generator.  Only exact zeros are dropped, so
+every value and partial keeps the bits of the unfolded tree, up to the sign
+of a zero, and a folded zero is exact even where the field it replaces is
+NaN or infinite (``log(x) * 0`` is 0 at x < 0).
 
 Tensor fields are assembled from their component arrays by numpy's
 element-wise object algebra, which keeps each operation's left operand.
@@ -30,12 +34,20 @@ Every sum of components runs through :func:`ordered_sum` or
 from __future__ import annotations
 
 import numbers
+import operator
+import struct
 
 import numpy as np
 
 from . import jets
 from .errors import DomainError
 from .jets import Jet
+
+# structural ops, which the plan resolves through the evaluation context;
+# every other op is a function of the operand jets and the constants
+COORD, CONST, PARTIAL, LEAD, OPAQUE = "coord", "const", "partial", "lead", "opaque"
+
+_pack_double = struct.Struct("<d").pack
 
 
 class Chart:
@@ -53,6 +65,8 @@ class Chart:
                 raise ValueError(f"empty coordinate interval ({a}, {b})")
         self.names = names
         self.bounds = bounds
+        self._lo, self._hi = np.array(bounds).T
+        self._nodes = {}
 
     @property
     def dim(self) -> int:
@@ -71,12 +85,10 @@ class Chart:
         arr = np.atleast_2d(np.asarray(pts, dtype=float))
         if arr.ndim != 2 or arr.shape[1] != self.dim:
             raise DomainError(f"expected points of dimension {self.dim}, got shape {arr.shape}")
-        for c, (a, b) in enumerate(self.bounds):
-            # negated, so that a NaN coordinate is outside too
-            if not np.all((arr[:, c] > a) & (arr[:, c] < b)):
-                raise DomainError(
-                    f"coordinate {self.names[c]} outside open interval ({a}, {b})"
-                )
+        inside = ((arr > self._lo) & (arr < self._hi)).all(axis=0)  # a NaN is outside too
+        if not inside.all():
+            c = int(inside.argmin())  # the first coordinate with a point outside
+            raise DomainError(f"coordinate {self.names[c]} outside open interval {self.bounds[c]}")
         return arr
 
     def sample(self, n: int, seed: int, margin: float = 0.1) -> np.ndarray:
@@ -89,50 +101,37 @@ class Chart:
         return lo + (hi - lo) * rng.random((n, self.dim))
 
     # -- field constructors ----------------------------------------------
+    def node(self, op, operands=(), constants=(), deps=None, value=None) -> "ScalarField":
+        """The interned field ``op(*operand jets, *constants)``; None deps is every coordinate."""
+        # a float constant by its bits, so that -0.0, 0.0 and NaN are apart
+        bits = tuple(_pack_double(c) if isinstance(c, float) else c for c in constants)
+        node = self._nodes.get((op, operands, bits))
+        if node is None:
+            node = self._nodes[op, operands, bits] = object.__new__(ScalarField)
+            node.chart, node.op, node.operands, node.constants = self, op, operands, constants
+            node.deps = frozenset(range(self.dim)) if deps is None else deps
+            node.value = value
+        return node
+
     def coord(self, i) -> "ScalarField":
         if isinstance(i, str):
             i = self.index(i)
-        return ScalarField(self, lambda jc, i=i: jc[i], frozenset((i,)))
+        return self.node(COORD, (), (i,), frozenset((i,)))
 
     def coordinate_fields(self):
         return tuple(self.coord(i) for i in range(self.dim))
 
     def constant(self, value: float) -> "ScalarField":
         value = float(value)
-        return ScalarField(self, lambda jc: Jet.constant(value, jc[0]), frozenset(), value)
+        return self.node(CONST, (), (value,), frozenset(), value)
 
     def __repr__(self):
         return f"Chart({', '.join(self.names)})"
 
 
 # ----------------------------------------------------------------------
-# jet-coordinate construction and derivative extraction
+# evaluation: one flat op plan per field list
 # ----------------------------------------------------------------------
-
-class JetCoords(list):
-    """Coordinate jets plus per-evaluation caches.
-
-    ``cache`` maps field objects to their jet values so shared expression
-    nodes (Reeb solves, lifted complex structures, reused components)
-    evaluate exactly once per coordinate batch; ``lifts`` shares the
-    generator-lifted coordinate lists used by derivative fields.
-    """
-
-    __slots__ = ("cache", "lifts")
-
-    def __init__(self, items):
-        super().__init__(items)
-        self.cache = {}
-        self.lifts = {}
-
-
-def lift_coords(jc: JetCoords, i: int) -> JetCoords:
-    """Coordinates with a fresh generator seeded on coordinate i (shared)."""
-    hit = jc.lifts.get(i)
-    if hit is None:
-        hit = jc.lifts[i] = JetCoords(c.lift(1.0 if j == i else 0.0) for j, c in enumerate(jc))
-    return hit
-
 
 def jet_data(field: "TensorField", pts, order: int) -> list[np.ndarray]:
     """Value and partial-derivative arrays of a field at a point batch.
@@ -144,21 +143,20 @@ def jet_data(field: "TensorField", pts, order: int) -> list[np.ndarray]:
     return jet_data_multi([field], pts, order)[0]
 
 
-# Points per jet evaluation.  Intermediate jets grow with the batch, so a
-# bound on it bounds the peak memory: 64-point blocks took the m=2,
-# 128-point complex_hyperbolic run from 350 to 200 MB of peak RSS.  Each block
-# repeats the expression-tree dispatch, so smaller blocks cost wall time: in
-# single perfbench dense_p128 runs, 32-point blocks gave 127 MB but 3.6 s of
-# wall_s, where 64-point blocks took 3.2-3.4 s and one batch 2.7-2.8 s.
-BLOCK_POINTS = 64
+# Points per block of a plan run.  Intermediate jets grow with the batch, so a
+# bound on it bounds the peak memory, and each block reruns the op list.  With
+# each jet freed after its last reader, the m=2 128-point complex_hyperbolic run
+# peaks at 74 MB in one block and at 64 MB in two 64-point blocks, about 16%
+# slower (146 MB in the 64-point blocks of a walk that kept every jet).
+BLOCK_POINTS = 128
 
 
 def jet_data_multi(fields, pts, order: int) -> list[list[np.ndarray]]:
     """Like :func:`jet_data` for several fields on one shared jet batch.
 
-    Sharing one coordinate batch lets common sub-expressions (Reeb
-    solves, lifted structures, pulled-back components) evaluate once.
-    The points are evaluated in blocks of at most ``BLOCK_POINTS``.
+    The fields share one op plan, so common sub-expressions (Reeb solves,
+    lifted structures, pulled-back components) evaluate once per block of at
+    most ``BLOCK_POINTS`` points.
     """
     if not fields:
         raise ValueError("no fields")
@@ -167,25 +165,108 @@ def jet_data_multi(fields, pts, order: int) -> list[list[np.ndarray]]:
     for field in fields:
         if field.chart is not chart:
             raise ValueError("fields live on different charts")
+    plan = _Plan(fields, chart.dim)
     if len(pts) <= BLOCK_POINTS:
-        return _jet_data_block(fields, pts, order)
-    blocks = [
-        _jet_data_block(fields, pts[i:i + BLOCK_POINTS], order)
-        for i in range(0, len(pts), BLOCK_POINTS)
-    ]
+        return plan.run(pts, order)
+    blocks = [plan.run(pts[i:i + BLOCK_POINTS], order) for i in range(0, len(pts), BLOCK_POINTS)]
     return [[np.concatenate(arrays) for arrays in zip(*per_field)] for per_field in zip(*blocks)]
 
 
-def _jet_data_block(fields, pts: np.ndarray, order: int) -> list[list[np.ndarray]]:
-    n, d = pts.shape
-    jc = JetCoords(jets.seed(pts, order))
-    results = []
-    for field in fields:
-        results.append(jets.partials(field._eval_all(jc), n, d, order, field.shape))
-        # its stacked jet is read back once: dropping it keeps one stack alive
-        # at a time (a later field reading this field's jet would re-evaluate it)
-        jc.cache.pop(field, None)
-    return results
+def _constant(like, value):
+    return Jet.constant(value, like)
+
+
+def _opaque(*args):
+    # the coordinate jets, then the field's function of their list
+    return args[-1](list(args[:-1]))
+
+
+class _Plan:
+    """The ops evaluating a field list, in dependency order.
+
+    A value is keyed by (field, context); a context is the tuple of coordinate
+    ids a field reads, the root coordinate j being id j and a lift (parent id,
+    seed).  A partial reads its operand in the context lifted on its
+    coordinate, a pull-back in the leading coordinates; a coordinate is lifted
+    only when read.  Slots 0..d-1 hold the root coordinate jets.  Op ``(fn,
+    out, ins, constants, dead)`` sets slot ``out`` to ``fn(*ins values,
+    *constants)``, or with ``fn`` None reads field ``out`` from slot ``ins[0]``;
+    it then frees the slots in ``dead``, whose last reader it is.
+    """
+
+    def __init__(self, fields, dim: int):
+        self.shapes = [field.shape for field in fields]
+        self.size, self.ops = dim, []
+        self.slots, self.lifts = {}, {}
+        self.coord_slots = {j: j for j in range(dim)}
+        self.contexts, self.context_coords = {}, []
+        root = self.context(tuple(range(dim)))
+        for index, field in enumerate(fields):
+            self.ops.append((None, index, (self.slot(field, root),), ()))
+        last = {s: at for at, op in enumerate(self.ops) for s in op[2]}
+        dead = [[] for _ in self.ops]
+        for s, at in last.items():
+            dead[at].append(s)
+        self.ops = [op + (tuple(slots),) for op, slots in zip(self.ops, dead)]
+
+    def run(self, pts: np.ndarray, order: int) -> list[list[np.ndarray]]:
+        n, d = pts.shape
+        vals = jets.seed(pts, order) + [None] * (self.size - d)
+        read = vals.__getitem__
+        out = [None] * len(self.shapes)
+        for fn, at, ins, constants, dead in self.ops:
+            if fn is None:
+                out[at] = jets.partials(vals[ins[0]], n, d, order, self.shapes[at])
+            else:
+                vals[at] = fn(*map(read, ins), *constants)
+            for s in dead:
+                vals[s] = None
+        return out
+
+    def emit(self, fn, ins, constants=()) -> int:
+        self.ops.append((fn, self.size, ins, constants))
+        self.size += 1
+        return self.size - 1
+
+    def context(self, coords: tuple) -> int:
+        if coords not in self.contexts:
+            self.contexts[coords] = len(self.context_coords)
+            self.context_coords.append(coords)
+        return self.contexts[coords]
+
+    def coord(self, cid) -> int:
+        slot = self.coord_slots.get(cid)
+        if slot is None:
+            parent, seed = cid
+            slot = self.coord_slots[cid] = self.emit(Jet.lift, (self.coord(parent),), (seed,))
+        return slot
+
+    def slot(self, field: "TensorField", ctx: int) -> int:
+        key = (field, ctx)
+        slot = self.slots.get(key)
+        if slot is not None:
+            return slot
+        op, coords = field.op, self.context_coords[ctx]
+        if op.__class__ is not str:
+            ins = tuple([self.slot(f, ctx) for f in field.operands])
+            slot = self.emit(op, ins, field.constants)
+        elif op == COORD:
+            slot = self.coord(coords[field.constants[0]])
+        elif op == LEAD:
+            base = field.operands[0]
+            slot = self.slot(base, self.context(coords[:base.chart.dim]))
+        elif op == PARTIAL:
+            i = field.constants[0]
+            if (ctx, i) not in self.lifts:
+                lifted = tuple((c, float(j == i)) for j, c in enumerate(coords))
+                self.lifts[ctx, i] = self.context(lifted)
+            slot = self.emit(Jet.upper, (self.slot(field.operands[0], self.lifts[ctx, i]),))
+        elif op == CONST:
+            slot = self.emit(_constant, (self.coord(coords[0]),), field.constants)
+        else:  # OPAQUE
+            slot = self.emit(_opaque, tuple(map(self.coord, coords)), field.constants)
+        self.slots[key] = slot
+        return slot
 
 
 # ----------------------------------------------------------------------
@@ -193,25 +274,14 @@ def _jet_data_block(fields, pts: np.ndarray, order: int) -> list[list[np.ndarray
 # ----------------------------------------------------------------------
 
 class TensorField:
-    """Base for fields holding a jet evaluator with trailing value axes.
-
-    Subclasses implement ``_evaluate``; ``_eval_all`` adds per-batch
-    memoization so shared nodes of an expression tree run once.
-    """
+    """Base for fields: the jet ``op(*operand jets, *constants)``, value axes ``shape``."""
 
     shape: tuple = ()
+    operands: tuple = ()
+    constants: tuple = ()
 
     def __init__(self, chart: Chart):
         self.chart = chart
-
-    def _evaluate(self, jcoords) -> Jet:
-        raise NotImplementedError
-
-    def _eval_all(self, jcoords: JetCoords) -> Jet:
-        hit = jcoords.cache.get(self)
-        if hit is None:
-            hit = jcoords.cache[self] = self._evaluate(jcoords)
-        return hit
 
     def __call__(self, pts) -> np.ndarray:
         return jet_data(self, pts, 0)[0]
@@ -220,25 +290,20 @@ class TensorField:
 class ScalarField(TensorField):
     """Smooth real function on a chart with exact derivative queries.
 
-    ``deps`` is the frozenset of coordinate indices the field may depend on:
-    {i} for ``coord(i)``, {} for a constant, the union of the operands' sets
-    for arithmetic, the operand's set for ``exp``/``log``/.. and ``partial``,
-    and every coordinate for a field built from an arbitrary ``fn``.
-    ``value`` is the float of a constant field and None otherwise.  The
-    arithmetic folds by these two, as the module docstring states.
+    Built by :meth:`Chart.node`, or opaque from an ``fn`` mapping the list of
+    coordinate jets to a jet.  ``deps`` is the frozenset of coordinate indices
+    the field may depend on (every one for an opaque field); ``value`` is the
+    float of a constant field and None otherwise.  The arithmetic folds by
+    these two, as the module docstring states.
     """
 
     shape = ()
     variance = ()
 
-    def __init__(self, chart: Chart, fn, deps: frozenset | None = None, value: float | None = None):
+    def __init__(self, chart: Chart, fn):
         super().__init__(chart)
-        self._fn = fn
-        self.deps = frozenset(range(chart.dim)) if deps is None else deps
-        self.value = value
-
-    def _evaluate(self, jc):
-        return self._fn(jc)
+        self.op, self.constants = OPAQUE, (fn,)
+        self.deps, self.value = frozenset(range(chart.dim)), None
 
     # -- calculus ---------------------------------------------------------
     def partial(self, i) -> "ScalarField":
@@ -247,11 +312,7 @@ class ScalarField(TensorField):
             i = self.chart.index(i)
         if i not in self.deps:
             return self.chart.constant(0.0)
-
-        def fn(jc, i=i, base=self):
-            return base._eval_all(lift_coords(jc, i)).upper()
-
-        return ScalarField(self.chart, fn, self.deps)
+        return self.chart.node(PARTIAL, (self,), (i,), self.deps)
 
     # -- arithmetic --------------------------------------------------------
     def _coerce(self, other):
@@ -263,8 +324,11 @@ class ScalarField(TensorField):
             return self.chart.constant(other)
         return NotImplemented
 
-    def _join(self, other, fn) -> "ScalarField":
-        return ScalarField(self.chart, fn, self.deps | other.deps)
+    def _unop(self, op, *constants) -> "ScalarField":
+        return self.chart.node(op, (self,), constants, self.deps)
+
+    def _binop(self, op, other) -> "ScalarField":
+        return self.chart.node(op, (self, other), (), self.deps | other.deps)
 
     def _times(self, c: float) -> "ScalarField":
         # self * c for a constant c, on the scalar-jet path
@@ -272,7 +336,7 @@ class ScalarField(TensorField):
             return self.chart.constant(0.0)
         if c == 1.0:
             return self
-        return ScalarField(self.chart, lambda jc: self._eval_all(jc) * c, self.deps)
+        return self._unop(operator.mul, c)
 
     def __add__(self, other):
         other = self._coerce(other)
@@ -286,17 +350,17 @@ class ScalarField(TensorField):
         if a is not None and b is not None:
             return self.chart.constant(a + b)
         if b is not None:
-            return self._join(other, lambda jc: self._eval_all(jc) + b)
+            return self._unop(operator.add, b)
         if a is not None:
-            return self._join(other, lambda jc: other._eval_all(jc) + a)
-        return self._join(other, lambda jc: self._eval_all(jc) + other._eval_all(jc))
+            return other._unop(operator.add, a)
+        return self._binop(operator.add, other)
 
     __radd__ = __add__
 
     def __neg__(self):
         if self.value is not None:
             return self.chart.constant(-self.value)
-        return ScalarField(self.chart, lambda jc: -self._eval_all(jc), self.deps)
+        return self._unop(operator.neg)
 
     def __sub__(self, other):
         other = self._coerce(other)
@@ -310,10 +374,10 @@ class ScalarField(TensorField):
         if a is not None and b is not None:
             return self.chart.constant(a - b)
         if b is not None:
-            return self._join(other, lambda jc: self._eval_all(jc) - b)
+            return self._unop(operator.sub, b)
         if a is not None:
-            return self._join(other, lambda jc: a - other._eval_all(jc))
-        return self._join(other, lambda jc: self._eval_all(jc) - other._eval_all(jc))
+            return other._unop(_rsub, a)
+        return self._binop(operator.sub, other)
 
     def __rsub__(self, other):
         return self.chart.constant(other) - self
@@ -329,7 +393,7 @@ class ScalarField(TensorField):
             return self._times(b)
         if a is not None:
             return other._times(a)
-        return self._join(other, lambda jc: self._eval_all(jc) * other._eval_all(jc))
+        return self._binop(operator.mul, other)
 
     __rmul__ = __mul__
 
@@ -344,36 +408,39 @@ class ScalarField(TensorField):
         if b is not None:
             return self._times(1.0 / b)
         if a is not None:
-            return self._join(other, lambda jc: a / other._eval_all(jc))
-        return self._join(other, lambda jc: self._eval_all(jc) / other._eval_all(jc))
+            return other._unop(_rdiv, a)
+        return self._binop(operator.truediv, other)
 
     def __rtruediv__(self, other):
         return self.chart.constant(other) / self
 
     def __pow__(self, n):
-        return ScalarField(self.chart, lambda jc: self._eval_all(jc) ** n, self.deps)
+        return self._unop(operator.pow, n)
 
 
-def as_field(chart: Chart, value) -> ScalarField:
-    if isinstance(value, ScalarField):
-        return value
-    return chart.constant(float(value))
+def _rsub(x, c):
+    return c - x
+
+
+def _rdiv(x, c):
+    return c / x
 
 
 # elementary compositions ------------------------------------------------
 
-def _unary(fn):
+def _unary(name):
+    # looked up when a field is built, so that a wrapped jets function is the op
     def wrapper(f: ScalarField) -> ScalarField:
-        return ScalarField(f.chart, lambda jc: fn(f._eval_all(jc)), f.deps)
+        return f._unop(getattr(jets, name))
 
     return wrapper
 
 
-exp = _unary(jets.exp)
-log = _unary(jets.log)
-sin = _unary(jets.sin)
-cos = _unary(jets.cos)
-sqrt = _unary(jets.sqrt)
+exp = _unary("exp")
+log = _unary("log")
+sin = _unary("sin")
+cos = _unary("cos")
+sqrt = _unary("sqrt")
 
 
 def ordered_sum(terms):
@@ -408,19 +475,15 @@ class _ComponentStack(TensorField):
             )
         comps = np.empty(given.shape, dtype=object)
         for idx in np.ndindex(given.shape):
-            comps[idx] = as_field(chart, given[idx])
+            c = given[idx]
+            comps[idx] = c if isinstance(c, ScalarField) else chart.constant(float(c))
         self.components = comps
         self.shape = given.shape
+        self.op, self.operands, self.constants = _stack, tuple(comps.flat), (self.shape,)
 
     def _like(self, components):
         """A field of this kind with new components (the constructor hook)."""
         return type(self)(self.chart, components)
-
-    def component(self, *idx) -> ScalarField:
-        return self.components[idx]
-
-    def _evaluate(self, jc):
-        return jets.stack([c._eval_all(jc) for c in self.components.flat], self.shape)
 
     def __add__(self, other):
         return self._like(self.components + other.components)
@@ -430,6 +493,11 @@ class _ComponentStack(TensorField):
 
     def scaled(self, f):
         return self._like(self.components * f)
+
+
+def _stack(*args):
+    # the component jets in C order, then the value shape
+    return jets.stack(args[:-1], args[-1])
 
 
 class VectorField(_ComponentStack):
@@ -540,15 +608,6 @@ def wedge(alpha: OneForm, beta: OneForm) -> TwoForm:
 # transport between a base chart and an extended (fiber) chart
 # ----------------------------------------------------------------------
 
-def _leading_coords(jc: JetCoords, n: int) -> JetCoords:
-    """Shared view of the leading n coordinate jets."""
-    key = ("leading", n)
-    hit = jc.lifts.get(key)
-    if hit is None:
-        hit = jc.lifts[key] = JetCoords(jc[:n])
-    return hit
-
-
 def pullback_scalar(total: Chart, f: ScalarField) -> ScalarField:
     """View a base-chart function on a chart extending it (fiber-constant).
 
@@ -559,7 +618,7 @@ def pullback_scalar(total: Chart, f: ScalarField) -> ScalarField:
         raise ValueError(f"{total} does not extend {f.chart}")
     if f.value is not None:
         return total.constant(f.value)
-    return ScalarField(total, lambda jc: f._eval_all(_leading_coords(jc, n)), f.deps)
+    return total.node(LEAD, (f,), (), f.deps)
 
 
 def _pulled_back(total: Chart, field: _ComponentStack) -> np.ndarray:

@@ -485,6 +485,11 @@ def horizontal_lift(ac: AnticanonicalChart, x_base: VectorField) -> VectorField:
     return xhat - ac.ph.reeb.scaled(ac.ph.theta.pair(xhat))
 
 
+def _zero_along_s(x):
+    # (N, d) vectors of the contact chart as vectors of the Fefferman chart
+    return np.concatenate([x, np.zeros((len(x), 1))], axis=1)
+
+
 def _directional_nabla(gamma, a_vals, b_vals, b_grads):
     # (nabla_A B)^k = A^a (d_a B^k + Gamma^k_{a b} B^b)
     return np.einsum(
@@ -611,13 +616,9 @@ def fefferman_ricci_residual(fc: FeffermanChart, pts, f_jets) -> dict[str, np.nd
             if i == j:
                 continue
             emi, emj = e_m_vals[i], e_m_vals[j]
-            rw_vec = np.einsum("nijkl,ni,nj,nk->nl", rup_w, emi, emj, emj)
-            rw_lift = np.zeros((pts.shape[0], chart.dim))
-            rw_lift[:, :-1] = rw_vec
+            rw_lift = _zero_along_s(np.einsum("nijkl,ni,nj,nk->nl", rup_w, emi, emj, emj))
             dth = np.einsum("nij,ni,nj->n", dtheta_m, emi, emj)
-            jej = np.einsum("nab,nb->na", jval_m, emj)
-            jej_lift = np.zeros((pts.shape[0], chart.dim))
-            jej_lift[:, :-1] = jej
+            jej_lift = _zero_along_s(np.einsum("nab,nb->na", jval_m, emj))
             identities.append(
                 np.einsum("nijkl,ni,nj,nk->nl", rup, ei, ej, ej)
                 - rw_lift
@@ -631,9 +632,7 @@ def fefferman_ricci_residual(fc: FeffermanChart, pts, f_jets) -> dict[str, np.nd
         for b_vals, b_grads in ((p_vals, p_grads), (t_vals, t_grads))
     ]
     for i, (ev, eg) in enumerate(e_data):
-        jei = np.einsum("nab,nb->na", jval_m, e_m_vals[i])
-        jei_lift = np.zeros((pts.shape[0], chart.dim))
-        jei_lift[:, :-1] = jei
+        jei_lift = _zero_along_s(np.einsum("nab,nb->na", jval_m, e_m_vals[i]))
         # nabla_P e* = nabla_e* P = (1/2) (J e)*
         table.append(_directional_nabla(gamma_f, p_vals, ev, eg) - 0.5 * jei_lift)
         table.append(_directional_nabla(gamma_f, ev, p_vals, p_grads) - 0.5 * jei_lift)
@@ -644,9 +643,7 @@ def fefferman_ricci_residual(fc: FeffermanChart, pts, f_jets) -> dict[str, np.nd
     for i, (evi, _) in enumerate(e_data):
         for j in range(len(f_frame)):
             emv, emg = me_data[j]
-            w_vec = _directional_nabla(gamma_w, e_m_vals[i], emv, emg)
-            w_lift = np.zeros((pts.shape[0], chart.dim))
-            w_lift[:, :-1] = w_vec
+            w_lift = _zero_along_s(_directional_nabla(gamma_w, e_m_vals[i], emv, emg))
             dth = np.einsum("nij,ni,nj->n", dtheta_m, e_m_vals[i], e_m_vals[j])
             table.append(
                 _directional_nabla(gamma_f, evi, *e_data[j])

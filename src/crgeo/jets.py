@@ -298,11 +298,10 @@ def partials(x: Jet, n: int, d: int, order: int, shape: tuple) -> list[np.ndarra
     return out
 
 
-def stack(parts: list[Jet], shape: tuple) -> Jet:
+def stack(parts, shape: tuple) -> Jet:
     """Jet of an array of the given value shape from its components in C order."""
-    batch = np.broadcast_shapes(*(p.comp.shape for p in parts))
-    stacked = np.stack([np.broadcast_to(p.comp, batch) for p in parts], axis=-1)
-    return Jet(stacked.reshape(batch + tuple(shape)))
+    stacked = np.stack([p.comp for p in parts], axis=-1)  # raises unless their shapes agree
+    return Jet(stacked.reshape(stacked.shape[:-1] + tuple(shape)))
 
 
 # ----------------------------------------------------------------------

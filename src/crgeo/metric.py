@@ -127,17 +127,6 @@ class CurvatureTensor:
     scalar: np.ndarray  # (N,)
     operator: np.ndarray  # (N,d,d,d,d) R(e_i,e_j)e_k = operator[n,i,j,k,l] e_l
 
-    def symmetry_residuals(self) -> dict[str, float]:
-        r = self.riemann
-        scale = max(1.0, float(np.abs(r).max()))
-        cyc = r + np.einsum("njkil->nijkl", r) + np.einsum("nkijl->nijkl", r)
-        return {
-            "antisym_first": float(np.abs(r + r.transpose(0, 2, 1, 3, 4)).max()) / scale,
-            "antisym_last": float(np.abs(r + r.transpose(0, 1, 2, 4, 3)).max()) / scale,
-            "pair": float(np.abs(r - r.transpose(0, 3, 4, 1, 2)).max()) / scale,
-            "first_bianchi": float(np.abs(cyc).max()) / scale,
-        }
-
 
 def levi_civita_arrays(g, dg, d2g):
     """(Gamma, dGamma, g^-1) from the order-2 jet data ``[g, dg, d2g]`` of a metric."""
@@ -193,45 +182,6 @@ def covariant_derivative(metric: MetricField, field: TensorField, pts) -> np.nda
     vals, grads = jet_data(field, pts, 1)
     gamma = christoffel(metric, pts)
     return covariant_from_arrays(vals, grads, gamma, variance)
-
-
-def second_bianchi_residual(metric: MetricField, pts) -> float:
-    """Max norm of the cyclic covariant-derivative sum of the curvature."""
-    g, dg, d2g, d3g = jet_data(metric, pts, 3)
-    gamma, ginv, c = _christoffel_arrays(g, dg)
-    dgamma, dginv = _dchristoffel_arrays(g, dg, d2g, gamma, ginv, c)
-    rup, r4 = curvature_from_connection(gamma, dgamma, g)
-
-    # second derivative of the symbols for the curvature gradient
-    d2ginv = -(
-        np.einsum("nbkm,namp,npl->nbakl", dginv, dg, ginv)
-        + np.einsum("nkm,nbamp,npl->nbakl", ginv, d2g, ginv)
-        + np.einsum("nkm,namp,nbpl->nbakl", ginv, dg, dginv)
-    )
-    dc = np.einsum("naijl->nalij", d2g) + np.einsum("najil->nalij", d2g) - d2g
-    d2c = np.einsum("nbaijl->nbalij", d3g) + np.einsum("nbajil->nbalij", d3g) - d3g
-    d2gamma = 0.5 * (
-        np.einsum("nbakl,nlij->nbakij", d2ginv, c)
-        + np.einsum("nakl,nblij->nbakij", dginv, dc)
-        + np.einsum("nbkl,nalij->nbakij", dginv, dc)
-        + np.einsum("nkl,nbalij->nbakij", ginv, d2c)
-    )
-    drup = (
-        np.einsum("nbiljk->nbijkl", d2gamma)
-        - np.einsum("nbjlik->nbijkl", d2gamma)
-        + np.einsum("nblia,najk->nbijkl", dgamma, gamma)
-        + np.einsum("nlia,nbajk->nbijkl", gamma, dgamma)
-        - np.einsum("nblja,naik->nbijkl", dgamma, gamma)
-        - np.einsum("nlja,nbaik->nbijkl", gamma, dgamma)
-    )
-    dr4 = np.einsum("nbijkm,nml->nbijkl", drup, g) + np.einsum("nijkm,nbml->nbijkl", rup, dg)
-    nabla_r = covariant_from_arrays(r4, dr4, gamma, (-1, -1, -1, -1))
-    cyc = (
-        nabla_r
-        + np.einsum("nijbkl->nbijkl", nabla_r)
-        + np.einsum("njbikl->nbijkl", nabla_r)
-    )
-    return float(np.abs(cyc).max()) / max(1.0, float(np.abs(r4).max()))
 
 
 # ----------------------------------------------------------------------

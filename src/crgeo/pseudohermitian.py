@@ -16,6 +16,7 @@ W = -(scal_W / m) dtheta and scal_W = -sum_a eps_a W(e_a, J e_a).
 from __future__ import annotations
 
 import functools
+import operator
 from functools import cached_property
 
 import numpy as np
@@ -26,7 +27,6 @@ from .chart import (
     Endomorphism,
     GenericTensorField,
     OneForm,
-    ScalarField,
     SymmetricTwoTensor,
     TensorField,
     VectorField,
@@ -69,22 +69,23 @@ class ReebField(VectorField):
         self.dtheta = dtheta
         th = theta.components
         bmat = np.multiply.outer(th, th) - dtheta.components
-        self._bmat = GenericTensorField(self.chart, bmat, (-1, -1))
-        # each component is a view into the one jointly solved jet
+        self.op, self.operands = _solve, (GenericTensorField(self.chart, bmat, (-1, -1)), theta)
+        # each component indexes the one jointly solved jet
         self.shape = th.shape
         self.components = np.empty(self.shape, dtype=object)
         for i in range(len(th)):
-            self.components[i] = ScalarField(self.chart, lambda jc, i=i: self._eval_all(jc)[i])
+            self.components[i] = self.chart.node(operator.getitem, (self,), (i,))
 
     def _like(self, components):
         # algebra on the solved field yields a plain vector field
         return VectorField(self.chart, components)
 
-    def _evaluate(self, jc):
-        try:
-            return jets.jet_solve(self._bmat._eval_all(jc), self.theta._eval_all(jc))
-        except DegeneracyError as err:
-            raise DegeneracyError(f"contact condition violated: {err}") from err
+
+def _solve(bmat, theta):
+    try:
+        return jets.jet_solve(bmat, theta)
+    except DegeneracyError as err:
+        raise DegeneracyError(f"contact condition violated: {err}") from err
 
 
 # ----------------------------------------------------------------------

@@ -498,17 +498,7 @@ def run_suite(cfg: SuiteConfig) -> dict:
         if error is not None:
             row["error"] = error
         checks_out.append(row)
-    return {
-        "example": cfg.example,
-        "m": cfg.m,
-        "suites": list(cfg.resolved_suites()),
-        "points": cfg.points,
-        "seed": cfg.seed,
-        "generated_at": datetime.datetime.now(datetime.timezone.utc).isoformat(),
-        "conventions": dict(CONVENTIONS),
-        "checks": checks_out,
-        "overall_pass": overall,
-    }
+    return _report(cfg, cfg.example, cfg.resolved_suites(), checks=checks_out, overall_pass=overall)
 
 
 def run_all(cfg: SuiteConfig) -> dict:
@@ -525,16 +515,20 @@ def run_all(cfg: SuiteConfig) -> dict:
         report = run_suite(sub)
         overall = overall and report["overall_pass"]
         runs.append(report)
+    return _report(cfg, "all", cfg.suites, runs=runs, overall_pass=overall)
+
+
+def _report(cfg: SuiteConfig, example: str, suites, **body) -> dict:
+    """The report document of a run request: its header, then ``body`` in order."""
     return {
-        "example": "all",
+        "example": example,
         "m": cfg.m,
-        "suites": list(cfg.suites),
+        "suites": list(suites),
         "points": cfg.points,
         "seed": cfg.seed,
         "generated_at": datetime.datetime.now(datetime.timezone.utc).isoformat(),
         "conventions": dict(CONVENTIONS),
-        "runs": runs,
-        "overall_pass": overall,
+        **body,
     }
 
 

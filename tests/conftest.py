@@ -23,6 +23,24 @@ def heisenberg():
     return make_structure(chart, theta, base_j, m=1, levi_signature=(1, 0))
 
 
+@pytest.fixture(scope="session")
+def riemann_symmetries():
+    """Relative residuals of the Riemann symmetries and the first Bianchi identity."""
+
+    def residuals(curv) -> dict[str, float]:
+        r = curv.riemann
+        scale = max(1.0, float(np.abs(r).max()))
+        cyc = r + np.einsum("njkil->nijkl", r) + np.einsum("nkijl->nijkl", r)
+        return {
+            "antisym_first": float(np.abs(r + r.transpose(0, 2, 1, 3, 4)).max()) / scale,
+            "antisym_last": float(np.abs(r + r.transpose(0, 1, 2, 4, 3)).max()) / scale,
+            "pair": float(np.abs(r - r.transpose(0, 3, 4, 1, 2)).max()) / scale,
+            "first_bianchi": float(np.abs(cyc).max()) / scale,
+        }
+
+    return residuals
+
+
 _PIPELINES: dict = {}
 
 

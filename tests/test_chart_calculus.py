@@ -18,11 +18,11 @@ from crgeo import (
 )
 from crgeo import jets
 from crgeo.chart import (
+    PARTIAL,
     contract,
     exp,
     jet_data,
     jet_data_multi,
-    lift_coords,
     log,
     ordered_sum,
     pullback_scalar,
@@ -88,6 +88,15 @@ def test_derivative_rejects_outside_points(chart):
         derivative(x, [float("nan"), 0.0], (0,))
     with pytest.raises(DomainError, match="coordinate y outside"):
         (x * x)([[0.5, float("nan")]])
+
+
+def test_points_names_the_first_coordinate_outside(chart):
+    # y is out in the first point and x in the second: the message names x
+    with pytest.raises(DomainError, match=r"coordinate x outside open interval \(-3.0, 3.0\)"):
+        chart.points([[0.0, 4.0], [-5.0, 0.0], [0.0, 0.0]])
+    with pytest.raises(DomainError, match="coordinate y outside"):
+        chart.points([[0.0, 0.0], [0.0, float("nan")]])
+    assert chart.points([0.5, -0.5]).tolist() == [[0.5, -0.5]]
 
 
 def test_order_cap(chart):
@@ -348,6 +357,37 @@ def test_jet_data_multi_evaluates_point_blocks(chart):
         jet_data_multi(fields, pts, 2)
 
 
+def test_equal_subtrees_are_one_node(chart):
+    x, y = chart.coordinate_fields()
+    assert exp(x * y) is exp(x * y) and (x + 2.0).partial(0) is (x + 2.0).partial(0)
+    assert exp(x * y) is not exp(y * x)
+    zero, negative_zero, nan = chart.constant(0.0), chart.constant(-0.0), chart.constant(float("nan"))
+    assert len({id(zero), id(negative_zero), id(nan)}) == 3
+    assert nan is chart.constant(float("nan")) and zero is chart.constant(0)
+    assert np.signbit(negative_zero.value) and not np.signbit(zero.value)
+
+
+def test_a_shared_subtree_is_computed_once_per_block(chart, monkeypatch):
+    from crgeo.chart import BLOCK_POINTS
+
+    real, calls = jets.log, []
+
+    def counting_log(v):
+        calls.append(v)
+        return real(v)
+
+    # the field is built after the patch: a node holds the function it was built with
+    monkeypatch.setattr(jets, "log", counting_log)
+    x, y = chart.coordinate_fields()
+    shared = log(10.0 + x * y)
+    # the second component is built anew: interned, it is the shared node
+    fields = [shared * y, VectorField(chart, [shared + x, log(10.0 + x * y)])]
+    jet_data_multi(fields, chart.sample(3, 15), 2)
+    assert len(calls) == 1
+    jet_data_multi(fields, chart.sample(BLOCK_POINTS + 1, 15), 2)
+    assert len(calls) == 3
+
+
 def test_jet_data_multi_needs_a_field(chart):
     with pytest.raises(ValueError, match="no fields"):
         jet_data_multi([], chart.sample(2, 12), 1)
@@ -451,7 +491,7 @@ def _unfolded_constant(self, value):
 def _lifting_partial(self, i):
     if isinstance(i, str):
         i = self.chart.index(i)
-    return ScalarField(self.chart, lambda jc: self._eval_all(lift_coords(jc, i)).upper())
+    return self.chart.node(PARTIAL, (self,), (i,), self.deps)
 
 
 def _structure_jets(example, m):
@@ -506,5 +546,6 @@ def test_folding_saves_jet_products(monkeypatch):
     report = run_suite(SuiteConfig("fubini_study", 2, points=2, seed=7))
     assert report["overall_pass"]
     # 8482 before constants and coordinate-independent partials folded, 5637
-    # while the lifted J was one jet outer product that folded nothing
-    assert len(calls) <= 4113
+    # while the lifted J was one jet outer product that folded nothing, and
+    # 4113 before equal subtrees were interned as one node
+    assert len(calls) <= 4040

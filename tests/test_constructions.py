@@ -345,7 +345,7 @@ def test_m2_pipeline_consistency(pipeline):
 # curvature invariants across the catalog metrics
 # ----------------------------------------------------------------------
 
-def test_curvature_symmetries_catalog(pipeline):
+def test_curvature_symmetries_catalog(pipeline, riemann_symmetries):
     """Riemann symmetries and first Bianchi on every catalog metric layer."""
     from crgeo.metric import riemann
 
@@ -358,5 +358,5 @@ def test_curvature_symmetries_catalog(pipeline):
     cases.append((pipe.ac.ph.metric, pipe.m_pts))  # induced contact metric
     cases.append((pipe.fc.metric, pipe.f_pts))  # Lorentzian Fefferman metric
     for metric, pts in cases:
-        res = riemann(metric, pts).symmetry_residuals()
+        res = riemann_symmetries(riemann(metric, pts))
         assert max(res.values()) < 1e-9

@@ -96,6 +96,16 @@ def test_mixed_generators_give_mixed_partial():
     assert f.comp[3] == pytest.approx(2 * y0 * np.cos(x0), rel=1e-14)
 
 
+def test_stack_needs_components_of_one_shape():
+    a, b = Jet(np.ones((2, 3))), Jet(np.arange(6.0).reshape(2, 3))
+    stacked = jets.stack([a, b, a, b], (2, 2))
+    assert stacked.comp.shape == (2, 3, 2, 2) and stacked.comp.flags.c_contiguous
+    assert np.array_equal(stacked.comp[..., 1, 0], a.comp)
+    assert np.array_equal(stacked.comp[..., 1, 1], b.comp)
+    with pytest.raises(ValueError):
+        jets.stack([a, Jet(np.ones((2, 1)))], (2,))
+
+
 def test_jet_solve_linear_system():
     rng = np.random.default_rng(0)
     a0 = np.eye(3) + 0.2 * rng.standard_normal((3, 3))
