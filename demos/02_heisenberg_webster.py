@@ -9,13 +9,12 @@ curved -- the comparison identities quantify exactly how.
 import numpy as np
 
 from crgeo import Chart, OneForm
-from crgeo.metric import killing_residual
 from crgeo.pseudohermitian import (
+    WebsterSample,
     axiom_residuals,
     comparison_identities_residual,
     make_structure,
-    transversal_symmetry_residual,
-    webster_connection,
+    structure_residuals,
 )
 
 chart = Chart(["x", "y", "t"], [(-1.0, 1.0), (-1.0, 1.0), (-1.5, 1.5)])
@@ -25,14 +24,16 @@ base_j = np.array([[0.0, -1.0], [1.0, 0.0]])  # J e_x = e_y
 ph = make_structure(chart, theta, base_j, m=1, levi_signature=(1, 0))
 pts = chart.sample(8, seed=42)
 
+# one sample holds the structure's fields, the connection, its curvature
+# and the Levi frame at pts
+ws = WebsterSample(ph, pts)
+structure = structure_residuals(ws)
 print("Reeb field (constant -d/dt):", ph.reeb(pts)[0])
-print("defining-equation residual:", ph.reeb_residual(pts).max())
+print("defining-equation residual:", structure["reeb_defining"].max())
 
-print("transversal symmetry: bracket", transversal_symmetry_residual(ph, pts).max(),
-      " Killing", killing_residual(ph.metric, ph.reeb, pts).max())
+print("transversal symmetry: bracket", structure["tsph_bracket"].max(),
+      " Killing", structure["tsph_killing"].max())
 
-# one sample holds the connection, its curvature and the Levi frame at pts
-ws = webster_connection(ph).at(pts)
 print("\nWebster axiom residuals (max over the sample):")
 for name, value in axiom_residuals(ws).items():
     print(f"  {name:24s} {value.max():.3e}")

@@ -25,17 +25,17 @@ ac = anticanonical_structure(ke)
 fc = fefferman_metric(ac)
 pts = fc.chart.sample(16, seed=42)
 rm = einstein_rescale(fc)
-# f and e^{2 phi} f share their components: one jet batch evaluates both
-f_jets, rm_jets = jet_data_multi([fc.metric, rm.metric], pts, 2)
+# f, e^{2 phi} f and phi share their components: one jet batch evaluates all three
+f_jets, rm_jets, phi_jets = jet_data_multi([fc.metric, rm.metric, rm.phi], pts, 2)
 
 print("S_W = scal_h / (2m(m+1)) =", fc.sw)
-rec = fefferman_ricci_residual(fc, pts, f_jets)
+rec = fefferman_ricci_residual(fc, pts, f_jets, jet_data_multi(fc.sample_fields, pts, 1))
 print("closed-form Ricci residual:     ", rec["fefferman_ricci_closed_form"].max())
 print("Ric(P,P)=m/2 etc residual:      ", rec["fefferman_ricci_components"].max())
 print("parallel field nabla(T*-S_W P): ", rec["parallel_vertical_field"].max())
 print("never Einstein, trace-free norm:", rec["non_einstein_certificate"].min())
 
-res = rescale_residuals(rm, pts, rm_jets)
+res = rescale_residuals(rm, rm_jets, phi_jets)
 print("\nconformal factor cos^-2(t/(m+2)), lambda =", rm.einstein_constant)
 print("Einstein residual of the rescaled metric:", res["rescaled_einstein"].max())
 print("conformal ODE residual:                  ", res["conformal_ode"].max())
@@ -53,5 +53,5 @@ print("\nRicci-flat case (flat base): the rescaled metric is flat-Ricci")
 ke0 = make_kahler_einstein("flat", 1)
 rm0 = einstein_rescale(fefferman_metric(anticanonical_structure(ke0)))
 pts0 = rm0.fc.chart.sample(16, seed=42)
-_, rm0_jets = jet_data_multi([rm0.fc.metric, rm0.metric], pts0, 2)
-print("max |Ric| =", rescale_residuals(rm0, pts0, rm0_jets)["rescaled_einstein"].max())
+_, rm0_jets, phi0_jets = jet_data_multi([rm0.fc.metric, rm0.metric, rm0.phi], pts0, 2)
+print("max |Ric| =", rescale_residuals(rm0, rm0_jets, phi0_jets)["rescaled_einstein"].max())

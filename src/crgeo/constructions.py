@@ -28,6 +28,7 @@ from .chart import (
     differential,
     exterior_derivative,
     jet_data,
+    jet_data_multi,
     log as field_log,
     ordered_sum,
     pullback_oneform,
@@ -38,21 +39,20 @@ from .chart import (
 from .errors import PreconditionError, UsageError
 from .metric import (
     MetricField,
+    conformal_ricci_correction,
     conformal_rescale,
     curvature_from_arrays,
     curvature_from_connection,  # noqa: F401  kept bound: perfbench's tracer test wraps it here
+    killing_residual,
     levi_civita_arrays,
     point_max,
-    riemann,
     tracefree_ricci_norm,
 )
 from .pseudohermitian import (
     PHStructure,
-    WebsterData,
     WebsterSample,
     make_structure,
     ph_einstein_residual,
-    webster_connection,
 )
 
 EINSTEIN_PRECONDITION_TOL = 1e-6
@@ -90,15 +90,15 @@ class KahlerEinsteinChart:
         from .metric import covariant_derivative
 
         pts = self.chart.points(pts)
-        hval = self.metric(pts)
+        hval, dh, d2h = jet_data(self.metric, pts, 2)
         jmat = self.complex_structure
         omega = np.einsum("nia,aj->nij", hval, jmat)
-        dgam = exterior_derivative(self.gamma)(pts)
+        (_, dgam), (_, da) = jet_data_multi([self.gamma, self.ricci_potential], pts, 1)
+        dgam, da = dgam - dgam.transpose(0, 2, 1), da - da.transpose(0, 2, 1)
 
-        curv = riemann(self.metric, pts)
+        curv = curvature_from_arrays(hval, *levi_civita_arrays(hval, dh, d2h))
         nabla_j = covariant_derivative(self.metric, self.j_field, pts)
         ric_form = np.einsum("nia,aj->nij", curv.ricci, jmat)
-        da = exterior_derivative(self.ricci_potential)(pts)
         out = {
             "kahler_potential": point_max(dgam - omega),
             "kahler_parallel": point_max(nabla_j),
@@ -245,10 +245,6 @@ class AnticanonicalChart:
     def m(self) -> int:
         return self.base.m
 
-    @cached_property
-    def webster(self) -> WebsterData:
-        return webster_connection(self.ph)
-
 
 def anticanonical_structure(ke: KahlerEinsteinChart) -> AnticanonicalChart:
     """Induced contact structure on base x S^1 in the scalar-curvature gauge.
@@ -285,17 +281,17 @@ def submersion_residuals(ac: AnticanonicalChart, ws: WebsterSample) -> dict[str,
     pts = ws.pts
     m = ac.m
     d = ac.chart.dim
-    base_pts = pts[:, : 2 * m]
     jmat = ac.base.complex_structure
-    ric_h = riemann(ac.base.metric, base_pts).ricci
+    hval, dh, d2h = jet_data(ac.base.metric, pts[:, : 2 * m], 2)
+    ric_h = curvature_from_arrays(hval, *levi_civita_arrays(hval, dh, d2h)).ricci
 
     da = exterior_derivative(ac.connection)(pts)
     ric_form = np.zeros_like(da)
     ric_form[:, : 2 * m, : 2 * m] = np.einsum("nia,aj->nij", ric_h, jmat)
 
     hj = np.zeros((pts.shape[0], d, d))
-    hj[:, : 2 * m, : 2 * m] = np.einsum("ai,naj->nij", jmat, ac.base.metric(base_pts))
-    (tval, _), (dtheta, _), (jval, _), (reeb, _) = ws.contact_jets
+    hj[:, : 2 * m, : 2 * m] = np.einsum("ai,naj->nij", jmat, hval)
+    (tval, _), (dtheta, _), (jval, _), (reeb, _), _ = ws.contact_jets
     proj = ws.projector
     dt_h = np.einsum("nia,nij,njb->nab", proj, dtheta, proj)
     hj_h = np.einsum("nia,nij,njb->nab", proj, hj, proj)
@@ -355,6 +351,24 @@ class FeffermanChart:
     def m(self) -> int:
         return self.ac.m
 
+    @cached_property
+    def contact_frame(self) -> list[VectorField]:
+        """Horizontal lifts of the base unitary frame to the contact chart."""
+        return [horizontal_lift(self.ac, x) for x in base_unitary_frame(self.ac.base)]
+
+    @cached_property
+    def sample_fields(self) -> list:
+        """The fields the Fefferman residuals read at order 1, in this order:
+        the contact frame extended by zero along s (H-fields lift with zero
+        canonical-fiber component because A_theta already annihilates them),
+        P, T*, T* - S_W P, theta, A_theta, b and A_W."""
+        frame = [extend_vector(self.chart, x) for x in self.contact_frame]
+        vfield = self.reeb_lift - self.vertical_canonical.scaled(self.sw)
+        return frame + [
+            self.vertical_canonical, self.reeb_lift, vfield, self.theta_total,
+            self.fefferman_connection_form, self.parallel_one_form, self.webster_connection_form,
+        ]
+
 
 def fefferman_metric(ac: AnticanonicalChart) -> FeffermanChart:
     """Assemble the Fefferman metric of a pseudo-Hermitian Einstein structure.
@@ -362,7 +376,7 @@ def fefferman_metric(ac: AnticanonicalChart) -> FeffermanChart:
     Requires the Einstein condition: only then does the Webster connection
     form admit the local potential A_W = i (m+2)/2 (ds + (2 scal_W / (m(m+2))) theta).
     """
-    ein = ph_einstein_residual(ac.webster.at(ac.chart.sample(8, 2024)))
+    ein = ph_einstein_residual(WebsterSample(ac.ph, ac.chart.sample(8, 2024)))
     residual = ein["webster_einstein"].max()
     deviation = ein["webster_scal_constant"].max()
     if residual > EINSTEIN_PRECONDITION_TOL or deviation > EINSTEIN_PRECONDITION_TOL:
@@ -423,11 +437,11 @@ class RescaledMetric:
     # t = t_scale * s, phi = -log(cos(t / (m+2)))
     t_scale: float
 
-    def ode_residual(self, pts) -> np.ndarray:
-        """Per point: phi'' - (phi')^2 = 1/(m+2)^2 and phi = phi(t)."""
+    def ode_residual(self, phi_jets) -> np.ndarray:
+        """Per point: phi'' - (phi')^2 = 1/(m+2)^2 and phi = phi(t), from the
+        order-2 jet data of phi."""
         m = self.fc.m
-        pts = self.fc.chart.points(pts)
-        v, d1, d2 = jet_data(self.phi, pts, 2)
+        _, d1, d2 = phi_jets
         s_index = self.fc.chart.dim - 1
         dt_ds = self.t_scale
         phi_t = d1[:, s_index] / dt_ds
@@ -501,31 +515,27 @@ def _directional_nabla(gamma, a_vals, b_vals, b_grads):
 # Fefferman residual record
 # ----------------------------------------------------------------------
 
-def fefferman_structure_residuals(fc: FeffermanChart, pts, fval) -> dict[str, np.ndarray]:
+def fefferman_structure_residuals(fc: FeffermanChart, fval, fields) -> dict[str, np.ndarray]:
     """Per point: normalization, lightlike fibers and forms, the closed form.
 
-    ``fval`` is the value of the Fefferman metric at ``pts``.
+    ``fval`` is the value of the Fefferman metric and ``fields`` the order-1
+    jet data of ``fc.sample_fields``, both at one point batch.
     """
-    pts = fc.chart.points(pts)
     m = fc.m
-    pval = fc.vertical_canonical(pts)
-    tsval = fc.reeb_lift(pts)
+    *_, (pval, _), (tsval, _), _, (thval, _), (athval, _), (bval, db), _ = fields
     f_pt = np.einsum("nij,ni,nj->n", fval, pval, tsval)
     f_pp = np.einsum("nij,ni,nj->n", fval, pval, pval)
     f_tt = np.einsum("nij,ni,nj->n", fval, tsval, tsval)
 
     finv = np.linalg.inv(fval)
-    thval = fc.theta_total(pts)
-    athval = fc.fefferman_connection_form(pts)
     light_theta = np.einsum("nij,ni,nj->n", finv, thval, thval)
     light_a = np.einsum("nij,ni,nj->n", finv, athval, athval)
 
-    db = exterior_derivative(fc.parallel_one_form)(pts)
+    db = db - db.transpose(0, 2, 1)
 
     # f-dual of T* - S_W P is (2/(m+2)) * (rho_c + rho_ac) in real reps
     vvals = tsval - fc.sw * pval
     dual = np.einsum("nij,ni->nj", fval, vvals)
-    bval = fc.parallel_one_form(pts)
 
     return {
         "fefferman_normalization": np.abs(f_pt - 1.0),
@@ -536,10 +546,11 @@ def fefferman_structure_residuals(fc: FeffermanChart, pts, fval) -> dict[str, np
     }
 
 
-def fefferman_ricci_residual(fc: FeffermanChart, pts, f_jets) -> dict[str, np.ndarray]:
+def fefferman_ricci_residual(fc: FeffermanChart, pts, f_jets, fields) -> dict[str, np.ndarray]:
     """Per-point curvature identities of the Fefferman metric.
 
-    ``f_jets`` is the order-2 ``jet_data`` ``[f, df, d2f]`` of the metric at ``pts``.
+    ``f_jets`` is the order-2 ``jet_data`` ``[f, df, d2f]`` of the metric and
+    ``fields`` the order-1 jet data of ``fc.sample_fields``, both at ``pts``.
 
     (a) closed form Ric = m S_W f + (2m/(m+2)^2) b o b with b the real
     representative of rho_c + rho_ac; (b) vertical component values;
@@ -548,8 +559,7 @@ def fefferman_ricci_residual(fc: FeffermanChart, pts, f_jets) -> dict[str, np.nd
     (f) the Killing residual of T*; (g) the never-Einstein certificate;
     (h) dA_W = -Ric_W in real representatives.
     """
-    chart = fc.chart
-    pts = chart.points(pts)
+    pts = fc.chart.points(pts)
     m = fc.m
     sw = fc.sw
     pts_m = pts[:, :-1]
@@ -560,30 +570,15 @@ def fefferman_ricci_residual(fc: FeffermanChart, pts, f_jets) -> dict[str, np.nd
     curv = curvature_from_arrays(fval, gamma_f, dgamma_f, finv)
     rup, ric, scalar = curv.operator, curv.ricci, curv.scalar
 
-    bval = fc.parallel_one_form(pts)
+    *e_data, (pval, dp), (tsval, dts), (vval, dv), _, _, (bval, _), (_, da_w) = fields
+    e_vals = [d[0] for d in e_data]
+    # the contact frame at the contact-chart points, read with the Webster connection there
+    me_data = jet_data_multi(fc.contact_frame, pts_m, 1)
+    e_m_vals = [d[0] for d in me_data]
+
     closed = m * sw * fval + (2.0 * m / (m + 2) ** 2) * np.einsum("ni,nj->nij", bval, bval)
     scale = max(1.0, np.abs(ric).max())
     res_closed_form = point_max(ric - closed) / scale
-
-    # adapted frame: base unitary frame lifted twice; all frame fields,
-    # the vertical fields, and the parallel candidate share one jet batch.
-    # H-fields lift to the Fefferman chart with zero canonical-fiber
-    # component because the connection form A_theta already annihilates them.
-    base_frame = base_unitary_frame(fc.ac.base)
-    m_frame = [horizontal_lift(fc.ac, x) for x in base_frame]
-    f_frame = [extend_vector(chart, x) for x in m_frame]
-    vfield = fc.reeb_lift - fc.vertical_canonical.scaled(sw)
-    from .chart import jet_data_multi
-
-    f_data = jet_data_multi(
-        f_frame + [fc.vertical_canonical, fc.reeb_lift, vfield], pts, 1
-    )
-    e_data = f_data[: len(f_frame)]
-    (p_vals, p_grads), (t_vals, t_grads), (v_vals, v_grads) = f_data[len(f_frame) :]
-    pval, tsval = p_vals, t_vals
-    e_vals = [d[0] for d in e_data]
-    me_data = jet_data_multi(m_frame, pts_m, 1)
-    e_m_vals = [d[0] for d in me_data]
 
     # (b) Ric(P,P) = m/2, Ric(T*,P) = m S_W/2, Ric(T*,T*) = m S_W^2/2, mixed terms vanish
     components = [
@@ -599,10 +594,10 @@ def fefferman_ricci_residual(fc: FeffermanChart, pts, f_jets) -> dict[str, np.nd
     identities = [np.einsum("nijkl,ni,nj->nkl", rup, pval, tsval)]
     tppart = tsval + sw * pval
 
-    ws = fc.ac.webster.at(pts_m)
+    ws = WebsterSample(fc.ac.ph, pts_m)
     gamma_w = ws.webster_symbols[0]
     rup_w = ws.curvature[0]
-    _, (dtheta_m, _), (jval_m, _), _ = ws.contact_jets
+    _, (dtheta_m, _), (jval_m, _), _, _ = ws.contact_jets
 
     for ei in e_vals:
         # R(e_i*, P) T* = (1/4) S_W e_i*
@@ -628,20 +623,20 @@ def fefferman_ricci_residual(fc: FeffermanChart, pts, f_jets) -> dict[str, np.nd
     # (d) covariant derivative table
     table = [
         _directional_nabla(gamma_f, a_vals, b_vals, b_grads)
-        for a_vals in (p_vals, t_vals)
-        for b_vals, b_grads in ((p_vals, p_grads), (t_vals, t_grads))
+        for a_vals in (pval, tsval)
+        for b_vals, b_grads in ((pval, dp), (tsval, dts))
     ]
     for i, (ev, eg) in enumerate(e_data):
         jei_lift = _zero_along_s(np.einsum("nab,nb->na", jval_m, e_m_vals[i]))
         # nabla_P e* = nabla_e* P = (1/2) (J e)*
-        table.append(_directional_nabla(gamma_f, p_vals, ev, eg) - 0.5 * jei_lift)
-        table.append(_directional_nabla(gamma_f, ev, p_vals, p_grads) - 0.5 * jei_lift)
+        table.append(_directional_nabla(gamma_f, pval, ev, eg) - 0.5 * jei_lift)
+        table.append(_directional_nabla(gamma_f, ev, pval, dp) - 0.5 * jei_lift)
         # nabla_T* e* = nabla_e* T* = (1/2) S_W (J e)*
-        table.append(_directional_nabla(gamma_f, t_vals, ev, eg) - 0.5 * sw * jei_lift)
-        table.append(_directional_nabla(gamma_f, ev, t_vals, t_grads) - 0.5 * sw * jei_lift)
+        table.append(_directional_nabla(gamma_f, tsval, ev, eg) - 0.5 * sw * jei_lift)
+        table.append(_directional_nabla(gamma_f, ev, tsval, dts) - 0.5 * sw * jei_lift)
 
     for i, (evi, _) in enumerate(e_data):
-        for j in range(len(f_frame)):
+        for j in range(len(e_data)):
             emv, emg = me_data[j]
             w_lift = _zero_along_s(_directional_nabla(gamma_w, e_m_vals[i], emv, emg))
             dth = np.einsum("nij,ni,nj->n", dtheta_m, e_m_vals[i], e_m_vals[j])
@@ -653,17 +648,10 @@ def fefferman_ricci_residual(fc: FeffermanChart, pts, f_jets) -> dict[str, np.nd
             )
 
     # (e) parallel vertical field T* - S_W P
-    nabla_v = v_grads + np.einsum("nkab,nb->nak", gamma_f, v_vals)
-
-    # (f) Killing residual of T*
-    lie = (
-        np.einsum("nk,nkij->nij", t_vals, df)
-        + np.einsum("nkj,nik->nij", fval, t_grads)
-        + np.einsum("nik,njk->nij", fval, t_grads)
-    )
+    nabla_v = dv + np.einsum("nkab,nb->nak", gamma_f, vval)
 
     # (h) dA_W = -pullback(Ric_W) in real representatives: d(a_W) = -W
-    da_w = exterior_derivative(fc.webster_connection_form)(pts)
+    da_w = da_w - da_w.transpose(0, 2, 1)
     w_full = np.zeros_like(da_w)
     w_full[:, :-1, :-1] = ws.ricci[0]
 
@@ -674,34 +662,33 @@ def fefferman_ricci_residual(fc: FeffermanChart, pts, f_jets) -> dict[str, np.nd
         "fefferman_curvature_identities": point_max(*identities),
         "fefferman_covariant_table": point_max(*table),
         "parallel_vertical_field": point_max(nabla_v),
-        "killing_reeb_lift": point_max(lie),
+        # (f) T* is Killing
+        "killing_reeb_lift": killing_residual(fval, df, tsval, dts),
         # (g) never Einstein: frame-normalized trace-free Ricci norm (lower bound)
         "non_einstein_certificate": tracefree_ricci_norm(fval, ric, scalar),
     }
 
 
-def fefferman_expression_residual(fc: FeffermanChart, pts, fval) -> np.ndarray:
+def fefferman_expression_residual(fc: FeffermanChart, pts, fval, fields) -> np.ndarray:
     """Independent assembly of the Fefferman metric from base data.
 
     Ricci-flat gauge: f = h + (4/(m+2)) theta o a_W.  Otherwise
     f = h + (4m(m+1)/((m+2)^2 scal_h)) (-(b o b) + (c o c)) with
     b, c the real representatives of rho_c + rho_ac and
     rho_c - rho_ac/(m+1); iR-valued squares expand with (i b)^2 = -b o b.
-    ``fval`` is the value of the Fefferman metric at ``pts``.
+    ``fval`` is the value of the Fefferman metric and ``fields`` the order-1
+    jet data of ``fc.sample_fields``, both at ``pts``.
     """
     pts = fc.chart.points(pts)
     m = fc.m
     h_full = np.zeros_like(fval)
-    base_pts = pts[:, : 2 * m]
-    h_full[:, : 2 * m, : 2 * m] = fc.ac.base.metric(base_pts)
-    thval = fc.theta_total(pts)
-    awval = fc.webster_connection_form(pts)
+    h_full[:, : 2 * m, : 2 * m] = fc.ac.base.metric(pts[:, : 2 * m])
+    *_, (thval, _), _, (bval, _), (awval, _) = fields
     if fc.scal_w == 0.0 or not fc.ac.base.einstein or fc.ac.base.scal_h == 0.0:
         sym = 0.5 * (np.einsum("ni,nj->nij", thval, awval) + np.einsum("ni,nj->nij", awval, thval))
         assembled = h_full + (4.0 / (m + 2)) * sym
     else:
         scal_h = 2.0 * fc.scal_w
-        bval = fc.parallel_one_form(pts)
         cval = awval + fc.sw * thval  # rho_c - rho_ac/(m+1) in real reps
         coeff = 4.0 * m * (m + 1) / ((m + 2) ** 2 * scal_h)
         assembled = h_full + coeff * (
@@ -721,20 +708,20 @@ def _scalar_residual(scalar, target):
     return np.abs(scalar - target) / abs(target)
 
 
-def rescale_residuals(rm: RescaledMetric, pts, jets) -> dict[str, np.ndarray]:
+def rescale_residuals(rm: RescaledMetric, jets, phi_jets) -> dict[str, np.ndarray]:
     """Per point: Einstein condition of the rescaled metric and the conformal ODE.
 
-    ``jets`` is the order-2 ``jet_data`` of the rescaled metric at ``pts``.
+    ``jets`` and ``phi_jets`` are the order-2 ``jet_data`` of the rescaled
+    metric and of phi at one point batch.
     """
     fc = rm.fc
-    pts = fc.chart.points(pts)
     gval, dg, d2g = jets
     curv = curvature_from_arrays(gval, *levi_civita_arrays(gval, dg, d2g))
     lam = rm.einstein_constant
     return {
         "rescaled_einstein": point_max(curv.ricci - lam * gval),
         "rescaled_scalar": _scalar_residual(curv.scalar, lam * fc.chart.dim),
-        "conformal_ode": rm.ode_residual(pts),
+        "conformal_ode": rm.ode_residual(phi_jets),
     }
 
 
@@ -743,20 +730,21 @@ def slice_identity_residual(rm: RescaledMetric, n: int = 8, seed: int = 42) -> n
     fc = rm.fc
     pts = fc.chart.sample(n, seed)
     pts[:, -1] = 0.0
-    return point_max(rm.metric(pts) - fc.metric(pts))
+    (g_rm,), (g_f,) = jet_data_multi([rm.metric, fc.metric], pts, 0)
+    return point_max(g_rm - g_f)
 
 
-def correction_structure_residual(rm: RescaledMetric, pts) -> np.ndarray:
-    """Ricci-flat gauge: the conformal correction has only a (P,P) component."""
-    from .metric import conformal_ricci_correction
+def correction_structure_residual(rm: RescaledMetric, pts, phi_jets, fields) -> np.ndarray:
+    """Ricci-flat gauge: the conformal correction has only a (P,P) component.
 
-    fc = rm.fc
-    pts = fc.chart.points(pts)
-    corr = conformal_ricci_correction(fc.metric, rm.phi, pts)
-    base_frame = base_unitary_frame(fc.ac.base)
-    vecs = [extend_vector(fc.chart, horizontal_lift(fc.ac, x))(pts) for x in base_frame]
-    vecs.append(fc.reeb_lift(pts))
-    pvals = fc.vertical_canonical(pts)
+    ``phi_jets`` is the order-2 ``jet_data`` of phi and ``fields`` the order-1
+    jet data of ``rm.fc.sample_fields``, both at ``pts``.  f is evaluated
+    here at order 1: its first partials from an order-2 batch differ in the
+    last bits.
+    """
+    corr = conformal_ricci_correction(*jet_data(rm.fc.metric, pts, 1), *phi_jets[1:])
+    *frame, (pvals, _), (tsval, _), _, _, _, _, _ = fields
+    vecs = [v for v, _ in frame] + [tsval]
     terms = [
         np.einsum("nij,ni,nj->n", corr, u, v)
         for i, u in enumerate(vecs)
@@ -888,8 +876,8 @@ def explicit_einstein_residuals(t2: ExplicitEinsteinMetric, pts, jets) -> dict[s
 
     if t2.sasaki_metric is not None:
         sp = t2.sasaki_metric.chart.sample(pts.shape[0], 977)
-        scurv = riemann(t2.sasaki_metric, sp)
-        sval = t2.sasaki_metric(sp)
+        sval, sd, sd2 = jet_data(t2.sasaki_metric, sp, 2)
+        scurv = curvature_from_arrays(sval, *levi_civita_arrays(sval, sd, sd2))
         out["sasaki_einstein"] = point_max(scurv.ricci - t2.sasaki_constant * sval)
         # product structure of the unrescaled metric along the line factor,
         # the last coordinate t
@@ -948,5 +936,5 @@ def gauge_shift_scal_residual(ac: AnticanonicalChart, ws: WebsterSample) -> np.n
         ac.ph.levi_signature,
         reeb_hint=ac.ph.reeb,
     )
-    scal_hat = webster_connection(ph_hat).at(ws.pts).ricci[1]
+    scal_hat = WebsterSample(ph_hat, ws.pts).ricci[1]
     return np.abs(scal_hat - ws.ricci[1])

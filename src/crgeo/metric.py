@@ -19,7 +19,6 @@ from .chart import (
     ScalarField,
     SymmetricTwoTensor,
     TensorField,
-    VectorField,
     exp as field_exp,
     jet_data,
 )
@@ -47,18 +46,24 @@ class MetricField(SymmetricTwoTensor):
 
     def verify_signature(self, pts) -> None:
         """Raise DegeneracyError at the first degenerate or wrongly signed point."""
-        g = self(pts)
+        self.verify_signature_values(self(pts))
+
+    def verify_signature_values(self, g: np.ndarray) -> None:
+        """:meth:`verify_signature` of the metric values ``g`` (N, d, d)."""
         det = np.abs(np.linalg.det(g))
         eig = np.linalg.eigvalsh(g)
-        for n in range(len(g)):
-            if det[n] <= _DET_FLOOR:
-                raise DegeneracyError(f"metric degenerate at sample point {n}: |det| = {det[n]:.3e}")
-            signs = (int((eig[n] > 0).sum()), int((eig[n] < 0).sum()))
-            if signs != self.signature:
-                raise DegeneracyError(
-                    f"eigenvalue signs {signs} at sample point {n} do not match "
-                    f"declared signature {self.signature}"
-                )
+        signs = np.stack([(eig > 0).sum(axis=1), (eig < 0).sum(axis=1)], axis=1)
+        degenerate = ~(det > _DET_FLOOR)  # negated, so that a NaN determinant is degenerate
+        bad = np.flatnonzero(degenerate | (signs != self.signature).any(axis=1))
+        if not bad.size:
+            return
+        n = bad[0]
+        if degenerate[n]:
+            raise DegeneracyError(f"metric degenerate at sample point {n}: |det| = {det[n]:.3e}")
+        raise DegeneracyError(
+            f"eigenvalue signs {tuple(map(int, signs[n]))} at sample point {n} do not match "
+            f"declared signature {self.signature}"
+        )
 
 
 def point_max(*arrays) -> np.ndarray:
@@ -188,12 +193,10 @@ def covariant_derivative(metric: MetricField, field: TensorField, pts) -> np.nda
 # Lie derivative / Killing residual
 # ----------------------------------------------------------------------
 
-def killing_residual(metric: MetricField, x: VectorField, pts) -> np.ndarray:
-    """Per-point max norm of the Lie derivative L_X g."""
-    g, dg = jet_data(metric, pts, 1)
-    xv, dx = jet_data(x, pts, 1)
+def killing_residual(g, dg, x, dx) -> np.ndarray:
+    """Per-point max norm of the Lie derivative L_X g, from the order-1 jet data of g and X."""
     lie = (
-        np.einsum("nk,nkij->nij", xv, dg)
+        np.einsum("nk,nkij->nij", x, dg)
         + np.einsum("nkj,nik->nij", g, dx)
         + np.einsum("nik,njk->nij", g, dx)
     )
@@ -209,21 +212,19 @@ def conformal_rescale(metric: MetricField, phi: ScalarField) -> MetricField:
     return metric.scaled(field_exp(phi * 2.0))
 
 
-def conformal_ricci_correction(metric: MetricField, phi: ScalarField, pts) -> np.ndarray:
+def conformal_ricci_correction(g, dg, dphi, d2phi) -> np.ndarray:
     """Ricci change under g -> e^{2 phi} g, dimension n = dim:
 
         C = -(n-2) (Hess phi - dphi o dphi) + (-lap phi - (n-2) |dphi|^2) g
 
     with lap = trace_g Hess and |dphi|^2 taken with the inverse metric
-    (no absolute values in indefinite signature).  Must equal
+    (no absolute values in indefinite signature), from the order-1 jet data
+    of g and the first and second partials of phi.  Must equal
     Ric(e^{2 phi} g) - Ric(g) computed directly.
     """
-    n = metric.chart.dim
-    coeff = n - 2
-    g, dg = jet_data(metric, pts, 1)
+    coeff = g.shape[-1] - 2
     ginv = inverse_metric(g)
     gamma, _, _ = _christoffel_arrays(g, dg)
-    pv, dphi, d2phi = jet_data(phi, pts, 2)
     hess = d2phi - np.einsum("nkij,nk->nij", gamma, dphi)
     lap = np.einsum("nij,nij->n", ginv, hess)
     grad_sq = np.einsum("nij,ni,nj->n", ginv, dphi, dphi)

@@ -43,6 +43,7 @@ from .metric import (
     covariant_from_arrays,
     curvature_from_arrays,
     curvature_from_connection,
+    killing_residual,
     levi_civita_arrays,
     pivoted_frame,
     point_max,
@@ -127,7 +128,17 @@ class PHStructure:
 
     @cached_property
     def comparison_tensor(self) -> GenericTensorField:
-        """D^k_ij = (dtheta_ij T^k - theta_i J^k_j - theta_j J^k_i) / 2."""
+        """D^k_ij = (dtheta_ij T^k - theta_i J^k_j - theta_j J^k_i) / 2.
+
+        nabla_W = nabla_{g_theta} + D holds for a transversally symmetric
+        structure only, so D is built past that gate, checked once per
+        structure at ``sample(8, 2024)``.
+        """
+        res = transversal_symmetry_residual(WebsterSample(self, self.chart.sample(8, 2024))).max()
+        if res > TSPH_TOL:
+            raise PreconditionError(
+                f"structure is not transversally symmetric: residual {res:.3e} > {TSPH_TOL:g}"
+            )
         dth, th = self.dtheta.components, self.theta.components
         t, j = self.reeb.components, self.J.components
         comp = (
@@ -141,71 +152,6 @@ class PHStructure:
         """Projections X_i = e_i - theta(e_i) T of the coordinate fields onto H."""
         theta_t = np.multiply.outer(self.theta.components, self.reeb.components)
         return [VectorField(self.chart, row) for row in np.eye(self.chart.dim) - theta_t]
-
-    def h_projector(self, pts) -> np.ndarray:
-        """P[n, i, j] = delta_ij - T^i theta_j, projection onto H along T."""
-        return _h_projector(self.reeb(pts), self.theta(pts))
-
-    # -- structural residuals (per sample point) ----------------------------
-    def contact_determinant(self, pts) -> np.ndarray:
-        """|det(theta_j theta_k - dtheta_jk)| per point: nonzero exactly where theta is contact."""
-        return _contact_determinant(self.theta(pts), self.dtheta(pts))
-
-    def structure_residuals(self, pts) -> dict[str, np.ndarray]:
-        """Contact determinant, J^2, Levi-symmetry, and CR-integrability residuals."""
-        pts = self.chart.points(pts)
-        tval = self.theta(pts)
-        dtval = self.dtheta(pts)
-        jval = self.J(pts)
-        reeb = self.reeb(pts)
-
-        proj = _h_projector(reeb, tval)
-        j2 = np.einsum("nij,njk->nik", jval, jval)
-        levi = np.einsum("nia,naj->nij", dtval, jval)
-        return {
-            "contact_nondegenerate": _contact_determinant(tval, dtval),
-            "complex_structure": point_max(j2 + proj, np.einsum("nij,nj->ni", jval, reeb)),
-            "levi_symmetric": point_max(levi - levi.transpose(0, 2, 1)),
-            "cr_integrability": self.integrability_residual(pts),
-        }
-
-    def integrability_residual(self, pts) -> np.ndarray:
-        """Nijenhuis residual J([JX,Y]+[X,JY]) - [JX,JY] + [X,Y] over H pairs."""
-        d = self.chart.dim
-        fields = self.horizontal_fields()
-        *xs, (jval, _), (tval, _) = jet_data_multi(
-            fields + [self.J.apply(x) for x in fields] + [self.J, self.theta], pts, 1
-        )
-        x, jx = xs[:d], xs[d:]
-        terms = []
-        for i in range(d):
-            for j in range(i + 1, d):
-                b1 = _bracket(jx[i], x[j]) + _bracket(x[i], jx[j])
-                expr = (
-                    np.einsum("nab,nb->na", jval, b1)
-                    - _bracket(jx[i], jx[j])
-                    + _bracket(x[i], x[j])
-                )
-                terms += [expr, np.einsum("na,na->n", tval, b1)]
-        return point_max(*terms)
-
-    def reeb_residual(self, pts) -> np.ndarray:
-        """Violation of theta(T) = 1 and T . dtheta = 0."""
-        tval = self.theta(pts)
-        dtval = self.dtheta(pts)
-        reeb = self.reeb(pts)
-        return point_max(
-            np.einsum("ni,ni->n", tval, reeb) - 1.0, np.einsum("ni,nij->nj", reeb, dtval)
-        )
-
-
-def _h_projector(reeb, tval) -> np.ndarray:
-    return np.eye(reeb.shape[1])[None] - np.einsum("ni,nj->nij", reeb, tval)
-
-
-def _contact_determinant(tval, dtval) -> np.ndarray:
-    # the Reeb system matrix B_jk = theta_j theta_k - dtheta_jk of ReebField
-    return np.abs(np.linalg.det(np.einsum("ni,nj->nij", tval, tval) - dtval))
 
 
 def _bracket(x, y) -> np.ndarray:
@@ -249,42 +195,8 @@ def make_structure(
 
 
 # ----------------------------------------------------------------------
-# transversal symmetry and the Webster connection
+# the Webster sample
 # ----------------------------------------------------------------------
-
-def transversal_symmetry_residual(ph: PHStructure, pts) -> np.ndarray:
-    """Per-point max over an H-frame of |[T,X] + J[T,JX]| / |X|_g."""
-    pts = ph.chart.points(pts)
-    d = ph.chart.dim
-    fields = ph.horizontal_fields()
-    *xs, t, (jval, _) = jet_data_multi(
-        fields + [ph.J.apply(x) for x in fields] + [ph.reeb, ph.J], pts, 1
-    )
-    # only values of g_theta are read: its first partials would double the batch cost
-    gval = ph.metric(pts)
-    terms = []
-    for x, jx in zip(xs[:d], xs[d:]):
-        expr = _bracket(t, x) + np.einsum("nab,nb->na", jval, _bracket(t, jx))
-        norm = np.sqrt(np.abs(np.einsum("nij,ni,nj->n", gval, x[0], x[0])))
-        terms.append(np.abs(expr).max(axis=1) / np.maximum(norm, 1e-12))
-    return np.max(terms, axis=0)
-
-
-class WebsterData:
-    """Webster connection nabla_W = Levi-Civita(g_theta) + D of a structure.
-
-    Holds what is fixed per structure once past the transversal-symmetry
-    gate of :func:`webster_connection`; :meth:`at` evaluates it at points.
-    """
-
-    def __init__(self, ph: PHStructure):
-        self.ph = ph
-        self.metric = ph.metric
-        self.comparison = ph.comparison_tensor
-
-    def at(self, pts) -> WebsterSample:
-        return WebsterSample(self, pts)
-
 
 def _read_only(value):
     if isinstance(value, np.ndarray):
@@ -301,34 +213,45 @@ def _member(compute):
 
 
 class WebsterSample:
-    """The Webster connection, its curvature and the Levi frame at one point batch.
+    """A structure's fields, Webster connection, curvature and Levi frame at one point batch.
 
     Its caller holds it while residuals read it, so each member is evaluated
     once per batch and every residual reading it shares the same arrays.
+    The contact and bracket members need no transversal symmetry; the
+    members built on D (:attr:`connection_jets` and all after it) do.
     """
 
-    def __init__(self, wd: WebsterData, pts):
-        self.wd = wd
-        self.ph = wd.ph
-        self.pts = wd.ph.chart.points(pts)
-
-    @_member
-    def connection_jets(self):
-        """Jet data ``([g, dg, d2g], [D, dD])`` of g_theta and D, from one order-2 batch."""
-        g_jets, (dval, dgrad, _) = jet_data_multi([self.wd.metric, self.wd.comparison], self.pts, 2)
-        return g_jets, [dval, dgrad]  # D's second partials are read by nothing
+    def __init__(self, ph: PHStructure, pts):
+        self.ph = ph
+        self.pts = ph.chart.points(pts)
 
     @_member
     def contact_jets(self):
-        """Order-1 jet data ``[value, first partials]`` of theta, dtheta, J and T."""
+        """Order-1 jet data ``[value, first partials]`` of theta, dtheta, J, T and g_theta."""
         ph = self.ph
-        return jet_data_multi([ph.theta, ph.dtheta, ph.J, ph.reeb], self.pts, 1)
+        return jet_data_multi([ph.theta, ph.dtheta, ph.J, ph.reeb, ph.metric], self.pts, 1)
+
+    @_member
+    def bracket_jets(self):
+        """Order-1 jet data of the horizontal fields X_i, then of their images J X_i."""
+        fields = self.ph.horizontal_fields()
+        return jet_data_multi(fields + [self.ph.J.apply(x) for x in fields], self.pts, 1)
+
+    @_member
+    def connection_jets(self):
+        """Jet data ``([g, dg, d2g], [D, dD])`` of g_theta and D, from one order-2 batch.
+
+        Reading it runs the transversal-symmetry gate of ``ph.comparison_tensor``.
+        """
+        ph = self.ph
+        g_jets, (dval, dgrad, _) = jet_data_multi([ph.metric, ph.comparison_tensor], self.pts, 2)
+        return g_jets, [dval, dgrad]  # D's second partials are read by nothing
 
     @_member
     def projector(self):
         """P[n, i, j] = delta_ij - T^i theta_j, projection onto H along T."""
-        (tval, _), _, _, (reeb, _) = self.contact_jets
-        return _h_projector(reeb, tval)
+        (tval, _), _, _, (reeb, _), _ = self.contact_jets
+        return np.eye(reeb.shape[1])[None] - np.einsum("ni,nj->nij", reeb, tval)
 
     @_member
     def levi_civita(self):
@@ -345,7 +268,7 @@ class WebsterSample:
     @_member
     def levi_form(self):
         """L = dtheta J from the held values, summed as :attr:`PHStructure.levi_form` sums it."""
-        _, (dtheta, _), (jval, _), _ = self.contact_jets
+        _, (dtheta, _), (jval, _), _, _ = self.contact_jets
         d = dtheta.shape[1]
         return ordered_sum(dtheta[:, :, a, None] * jval[:, None, a, :] for a in range(d))
 
@@ -377,6 +300,73 @@ class WebsterSample:
         return curvature_from_arrays(self.connection_jets[0][0], *self.levi_civita)
 
 
+# ----------------------------------------------------------------------
+# structural residuals (per sample point)
+# ----------------------------------------------------------------------
+
+def structure_residuals(ws: WebsterSample) -> dict[str, np.ndarray]:
+    """Contact determinant, J^2, Levi symmetry, CR integrability, the Reeb
+    equations and transversal symmetry of ``ws.ph``, from the sample's batches.
+
+    Only the solved Reeb field, compared with ``ph.reeb``, is evaluated apart.
+    """
+    ph = ws.ph
+    (tval, _), (dtval, _), (jval, _), reeb_jets, g_jets = ws.contact_jets
+    reeb = reeb_jets[0]
+    j2 = np.einsum("nij,njk->nik", jval, jval)
+    levi = np.einsum("nia,naj->nij", dtval, jval)
+    return {
+        "contact_nondegenerate": contact_determinant(ws),
+        "complex_structure": point_max(j2 + ws.projector, np.einsum("nij,nj->ni", jval, reeb)),
+        "levi_symmetric": point_max(levi - levi.transpose(0, 2, 1)),
+        "cr_integrability": integrability_residual(ws),
+        "reeb_defining": point_max(
+            np.einsum("ni,ni->n", tval, reeb) - 1.0, np.einsum("ni,nij->nj", reeb, dtval)
+        ),
+        "reeb_linear_solve": point_max(ReebField(ph.theta, ph.dtheta)(ws.pts) - reeb),
+        "tsph_bracket": transversal_symmetry_residual(ws),
+        "tsph_killing": killing_residual(*g_jets, *reeb_jets),
+    }
+
+
+def contact_determinant(ws: WebsterSample) -> np.ndarray:
+    """|det(theta_j theta_k - dtheta_jk)| per point: nonzero exactly where theta is contact."""
+    (tval, _), (dtval, _) = ws.contact_jets[:2]
+    # the Reeb system matrix B_jk = theta_j theta_k - dtheta_jk of ReebField
+    return np.abs(np.linalg.det(np.einsum("ni,nj->nij", tval, tval) - dtval))
+
+
+def integrability_residual(ws: WebsterSample) -> np.ndarray:
+    """Nijenhuis residual J([JX,Y]+[X,JY]) - [JX,JY] + [X,Y] over H pairs."""
+    d = ws.ph.chart.dim
+    x, jx = ws.bracket_jets[:d], ws.bracket_jets[d:]
+    (tval, _), _, (jval, _), _, _ = ws.contact_jets
+    terms = []
+    for i in range(d):
+        for j in range(i + 1, d):
+            b1 = _bracket(jx[i], x[j]) + _bracket(x[i], jx[j])
+            expr = (
+                np.einsum("nab,nb->na", jval, b1)
+                - _bracket(jx[i], jx[j])
+                + _bracket(x[i], x[j])
+            )
+            terms += [expr, np.einsum("na,na->n", tval, b1)]
+    return point_max(*terms)
+
+
+def transversal_symmetry_residual(ws: WebsterSample) -> np.ndarray:
+    """Per-point max over an H-frame of |[T,X] + J[T,JX]| / |X|_g."""
+    d = ws.ph.chart.dim
+    xs = ws.bracket_jets
+    _, _, (jval, _), t, (gval, _) = ws.contact_jets
+    terms = []
+    for x, jx in zip(xs[:d], xs[d:]):
+        expr = _bracket(t, x) + np.einsum("nab,nb->na", jval, _bracket(t, jx))
+        norm = np.sqrt(np.abs(np.einsum("nij,ni,nj->n", gval, x[0], x[0])))
+        terms.append(np.abs(expr).max(axis=1) / np.maximum(norm, 1e-12))
+    return np.max(terms, axis=0)
+
+
 def axiom_residuals(ws: WebsterSample) -> dict[str, np.ndarray]:
     """Per-point residuals of the defining Tanaka-Webster axioms on H.
 
@@ -390,7 +380,7 @@ def axiom_residuals(ws: WebsterSample) -> dict[str, np.ndarray]:
         - np.einsum("nmaj,nim->naij", gamma_w, gval)
     )
 
-    (tval, dtv), (dtheta, _), (jval, dj), (reeb, _) = ws.contact_jets
+    (tval, dtv), (dtheta, _), (jval, dj), (reeb, _), _ = ws.contact_jets
     parallel_theta = dtv - np.einsum("nmai,nm->nai", gamma_w, tval)
     nabla_j = (
         dj
@@ -415,16 +405,12 @@ def axiom_residuals(ws: WebsterSample) -> dict[str, np.ndarray]:
     }
 
 
-def webster_connection(ph: PHStructure, pts=None) -> WebsterData:
-    """Assemble the Webster connection, enforcing transversal symmetry."""
-    if pts is None:
-        pts = ph.chart.sample(8, 2024)
-    res = transversal_symmetry_residual(ph, pts).max()
-    if res > TSPH_TOL:
-        raise PreconditionError(
-            f"structure is not transversally symmetric: residual {res:.3e} > {TSPH_TOL:g}"
-        )
-    return WebsterData(ph)
+def webster_connection(ph: PHStructure) -> GenericTensorField:
+    """The Webster connection nabla_W = nabla_{g_theta} + D of ``ph``, given by D.
+
+    Raises PreconditionError unless ``ph`` is transversally symmetric.
+    """
+    return ph.comparison_tensor
 
 
 # ----------------------------------------------------------------------
@@ -432,14 +418,14 @@ def webster_connection(ph: PHStructure, pts=None) -> WebsterData:
 # ----------------------------------------------------------------------
 
 def levi_adapted_frame(ph: PHStructure, pts):
-    """Pointwise L-orthonormal frame of H paired as (e_a, J e_a).
+    """Pointwise L-orthonormal frame of H paired as (e_a, J e_a): the
+    ``levi_frame`` of a :class:`WebsterSample` at ``pts``.
 
     frame[n] rows are (e_1 .. e_m, J e_1 .. J e_m); eps[n, a] is the sign
     g_theta(e_a, e_a).  The candidates are the projections of the
     coordinate vectors onto H; pivots are on the largest |L(v, v)|.
     """
-    pts = ph.chart.points(pts)
-    return _levi_frame(ph.levi_form(pts), ph.h_projector(pts), ph.J(pts), ph.m)
+    return WebsterSample(ph, pts).levi_frame
 
 
 def _levi_frame(lval, proj, jval, m: int):
@@ -494,7 +480,7 @@ def comparison_identities_residual(ws: WebsterSample) -> dict[str, np.ndarray]:
     rup_w, r4_w = ws.curvature
     curv_g = ws.lc_curvature
     rup_g = curv_g.operator
-    (tval, _), (dtheta, ddtheta), (jval, _), (reeb, _) = ws.contact_jets
+    (tval, _), (dtheta, ddtheta), (jval, _), (reeb, _), _ = ws.contact_jets
     eye = np.eye(ws.ph.chart.dim)
 
     # (a) R_W(X,Y)Z = R_g(X,Y)Z - (1/2)(nabla_Z dtheta)(X,Y) T

@@ -42,13 +42,14 @@ from .constructions import (
     submersion_residuals,
 )
 from .errors import DegeneracyError, UsageError
-from .metric import killing_residual, point_max
 from .pseudohermitian import (
-    ReebField,
+    WebsterSample,
     axiom_residuals,
     comparison_identities_residual,
+    contact_determinant,
     curvature_symmetry_residual,
     ph_einstein_residual,
+    structure_residuals,
     transversal_symmetry_residual,
 )
 
@@ -241,10 +242,13 @@ class Pipeline:
     """Lazy, cached construction pipeline for one catalog entry.
 
     Each ``*_record`` maps check names to residuals per sample point (or to
-    one sample statistic), plus the constants that checks report.  Metrics
-    that share component nodes are evaluated on one order-2 jet batch per
-    sample (``f_jets``, ``t2_jets``), and the Webster connection once at the
-    contact sample (``webster_sample``); every record reading them uses them.
+    one sample statistic), plus the constants that checks report.  Every
+    record reads its fields from jet batches held once per sample: the
+    structure's fields and Webster connection at the contact sample
+    (``webster_sample``), f, e^{2 phi} f and phi at order 2 and the
+    Fefferman frame and forms at order 1 at the Fefferman sample
+    (``f_jets``, ``f_fields``), and the explicit metrics at their sample
+    (``t2_jets``).
     """
 
     def __init__(self, example: str, m: int, points: int, seed: int):
@@ -302,8 +306,13 @@ class Pipeline:
     # -- metric jets shared by records ----------------------------------------
     @cached_property
     def f_jets(self):
-        """Order-2 jet data of f and of its rescaling e^{2 phi} f at ``f_pts``."""
-        return jet_data_multi([self.fc.metric, self.rm.metric], self.f_pts, 2)
+        """Order-2 jet data of f, of its rescaling e^{2 phi} f and of phi at ``f_pts``."""
+        return jet_data_multi([self.fc.metric, self.rm.metric, self.rm.phi], self.f_pts, 2)
+
+    @cached_property
+    def f_fields(self):
+        """Order-1 jet data of ``fc.sample_fields`` at ``f_pts``."""
+        return jet_data_multi(self.fc.sample_fields, self.f_pts, 1)
 
     @cached_property
     def t2_jets(self):
@@ -312,19 +321,13 @@ class Pipeline:
 
     @cached_property
     def webster_sample(self):
-        """The Webster connection, its curvature and the Levi frame at ``m_pts``."""
-        return self.ac.webster.at(self.m_pts)
+        """The structure's fields, Webster connection, curvature and Levi frame at ``m_pts``."""
+        return WebsterSample(self.ac.ph, self.m_pts)
 
     # -- cached residual records --------------------------------------------
     @cached_property
     def structure_record(self) -> dict:
-        ph, pts = self.ac.ph, self.m_pts
-        rec = ph.structure_residuals(pts)
-        rec["reeb_defining"] = ph.reeb_residual(pts)
-        rec["reeb_linear_solve"] = point_max(ReebField(ph.theta, ph.dtheta)(pts) - ph.reeb(pts))
-        rec["tsph_bracket"] = transversal_symmetry_residual(ph, pts)
-        rec["tsph_killing"] = killing_residual(ph.metric, ph.reeb, pts)
-        return rec
+        return structure_residuals(self.webster_sample)
 
     @cached_property
     def webster_record(self) -> dict:
@@ -351,19 +354,24 @@ class Pipeline:
 
     @cached_property
     def fefferman_record(self) -> dict:
-        f = self.f_jets[0]
-        rec = fefferman_structure_residuals(self.fc, self.f_pts, f[0])
-        rec.update(fefferman_ricci_residual(self.fc, self.f_pts, f))
-        rec["fefferman_expression"] = fefferman_expression_residual(self.fc, self.f_pts, f[0])
+        f, fields = self.f_jets[0], self.f_fields
+        rec = fefferman_structure_residuals(self.fc, f[0], fields)
+        rec.update(fefferman_ricci_residual(self.fc, self.f_pts, f, fields))
+        rec["fefferman_expression"] = fefferman_expression_residual(
+            self.fc, self.f_pts, f[0], fields
+        )
         return rec
 
     @cached_property
     def rescale_record(self) -> dict:
-        rec = rescale_residuals(self.rm, self.f_pts, self.f_jets[1])
+        _, rm_jets, phi_jets = self.f_jets
+        rec = rescale_residuals(self.rm, rm_jets, phi_jets)
         rec["slice_identity"] = slice_identity_residual(self.rm, min(self.points, 8), self.seed)
         rec["einstein_constant"] = self.rm.einstein_constant
         if self.applies("correction_structure"):
-            rec["correction_structure"] = correction_structure_residual(self.rm, self.f_pts)
+            rec["correction_structure"] = correction_structure_residual(
+                self.rm, self.f_pts, phi_jets, self.f_fields
+            )
         return rec
 
     @cached_property
@@ -373,7 +381,7 @@ class Pipeline:
             self.rm, self.t2, self.f_pts, self.f_jets[1][0]
         )
         try:
-            self.t2.metric.verify_signature(self.t2_pts)
+            self.t2.metric.verify_signature_values(self.t2_jets[0][0])
             rec["explicit_signature"] = 0.0
         except DegeneracyError:
             rec["explicit_signature"] = 1.0
@@ -387,11 +395,12 @@ class Pipeline:
         if self.applies("non_einstein_detected"):
             ein = ph_einstein_residual(self.webster_sample)
             rec["non_einstein_detected"] = ein["webster_einstein"].max()
-            rec["control_still_tsph"] = transversal_symmetry_residual(self.ac.ph, self.m_pts)
+            rec["control_still_tsph"] = transversal_symmetry_residual(self.webster_sample)
         if self.applies("non_tsph_detected"):
-            php = perturbed_structure(self.ac)
-            rec["non_tsph_detected"] = transversal_symmetry_residual(php, self.m_pts).max()
-            rec["control_still_contact"] = php.contact_determinant(self.m_pts)
+            # the contact members of a sample need no transversal symmetry
+            wsp = WebsterSample(perturbed_structure(self.ac), self.m_pts)
+            rec["non_tsph_detected"] = transversal_symmetry_residual(wsp).max()
+            rec["control_still_contact"] = contact_determinant(wsp)
         return rec
 
 
@@ -551,8 +560,8 @@ def _render(obj, indent: int = 0) -> str:
     if isinstance(obj, bool):
         return "true" if obj else "false"
     if isinstance(obj, float):
-        if obj != obj:
-            return '"nan"'
+        if not math.isfinite(obj):
+            return f'"{obj}"'  # "nan", "inf" and "-inf": JSON has no literal for them
         return format(obj, ".17g")
     if isinstance(obj, int):
         return str(obj)

@@ -1,4 +1,6 @@
-"""Shared fixtures: charts and cached construction pipelines."""
+"""Shared fixtures: charts, cached construction pipelines and a jet-batch spy."""
+
+import sys
 
 import numpy as np
 import pytest
@@ -55,3 +57,25 @@ def pipeline():
         return _PIPELINES[key]
 
     return get
+
+
+@pytest.fixture
+def jet_calls(monkeypatch):
+    """Every ``jet_data_multi`` call made while the test runs, as (fields, points, order).
+
+    Wraps the function in every crgeo module that binds it, so calls through
+    ``jet_data`` and a field's ``__call__`` are recorded too.
+    """
+    from crgeo import chart
+
+    real = chart.jet_data_multi
+    calls = []
+
+    def spy(fields, pts, order):
+        calls.append((list(fields), np.array(pts), order))
+        return real(fields, pts, order)
+
+    for name, mod in list(sys.modules.items()):
+        if name.startswith("crgeo") and getattr(mod, "jet_data_multi", None) is real:
+            monkeypatch.setattr(mod, "jet_data_multi", spy)
+    return calls

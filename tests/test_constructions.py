@@ -142,7 +142,8 @@ def test_fefferman_flat_expression(pipeline):
     # Ricci-flat gauge: f = h + (4/(m+2)) theta o (real rho_c), checked
     # against an independent assembly of the displayed expansion
     pipe = pipeline("flat", 1)
-    assert fefferman_expression_residual(pipe.fc, pipe.f_pts, pipe.f_jets[0][0]).max() < 1e-12
+    res = fefferman_expression_residual(pipe.fc, pipe.f_pts, pipe.f_jets[0][0], pipe.f_fields)
+    assert res.max() < 1e-12
 
 
 @pytest.mark.parametrize("m", [1, 2])
@@ -163,25 +164,12 @@ def test_joint_metric_jets_equal_separate_evaluation(pipeline, m):
                 assert all(np.array_equal(a, b) for a, b in zip(arrays, alone))
 
 
-def test_pipeline_evaluates_each_shared_metric_once(monkeypatch):
+def test_pipeline_evaluates_each_shared_metric_once(jet_calls):
     # f with e^{2 phi} f at f_pts, the explicit metric with its unrescaled
     # factor at t2_pts and g_theta at m_pts each take one order-2 batch
-    import sys
-
-    from crgeo import chart
     from crgeo.verify import Pipeline
 
     pipe = Pipeline("fubini_study", 1, points=3, seed=7)
-    real = chart.jet_data_multi
-    calls = []
-
-    def counting(fields, at, order):
-        calls.append((list(fields), np.array(at), order))
-        return real(fields, at, order)
-
-    for mod in [m for name, m in sys.modules.items() if name.startswith("crgeo")]:
-        if getattr(mod, "jet_data_multi", None) is real:
-            monkeypatch.setattr(mod, "jet_data_multi", counting)
     for record in ("structure", "webster", "comparison", "submersion",
                    "fefferman", "rescale", "theorem2"):
         getattr(pipe, f"{record}_record")
@@ -192,11 +180,49 @@ def test_pipeline_evaluates_each_shared_metric_once(monkeypatch):
     ]
     for metrics, pts in shared:
         batches = [
-            fields for fields, at, order in calls
+            fields for fields, at, order in jet_calls
             if order == 2 and np.array_equal(at, pts) and any(f in fields for f in metrics)
         ]
         assert len(batches) == 1
         assert all(f in batches[0] for f in metrics)
+
+
+def test_no_field_is_evaluated_twice_per_sample(jet_calls):
+    # every record reads its fields from batches held once per sample; the
+    # only repeats are three metrics whose first partials from an order-2
+    # batch differ in the last bits from an order-1 batch's: f (read at
+    # order 1 by the flat entries' conformal correction), g_theta (Killing
+    # and transversal symmetry) and h (nabla J)
+    from collections import Counter
+
+    from crgeo.chart import ScalarField
+    from crgeo.verify import Pipeline
+
+    pipe = Pipeline("fubini_study", 2, points=3, seed=7)
+    for record in ("structure", "webster", "comparison", "submersion",
+                   "fefferman", "rescale", "theorem2"):
+        getattr(pipe, f"{record}_record")
+    samples = {
+        "base": pipe.base_pts, "m": pipe.m_pts, "f": pipe.f_pts,
+        "f[:, :-1]": pipe.f_pts[:, :-1], "t2": pipe.t2_pts,
+    }
+
+    def key(field):
+        # a field built twice from the same interned components is one field
+        return (field,) if isinstance(field, ScalarField) else tuple(field.components.flat)
+
+    seen = Counter()
+    for fields, at, _ in jet_calls:
+        for name, pts in samples.items():
+            if at.shape == pts.shape and np.array_equal(at, pts):
+                seen.update((k, name) for k in {key(f) for f in fields})
+    assert {name for _, name in seen} == set(samples)
+    allowed = {
+        (key(pipe.fc.metric), "f"), (key(pipe.ac.ph.metric), "m"),
+        (key(pipe.ac.ph.metric), "f[:, :-1]"), (key(pipe.ke.metric), "base"),
+    }
+    repeated = {pair: n for pair, n in seen.items() if n > 1}
+    assert set(repeated) <= allowed and set(repeated.values()) <= {2}
 
 
 def test_fefferman_ricci_isotropic_flat(pipeline):

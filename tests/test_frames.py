@@ -6,7 +6,7 @@ import pytest
 from crgeo import Chart, OneForm, VectorField
 from crgeo.errors import DegeneracyError
 from crgeo.metric import PIVOT_TOL, orthonormal_frame, pivoted_frame
-from crgeo.pseudohermitian import levi_adapted_frame, make_structure
+from crgeo.pseudohermitian import WebsterSample, levi_adapted_frame, make_structure
 
 BASE_J1 = np.array([[0.0, -1.0], [1.0, 0.0]])
 BASE_J2 = np.kron(np.eye(2), BASE_J1)
@@ -90,7 +90,7 @@ def test_levi_frame_matches_reference(m, signs):
     pts = ph.chart.sample(16, 7)
     frame, eps = levi_adapted_frame(ph, pts)
     lval = ph.levi_form(pts)
-    cands = ph.h_projector(pts).transpose(0, 2, 1)
+    cands = WebsterSample(ph, pts).projector.transpose(0, 2, 1)
     vecs, vsigns = reference_frame(lval, cands, m, partner=ph.J(pts))
     assert np.array_equal(frame, np.concatenate([vecs[:, 0::2], vecs[:, 1::2]], axis=1))
     assert np.array_equal(eps, vsigns[:, 0::2])

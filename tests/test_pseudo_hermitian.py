@@ -8,11 +8,14 @@ from crgeo.errors import DegeneracyError, PreconditionError
 from crgeo.metric import point_max
 from crgeo.pseudohermitian import (
     ReebField,
+    WebsterSample,
     axiom_residuals,
     comparison_identities_residual,
     curvature_symmetry_residual,
+    integrability_residual,
     levi_adapted_frame,
     ph_einstein_residual,
+    structure_residuals,
     transversal_symmetry_residual,
     webster_connection,
 )
@@ -32,7 +35,7 @@ def pts(heisenberg):
 def test_heisenberg_reeb_is_vertical(heisenberg, pts):
     reeb = heisenberg.reeb(pts)
     np.testing.assert_allclose(reeb, np.tile([0.0, 0.0, -1.0], (len(pts), 1)), atol=1e-14)
-    assert heisenberg.reeb_residual(pts).max() < 1e-10
+    assert structure_residuals(WebsterSample(heisenberg, pts))["reeb_defining"].max() < 1e-10
     # algebra on the solved field gives a plain vector field
     assert np.array_equal(heisenberg.reeb.scaled(2.0)(pts), 2.0 * reeb)
 
@@ -86,7 +89,7 @@ def test_field_listed_before_its_reader_in_one_batch(heisenberg, pts):
 
 
 def test_heisenberg_structure_residuals(heisenberg, pts):
-    res = heisenberg.structure_residuals(pts)
+    res = structure_residuals(WebsterSample(heisenberg, pts))
     assert res["contact_nondegenerate"].min() > 1e-10
     assert res["complex_structure"].max() < 1e-10
     assert res["levi_symmetric"].max() < 1e-10
@@ -101,7 +104,7 @@ def test_g_theta_decomposition(heisenberg, pts):
     np.testing.assert_allclose(np.einsum("nij,ni,nj->n", gval, reeb, reeb), 1.0, atol=1e-12)
     # g restricted to H equals the Levi form
     lval = heisenberg.levi_form(pts)
-    proj = heisenberg.h_projector(pts)
+    proj = WebsterSample(heisenberg, pts).projector
     gh = np.einsum("nia,nij,njb->nab", proj, gval, proj)
     lh = np.einsum("nia,nij,njb->nab", proj, lval, proj)
     np.testing.assert_allclose(gh, lh, atol=1e-12)
@@ -122,10 +125,12 @@ def test_levi_frame_normalization(heisenberg, pts):
 # ----------------------------------------------------------------------
 
 def test_heisenberg_tsph(heisenberg, pts):
+    from crgeo.chart import jet_data
     from crgeo.metric import killing_residual
 
-    assert transversal_symmetry_residual(heisenberg, pts).max() < 1e-12
-    assert killing_residual(heisenberg.metric, heisenberg.reeb, pts).max() < 1e-12
+    assert transversal_symmetry_residual(WebsterSample(heisenberg, pts)).max() < 1e-12
+    g_jets, reeb_jets = jet_data(heisenberg.metric, pts, 1), jet_data(heisenberg.reeb, pts, 1)
+    assert killing_residual(*g_jets, *reeb_jets).max() < 1e-12
 
 
 def reference_integrability(ph, pts):
@@ -175,20 +180,21 @@ def oracle_structures(heisenberg, pipeline):
 def test_batched_brackets_match_the_bracket_fields(heisenberg, pipeline):
     # the residuals take every bracket from one order-1 jet batch
     for label, ph, pts in oracle_structures(heisenberg, pipeline):
+        ws = WebsterSample(ph, pts)
         for new, ref in [
-            (ph.integrability_residual(pts), reference_integrability(ph, pts)),
-            (transversal_symmetry_residual(ph, pts), reference_tsph(ph, pts)),
+            (integrability_residual(ws), reference_integrability(ph, pts)),
+            (transversal_symmetry_residual(ws), reference_tsph(ph, pts)),
         ]:
             np.testing.assert_allclose(new, ref, rtol=1e-14, atol=1e-14, err_msg=label)
         if label == "perturbed":
             # an order-one residual, so the comparison above is not vacuous
-            assert transversal_symmetry_residual(ph, pts).min() > 1e-3
+            assert transversal_symmetry_residual(ws).min() > 1e-3
 
 
 def test_theorem_structures_are_tsph(pipeline):
     for kind in ("flat", "fubini_study", "complex_hyperbolic"):
         pipe = pipeline(kind, 1)
-        res = transversal_symmetry_residual(pipe.ac.ph, pipe.m_pts)
+        res = transversal_symmetry_residual(WebsterSample(pipe.ac.ph, pipe.m_pts))
         assert res.max() < 1e-10
 
 
@@ -196,6 +202,23 @@ def test_perturbed_structure_fails_tsph(pipeline):
     pipe = pipeline("perturbed_non_tsph", 1)
     assert pipe.negative_record["non_tsph_detected"] > 1e-3
     assert pipe.negative_record["control_still_contact"].min() > 1e-10
+
+
+def test_structure_residuals_need_no_transversal_symmetry(pipeline):
+    # a sample's contact and bracket members skip the transversal-symmetry
+    # gate, so a structure failing it still reports every structure row;
+    # the members built on D run the gate
+    from crgeo.constructions import perturbed_structure
+    from crgeo.verify import CHECKS
+
+    pipe = pipeline("flat", 1)
+    ws = WebsterSample(perturbed_structure(pipe.ac), pipe.m_pts)
+    res = structure_residuals(ws)
+    assert set(res) == {c.name for c in CHECKS if c.record == "structure"}
+    assert all(np.isfinite(per_point).all() for per_point in res.values())
+    assert res["tsph_bracket"].min() > 1e-3
+    with pytest.raises(PreconditionError):
+        ws.connection_jets
 
 
 def test_webster_connection_precondition(pipeline):
@@ -212,7 +235,7 @@ def test_webster_connection_precondition(pipeline):
 # ----------------------------------------------------------------------
 
 def test_heisenberg_webster_axioms(heisenberg, pts):
-    ws = webster_connection(heisenberg).at(pts)
+    ws = WebsterSample(heisenberg, pts)
     res = axiom_residuals(ws)
     assert max(v.max() for v in res.values()) < 1e-12
 
@@ -222,39 +245,28 @@ def test_heisenberg_horizontal_frames_parallel(heisenberg, pts):
     from crgeo.chart import jet_data
     from crgeo.metric import covariant_from_arrays
 
-    gamma_w = webster_connection(heisenberg).at(pts).webster_symbols[0]
+    gamma_w = WebsterSample(heisenberg, pts).webster_symbols[0]
     for field in heisenberg.horizontal_fields()[:2]:
         nabla = covariant_from_arrays(*jet_data(field, pts, 1), gamma_w, field.variance)
         assert np.abs(nabla).max() < 1e-12
 
 
 def test_heisenberg_webster_flat(heisenberg, pts):
-    ws = webster_connection(heisenberg).at(pts)
+    ws = WebsterSample(heisenberg, pts)
     assert np.abs(ws.curvature[1]).max() < 1e-12
     assert np.abs(ws.ricci[0]).max() < 1e-12
     assert np.abs(ws.ricci[1]).max() < 1e-12
 
 
-def test_connection_data_is_shared_across_records(monkeypatch):
+def test_connection_data_is_shared_across_records(jet_calls, monkeypatch):
     # the webster, comparison and submersion records read one Webster sample at m_pts
-    import sys
-
-    from crgeo import chart, pseudohermitian
+    from crgeo import pseudohermitian
     from crgeo.verify import Pipeline
 
     pipe = Pipeline("fubini_study", 2, points=4, seed=7)
-    wd, pts = pipe.ac.webster, pipe.m_pts
+    ph, pts = pipe.ac.ph, pipe.m_pts
     pipe.structure_record  # the webster record reads its bracket residual
-    real = chart.jet_data_multi
-    calls = []
-
-    def counting(fields, at, order):
-        calls.append((list(fields), np.array(at), order))
-        return real(fields, at, order)
-
-    for mod in [m for name, m in sys.modules.items() if name.startswith("crgeo")]:
-        if getattr(mod, "jet_data_multi", None) is real:
-            monkeypatch.setattr(mod, "jet_data_multi", counting)
+    jet_calls.clear()
     frames, curvatures = [], []
     real_frame = pseudohermitian._levi_frame
     real_curvature = pseudohermitian.curvature_from_connection
@@ -271,11 +283,11 @@ def test_connection_data_is_shared_across_records(monkeypatch):
     monkeypatch.setattr(pseudohermitian, "curvature_from_connection", counting_curvature)
     for record in ("webster", "comparison", "submersion"):
         getattr(pipe, f"{record}_record")
-    at_m = [c for c in calls if np.array_equal(c[1], pts)]
+    at_m = [c for c in jet_calls if np.array_equal(c[1], pts)]
     # 8 when the Levi form and frame evaluated their own fields, 25 when each
     # record did
     assert len(at_m) <= 3
-    connection = [c[2] for c in at_m if c[0] == [wd.metric, wd.comparison]]
+    connection = [c[2] for c in at_m if c[0] == [ph.metric, ph.comparison_tensor]]
     assert connection == [2]
     # the Levi frame is built once, from the held values
     assert len(frames) == 1 and len(frames[0]) == len(pts)
@@ -283,18 +295,8 @@ def test_connection_data_is_shared_across_records(monkeypatch):
     assert len(curvatures) == 1
 
 
-def test_connection_data_is_read_only_and_held(heisenberg, pts, monkeypatch):
+def test_connection_data_is_read_only_and_held(heisenberg, pts, jet_calls):
     from functools import cached_property
-
-    from crgeo import pseudohermitian
-    from crgeo.pseudohermitian import WebsterSample
-
-    real = pseudohermitian.jet_data_multi
-    calls = []
-
-    def counting(fields, at, order):
-        calls.append(order)
-        return real(fields, at, order)
 
     def arrays(value):
         if isinstance(value, np.ndarray):
@@ -302,14 +304,14 @@ def test_connection_data_is_read_only_and_held(heisenberg, pts, monkeypatch):
         items = value if isinstance(value, (tuple, list)) else vars(value).values()
         return [a for item in items for a in arrays(item)]
 
-    monkeypatch.setattr(pseudohermitian, "jet_data_multi", counting)
-    ws = webster_connection(heisenberg).at(pts)
-    calls.clear()  # the transversal-symmetry gate of webster_connection
+    webster_connection(heisenberg)  # the transversal-symmetry gate, once per structure
+    ws = WebsterSample(heisenberg, pts)
+    jet_calls.clear()
     axiom_residuals(ws)
     comparison_identities_residual(ws)
     ph_einstein_residual(ws)
     # one order-2 connection batch and one order-1 contact batch serve all three
-    assert sorted(calls) == [1, 2]
+    assert sorted(order for _, _, order in jet_calls) == [1, 2]
     members = [n for n, v in vars(WebsterSample).items() if isinstance(v, cached_property)]
     assert {"connection_jets", "contact_jets", "curvature", "lc_curvature"} <= set(members)
     for name in members:
@@ -317,7 +319,8 @@ def test_connection_data_is_read_only_and_held(heisenberg, pts, monkeypatch):
         for arr in arrays(getattr(ws, name)):
             with pytest.raises(ValueError):
                 arr[...] = 0.0
-    assert sorted(calls) == [1, 2]
+    # and the bracket batch, first read in this loop
+    assert sorted(order for _, _, order in jet_calls) == [1, 1, 2]
 
 
 @pytest.mark.parametrize("n", [1, 2, 32])
@@ -333,7 +336,7 @@ def test_sample_batches_equal_separate_evaluation(example, m, n):
 
     pipe = Pipeline(example, m, points=n, seed=7)
     ph, pts, ws = pipe.ac.ph, pipe.m_pts, pipe.webster_sample
-    for field, (val, grad) in zip([ph.theta, ph.dtheta, ph.J, ph.reeb], ws.contact_jets):
+    for field, (val, grad) in zip([ph.theta, ph.dtheta, ph.J, ph.reeb, ph.metric], ws.contact_jets):
         assert np.array_equal(val, field(pts))
         assert np.array_equal(grad, jet_data(field, pts, 1)[1])
     assert np.array_equal(ws.connection_jets[0][0], ph.metric(pts))
@@ -355,7 +358,7 @@ def test_einstein_residual_values(pipeline):
         ein = ph_einstein_residual(pipe.webster_sample)
         assert ein["webster_einstein"].max() < 1e-7
         assert ein["scal_mean"] == pytest.approx(expected, abs=1e-9)
-        assert transversal_symmetry_residual(pipe.ac.ph, pipe.m_pts).max() < 1e-8
+        assert transversal_symmetry_residual(pipe.webster_sample).max() < 1e-8
 
 
 def test_product_base_is_not_einstein(pipeline):
@@ -369,7 +372,7 @@ def test_product_base_is_not_einstein(pipeline):
 # ----------------------------------------------------------------------
 
 def test_heisenberg_comparison_identities(heisenberg, pts):
-    res = comparison_identities_residual(webster_connection(heisenberg).at(pts))
+    res = comparison_identities_residual(WebsterSample(heisenberg, pts))
     assert max(v.max() for v in res.values()) < 1e-12
 
 
@@ -413,13 +416,13 @@ def test_curvature_from_connection_data_equals_riemann(pipeline, m):
 
 def test_contact_control_skips_the_nijenhuis_batch(monkeypatch):
     # the deformed structure's contact check reads the determinant alone
-    from crgeo.pseudohermitian import PHStructure
+    from crgeo import pseudohermitian
     from crgeo.verify import Pipeline
 
-    def unused(self, pts):
+    def unused(ws):
         raise AssertionError("the Nijenhuis residual is not read by the contact control")
 
-    monkeypatch.setattr(PHStructure, "integrability_residual", unused)
+    monkeypatch.setattr(pseudohermitian, "integrability_residual", unused)
     pipe = Pipeline("perturbed_non_tsph", 1, points=4, seed=7)
     assert pipe.negative_record["control_still_contact"].min() > 1e-10
 

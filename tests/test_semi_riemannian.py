@@ -206,7 +206,8 @@ def test_fubini_study_complex_structure_parallel():
 def test_killing_rotation(plane, flat):
     x, y = plane.coordinate_fields()
     rotation = VectorField(plane, [-y, x])
-    assert killing_residual(flat, rotation, plane.sample(16, 42)).max() < 1e-14
+    pts = plane.sample(16, 42)
+    assert killing_residual(*jet_data(flat, pts, 1), *jet_data(rotation, pts, 1)).max() < 1e-14
 
 
 def test_killing_translation_in_exponential_metric(plane):
@@ -215,12 +216,14 @@ def test_killing_translation_in_exponential_metric(plane):
     g = conformal_metric(plane, fexp(x * 2.0))
     dx = VectorField(plane, [plane.constant(1.0), plane.constant(0.0)])
     pts = plane.sample(16, 42)
-    res = killing_residual(g, dx, pts)
+    res = killing_residual(*jet_data(g, pts, 1), *jet_data(dx, pts, 1))
     np.testing.assert_allclose(res, 2.0 * np.exp(2.0 * pts[:, 0]), rtol=1e-12)
 
 
 def test_conformal_correction_constant_phi(plane, sphere):
-    corr = conformal_ricci_correction(sphere, plane.constant(0.7), plane.sample(8, 42))
+    pts = plane.sample(8, 42)
+    phi_jets = jet_data(plane.constant(0.7), pts, 2)
+    corr = conformal_ricci_correction(*jet_data(sphere, pts, 1), *phi_jets[1:])
     assert np.abs(corr).max() < 1e-13
 
 
@@ -228,7 +231,7 @@ def test_conformal_correction_matches_direct(plane, sphere):
     x, y = plane.coordinate_fields()
     phi = x
     pts = plane.sample(16, 42)
-    corr = conformal_ricci_correction(sphere, phi, pts)
+    corr = conformal_ricci_correction(*jet_data(sphere, pts, 1), *jet_data(phi, pts, 2)[1:])
     direct = riemann(conformal_rescale(sphere, phi), pts).ricci - riemann(sphere, pts).ricci
     assert np.abs(corr - direct).max() < 1e-12
 
@@ -257,7 +260,7 @@ def test_conformal_correction_random_fixtures():
 
         phi = x * float(coeff[0]) + fsin(y) * float(coeff[1]) + z * z * float(coeff[2])
         pts = chart.sample(16, 42)
-        corr = conformal_ricci_correction(g, phi, pts)
+        corr = conformal_ricci_correction(*jet_data(g, pts, 1), *jet_data(phi, pts, 2)[1:])
         direct = riemann(conformal_rescale(g, phi), pts).ricci - riemann(g, pts).ricci
         assert np.abs(corr - direct).max() < 1e-7
 
@@ -288,6 +291,20 @@ def test_signature_flip_at_one_point_detected(plane):
     with pytest.raises(DegeneracyError, match=f"sample point {order[-1]} "):
         g.verify_signature(pts)
     g.verify_signature(np.delete(pts, order[-1], axis=0))
+
+
+def test_nan_metric_is_degenerate_at_its_point(plane):
+    # sqrt(x) is NaN at x < 0: the determinant is NaN there, not a wrong signature
+    from crgeo.chart import sqrt as fsqrt
+
+    x, _ = plane.coordinate_fields()
+    one, zero = plane.constant(1.0), plane.constant(0.0)
+    g = MetricField(plane, [[fsqrt(x), zero], [zero, one]], (2, 0))
+    pts = np.array([[0.5, 0.0], [1.0, 0.3], [-0.5, 0.0], [-1.0, 0.0]])
+    with np.errstate(invalid="ignore"):
+        with pytest.raises(DegeneracyError, match="metric degenerate at sample point 2: "):
+            g.verify_signature(pts)
+    g.verify_signature(pts[:2])
 
 
 def test_orthonormal_frame_indefinite():

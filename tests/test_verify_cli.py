@@ -238,6 +238,26 @@ def test_nan_residual_is_a_failed_row(capsys, monkeypatch):
     assert [name for name, row in rows.items() if not row["pass"]] == ["reeb_sectional"]
 
 
+def test_infinite_residual_keeps_the_report_json(capsys, monkeypatch):
+    # an infinite residual is written as a string, as NaN is, and fails its row
+    original = crgeo.verify.comparison_identities_residual
+
+    def with_inf(ws):
+        rec = original(ws)
+        per_point = np.array(rec["reeb_sectional"], dtype=float)
+        per_point[0] = np.inf
+        rec["reeb_sectional"] = per_point
+        return rec
+
+    monkeypatch.setattr(crgeo.verify, "comparison_identities_residual", with_inf)
+    code, doc, errors = error_rows(capsys, "--suite", "comparison")
+    rows = {c["name"]: c for c in doc["checks"]}
+    assert code == 1 and doc["overall_pass"] is False and not errors
+    assert rows["reeb_sectional"]["pass"] is False and rows["reeb_sectional"]["max_residual"] == "inf"
+    assert [name for name, row in rows.items() if not row["pass"]] == ["reeb_sectional"]
+    assert render_report({"low": -np.inf}) == '{\n  "low": "-inf"\n}\n'
+
+
 def test_error_inside_a_record_fails_every_row_of_it(capsys, monkeypatch):
     def broken(ws):
         raise KeyError("inner")
@@ -250,10 +270,10 @@ def test_error_inside_a_record_fails_every_row_of_it(capsys, monkeypatch):
 
 
 def test_signature_check_reports_unexpected_errors(capsys, monkeypatch):
-    def broken(self, pts):
+    def broken(self, g):
         raise RuntimeError("eigensolver unavailable")
 
-    monkeypatch.setattr(MetricField, "verify_signature", broken)
+    monkeypatch.setattr(MetricField, "verify_signature_values", broken)
     code, _, errors = error_rows(capsys, "--suite", "theorem2")
     assert code == 1
     row = errors["explicit_signature"]
