@@ -11,7 +11,13 @@ independent of evaluation order and instances can be shared freely.
 A scalar field is a node ``(op, operands, constants)``, interned per chart by
 that key (constants by their bits), so equal subtrees are one object.
 :func:`jet_data_multi` evaluates a field list as one flat op plan per block of
-points, freeing each intermediate jet after its last reader.
+points, freeing each intermediate jet after its last reader.  A partial along
+coordinate i reads its operand under one more lift level: a generator seeded
+on i.  A context is the stack of lift levels a value is evaluated under, and
+a field is evaluated only under the levels whose coordinate is in its ``deps``;
+under more levels its jet gains exact-zero rows (:func:`jets.widen`), so a
+subtree that cannot depend on i is evaluated once for the field and for its
+partial along i.
 
 Scalar expression trees fold when they are built.  A field from
 :meth:`Chart.constant` knows its value; an operation on two constants is a
@@ -181,28 +187,72 @@ def _opaque(*args):
     return args[-1](list(args[:-1]))
 
 
+class _Context:
+    """A stack of lift levels, interned by ``levels``.
+
+    Level l is one generator, seeded with 1 on coordinate ``levels[l]``, at
+    the l-th bit above the root generators; the root context has no level.
+    Each context keeps its lifts and its reductions, so every plan shares
+    them.
+    """
+
+    __slots__ = ("levels", "lifted", "lifts", "reductions")
+    interned: dict = {}
+
+    def __init__(self, levels: tuple):
+        self.levels, self.lifted = levels, frozenset(levels)
+        self.lifts, self.reductions = {}, {}
+
+    @classmethod
+    def of(cls, levels: tuple) -> "_Context":
+        ctx = cls.interned.get(levels)
+        if ctx is None:
+            ctx = cls.interned[levels] = cls(levels)
+        return ctx
+
+    def lift(self, i: int) -> "_Context":
+        """This context with one more level, on coordinate i."""
+        ctx = self.lifts.get(i)
+        if ctx is None:
+            ctx = self.lifts[i] = _Context.of(self.levels + (i,))
+        return ctx
+
+    def reduce(self, deps: frozenset) -> tuple["_Context", int]:
+        """The context of the levels on ``deps``, and the mask of their positions."""
+        reduced = self.reductions.get(deps)
+        if reduced is None:
+            kept = sum(1 << level for level, i in enumerate(self.levels) if i in deps)
+            ctx = _Context.of(tuple(i for i in self.levels if i in deps))
+            reduced = self.reductions[deps] = ctx, kept
+        return reduced
+
+
+_ROOT = _Context.of(())
+
+
 class _Plan:
     """The ops evaluating a field list, in dependency order.
 
-    A value is keyed by (field, context); a context is the tuple of coordinate
-    ids a field reads, the root coordinate j being id j and a lift (parent id,
-    seed).  A partial reads its operand in the context lifted on its
-    coordinate, a pull-back in the leading coordinates; a coordinate is lifted
-    only when read.  Slots 0..d-1 hold the root coordinate jets.  Op ``(fn,
-    out, ins, constants, dead)`` sets slot ``out`` to ``fn(*ins values,
-    *constants)``, or with ``fn`` None reads field ``out`` from slot ``ins[0]``;
-    it then frees the slots in ``dead``, whose last reader it is.
+    A value is keyed by (field, :class:`_Context`).  A partial along i reads
+    its operand in its context lifted on i; a pull-back reads it in the same
+    levels, all of them on base coordinates.  A field is evaluated only under
+    the levels whose coordinate is in its ``deps``: in any other context its
+    jet is that of the reduced context with exact-zero rows for the levels it
+    cannot read (:func:`jets.widen`), so every context that reduces to the
+    same one shares one value.  Tensor stacks and opaque fields read every
+    coordinate.  Slots 0..d-1 hold the root coordinate jets.  Op ``(fn, out,
+    ins, constants, dead)`` sets slot ``out`` to ``fn(*ins values,
+    *constants)``, or with ``fn`` None reads field ``out`` from slot
+    ``ins[0]``; it then frees the slots in ``dead``, whose last reader it is.
     """
 
     def __init__(self, fields, dim: int):
         self.shapes = [field.shape for field in fields]
         self.size, self.ops = dim, []
-        self.slots, self.lifts = {}, {}
-        self.coord_slots = {j: j for j in range(dim)}
-        self.contexts, self.context_coords = {}, []
-        root = self.context(tuple(range(dim)))
+        self.slots = {}
+        self.coord_slots = {(j, 0): j for j in range(dim)}
         for index, field in enumerate(fields):
-            self.ops.append((None, index, (self.slot(field, root),), ()))
+            self.ops.append((None, index, (self.slot(field, _ROOT),), ()))
         last = {s: at for at, op in enumerate(self.ops) for s in op[2]}
         dead = [[] for _ in self.ops]
         for s, at in last.items():
@@ -228,43 +278,39 @@ class _Plan:
         self.size += 1
         return self.size - 1
 
-    def context(self, coords: tuple) -> int:
-        if coords not in self.contexts:
-            self.contexts[coords] = len(self.context_coords)
-            self.context_coords.append(coords)
-        return self.contexts[coords]
-
-    def coord(self, cid) -> int:
-        slot = self.coord_slots.get(cid)
+    def coord(self, j: int, depth: int) -> int:
+        """Coordinate j under ``depth`` levels, every one on j."""
+        slot = self.coord_slots.get((j, depth))
         if slot is None:
-            parent, seed = cid
-            slot = self.coord_slots[cid] = self.emit(Jet.lift, (self.coord(parent),), (seed,))
+            slot = self.coord_slots[j, depth] = self.emit(Jet.lift, (self.coord(j, depth - 1),), (1.0,))
         return slot
 
-    def slot(self, field: "TensorField", ctx: int) -> int:
+    def slot(self, field: "TensorField", ctx: _Context) -> int:
         key = (field, ctx)
         slot = self.slots.get(key)
         if slot is not None:
             return slot
-        op, coords = field.op, self.context_coords[ctx]
-        if op.__class__ is not str:
-            ins = tuple([self.slot(f, ctx) for f in field.operands])
-            slot = self.emit(op, ins, field.constants)
-        elif op == COORD:
-            slot = self.coord(coords[field.constants[0]])
-        elif op == LEAD:
-            base = field.operands[0]
-            slot = self.slot(base, self.context(coords[:base.chart.dim]))
-        elif op == PARTIAL:
-            i = field.constants[0]
-            if (ctx, i) not in self.lifts:
-                lifted = tuple((c, float(j == i)) for j, c in enumerate(coords))
-                self.lifts[ctx, i] = self.context(lifted)
-            slot = self.emit(Jet.upper, (self.slot(field.operands[0], self.lifts[ctx, i]),))
-        elif op == CONST:
-            slot = self.emit(_constant, (self.coord(coords[0]),), field.constants)
-        else:  # OPAQUE
-            slot = self.emit(_opaque, tuple(map(self.coord, coords)), field.constants)
+        if ctx is not _ROOT and not ctx.lifted <= field.deps:
+            inner, kept = ctx.reduce(field.deps)
+            slot = self.emit(jets.widen, (self.slot(field, inner),), (kept, len(ctx.levels)))
+        else:
+            op = field.op
+            if op.__class__ is not str:
+                ins = tuple([self.slot(f, ctx) for f in field.operands])
+                slot = self.emit(op, ins, field.constants)
+            elif op == PARTIAL:
+                slot = self.emit(Jet.upper, (self.slot(field.operands[0], ctx.lift(field.constants[0])),))
+            elif op == LEAD:
+                slot = self.slot(field.operands[0], ctx)
+            elif op == COORD:
+                # reduced, every level of the context is on this coordinate
+                slot = self.coord(field.constants[0], len(ctx.levels))
+            elif op == CONST:
+                # reduced to the root context: shaped like root coordinate 0
+                slot = self.emit(_constant, (0,), field.constants)
+            else:  # OPAQUE
+                ins = tuple([self.slot(field.chart.coord(j), ctx) for j in range(field.chart.dim)])
+                slot = self.emit(_opaque, ins, field.constants)
         self.slots[key] = slot
         return slot
 
@@ -282,6 +328,7 @@ class TensorField:
 
     def __init__(self, chart: Chart):
         self.chart = chart
+        self.deps = frozenset(range(chart.dim))  # stacks and opaque fields read every coordinate
 
     def __call__(self, pts) -> np.ndarray:
         return jet_data(self, pts, 0)[0]
@@ -302,8 +349,7 @@ class ScalarField(TensorField):
 
     def __init__(self, chart: Chart, fn):
         super().__init__(chart)
-        self.op, self.constants = OPAQUE, (fn,)
-        self.deps, self.value = frozenset(range(chart.dim)), None
+        self.op, self.constants, self.value = OPAQUE, (fn,), None
 
     # -- calculus ---------------------------------------------------------
     def partial(self, i) -> "ScalarField":

@@ -376,7 +376,7 @@ def fefferman_metric(ac: AnticanonicalChart) -> FeffermanChart:
     Requires the Einstein condition: only then does the Webster connection
     form admit the local potential A_W = i (m+2)/2 (ds + (2 scal_W / (m(m+2))) theta).
     """
-    ein = ph_einstein_residual(WebsterSample(ac.ph, ac.chart.sample(8, 2024)))
+    ein = ph_einstein_residual(ac.ph.gate_sample)
     residual = ein["webster_einstein"].max()
     deviation = ein["webster_scal_constant"].max()
     if residual > EINSTEIN_PRECONDITION_TOL or deviation > EINSTEIN_PRECONDITION_TOL:

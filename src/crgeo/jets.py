@@ -9,7 +9,8 @@ truncation error.  Batches live in the trailing axes of ``comp``.
 
 This module alone knows the coefficient layout: :func:`seed` builds
 coordinate jets, :func:`partials` reads value and derivative arrays back,
-and :func:`stack` assembles the jet of a tensor from its components.
+:func:`stack` assembles the jet of a tensor from its components, and
+:func:`widen` gives a jet exact-zero rows for generators it does not read.
 """
 
 from __future__ import annotations
@@ -21,7 +22,7 @@ import numpy as np
 
 __all__ = [
     "Jet", "exp", "log", "sin", "cos", "sqrt", "powf",
-    "seed", "partials", "stack", "jet_solve",
+    "seed", "partials", "stack", "widen", "jet_solve",
 ]
 
 # smallest |det| of the order-zero matrix that jet_solve inverts
@@ -302,6 +303,25 @@ def stack(parts, shape: tuple) -> Jet:
     """Jet of an array of the given value shape from its components in C order."""
     stacked = np.stack([p.comp for p in parts], axis=-1)  # raises unless their shapes agree
     return Jet(stacked.reshape(stacked.shape[:-1] + tuple(shape)))
+
+
+def widen(x: Jet, kept: int, levels: int) -> Jet:
+    """``x`` with exact-zero rows for new generators among its top ones.
+
+    The result has ``levels`` top generators.  Bit l of ``kept`` marks the
+    l-th of them (lowest first) as one of ``x``'s own top generators, taken
+    in order; every other one is new.  This is, bit for bit, the jet ``x``
+    would be had each new generator been appended by ``lift(0.0)`` in its
+    place.
+    """
+    n = kept.bit_count()
+    batch = x.comp.shape[1:]
+    low = x.comp.shape[0] >> n  # the rows spanned by the generators below the top ones
+    out = np.zeros((2,) * levels + (low,) + batch)
+    # axis a of the reshaped rows holds generator bit levels - 1 - a of the top ones
+    into = tuple(slice(None) if kept >> (levels - 1 - a) & 1 else 0 for a in range(levels))
+    out[into] = x.comp.reshape((2,) * n + (low,) + batch)
+    return Jet(out.reshape((low << levels,) + batch))
 
 
 # ----------------------------------------------------------------------

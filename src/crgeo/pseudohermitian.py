@@ -127,14 +127,23 @@ class PHStructure:
         return MetricField(self.chart, g.components, (2 * p + 1, 2 * q))
 
     @cached_property
+    def gate_sample(self) -> "WebsterSample":
+        """The sample at ``chart.sample(8, 2024)`` that both precondition checks read.
+
+        They are the transversal-symmetry gate of :attr:`comparison_tensor`
+        and the Einstein condition of ``constructions.fefferman_metric``.
+        """
+        return WebsterSample(self, self.chart.sample(8, 2024))
+
+    @cached_property
     def comparison_tensor(self) -> GenericTensorField:
         """D^k_ij = (dtheta_ij T^k - theta_i J^k_j - theta_j J^k_i) / 2.
 
         nabla_W = nabla_{g_theta} + D holds for a transversally symmetric
         structure only, so D is built past that gate, checked once per
-        structure at ``sample(8, 2024)``.
+        structure on :attr:`gate_sample`.
         """
-        res = transversal_symmetry_residual(WebsterSample(self, self.chart.sample(8, 2024))).max()
+        res = transversal_symmetry_residual(self.gate_sample).max()
         if res > TSPH_TOL:
             raise PreconditionError(
                 f"structure is not transversally symmetric: residual {res:.3e} > {TSPH_TOL:g}"

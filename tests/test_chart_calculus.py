@@ -388,6 +388,34 @@ def test_a_shared_subtree_is_computed_once_per_block(chart, monkeypatch):
     assert len(calls) == 3
 
 
+def test_a_field_is_evaluated_only_under_the_lifts_it_reads(chart, monkeypatch):
+    real, orders = jets.log, []
+
+    def counting_log(v):
+        orders.append(v.order)
+        return real(v)
+
+    monkeypatch.setattr(jets, "log", counting_log)
+    x, y = chart.coordinate_fields()
+    f = log(10.0 + x * x) * y
+    pts = chart.sample(3, 16)
+    value, dy, dx = (v[0] for v in jet_data_multi([f, f.partial(1), f.partial(0)], pts, 2))
+    # d_y f reads the log of f's own evaluation with a zero row for its lift;
+    # d_x f evaluates it again, under the lift on x
+    assert orders == [2, 3]
+    px, py = pts.T
+    np.testing.assert_allclose(value, np.log(10.0 + px * px) * py, rtol=1e-14)
+    np.testing.assert_allclose(dy, np.log(10.0 + px * px), rtol=1e-14)
+    np.testing.assert_allclose(dx, 2.0 * px * py / (10.0 + px * px), rtol=1e-14)
+    # under the levels (x, y) of d_x d_y g, the log is the one under (x,),
+    # and its rows meet those of x * y, which reads both levels
+    orders.clear()
+    g = log(10.0 + x * x) * (x * y)
+    dxy = jet_data_multi([g, g.partial(0), g.partial(1).partial(0)], pts, 2)[2][0]
+    assert orders == [2, 3]
+    np.testing.assert_allclose(dxy, np.log(10.0 + px * px) + 2.0 * px * px / (10.0 + px * px), rtol=1e-14)
+
+
 def test_jet_data_multi_needs_a_field(chart):
     with pytest.raises(ValueError, match="no fields"):
         jet_data_multi([], chart.sample(2, 12), 1)
@@ -546,6 +574,7 @@ def test_folding_saves_jet_products(monkeypatch):
     report = run_suite(SuiteConfig("fubini_study", 2, points=2, seed=7))
     assert report["overall_pass"]
     # 8482 before constants and coordinate-independent partials folded, 5637
-    # while the lifted J was one jet outer product that folded nothing, and
-    # 4113 before equal subtrees were interned as one node
-    assert len(calls) <= 4040
+    # while the lifted J was one jet outer product that folded nothing, 4113
+    # before equal subtrees were interned as one node, and 2705 while a
+    # partial lifted every coordinate of its context, not only those read
+    assert len(calls) <= 1369

@@ -205,6 +205,8 @@ def test_no_field_is_evaluated_twice_per_sample(jet_calls):
     samples = {
         "base": pipe.base_pts, "m": pipe.m_pts, "f": pipe.f_pts,
         "f[:, :-1]": pipe.f_pts[:, :-1], "t2": pipe.t2_pts,
+        # the transversal-symmetry gate and the Fefferman Einstein precondition
+        "gate": pipe.ac.chart.sample(8, 2024),
     }
 
     def key(field):
@@ -220,6 +222,7 @@ def test_no_field_is_evaluated_twice_per_sample(jet_calls):
     allowed = {
         (key(pipe.fc.metric), "f"), (key(pipe.ac.ph.metric), "m"),
         (key(pipe.ac.ph.metric), "f[:, :-1]"), (key(pipe.ke.metric), "base"),
+        (key(pipe.ac.ph.metric), "gate"),
     }
     repeated = {pair: n for pair, n in seen.items() if n > 1}
     assert set(repeated) <= allowed and set(repeated.values()) <= {2}

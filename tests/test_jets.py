@@ -106,6 +106,42 @@ def test_stack_needs_components_of_one_shape():
         jets.stack([a, Jet(np.ones((2, 1)))], (2,))
 
 
+@pytest.mark.parametrize("levels", [1, 2, 3])
+def test_widen_is_a_seed_zero_lift_at_each_dropped_level(levels):
+    # two root generators on a (3, 2) batch, then one lift per level: seed
+    # 2 + level at a kept level and 0 at a dropped one, against the kept
+    # lifts alone, widened
+    rng = np.random.default_rng(levels)
+    base = Jet(rng.standard_normal((4, 3, 2)))
+    for kept in range(1 << levels):
+        full = reduced = base
+        for level in range(levels):
+            seed = 2.0 + level if kept >> level & 1 else 0.0
+            full = full.lift(seed)
+            if seed:
+                reduced = reduced.lift(seed)
+        widened = jets.widen(reduced, kept, levels)
+        assert widened.comp.shape == full.comp.shape
+        assert widened.comp.tobytes() == full.comp.tobytes()
+
+
+@pytest.mark.parametrize("levels", [1, 2, 3])
+def test_widen_moves_each_row_to_its_kept_levels(levels):
+    rng = np.random.default_rng(10 + levels)
+    for kept in range(1 << levels):
+        n = bin(kept).count("1")
+        x = Jet(rng.standard_normal((4 << n, 3)))  # two root generators below the kept ones
+        out = jets.widen(x, kept, levels).comp
+        positions = [level for level in range(levels) if kept >> level & 1]
+        for row in range(len(out)):
+            low, high = row & 3, row >> 2
+            if high & ~kept:
+                assert out[row].tobytes() == np.zeros(3).tobytes()
+            else:
+                packed = sum(1 << k for k, level in enumerate(positions) if high >> level & 1)
+                assert np.array_equal(out[row], x.comp[packed << 2 | low])
+
+
 def test_jet_solve_linear_system():
     rng = np.random.default_rng(0)
     a0 = np.eye(3) + 0.2 * rng.standard_normal((3, 3))
