@@ -17,7 +17,8 @@ on i.  A context is the stack of lift levels a value is evaluated under, and
 a field is evaluated only under the levels whose coordinate is in its ``deps``;
 under more levels its jet gains exact-zero rows (:func:`jets.widen`), so a
 subtree that cannot depend on i is evaluated once for the field and for its
-partial along i.
+partial along i.  A tensor field is read from its component jets
+(:func:`jets.components`), so its stack is built only for an op that reads it.
 
 Scalar expression trees fold when they are built.  A field from
 :meth:`Chart.constant` knows its value; an operation on two constants is a
@@ -244,6 +245,8 @@ class _Plan:
     ins, constants, dead)`` sets slot ``out`` to ``fn(*ins values,
     *constants)``, or with ``fn`` None reads field ``out`` from slot
     ``ins[0]``; it then frees the slots in ``dead``, whose last reader it is.
+    A tensor stack is built only for an op that reads it; a field read of one
+    that no op before it has stacked reads :func:`jets.components` instead.
     """
 
     def __init__(self, fields, dim: int):
@@ -252,7 +255,13 @@ class _Plan:
         self.slots = {}
         self.coord_slots = {(j, 0): j for j in range(dim)}
         for index, field in enumerate(fields):
-            self.ops.append((None, index, (self.slot(field, _ROOT),), ()))
+            if field.op is _stack and (field, _ROOT) not in self.slots:
+                # no op has stacked the tensor: the read takes its components
+                comps = tuple([self.slot(f, _ROOT) for f in field.operands])
+                slot = self.emit(_components, comps, field.constants)
+            else:
+                slot = self.slot(field, _ROOT)
+            self.ops.append((None, index, (slot,), ()))
         last = {s: at for at, op in enumerate(self.ops) for s in op[2]}
         dead = [[] for _ in self.ops]
         for s, at in last.items():
@@ -544,6 +553,11 @@ class _ComponentStack(TensorField):
 def _stack(*args):
     # the component jets in C order, then the value shape
     return jets.stack(args[:-1], args[-1])
+
+
+def _components(*args):
+    # as for _stack
+    return jets.components(args[:-1], args[-1])
 
 
 class VectorField(_ComponentStack):

@@ -9,8 +9,16 @@ truncation error.  Batches live in the trailing axes of ``comp``.
 
 This module alone knows the coefficient layout: :func:`seed` builds
 coordinate jets, :func:`partials` reads value and derivative arrays back,
-:func:`stack` assembles the jet of a tensor from its components, and
+:func:`stack` assembles the jet of a tensor from its components,
+:func:`components` holds them for a read without that jet, and
 :func:`widen` gives a jet exact-zero rows for generators it does not read.
+Part of the layout is a jet's root count: generator j below it is a root
+generator, seeded along batch axis 1 + j, so row s holds values that vary
+only along the root axes of the bits in s and repeat along the others.
+:func:`seed` sets the count and every operation here carries it forward
+(the least count of its operands); a bare ``Jet(comp)`` has count 0, which
+claims no repeats.  Wide compositions (:meth:`Jet.apply`) and wide reads of
+components work on each row only along the axes it varies on.
 """
 
 from __future__ import annotations
@@ -22,7 +30,7 @@ import numpy as np
 
 __all__ = [
     "Jet", "exp", "log", "sin", "cos", "sqrt", "powf",
-    "seed", "partials", "stack", "widen", "jet_solve",
+    "seed", "partials", "components", "stack", "widen", "jet_solve",
 ]
 
 # smallest |det| of the order-zero matrix that jet_solve inverts
@@ -40,11 +48,18 @@ MIN_DET = 1e-10
 # 0.76 and 7.5 at 512 and 2304 for k = 2; staging every product made the
 # two-point catalog about 20% slower, since each stage costs a few
 # microseconds of dispatch.  At 1024 instead of 512, the order-4 products of
-# 64-point blocks at m = 1 (width 576) stayed on the slow matmul.
+# 64-point blocks at m = 1 (width 576) stayed on the slow matmul.  The same
+# width picks the compact series of Jet.apply and the row-wise component
+# reads of partials, each a few numpy calls per row.
 STAGED_MIN_WIDTH = 512
 
 _MUL_INDEX: dict[int, tuple[np.ndarray, np.ndarray, np.ndarray]] = {}
 _STAGES: dict[int, list[tuple[int, tuple, tuple]]] = {}
+# a jet combined with a number keeps its root count; with an array, which
+# may vary along a root axis, it claims none
+_NUMBERS = (float, int)
+_ROW_VIEWS: dict[tuple[int, int], list[tuple]] = {}
+_POWER_TERMS: dict[int, list[list[tuple[int, tuple[int, ...]]]]] = {}
 
 
 def _mul_index(k: int):
@@ -74,36 +89,64 @@ def _stages(k: int):
     return _STAGES[k]
 
 
+def _row_views(k: int, roots: int):
+    # per row s: the index of comp[s] along the root axes of the bits in s,
+    # a length-1 slice along every other root axis (a zero-copy view)
+    key = (k, roots)
+    if key not in _ROW_VIEWS:
+        lead = (slice(None),) if roots else ()
+        _ROW_VIEWS[key] = [
+            (s,) + lead
+            + tuple(slice(None) if s >> j & 1 else slice(0, 1) for j in range(roots))
+            + (Ellipsis,)
+            for s in range(1 << k)
+        ]
+    return _ROW_VIEWS[key]
+
+
+def _power_terms(k: int):
+    # per j = 2 .. k: the rows s with |s| >= j, each with the t of its
+    # staged sum that are not exact zeros: t a proper nonempty subset of s
+    # (nil has a zero row 0) with |t| >= j - 1 (nil^(j-1) is zero below)
+    if k not in _POWER_TERMS:
+        _POWER_TERMS[k] = [
+            [
+                (s, tuple(t for t in range(1, s) if t & s == t and t.bit_count() >= j - 1))
+                for s in range(1 << k) if s.bit_count() >= j
+            ]
+            for j in range(2, k + 1)
+        ]
+    return _POWER_TERMS[k]
+
+
 class Jet:
     """Truncated polynomial in k nilpotent generators.
 
     ``comp`` has shape ``(2**k, *batch)``; ``comp[m]`` is the coefficient
-    of the product of the generators in bitmask ``m``.
+    of the product of the generators in bitmask ``m``.  The lowest
+    ``roots`` generators are root generators (see the module docstring).
     """
 
-    __slots__ = ("comp",)
+    __slots__ = ("comp", "roots")
 
-    def __init__(self, comp: np.ndarray):
+    def __init__(self, comp: np.ndarray, roots: int = 0):
         self.comp = comp
+        self.roots = roots
 
     # ------------------------------------------------------------------
     @staticmethod
     def constant(value, like: "Jet") -> "Jet":
         comp = np.zeros(like.comp.shape)
         comp[0] = value
-        return Jet(comp)
+        return Jet(comp, like.roots if isinstance(value, _NUMBERS) else 0)
 
     @property
     def order(self) -> int:
         return int(self.comp.shape[0]).bit_length() - 1
 
-    @property
-    def value(self) -> np.ndarray:
-        return self.comp[0]
-
     def __getitem__(self, idx) -> "Jet":
         # index into the trailing (value) axes, keeping the generator axis
-        return Jet(self.comp[(slice(None), Ellipsis) + (idx if isinstance(idx, tuple) else (idx,))])
+        return Jet(self.comp[(slice(None), Ellipsis) + (idx if isinstance(idx, tuple) else (idx,))], self.roots)
 
     # -- lifting one generator (used for derivative fields) ------------
     def lift(self, seed) -> "Jet":
@@ -112,49 +155,49 @@ class Jet:
         out = np.zeros((2 * rows,) + self.comp.shape[1:])
         out[:rows] = self.comp
         out[rows] = seed
-        return Jet(out)
+        return Jet(out, self.roots if isinstance(seed, _NUMBERS) else 0)
 
     def upper(self) -> "Jet":
         """Coefficient of the top generator (itself a jet one order lower)."""
         rows = self.comp.shape[0] // 2
-        return Jet(self.comp[rows:])
+        return Jet(self.comp[rows:], min(self.roots, rows.bit_length() - 1))
 
     # -- ring operations ------------------------------------------------
     def __add__(self, other):
         if isinstance(other, Jet):
-            return Jet(self.comp + other.comp)
+            return Jet(self.comp + other.comp, min(self.roots, other.roots))
         out = np.array(self.comp, copy=True)
         out[0] = out[0] + other
-        return Jet(out)
+        return Jet(out, self.roots if isinstance(other, _NUMBERS) else 0)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return Jet(-self.comp)
+        return Jet(-self.comp, self.roots)
 
     def __sub__(self, other):
         if isinstance(other, Jet):
-            return Jet(self.comp - other.comp)
+            return Jet(self.comp - other.comp, min(self.roots, other.roots))
         out = np.array(self.comp, copy=True)
         out[0] = out[0] - other
-        return Jet(out)
+        return Jet(out, self.roots if isinstance(other, _NUMBERS) else 0)
 
     def __rsub__(self, other):
         out = -self.comp
         out[0] = other + out[0]
-        return Jet(out)
+        return Jet(out, self.roots if isinstance(other, _NUMBERS) else 0)
 
     def __mul__(self, other):
         if isinstance(other, Jet):
             return _convolve(self, other, np.multiply)
-        return Jet(self.comp * other)
+        return Jet(self.comp * other, self.roots if isinstance(other, _NUMBERS) else 0)
 
     __rmul__ = __mul__
 
     def __truediv__(self, other):
         if isinstance(other, Jet):
             return self * other._reciprocal()
-        return Jet(self.comp / other)
+        return Jet(self.comp / other, self.roots if isinstance(other, _NUMBERS) else 0)
 
     def __rtruediv__(self, other):
         return self._reciprocal() * other
@@ -176,8 +219,19 @@ class Jet:
 
     # -- composition with a smooth scalar function ----------------------
     def apply(self, derivs) -> "Jet":
-        """Compose with g given ``derivs[j] = g^(j)(value)`` for j = 0..k."""
+        """Compose with g given ``derivs[j] = g^(j)(value)`` for j = 0..k.
+
+        ``out = g(v) + sum_j nil^j g^(j)(v) / j!``, nil the jet less its
+        value, each power by the product of the last one and nil.  Rows of
+        ``STAGED_MIN_WIDTH`` elements or more take the staged sums on rows
+        viewed along the axes they vary on, skipping only exact-zero terms,
+        unless a derivative is not finite (a zero term times it is NaN).
+        """
         k = self.order
+        if self.comp.size >> k >= STAGED_MIN_WIDTH:
+            coefs = [np.asarray(derivs[j]) / math.factorial(j) for j in range(1, k + 1)]
+            if all(np.isfinite(c).all() for c in coefs):
+                return self._compact_series(derivs[0], coefs)
         nil = np.array(self.comp, copy=True)
         nil[0] = 0.0
         out = np.zeros(self.comp.shape)
@@ -189,10 +243,35 @@ class Jet:
             out += power * (np.asarray(derivs[j]) / fact)
             if j < k:
                 power = (Jet(power) * Jet(nil)).comp
-        return Jet(out)
+        return Jet(out, self.roots)
+
+    def _compact_series(self, value, coefs) -> "Jet":
+        # each row s of nil^j sums power[t] * nil[s ^ t] over t ascending, as
+        # _staged_convolve does, without the terms that are exact zeros; its
+        # term of the series is added to row s as soon as it exists, so every
+        # row adds its terms with j ascending
+        k = self.order
+        nil = [self.comp[view] for view in _row_views(k, self.roots)]
+        out = [None] + [row * coefs[0] for row in nil[1:]]
+        power = nil
+        for coef, rows in zip(coefs[1:], _power_terms(k)):
+            nxt = {}
+            for s, terms in rows:
+                t = terms[0]
+                acc = power[t] * nil[s ^ t]
+                for t in terms[1:]:
+                    acc += power[t] * nil[s ^ t]
+                nxt[s] = acc
+                out[s] += acc * coef
+            power = nxt
+        full = np.empty(self.comp.shape)
+        full[0] = value
+        for s in range(1, 1 << k):
+            full[s] = out[s]
+        return Jet(full, self.roots)
 
     def _reciprocal(self) -> "Jet":
-        v = self.comp[0]
+        v = _value(self)
         k = self.order
         derivs = [1.0 / v]
         for j in range(1, k + 1):
@@ -203,20 +282,29 @@ class Jet:
         return f"Jet(order={self.order}, batch={self.comp.shape[1:]})"
 
 
+def _value(x: Jet) -> np.ndarray:
+    # the value row; from STAGED_MIN_WIDTH elements per row on, viewed along
+    # no root axis (it broadcasts to the full row), as the compact series reads it
+    value = x.comp[0]
+    if value.size < STAGED_MIN_WIDTH:
+        return value
+    return x.comp[_row_views(x.order, x.roots)[0]]
+
+
 # ----------------------------------------------------------------------
 # elementary functions usable on floats, ndarrays and jets
 # ----------------------------------------------------------------------
 
 def exp(x):
     if isinstance(x, Jet):
-        e = np.exp(x.value)
+        e = np.exp(_value(x))
         return x.apply([e] * (x.order + 1))
     return np.exp(x)
 
 
 def log(x):
     if isinstance(x, Jet):
-        v = x.value
+        v = _value(x)
         derivs = [np.log(v)]
         for j in range(1, x.order + 1):
             derivs.append((-1.0) ** (j - 1) * math.factorial(j - 1) / v**j)
@@ -226,7 +314,8 @@ def log(x):
 
 def sin(x):
     if isinstance(x, Jet):
-        s, c = np.sin(x.value), np.cos(x.value)
+        v = _value(x)
+        s, c = np.sin(v), np.cos(v)
         cycle = [s, c, -s, -c]
         return x.apply([cycle[j % 4] for j in range(x.order + 1)])
     return np.sin(x)
@@ -234,7 +323,8 @@ def sin(x):
 
 def cos(x):
     if isinstance(x, Jet):
-        s, c = np.sin(x.value), np.cos(x.value)
+        v = _value(x)
+        s, c = np.sin(v), np.cos(v)
         cycle = [c, -s, -c, s]
         return x.apply([cycle[j % 4] for j in range(x.order + 1)])
     return np.cos(x)
@@ -243,7 +333,7 @@ def cos(x):
 def powf(x, a: float):
     """Real power x**a for positive base."""
     if isinstance(x, Jet):
-        v = x.value
+        v = _value(x)
         derivs = []
         coef = 1.0
         for j in range(x.order + 1):
@@ -280,29 +370,48 @@ def seed(pts: np.ndarray, order: int) -> list[Jet]:
             direction = np.zeros(d)
             direction[c] = 1.0
             comp[1 << j] = direction.reshape((1,) * (1 + j) + (d,) + (1,) * (order - 1 - j))
-        coords.append(Jet(comp))
+        coords.append(Jet(comp, order))
     return coords
 
 
-def partials(x: Jet, n: int, d: int, order: int, shape: tuple) -> list[np.ndarray]:
+def partials(x, n: int, d: int, order: int, shape: tuple) -> list[np.ndarray]:
     """``[v, d1, .., d_order]`` of a jet computed from :func:`seed` coordinates.
 
-    ``v`` has shape ``(N, *shape)`` and ``d_r`` shape ``(N, d*r, *shape)``,
-    where ``d_r[n, a, .., b]`` is the mixed partial along coordinates ``a..b``.
+    ``x`` is the jet of an array of value shape ``shape``, or what
+    :func:`components` gives for it.  ``v`` has shape ``(N, *shape)`` and
+    ``d_r`` shape ``(N, d*r, *shape)``, where ``d_r[n, a, .., b]`` is the
+    mixed partial along coordinates ``a..b``.
     """
+    # the first r generators, seeded along batch axes 1..r
+    sels = [((1 << r) - 1,) + (slice(None),) * (1 + r) + (0,) * (order - r) for r in range(order + 1)]
+    if not isinstance(x, Jet):
+        # each component's rows read, only along the axes they span
+        return [_stacked([p.comp[sel] for p in x], shape) for sel in sels]
     comp = np.broadcast_to(x.comp, (1 << order, n) + (d,) * order + tuple(shape))
-    out = []
-    for r in range(order + 1):
-        # the first r generators, seeded along batch axes 1..r
-        sel = ((1 << r) - 1,) + (slice(None),) * (1 + r) + (0,) * (order - r)
-        out.append(np.array(comp[sel]))
-    return out
+    return [np.array(comp[sel]) for sel in sels]
+
+
+def components(parts, shape: tuple):
+    """What :func:`partials` reads of a tensor from its components in C order.
+
+    Rows narrower than ``STAGED_MIN_WIDTH`` give the stacked jet: one numpy
+    stack takes the fewest calls.  Wider rows give the list of components,
+    each row of which :func:`partials` reads only along the axes it spans,
+    so no jet of the whole tensor is built.
+    """
+    if parts[0].comp[0].size < STAGED_MIN_WIDTH:
+        return Jet(_stacked([p.comp for p in parts], shape))  # read at once: no root count
+    return list(parts)
 
 
 def stack(parts, shape: tuple) -> Jet:
     """Jet of an array of the given value shape from its components in C order."""
-    stacked = np.stack([p.comp for p in parts], axis=-1)  # raises unless their shapes agree
-    return Jet(stacked.reshape(stacked.shape[:-1] + tuple(shape)))
+    return Jet(_stacked([p.comp for p in parts], shape), min(p.roots for p in parts))
+
+
+def _stacked(arrays, shape: tuple) -> np.ndarray:
+    stacked = np.stack(arrays, axis=-1)  # raises unless their shapes agree
+    return stacked.reshape(stacked.shape[:-1] + tuple(shape))
 
 
 def widen(x: Jet, kept: int, levels: int) -> Jet:
@@ -321,7 +430,7 @@ def widen(x: Jet, kept: int, levels: int) -> Jet:
     # axis a of the reshaped rows holds generator bit levels - 1 - a of the top ones
     into = tuple(slice(None) if kept >> (levels - 1 - a) & 1 else 0 for a in range(levels))
     out[into] = x.comp.reshape((2,) * n + (low,) + batch)
-    return Jet(out.reshape((low << levels,) + batch))
+    return Jet(out.reshape((low << levels,) + batch), min(x.roots, low.bit_length() - 1))
 
 
 # ----------------------------------------------------------------------
@@ -331,18 +440,18 @@ def widen(x: Jet, kept: int, levels: int) -> Jet:
 def _convolve(a: Jet, b: Jet, product) -> Jet:
     # out[s] = sum over t in s of product(a[t], b[s ^ t]), by one of the two
     # paths described at STAGED_MIN_WIDTH
-    k = a.order
+    k, roots = a.order, min(a.roots, b.roots)
     if k == 0:
-        return Jet(product(a.comp, b.comp))
+        return Jet(product(a.comp, b.comp), roots)
     if max(a.comp.size, b.comp.size) >> k >= STAGED_MIN_WIDTH:
-        return _staged_convolve(a, b, product, k)
+        return Jet(_staged_convolve(a, b, product, k), roots)
     ia, ib, scatter = _mul_index(k)
     prods = product(a.comp[ia], b.comp[ib])
     out = scatter @ prods.reshape(len(ia), -1)
-    return Jet(out.reshape((scatter.shape[0],) + prods.shape[1:]))
+    return Jet(out.reshape((scatter.shape[0],) + prods.shape[1:]), roots)
 
 
-def _staged_convolve(a: Jet, b: Jet, product, k: int) -> Jet:
+def _staged_convolve(a: Jet, b: Jet, product, k: int) -> np.ndarray:
     # each row is the sequential sum over t ascending, starting from t = 0
     out = product(a.comp[0], b.comp)
     out_rows = out.reshape((2,) * k + out.shape[1:], copy=False)  # a view: the adds land in out
@@ -350,7 +459,7 @@ def _staged_convolve(a: Jet, b: Jet, product, k: int) -> Jet:
     for t, into, take in _stages(k):
         dst = out_rows[into]
         dst += product(a.comp[t], b_rows[take])
-    return Jet(out)
+    return out
 
 
 def _jet_matmul(a: Jet, b: Jet) -> Jet:
@@ -380,4 +489,4 @@ def jet_solve(a: Jet, b: Jet) -> Jet:
     for _ in range(a.order):
         term = Jet(-_jet_matmul(m, term).comp)
         x = Jet(x.comp + term.comp)
-    return Jet(x.comp[..., 0])
+    return Jet(x.comp[..., 0], min(a.roots, b.roots))

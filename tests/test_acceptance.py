@@ -6,6 +6,7 @@ as a human-readable acceptance report:
     pytest tests/test_acceptance.py -s
 """
 
+import ctypes
 import json
 import re
 import time
@@ -289,12 +290,41 @@ def moved_checks(old_text: str, new_text: str) -> list[str]:
     return lines
 
 
+def hardware() -> str:
+    """The runtime OpenBLAS core and numpy's enabled CPU features.
+
+    The golden bytes depend on both (ROADMAP item 1), so a golden failure
+    names them.  The core is the one OpenBLAS picked at run time; the
+    build-time string of ``np.show_config()`` may name another.
+    """
+    core = "unknown"
+    for path in sorted((Path(np.__file__).parent.parent / "numpy.libs").glob("libscipy_openblas*")):
+        try:
+            get = getattr(ctypes.CDLL(str(path)), "scipy_openblas_get_corename64_", None)
+        except OSError:
+            continue
+        if get is not None:
+            get.argtypes, get.restype = [], ctypes.c_char_p
+            core = get().decode()
+            break
+    umath = getattr(getattr(np, "_core", None), "_multiarray_umath", None)
+    features = getattr(umath, "__cpu_features__", {})
+    enabled = " ".join(name for name, on in features.items() if on) or "unknown"
+    return f"OpenBLAS core {core}; numpy CPU features {enabled}"
+
+
 def assert_golden(name: str, text: str):
     """The report text equals tests/golden/<name> byte for byte."""
     golden = (GOLDEN / name).read_text()
-    assert text == golden, f"{name} differs from tests/golden:\n" + "\n".join(
+    assert text == golden, f"{name} differs from tests/golden ({hardware()}):\n" + "\n".join(
         moved_checks(golden, text) or ["no check row moved; the report layout did"]
     )
+
+
+def test_a_golden_failure_names_the_hardware():
+    name = "all_m1_p2_s7.json"
+    with pytest.raises(AssertionError, match="OpenBLAS core .*; numpy CPU features "):
+        assert_golden(name, (GOLDEN / name).read_text() + " ")
 
 
 def test_criterion_10_full_suite_runtime_and_determinism():

@@ -416,6 +416,31 @@ def test_a_field_is_evaluated_only_under_the_lifts_it_reads(chart, monkeypatch):
     np.testing.assert_allclose(dxy, np.log(10.0 + px * px) + 2.0 * px * px / (10.0 + px * px), rtol=1e-14)
 
 
+def test_a_field_read_takes_its_components_unless_an_op_stacked_them(heisenberg, monkeypatch):
+    # 128 points at order 2: rows of 1152 elements, read component by component
+    stacks = []
+    real = jets.stack
+    monkeypatch.setattr(jets, "stack", lambda *args: stacks.append(args[1]) or real(*args))
+    theta, reeb, pts = heisenberg.theta, heisenberg.reeb, heisenberg.chart.sample(128, 17)
+    alone = jet_data(theta, pts, 2)
+    assert stacks == []
+    # listed twice: two component reads; then the Reeb solve stacks theta (and
+    # its system matrix), and the last read takes that stack
+    twice = jet_data_multi([theta, theta, reeb, theta], pts, 2)
+    assert stacks == [(3, 3), (3,)]
+    for arrays in (twice[0], twice[1], twice[3]):
+        assert [a.tobytes() for a in arrays] == [a.tobytes() for a in alone]
+    assert [a.tobytes() for a in twice[2]] == [a.tobytes() for a in jet_data(reeb, pts, 2)]
+
+
+def test_only_the_reeb_solves_stack_on_the_dense_entry(monkeypatch):
+    calls = []
+    real = jets.stack
+    monkeypatch.setattr(jets, "stack", lambda *args: calls.append(1) or real(*args))
+    run_suite(SuiteConfig(example="complex_hyperbolic", m=2, suites=("all",), points=128, seed=7))
+    assert len(calls) == 2
+
+
 def test_jet_data_multi_needs_a_field(chart):
     with pytest.raises(ValueError, match="no fields"):
         jet_data_multi([], chart.sample(2, 12), 1)

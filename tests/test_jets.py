@@ -247,3 +247,154 @@ def test_wide_products_take_the_staged_path(k, monkeypatch):
     ia, ib, scatter = jets._mul_index(k)
     assert np.array_equal((Jet(b) * Jet(a)).comp, scatter @ (b[ia] * a[ib]))
     assert len(staged) == 1
+
+
+# ----------------------------------------------------------------------
+# the compact series: rows composed along the axes they vary on
+# ----------------------------------------------------------------------
+
+def full_layout_apply(self, derivs):
+    """Jet.apply on the full coefficient layout, every term of every row."""
+    k = self.order
+    nil = np.array(self.comp, copy=True)
+    nil[0] = 0.0
+    out = np.zeros(self.comp.shape)
+    out[0] = derivs[0]
+    power = nil
+    fact = 1.0
+    for j in range(1, k + 1):
+        fact *= j
+        out += power * (np.asarray(derivs[j]) / fact)
+        if j < k:
+            power = (Jet(power) * Jet(nil)).comp
+    return Jet(out)
+
+
+SERIES = {
+    "exp": jets.exp, "log": jets.log, "sin": jets.sin, "cos": jets.cos, "sqrt": jets.sqrt,
+    "powf": lambda x: jets.powf(x, -1.5), "reciprocal": lambda x: 1.0 / x,
+}
+
+
+def seeded_jet(k, roots, shape, wide, rng, d=3):
+    """A positive jet from ``seed`` (``roots`` root generators) and k - roots lifts.
+
+    ``wide`` picks the batch size so that a row has at least, or fewer
+    than, STAGED_MIN_WIDTH elements.
+    """
+    unit = d**roots * int(np.prod(shape))
+    n = -(-jets.STAGED_MIN_WIDTH // unit) if wide else (jets.STAGED_MIN_WIDTH - 1) // unit
+    coords = jets.seed(rng.uniform(0.1, 0.9, (n, d)), roots)
+    parts = []
+    for _ in range(int(np.prod(shape))):
+        w = rng.uniform(0.2, 0.6, 3)
+        parts.append(coords[0] * w[0] + coords[1] * coords[2] * w[1] + w[2] + 1.0)
+    x = jets.stack(parts, shape)
+    for _ in range(k - roots):
+        x = x.lift(rng.uniform(0.5, 1.5))
+    x = x * x * 0.5 + x
+    assert (x.order, x.roots) == (k, roots)
+    assert (x.comp.size >> k >= jets.STAGED_MIN_WIDTH) == wide
+    return x
+
+
+def full_layout(fn, x, monkeypatch):
+    # the derivatives on the replicated value row, the series on every row
+    with monkeypatch.context() as patch:
+        patch.setattr(jets, "_value", lambda x: x.comp[0])
+        patch.setattr(Jet, "apply", full_layout_apply)
+        return fn(x).comp
+
+
+@pytest.mark.parametrize("name", sorted(SERIES))
+@pytest.mark.parametrize("k", range(6))
+def test_compact_series_matches_the_full_layout_bitwise(name, k, monkeypatch):
+    fn = SERIES[name]
+    rng = np.random.default_rng(k)
+    compact = []
+    real = Jet._compact_series
+    monkeypatch.setattr(Jet, "_compact_series", lambda *args: compact.append(1) or real(*args))
+    for roots in range(min(k, 3) + 1):
+        for shape in [(), (2, 3)]:
+            for wide in [False, True]:
+                x = seeded_jet(k, roots, shape, wide, rng)
+                expected = full_layout(fn, x, monkeypatch)
+                calls = len(compact)
+                out = fn(x)
+                assert len(compact) == calls + wide
+                assert out.roots == roots
+                assert np.array_equal(out.comp, expected), (roots, shape, wide)
+
+
+@pytest.mark.parametrize("name", sorted(SERIES))
+def test_compact_series_keeps_non_finite_rows(name, monkeypatch):
+    # a NaN, inf or zero coefficient at one point: the compact series leaves
+    # non-finite exactly the elements the full layout does, and the others equal
+    fn = SERIES[name]
+    rng = np.random.default_rng(7)
+    compact = []
+    real = Jet._compact_series
+    monkeypatch.setattr(Jet, "_compact_series", lambda *args: compact.append(1) or real(*args))
+    # a zero value makes the derivatives of sqrt, powf and the reciprocal infinite
+    for row, bad in [(1, np.nan), (2, np.inf), (5, -np.inf), (0, np.inf), (0, np.nan), (0, 0.0)]:
+        x = seeded_jet(4, 2, (), True, rng)
+        x.comp[row, 0] = bad  # the whole point, so every repeat along a root axis
+        with np.errstate(all="ignore"):
+            expected = full_layout(fn, x, monkeypatch)
+            calls = len(compact)
+            out = fn(x).comp
+        # a non-finite coefficient of nil keeps the compact path
+        assert row == 0 or len(compact) == calls + 1
+        finite = np.isfinite(expected)
+        assert row == 0 or not finite.all()  # an infinite value can give finite rows
+        assert np.array_equal(np.isfinite(out), finite)
+        assert np.array_equal(out[finite], expected[finite])
+
+
+def test_every_operation_keeps_the_root_count():
+    rng = np.random.default_rng(3)
+    coords = jets.seed(rng.uniform(0.2, 0.8, (4, 3)), 2)
+    x, y = coords[0] + 1.0, coords[1] + 2.0
+    assert x.roots == 2 and Jet(np.ones((4, 3))).roots == 0
+    lifted = x.lift(0.5)
+    results = [
+        x + y, x + 1.0, 1.0 + x, x - y, x - 1.0, 1.0 - x, -x, x * y, x * 2.0, 2.0 * x,
+        x / y, x / 2.0, 2.0 / x, x**3, x**-2, x**0.5,
+        jets.exp(x), jets.log(x), jets.sin(x), jets.cos(x), jets.sqrt(x), jets.powf(x, 1.5),
+        lifted, lifted.upper(), jets.widen(lifted, 1, 2), Jet.constant(3.0, x),
+        jets.stack([x, y, x, y], (2, 2)), jets.stack([x, y, x, y], (2, 2))[1],
+        jets.stack([x, y, x, y], (2, 2))[1, 0],
+    ]
+    assert [r.roots for r in results] == [2] * len(results)
+    a = jets.stack([x, y * 0.1, y * 0.1, x], (2, 2))
+    b = jets.stack([x, y], (2,))
+    assert jet_solve(a, b).roots == 2
+    # mixed counts: the least one, which claims repeats only where both have them
+    bare = Jet(np.array(x.comp))
+    assert [(x + bare).roots, (bare * x).roots, jets.stack([x, bare], (2,)).roots] == [0, 0, 0]
+    # a root generator taken by upper is no root generator of the result
+    assert x.upper().roots == 1
+    # an array operand may vary along a root axis: no count is claimed
+    per_direction = rng.uniform(1, 2, (1, 3, 1))
+    assert [(x * per_direction).roots, (x - per_direction).roots, x.lift(per_direction).roots] == [0, 0, 0]
+    # what perfbench's harness builds and reads
+    assert Jet.__rmul__ is Jet.__mul__
+    assert len(jets._mul_index(2)[0]) == 9
+
+
+@pytest.mark.parametrize("order", range(4))
+@pytest.mark.parametrize("shape", [(), (2,), (2, 2), (2, 2, 2, 2)], ids=lambda s: f"rank{len(s)}")
+def test_a_component_read_equals_the_stacked_read(order, shape):
+    # bitwise, on rows narrower than STAGED_MIN_WIDTH (one stack of the whole
+    # jets) and on wider ones (only the rows read, along the axes they span)
+    rng = np.random.default_rng(order)
+    d = 2
+    for n in [1, -(-jets.STAGED_MIN_WIDTH // d**order)]:
+        coords = jets.seed(rng.uniform(-1.0, 1.0, (n, d)), order)
+        parts = [jets.sin(coords[0] * w) * coords[1] + w for w in rng.uniform(0.5, 2.0, int(np.prod(shape)))]
+        stacked = jets.partials(jets.stack(parts, shape), n, d, order, shape)
+        held = jets.components(parts, shape)
+        assert isinstance(held, Jet) == (n == 1)
+        read = jets.partials(held, n, d, order, shape)
+        assert [a.shape for a in read] == [(n,) + (d,) * r + shape for r in range(order + 1)]
+        assert [a.tobytes() for a in read] == [a.tobytes() for a in stacked]
