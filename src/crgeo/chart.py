@@ -17,7 +17,11 @@ on i.  A context is the stack of lift levels a value is evaluated under, and
 a field is evaluated only under the levels whose coordinate is in its ``deps``;
 under more levels its jet gains exact-zero rows (:func:`jets.widen`), so a
 subtree that cannot depend on i is evaluated once for the field and for its
-partial along i.  A tensor field is read from its component jets
+partial along i.  Levels are kept in ascending coordinate order: a partial
+lifts its level among them and reads the coefficient of its own generator
+(:func:`jets.coefficient`), so ``f.partial(u).partial(v)`` and
+``f.partial(v).partial(u)`` read one evaluation of f and are equal bit for
+bit.  A tensor field is read from its component jets
 (:func:`jets.components`), so its stack is built only for an op that reads it.
 
 Scalar expression trees fold when they are built.  A field from
@@ -40,6 +44,7 @@ Every sum of components runs through :func:`ordered_sum` or
 
 from __future__ import annotations
 
+import bisect
 import numbers
 import operator
 import struct
@@ -193,8 +198,9 @@ class _Context:
 
     Level l is one generator, seeded with 1 on coordinate ``levels[l]``, at
     the l-th bit above the root generators; the root context has no level.
-    Each context keeps its lifts and its reductions, so every plan shares
-    them.
+    Levels are in ascending coordinate order, so each set of lifts is one
+    context, whatever order the partials took.  Each context keeps its lifts
+    and its reductions, so every plan shares them.
     """
 
     __slots__ = ("levels", "lifted", "lifts", "reductions")
@@ -211,12 +217,17 @@ class _Context:
             ctx = cls.interned[levels] = cls(levels)
         return ctx
 
-    def lift(self, i: int) -> "_Context":
-        """This context with one more level, on coordinate i."""
-        ctx = self.lifts.get(i)
-        if ctx is None:
-            ctx = self.lifts[i] = _Context.of(self.levels + (i,))
-        return ctx
+    def lift(self, i: int) -> tuple["_Context", int]:
+        """This context with one more level, on coordinate i, and the number of levels above it.
+
+        The new level goes above the levels on coordinates up to i, below the others.
+        """
+        lifted = self.lifts.get(i)
+        if lifted is None:
+            at = bisect.bisect_right(self.levels, i)
+            ctx = _Context.of(self.levels[:at] + (i,) + self.levels[at:])
+            lifted = self.lifts[i] = ctx, len(self.levels) - at
+        return lifted
 
     def reduce(self, deps: frozenset) -> tuple["_Context", int]:
         """The context of the levels on ``deps``, and the mask of their positions."""
@@ -235,12 +246,15 @@ class _Plan:
     """The ops evaluating a field list, in dependency order.
 
     A value is keyed by (field, :class:`_Context`).  A partial along i reads
-    its operand in its context lifted on i; a pull-back reads it in the same
-    levels, all of them on base coordinates.  A field is evaluated only under
-    the levels whose coordinate is in its ``deps``: in any other context its
-    jet is that of the reduced context with exact-zero rows for the levels it
-    cannot read (:func:`jets.widen`), so every context that reduces to the
-    same one shares one value.  Tensor stacks and opaque fields read every
+    its operand in its context lifted on i and takes the coefficient of that
+    level's generator, the top one unless a level on a larger coordinate is
+    above it; levels being sorted, partials taken in any order read one
+    value.  A pull-back reads its operand in the same levels, all of them on
+    base coordinates.  A field is evaluated only under the levels whose
+    coordinate is in its ``deps``: in any other context its jet is that of
+    the reduced context with exact-zero rows for the levels it cannot read
+    (:func:`jets.widen`), so every context that reduces to the same one
+    shares one value.  Tensor stacks and opaque fields read every
     coordinate.  Slots 0..d-1 hold the root coordinate jets.  Op ``(fn, out,
     ins, constants, dead)`` sets slot ``out`` to ``fn(*ins values,
     *constants)``, or with ``fn`` None reads field ``out`` from slot
@@ -308,7 +322,8 @@ class _Plan:
                 ins = tuple([self.slot(f, ctx) for f in field.operands])
                 slot = self.emit(op, ins, field.constants)
             elif op == PARTIAL:
-                slot = self.emit(Jet.upper, (self.slot(field.operands[0], ctx.lift(field.constants[0])),))
+                lifted, above = ctx.lift(field.constants[0])
+                slot = self.emit(jets.coefficient, (self.slot(field.operands[0], lifted),), (above,))
             elif op == LEAD:
                 slot = self.slot(field.operands[0], ctx)
             elif op == COORD:

@@ -24,10 +24,14 @@ def _parse_tols(items) -> dict:
         if "=" not in item:
             raise UsageError(f"tolerance override must look like name=value, got {item!r}")
         name, _, value = item.partition("=")
+        name = name.strip()
         try:
-            out[name.strip()] = float(value)
+            tol = float(value)
         except ValueError as exc:
             raise UsageError(f"bad tolerance value in {item!r}") from exc
+        if name in out and out[name] != tol:
+            raise UsageError(f"tolerance override for {name!r} given twice: {out[name]!r} and {tol!r}")
+        out[name] = tol
     return out
 
 

@@ -10,8 +10,9 @@ truncation error.  Batches live in the trailing axes of ``comp``.
 This module alone knows the coefficient layout: :func:`seed` builds
 coordinate jets, :func:`partials` reads value and derivative arrays back,
 :func:`stack` assembles the jet of a tensor from its components,
-:func:`components` holds them for a read without that jet, and
-:func:`widen` gives a jet exact-zero rows for generators it does not read.
+:func:`components` holds them for a read without that jet,
+:func:`widen` gives a jet exact-zero rows for generators it does not read,
+and :func:`coefficient` reads the coefficient of one generator.
 Part of the layout is a jet's root count: generator j below it is a root
 generator, seeded along batch axis 1 + j, so row s holds values that vary
 only along the root axes of the bits in s and repeat along the others.
@@ -30,7 +31,7 @@ import numpy as np
 
 __all__ = [
     "Jet", "exp", "log", "sin", "cos", "sqrt", "powf",
-    "seed", "partials", "components", "stack", "widen", "jet_solve",
+    "seed", "partials", "components", "stack", "widen", "coefficient", "jet_solve",
 ]
 
 # smallest |det| of the order-zero matrix that jet_solve inverts
@@ -156,11 +157,6 @@ class Jet:
         out[:rows] = self.comp
         out[rows] = seed
         return Jet(out, self.roots if isinstance(seed, _NUMBERS) else 0)
-
-    def upper(self) -> "Jet":
-        """Coefficient of the top generator (itself a jet one order lower)."""
-        rows = self.comp.shape[0] // 2
-        return Jet(self.comp[rows:], min(self.roots, rows.bit_length() - 1))
 
     # -- ring operations ------------------------------------------------
     def __add__(self, other):
@@ -431,6 +427,18 @@ def widen(x: Jet, kept: int, levels: int) -> Jet:
     into = tuple(slice(None) if kept >> (levels - 1 - a) & 1 else 0 for a in range(levels))
     out[into] = x.comp.reshape((2,) * n + (low,) + batch)
     return Jet(out.reshape((low << levels,) + batch), min(x.roots, low.bit_length() - 1))
+
+
+def coefficient(x: Jet, above: int) -> Jet:
+    """The coefficient of the generator of ``x`` with ``above`` generators over it.
+
+    A jet of one generator fewer, its rows those of ``x`` with that bit set:
+    a view for the top generator (``above`` 0), a copy of them otherwise.
+    """
+    rows, batch = x.comp.shape[0], x.comp.shape[1:]
+    low = rows >> (above + 1)  # the rows spanned by the generators below it
+    half = x.comp.reshape((1 << above, 2, low) + batch)[:, 1]
+    return Jet(half.reshape((rows >> 1,) + batch), min(x.roots, low.bit_length() - 1))
 
 
 # ----------------------------------------------------------------------

@@ -429,6 +429,9 @@ class SuiteConfig:
                 raise UsageError(f"unknown check name in tolerance override: {name!r}")
             if not math.isfinite(float(tol)):
                 raise UsageError(f"tolerance override for {name!r} must be finite, got {tol}")
+            # at <= 0 an upper check fails every row and a lower check passes any residual
+            if not float(tol) > 0.0:
+                raise UsageError(f"tolerance override for {name!r} must be > 0, got {tol}")
         if self.example != "all" and self.example not in CATALOG:
             raise UsageError(f"unknown example {self.example!r}")
         if "all" not in self.suites:

@@ -21,6 +21,13 @@ MAIN_ENTRIES = ["flat", "fubini_study", "complex_hyperbolic"]
 ALL_MS = [1, 2]
 GOLDEN = Path(__file__).parent / "golden"
 GENERATED_AT = re.compile(r'^[ \t]*"generated_at": "[^"\n]*",?\n', re.MULTILINE)
+# every report pinned under tests/golden: (example, m, points, seed) of its
+# `--suite all` run; tests/render_goldens.py re-renders them from this table
+GOLDENS = {
+    f"{example}_m{m}_p{points}_s{seed}.json": (example, m, points, seed)
+    for example, points, seed in (("all", 2, 7), ("all", 32, 42), ("complex_hyperbolic", 128, 7))
+    for m in ALL_MS
+}
 
 
 def report_line(number: int, ok: bool, message: str):
@@ -313,6 +320,18 @@ def hardware() -> str:
     return f"OpenBLAS core {core}; numpy CPU features {enabled}"
 
 
+def golden_report(name: str) -> dict:
+    """The run that tests/golden/<name> pins, as its row of GOLDENS names it."""
+    example, m, points, seed = GOLDENS[name]
+    cfg = SuiteConfig(example=example, m=m, suites=("all",), points=points, seed=seed)
+    return run_all(cfg) if example == "all" else run_suite(cfg)
+
+
+def golden_text(report: dict) -> str:
+    """A report's text as pinned: without its generated_at line."""
+    return GENERATED_AT.sub("", render_report(report))
+
+
 def assert_golden(name: str, text: str):
     """The report text equals tests/golden/<name> byte for byte."""
     golden = (GOLDEN / name).read_text()
@@ -327,24 +346,27 @@ def test_a_golden_failure_names_the_hardware():
         assert_golden(name, (GOLDEN / name).read_text() + " ")
 
 
+def test_every_golden_file_has_a_row_of_the_table():
+    # the golden tests and tests/render_goldens.py read the same table
+    assert sorted(GOLDENS) == sorted(p.name for p in GOLDEN.glob("*.json"))
+
+
 def test_criterion_10_full_suite_runtime_and_determinism():
     start = time.perf_counter()
     outputs = []
     for m in ALL_MS:
-        cfg = SuiteConfig(example="all", m=m, suites=("all",), points=32, seed=42)
-        report = run_all(cfg)
+        report = golden_report(f"all_m{m}_p32_s42.json")
         assert report["overall_pass"], [
             (r["example"], [c["name"] for c in r["checks"] if not c["pass"]])
             for r in report["runs"]
         ]
-        outputs.append(GENERATED_AT.sub("", render_report(report)))
+        outputs.append(golden_text(report))
     elapsed = time.perf_counter() - start
     # the reports are pinned byte for byte under tests/golden
     for m, text in zip(ALL_MS, outputs):
         assert_golden(f"all_m{m}_p32_s42.json", text)
     # re-run one configuration: byte-identical modulo the timestamp
-    cfg = SuiteConfig(example="all", m=1, suites=("all",), points=32, seed=42)
-    second = GENERATED_AT.sub("", render_report(run_all(cfg)))
+    second = golden_text(golden_report("all_m1_p32_s42.json"))
     deterministic = outputs[0] == second
     ok = elapsed < 60.0 and deterministic
     report_line(10, ok, f"full suite (m in {{1,2}}, 32 points) in {elapsed:.1f}s (< 60s), "
@@ -354,16 +376,15 @@ def test_criterion_10_full_suite_runtime_and_determinism():
 @pytest.mark.parametrize("m", ALL_MS)
 def test_two_point_catalog_matches_golden(m):
     # the catalog at two points, where per-call overhead dominates, pinned the same way
-    cfg = SuiteConfig(example="all", m=m, suites=("all",), points=2, seed=7)
-    assert_golden(f"all_m{m}_p2_s7.json", GENERATED_AT.sub("", render_report(run_all(cfg))))
+    name = f"all_m{m}_p2_s7.json"
+    assert_golden(name, golden_text(golden_report(name)))
 
 
 @pytest.mark.parametrize("m", ALL_MS)
 def test_dense_entry_matches_golden(m):
     # the slowest entry at 128 points, where the metric jets dominate, pinned the same way
-    cfg = SuiteConfig(example="complex_hyperbolic", m=m, suites=("all",), points=128, seed=7)
-    text = GENERATED_AT.sub("", render_report(run_suite(cfg)))
-    assert_golden(f"complex_hyperbolic_m{m}_p128_s7.json", text)
+    name = f"complex_hyperbolic_m{m}_p128_s7.json"
+    assert_golden(name, golden_text(golden_report(name)))
 
 
 @pytest.mark.parametrize(
@@ -375,6 +396,5 @@ def test_both_product_paths_match_goldens(min_width, example, m, points, monkeyp
     from crgeo import jets
 
     monkeypatch.setattr(jets, "STAGED_MIN_WIDTH", min_width)
-    cfg = SuiteConfig(example=example, m=m, suites=("all",), points=points, seed=7)
-    report = run_all(cfg) if example == "all" else run_suite(cfg)
-    assert_golden(f"{example}_m{m}_p{points}_s7.json", GENERATED_AT.sub("", render_report(report)))
+    name = f"{example}_m{m}_p{points}_s7.json"
+    assert_golden(name, golden_text(golden_report(name)))

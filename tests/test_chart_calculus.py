@@ -16,7 +16,7 @@ from crgeo import (
     symmetric_product,
     wedge,
 )
-from crgeo import jets
+from crgeo import chart as chart_module, jets
 from crgeo.chart import (
     PARTIAL,
     contract,
@@ -601,5 +601,79 @@ def test_folding_saves_jet_products(monkeypatch):
     # 8482 before constants and coordinate-independent partials folded, 5637
     # while the lifted J was one jet outer product that folded nothing, 4113
     # before equal subtrees were interned as one node, and 2705 while a
-    # partial lifted every coordinate of its context, not only those read
-    assert len(calls) <= 1369
+    # partial lifted every coordinate of its context, not only those read, and
+    # 1369 while d_u d_v and d_v d_u were evaluated under two orders of levels
+    assert len(calls) <= 1135
+
+
+# ----------------------------------------------------------------------
+# sorted lift levels: a mixed partial is one evaluation in either order
+# ----------------------------------------------------------------------
+
+def _potential(ke):
+    """The Kaehler potential of a regular catalog base, rebuilt: interning makes it the base's node."""
+    chart = ke.chart
+    ssum = ordered_sum(c * c for c in chart.coordinate_fields())
+    potential = {
+        "flat": lambda: ssum * 0.5,
+        "fubini_study": lambda: log(1.0 + ssum) * 2.0,
+        "complex_hyperbolic": lambda: log(1.0 - ssum) * (-2.0),
+    }[ke.kind]()
+    assert ke.gamma.components[0] is potential.partial(1) * 0.5
+    return potential
+
+
+def _mixed_pairs(field):
+    """(d_u d_v f, d_v d_u f) for every u < v of f's chart."""
+    d = field.chart.dim
+    return [
+        (field.partial(v).partial(u), field.partial(u).partial(v))
+        for u in range(d) for v in range(u + 1, d)
+    ]
+
+
+@pytest.mark.parametrize("m", [1, 2])
+@pytest.mark.parametrize("example", ["flat", "fubini_study", "complex_hyperbolic"])
+def test_mixed_partials_commute_bit_for_bit(example, m):
+    # d_u d_v f and d_v d_u f read the coefficients of one jet of f, under (u, v)
+    pipe = Pipeline(example, m, points=1, seed=0)
+    groups = [
+        [_potential(pipe.ke)],
+        list(pipe.ke.metric.components.flat),
+        list(pipe.ac.ph.metric.components.flat),
+        list(pipe.fc.metric.components.flat),
+    ]
+    for scalars in groups:
+        pairs = [pair for f in dict.fromkeys(scalars) for pair in _mixed_pairs(f)]
+        fields = [f for pair in pairs for f in pair]
+        pts = scalars[0].chart.sample(3, 5)
+        for order in range(3):
+            got = jet_data_multi(fields, pts, order)
+            for uv, vu in zip(got[::2], got[1::2]):
+                assert all(np.array_equal(a, b) for a, b in zip(uv, vu))
+
+
+def test_a_partial_reads_the_generator_of_its_own_level():
+    # exact arithmetic (dyadic points, small integer coefficients): in
+    # d_z(y d_y(z d_x f)), d_x lifts its level below those on y and z, so it
+    # reads the lowest of the three generators of f, not the top one
+    chart = Chart(["x", "y", "z"], [(-1.0, 1.0)] * 3)
+    x, y, z = chart.coordinate_fields()
+    f = x * x * y * y * y * z * z
+    t = (y * (z * f.partial(0)).partial(1)).partial(2)
+    pts = np.array([[0.5, 0.25, 0.75], [-0.5, 0.75, 0.125]])
+    px, py, pz = pts.T
+    assert np.array_equal(jet_data(t, pts, 0)[0], 18.0 * px * py**3 * pz**2)
+
+
+def test_sorted_lift_levels_save_compositions(monkeypatch):
+    real, series, ops = Jet._compact_series, [], []
+    monkeypatch.setattr(Jet, "_compact_series", lambda self, *args: series.append(self.order) or real(self, *args))
+    real_run = chart_module._Plan.run
+    monkeypatch.setattr(chart_module._Plan, "run", lambda self, *args: ops.append(len(self.ops)) or real_run(self, *args))
+    report = run_suite(SuiteConfig("complex_hyperbolic", 2, points=128, seed=42))
+    assert report["overall_pass"]
+    # 112 and 6782 while d_u d_v and d_v d_u were evaluated under the levels
+    # (u, v) and (v, u) apart
+    assert series.count(4) <= 70
+    assert sum(ops) <= 6100

@@ -2,7 +2,8 @@
 
 The jet engine evaluates a partial of a field built from partials (D, and
 the Fefferman metric through its forms) in lifted contexts, where a field
-reads only the lift levels of the coordinates it depends on.  These tests
+reads only the lift levels of the coordinates it depends on, taken in
+ascending coordinate order, so d_u d_v and d_v d_u are one value.  These tests
 check the first and second partials of such fields against differences of
 their order-0 values alone, in numpy.
 """
@@ -58,10 +59,13 @@ FIELDS = {
 
 @pytest.mark.parametrize("name", sorted(FIELDS))
 def test_jet_partials_match_richardson_differences(pipeline, name):
-    field = FIELDS[name](pipeline("fubini_study", 2))
-    pts = field.chart.sample(4, 3, margin=0.2)
-    _, d1, d2 = jet_data(field, pts, 2)
-    # measured worst over the three fields: 9.0e-13 (first partials, h = 1e-3)
-    # and 9.1e-8 (second partials, h = 1e-2)
-    assert _relative_error(_first(field, pts, 1e-3), d1) < 1e-9
-    assert _relative_error(_second(field, pts, 1e-2), d2) < 1e-5
+    # fubini_study, and complex_hyperbolic, whose second partials of the
+    # metrics are summed under sorted lift levels on the dense benchmark run
+    for example in ("fubini_study", "complex_hyperbolic"):
+        field = FIELDS[name](pipeline(example, 2))
+        pts = field.chart.sample(4, 3, margin=0.2)
+        _, d1, d2 = jet_data(field, pts, 2)
+        # measured worst over the three fields: 9.0e-13 and 3.0e-12 (first
+        # partials, h = 1e-3), 9.1e-8 and 2.7e-7 (second partials, h = 1e-2)
+        assert _relative_error(_first(field, pts, 1e-3), d1) < 1e-9, example
+        assert _relative_error(_second(field, pts, 1e-2), d2) < 1e-5, example

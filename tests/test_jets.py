@@ -142,6 +142,38 @@ def test_widen_moves_each_row_to_its_kept_levels(levels):
                 assert np.array_equal(out[row], x.comp[packed << 2 | low])
 
 
+@pytest.mark.parametrize("levels", [1, 2, 3])
+def test_coefficient_reads_the_rows_of_its_generator(levels):
+    rng = np.random.default_rng(20 + levels)
+    x = Jet(rng.standard_normal((4 << levels, 3)), 2)  # two root generators below the top ones
+    assert np.shares_memory(jets.coefficient(x, 0).comp, x.comp)  # the top generator: a view
+    for above in range(levels):
+        out = jets.coefficient(x, above)
+        assert out.comp.shape == (2 << levels, 3) and out.roots == 2
+        bit = 2 + levels - 1 - above
+        for row in range(len(out.comp)):
+            high, low = row >> bit, row & ((1 << bit) - 1)
+            assert out.comp[row].tobytes() == x.comp[(high << 1 | 1) << bit | low].tobytes()
+
+
+def test_coefficient_of_a_lower_generator_is_that_lift_taken_last():
+    # exp of a jet lifted with seeds 1, 2, 3: the coefficient of the generator
+    # with `above` lifts over it is that of the top generator of the jet
+    # lifted with it last, up to the rounding of the sums
+    rng = np.random.default_rng(7)
+    base = Jet(rng.uniform(-0.5, 0.5, (4, 5)))
+    seeds = [1.0, 2.0, 3.0]
+    lifted = base.lift(seeds[0]).lift(seeds[1]).lift(seeds[2])
+    for above in range(3):
+        level = 2 - above
+        last = base
+        for seed in seeds[:level] + seeds[level + 1:] + [seeds[level]]:
+            last = last.lift(seed)
+        np.testing.assert_allclose(
+            jets.coefficient(jets.exp(lifted), above).comp, jets.coefficient(jets.exp(last), 0).comp, rtol=1e-14
+        )
+
+
 def test_jet_solve_linear_system():
     rng = np.random.default_rng(0)
     a0 = np.eye(3) + 0.2 * rng.standard_normal((3, 3))
@@ -361,7 +393,8 @@ def test_every_operation_keeps_the_root_count():
         x + y, x + 1.0, 1.0 + x, x - y, x - 1.0, 1.0 - x, -x, x * y, x * 2.0, 2.0 * x,
         x / y, x / 2.0, 2.0 / x, x**3, x**-2, x**0.5,
         jets.exp(x), jets.log(x), jets.sin(x), jets.cos(x), jets.sqrt(x), jets.powf(x, 1.5),
-        lifted, lifted.upper(), jets.widen(lifted, 1, 2), Jet.constant(3.0, x),
+        lifted, jets.coefficient(lifted, 0), jets.widen(lifted, 1, 2), jets.coefficient(lifted.lift(0.25), 1),
+        Jet.constant(3.0, x),
         jets.stack([x, y, x, y], (2, 2)), jets.stack([x, y, x, y], (2, 2))[1],
         jets.stack([x, y, x, y], (2, 2))[1, 0],
     ]
@@ -372,8 +405,8 @@ def test_every_operation_keeps_the_root_count():
     # mixed counts: the least one, which claims repeats only where both have them
     bare = Jet(np.array(x.comp))
     assert [(x + bare).roots, (bare * x).roots, jets.stack([x, bare], (2,)).roots] == [0, 0, 0]
-    # a root generator taken by upper is no root generator of the result
-    assert x.upper().roots == 1
+    # a root generator whose coefficient is taken is no root generator of the result
+    assert jets.coefficient(x, 0).roots == 1
     # an array operand may vary along a root axis: no count is claimed
     per_direction = rng.uniform(1, 2, (1, 3, 1))
     assert [(x * per_direction).roots, (x - per_direction).roots, x.lift(per_direction).roots] == [0, 0, 0]

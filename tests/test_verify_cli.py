@@ -120,6 +120,28 @@ def test_usage_errors_exit_two(capsys):
     assert (code, out) == (2, "") and err.startswith("error:")
 
 
+def test_a_tolerance_override_is_positive_and_given_once(capsys):
+    # at <= 0 a lower check (a negative control's detection) passes whatever
+    # the residual, and an upper check fails every row
+    for check, example in (("non_einstein_detected", "sphere_x_flat"), ("webster_einstein", "flat")):
+        for value in ("-1", "0", "-0.0"):
+            code, out, err = run_cli(
+                capsys, "run", "--example", example, "--m", "2", "--suite", "all",
+                "--points", "2", "--tol", f"{check}={value}",
+            )
+            assert (code, out) == (2, "") and "must be > 0" in err
+        with pytest.raises(UsageError, match="must be > 0"):
+            SuiteConfig(example=example, m=2, tol_overrides={check: 0.0})
+    # a check named twice: two values exit 2, the same value twice is one override
+    base = ("run", "--example", "flat", "--m", "1", "--suite", "webster", "--points", "2")
+    code, out, err = run_cli(capsys, *base, "--tol", "webster_einstein=1e-6", "--tol", "webster_einstein=1e-3")
+    assert (code, out) == (2, "") and "given twice" in err
+    code, out, _ = run_cli(capsys, *base, "--tol", "webster_einstein=1e-3", "--tol", " webster_einstein=0.001")
+    assert code == 0
+    row = next(c for c in json.loads(out)["checks"] if c["name"] == "webster_einstein")
+    assert row["tolerance"] == 1e-3
+
+
 def test_negative_suite_with_all_examples_names_the_way_to_run_it(capsys):
     # the controls run under --suite all, never silently dropped from a list
     for m, suites in ((1, "webster,negative"), (1, "negative"), (2, "negative,fefferman")):
