@@ -59,8 +59,8 @@ FIELDS = {
 
 @pytest.mark.parametrize("name", sorted(FIELDS))
 def test_jet_partials_match_richardson_differences(pipeline, name):
-    # fubini_study, and complex_hyperbolic, whose second partials of the
-    # metrics are summed under sorted lift levels on the dense benchmark run
+    # fubini_study, and complex_hyperbolic, the slowest catalog entry, at the
+    # file's tolerances: mixed partials of both read one jet per coordinate pair
     for example in ("fubini_study", "complex_hyperbolic"):
         field = FIELDS[name](pipeline(example, 2))
         pts = field.chart.sample(4, 3, margin=0.2)
