@@ -41,6 +41,7 @@ from .metric import (
     MetricField,
     conformal_ricci_correction,
     conformal_rescale,
+    covariant_from_arrays,
     curvature_from_arrays,
     curvature_from_connection,  # noqa: F401  kept bound: perfbench's tracer test wraps it here
     killing_residual,
@@ -86,18 +87,22 @@ class KahlerEinsteinChart:
         return Endomorphism(self.chart, self.complex_structure)
 
     def kahler_residuals(self, pts) -> dict[str, np.ndarray]:
-        """Per point: dgamma = h(., J.), Ric = (scal/2m) h, nabla J = 0, da = Ric(., J.)."""
-        from .metric import covariant_derivative
+        """Per point: dgamma = h(., J.), Ric = (scal/2m) h, nabla J = 0, da = Ric(., J.).
 
+        h is evaluated once, at order 2; nabla J reads its Christoffel symbols.
+        """
         pts = self.chart.points(pts)
         hval, dh, d2h = jet_data(self.metric, pts, 2)
         jmat = self.complex_structure
         omega = np.einsum("nia,aj->nij", hval, jmat)
-        (_, dgam), (_, da) = jet_data_multi([self.gamma, self.ricci_potential], pts, 1)
+        (_, dgam), (_, da), (jval, dj) = jet_data_multi(
+            [self.gamma, self.ricci_potential, self.j_field], pts, 1
+        )
         dgam, da = dgam - dgam.transpose(0, 2, 1), da - da.transpose(0, 2, 1)
 
-        curv = curvature_from_arrays(hval, *levi_civita_arrays(hval, dh, d2h))
-        nabla_j = covariant_derivative(self.metric, self.j_field, pts)
+        gamma, dgamma, hinv = levi_civita_arrays(hval, dh, d2h)
+        curv = curvature_from_arrays(hval, gamma, dgamma, hinv)
+        nabla_j = covariant_from_arrays(jval, dj, gamma, self.j_field.variance)
         ric_form = np.einsum("nia,aj->nij", curv.ricci, jmat)
         out = {
             "kahler_potential": point_max(dgam - omega),
@@ -500,15 +505,30 @@ def horizontal_lift(ac: AnticanonicalChart, x_base: VectorField) -> VectorField:
 
 
 def _zero_along_s(x):
-    # (N, d) vectors of the contact chart as vectors of the Fefferman chart
-    return np.concatenate([x, np.zeros((len(x), 1))], axis=1)
+    # (..., d) vectors of the contact chart as vectors of the Fefferman chart
+    return np.concatenate([x, np.zeros(x.shape[:-1] + (1,))], axis=-1)
 
 
-def _directional_nabla(gamma, a_vals, b_vals, b_grads):
+# Each helper below contracts a stack of vectors (N, q, d) one slot at a
+# time, by two-operand einsums, in place of one multi-operand einsum per pair.
+
+def _pair_values(form, vals):
+    """form(V_p, V_q)[n, p, q] of bilinear forms (N, d, d) on stacked vectors (N, q, d)."""
+    return np.einsum("npi,nqi->npq", vals, np.einsum("nij,nqj->nqi", form, vals))
+
+
+def _frame_curvature(rup, vals):
+    """R(V_p, V_q)[n, p, q, k, l] and R(V_p, V_q) V_q [n, p, q, l] of a curvature
+    operator ``rup`` (:func:`curvature_from_connection`) on stacked vectors."""
+    r_pq = np.einsum("nqj,npjkl->npqkl", vals, np.einsum("npi,nijkl->npjkl", vals, rup))
+    return r_pq, np.einsum("nqk,npqkl->npql", vals, r_pq)
+
+
+def _frame_nabla(gamma, vals, grads):
+    """(nabla_{V_p} V_q)^k [n, p, q, k] for stacked vector values (N, q, d) and
+    first partials (N, q, d, d), ``grads[n, q, a, k] = d_a V_q^k``."""
     # (nabla_A B)^k = A^a (d_a B^k + Gamma^k_{a b} B^b)
-    return np.einsum(
-        "na,nak->nk", a_vals, b_grads + np.einsum("nkab,nb->nak", gamma, b_vals)
-    )
+    return np.einsum("npa,nqak->npqk", vals, grads + np.einsum("nkab,nqb->nqak", gamma, vals))
 
 
 # ----------------------------------------------------------------------
@@ -546,6 +566,72 @@ def fefferman_structure_residuals(fc: FeffermanChart, fval, fields) -> dict[str,
     }
 
 
+def _frame_families(m, sw, curv, gamma_f, frame, frame_grads, ws, me_data):
+    """Residual arrays of the Fefferman identities on the adapted frame, per family.
+
+    ``frame`` (N, 2m + 2, d) stacks (P, T*, e_1*, .., e_2m*) at the Fefferman
+    points and ``frame_grads`` their first partials; ``curv`` and ``gamma_f``
+    are the curvature and symbols of f there.  ``ws`` is the Webster sample
+    at the contact-chart points and ``me_data`` the order-1 jet data of the
+    contact frame e_i there.  Returns the lists (b) Ricci components,
+    (c) curvature identities and (d) covariant table; each family is one
+    array, read from slices of one staged contraction over the stack.
+    """
+    rup, ric = curv.operator, curv.ricci
+    # the Webster members first, while the frame contractions below hold nothing
+    gamma_w, rup_w = ws.webster_symbols[0], ws.curvature[0]
+    _, (dtheta_m, _), (jval_m, _), _, _ = ws.contact_jets
+    pval, tsval = frame[:, 0], frame[:, 1]
+    k = frame.shape[1] - 2
+    e_m = np.stack([d[0] for d in me_data], axis=1)
+    dth = _pair_values(dtheta_m, e_m)  # dtheta(e_i, e_j)
+    je_lift = _zero_along_s(np.einsum("nab,nqb->nqa", jval_m, e_m))  # (J e_i)*
+    tppart = tsval + sw * pval
+
+    # (b) Ric(P,P) = m/2, Ric(T*,P) = m S_W/2, Ric(T*,T*) = m S_W^2/2, mixed terms vanish
+    ric_pairs = _pair_values(ric, frame)
+    components = [
+        ric_pairs[:, 0, 0] - 0.5 * m,
+        ric_pairs[:, 1, 0] - 0.5 * m * sw,
+        ric_pairs[:, 1, 1] - 0.5 * m * sw**2,
+        ric_pairs[:, 1, 2:],
+        ric_pairs[:, 0, 2:],
+    ]
+
+    # (c) curvature identities
+    r_pq, r_pqq = _frame_curvature(rup, frame)
+    _, rw_pqq = _frame_curvature(rup_w, e_m)
+    ee = r_pqq[:, 2:, 2:] - _zero_along_s(rw_pqq) - 1.5 * sw * dth[..., None] * je_lift[:, None]
+    identities = [
+        r_pq[:, 0, 1],  # R(P, T*) = 0
+        # R(e_i*, P) T* = (1/4) S_W e_i*
+        np.einsum("nakl,nk->nal", r_pq[:, 2:, 0], tsval) - 0.25 * sw * frame[:, 2:],
+        # R(T*, e_i*) e_i* = (1/4) S_W (T* + S_W P)
+        r_pqq[:, 1, 2:] - 0.25 * sw * tppart[:, None],
+        # R(P, e_i*) e_i* = (1/4) (T* + S_W P)
+        r_pqq[:, 0, 2:] - 0.25 * tppart[:, None],
+        # R(e_i*, e_j*) e_j* = R_W(e_i, e_j) e_j - (3/2) S_W dtheta(e_i, e_j) (J e_j)*, i != j
+        ee[:, ~np.eye(k, dtype=bool)],
+    ]
+
+    # (d) covariant derivative table
+    nab = _frame_nabla(gamma_f, frame, frame_grads)
+    e_m_grads = np.stack([d[1] for d in me_data], axis=1)
+    w_lift = _zero_along_s(_frame_nabla(gamma_w, e_m, e_m_grads))
+    table = [
+        nab[:, :2, :2],
+        # nabla_P e* = nabla_e* P = (1/2) (J e)*
+        nab[:, 0, 2:] - 0.5 * je_lift,
+        nab[:, 2:, 0] - 0.5 * je_lift,
+        # nabla_T* e* = nabla_e* T* = (1/2) S_W (J e)*
+        nab[:, 1, 2:] - 0.5 * sw * je_lift,
+        nab[:, 2:, 1] - 0.5 * sw * je_lift,
+        # nabla_e_i* e_j* = (nabla_W e_i e_j)* - (1/2) dtheta(e_i, e_j) (T* + S_W P)
+        nab[:, 2:, 2:] - w_lift + 0.5 * dth[..., None] * tppart[:, None, None],
+    ]
+    return components, identities, table
+
+
 def fefferman_ricci_residual(fc: FeffermanChart, pts, f_jets, fields) -> dict[str, np.ndarray]:
     """Per-point curvature identities of the Fefferman metric.
 
@@ -568,84 +654,21 @@ def fefferman_ricci_residual(fc: FeffermanChart, pts, f_jets, fields) -> dict[st
     fval, df, d2f = f_jets
     gamma_f, dgamma_f, finv = levi_civita_arrays(fval, df, d2f)
     curv = curvature_from_arrays(fval, gamma_f, dgamma_f, finv)
-    rup, ric, scalar = curv.operator, curv.ricci, curv.scalar
+    ric, scalar = curv.ricci, curv.scalar
 
     *e_data, (pval, dp), (tsval, dts), (vval, dv), _, _, (bval, _), (_, da_w) = fields
-    e_vals = [d[0] for d in e_data]
+    frame = np.stack([pval, tsval] + [d[0] for d in e_data], axis=1)
+    frame_grads = np.stack([dp, dts] + [d[1] for d in e_data], axis=1)
     # the contact frame at the contact-chart points, read with the Webster connection there
+    ws = WebsterSample(fc.ac.ph, pts_m)
     me_data = jet_data_multi(fc.contact_frame, pts_m, 1)
-    e_m_vals = [d[0] for d in me_data]
+    components, identities, table = _frame_families(
+        m, sw, curv, gamma_f, frame, frame_grads, ws, me_data
+    )
 
     closed = m * sw * fval + (2.0 * m / (m + 2) ** 2) * np.einsum("ni,nj->nij", bval, bval)
     scale = max(1.0, np.abs(ric).max())
     res_closed_form = point_max(ric - closed) / scale
-
-    # (b) Ric(P,P) = m/2, Ric(T*,P) = m S_W/2, Ric(T*,T*) = m S_W^2/2, mixed terms vanish
-    components = [
-        np.einsum("nij,ni,nj->n", ric, pval, pval) - 0.5 * m,
-        np.einsum("nij,ni,nj->n", ric, tsval, pval) - 0.5 * m * sw,
-        np.einsum("nij,ni,nj->n", ric, tsval, tsval) - 0.5 * m * sw**2,
-    ]
-    for ev in e_vals:
-        components.append(np.einsum("nij,ni,nj->n", ric, tsval, ev))
-        components.append(np.einsum("nij,ni,nj->n", ric, pval, ev))
-
-    # (c) curvature identities
-    identities = [np.einsum("nijkl,ni,nj->nkl", rup, pval, tsval)]
-    tppart = tsval + sw * pval
-
-    ws = WebsterSample(fc.ac.ph, pts_m)
-    gamma_w = ws.webster_symbols[0]
-    rup_w = ws.curvature[0]
-    _, (dtheta_m, _), (jval_m, _), _, _ = ws.contact_jets
-
-    for ei in e_vals:
-        # R(e_i*, P) T* = (1/4) S_W e_i*
-        identities.append(np.einsum("nijkl,ni,nj,nk->nl", rup, ei, pval, tsval) - 0.25 * sw * ei)
-        # R(T*, e_i*) e_i* = (1/4) S_W (T* + S_W P)
-        identities.append(np.einsum("nijkl,ni,nj,nk->nl", rup, tsval, ei, ei) - 0.25 * sw * tppart)
-        # R(P, e_i*) e_i* = (1/4) (T* + S_W P)
-        identities.append(np.einsum("nijkl,ni,nj,nk->nl", rup, pval, ei, ei) - 0.25 * tppart)
-    for i, ei in enumerate(e_vals):
-        for j, ej in enumerate(e_vals):
-            if i == j:
-                continue
-            emi, emj = e_m_vals[i], e_m_vals[j]
-            rw_lift = _zero_along_s(np.einsum("nijkl,ni,nj,nk->nl", rup_w, emi, emj, emj))
-            dth = np.einsum("nij,ni,nj->n", dtheta_m, emi, emj)
-            jej_lift = _zero_along_s(np.einsum("nab,nb->na", jval_m, emj))
-            identities.append(
-                np.einsum("nijkl,ni,nj,nk->nl", rup, ei, ej, ej)
-                - rw_lift
-                - 1.5 * sw * dth[:, None] * jej_lift
-            )
-
-    # (d) covariant derivative table
-    table = [
-        _directional_nabla(gamma_f, a_vals, b_vals, b_grads)
-        for a_vals in (pval, tsval)
-        for b_vals, b_grads in ((pval, dp), (tsval, dts))
-    ]
-    for i, (ev, eg) in enumerate(e_data):
-        jei_lift = _zero_along_s(np.einsum("nab,nb->na", jval_m, e_m_vals[i]))
-        # nabla_P e* = nabla_e* P = (1/2) (J e)*
-        table.append(_directional_nabla(gamma_f, pval, ev, eg) - 0.5 * jei_lift)
-        table.append(_directional_nabla(gamma_f, ev, pval, dp) - 0.5 * jei_lift)
-        # nabla_T* e* = nabla_e* T* = (1/2) S_W (J e)*
-        table.append(_directional_nabla(gamma_f, tsval, ev, eg) - 0.5 * sw * jei_lift)
-        table.append(_directional_nabla(gamma_f, ev, tsval, dts) - 0.5 * sw * jei_lift)
-
-    for i, (evi, _) in enumerate(e_data):
-        for j in range(len(e_data)):
-            emv, emg = me_data[j]
-            w_lift = _zero_along_s(_directional_nabla(gamma_w, e_m_vals[i], emv, emg))
-            dth = np.einsum("nij,ni,nj->n", dtheta_m, e_m_vals[i], e_m_vals[j])
-            table.append(
-                _directional_nabla(gamma_f, evi, *e_data[j])
-                - w_lift
-                + 0.5 * dth[:, None] * tsval
-                + 0.5 * sw * dth[:, None] * pval
-            )
 
     # (e) parallel vertical field T* - S_W P
     nabla_v = dv + np.einsum("nkab,nb->nak", gamma_f, vval)

@@ -87,31 +87,37 @@ def _christoffel_arrays(g, dg):
     # C[n,l,i,j] = d_i g_jl + d_j g_il - d_l g_ij
     c = np.einsum("nijl->nlij", dg) + np.einsum("njil->nlij", dg) - dg
     gamma = 0.5 * np.einsum("nkl,nlij->nkij", ginv, c)
-    return gamma, ginv, c
+    return gamma, ginv
 
 
 def christoffel(metric: MetricField, pts) -> np.ndarray:
     """Levi-Civita symbols Gamma[n, k, i, j] = Gamma^k_ij at each point."""
     g, dg = jet_data(metric, pts, 1)
-    gamma, _, _ = _christoffel_arrays(g, dg)
+    gamma, _ = _christoffel_arrays(g, dg)
     return gamma
 
 
-def _dchristoffel_arrays(g, dg, d2g, gamma, ginv, c):
-    # d_a g^{kl} = -g^{km} (d_a g_mp) g^{pl}
-    dginv = -np.einsum("nkm,namp,npl->nakl", ginv, dg, ginv)
+def _dchristoffel_arrays(dg, d2g, gamma, ginv):
+    """First partials dGamma[n, a, k, i, j] = d_a Gamma^k_ij of the Levi-Civita symbols.
+
+    Differentiating g_lk Gamma^k_ij = C_lij / 2 gives
+
+        d_a Gamma^k_ij = g^kl (d_a C_lij / 2 - d_a g_lp Gamma^p_ij),
+
+    two two-operand contractions, with no partials of g^-1.
+    """
     dc = np.einsum("naijl->nalij", d2g) + np.einsum("najil->nalij", d2g) - d2g
-    dgamma = 0.5 * (
-        np.einsum("nakl,nlij->nakij", dginv, c) + np.einsum("nkl,nalij->nakij", ginv, dc)
-    )
-    return dgamma, dginv
+    return np.einsum("nkl,nalij->nakij", ginv, 0.5 * dc - np.einsum("nalp,npij->nalij", dg, gamma))
 
 
-def curvature_from_connection(gamma, dgamma, gval):
-    """(4,0) curvature R4[n,i,j,k,l] = g(R(e_i,e_j)e_k, e_l) of any connection.
+def curvature_from_connection(gamma, dgamma, gval=None):
+    """Curvature operator of any connection, and its (4,0) tensor when ``gval`` is given.
 
-    Sign convention: R(X,Y) = [nabla_X, nabla_Y] - nabla_[X,Y].  The
-    connection coefficients may be non-symmetric (direction index first).
+    Returns (rup, r4): rup[n,i,j,k,l] e_l = R(e_i,e_j)e_k, and
+    r4[n,i,j,k,l] = g(R(e_i,e_j)e_k, e_l), lowered with the metric values
+    ``gval``, or None without them.  Sign convention:
+    R(X,Y) = [nabla_X, nabla_Y] - nabla_[X,Y].  The connection coefficients
+    may be non-symmetric (direction index first).
     """
     rup = (
         np.einsum("niljk->nijkl", dgamma)
@@ -119,34 +125,50 @@ def curvature_from_connection(gamma, dgamma, gval):
         + np.einsum("nlia,najk->nijkl", gamma, gamma)
         - np.einsum("nlja,naik->nijkl", gamma, gamma)
     )
-    r4 = np.einsum("nijkm,nml->nijkl", rup, gval)
-    return rup, r4
+    return rup, None if gval is None else _lower_curvature(rup, gval)
+
+
+def _lower_curvature(rup, gval):
+    return np.einsum("nijkm,nml->nijkl", rup, gval)
 
 
 @dataclass(frozen=True)
 class CurvatureTensor:
-    """Curvature data of a metric at a point batch."""
+    """Curvature data of a metric at a point batch.
 
-    riemann: np.ndarray  # (N,d,d,d,d) fully covariant R(e_i,e_j,e_k,e_l)
+    Ricci and the scalar are traces of the operator.  The (4,0) tensor is
+    lowered from the operator with the metric values each time
+    :attr:`riemann` is read; no check of the pipeline but the Sasaki
+    product row reads it.
+    """
+
+    operator: np.ndarray  # (N,d,d,d,d) R(e_i,e_j)e_k = operator[n,i,j,k,l] e_l
     ricci: np.ndarray  # (N,d,d)
     scalar: np.ndarray  # (N,)
-    operator: np.ndarray  # (N,d,d,d,d) R(e_i,e_j)e_k = operator[n,i,j,k,l] e_l
+    metric: np.ndarray  # (N,d,d) the metric values the operator is lowered with
+
+    @property
+    def riemann(self) -> np.ndarray:
+        """(N,d,d,d,d) fully covariant R(e_i,e_j,e_k,e_l)."""
+        return _lower_curvature(self.operator, self.metric)
 
 
 def levi_civita_arrays(g, dg, d2g):
     """(Gamma, dGamma, g^-1) from the order-2 jet data ``[g, dg, d2g]`` of a metric."""
-    gamma, ginv, c = _christoffel_arrays(g, dg)
-    dgamma, _ = _dchristoffel_arrays(g, dg, d2g, gamma, ginv, c)
-    return gamma, dgamma, ginv
+    gamma, ginv = _christoffel_arrays(g, dg)
+    return gamma, _dchristoffel_arrays(dg, d2g, gamma, ginv), ginv
 
 
 def curvature_from_arrays(g, gamma, dgamma, ginv) -> CurvatureTensor:
-    """Curvature, Ricci (trace of Z -> R(Z,X)Y), and scalar curvature of the
-    Levi-Civita connection given by its arrays at a point batch."""
-    rup, r4 = curvature_from_connection(gamma, dgamma, g)
-    ricci = np.einsum("nab,najkb->njk", ginv, r4)
+    """Curvature of the Levi-Civita connection given by its arrays at a point batch.
+
+    Ricci is the trace of Z -> R(Z,X)Y on the operator,
+    Ric[n,j,k] = operator[n,a,j,k,a], and the scalar is g^jk Ric_jk.
+    """
+    rup, _ = curvature_from_connection(gamma, dgamma)
+    ricci = np.einsum("najka->njk", rup)
     scalar = np.einsum("njk,njk->n", ginv, ricci)
-    return CurvatureTensor(r4, ricci, scalar, rup)
+    return CurvatureTensor(rup, ricci, scalar, g)
 
 
 def riemann(metric: MetricField, pts) -> CurvatureTensor:
@@ -224,7 +246,7 @@ def conformal_ricci_correction(g, dg, dphi, d2phi) -> np.ndarray:
     """
     coeff = g.shape[-1] - 2
     ginv = inverse_metric(g)
-    gamma, _, _ = _christoffel_arrays(g, dg)
+    gamma, _ = _christoffel_arrays(g, dg)
     hess = d2phi - np.einsum("nkij,nk->nij", gamma, dphi)
     lap = np.einsum("nij,nij->n", ginv, hess)
     grad_sq = np.einsum("nij,ni,nj->n", ginv, dphi, dphi)

@@ -295,13 +295,15 @@ class WebsterSample:
     def ricci(self):
         """(W, scal_W): Webster Ricci representative (Ric_W = i W) and scalar.
 
-        Both traces run over the (e_a, J e_a) Levi frame.
+        Both traces run over the (e_a, J e_a) Levi frame, through its bivector
+        sum_a eps_a e_a (x) J e_a.
         """
         frame, eps = self.levi_frame
         m = self.ph.m
         e, je = frame[:, :m, :], frame[:, m:, :]
-        w = np.einsum("na,nak,nal,nijkl->nij", eps, e, je, self.curvature[1])
-        return w, -np.einsum("na,nai,naj,nij->n", eps, e, je, w)
+        bivector = np.einsum("nak,nal->nkl", eps[:, :, None] * e, je)
+        w = np.einsum("nijkl,nkl->nij", self.curvature[1], bivector)
+        return w, -np.einsum("nij,nij->n", bivector, w)
 
     @_member
     def lc_curvature(self) -> CurvatureTensor:
@@ -400,7 +402,7 @@ def axiom_residuals(ws: WebsterSample) -> dict[str, np.ndarray]:
     # torsion axiom on H: Tor(X, Y) = L(JX, Y) T for X, Y in H
     proj = ws.projector
     tor = gamma_w - np.einsum("nkji->nkij", gamma_w)
-    tor_h = np.einsum("nia,nkij,njb->nkab", proj, tor, proj)
+    tor_h = np.einsum("nia,nkib->nkab", proj, np.einsum("nkij,njb->nkib", tor, proj))
     dth_h = np.einsum("nia,nij,njb->nab", proj, dtheta, proj)
     jproj = np.einsum("nki,nia->nka", jval, proj)
     levi_jh = np.einsum("nka,nkl,nlb->nab", jproj, ws.levi_form, proj)

@@ -445,30 +445,51 @@ class SuiteConfig:
                     "with --example all the negative controls run under --suite all; "
                     f"or run a control entry on its own: --example {' / '.join(controls)}"
                 )
-            return
-        entry = CATALOG[self.example]
-        suites = self.resolved_suites()
-        if entry.negative and any(s != "negative" for s in suites):
-            raise UsageError(
-                f"example {self.example!r} is a negative control; run it with --suite all"
-            )
-        if self.m not in entry.ms:
-            raise UsageError(f"example {self.example!r} supports m in {entry.ms}, got {self.m}")
-        if not self.selected_checks():
-            raise UsageError(
-                f"suites {','.join(suites) or '(none)'} select no check for example {self.example!r}"
-            )
+        else:
+            entry = CATALOG[self.example]
+            suites = self.resolved_suites()
+            if entry.negative and any(s != "negative" for s in suites):
+                raise UsageError(
+                    f"example {self.example!r} is a negative control; run it with --suite all"
+                )
+            if self.m not in entry.ms:
+                raise UsageError(f"example {self.example!r} supports m in {entry.ms}, got {self.m}")
+            if not self.selected_checks():
+                raise UsageError(
+                    f"suites {','.join(suites) or '(none)'} select no check "
+                    f"for example {self.example!r}"
+                )
+        # an override of a check that no entry of the run selects would be dropped unseen
+        selected = {c.name for example in self.examples() for c in self.selected_checks(example)}
+        for name in self.tol_overrides:
+            if name not in selected:
+                raise UsageError(
+                    f"tolerance override for {name!r}: the check is not selected by "
+                    f"--example {self.example} --suite {','.join(self.suites)} at m={self.m}"
+                )
 
-    def resolved_suites(self) -> tuple[str, ...]:
-        """The suites run for a single catalog entry."""
+    def examples(self) -> list[str]:
+        """The catalog entries the run covers: one, or every entry of ``all`` at this m."""
+        if self.example != "all":
+            return [self.example]
+        return [
+            name for name, entry in CATALOG.items()
+            if self.m in entry.ms and (not entry.negative or "all" in self.suites)
+        ]
+
+    def resolved_suites(self, example: str | None = None) -> tuple[str, ...]:
+        """The suites run for a single catalog entry, ``self.example`` by default."""
+        example = example or self.example
         if "all" in self.suites:
-            return ("negative",) if CATALOG[self.example].negative else SUITES
+            return ("negative",) if CATALOG[example].negative else SUITES
         return self.suites
 
-    def selected_checks(self) -> list[Check]:
-        """The checks run for a single catalog entry, in report order."""
-        suites = self.resolved_suites()
-        return [c for c in CHECKS if c.suite in suites and _applies(c, self.example)]
+    def selected_checks(self, example: str | None = None) -> list[Check]:
+        """The checks run for a single catalog entry, ``self.example`` by default, in
+        report order."""
+        example = example or self.example
+        suites = self.resolved_suites(example)
+        return [c for c in CHECKS if c.suite in suites and _applies(c, example)]
 
 
 def run_suite(cfg: SuiteConfig) -> dict:
@@ -515,12 +536,13 @@ def run_suite(cfg: SuiteConfig) -> dict:
 
 def run_all(cfg: SuiteConfig) -> dict:
     """Run every catalog entry supporting the requested m."""
-    # every entry's request is checked before any check runs
-    subs = [
-        dataclasses.replace(cfg, example=name)
-        for name, entry in CATALOG.items()
-        if cfg.m in entry.ms and (not entry.negative or "all" in cfg.suites)
-    ]
+    # every entry's request is checked before any check runs; an override
+    # goes only to the entries that select its check
+    subs = []
+    for name in cfg.examples():
+        selected = {c.name for c in cfg.selected_checks(name)}
+        tols = {check: tol for check, tol in cfg.tol_overrides.items() if check in selected}
+        subs.append(dataclasses.replace(cfg, example=name, tol_overrides=tols))
     runs = []
     overall = True
     for sub in subs:

@@ -279,22 +279,31 @@ def test_criterion_9_negative_controls(pipeline):
 # 10. full deterministic suite under the time budget
 # ----------------------------------------------------------------------
 
-def moved_checks(old_text: str, new_text: str) -> list[str]:
-    """One line per check whose max_residual, value or pass differs."""
+def check_rows(text: str) -> dict:
+    """The check rows of a report's text by (example, check name)."""
+    doc = json.loads(text)
+    runs = doc.get("runs", [doc])
+    return {(run["example"], c["name"]): c for run in runs for c in run["checks"]}
 
-    def rows(text):
-        doc = json.loads(text)
-        runs = doc.get("runs", [doc])
-        return {(run["example"], c["name"]): c for run in runs for c in run["checks"]}
 
-    old, new = rows(old_text), rows(new_text)
-    lines = []
+def moved_fields(old_text: str, new_text: str) -> list[tuple]:
+    """(example, check, field, old, new) per max_residual, value or pass that differs."""
+    old, new = check_rows(old_text), check_rows(new_text)
+    moved = []
     for key in sorted(old.keys() | new.keys()):
         a, b = old.get(key, {}), new.get(key, {})
         for field in ("max_residual", "value", "pass"):
             if a.get(field) != b.get(field):
-                lines.append(f"{key[0]}/{key[1]} {field}: {a.get(field)!r} -> {b.get(field)!r}")
-    return lines
+                moved.append((*key, field, a.get(field), b.get(field)))
+    return moved
+
+
+def moved_checks(old_text: str, new_text: str) -> list[str]:
+    """One line per check whose max_residual, value or pass differs."""
+    return [
+        f"{example}/{name} {field}: {a!r} -> {b!r}"
+        for example, name, field, a, b in moved_fields(old_text, new_text)
+    ]
 
 
 def hardware() -> str:

@@ -189,10 +189,10 @@ def test_pipeline_evaluates_each_shared_metric_once(jet_calls):
 
 def test_no_field_is_evaluated_twice_per_sample(jet_calls):
     # every record reads its fields from batches held once per sample; the
-    # only repeats are three metrics whose first partials from an order-2
+    # only repeats are two metrics whose first partials from an order-2
     # batch differ in the last bits from an order-1 batch's: f (read at
-    # order 1 by the flat entries' conformal correction), g_theta (Killing
-    # and transversal symmetry) and h (nabla J)
+    # order 1 by the flat entries' conformal correction) and g_theta (Killing
+    # and transversal symmetry)
     from collections import Counter
 
     from crgeo.chart import ScalarField
@@ -221,8 +221,7 @@ def test_no_field_is_evaluated_twice_per_sample(jet_calls):
     assert {name for _, name in seen} == set(samples)
     allowed = {
         (key(pipe.fc.metric), "f"), (key(pipe.ac.ph.metric), "m"),
-        (key(pipe.ac.ph.metric), "f[:, :-1]"), (key(pipe.ke.metric), "base"),
-        (key(pipe.ac.ph.metric), "gate"),
+        (key(pipe.ac.ph.metric), "f[:, :-1]"), (key(pipe.ac.ph.metric), "gate"),
     }
     repeated = {pair: n for pair, n in seen.items() if n > 1}
     assert set(repeated) <= allowed and set(repeated.values()) <= {2}

@@ -1,0 +1,45 @@
+"""Smoke test of tests/report_matrix.py: the moved-row table of two source trees."""
+
+import json
+
+from report_matrix import MATRIX, SRC, compare, format_table, summarize
+from test_acceptance import golden_text
+
+
+def test_matrix_is_the_24_reports():
+    assert len(MATRIX) == len(set(MATRIX)) == 24
+    assert {(e, p) for e, _, p, _ in MATRIX} == {
+        ("all", 2), ("all", 5), ("all", 32), ("complex_hyperbolic", 128)
+    }
+
+
+def test_a_tree_against_itself_moves_no_row(capsys):
+    # two reports of the matrix, each run in a subprocess under both trees
+    assert compare(SRC, [("all", 1, 2, 7), ("all", 2, 2, 7)]) == 0
+    out = capsys.readouterr().out
+    assert out.startswith("2 of 2 reports byte-identical")
+    assert "| check | rows | moved |" in out and out.rstrip().endswith("|---|---|---|---|---|---|")
+
+
+def test_the_table_counts_moved_rows_per_check():
+    from crgeo.verify import SuiteConfig, run_suite
+
+    old = golden_text(run_suite(SuiteConfig(example="flat", m=1, suites=("webster",), points=2)))
+    doc = json.loads(old)
+    rows = {c["name"]: c for c in doc["checks"]}
+    rows["webster_einstein"]["max_residual"] += 1e-15
+    rows["webster_scal_constant"]["max_residual"] = 0.0
+    rows["webster_scal_constant"]["pass"] = False
+    new = json.dumps(doc)
+    table = summarize([(old, new), (old, old)])
+    assert table["webster_einstein"] == {
+        "rows": 2, "moved": 1, "largest": table["webster_einstein"]["largest"],
+        "rose": True, "all_pass": True,
+    }
+    assert 0 < table["webster_einstein"]["largest"] < 2e-15
+    assert table["webster_scal_constant"]["moved"] == 1
+    assert not table["webster_scal_constant"]["rose"]
+    assert not table["webster_scal_constant"]["all_pass"]
+    text = format_table(table, 2, 1)
+    assert "| webster_einstein | 2 | 1 |" in text and "| yes | yes |" in text
+    assert "| webster_scal_constant | 2 | 1 |" in text and "| no | NO |" in text

@@ -126,9 +126,13 @@ def second_bianchi_residual(metric: MetricField, pts) -> float:
     package reads this sum.
     """
     g, dg, d2g, d3g = jet_data(metric, pts, 3)
-    gamma, ginv, c = _christoffel_arrays(g, dg)
-    dgamma, dginv = _dchristoffel_arrays(g, dg, d2g, gamma, ginv, c)
+    gamma, ginv = _christoffel_arrays(g, dg)
+    dgamma = _dchristoffel_arrays(dg, d2g, gamma, ginv)
     rup, r4 = curvature_from_connection(gamma, dgamma, g)
+
+    # C[n,l,i,j] = d_i g_jl + d_j g_il - d_l g_ij and d_a g^{kl} = -g^{km} (d_a g_mp) g^{pl}
+    c = np.einsum("nijl->nlij", dg) + np.einsum("njil->nlij", dg) - dg
+    dginv = -np.einsum("nkm,namp,npl->nakl", ginv, dg, ginv)
 
     # second derivative of the symbols for the curvature gradient
     d2ginv = -(

@@ -142,6 +142,35 @@ def test_a_tolerance_override_is_positive_and_given_once(capsys):
     assert row["tolerance"] == 1e-3
 
 
+def test_a_tolerance_override_names_a_selected_check(capsys):
+    # an override of a check the run does not select is an error, not dropped unseen
+    for example, m, suites, check in (
+        ("flat", 1, "webster", "rescaled_scalar"),  # its suite is not run
+        ("flat", 1, "all", "non_einstein_detected"),  # a control's check on a regular entry
+        ("all", 1, "webster", "rescaled_scalar"),  # no entry runs its suite
+        ("all", 1, "all", "non_einstein_detected"),  # its control has no m=1 entry
+    ):
+        code, out, err = run_cli(
+            capsys, "run", "--example", example, "--m", str(m), "--suite", suites,
+            "--points", "2", "--tol", f"{check}=1e-3",
+        )
+        assert (code, out) == (2, "") and err.startswith("error:") and check in err
+        with pytest.raises(UsageError, match="not selected"):
+            SuiteConfig(example=example, m=m, suites=(suites,), tol_overrides={check: 1e-3})
+    # under --example all, selected for one entry is enough; the override reaches
+    # that entry's row and no other entry's request is refused
+    code, out, _ = run_cli(
+        capsys, "run", "--example", "all", "--m", "2", "--suite", "theorem2",
+        "--points", "2", "--tol", "sasaki_einstein=1e-3",
+    )
+    assert code == 0
+    rows = [
+        (run["example"], c["tolerance"])
+        for run in json.loads(out)["runs"] for c in run["checks"] if c["name"] == "sasaki_einstein"
+    ]
+    assert rows == [("fubini_study", 1e-3), ("complex_hyperbolic", 1e-3)]
+
+
 def test_negative_suite_with_all_examples_names_the_way_to_run_it(capsys):
     # the controls run under --suite all, never silently dropped from a list
     for m, suites in ((1, "webster,negative"), (1, "negative"), (2, "negative,fefferman")):
