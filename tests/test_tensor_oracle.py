@@ -29,9 +29,9 @@ REGULAR = [(example, m) for example in ("flat", "fubini_study", "complex_hyperbo
 CASES = REGULAR + [("sphere_x_flat", 2)]
 
 
-def assert_close(new, ref):
+def assert_close(new, ref, name=""):
     scale = max(1.0, float(np.abs(ref).max()))
-    np.testing.assert_allclose(new, ref, rtol=1e-12, atol=1e-12 * scale)
+    np.testing.assert_allclose(new, ref, rtol=1e-12, atol=1e-12 * scale, err_msg=name)
 
 
 def reference_dgamma(g, dg, d2g):
@@ -73,15 +73,15 @@ def fefferman_pipe(request):
 
 
 def test_christoffel_partials_and_ricci_match_the_lowered_route(pipe):
-    for _, (g, dg, d2g) in metric_jets(pipe):
+    for name, (g, dg, d2g) in metric_jets(pipe):
         gamma, dgamma, ginv = levi_civita_arrays(g, dg, d2g)
-        assert_close(dgamma, reference_dgamma(g, dg, d2g))
+        assert_close(dgamma, reference_dgamma(g, dg, d2g), name)
         curv = curvature_from_arrays(g, gamma, dgamma, ginv)
         r4, ricci = reference_ricci(g, curv.operator, ginv)
-        assert_close(curv.ricci, ricci)
-        assert_close(curv.scalar, np.einsum("njk,njk->n", ginv, ricci))
+        assert_close(curv.ricci, ricci, name)
+        assert_close(curv.scalar, np.einsum("njk,njk->n", ginv, ricci), name)
         # the (4,0) tensor, lowered where it is read
-        assert np.array_equal(curv.riemann, r4)
+        assert np.array_equal(curv.riemann, r4), name
 
 
 def reference_families(fc, pts, f_jets, fields):
