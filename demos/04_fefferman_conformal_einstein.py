@@ -29,7 +29,9 @@ rm = einstein_rescale(fc)
 f_jets, rm_jets, phi_jets = jet_data_multi([fc.metric, rm.metric, rm.phi], pts, 2)
 
 print("S_W = scal_h / (2m(m+1)) =", fc.sw)
-rec = fefferman_ricci_residual(fc, pts, f_jets, jet_data_multi(fc.sample_fields, pts, 1))
+# the frame, forms and base metric by name, from one order-1 batch
+fields = dict(zip(fc.sample_fields, jet_data_multi(list(fc.sample_fields.values()), pts, 1)))
+rec = fefferman_ricci_residual(fc, pts, f_jets, fields)
 print("closed-form Ricci residual:     ", rec["fefferman_ricci_closed_form"].max())
 print("Ric(P,P)=m/2 etc residual:      ", rec["fefferman_ricci_components"].max())
 print("parallel field nabla(T*-S_W P): ", rec["parallel_vertical_field"].max())

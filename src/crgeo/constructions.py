@@ -24,6 +24,7 @@ from .chart import (
     OneForm,
     ScalarField,
     VectorField,
+    _ComponentStack,
     cos as field_cos,
     differential,
     exterior_derivative,
@@ -357,22 +358,25 @@ class FeffermanChart:
         return self.ac.m
 
     @cached_property
-    def contact_frame(self) -> list[VectorField]:
-        """Horizontal lifts of the base unitary frame to the contact chart."""
-        return [horizontal_lift(self.ac, x) for x in base_unitary_frame(self.ac.base)]
-
-    @cached_property
-    def sample_fields(self) -> list:
-        """The fields the Fefferman residuals read at order 1, in this order:
-        the contact frame extended by zero along s (H-fields lift with zero
-        canonical-fiber component because A_theta already annihilates them),
-        P, T*, T* - S_W P, theta, A_theta, b and A_W."""
-        frame = [extend_vector(self.chart, x) for x in self.contact_frame]
-        vfield = self.reeb_lift - self.vertical_canonical.scaled(self.sw)
-        return frame + [
-            self.vertical_canonical, self.reeb_lift, vfield, self.theta_total,
-            self.fefferman_connection_form, self.parallel_one_form, self.webster_connection_form,
-        ]
+    def sample_fields(self) -> dict:
+        """The fields the Fefferman residuals read at order 1, by name: the
+        ``frame`` stack (P, T*, e_1*, .., e_2m*), e_i* the horizontal lifts of
+        the base unitary frame extended by zero along s (H-fields lift with
+        zero canonical-fiber component because A_theta already annihilates
+        them), the ``vertical`` field T* - S_W P, the forms theta, A_theta, b
+        and A_W, and the base metric h."""
+        lifts = [horizontal_lift(self.ac, x) for x in base_unitary_frame(self.ac.base)]
+        frame = [self.vertical_canonical, self.reeb_lift]
+        frame += [extend_vector(self.chart, x) for x in lifts]
+        return {
+            "frame": _ComponentStack(self.chart, [x.components for x in frame]),
+            "vertical": self.reeb_lift - self.vertical_canonical.scaled(self.sw),
+            "theta": self.theta_total,
+            "a_theta": self.fefferman_connection_form,
+            "b": self.parallel_one_form,
+            "a_w": self.webster_connection_form,
+            "h": pullback_symmetric(self.chart, self.ac.base.metric),
+        }
 
 
 def fefferman_metric(ac: AnticanonicalChart) -> FeffermanChart:
@@ -539,10 +543,12 @@ def fefferman_structure_residuals(fc: FeffermanChart, fval, fields) -> dict[str,
     """Per point: normalization, lightlike fibers and forms, the closed form.
 
     ``fval`` is the value of the Fefferman metric and ``fields`` the order-1
-    jet data of ``fc.sample_fields``, both at one point batch.
+    jet data of ``fc.sample_fields`` by name, both at one point batch.
     """
     m = fc.m
-    *_, (pval, _), (tsval, _), _, (thval, _), (athval, _), (bval, db), _ = fields
+    pval, tsval = fields["frame"][0].swapaxes(0, 1)[:2]
+    thval, athval = fields["theta"][0], fields["a_theta"][0]
+    bval, db = fields["b"]
     f_pt = np.einsum("nij,ni,nj->n", fval, pval, tsval)
     f_pp = np.einsum("nij,ni,nj->n", fval, pval, pval)
     f_tt = np.einsum("nij,ni,nj->n", fval, tsval, tsval)
@@ -566,14 +572,15 @@ def fefferman_structure_residuals(fc: FeffermanChart, fval, fields) -> dict[str,
     }
 
 
-def _frame_families(m, sw, curv, gamma_f, frame, frame_grads, ws, me_data):
+def _frame_families(m, sw, curv, gamma_f, frame, frame_grads, ws):
     """Residual arrays of the Fefferman identities on the adapted frame, per family.
 
     ``frame`` (N, 2m + 2, d) stacks (P, T*, e_1*, .., e_2m*) at the Fefferman
-    points and ``frame_grads`` their first partials; ``curv`` and ``gamma_f``
-    are the curvature and symbols of f there.  ``ws`` is the Webster sample
-    at the contact-chart points and ``me_data`` the order-1 jet data of the
-    contact frame e_i there.  Returns the lists (b) Ricci components,
+    points and ``frame_grads[n, q, a, k]`` = d_a frame[n, q, k]; ``curv`` and
+    ``gamma_f`` are the curvature and symbols of f there.  ``ws`` is the
+    Webster sample at the contact-chart points, where the contact frame e_i
+    and its first partials are the rows after P and T* without the s entry
+    and the s-partial.  Returns the lists (b) Ricci components,
     (c) curvature identities and (d) covariant table; each family is one
     array, read from slices of one staged contraction over the stack.
     """
@@ -583,7 +590,7 @@ def _frame_families(m, sw, curv, gamma_f, frame, frame_grads, ws, me_data):
     _, (dtheta_m, _), (jval_m, _), _, _ = ws.contact_jets
     pval, tsval = frame[:, 0], frame[:, 1]
     k = frame.shape[1] - 2
-    e_m = np.stack([d[0] for d in me_data], axis=1)
+    e_m = frame[:, 2:, :-1]
     dth = _pair_values(dtheta_m, e_m)  # dtheta(e_i, e_j)
     je_lift = _zero_along_s(np.einsum("nab,nqb->nqa", jval_m, e_m))  # (J e_i)*
     tppart = tsval + sw * pval
@@ -616,8 +623,7 @@ def _frame_families(m, sw, curv, gamma_f, frame, frame_grads, ws, me_data):
 
     # (d) covariant derivative table
     nab = _frame_nabla(gamma_f, frame, frame_grads)
-    e_m_grads = np.stack([d[1] for d in me_data], axis=1)
-    w_lift = _zero_along_s(_frame_nabla(gamma_w, e_m, e_m_grads))
+    w_lift = _zero_along_s(_frame_nabla(gamma_w, e_m, frame_grads[:, 2:, :-1, :-1]))
     table = [
         nab[:, :2, :2],
         # nabla_P e* = nabla_e* P = (1/2) (J e)*
@@ -636,7 +642,8 @@ def fefferman_ricci_residual(fc: FeffermanChart, pts, f_jets, fields) -> dict[st
     """Per-point curvature identities of the Fefferman metric.
 
     ``f_jets`` is the order-2 ``jet_data`` ``[f, df, d2f]`` of the metric and
-    ``fields`` the order-1 jet data of ``fc.sample_fields``, both at ``pts``.
+    ``fields`` the order-1 jet data of ``fc.sample_fields`` by name, both at
+    ``pts``.
 
     (a) closed form Ric = m S_W f + (2m/(m+2)^2) b o b with b the real
     representative of rho_c + rho_ac; (b) vertical component values;
@@ -648,7 +655,6 @@ def fefferman_ricci_residual(fc: FeffermanChart, pts, f_jets, fields) -> dict[st
     pts = fc.chart.points(pts)
     m = fc.m
     sw = fc.sw
-    pts_m = pts[:, :-1]
 
     # the one second-order metric evaluation feeds symbols, curvature, Ricci
     fval, df, d2f = f_jets
@@ -656,15 +662,14 @@ def fefferman_ricci_residual(fc: FeffermanChart, pts, f_jets, fields) -> dict[st
     curv = curvature_from_arrays(fval, gamma_f, dgamma_f, finv)
     ric, scalar = curv.ricci, curv.scalar
 
-    *e_data, (pval, dp), (tsval, dts), (vval, dv), _, _, (bval, _), (_, da_w) = fields
-    frame = np.stack([pval, tsval] + [d[0] for d in e_data], axis=1)
-    frame_grads = np.stack([dp, dts] + [d[1] for d in e_data], axis=1)
-    # the contact frame at the contact-chart points, read with the Webster connection there
-    ws = WebsterSample(fc.ac.ph, pts_m)
-    me_data = jet_data_multi(fc.contact_frame, pts_m, 1)
-    components, identities, table = _frame_families(
-        m, sw, curv, gamma_f, frame, frame_grads, ws, me_data
-    )
+    frame, frame_grads = fields["frame"]
+    frame_grads = frame_grads.swapaxes(1, 2)  # [n, q, a, k] = d_a frame[n, q, k]
+    tsval, dts = frame[:, 1], frame_grads[:, 1]
+    vval, dv = fields["vertical"]
+    bval, da_w = fields["b"][0], fields["a_w"][1]
+    # the contact frame is read with the Webster connection at the contact-chart points
+    ws = WebsterSample(fc.ac.ph, pts[:, :-1])
+    components, identities, table = _frame_families(m, sw, curv, gamma_f, frame, frame_grads, ws)
 
     closed = m * sw * fval + (2.0 * m / (m + 2) ** 2) * np.einsum("ni,nj->nij", bval, bval)
     scale = max(1.0, np.abs(ric).max())
@@ -692,7 +697,7 @@ def fefferman_ricci_residual(fc: FeffermanChart, pts, f_jets, fields) -> dict[st
     }
 
 
-def fefferman_expression_residual(fc: FeffermanChart, pts, fval, fields) -> np.ndarray:
+def fefferman_expression_residual(fc: FeffermanChart, fval, fields) -> np.ndarray:
     """Independent assembly of the Fefferman metric from base data.
 
     Ricci-flat gauge: f = h + (4/(m+2)) theta o a_W.  Otherwise
@@ -700,21 +705,19 @@ def fefferman_expression_residual(fc: FeffermanChart, pts, fval, fields) -> np.n
     b, c the real representatives of rho_c + rho_ac and
     rho_c - rho_ac/(m+1); iR-valued squares expand with (i b)^2 = -b o b.
     ``fval`` is the value of the Fefferman metric and ``fields`` the order-1
-    jet data of ``fc.sample_fields``, both at ``pts``.
+    jet data of ``fc.sample_fields`` by name, both at one point batch.
     """
-    pts = fc.chart.points(pts)
     m = fc.m
-    h_full = np.zeros_like(fval)
-    h_full[:, : 2 * m, : 2 * m] = fc.ac.base.metric(pts[:, : 2 * m])
-    *_, (thval, _), _, (bval, _), (awval, _) = fields
+    hval, thval = fields["h"][0], fields["theta"][0]
+    bval, awval = fields["b"][0], fields["a_w"][0]
     if fc.scal_w == 0.0 or not fc.ac.base.einstein or fc.ac.base.scal_h == 0.0:
         sym = 0.5 * (np.einsum("ni,nj->nij", thval, awval) + np.einsum("ni,nj->nij", awval, thval))
-        assembled = h_full + (4.0 / (m + 2)) * sym
+        assembled = hval + (4.0 / (m + 2)) * sym
     else:
         scal_h = 2.0 * fc.scal_w
         cval = awval + fc.sw * thval  # rho_c - rho_ac/(m+1) in real reps
         coeff = 4.0 * m * (m + 1) / ((m + 2) ** 2 * scal_h)
-        assembled = h_full + coeff * (
+        assembled = hval + coeff * (
             -np.einsum("ni,nj->nij", bval, bval) + np.einsum("ni,nj->nij", cval, cval)
         )
     return point_max(assembled - fval)
@@ -757,17 +760,16 @@ def slice_identity_residual(rm: RescaledMetric, n: int = 8, seed: int = 42) -> n
     return point_max(g_rm - g_f)
 
 
-def correction_structure_residual(rm: RescaledMetric, pts, phi_jets, fields) -> np.ndarray:
+def correction_structure_residual(rm: RescaledMetric, f_jets, phi_jets, fields) -> np.ndarray:
     """Ricci-flat gauge: the conformal correction has only a (P,P) component.
 
-    ``phi_jets`` is the order-2 ``jet_data`` of phi and ``fields`` the order-1
-    jet data of ``rm.fc.sample_fields``, both at ``pts``.  f is evaluated
-    here at order 1: its first partials from an order-2 batch differ in the
-    last bits.
+    ``f_jets`` and ``phi_jets`` are the order-2 ``jet_data`` of f and phi and
+    ``fields`` the order-1 jet data of ``rm.fc.sample_fields`` by name, all
+    at one point batch.
     """
-    corr = conformal_ricci_correction(*jet_data(rm.fc.metric, pts, 1), *phi_jets[1:])
-    *frame, (pvals, _), (tsval, _), _, _, _, _, _ = fields
-    vecs = [v for v, _ in frame] + [tsval]
+    corr = conformal_ricci_correction(*f_jets[:2], *phi_jets[1:])
+    pvals, tsval, *vecs = fields["frame"][0].swapaxes(0, 1)
+    vecs.append(tsval)
     terms = [
         np.einsum("nij,ni,nj->n", corr, u, v)
         for i, u in enumerate(vecs)
@@ -886,7 +888,7 @@ def explicit_einstein_residuals(t2: ExplicitEinsteinMetric, pts, jets) -> dict[s
     """Per point: Einstein condition, product structure, and Sasaki cross-check.
 
     ``jets`` is ``jet_data_multi(t2.checked_metrics, pts, 2)``.  The Sasaki
-    factor is checked at its own sample of the same size.
+    factor is checked at the same points without the line coordinate t.
     """
     pts = t2.chart.points(pts)
     gval, dg, d2g = jets[0]
@@ -898,8 +900,7 @@ def explicit_einstein_residuals(t2: ExplicitEinsteinMetric, pts, jets) -> dict[s
     }
 
     if t2.sasaki_metric is not None:
-        sp = t2.sasaki_metric.chart.sample(pts.shape[0], 977)
-        sval, sd, sd2 = jet_data(t2.sasaki_metric, sp, 2)
+        sval, sd, sd2 = jet_data(t2.sasaki_metric, pts[:, :-1], 2)
         scurv = curvature_from_arrays(sval, *levi_civita_arrays(sval, sd, sd2))
         out["sasaki_einstein"] = point_max(scurv.ricci - t2.sasaki_constant * sval)
         # product structure of the unrescaled metric along the line factor,

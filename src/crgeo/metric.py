@@ -245,8 +245,7 @@ def conformal_ricci_correction(g, dg, dphi, d2phi) -> np.ndarray:
     Ric(e^{2 phi} g) - Ric(g) computed directly.
     """
     coeff = g.shape[-1] - 2
-    ginv = inverse_metric(g)
-    gamma, _ = _christoffel_arrays(g, dg)
+    gamma, ginv = _christoffel_arrays(g, dg)
     hess = d2phi - np.einsum("nkij,nk->nij", gamma, dphi)
     lap = np.einsum("nij,nij->n", ginv, hess)
     grad_sq = np.einsum("nij,ni,nj->n", ginv, dphi, dphi)

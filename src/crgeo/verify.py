@@ -246,9 +246,9 @@ class Pipeline:
     record reads its fields from jet batches held once per sample: the
     structure's fields and Webster connection at the contact sample
     (``webster_sample``), f, e^{2 phi} f and phi at order 2 and the
-    Fefferman frame and forms at order 1 at the Fefferman sample
-    (``f_jets``, ``f_fields``), and the explicit metrics at their sample
-    (``t2_jets``).
+    Fefferman frame, forms and base metric at order 1 at the Fefferman
+    sample (``f_jets``, ``f_fields``), and the explicit metrics at their
+    sample (``t2_jets``).
     """
 
     def __init__(self, example: str, m: int, points: int, seed: int):
@@ -311,8 +311,9 @@ class Pipeline:
 
     @cached_property
     def f_fields(self):
-        """Order-1 jet data of ``fc.sample_fields`` at ``f_pts``."""
-        return jet_data_multi(self.fc.sample_fields, self.f_pts, 1)
+        """Order-1 jet data of ``fc.sample_fields`` at ``f_pts``, by the same names."""
+        fields = self.fc.sample_fields
+        return dict(zip(fields, jet_data_multi(list(fields.values()), self.f_pts, 1)))
 
     @cached_property
     def t2_jets(self):
@@ -357,20 +358,18 @@ class Pipeline:
         f, fields = self.f_jets[0], self.f_fields
         rec = fefferman_structure_residuals(self.fc, f[0], fields)
         rec.update(fefferman_ricci_residual(self.fc, self.f_pts, f, fields))
-        rec["fefferman_expression"] = fefferman_expression_residual(
-            self.fc, self.f_pts, f[0], fields
-        )
+        rec["fefferman_expression"] = fefferman_expression_residual(self.fc, f[0], fields)
         return rec
 
     @cached_property
     def rescale_record(self) -> dict:
-        _, rm_jets, phi_jets = self.f_jets
+        f_jets, rm_jets, phi_jets = self.f_jets
         rec = rescale_residuals(self.rm, rm_jets, phi_jets)
         rec["slice_identity"] = slice_identity_residual(self.rm, min(self.points, 8), self.seed)
         rec["einstein_constant"] = self.rm.einstein_constant
         if self.applies("correction_structure"):
             rec["correction_structure"] = correction_structure_residual(
-                self.rm, self.f_pts, phi_jets, self.f_fields
+                self.rm, f_jets, phi_jets, self.f_fields
             )
         return rec
 

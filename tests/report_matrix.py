@@ -10,7 +10,9 @@ tree's ``src`` first on the import path.  Rows are compared as
 ``moved_checks`` compares them (``test_acceptance.moved_fields``).  For
 each check name with a moved row, the table gives the rows moved, the
 largest change of its max_residual or value, whether any max_residual
-rose, and whether every row of the new reports passes.
+rose, and whether every row of the new reports passes.  Below the table,
+each report that is not byte-identical is named by its (example, m,
+points, seed).
 """
 
 import argparse
@@ -77,9 +79,11 @@ def summarize(pairs) -> dict:
     return table
 
 
-def format_table(table: dict, reports: int, identical: int) -> str:
+def format_table(table: dict, reports: int, moved_reports) -> str:
+    """The table of :func:`summarize`, then the (example, m, points, seed) of
+    each of ``moved_reports``, the reports that are not byte-identical."""
     lines = [
-        f"{identical} of {reports} reports byte-identical without generated_at",
+        f"{reports - len(moved_reports)} of {reports} reports byte-identical without generated_at",
         "",
         "| check | rows | moved | largest change | a max_residual rose | every row passes |",
         "|---|---|---|---|---|---|",
@@ -93,6 +97,9 @@ def format_table(table: dict, reports: int, identical: int) -> str:
     failing = sorted(name for name, e in table.items() if not e["all_pass"] and not e["moved"])
     if failing:
         lines.append(f"unmoved checks with a failing row: {', '.join(failing)}")
+    if moved_reports:
+        lines += ["", "reports not byte-identical (example, m, points, seed):"]
+        lines += [f"  {example}, {m}, {points}, {seed}" for example, m, points, seed in moved_reports]
     return "\n".join(lines)
 
 
@@ -109,8 +116,8 @@ def compare(old_src, matrix) -> int:
         return 2
     pairs = [(report_text(old_src, *config), report_text(SRC, *config)) for config in matrix]
     table = summarize(pairs)
-    identical = sum(old == new for old, new in pairs)
-    print(format_table(table, len(pairs), identical))
+    moved = [config for config, (old, new) in zip(matrix, pairs) if old != new]
+    print(format_table(table, len(pairs), moved))
     return 0 if all(e["all_pass"] for e in table.values()) else 1
 
 

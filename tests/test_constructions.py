@@ -142,7 +142,7 @@ def test_fefferman_flat_expression(pipeline):
     # Ricci-flat gauge: f = h + (4/(m+2)) theta o (real rho_c), checked
     # against an independent assembly of the displayed expansion
     pipe = pipeline("flat", 1)
-    res = fefferman_expression_residual(pipe.fc, pipe.f_pts, pipe.f_jets[0][0], pipe.f_fields)
+    res = fefferman_expression_residual(pipe.fc, pipe.f_jets[0][0], pipe.f_fields)
     assert res.max() < 1e-12
 
 
@@ -187,12 +187,44 @@ def test_pipeline_evaluates_each_shared_metric_once(jet_calls):
         assert all(f in batches[0] for f in metrics)
 
 
+@pytest.mark.parametrize("example, m", [("flat", 1), ("fubini_study", 2)])
+def test_fefferman_and_rescale_records_read_the_held_batches(jet_calls, example, m):
+    # with f_jets and f_fields held, the two records evaluate only the Webster
+    # sample at the contact points (its contact and connection batches) and
+    # the s = 0 slice of slice_identity_residual: the contact frame, f and h
+    # are read from the held batches
+    from crgeo.verify import Pipeline
+
+    pipe = Pipeline(example, m, points=3, seed=7)
+    pipe.f_jets, pipe.f_fields  # held before the records run
+    jet_calls.clear()
+    pipe.fefferman_record, pipe.rescale_record
+    assert ("correction_structure" in pipe.rescale_record) == (example == "flat")
+    contact = pipe.f_pts[:, :-1]
+
+    def where(at):
+        if at.shape == contact.shape and np.array_equal(at, contact):
+            return "contact"
+        if at.shape[1] == pipe.fc.chart.dim and not at[:, -1].any():
+            return "slice"
+        return "other"
+
+    assert sorted((where(at), order) for _, at, order in jet_calls) == [
+        ("contact", 1), ("contact", 2), ("slice", 0)
+    ]
+    ph = pipe.ac.ph
+    ws_fields = {1: [ph.theta, ph.dtheta, ph.J, ph.reeb, ph.metric],
+                 2: [ph.metric, ph.comparison_tensor]}
+    for fields, at, order in jet_calls:
+        if where(at) == "contact":
+            assert fields == ws_fields[order]
+
+
 def test_no_field_is_evaluated_twice_per_sample(jet_calls):
     # every record reads its fields from batches held once per sample; the
-    # only repeats are two metrics whose first partials from an order-2
-    # batch differ in the last bits from an order-1 batch's: f (read at
-    # order 1 by the flat entries' conformal correction) and g_theta (Killing
-    # and transversal symmetry)
+    # only repeat is g_theta, whose first partials from an order-2 batch
+    # differ in the last bits from an order-1 batch's (Killing and
+    # transversal symmetry)
     from collections import Counter
 
     from crgeo.chart import ScalarField
@@ -220,8 +252,8 @@ def test_no_field_is_evaluated_twice_per_sample(jet_calls):
                 seen.update((k, name) for k in {key(f) for f in fields})
     assert {name for _, name in seen} == set(samples)
     allowed = {
-        (key(pipe.fc.metric), "f"), (key(pipe.ac.ph.metric), "m"),
-        (key(pipe.ac.ph.metric), "f[:, :-1]"), (key(pipe.ac.ph.metric), "gate"),
+        (key(pipe.ac.ph.metric), "m"), (key(pipe.ac.ph.metric), "f[:, :-1]"),
+        (key(pipe.ac.ph.metric), "gate"),
     }
     repeated = {pair: n for pair, n in seen.items() if n > 1}
     assert set(repeated) <= allowed and set(repeated.values()) <= {2}
@@ -350,6 +382,22 @@ def test_sasaki_cross_check(pipeline):
     assert rec["sasaki_product_curvature"].max() < 1e-8
     # Einstein constant of the circle-bundle factor: scal_h / (2(m+1)) = 1/2
     assert pipe.t2.sasaki_constant == pytest.approx(0.5)
+
+
+@pytest.mark.parametrize("kind", ["fubini_study", "complex_hyperbolic"])
+def test_sasaki_factor_is_checked_at_the_run_points(jet_calls, kind):
+    # the Sasaki factor is evaluated at the theorem-2 points without t, so
+    # the seed moves its row as it moves every other theorem2 row
+    from crgeo.verify import Pipeline
+
+    worst = {}
+    for seed in (7, 42):
+        pipe = Pipeline(kind, 1, points=2, seed=seed)
+        jet_calls.clear()
+        worst[seed] = pipe.theorem2_record["sasaki_einstein"].max()
+        sasaki_at = [at for fields, at, _ in jet_calls if fields == [pipe.t2.sasaki_metric]]
+        assert len(sasaki_at) == 1 and np.array_equal(sasaki_at[0], pipe.t2_pts[:, :-1])
+    assert worst[7] != worst[42]
 
 
 def test_explicit_requires_einstein_base():

@@ -18,6 +18,7 @@ def test_a_tree_against_itself_moves_no_row(capsys):
     assert compare(SRC, [("all", 1, 2, 7), ("all", 2, 2, 7)]) == 0
     out = capsys.readouterr().out
     assert out.startswith("2 of 2 reports byte-identical")
+    # no moved report is named below the table
     assert "| check | rows | moved |" in out and out.rstrip().endswith("|---|---|---|---|---|---|")
 
 
@@ -40,6 +41,30 @@ def test_the_table_counts_moved_rows_per_check():
     assert table["webster_scal_constant"]["moved"] == 1
     assert not table["webster_scal_constant"]["rose"]
     assert not table["webster_scal_constant"]["all_pass"]
-    text = format_table(table, 2, 1)
+    text = format_table(table, 2, [("flat", 1, 2, 42)])
+    assert text.startswith("1 of 2 reports byte-identical")
     assert "| webster_einstein | 2 | 1 |" in text and "| yes | yes |" in text
     assert "| webster_scal_constant | 2 | 1 |" in text and "| no | NO |" in text
+    # below the table, the report that moved
+    assert text.endswith("reports not byte-identical (example, m, points, seed):\n  flat, 1, 2, 42")
+
+
+def test_compare_names_the_reports_that_moved(monkeypatch, capsys, tmp_path):
+    import report_matrix
+    from crgeo.verify import SuiteConfig, run_suite
+
+    text = golden_text(run_suite(SuiteConfig(example="flat", m=1, suites=("webster",), points=2)))
+    doc = json.loads(text)
+    doc["checks"][0]["max_residual"] *= 2.0
+    moved = json.dumps(doc)
+
+    def fake_report(src, example, m, points, seed):
+        # this tree's report at seed 42 differs from the other tree's
+        return moved if src == SRC and seed == 42 else text
+
+    (tmp_path / "crgeo").mkdir()
+    monkeypatch.setattr(report_matrix, "report_text", fake_report)
+    assert compare(tmp_path, [("flat", 1, 2, 7), ("flat", 1, 2, 42)]) == 0
+    out = capsys.readouterr().out
+    assert out.startswith("1 of 2 reports byte-identical")
+    assert out.rstrip().endswith("(example, m, points, seed):\n  flat, 1, 2, 42")

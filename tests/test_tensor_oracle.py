@@ -18,7 +18,9 @@ from crgeo.constructions import (
     _frame_nabla,
     _pair_values,
     _zero_along_s,
+    base_unitary_frame,
     fefferman_ricci_residual,
+    horizontal_lift,
 )
 from crgeo.metric import curvature_from_arrays, inverse_metric, levi_civita_arrays, point_max
 from crgeo.pseudohermitian import WebsterSample
@@ -84,6 +86,13 @@ def test_christoffel_partials_and_ricci_match_the_lowered_route(pipe):
         assert np.array_equal(curv.riemann, r4), name
 
 
+def frame_vectors(fields):
+    """(values, first partials) of each vector of the frame stack (P, T*, e_1*, ..),
+    the partials as (N, a, k) with ``[n, a, k] = d_a V^k``."""
+    vals, grads = fields["frame"]
+    return [(vals[:, q], grads[:, :, q]) for q in range(vals.shape[1])]
+
+
 def reference_families(fc, pts, f_jets, fields):
     """The Ricci components, curvature identities and covariant table vector by
     vector, each family stacked in the layout of ``_frame_families``."""
@@ -92,9 +101,10 @@ def reference_families(fc, pts, f_jets, fields):
     gamma_f, dgamma_f, finv = levi_civita_arrays(fval, df, d2f)
     curv = curvature_from_arrays(fval, gamma_f, dgamma_f, finv)
     rup, ric = curv.operator, curv.ricci
-    *e_data, (pval, dp), (tsval, dts), _, _, _, _, _ = fields
+    (pval, dp), (tsval, dts), *e_data = frame_vectors(fields)
     e_vals = [d[0] for d in e_data]
-    me_data = jet_data_multi(fc.contact_frame, pts_m, 1)
+    # the contact frame: the frame rows without the s entry and the s-partial
+    me_data = [(v[:, :-1], g[:, :-1, :-1]) for v, g in e_data]
     e_m_vals = [d[0] for d in me_data]
     ws = WebsterSample(fc.ac.ph, pts_m)
     gamma_w, rup_w = ws.webster_symbols[0], ws.curvature[0]
@@ -161,11 +171,10 @@ def reference_families(fc, pts, f_jets, fields):
 def frame_data(fefferman_pipe):
     """The Fefferman frame stack and its inputs, as ``fefferman_ricci_residual`` builds them."""
     pipe = fefferman_pipe
-    fc, fields = pipe.fc, pipe.f_fields
+    fc = pipe.fc
     pts = fc.chart.points(pipe.f_pts)
-    *e_data, (pval, dp), (tsval, dts), _, _, _, _, _ = fields
-    frame = np.stack([pval, tsval] + [d[0] for d in e_data], axis=1)
-    frame_grads = np.stack([dp, dts] + [d[1] for d in e_data], axis=1)
+    frame, frame_grads = pipe.f_fields["frame"]
+    frame_grads = frame_grads.swapaxes(1, 2)
     fval, df, d2f = pipe.f_jets[0]
     gamma, dgamma, finv = levi_civita_arrays(fval, df, d2f)
     curv = curvature_from_arrays(fval, gamma, dgamma, finv)
@@ -193,8 +202,7 @@ def test_fefferman_families_match_the_vector_by_vector_assembly(fefferman_pipe, 
     pts, frame, frame_grads, gamma, curv = frame_data
     fc = pipe.fc
     ws = WebsterSample(fc.ac.ph, pts[:, :-1])
-    me_data = jet_data_multi(fc.contact_frame, pts[:, :-1], 1)
-    new = _frame_families(fc.m, fc.sw, curv, gamma, frame, frame_grads, ws, me_data)
+    new = _frame_families(fc.m, fc.sw, curv, gamma, frame, frame_grads, ws)
     ref = reference_families(fc, pts, pipe.f_jets[0], pipe.f_fields)
     for new_family, ref_family in zip(new, ref, strict=True):
         assert len(new_family) == len(ref_family)
@@ -207,6 +215,22 @@ def test_fefferman_families_match_the_vector_by_vector_assembly(fefferman_pipe, 
              "fefferman_covariant_table")
     for name, family in zip(names, new):
         assert np.array_equal(rec[name], point_max(*family))
+
+
+def test_frame_rows_without_s_are_the_contact_frame(fefferman_pipe):
+    # _frame_families reads e_i at the contact points from the Fefferman frame
+    # stack; the contact frame evaluated on the contact chart must agree
+    pipe = fefferman_pipe
+    fc = pipe.fc
+    contact = [horizontal_lift(fc.ac, x) for x in base_unitary_frame(fc.ac.base)]
+    direct = jet_data_multi(contact, pipe.f_pts[:, :-1], 1)
+    e_data = frame_vectors(pipe.f_fields)[2:]
+    assert len(e_data) == len(direct) == 2 * fc.m
+    for (val, grad), (val_m, grad_m) in zip(e_data, direct, strict=True):
+        np.testing.assert_allclose(val[:, :-1], val_m, rtol=0, atol=1e-13)
+        np.testing.assert_allclose(grad[:, :-1, :-1], grad_m, rtol=0, atol=1e-13)
+        # zero along s, and independent of s
+        assert not val[:, -1].any() and not grad[:, -1].any()
 
 
 def test_webster_ricci_matches_the_four_operand_trace(pipe):
