@@ -26,7 +26,9 @@ for kind in ("fubini_study", "complex_hyperbolic", "flat"):
 print("\nRiemannian submersion relations over the round base:")
 ke = make_kahler_einstein("fubini_study", 1)
 ac = anticanonical_structure(ke)
+# the base rows are read at the sample's base coordinates (x1, y1)
 sub = submersion_residuals(ac, WebsterSample(ac.ph, ac.chart.sample(16, seed=42)))
+print("  Ric_h = (scal_h/2m) h:", sub["kahler_einstein_base"].max())
 print("  Ric(T,T) = m/2:       ", sub["submersion_reeb_tt"].max())
 print("  Ric(T, X*) = 0:       ", sub["submersion_reeb_mixed"].max())
 print("  Ric_h from upstairs:  ", sub["submersion_base"].max())

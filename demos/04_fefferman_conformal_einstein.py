@@ -19,10 +19,14 @@ from crgeo.constructions import (
     pipeline_agreement_residual,
     rescale_residuals,
 )
+from crgeo.pseudohermitian import WebsterSample
 
 ke = make_kahler_einstein("fubini_study", m=1)  # scal_h = 2
 ac = anticanonical_structure(ke)
-fc = fefferman_metric(ac)
+# the Webster sample checks the Einstein condition and measures scal_W; the
+# Fefferman points below extend its points by s (Chart.sample is nested)
+ws = WebsterSample(ac.ph, ac.chart.sample(16, seed=42))
+fc = fefferman_metric(ac, ws)
 pts = fc.chart.sample(16, seed=42)
 rm = einstein_rescale(fc)
 # f, e^{2 phi} f and phi share their components: one jet batch evaluates all three
@@ -31,7 +35,7 @@ f_jets, rm_jets, phi_jets = jet_data_multi([fc.metric, rm.metric, rm.phi], pts, 
 print("S_W = scal_h / (2m(m+1)) =", fc.sw)
 # the frame, forms and base metric by name, from one order-1 batch
 fields = dict(zip(fc.sample_fields, jet_data_multi(list(fc.sample_fields.values()), pts, 1)))
-rec = fefferman_ricci_residual(fc, pts, f_jets, fields)
+rec = fefferman_ricci_residual(fc, pts, ws, f_jets, fields)
 print("closed-form Ricci residual:     ", rec["fefferman_ricci_closed_form"].max())
 print("Ric(P,P)=m/2 etc residual:      ", rec["fefferman_ricci_components"].max())
 print("parallel field nabla(T*-S_W P): ", rec["parallel_vertical_field"].max())
@@ -52,8 +56,8 @@ print("agreement with the pipeline under the fiber identification:",
       pipeline_agreement_residual(rm, t2, pts, rm_jets[0]).max())
 
 print("\nRicci-flat case (flat base): the rescaled metric is flat-Ricci")
-ke0 = make_kahler_einstein("flat", 1)
-rm0 = einstein_rescale(fefferman_metric(anticanonical_structure(ke0)))
+ac0 = anticanonical_structure(make_kahler_einstein("flat", 1))
+rm0 = einstein_rescale(fefferman_metric(ac0, WebsterSample(ac0.ph, ac0.chart.sample(16, seed=42))))
 pts0 = rm0.fc.chart.sample(16, seed=42)
 _, rm0_jets, phi0_jets = jet_data_multi([rm0.fc.metric, rm0.metric, rm0.phi], pts0, 2)
 print("max |Ric| =", rescale_residuals(rm0, rm0_jets, phi0_jets)["rescaled_einstein"].max())

@@ -104,13 +104,19 @@ class Chart:
         return arr
 
     def sample(self, n: int, seed: int, margin: float = 0.1) -> np.ndarray:
-        """Deterministic uniform draws from the margin-shrunk box."""
+        """Deterministic uniform draws from the margin-shrunk box, one coordinate at a time.
+
+        The draws fill the columns in coordinate order, so the samples are
+        nested: a chart built by :meth:`extend` samples, for the same ``n``,
+        ``seed`` and ``margin``, its base chart's points bit for bit on its
+        leading coordinates.
+        """
         if not 0.0 <= margin < 0.5:  # negated, so that a NaN margin is rejected too
             raise ValueError(f"sampling margin must lie in [0, 0.5), got {margin}")
         rng = np.random.default_rng(seed)
         lo = np.array([a + margin * (b - a) for a, b in self.bounds])
         hi = np.array([b - margin * (b - a) for a, b in self.bounds])
-        return lo + (hi - lo) * rng.random((n, self.dim))
+        return np.ascontiguousarray(lo + (hi - lo) * rng.random((self.dim, n)).T)
 
     # -- field constructors ----------------------------------------------
     def node(self, op, operands=(), constants=(), deps=None, value=None) -> "ScalarField":

@@ -87,22 +87,25 @@ class KahlerEinsteinChart:
     def j_field(self) -> Endomorphism:
         return Endomorphism(self.chart, self.complex_structure)
 
-    def kahler_residuals(self, pts) -> dict[str, np.ndarray]:
+    def levi_civita(self, pts):
+        """(h, Gamma, curvature) of the metric h at ``pts``, from one order-2 batch."""
+        hval, dh, d2h = jet_data(self.metric, pts, 2)
+        gamma, dgamma, hinv = levi_civita_arrays(hval, dh, d2h)
+        return hval, gamma, curvature_from_arrays(hval, gamma, dgamma, hinv)
+
+    def kahler_residuals(self, pts, levi_civita) -> dict[str, np.ndarray]:
         """Per point: dgamma = h(., J.), Ric = (scal/2m) h, nabla J = 0, da = Ric(., J.).
 
-        h is evaluated once, at order 2; nabla J reads its Christoffel symbols.
+        ``levi_civita`` is :meth:`levi_civita` at ``pts``; nabla J reads its
+        Christoffel symbols.
         """
-        pts = self.chart.points(pts)
-        hval, dh, d2h = jet_data(self.metric, pts, 2)
+        hval, gamma, curv = levi_civita
         jmat = self.complex_structure
         omega = np.einsum("nia,aj->nij", hval, jmat)
         (_, dgam), (_, da), (jval, dj) = jet_data_multi(
             [self.gamma, self.ricci_potential, self.j_field], pts, 1
         )
         dgam, da = dgam - dgam.transpose(0, 2, 1), da - da.transpose(0, 2, 1)
-
-        gamma, dgamma, hinv = levi_civita_arrays(hval, dh, d2h)
-        curv = curvature_from_arrays(hval, gamma, dgamma, hinv)
         nabla_j = covariant_from_arrays(jval, dj, gamma, self.j_field.variance)
         ric_form = np.einsum("nia,aj->nij", curv.ricci, jmat)
         out = {
@@ -281,15 +284,19 @@ def anticanonical_structure(ke: KahlerEinsteinChart) -> AnticanonicalChart:
 def submersion_residuals(ac: AnticanonicalChart, ws: WebsterSample) -> dict[str, np.ndarray]:
     """Per-point relations between the circle bundle and its Kaehler base.
 
-    The connection curvature d(real rho_ac) = Ric_h(., J.), dtheta = h(J., .)
-    on H, and the Ricci relations of the Riemannian submersion.
+    The base's own rows (:meth:`KahlerEinsteinChart.kahler_residuals`), the
+    connection curvature d(real rho_ac) = Ric_h(., J.), dtheta = h(J., .) on
+    H, and the Ricci relations of the Riemannian submersion.  All are read
+    at the points of ``ws``: h and its Ricci come from one order-2 batch at
+    their base coordinates.
     """
     pts = ws.pts
     m = ac.m
     d = ac.chart.dim
     jmat = ac.base.complex_structure
-    hval, dh, d2h = jet_data(ac.base.metric, pts[:, : 2 * m], 2)
-    ric_h = curvature_from_arrays(hval, *levi_civita_arrays(hval, dh, d2h)).ricci
+    base_pts = pts[:, : 2 * m]
+    levi_civita = ac.base.levi_civita(base_pts)
+    hval, ric_h = levi_civita[0], levi_civita[2].ricci
 
     da = exterior_derivative(ac.connection)(pts)
     ric_form = np.zeros_like(da)
@@ -324,6 +331,7 @@ def submersion_residuals(ac: AnticanonicalChart, ws: WebsterSample) -> dict[str,
     jlifts = np.einsum("nij,naj->nai", jval, lifts)
     w_up = np.einsum("nai,nbj,nij->nab", lifts, jlifts, ws.ricci[0])
     return {
+        **ac.base.kahler_residuals(base_pts, levi_civita),
         "connection_curvature": point_max(da - ric_form),
         "dtheta_pullback": point_max(dt_h - hj_h),
         "submersion_reeb_tt": np.abs(ric_tt - 0.5 * m * g_tt),
@@ -379,16 +387,21 @@ class FeffermanChart:
         }
 
 
-def fefferman_metric(ac: AnticanonicalChart) -> FeffermanChart:
+def fefferman_metric(ac: AnticanonicalChart, ws: WebsterSample) -> FeffermanChart:
     """Assemble the Fefferman metric of a pseudo-Hermitian Einstein structure.
 
     Requires the Einstein condition: only then does the Webster connection
     form admit the local potential A_W = i (m+2)/2 (ds + (2 scal_W / (m(m+2))) theta).
+    It is checked, and scal_W measured, on ``ws``, a Webster sample of
+    ``ac.ph``; at one point the constancy of scal_W reads that point alone.
     """
-    ein = ph_einstein_residual(ac.ph.gate_sample)
+    if ws.ph is not ac.ph:
+        raise ValueError("ws must be a Webster sample of ac.ph")
+    ein = ph_einstein_residual(ws)
     residual = ein["webster_einstein"].max()
     deviation = ein["webster_scal_constant"].max()
-    if residual > EINSTEIN_PRECONDITION_TOL or deviation > EINSTEIN_PRECONDITION_TOL:
+    # negated, so that a NaN residual fails too
+    if not (residual <= EINSTEIN_PRECONDITION_TOL and deviation <= EINSTEIN_PRECONDITION_TOL):
         raise PreconditionError(
             f"input is not pseudo-Hermitian Einstein: residual {residual:.3e}, "
             f"scalar deviation {deviation:.3e}"
@@ -638,12 +651,13 @@ def _frame_families(m, sw, curv, gamma_f, frame, frame_grads, ws):
     return components, identities, table
 
 
-def fefferman_ricci_residual(fc: FeffermanChart, pts, f_jets, fields) -> dict[str, np.ndarray]:
+def fefferman_ricci_residual(fc: FeffermanChart, pts, ws, f_jets, fields) -> dict[str, np.ndarray]:
     """Per-point curvature identities of the Fefferman metric.
 
-    ``f_jets`` is the order-2 ``jet_data`` ``[f, df, d2f]`` of the metric and
-    ``fields`` the order-1 jet data of ``fc.sample_fields`` by name, both at
-    ``pts``.
+    ``ws`` is the Webster sample of ``fc.ac.ph`` at ``pts`` without s (a
+    ValueError otherwise), ``f_jets`` the order-2 ``jet_data``
+    ``[f, df, d2f]`` of the metric and ``fields`` the order-1 jet data of
+    ``fc.sample_fields`` by name, both at ``pts``.
 
     (a) closed form Ric = m S_W f + (2m/(m+2)^2) b o b with b the real
     representative of rho_c + rho_ac; (b) vertical component values;
@@ -653,6 +667,8 @@ def fefferman_ricci_residual(fc: FeffermanChart, pts, f_jets, fields) -> dict[st
     (h) dA_W = -Ric_W in real representatives.
     """
     pts = fc.chart.points(pts)
+    if ws.ph is not fc.ac.ph or not np.array_equal(ws.pts, pts[:, :-1]):
+        raise ValueError("ws must be the Webster sample of fc.ac.ph at pts without s")
     m = fc.m
     sw = fc.sw
 
@@ -667,8 +683,6 @@ def fefferman_ricci_residual(fc: FeffermanChart, pts, f_jets, fields) -> dict[st
     tsval, dts = frame[:, 1], frame_grads[:, 1]
     vval, dv = fields["vertical"]
     bval, da_w = fields["b"][0], fields["a_w"][1]
-    # the contact frame is read with the Webster connection at the contact-chart points
-    ws = WebsterSample(fc.ac.ph, pts[:, :-1])
     components, identities, table = _frame_families(m, sw, curv, gamma_f, frame, frame_grads, ws)
 
     closed = m * sw * fval + (2.0 * m / (m + 2) ** 2) * np.einsum("ni,nj->nij", bval, bval)
@@ -751,11 +765,11 @@ def rescale_residuals(rm: RescaledMetric, jets, phi_jets) -> dict[str, np.ndarra
     }
 
 
-def slice_identity_residual(rm: RescaledMetric, n: int = 8, seed: int = 42) -> np.ndarray:
-    """At s = 0 the rescaled metric coincides with the Fefferman metric."""
+def slice_identity_residual(rm: RescaledMetric, pts) -> np.ndarray:
+    """At s = 0 the rescaled metric coincides with the Fefferman metric: checked
+    at ``pts`` with s set to 0."""
     fc = rm.fc
-    pts = fc.chart.sample(n, seed)
-    pts[:, -1] = 0.0
+    pts = _zero_along_s(fc.chart.points(pts)[:, :-1])
     (g_rm,), (g_f,) = jet_data_multi([rm.metric, fc.metric], pts, 0)
     return point_max(g_rm - g_f)
 

@@ -18,7 +18,6 @@ from .chart import (
     Chart,
     ScalarField,
     SymmetricTwoTensor,
-    TensorField,
     exp as field_exp,
     jet_data,
 )
@@ -199,16 +198,6 @@ def covariant_from_arrays(vals, grads, gamma, variance):
             sub = f"n{src}z{repl},n{letters}->nz{tgt}"
             out -= np.einsum(sub, gamma, vals)
     return out
-
-
-def covariant_derivative(metric: MetricField, field: TensorField, pts) -> np.ndarray:
-    """Levi-Civita covariant derivative values (N, a, *shape) at points."""
-    variance = field.variance
-    if len(variance) > 4:
-        raise ValueError("valence up to (1,3) supported")
-    vals, grads = jet_data(field, pts, 1)
-    gamma = christoffel(metric, pts)
-    return covariant_from_arrays(vals, grads, gamma, variance)
 
 
 # ----------------------------------------------------------------------

@@ -127,27 +127,13 @@ class PHStructure:
         return MetricField(self.chart, g.components, (2 * p + 1, 2 * q))
 
     @cached_property
-    def gate_sample(self) -> "WebsterSample":
-        """The sample at ``chart.sample(8, 2024)`` that both precondition checks read.
-
-        They are the transversal-symmetry gate of :attr:`comparison_tensor`
-        and the Einstein condition of ``constructions.fefferman_metric``.
-        """
-        return WebsterSample(self, self.chart.sample(8, 2024))
-
-    @cached_property
     def comparison_tensor(self) -> GenericTensorField:
         """D^k_ij = (dtheta_ij T^k - theta_i J^k_j - theta_j J^k_i) / 2.
 
         nabla_W = nabla_{g_theta} + D holds for a transversally symmetric
-        structure only, so D is built past that gate, checked once per
-        structure on :attr:`gate_sample`.
+        structure only; :attr:`WebsterSample.connection_jets` checks that at
+        its own points before it reads D.
         """
-        res = transversal_symmetry_residual(self.gate_sample).max()
-        if res > TSPH_TOL:
-            raise PreconditionError(
-                f"structure is not transversally symmetric: residual {res:.3e} > {TSPH_TOL:g}"
-            )
         dth, th = self.dtheta.components, self.theta.components
         t, j = self.reeb.components, self.J.components
         comp = (
@@ -227,7 +213,8 @@ class WebsterSample:
     Its caller holds it while residuals read it, so each member is evaluated
     once per batch and every residual reading it shares the same arrays.
     The contact and bracket members need no transversal symmetry; the
-    members built on D (:attr:`connection_jets` and all after it) do.
+    members built on D (:attr:`connection_jets` and all after it) do, and
+    the first of them to be read checks it at these points.
     """
 
     def __init__(self, ph: PHStructure, pts):
@@ -250,8 +237,14 @@ class WebsterSample:
     def connection_jets(self):
         """Jet data ``([g, dg, d2g], [D, dD])`` of g_theta and D, from one order-2 batch.
 
-        Reading it runs the transversal-symmetry gate of ``ph.comparison_tensor``.
+        D is read past the transversal-symmetry gate, checked at these points
+        from the contact and bracket batches: PreconditionError if it fails.
         """
+        res = transversal_symmetry_residual(self).max()
+        if not res <= TSPH_TOL:  # negated, so that a NaN residual fails too
+            raise PreconditionError(
+                f"structure is not transversally symmetric: residual {res:.3e} > {TSPH_TOL:g}"
+            )
         ph = self.ph
         g_jets, (dval, dgrad, _) = jet_data_multi([ph.metric, ph.comparison_tensor], self.pts, 2)
         return g_jets, [dval, dgrad]  # D's second partials are read by nothing
@@ -414,14 +407,6 @@ def axiom_residuals(ws: WebsterSample) -> dict[str, np.ndarray]:
             tor_h - np.einsum("nab,nk->nkab", dth_h, reeb), dth_h - levi_jh
         ),
     }
-
-
-def webster_connection(ph: PHStructure) -> GenericTensorField:
-    """The Webster connection nabla_W = nabla_{g_theta} + D of ``ph``, given by D.
-
-    Raises PreconditionError unless ``ph`` is transversally symmetric.
-    """
-    return ph.comparison_tensor
 
 
 # ----------------------------------------------------------------------

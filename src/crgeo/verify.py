@@ -249,6 +249,10 @@ class Pipeline:
     Fefferman frame, forms and base metric at order 1 at the Fefferman
     sample (``f_jets``, ``f_fields``), and the explicit metrics at their
     sample (``t2_jets``).
+    The samples are nested (``Chart.sample``): ``m_pts`` is ``f_pts`` without
+    s, so ``webster_sample`` also serves the Fefferman identities and the
+    Einstein precondition of ``fc``.  A rescale or theorem2 run alone thus
+    evaluates it too, at all ``points``.
     """
 
     def __init__(self, example: str, m: int, points: int, seed: int):
@@ -276,7 +280,7 @@ class Pipeline:
 
     @cached_property
     def fc(self):
-        return fefferman_metric(self.ac)
+        return fefferman_metric(self.ac, self.webster_sample)
 
     @cached_property
     def rm(self):
@@ -287,10 +291,6 @@ class Pipeline:
         return explicit_einstein_metric(self.ke)
 
     # -- sample points -----------------------------------------------------
-    @cached_property
-    def base_pts(self):
-        return self.ke.chart.sample(self.points, self.seed)
-
     @cached_property
     def m_pts(self):
         return self.ac.chart.sample(self.points, self.seed)
@@ -349,15 +349,13 @@ class Pipeline:
 
     @cached_property
     def submersion_record(self) -> dict:
-        rec = self.ke.kahler_residuals(self.base_pts)
-        rec.update(submersion_residuals(self.ac, self.webster_sample))
-        return rec
+        return submersion_residuals(self.ac, self.webster_sample)
 
     @cached_property
     def fefferman_record(self) -> dict:
         f, fields = self.f_jets[0], self.f_fields
         rec = fefferman_structure_residuals(self.fc, f[0], fields)
-        rec.update(fefferman_ricci_residual(self.fc, self.f_pts, f, fields))
+        rec.update(fefferman_ricci_residual(self.fc, self.f_pts, self.webster_sample, f, fields))
         rec["fefferman_expression"] = fefferman_expression_residual(self.fc, f[0], fields)
         return rec
 
@@ -365,7 +363,7 @@ class Pipeline:
     def rescale_record(self) -> dict:
         f_jets, rm_jets, phi_jets = self.f_jets
         rec = rescale_residuals(self.rm, rm_jets, phi_jets)
-        rec["slice_identity"] = slice_identity_residual(self.rm, min(self.points, 8), self.seed)
+        rec["slice_identity"] = slice_identity_residual(self.rm, self.f_pts)
         rec["einstein_constant"] = self.rm.einstein_constant
         if self.applies("correction_structure"):
             rec["correction_structure"] = correction_structure_residual(

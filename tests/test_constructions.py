@@ -13,6 +13,11 @@ from crgeo.constructions import (
     slice_identity_residual,
 )
 from crgeo.errors import PreconditionError, UsageError
+from crgeo.pseudohermitian import WebsterSample
+
+
+def kahler_residuals(ke, pts):
+    return ke.kahler_residuals(pts, ke.levi_civita(pts))
 
 
 # ----------------------------------------------------------------------
@@ -21,7 +26,7 @@ from crgeo.errors import PreconditionError, UsageError
 
 def test_flat_base_invariants():
     ke = make_kahler_einstein("flat", 1)
-    res = ke.kahler_residuals(ke.chart.sample(16, 42))
+    res = kahler_residuals(ke, ke.chart.sample(16, 42))
     assert max(v.max() for v in res.values()) < 1e-12
     assert ke.scal_h == 0.0
 
@@ -43,13 +48,13 @@ def test_catalog_scalar_curvatures(kind, m, expected_scal):
     assert ke.scal_h == pytest.approx(expected_scal)
     pts = ke.chart.sample(16, 42)
     np.testing.assert_allclose(riemann(ke.metric, pts).scalar, expected_scal, atol=1e-10)
-    assert max(v.max() for v in ke.kahler_residuals(pts).values()) < 1e-9
+    assert max(v.max() for v in kahler_residuals(ke, pts).values()) < 1e-9
 
 
 def test_scale_parameter():
     ke = make_kahler_einstein("fubini_study", 1, scale=2.0)
     assert ke.scal_h == pytest.approx(1.0)
-    res = ke.kahler_residuals(ke.chart.sample(8, 42))
+    res = kahler_residuals(ke, ke.chart.sample(8, 42))
     assert max(v.max() for v in res.values()) < 1e-10
 
 
@@ -60,6 +65,48 @@ def test_unsupported_dimension_rejected():
         make_kahler_einstein("fubini_study", 1, scale=-1.0)
     with pytest.raises(UsageError):
         make_kahler_einstein("elliptic", 1)
+
+
+# ----------------------------------------------------------------------
+# nested samples
+# ----------------------------------------------------------------------
+
+def test_extended_charts_sample_their_base_points():
+    # Chart.sample draws column by column: an extended chart's sample is its
+    # base chart's sample on the leading coordinates, bit for bit
+    from crgeo import Chart
+
+    rng = np.random.default_rng(0)
+    for _ in range(20):
+        lo = rng.uniform(-3.0, 1.0, rng.integers(1, 5))
+        hi = lo + rng.uniform(0.1, 4.0, len(lo))
+        chart = Chart([f"x{i}" for i in range(len(lo))], zip(lo, hi))
+        total = chart
+        for k in range(rng.integers(1, 4)):
+            a = rng.uniform(-3.0, 1.0)
+            total = total.extend(f"s{k}", (a, a + rng.uniform(0.1, 4.0)))
+        n, seed, margin = int(rng.integers(1, 40)), int(rng.integers(0, 10**6)), rng.uniform(0, 0.4)
+        pts = total.sample(n, seed, margin)
+        assert pts.shape == (n, total.dim) and pts.flags.c_contiguous
+        assert np.array_equal(pts[:, : chart.dim], chart.sample(n, seed, margin))
+
+
+@pytest.mark.parametrize("points", [1, 2, 32])
+@pytest.mark.parametrize("seed", [7, 42])
+def test_pipeline_samples_are_nested(points, seed):
+    # the contact sample is the Fefferman sample without s, and the base
+    # sample (that of the Kaehler chart) the contact sample without t
+    from crgeo.verify import CATALOG, Pipeline
+
+    for example, entry in CATALOG.items():
+        for m in entry.ms:
+            pipe = Pipeline(example, m, points, seed)
+            base = pipe.ke.chart.sample(points, seed)
+            assert np.array_equal(pipe.m_pts[:, : 2 * m], base)
+            assert np.array_equal(pipe.webster_sample.pts, pipe.m_pts)
+            if not entry.negative:
+                assert np.array_equal(pipe.f_pts[:, :-1], pipe.m_pts)
+                assert np.array_equal(pipe.t2_pts[:, : 2 * m], base)
 
 
 # ----------------------------------------------------------------------
@@ -125,7 +172,7 @@ def test_fefferman_normalization_catalog(pipeline):
 def test_product_base_ricci_potential():
     # sphere_x_flat runs only the negative suite, whose theta reads gamma alone
     ke = make_product_base()
-    res = ke.kahler_residuals(ke.chart.sample(16, 42))
+    res = kahler_residuals(ke, ke.chart.sample(16, 42))
     assert set(res) == {"kahler_potential", "kahler_parallel", "ricci_form_potential"}
     for name, per_point in res.items():
         assert per_point.max() < 1e-12, name
@@ -135,7 +182,34 @@ def test_fefferman_rejects_non_einstein():
     prod = make_product_base()
     ac = anticanonical_structure(prod)
     with pytest.raises(PreconditionError):
-        fefferman_metric(ac)
+        fefferman_metric(ac, WebsterSample(ac.ph, ac.chart.sample(8, 42)))
+
+
+def test_fefferman_rejects_a_nan_einstein_residual(pipeline, monkeypatch):
+    # a comparison `res > tol` would let a NaN residual through
+    from crgeo import constructions
+
+    pipe = pipeline("fubini_study", 1)
+    for bad in ({"webster_einstein": np.array([np.nan])},
+                {"webster_scal_constant": np.array([np.nan])}):
+        ein = {"webster_einstein": np.zeros(1), "webster_scal_constant": np.zeros(1),
+               "scal_mean": 1.0, **bad}
+        monkeypatch.setattr(constructions, "ph_einstein_residual", lambda ws: ein)
+        with pytest.raises(PreconditionError, match="nan"):
+            fefferman_metric(pipe.ac, pipe.webster_sample)
+
+
+def test_fefferman_reads_the_sample_of_its_structure(pipeline):
+    from crgeo.constructions import fefferman_ricci_residual, perturbed_structure
+
+    pipe = pipeline("flat", 1)
+    other = WebsterSample(perturbed_structure(pipe.ac), pipe.m_pts)
+    with pytest.raises(ValueError):
+        fefferman_metric(pipe.ac, other)
+    f, fields = pipe.f_jets[0], pipe.f_fields
+    for ws in (other, WebsterSample(pipe.ac.ph, pipe.m_pts[::-1])):
+        with pytest.raises(ValueError):
+            fefferman_ricci_residual(pipe.fc, pipe.f_pts, ws, f, fields)
 
 
 def test_fefferman_flat_expression(pipeline):
@@ -189,10 +263,10 @@ def test_pipeline_evaluates_each_shared_metric_once(jet_calls):
 
 @pytest.mark.parametrize("example, m", [("flat", 1), ("fubini_study", 2)])
 def test_fefferman_and_rescale_records_read_the_held_batches(jet_calls, example, m):
-    # with f_jets and f_fields held, the two records evaluate only the Webster
-    # sample at the contact points (its contact and connection batches) and
-    # the s = 0 slice of slice_identity_residual: the contact frame, f and h
-    # are read from the held batches
+    # with f_jets and f_fields held, the two records evaluate only the s = 0
+    # slice of slice_identity_residual: the contact frame, f and h are read
+    # from the held batches, and the Webster connection from the pipeline's
+    # Webster sample, which building f has already read
     from crgeo.verify import Pipeline
 
     pipe = Pipeline(example, m, points=3, seed=7)
@@ -200,31 +274,32 @@ def test_fefferman_and_rescale_records_read_the_held_batches(jet_calls, example,
     jet_calls.clear()
     pipe.fefferman_record, pipe.rescale_record
     assert ("correction_structure" in pipe.rescale_record) == (example == "flat")
-    contact = pipe.f_pts[:, :-1]
-
-    def where(at):
-        if at.shape == contact.shape and np.array_equal(at, contact):
-            return "contact"
-        if at.shape[1] == pipe.fc.chart.dim and not at[:, -1].any():
-            return "slice"
-        return "other"
-
-    assert sorted((where(at), order) for _, at, order in jet_calls) == [
-        ("contact", 1), ("contact", 2), ("slice", 0)
+    assert [(fields, order) for fields, _, order in jet_calls] == [
+        ([pipe.rm.metric, pipe.fc.metric], 0)
     ]
-    ph = pipe.ac.ph
-    ws_fields = {1: [ph.theta, ph.dtheta, ph.J, ph.reeb, ph.metric],
-                 2: [ph.metric, ph.comparison_tensor]}
-    for fields, at, order in jet_calls:
-        if where(at) == "contact":
-            assert fields == ws_fields[order]
+
+
+def test_slice_identity_reads_the_run_points(jet_calls):
+    # the slice is the Fefferman sample with s set to 0, at every run point
+    from crgeo.verify import Pipeline
+
+    pipe = Pipeline("fubini_study", 1, points=32, seed=42)
+    pipe.f_jets, pipe.f_fields
+    jet_calls.clear()
+    rec = pipe.rescale_record
+    (at,) = [at for fields, at, _ in jet_calls if fields == [pipe.rm.metric, pipe.fc.metric]]
+    expected = pipe.f_pts.copy()
+    expected[:, -1] = 0.0
+    assert np.array_equal(at, expected)
+    assert rec["slice_identity"].shape == (32,)
+    assert pipe.f_pts[:, -1].all()  # the held sample is not moved onto the slice
 
 
 def test_no_field_is_evaluated_twice_per_sample(jet_calls):
-    # every record reads its fields from batches held once per sample; the
-    # only repeat is g_theta, whose first partials from an order-2 batch
-    # differ in the last bits from an order-1 batch's (Killing and
-    # transversal symmetry)
+    # every record reads its fields from batches held once per sample, the
+    # nested samples included; the only repeat is g_theta, whose first
+    # partials from an order-2 batch differ in the last bits from an order-1
+    # batch's (Killing and transversal symmetry)
     from collections import Counter
 
     from crgeo.chart import ScalarField
@@ -235,10 +310,7 @@ def test_no_field_is_evaluated_twice_per_sample(jet_calls):
                    "fefferman", "rescale", "theorem2"):
         getattr(pipe, f"{record}_record")
     samples = {
-        "base": pipe.base_pts, "m": pipe.m_pts, "f": pipe.f_pts,
-        "f[:, :-1]": pipe.f_pts[:, :-1], "t2": pipe.t2_pts,
-        # the transversal-symmetry gate and the Fefferman Einstein precondition
-        "gate": pipe.ac.chart.sample(8, 2024),
+        "base": pipe.m_pts[:, :4], "m": pipe.m_pts, "f": pipe.f_pts, "t2": pipe.t2_pts,
     }
 
     def key(field):
@@ -251,10 +323,7 @@ def test_no_field_is_evaluated_twice_per_sample(jet_calls):
             if at.shape == pts.shape and np.array_equal(at, pts):
                 seen.update((k, name) for k in {key(f) for f in fields})
     assert {name for _, name in seen} == set(samples)
-    allowed = {
-        (key(pipe.ac.ph.metric), "m"), (key(pipe.ac.ph.metric), "f[:, :-1]"),
-        (key(pipe.ac.ph.metric), "gate"),
-    }
+    allowed = {(key(pipe.ac.ph.metric), "m")}
     repeated = {pair: n for pair, n in seen.items() if n > 1}
     assert set(repeated) <= allowed and set(repeated.values()) <= {2}
 
@@ -310,7 +379,8 @@ def test_rescale_constants(pipeline):
 
 
 def test_rescale_slice_identity(pipeline):
-    assert slice_identity_residual(pipeline("fubini_study", 1).rm).max() < 1e-12
+    pipe = pipeline("fubini_study", 1)
+    assert slice_identity_residual(pipe.rm, pipe.f_pts).max() < 1e-12
 
 
 def test_correction_structure_flat(pipeline):
@@ -429,7 +499,7 @@ def test_curvature_symmetries_catalog(pipeline, riemann_symmetries):
     for kind in ("flat", "fubini_study", "complex_hyperbolic"):
         for m in (1, 2):
             pipe = pipeline(kind, m)
-            cases.append((pipe.ke.metric, pipe.base_pts))
+            cases.append((pipe.ke.metric, pipe.m_pts[:, : 2 * m]))
     pipe = pipeline("fubini_study", 1)
     cases.append((pipe.ac.ph.metric, pipe.m_pts))  # induced contact metric
     cases.append((pipe.fc.metric, pipe.f_pts))  # Lorentzian Fefferman metric

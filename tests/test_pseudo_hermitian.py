@@ -14,10 +14,10 @@ from crgeo.pseudohermitian import (
     curvature_symmetry_residual,
     integrability_residual,
     levi_adapted_frame,
+    make_structure,
     ph_einstein_residual,
     structure_residuals,
     transversal_symmetry_residual,
-    webster_connection,
 )
 
 BASE_J = np.array([[0.0, -1.0], [1.0, 0.0]])
@@ -221,13 +221,22 @@ def test_structure_residuals_need_no_transversal_symmetry(pipeline):
         ws.connection_jets
 
 
-def test_webster_connection_precondition(pipeline):
-    from crgeo.constructions import perturbed_structure
+def test_nan_structure_fails_the_transversal_symmetry_gate(pipeline):
+    # log(x1 - 2) is NaN on the whole chart; a comparison `res > tol` would
+    # let the NaN residual pass and fail later with no frame pivot
+    from crgeo.chart import log
 
     pipe = pipeline("flat", 1)
-    php = perturbed_structure(pipe.ac)
-    with pytest.raises(PreconditionError):
-        webster_connection(php)
+    ac = pipe.ac
+    comps = list(ac.ph.theta.components)
+    comps[0] = comps[0] + log(ac.chart.coord(0) - 2.0) * 1e-3
+    ph = make_structure(ac.chart, OneForm(ac.chart, comps), ac.base.complex_structure, 1,
+                        ac.ph.levi_signature, reeb_hint=ac.ph.reeb)
+    ws = WebsterSample(ph, pipe.m_pts)
+    with np.errstate(invalid="ignore"):
+        assert np.isnan(transversal_symmetry_residual(ws)).all()
+        with pytest.raises(PreconditionError, match="residual nan"):
+            ws.connection_jets
 
 
 # ----------------------------------------------------------------------
@@ -304,14 +313,14 @@ def test_connection_data_is_read_only_and_held(heisenberg, pts, jet_calls):
         items = value if isinstance(value, (tuple, list)) else vars(value).values()
         return [a for item in items for a in arrays(item)]
 
-    webster_connection(heisenberg)  # the transversal-symmetry gate, once per structure
     ws = WebsterSample(heisenberg, pts)
     jet_calls.clear()
     axiom_residuals(ws)
     comparison_identities_residual(ws)
     ph_einstein_residual(ws)
-    # one order-2 connection batch and one order-1 contact batch serve all three
-    assert sorted(order for _, _, order in jet_calls) == [1, 2]
+    # one order-2 connection batch and one order-1 contact batch serve all
+    # three; the transversal-symmetry gate before D adds the order-1 bracket batch
+    assert sorted(order for _, _, order in jet_calls) == [1, 1, 2]
     members = [n for n, v in vars(WebsterSample).items() if isinstance(v, cached_property)]
     assert {"connection_jets", "contact_jets", "curvature", "lc_curvature"} <= set(members)
     for name in members:
@@ -319,7 +328,7 @@ def test_connection_data_is_read_only_and_held(heisenberg, pts, jet_calls):
         for arr in arrays(getattr(ws, name)):
             with pytest.raises(ValueError):
                 arr[...] = 0.0
-    # and the bracket batch, first read in this loop
+    # the loop reads every member again, and evaluates nothing more
     assert sorted(order for _, _, order in jet_calls) == [1, 1, 2]
 
 

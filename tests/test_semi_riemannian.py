@@ -13,7 +13,6 @@ from crgeo.metric import (
     christoffel,
     conformal_rescale,
     conformal_ricci_correction,
-    covariant_derivative,
     covariant_from_arrays,
     curvature_from_connection,
     inverse_metric,
@@ -182,7 +181,10 @@ def test_christoffel_recomposition(plane, sphere):
 
 
 def test_metric_compatibility_via_covariant_derivative(plane, sphere):
-    nabla_g = covariant_derivative(sphere, sphere, plane.sample(8, 42))
+    pts = plane.sample(8, 42)
+    nabla_g = covariant_from_arrays(
+        *jet_data(sphere, pts, 1), christoffel(sphere, pts), sphere.variance
+    )
     assert np.abs(nabla_g).max() < 1e-12
 
 
@@ -191,7 +193,9 @@ def test_flat_hessian(plane, flat):
     x, _ = plane.coordinate_fields()
     from crgeo.chart import differential
 
-    hess = covariant_derivative(flat, differential(x**2), plane.sample(4, 42))
+    pts = plane.sample(4, 42)
+    dx2 = differential(x**2)
+    hess = covariant_from_arrays(*jet_data(dx2, pts, 1), christoffel(flat, pts), dx2.variance)
     expected = np.zeros_like(hess)
     expected[:, 0, 0] = 2.0
     np.testing.assert_allclose(hess, expected, atol=1e-14)
@@ -199,12 +203,15 @@ def test_flat_hessian(plane, flat):
 
 def test_fubini_study_complex_structure_parallel():
     from crgeo.constructions import make_kahler_einstein
-    from crgeo.metric import covariant_derivative as cov
 
     for m in (1, 2):
         ke = make_kahler_einstein("fubini_study", m)
         pts = ke.chart.sample(8, 42)
-        assert np.abs(cov(ke.metric, ke.j_field, pts)).max() < 1e-8
+        j = ke.j_field
+        nabla_j = covariant_from_arrays(
+            *jet_data(j, pts, 1), christoffel(ke.metric, pts), j.variance
+        )
+        assert np.abs(nabla_j).max() < 1e-8
 
 
 def test_killing_rotation(plane, flat):

@@ -53,7 +53,7 @@ def reference_ricci(g, rup, ginv):
 
 def metric_jets(pipe):
     """(name, [g, dg, d2g]) of every metric the pipeline builds a curvature from."""
-    yield "h", jet_data(pipe.ke.metric, pipe.base_pts, 2)
+    yield "h", jet_data(pipe.ke.metric, pipe.m_pts[:, : 2 * pipe.m], 2)
     yield "g_theta", pipe.webster_sample.connection_jets[0]
     if pipe.entry.negative:
         return
@@ -201,7 +201,7 @@ def test_fefferman_families_match_the_vector_by_vector_assembly(fefferman_pipe, 
     pipe = fefferman_pipe
     pts, frame, frame_grads, gamma, curv = frame_data
     fc = pipe.fc
-    ws = WebsterSample(fc.ac.ph, pts[:, :-1])
+    ws = pipe.webster_sample
     new = _frame_families(fc.m, fc.sw, curv, gamma, frame, frame_grads, ws)
     ref = reference_families(fc, pts, pipe.f_jets[0], pipe.f_fields)
     for new_family, ref_family in zip(new, ref, strict=True):
@@ -210,7 +210,7 @@ def test_fefferman_families_match_the_vector_by_vector_assembly(fefferman_pipe, 
             assert a.shape == b.shape
             assert_close(a, b)
     # and the record reduces exactly these families
-    rec = fefferman_ricci_residual(fc, pts, pipe.f_jets[0], pipe.f_fields)
+    rec = fefferman_ricci_residual(fc, pts, ws, pipe.f_jets[0], pipe.f_fields)
     names = ("fefferman_ricci_components", "fefferman_curvature_identities",
              "fefferman_covariant_table")
     for name, family in zip(names, new):

@@ -247,6 +247,18 @@ def test_run_all_structure(capsys):
     assert doc["overall_pass"] is True
 
 
+@pytest.mark.parametrize("m", [1, 2])
+def test_one_point_catalog_passes(capsys, m):
+    # at one point each sample statistic (scal_W and scal_h constancy, the
+    # Einstein precondition of f) reads that point alone
+    code, out, _ = run_cli(
+        capsys, "run", "--example", "all", "--m", str(m), "--suite", "all", "--points", "1",
+    )
+    assert code == 0
+    rows = [row for run in json.loads(out)["runs"] for row in run["checks"]]
+    assert rows and all(row["pass"] and row["points"] == 1 for row in rows)
+
+
 def error_rows(capsys, *argv):
     code, out, _ = run_cli(capsys, "run", "--example", "flat", "--m", "1", "--points", "2", *argv)
     doc = json.loads(out)
