@@ -24,6 +24,13 @@ lifts its level among them and reads the coefficient of its own generator
 bit.  A tensor field is read from its component jets
 (:func:`jets.components`), so its stack is built only for an op that reads it.
 
+A pull-back (:func:`pullback_scalar`) of a field of a leading chart reads
+its operand evaluated on that chart's own coordinate jets, at the chart's
+own width, and :func:`jets.embed` lays that jet out on the reading chart.
+The operand jets come from a :class:`PullbackJets` batch: a pipeline passes
+one per nested sample to every call, so each pulled-back operand is
+evaluated once per sample and jet order, whichever chart reads it.
+
 Scalar expression trees fold when they are built.  A field from
 :meth:`Chart.constant` knows its value; an operation on two constants is a
 constant; ``f + 0``, ``f - 0`` and ``1 * f`` are ``f``, ``0 * f`` is the
@@ -151,14 +158,15 @@ class Chart:
 # evaluation: one flat op plan per field list
 # ----------------------------------------------------------------------
 
-def jet_data(field: "TensorField", pts, order: int) -> list[np.ndarray]:
+def jet_data(field: "TensorField", pts, order: int, held=None) -> list[np.ndarray]:
     """Value and partial-derivative arrays of a field at a point batch.
 
     Returns ``[v, d1, .., d_order]`` with ``v`` of shape ``(N, *shape)``
     and ``d_r`` of shape ``(N, d*r, *shape)`` where ``d_r[n, a, .., b]``
-    is the mixed partial along coordinates ``a..b``.
+    is the mixed partial along coordinates ``a..b``.  ``held`` is as for
+    :func:`jet_data_multi`.
     """
-    return jet_data_multi([field], pts, order)[0]
+    return jet_data_multi([field], pts, order, held)[0]
 
 
 # Points per block of a plan run.  Intermediate jets grow with the batch, so a
@@ -169,12 +177,15 @@ def jet_data(field: "TensorField", pts, order: int) -> list[np.ndarray]:
 BLOCK_POINTS = 128
 
 
-def jet_data_multi(fields, pts, order: int) -> list[list[np.ndarray]]:
+def jet_data_multi(fields, pts, order: int, held=None) -> list[list[np.ndarray]]:
     """Like :func:`jet_data` for several fields on one shared jet batch.
 
     The fields share one op plan, so common sub-expressions (Reeb solves,
     lifted structures, pulled-back components) evaluate once per block of at
-    most ``BLOCK_POINTS`` points.
+    most ``BLOCK_POINTS`` points.  ``held`` is the :class:`PullbackJets` of
+    the sample that ``pts`` extends: each pulled-back operand is read from
+    it, and evaluated into it if it is not there.  Without it, the call holds
+    the operands it reads for itself.
     """
     if not fields:
         raise ValueError("no fields")
@@ -183,11 +194,56 @@ def jet_data_multi(fields, pts, order: int) -> list[list[np.ndarray]]:
     for field in fields:
         if field.chart is not chart:
             raise ValueError("fields live on different charts")
-    plan = _Plan(fields, chart.dim)
+    plan = _Plan(chart, fields)
+    if held is not None:
+        held.check(plan.leads, pts)
+    elif plan.leads:
+        held = PullbackJets(chart, pts)  # the call's own
     if len(pts) <= BLOCK_POINTS:
-        return plan.run(pts, order)
-    blocks = [plan.run(pts[i:i + BLOCK_POINTS], order) for i in range(0, len(pts), BLOCK_POINTS)]
+        return plan.run(pts, order, held, 0)
+    blocks = [plan.run(pts[i:i + BLOCK_POINTS], order, held, i) for i in range(0, len(pts), BLOCK_POINTS)]
     return [[np.concatenate(arrays) for arrays in zip(*per_field)] for per_field in zip(*blocks)]
+
+
+class PullbackJets:
+    """The jets that pull-backs read at one sample, held as long as this is.
+
+    ``pts`` is a sample of ``chart``.  A pull-back from a leading chart of
+    ``chart`` (one whose coordinates come first, ``chart`` itself included)
+    reads its operand evaluated on that chart's own coordinate jets at the
+    leading columns of ``pts``, per jet order and block of points; the jet
+    is held as :func:`jets.hold` keeps it, and :func:`jets.embed` lays it
+    out on the reading chart.  So the :func:`jet_data_multi` calls given
+    this batch evaluate each pulled-back operand once per order, in the
+    first call that reads it; a call whose points do not start with the
+    leading columns of ``pts`` is a ValueError.  Only the operands are held:
+    a node under one is evaluated again for another operand that a later
+    call reads, and jets of different orders are not shared.
+    """
+
+    def __init__(self, chart: Chart, pts):
+        self.chart = chart
+        self.pts = chart.points(pts)
+        self.jets = {}  # (chart, order, block start) -> {(operand, context): jets.Held}
+
+    def check(self, charts, pts: np.ndarray) -> None:
+        """ValueError unless each chart leads ``self.chart`` and ``pts`` starts with its points."""
+        for chart in charts:
+            n = chart.dim
+            if (self.chart.names[:n] != chart.names or self.chart.bounds[:n] != chart.bounds
+                    or not np.array_equal(self.pts[:, :n], pts[:, :n])):
+                raise ValueError(
+                    f"the held jets of {chart} are not at the leading columns of these points"
+                )
+
+    def read(self, chart: Chart, keys, pts: np.ndarray, order: int, start: int) -> list[jets.Held]:
+        """The jets of the (operand, context) ``keys`` of ``chart`` at the block ``pts`` from ``start``."""
+        table = self.jets.setdefault((chart, order, start), {})
+        missing = [key for key in keys if key not in table]
+        if missing:
+            plan = _Plan(chart, keys=missing)
+            table.update(zip(missing, map(jets.hold, plan.run(pts[:, :chart.dim], order, self, start))))
+        return [table[key] for key in keys]
 
 
 def _constant(like, value):
@@ -256,24 +312,32 @@ class _Plan:
     level's generator, the top one unless a level on a larger coordinate is
     above it; levels being sorted, partials taken in any order read one
     value.  A pull-back reads its operand in the same levels, all of them on
-    base coordinates.  A field is evaluated only under the levels whose
+    the operand chart's coordinates, as an input of the run: the jet of the
+    operand on its own chart, from the :class:`PullbackJets` the run is
+    given, which :func:`jets.embed` lays out at this chart's width.  Inputs
+    are grouped by operand chart in ``leads``.  A plan built for ``keys``
+    evaluates those (field, context) pairs of its chart for such a batch
+    and gives their jets.  A field is evaluated only under the levels whose
     coordinate is in its ``deps``: in any other context its jet is that of
     the reduced context with exact-zero rows for the levels it cannot read
     (:func:`jets.widen`), so every context that reduces to the same one
     shares one value.  Tensor stacks and opaque fields read every
     coordinate.  Slots 0..d-1 hold the root coordinate jets.  Op ``(fn, out,
     ins, constants, dead)`` sets slot ``out`` to ``fn(*ins values,
-    *constants)``, or with ``fn`` None reads field ``out`` from slot
-    ``ins[0]``; it then frees the slots in ``dead``, whose last reader it is.
+    *constants)``, or with ``fn`` None reads output ``out`` (a field's
+    arrays, or a key's jet) from slot ``ins[0]``; it then frees the slots in
+    ``dead``, whose last reader it is.
     A tensor stack is built only for an op that reads it; a field read of one
     that no op before it has stacked reads :func:`jets.components` instead.
     """
 
-    def __init__(self, fields, dim: int):
-        self.shapes = [field.shape for field in fields]
-        self.size, self.ops = dim, []
+    def __init__(self, chart: Chart, fields=(), keys=()):
+        self.dim = chart.dim
+        self.shapes = [field.shape for field in fields] + [None] * len(keys)
+        self.size, self.ops = chart.dim, []
         self.slots = {}
-        self.coord_slots = {(j, 0): j for j in range(dim)}
+        self.coord_slots = {(j, 0): j for j in range(chart.dim)}
+        self.leads = {}  # operand chart -> {(operand, context): its input slot}
         for index, field in enumerate(fields):
             if field.op is _stack and (field, _ROOT) not in self.slots:
                 # no op has stacked the tensor: the read takes its components
@@ -282,22 +346,30 @@ class _Plan:
             else:
                 slot = self.slot(field, _ROOT)
             self.ops.append((None, index, (slot,), ()))
+        for index, key in enumerate(keys, len(fields)):
+            self.ops.append((None, index, (self.slot(*key),), ()))
         last = {s: at for at, op in enumerate(self.ops) for s in op[2]}
         dead = [[] for _ in self.ops]
         for s, at in last.items():
             dead[at].append(s)
         self.ops = [op + (tuple(slots),) for op, slots in zip(self.ops, dead)]
 
-    def run(self, pts: np.ndarray, order: int) -> list[list[np.ndarray]]:
+    def run(self, pts: np.ndarray, order: int, held: PullbackJets | None, start: int) -> list:
+        """Per field, its arrays as :func:`jet_data` gives them; per key, its jet."""
         n, d = pts.shape
         vals = jets.seed(pts, order) + [None] * (self.size - d)
+        for chart, inputs in self.leads.items():
+            for slot, jet in zip(inputs.values(), held.read(chart, list(inputs), pts, order, start)):
+                vals[slot] = jet
         read = vals.__getitem__
         out = [None] * len(self.shapes)
         for fn, at, ins, constants, dead in self.ops:
-            if fn is None:
-                out[at] = jets.partials(vals[ins[0]], n, d, order, self.shapes[at])
-            else:
+            if fn is not None:
                 vals[at] = fn(*map(read, ins), *constants)
+            elif self.shapes[at] is None:
+                out[at] = vals[ins[0]]
+            else:
+                out[at] = jets.partials(vals[ins[0]], n, d, order, self.shapes[at])
             for s in dead:
                 vals[s] = None
         return out
@@ -331,7 +403,11 @@ class _Plan:
                 lifted, above = ctx.lift(field.constants[0])
                 slot = self.emit(jets.coefficient, (self.slot(field.operands[0], lifted),), (above,))
             elif op == LEAD:
-                slot = self.slot(field.operands[0], ctx)
+                # the operand's jet on its own chart, an input of the run
+                operand = field.operands[0]
+                self.leads.setdefault(operand.chart, {})[operand, ctx] = self.size
+                self.size += 1
+                slot = self.emit(jets.embed, (self.size - 1,), (self.dim,))
             elif op == COORD:
                 # reduced, every level of the context is on this coordinate
                 slot = self.coord(field.constants[0], len(ctx.levels))

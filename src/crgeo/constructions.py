@@ -87,23 +87,30 @@ class KahlerEinsteinChart:
     def j_field(self) -> Endomorphism:
         return Endomorphism(self.chart, self.complex_structure)
 
-    def levi_civita(self, pts):
-        """(h, Gamma, curvature) of the metric h at ``pts``, from one order-2 batch."""
-        hval, dh, d2h = jet_data(self.metric, pts, 2)
+    def levi_civita(self, pts, held=None):
+        """(h, Gamma, curvature) of the metric h at ``pts``, from one order-2 batch.
+
+        h is read as its pull-back onto its own chart, so that ``held``, the
+        :class:`PullbackJets` of the sample, holds its components for the
+        pull-backs of h that read them at order 2.
+        """
+        hval, dh, d2h = jet_data(pullback_symmetric(self.chart, self.metric), pts, 2, held)
         gamma, dgamma, hinv = levi_civita_arrays(hval, dh, d2h)
         return hval, gamma, curvature_from_arrays(hval, gamma, dgamma, hinv)
 
-    def kahler_residuals(self, pts, levi_civita) -> dict[str, np.ndarray]:
+    def kahler_residuals(self, pts, levi_civita, held=None) -> dict[str, np.ndarray]:
         """Per point: dgamma = h(., J.), Ric = (scal/2m) h, nabla J = 0, da = Ric(., J.).
 
         ``levi_civita`` is :meth:`levi_civita` at ``pts``; nabla J reads its
-        Christoffel symbols.
+        Christoffel symbols.  gamma and the Ricci potential are read as
+        :meth:`levi_civita` reads h, from ``held``.
         """
         hval, gamma, curv = levi_civita
         jmat = self.complex_structure
         omega = np.einsum("nia,aj->nij", hval, jmat)
         (_, dgam), (_, da), (jval, dj) = jet_data_multi(
-            [self.gamma, self.ricci_potential, self.j_field], pts, 1
+            [pullback_oneform(self.chart, self.gamma), pullback_oneform(self.chart, self.ricci_potential),
+             self.j_field], pts, 1, held
         )
         dgam, da = dgam - dgam.transpose(0, 2, 1), da - da.transpose(0, 2, 1)
         nabla_j = covariant_from_arrays(jval, dj, gamma, self.j_field.variance)
@@ -295,10 +302,10 @@ def submersion_residuals(ac: AnticanonicalChart, ws: WebsterSample) -> dict[str,
     d = ac.chart.dim
     jmat = ac.base.complex_structure
     base_pts = pts[:, : 2 * m]
-    levi_civita = ac.base.levi_civita(base_pts)
+    levi_civita = ac.base.levi_civita(base_pts, ws.held)
     hval, ric_h = levi_civita[0], levi_civita[2].ricci
 
-    da = exterior_derivative(ac.connection)(pts)
+    da = jet_data(exterior_derivative(ac.connection), pts, 0, ws.held)[0]
     ric_form = np.zeros_like(da)
     ric_form[:, : 2 * m, : 2 * m] = np.einsum("nia,aj->nij", ric_h, jmat)
 
@@ -331,7 +338,7 @@ def submersion_residuals(ac: AnticanonicalChart, ws: WebsterSample) -> dict[str,
     jlifts = np.einsum("nij,naj->nai", jval, lifts)
     w_up = np.einsum("nai,nbj,nij->nab", lifts, jlifts, ws.ricci[0])
     return {
-        **ac.base.kahler_residuals(base_pts, levi_civita),
+        **ac.base.kahler_residuals(base_pts, levi_civita, ws.held),
         "connection_curvature": point_max(da - ric_form),
         "dtheta_pullback": point_max(dt_h - hj_h),
         "submersion_reeb_tt": np.abs(ric_tt - 0.5 * m * g_tt),
@@ -765,12 +772,12 @@ def rescale_residuals(rm: RescaledMetric, jets, phi_jets) -> dict[str, np.ndarra
     }
 
 
-def slice_identity_residual(rm: RescaledMetric, pts) -> np.ndarray:
+def slice_identity_residual(rm: RescaledMetric, pts, held=None) -> np.ndarray:
     """At s = 0 the rescaled metric coincides with the Fefferman metric: checked
-    at ``pts`` with s set to 0."""
+    at ``pts`` with s set to 0, which keeps the leading columns ``held`` is at."""
     fc = rm.fc
     pts = _zero_along_s(fc.chart.points(pts)[:, :-1])
-    (g_rm,), (g_f,) = jet_data_multi([rm.metric, fc.metric], pts, 0)
+    (g_rm,), (g_f,) = jet_data_multi([rm.metric, fc.metric], pts, 0, held)
     return point_max(g_rm - g_f)
 
 
@@ -898,11 +905,12 @@ def explicit_einstein_metric(ke: KahlerEinsteinChart) -> ExplicitEinsteinMetric:
     )
 
 
-def explicit_einstein_residuals(t2: ExplicitEinsteinMetric, pts, jets) -> dict[str, np.ndarray]:
+def explicit_einstein_residuals(t2: ExplicitEinsteinMetric, pts, jets, held=None) -> dict[str, np.ndarray]:
     """Per point: Einstein condition, product structure, and Sasaki cross-check.
 
-    ``jets`` is ``jet_data_multi(t2.checked_metrics, pts, 2)``.  The Sasaki
-    factor is checked at the same points without the line coordinate t.
+    ``jets`` is ``jet_data_multi(t2.checked_metrics, pts, 2, held)``.  The
+    Sasaki factor is checked at the same points without the line coordinate
+    t, reading its pull-backs from ``held`` too.
     """
     pts = t2.chart.points(pts)
     gval, dg, d2g = jets[0]
@@ -914,7 +922,7 @@ def explicit_einstein_residuals(t2: ExplicitEinsteinMetric, pts, jets) -> dict[s
     }
 
     if t2.sasaki_metric is not None:
-        sval, sd, sd2 = jet_data(t2.sasaki_metric, pts[:, :-1], 2)
+        sval, sd, sd2 = jet_data(t2.sasaki_metric, pts[:, :-1], 2, held)
         scurv = curvature_from_arrays(sval, *levi_civita_arrays(sval, sd, sd2))
         out["sasaki_einstein"] = point_max(scurv.ricci - t2.sasaki_constant * sval)
         # product structure of the unrescaled metric along the line factor,
@@ -928,18 +936,20 @@ def explicit_einstein_residuals(t2: ExplicitEinsteinMetric, pts, jets) -> dict[s
 
 
 def pipeline_agreement_residual(
-    rm: RescaledMetric, t2: ExplicitEinsteinMetric, pts, f_pipe
+    rm: RescaledMetric, t2: ExplicitEinsteinMetric, pts, f_pipe, held=None
 ) -> np.ndarray:
     """The pipeline rescaled metric equals the explicit one under the
     documented affine fiber identification.
 
-    ``f_pipe`` is the value of the rescaled metric at ``pts``.
+    ``f_pipe`` is the value of the rescaled metric at ``pts``.  The
+    identification keeps the base coordinates, so the explicit metric reads
+    its pull-backs from ``held`` too.
     """
     fc = rm.fc
     pts = fc.chart.points(pts)
     a = t2.identification
     mapped = pts @ a.T
-    f_exp = t2.metric(mapped)
+    f_exp = jet_data(t2.metric, mapped, 0, held)[0]
     pulled = np.einsum("ca,ncd,db->nab", a, f_exp, a)
     return point_max(pulled - f_pipe)
 
@@ -974,5 +984,5 @@ def gauge_shift_scal_residual(ac: AnticanonicalChart, ws: WebsterSample) -> np.n
         ac.ph.levi_signature,
         reeb_hint=ac.ph.reeb,
     )
-    scal_hat = WebsterSample(ph_hat, ws.pts).ricci[1]
+    scal_hat = WebsterSample(ph_hat, ws.pts, ws.held).ricci[1]
     return np.abs(scal_hat - ws.ricci[1])

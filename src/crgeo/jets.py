@@ -12,7 +12,9 @@ coordinate jets, :func:`partials` reads value and derivative arrays back,
 :func:`stack` assembles the jet of a tensor from its components,
 :func:`components` holds them for a read without that jet,
 :func:`widen` gives a jet exact-zero rows for generators it does not read,
-and :func:`coefficient` reads the coefficient of one generator.
+:func:`coefficient` reads the coefficient of one generator, and
+:func:`hold` keeps the rows of a jet of leading coordinates that
+:func:`embed` lays out on more coordinates.
 Part of the layout is a jet's root count: generator j below it is a root
 generator, seeded along batch axis 1 + j, so row s holds values that vary
 only along the root axes of the bits in s and repeat along the others.
@@ -31,7 +33,7 @@ import numpy as np
 
 __all__ = [
     "Jet", "exp", "log", "sin", "cos", "sqrt", "powf",
-    "seed", "partials", "components", "stack", "widen", "coefficient", "jet_solve",
+    "seed", "partials", "components", "stack", "widen", "coefficient", "Held", "hold", "embed", "jet_solve",
 ]
 
 # smallest |det| of the order-zero matrix that jet_solve inverts
@@ -61,6 +63,7 @@ _STAGES: dict[int, list[tuple[int, tuple, tuple]]] = {}
 _NUMBERS = (float, int)
 _ROW_VIEWS: dict[tuple[int, int], list[tuple]] = {}
 _POWER_TERMS: dict[int, list[list[tuple[int, tuple[int, ...]]]]] = {}
+_EMBED_VIEWS: dict[tuple[int, int, int], list[tuple]] = {}
 
 
 def _mul_index(k: int):
@@ -427,6 +430,86 @@ def widen(x: Jet, kept: int, levels: int) -> Jet:
     into = tuple(slice(None) if kept >> (levels - 1 - a) & 1 else 0 for a in range(levels))
     out[into] = x.comp.reshape((2,) * n + (low,) + batch)
     return Jet(out.reshape((low << levels,) + batch), min(x.roots, low.bit_length() - 1))
+
+
+class Held:
+    """A scalar jet as it is held for :func:`embed`, from :func:`hold`.
+
+    ``rows[p]`` holds the rows whose root bits are p, one per bitmask of the
+    generators above the root ones, each only along the root axes of the
+    bits in p and those past its root count ``roots``: along the others it
+    repeats.  ``width`` is the number of coordinates it was seeded on, and
+    ``bad`` the mask of the points at which a coefficient is not finite, or
+    None.
+    """
+
+    __slots__ = ("rows", "roots", "width", "bad")
+
+    def __init__(self, rows, roots: int, width: int, bad):
+        self.rows, self.roots, self.width, self.bad = rows, roots, width, bad
+
+
+def hold(x: Jet) -> Held:
+    """The rows of the scalar jet ``x`` that :func:`embed` reads, copied out of it, read-only."""
+    comp = x.comp
+    r = comp.ndim - 2  # its root axes
+    by_root_bits = comp.reshape((-1, 1 << r) + comp.shape[1:])
+    rows = [np.array(by_root_bits[(slice(None),) + view]) for view in _row_views(r, x.roots)]
+    for row in rows:
+        row.flags.writeable = False  # shared by every jet embed lays out from it
+    bad = None
+    if not np.isfinite(comp).all():
+        bad = ~np.isfinite(comp).reshape(len(comp), len(comp[0]), -1).all(axis=(0, 2))
+    return Held(rows, x.roots, comp.shape[-1] if r else 0, bad)
+
+
+def _embed_views(r: int, roots: int, b: int):
+    # per root bits p: where the rows of p go in the (lifts, 2^r, N, dim, ..)
+    # layout: the leading b entries along the root axes of the bits in p and
+    # those the root count does not claim, every entry along the others
+    key = (r, roots, b)
+    if key not in _EMBED_VIEWS:
+        _EMBED_VIEWS[key] = [
+            (slice(None), p, slice(None))
+            + tuple(slice(b) if p >> j & 1 or j >= roots else slice(None) for j in range(r))
+            for p in range(1 << r)
+        ]
+    return _EMBED_VIEWS[key]
+
+
+def embed(x: Held, dim: int) -> Jet:
+    """The jet of a scalar of ``x.width`` leading coordinates, on ``dim`` coordinates.
+
+    A field of the leading coordinates does not vary along the others.  So
+    along a root axis that a row varies on, the new coordinates hold exact
+    zeros, and along the other root axes the row repeats.  Where that jet
+    is finite and its root count claims the repeats, this is, bit for bit
+    up to the sign of a zero, the jet that the same ops give on ``dim``
+    seeded coordinates; along a root axis it does not claim, the new
+    coordinates repeat the first entry.  At a point where ``x`` holds a
+    coefficient that is not finite, the new coordinates of the rows that
+    vary along them hold NaN: a zero seed times that coefficient can be NaN
+    on the wider chart, and a zero there could pass a check that fails.
+    """
+    rows, b = x.rows, x.width
+    r = len(rows).bit_length() - 1
+    if not r:  # a jet of values alone
+        return Jet(rows[0], x.roots)
+    lifts, n = rows[0].shape[:2]
+    out = np.zeros((lifts, 1 << r, n) + (dim,) * r)
+    for view, row in zip(_embed_views(r, x.roots, b), rows):
+        out[view] = row
+    for j in range(x.roots, r):  # rows without bit j repeat their first entry along it
+        for p in range(1 << r):
+            if not p >> j & 1:
+                at = (slice(None), p) + (slice(None),) * (1 + j)
+                out[at + (slice(b, None),)] = out[at + (slice(1),)]
+    if x.bad is not None:
+        for p in range(1 << r):
+            for j in range(r):
+                if p >> j & 1:
+                    out[(slice(None), p, x.bad) + (slice(None),) * j + (slice(b, None),)] = np.nan
+    return Jet(out.reshape((lifts << r, n) + (dim,) * r), x.roots)
 
 
 def coefficient(x: Jet, above: int) -> Jet:

@@ -27,11 +27,13 @@ from .chart import (
     Endomorphism,
     GenericTensorField,
     OneForm,
+    PullbackJets,
     SymmetricTwoTensor,
     TensorField,
     VectorField,
     contract,
     exterior_derivative,
+    jet_data,
     jet_data_multi,
     ordered_sum,
     symmetric_product,
@@ -214,24 +216,27 @@ class WebsterSample:
     once per batch and every residual reading it shares the same arrays.
     The contact and bracket members need no transversal symmetry; the
     members built on D (:attr:`connection_jets` and all after it) do, and
-    the first of them to be read checks it at these points.
+    the first of them to be read checks it at these points.  Its batches
+    read pulled-back operands from ``held``, the :class:`PullbackJets` of
+    the sample these points belong to; by default it holds its own.
     """
 
-    def __init__(self, ph: PHStructure, pts):
+    def __init__(self, ph: PHStructure, pts, held: PullbackJets | None = None):
         self.ph = ph
         self.pts = ph.chart.points(pts)
+        self.held = PullbackJets(ph.chart, self.pts) if held is None else held
 
     @_member
     def contact_jets(self):
         """Order-1 jet data ``[value, first partials]`` of theta, dtheta, J, T and g_theta."""
         ph = self.ph
-        return jet_data_multi([ph.theta, ph.dtheta, ph.J, ph.reeb, ph.metric], self.pts, 1)
+        return jet_data_multi([ph.theta, ph.dtheta, ph.J, ph.reeb, ph.metric], self.pts, 1, self.held)
 
     @_member
     def bracket_jets(self):
         """Order-1 jet data of the horizontal fields X_i, then of their images J X_i."""
         fields = self.ph.horizontal_fields()
-        return jet_data_multi(fields + [self.ph.J.apply(x) for x in fields], self.pts, 1)
+        return jet_data_multi(fields + [self.ph.J.apply(x) for x in fields], self.pts, 1, self.held)
 
     @_member
     def connection_jets(self):
@@ -246,7 +251,9 @@ class WebsterSample:
                 f"structure is not transversally symmetric: residual {res:.3e} > {TSPH_TOL:g}"
             )
         ph = self.ph
-        g_jets, (dval, dgrad, _) = jet_data_multi([ph.metric, ph.comparison_tensor], self.pts, 2)
+        g_jets, (dval, dgrad, _) = jet_data_multi(
+            [ph.metric, ph.comparison_tensor], self.pts, 2, self.held
+        )
         return g_jets, [dval, dgrad]  # D's second partials are read by nothing
 
     @_member
@@ -327,7 +334,7 @@ def structure_residuals(ws: WebsterSample) -> dict[str, np.ndarray]:
         "reeb_defining": point_max(
             np.einsum("ni,ni->n", tval, reeb) - 1.0, np.einsum("ni,nij->nj", reeb, dtval)
         ),
-        "reeb_linear_solve": point_max(ReebField(ph.theta, ph.dtheta)(ws.pts) - reeb),
+        "reeb_linear_solve": point_max(jet_data(ReebField(ph.theta, ph.dtheta), ws.pts, 0, ws.held)[0] - reeb),
         "tsph_bracket": transversal_symmetry_residual(ws),
         "tsph_killing": killing_residual(*g_jets, *reeb_jets),
     }

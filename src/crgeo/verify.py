@@ -21,7 +21,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .chart import jet_data_multi
+from .chart import PullbackJets, jet_data_multi
 from .constructions import (
     anticanonical_structure,
     correction_structure_residual,
@@ -252,7 +252,10 @@ class Pipeline:
     The samples are nested (``Chart.sample``): ``m_pts`` is ``f_pts`` without
     s, so ``webster_sample`` also serves the Fefferman identities and the
     Einstein precondition of ``fc``.  A rescale or theorem2 run alone thus
-    evaluates it too, at all ``points``.
+    evaluates it too, at all ``points``.  Every one of these calls reads its
+    pull-backs from one batch, ``held``, at ``m_pts``: ``f_pts`` shares its
+    contact columns and ``t2_pts`` its base columns, so each pulled-back
+    operand is evaluated once per jet order.
     """
 
     def __init__(self, example: str, m: int, points: int, seed: int):
@@ -305,25 +308,30 @@ class Pipeline:
 
     # -- metric jets shared by records ----------------------------------------
     @cached_property
+    def held(self):
+        """The jets that pull-backs read at the nested samples (:class:`PullbackJets`)."""
+        return PullbackJets(self.ac.chart, self.m_pts)
+
+    @cached_property
     def f_jets(self):
         """Order-2 jet data of f, of its rescaling e^{2 phi} f and of phi at ``f_pts``."""
-        return jet_data_multi([self.fc.metric, self.rm.metric, self.rm.phi], self.f_pts, 2)
+        return jet_data_multi([self.fc.metric, self.rm.metric, self.rm.phi], self.f_pts, 2, self.held)
 
     @cached_property
     def f_fields(self):
         """Order-1 jet data of ``fc.sample_fields`` at ``f_pts``, by the same names."""
         fields = self.fc.sample_fields
-        return dict(zip(fields, jet_data_multi(list(fields.values()), self.f_pts, 1)))
+        return dict(zip(fields, jet_data_multi(list(fields.values()), self.f_pts, 1, self.held)))
 
     @cached_property
     def t2_jets(self):
         """Order-2 jet data of the explicit metrics at ``t2_pts``."""
-        return jet_data_multi(self.t2.checked_metrics, self.t2_pts, 2)
+        return jet_data_multi(self.t2.checked_metrics, self.t2_pts, 2, self.held)
 
     @cached_property
     def webster_sample(self):
         """The structure's fields, Webster connection, curvature and Levi frame at ``m_pts``."""
-        return WebsterSample(self.ac.ph, self.m_pts)
+        return WebsterSample(self.ac.ph, self.m_pts, self.held)
 
     # -- cached residual records --------------------------------------------
     @cached_property
@@ -363,7 +371,7 @@ class Pipeline:
     def rescale_record(self) -> dict:
         f_jets, rm_jets, phi_jets = self.f_jets
         rec = rescale_residuals(self.rm, rm_jets, phi_jets)
-        rec["slice_identity"] = slice_identity_residual(self.rm, self.f_pts)
+        rec["slice_identity"] = slice_identity_residual(self.rm, self.f_pts, self.held)
         rec["einstein_constant"] = self.rm.einstein_constant
         if self.applies("correction_structure"):
             rec["correction_structure"] = correction_structure_residual(
@@ -373,9 +381,9 @@ class Pipeline:
 
     @cached_property
     def theorem2_record(self) -> dict:
-        rec = explicit_einstein_residuals(self.t2, self.t2_pts, self.t2_jets)
+        rec = explicit_einstein_residuals(self.t2, self.t2_pts, self.t2_jets, self.held)
         rec["pipeline_agreement"] = pipeline_agreement_residual(
-            self.rm, self.t2, self.f_pts, self.f_jets[1][0]
+            self.rm, self.t2, self.f_pts, self.f_jets[1][0], self.held
         )
         try:
             self.t2.metric.verify_signature_values(self.t2_jets[0][0])
@@ -395,7 +403,7 @@ class Pipeline:
             rec["control_still_tsph"] = transversal_symmetry_residual(self.webster_sample)
         if self.applies("non_tsph_detected"):
             # the contact members of a sample need no transversal symmetry
-            wsp = WebsterSample(perturbed_structure(self.ac), self.m_pts)
+            wsp = WebsterSample(perturbed_structure(self.ac), self.m_pts, self.held)
             rec["non_tsph_detected"] = transversal_symmetry_residual(wsp).max()
             rec["control_still_contact"] = contact_determinant(wsp)
         return rec

@@ -677,3 +677,126 @@ def test_sorted_lift_levels_save_compositions(monkeypatch):
     # (u, v) and (v, u) apart
     assert series.count(4) <= 70
     assert sum(ops) <= 6100
+
+
+# ----------------------------------------------------------------------
+# pull-backs: operands evaluated on their own chart, laid out by jets.embed
+# ----------------------------------------------------------------------
+
+def _base_fields_on(chart, ke):
+    """The potential, gamma and h of a regular catalog base, built on ``chart``'s leading coordinates.
+
+    The trees are those of the base's own fields, node for node, so on
+    ``chart`` they are evaluated at its full width.
+    """
+    from crgeo.constructions import _metric_from_potential
+
+    m = ke.m
+    ssum = ordered_sum(chart.coord(i) * chart.coord(i) for i in range(2 * m))
+    potential = {
+        "flat": lambda: ssum * 0.5,
+        "fubini_study": lambda: log(1.0 + ssum) * 2.0,
+        "complex_hyperbolic": lambda: log(1.0 - ssum) * (-2.0),
+    }[ke.kind]()
+    gamma = []
+    for a in range(m):
+        gamma += [potential.partial(2 * a + 1) * 0.5, potential.partial(2 * a) * (-0.5)]
+    h = _metric_from_potential(chart, potential, m)
+    return [potential] + gamma + [h[i][j] for i in range(2 * m) for j in range(2 * m)]
+
+
+@pytest.mark.parametrize("m", [1, 2])
+@pytest.mark.parametrize("example", ["flat", "fubini_study", "complex_hyperbolic"])
+def test_a_pull_back_equals_the_full_width_evaluation(example, m, monkeypatch):
+    # each pulled-back base field (and its partials, read under lift levels)
+    # is its operand evaluated at the base chart's width and laid out by
+    # jets.embed; with every product staged, it equals bit for bit, up to the
+    # sign of a zero, the same tree evaluated on the wider chart's own
+    # coordinate jets (there a new coordinate's zero seed times a negative
+    # coefficient is -0.0)
+    monkeypatch.setattr(jets, "STAGED_MIN_WIDTH", 0)
+    pipe = Pipeline(example, m, points=1, seed=0)
+    ke = pipe.ke
+    base = _base_fields_on(ke.chart, ke)
+    assert base[0] is _potential(ke) and base[1] is ke.gamma.components[0]
+    assert base[-1] is ke.metric.components[-1, -1]
+    for chart in (pipe.ac.chart, pipe.fc.chart):
+        pulled = [pullback_scalar(chart, f) for f in base]
+        full = _base_fields_on(chart, ke)
+        # a product with the last fiber coordinate reads the repeated rows
+        fiber = chart.coord(chart.dim - 1)
+        pulled += [f.partial(i) for f in pulled[:3] for i in range(chart.dim)] + [f * fiber for f in pulled[:3]]
+        full += [f.partial(i) for f in full[:3] for i in range(chart.dim)] + [f * fiber for f in full[:3]]
+        for n in (1, 5):
+            pts = chart.sample(n, 3)
+            for order in range(3):
+                got, expected = jet_data_multi(pulled, pts, order), jet_data_multi(full, pts, order)
+                for a, b in zip(got, expected):
+                    assert [(x + 0.0).tobytes() for x in a] == [(x + 0.0).tobytes() for x in b]
+
+
+def test_a_held_batch_at_other_points_is_refused():
+    from crgeo.chart import PullbackJets
+
+    pipe = Pipeline("fubini_study", 1, points=3, seed=4)
+    held = PullbackJets(pipe.ac.chart, pipe.m_pts)
+    fields = list(pipe.fc.sample_fields.values())
+    jet_data_multi(fields, pipe.f_pts, 1, held)  # f_pts starts with m_pts
+    moved = pipe.f_pts.copy()
+    moved[1, 0] += 1e-3  # one base coordinate of one point
+    with pytest.raises(ValueError, match="leading columns"):
+        jet_data_multi(fields, moved, 1, held)
+    with pytest.raises(ValueError, match="leading columns"):
+        jet_data_multi(fields, pipe.f_pts[:2], 1, held)  # fewer points
+    # a batch on the base chart holds no jets of the contact chart
+    base_held = PullbackJets(pipe.ke.chart, pipe.m_pts[:, :2])
+    with pytest.raises(ValueError, match="leading columns"):
+        jet_data_multi(fields, pipe.f_pts, 1, base_held)
+    # the pulled-back base fields alone read it
+    jet_data_multi([fields[-1]], pipe.f_pts, 1, base_held)
+
+
+def test_a_non_finite_pulled_back_field_fails_its_row():
+    # sqrt(x1 - x1) has an infinite first derivative: evaluated on a wider
+    # chart's coordinates, its partial along a new coordinate is 0 * inf =
+    # NaN, and the padding of jets.embed keeps that NaN rather than an exact
+    # zero; a structure reading it fails the transversal-symmetry gate, as
+    # test_nan_structure_fails_the_transversal_symmetry_gate does
+    from crgeo.chart import sqrt
+    from crgeo.errors import PreconditionError
+    from crgeo.pseudohermitian import WebsterSample, make_structure
+
+    pipe = Pipeline("flat", 1, points=4, seed=3)
+    ac, x1 = pipe.ac, pipe.ke.chart.coord(0)
+    bad = pullback_scalar(ac.chart, sqrt(x1 - x1))
+    with np.errstate(invalid="ignore", divide="ignore"):
+        assert np.isnan(jet_data(bad, pipe.m_pts, 1)[1][:, 2]).all()  # along t
+        comps = list(ac.ph.theta.components)
+        comps[0] = comps[0] + bad * 1e-3
+        ph = make_structure(ac.chart, OneForm(ac.chart, comps), ac.base.complex_structure, 1,
+                            ac.ph.levi_signature, reeb_hint=ac.ph.reeb)
+        with pytest.raises(PreconditionError, match="residual nan"):
+            WebsterSample(ph, pipe.m_pts).connection_jets
+
+
+def test_a_pull_back_without_a_root_count_repeats_its_first_entry(monkeypatch):
+    # an opaque field may give a bare Jet, which claims no repeats along the
+    # root axes; its rows are kept whole there, and the new coordinates
+    # repeat the first entry, which is the full-width value: a product with
+    # t reads it in the partials along t
+    monkeypatch.setattr(jets, "STAGED_MIN_WIDTH", 0)
+    base = Chart(["x", "y"], [(-1.0, 1.0)] * 2)
+    total = base.extend("t", (-1.0, 1.0))
+
+    def bare(c):
+        prod = c[0] * jets.exp(c[1])
+        return Jet(prod.comp)
+
+    t = total.coord(2)
+    pulled = pullback_scalar(total, ScalarField(base, bare)) * t
+    full = ScalarField(total, bare) * t
+    pts = total.sample(4, 2)
+    for order in range(3):
+        assert [(a + 0.0).tobytes() for a in jet_data(pulled, pts, order)] == [
+            (a + 0.0).tobytes() for a in jet_data(full, pts, order)
+        ]

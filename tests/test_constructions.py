@@ -328,6 +328,45 @@ def test_no_field_is_evaluated_twice_per_sample(jet_calls):
     assert set(repeated) <= allowed and set(repeated.values()) <= {2}
 
 
+@pytest.mark.parametrize("example, m", [("flat", 1), ("fubini_study", 2), ("complex_hyperbolic", 1)])
+def test_no_pulled_back_operand_is_evaluated_twice_per_sample(monkeypatch, example, m):
+    # over every plan of a pipeline, the base- and contact-chart nodes that
+    # pull-backs read are evaluated into the pipeline's one batch once per
+    # (node, context, order) and sample, however many calls read them: the
+    # contact and connection batches, f_jets, f_fields, the slice, t2_jets,
+    # the Sasaki metric and the base record's reads of h, gamma and the
+    # Ricci potential (nodes under an operand are not held, and may repeat)
+    from collections import Counter
+
+    from crgeo import chart as chart_module
+    from crgeo.verify import Pipeline
+
+    evaluated = []
+    real_init, real_run = chart_module._Plan.__init__, chart_module._Plan.run
+
+    def init(self, chart, fields=(), keys=()):
+        self.test_keys = list(keys)
+        real_init(self, chart, fields, keys)
+
+    def run(self, pts, order, held, start):
+        evaluated.extend((key, order, held, pts[:, :self.dim].tobytes()) for key in self.test_keys)
+        return real_run(self, pts, order, held, start)
+
+    monkeypatch.setattr(chart_module._Plan, "__init__", init)
+    monkeypatch.setattr(chart_module._Plan, "run", run)
+    pipe = Pipeline(example, m, points=3, seed=7)
+    for record in ("structure", "webster", "comparison", "submersion",
+                   "fefferman", "rescale", "theorem2"):
+        getattr(pipe, f"{record}_record")
+    assert {key[0].chart for key, *_ in evaluated} == {pipe.ke.chart, pipe.ac.chart}
+    assert {held for _, _, held, _ in evaluated} == {pipe.held}
+    counts = Counter((key, order, pts) for key, order, _, pts in evaluated)
+    assert max(counts.values()) == 1
+    # h at order 2: read by the base record, the explicit metric and the Sasaki factor
+    h = pipe.ke.metric.components[0, 0]
+    assert sum(key == (h, chart_module._ROOT) and order == 2 for key, order, _ in counts) == 1
+
+
 def test_fefferman_ricci_isotropic_flat(pipeline):
     pipe = pipeline("flat", 1)
     rec = pipe.fefferman_record
