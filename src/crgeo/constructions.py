@@ -40,13 +40,16 @@ from .chart import (
 from .errors import PreconditionError, UsageError
 from .metric import (
     MetricField,
+    _christoffel_arrays,
     conformal_ricci_correction,
     conformal_rescale,
     covariant_from_arrays,
     curvature_from_arrays,
     curvature_from_connection,  # noqa: F401  kept bound: perfbench's tracer test wraps it here
+    curvature_row,
     killing_residual,
     levi_civita_arrays,
+    levi_civita_ricci,
     point_max,
     tracefree_ricci_norm,
 )
@@ -88,15 +91,16 @@ class KahlerEinsteinChart:
         return Endomorphism(self.chart, self.complex_structure)
 
     def levi_civita(self, pts, held=None):
-        """(h, Gamma, curvature) of the metric h at ``pts``, from one order-2 batch.
+        """(h, Gamma, Ric, scal) of the metric h at ``pts``, from one order-2 batch.
 
-        h is read as its pull-back onto its own chart, so that ``held``, the
-        :class:`PullbackJets` of the sample, holds its components for the
-        pull-backs of h that read them at order 2.
+        Ricci and the scalar come from :func:`levi_civita_ricci`, with no
+        curvature operator.  h is read as its pull-back onto its own chart,
+        so that ``held``, the :class:`PullbackJets` of the sample, holds its
+        components for the pull-backs of h that read them at order 2.
         """
-        hval, dh, d2h = jet_data(pullback_symmetric(self.chart, self.metric), pts, 2, held)
-        gamma, dgamma, hinv = levi_civita_arrays(hval, dh, d2h)
-        return hval, gamma, curvature_from_arrays(hval, gamma, dgamma, hinv)
+        jets = jet_data(pullback_symmetric(self.chart, self.metric), pts, 2, held)
+        gamma, hinv = _christoffel_arrays(*jets[:2])
+        return (jets[0], gamma, *levi_civita_ricci(jets, gamma, hinv))
 
     def kahler_residuals(self, pts, levi_civita, held=None) -> dict[str, np.ndarray]:
         """Per point: dgamma = h(., J.), Ric = (scal/2m) h, nabla J = 0, da = Ric(., J.).
@@ -105,7 +109,7 @@ class KahlerEinsteinChart:
         Christoffel symbols.  gamma and the Ricci potential are read as
         :meth:`levi_civita` reads h, from ``held``.
         """
-        hval, gamma, curv = levi_civita
+        hval, gamma, ricci, scalar = levi_civita
         jmat = self.complex_structure
         omega = np.einsum("nia,aj->nij", hval, jmat)
         (_, dgam), (_, da), (jval, dj) = jet_data_multi(
@@ -114,17 +118,15 @@ class KahlerEinsteinChart:
         )
         dgam, da = dgam - dgam.transpose(0, 2, 1), da - da.transpose(0, 2, 1)
         nabla_j = covariant_from_arrays(jval, dj, gamma, self.j_field.variance)
-        ric_form = np.einsum("nia,aj->nij", curv.ricci, jmat)
+        ric_form = np.einsum("nia,aj->nij", ricci, jmat)
         out = {
             "kahler_potential": point_max(dgam - omega),
             "kahler_parallel": point_max(nabla_j),
             "ricci_form_potential": point_max(da - ric_form),
         }
         if self.einstein:
-            out["kahler_einstein_base"] = point_max(
-                curv.ricci - (self.scal_h / (2 * self.m)) * hval
-            )
-            out["kahler_scal_constant"] = np.abs(curv.scalar - self.scal_h)
+            out["kahler_einstein_base"] = point_max(ricci - (self.scal_h / (2 * self.m)) * hval)
+            out["kahler_scal_constant"] = np.abs(scalar - self.scal_h)
         return out
 
 
@@ -303,7 +305,7 @@ def submersion_residuals(ac: AnticanonicalChart, ws: WebsterSample) -> dict[str,
     jmat = ac.base.complex_structure
     base_pts = pts[:, : 2 * m]
     levi_civita = ac.base.levi_civita(base_pts, ws.held)
-    hval, ric_h = levi_civita[0], levi_civita[2].ricci
+    hval, ric_h = levi_civita[0], levi_civita[2]
 
     da = jet_data(exterior_derivative(ac.connection), pts, 0, ws.held)[0]
     ric_form = np.zeros_like(da)
@@ -762,12 +764,12 @@ def rescale_residuals(rm: RescaledMetric, jets, phi_jets) -> dict[str, np.ndarra
     metric and of phi at one point batch.
     """
     fc = rm.fc
-    gval, dg, d2g = jets
-    curv = curvature_from_arrays(gval, *levi_civita_arrays(gval, dg, d2g))
+    gval = jets[0]
+    ricci, scalar = levi_civita_ricci(jets, *_christoffel_arrays(*jets[:2]))
     lam = rm.einstein_constant
     return {
-        "rescaled_einstein": point_max(curv.ricci - lam * gval),
-        "rescaled_scalar": _scalar_residual(curv.scalar, lam * fc.chart.dim),
+        "rescaled_einstein": point_max(ricci - lam * gval),
+        "rescaled_scalar": _scalar_residual(scalar, lam * fc.chart.dim),
         "conformal_ode": rm.ode_residual(phi_jets),
     }
 
@@ -913,25 +915,26 @@ def explicit_einstein_residuals(t2: ExplicitEinsteinMetric, pts, jets, held=None
     t, reading its pull-backs from ``held`` too.
     """
     pts = t2.chart.points(pts)
-    gval, dg, d2g = jets[0]
-    curv = curvature_from_arrays(gval, *levi_civita_arrays(gval, dg, d2g))
+    gval = jets[0][0]
+    ricci, scalar = levi_civita_ricci(jets[0], *_christoffel_arrays(*jets[0][:2]))
     lam = t2.einstein_constant
     out = {
-        "explicit_einstein": point_max(curv.ricci - lam * gval),
-        "explicit_scalar": _scalar_residual(curv.scalar, lam * t2.chart.dim),
+        "explicit_einstein": point_max(ricci - lam * gval),
+        "explicit_scalar": _scalar_residual(scalar, lam * t2.chart.dim),
     }
 
     if t2.sasaki_metric is not None:
-        sval, sd, sd2 = jet_data(t2.sasaki_metric, pts[:, :-1], 2, held)
-        scurv = curvature_from_arrays(sval, *levi_civita_arrays(sval, sd, sd2))
-        out["sasaki_einstein"] = point_max(scurv.ricci - t2.sasaki_constant * sval)
+        s_jets = jet_data(t2.sasaki_metric, pts[:, :-1], 2, held)
+        s_ricci, _ = levi_civita_ricci(s_jets, *_christoffel_arrays(*s_jets[:2]))
+        out["sasaki_einstein"] = point_max(s_ricci - t2.sasaki_constant * s_jets[0])
         # product structure of the unrescaled metric along the line factor,
-        # the last coordinate t
+        # the last coordinate t: its row R(e_t, ., ., .) vanishes
         li = t2.chart.dim - 1
-        uval, du, d2u = jets[1]
-        ucurv = curvature_from_arrays(uval, *levi_civita_arrays(uval, du, d2u))
+        uval, du = jets[1][:2]
         out["sasaki_product"] = point_max(np.delete(uval[:, li, :], li, axis=1))
-        out["sasaki_product_curvature"] = point_max(ucurv.riemann[:, li])
+        out["sasaki_product_curvature"] = point_max(
+            curvature_row(jets[1], _christoffel_arrays(uval, du)[0], li)
+        )
     return out
 
 

@@ -81,11 +81,14 @@ def inverse_metric(gval: np.ndarray) -> np.ndarray:
 # connection and curvature from metric jet data
 # ----------------------------------------------------------------------
 
+def _first_kind(dg):
+    """C[..,l,i,j] = d_i g_jl + d_j g_il - d_l g_ij from the partials dg[..,a,i,j] = d_a g_ij."""
+    return np.einsum("...ijl->...lij", dg) + np.einsum("...jil->...lij", dg) - dg
+
+
 def _christoffel_arrays(g, dg):
     ginv = inverse_metric(g)
-    # C[n,l,i,j] = d_i g_jl + d_j g_il - d_l g_ij
-    c = np.einsum("nijl->nlij", dg) + np.einsum("njil->nlij", dg) - dg
-    gamma = 0.5 * np.einsum("nkl,nlij->nkij", ginv, c)
+    gamma = 0.5 * np.einsum("nkl,nlij->nkij", ginv, _first_kind(dg))
     return gamma, ginv
 
 
@@ -105,7 +108,7 @@ def _dchristoffel_arrays(dg, d2g, gamma, ginv):
 
     two two-operand contractions, with no partials of g^-1.
     """
-    dc = np.einsum("naijl->nalij", d2g) + np.einsum("najil->nalij", d2g) - d2g
+    dc = _first_kind(d2g)
     return np.einsum("nkl,nalij->nakij", ginv, 0.5 * dc - np.einsum("nalp,npij->nalij", dg, gamma))
 
 
@@ -118,11 +121,13 @@ def curvature_from_connection(gamma, dgamma, gval=None):
     R(X,Y) = [nabla_X, nabla_Y] - nabla_[X,Y].  The connection coefficients
     may be non-symmetric (direction index first).
     """
+    # Gamma^l_ia Gamma^a_jk; the second quadratic term is its (i, j) transpose
+    quad = np.einsum("nlia,najk->nijkl", gamma, gamma)
     rup = (
         np.einsum("niljk->nijkl", dgamma)
         - np.einsum("njlik->nijkl", dgamma)
-        + np.einsum("nlia,najk->nijkl", gamma, gamma)
-        - np.einsum("nlja,naik->nijkl", gamma, gamma)
+        + quad
+        - quad.swapaxes(1, 2)
     )
     return rup, None if gval is None else _lower_curvature(rup, gval)
 
@@ -133,12 +138,14 @@ def _lower_curvature(rup, gval):
 
 @dataclass(frozen=True)
 class CurvatureTensor:
-    """Curvature data of a metric at a point batch.
+    """Curvature data of a metric at a point batch, for the records that read the operator.
 
     Ricci and the scalar are traces of the operator.  The (4,0) tensor is
     lowered from the operator with the metric values each time
-    :attr:`riemann` is read; no check of the pipeline but the Sasaki
-    product row reads it.
+    :attr:`riemann` is read; no check of the pipeline reads it.  A record
+    that reads only Ricci and the scalar takes them from
+    :func:`levi_civita_ricci`, and the Sasaki product row comes from
+    :func:`curvature_row`; neither builds the operator.
     """
 
     operator: np.ndarray  # (N,d,d,d,d) R(e_i,e_j)e_k = operator[n,i,j,k,l] e_l
@@ -168,6 +175,62 @@ def curvature_from_arrays(g, gamma, dgamma, ginv) -> CurvatureTensor:
     ricci = np.einsum("najka->njk", rup)
     scalar = np.einsum("njk,njk->n", ginv, ricci)
     return CurvatureTensor(rup, ricci, scalar, g)
+
+
+def levi_civita_ricci(jets, gamma, ginv):
+    """(Ricci, scalar) of the Levi-Civita connection, without dGamma or the operator.
+
+    ``jets`` is the order-2 jet data ``[g, dg, d2g]`` of a metric and
+    (``gamma``, ``ginv``) its (Gamma, g^-1) from :func:`_christoffel_arrays`.
+    The trace Ric[n,j,k] = operator[n,a,j,k,a] of :func:`curvature_from_arrays`
+    is summed in closed form, every contraction O(N d^4):
+
+        Ric_jk = d_a Gamma^a_jk - d_j Gamma^a_ak + Gamma^a_ab Gamma^b_jk - Gamma^a_jb Gamma^b_ak
+        d_a Gamma^a_jk = g^al (d_a C_ljk / 2 - d_a g_lp Gamma^p_jk)
+        d_j Gamma^a_ak = g^al d_j d_k g_al / 2 - tr(g^-1 d_j g g^-1 d_k g) / 2
+
+    with d_a C_ljk = d_a d_j g_kl + d_a d_k g_jl - d_a d_l g_jk.  The scalar
+    is g^jk Ric_jk.
+    """
+    _, dg, d2g = jets
+    dc = np.einsum("nal,najkl->njk", ginv, d2g)  # g^al d_a d_j g_kl
+    dc = dc + dc.swapaxes(1, 2) - np.einsum("nal,naljk->njk", ginv, d2g)  # g^al d_a C_ljk
+    # Gamma^a_ap - g^al d_a g_lp: the two terms that contract with Gamma^p_jk
+    v = np.einsum("naap->np", gamma) - np.einsum("nal,nalp->np", ginv, dg)
+    gdg = np.einsum("nap,njpl->njal", ginv, dg)  # g^-1 d_j g
+    ricci = (
+        0.5 * dc
+        + np.einsum("np,npjk->njk", v, gamma)
+        - 0.5 * np.einsum("nal,njkal->njk", ginv, d2g)
+        + 0.5 * np.einsum("njal,nkla->njk", gdg, gdg)
+        - np.einsum("najb,nbak->njk", gamma, gamma)
+    )
+    return ricci, np.einsum("njk,njk->n", ginv, ricci)
+
+
+def curvature_row(jets, gamma, i):
+    """Row ``i`` of the (4,0) tensor, R(e_i,e_j,e_k,e_l) as [n, j, k, l], without the operator.
+
+    ``jets`` is the order-2 jet data ``[g, dg, d2g]`` of a metric and
+    ``gamma`` its Levi-Civita symbols.  Lowering :func:`curvature_from_connection`
+    with g_lm Gamma^m_ij = C_lij / 2 gives, every contraction O(N d^4),
+
+        R_ijkl = d_i C_ljk / 2 - d_i g_lm Gamma^m_jk - d_j C_lik / 2 + d_j g_lm Gamma^m_ik
+                 + C_lia Gamma^a_jk / 2 - C_lja Gamma^a_ik / 2.
+    """
+    _, dg, d2g = jets
+    c = _first_kind(dg)
+    d_i_c = np.einsum("nljk->njkl", _first_kind(d2g[:, i]))  # d_i C_ljk
+    lead = d2g[:, :, :, i]  # d_j d_k g_il as [n, j, k, l]
+    d_j_c = d2g[:, :, i] + lead - lead.swapaxes(2, 3)  # d_j C_lik
+    gamma_i = gamma[:, :, i]  # Gamma^m_ik as [n, m, k]
+    return (
+        0.5 * (d_i_c - d_j_c)
+        - np.einsum("nlm,nmjk->njkl", dg[:, i], gamma)
+        + np.einsum("njlm,nmk->njkl", dg, gamma_i)
+        + 0.5 * np.einsum("nla,najk->njkl", c[:, :, i], gamma)
+        - 0.5 * np.einsum("nlja,nak->njkl", c, gamma_i)
+    )
 
 
 def riemann(metric: MetricField, pts) -> CurvatureTensor:

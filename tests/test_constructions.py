@@ -1,5 +1,7 @@
 """Construction pipelines: catalog bases, circle bundles, Fefferman metrics."""
 
+from collections import Counter
+
 import numpy as np
 import pytest
 
@@ -499,14 +501,48 @@ def test_sasaki_factor_is_checked_at_the_run_points(jet_calls, kind):
     # the seed moves its row as it moves every other theorem2 row
     from crgeo.verify import Pipeline
 
-    worst = {}
+    rows = {}
     for seed in (7, 42):
         pipe = Pipeline(kind, 1, points=2, seed=seed)
         jet_calls.clear()
-        worst[seed] = pipe.theorem2_record["sasaki_einstein"].max()
+        rows[seed] = pipe.theorem2_record["sasaki_einstein"]
         sasaki_at = [at for fields, at, _ in jet_calls if fields == [pipe.t2.sasaki_metric]]
         assert len(sasaki_at) == 1 and np.array_equal(sasaki_at[0], pipe.t2_pts[:, :-1])
-    assert worst[7] != worst[42]
+    # per point: the ulp-level maxima of the two seeds may coincide
+    assert not np.array_equal(rows[7], rows[42])
+
+
+@pytest.mark.parametrize(
+    "kind,m", [(kind, m) for kind in ("flat", "fubini_study", "complex_hyperbolic") for m in (1, 2)]
+)
+def test_only_operator_records_build_the_operator(monkeypatch, kind, m):
+    # the base, rescaled, explicit and Sasaki rows read Ricci from the metric
+    # jets: dGamma is built for the Webster symbols and f, the operator for
+    # R_W and the Levi-Civita curvature of g_theta and f, and the gauge
+    # sample of flat adds one structure
+    from crgeo import constructions, metric, pseudohermitian
+    from crgeo.verify import Pipeline
+
+    calls = Counter()
+
+    def spy(name, real):
+        def counted(*args):
+            calls[name] += 1
+            return real(*args)
+
+        return counted
+
+    monkeypatch.setattr(metric, "_dchristoffel_arrays", spy("dgamma", metric._dchristoffel_arrays))
+    for mod in (metric, pseudohermitian, constructions):
+        monkeypatch.setattr(
+            mod, "curvature_from_connection", spy("operator", mod.curvature_from_connection)
+        )
+    pipe = Pipeline(kind, m, points=2, seed=7)
+    for record in ("structure", "webster", "comparison", "submersion", "fefferman", "rescale",
+                   "theorem2"):
+        getattr(pipe, f"{record}_record")
+    gauge = int(pipe.applies("gauge_scal_invariance"))
+    assert calls == {"dgamma": 2 + gauge, "operator": 3 + gauge}
 
 
 def test_explicit_requires_einstein_base():

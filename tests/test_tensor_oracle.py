@@ -22,7 +22,14 @@ from crgeo.constructions import (
     fefferman_ricci_residual,
     horizontal_lift,
 )
-from crgeo.metric import curvature_from_arrays, inverse_metric, levi_civita_arrays, point_max
+from crgeo.metric import (
+    curvature_from_arrays,
+    curvature_row,
+    inverse_metric,
+    levi_civita_arrays,
+    levi_civita_ricci,
+    point_max,
+)
 from crgeo.pseudohermitian import WebsterSample
 from crgeo.verify import Pipeline
 
@@ -84,6 +91,27 @@ def test_christoffel_partials_and_ricci_match_the_lowered_route(pipe):
         assert_close(curv.scalar, np.einsum("njk,njk->n", ginv, ricci), name)
         # the (4,0) tensor, lowered where it is read
         assert np.array_equal(curv.riemann, r4), name
+
+
+def test_closed_form_ricci_matches_the_operator_trace(pipe):
+    for name, jets in metric_jets(pipe):
+        gamma, dgamma, ginv = levi_civita_arrays(*jets)
+        curv = curvature_from_arrays(jets[0], gamma, dgamma, ginv)
+        ricci, scalar = levi_civita_ricci(jets, gamma, ginv)
+        assert_close(ricci, curv.ricci, name)
+        assert_close(scalar, curv.scalar, name)
+
+
+def test_curvature_row_matches_the_lowered_operator(pipe):
+    # the Sasaki product row is 0.0 at every point on either route, so its
+    # record cannot tell a wrong row formula; every row of f and g_theta can
+    for name, jets in metric_jets(pipe):
+        if name not in ("f", "g_theta"):
+            continue
+        gamma, dgamma, ginv = levi_civita_arrays(*jets)
+        r4 = curvature_from_arrays(jets[0], gamma, dgamma, ginv).riemann
+        for i in range(r4.shape[1]):
+            assert_close(curvature_row(jets, gamma, i), r4[:, i], f"{name} row {i}")
 
 
 def frame_vectors(fields):
