@@ -27,7 +27,7 @@ print("\nRiemannian submersion relations over the round base:")
 ke = make_kahler_einstein("fubini_study", 1)
 ac = anticanonical_structure(ke)
 # the base rows are read at the sample's base coordinates (x1, y1)
-sub = submersion_residuals(ac, WebsterSample(ac.ph, ac.chart.sample(16, seed=42)))
+sub = submersion_residuals(ac, WebsterSample(ac.ph, ac.chart.sample(16, seed=42), extra=ac.sample_fields))
 print("  Ric_h = (scal_h/2m) h:", sub["kahler_einstein_base"].max())
 print("  Ric(T,T) = m/2:       ", sub["submersion_reeb_tt"].max())
 print("  Ric(T, X*) = 0:       ", sub["submersion_reeb_mixed"].max())

@@ -29,7 +29,10 @@ its operand evaluated on that chart's own coordinate jets, at the chart's
 own width, and :func:`jets.embed` lays that jet out on the reading chart.
 The operand jets come from a :class:`PullbackJets` batch: a pipeline passes
 one per nested sample to every call, so each pulled-back operand is
-evaluated once per sample and jet order, whichever chart reads it.
+evaluated once per sample, whichever chart reads it.  Each field of a call
+is read at its own order; each (node, context) is evaluated once per block,
+at the highest order read, and a lower-order reader takes its
+:func:`jets.truncate`.
 
 Scalar expression trees fold when they are built.  A field from
 :meth:`Chart.constant` knows its value; an operation on two constants is a
@@ -172,37 +175,48 @@ def jet_data(field: "TensorField", pts, order: int, held=None) -> list[np.ndarra
 # Points per block of a plan run.  Intermediate jets grow with the batch, so a
 # bound on it bounds the peak memory, and each block reruns the op list.  With
 # each jet freed after its last reader, the m=2 128-point complex_hyperbolic run
-# peaks at 74 MB in one block and at 64 MB in two 64-point blocks, about 16%
-# slower (146 MB in the 64-point blocks of a walk that kept every jet).
+# peaks at about 61 MB in one block, at its theorem-2 record.
 BLOCK_POINTS = 128
 
 
-def jet_data_multi(fields, pts, order: int, held=None) -> list[list[np.ndarray]]:
+def jet_data_multi(fields, pts, order: int, held=None, reads=None) -> list[list[np.ndarray]]:
     """Like :func:`jet_data` for several fields on one shared jet batch.
 
     The fields share one op plan, so common sub-expressions (Reeb solves,
     lifted structures, pulled-back components) evaluate once per block of at
-    most ``BLOCK_POINTS`` points.  ``held`` is the :class:`PullbackJets` of
-    the sample that ``pts`` extends: each pulled-back operand is read from
-    it, and evaluated into it if it is not there.  Without it, the call holds
-    the operands it reads for itself.
+    most ``BLOCK_POINTS`` points.  ``reads`` gives each field's read order,
+    ``order`` (the highest) by default.  ``held`` is the
+    :class:`PullbackJets` of the sample that ``pts`` extends: each
+    pulled-back operand is read from it, and evaluated into it if it is not
+    there to the order read.  Without it, the call holds the operands it
+    reads for itself.
     """
     if not fields:
         raise ValueError("no fields")
+    reads = [order] * len(fields) if reads is None else [int(r) for r in reads]
+    if len(reads) != len(fields) or min(reads) < 0 or max(reads) != order:
+        raise ValueError(f"need one read order per field, each in 0..{order} and one of them {order}")
     chart = fields[0].chart
     pts = chart.points(pts)
     for field in fields:
         if field.chart is not chart:
             raise ValueError("fields live on different charts")
-    plan = _Plan(chart, fields)
+    plan = _Plan(chart, fields, orders=reads)
     if held is not None:
         held.check(plan.leads, pts)
     elif plan.leads:
         held = PullbackJets(chart, pts)  # the call's own
     if len(pts) <= BLOCK_POINTS:
-        return plan.run(pts, order, held, 0)
-    blocks = [plan.run(pts[i:i + BLOCK_POINTS], order, held, i) for i in range(0, len(pts), BLOCK_POINTS)]
+        return plan.run(pts, held, 0)
+    blocks = [plan.run(pts[i:i + BLOCK_POINTS], held, i) for i in range(0, len(pts), BLOCK_POINTS)]
     return [[np.concatenate(arrays) for arrays in zip(*per_field)] for per_field in zip(*blocks)]
+
+
+def jet_data_named(fields: dict, pts, held=None) -> dict:
+    """:func:`jet_data_multi` of ``{name: (field, read order)}``, by the same names, on one batch."""
+    reads = [order for _, order in fields.values()]
+    data = jet_data_multi([field for field, _ in fields.values()], pts, max(reads), held, reads)
+    return dict(zip(fields, data))
 
 
 class PullbackJets:
@@ -211,20 +225,21 @@ class PullbackJets:
     ``pts`` is a sample of ``chart``.  A pull-back from a leading chart of
     ``chart`` (one whose coordinates come first, ``chart`` itself included)
     reads its operand evaluated on that chart's own coordinate jets at the
-    leading columns of ``pts``, per jet order and block of points; the jet
-    is held as :func:`jets.hold` keeps it, and :func:`jets.embed` lays it
-    out on the reading chart.  So the :func:`jet_data_multi` calls given
-    this batch evaluate each pulled-back operand once per order, in the
-    first call that reads it; a call whose points do not start with the
-    leading columns of ``pts`` is a ValueError.  Only the operands are held:
-    a node under one is evaluated again for another operand that a later
-    call reads, and jets of different orders are not shared.
+    leading columns of ``pts``, per block of points, held as
+    :func:`jets.hold` keeps it at the highest order evaluated so far; a
+    lower-order read takes its :func:`jets.truncate`, and :func:`jets.embed`
+    lays it out on the reading chart.  So the calls given this batch
+    evaluate each pulled-back operand once unless a later one reads it to a
+    higher order; a call whose points do not start with the leading
+    columns of ``pts`` is a ValueError.  Only the operands are held: a node
+    under one is evaluated again for another operand that a later call
+    reads.
     """
 
     def __init__(self, chart: Chart, pts):
         self.chart = chart
         self.pts = chart.points(pts)
-        self.jets = {}  # (chart, order, block start) -> {(operand, context): jets.Held}
+        self.jets = {}  # (chart, block start) -> {(operand, context): jets.Held}
 
     def check(self, charts, pts: np.ndarray) -> None:
         """ValueError unless each chart leads ``self.chart`` and ``pts`` starts with its points."""
@@ -236,14 +251,14 @@ class PullbackJets:
                     f"the held jets of {chart} are not at the leading columns of these points"
                 )
 
-    def read(self, chart: Chart, keys, pts: np.ndarray, order: int, start: int) -> list[jets.Held]:
-        """The jets of the (operand, context) ``keys`` of ``chart`` at the block ``pts`` from ``start``."""
-        table = self.jets.setdefault((chart, order, start), {})
-        missing = [key for key in keys if key not in table]
+    def read(self, chart: Chart, keys: dict, pts: np.ndarray, start: int) -> list[jets.Held]:
+        """The jets of the ``{(operand, context): order}`` keys of ``chart`` at the block ``pts`` from ``start``."""
+        table = self.jets.setdefault((chart, start), {})
+        missing = {key: order for key, order in keys.items() if key not in table or table[key].order < order}
         if missing:
-            plan = _Plan(chart, keys=missing)
-            table.update(zip(missing, map(jets.hold, plan.run(pts[:, :chart.dim], order, self, start))))
-        return [table[key] for key in keys]
+            plan = _Plan(chart, keys=list(missing), orders=list(missing.values()))
+            table.update(zip(missing, plan.run(pts[:, :chart.dim], self, start)))
+        return [jets.truncate(table[key], table[key].order, order) for key, order in keys.items()]
 
 
 def _constant(like, value):
@@ -307,59 +322,86 @@ _ROOT = _Context.of(())
 class _Plan:
     """The ops evaluating a field list, in dependency order.
 
-    A value is keyed by (field, :class:`_Context`).  A partial along i reads
-    its operand in its context lifted on i and takes the coefficient of that
-    level's generator, the top one unless a level on a larger coordinate is
-    above it; levels being sorted, partials taken in any order read one
-    value.  A pull-back reads its operand in the same levels, all of them on
-    the operand chart's coordinates, as an input of the run: the jet of the
-    operand on its own chart, from the :class:`PullbackJets` the run is
-    given, which :func:`jets.embed` lays out at this chart's width.  Inputs
-    are grouped by operand chart in ``leads``.  A plan built for ``keys``
-    evaluates those (field, context) pairs of its chart for such a batch
-    and gives their jets.  A field is evaluated only under the levels whose
-    coordinate is in its ``deps``: in any other context its jet is that of
-    the reduced context with exact-zero rows for the levels it cannot read
-    (:func:`jets.widen`), so every context that reduces to the same one
-    shares one value.  Tensor stacks and opaque fields read every
-    coordinate.  Slots 0..d-1 hold the root coordinate jets.  Op ``(fn, out,
+    A value is keyed by (field, :class:`_Context`) and evaluated once, at
+    the highest order a request needing it is read at: requests are planned
+    from the highest order down, and a later reader at a lower order takes a
+    :func:`jets.truncate`, run right after the op making the jet.  A partial
+    along i reads its operand in its context lifted on i and takes the
+    coefficient of that level's generator, the top one unless a level on a
+    larger coordinate is above it; levels being sorted, partials taken in
+    any order read one value.  A pull-back reads its operand in the same
+    levels, all of them on the operand chart's coordinates, as an input of
+    the run: the jet of the operand on its own chart, from the
+    :class:`PullbackJets` the run is given, which :func:`jets.embed` lays
+    out at this chart's width.  Inputs are grouped by operand chart in
+    ``leads``, with their orders.  A plan built for ``keys`` evaluates those
+    (field, context) pairs of its chart for such a batch and gives their
+    held jets (:func:`jets.hold`), each at the order it was evaluated at.  A
+    field is evaluated only under the levels whose coordinate is in its
+    ``deps``: in any other context its jet is that of the reduced context
+    with exact-zero rows for the levels it cannot read (:func:`jets.widen`),
+    so every context that reduces to the same one shares one value.  Tensor
+    stacks and opaque fields read every coordinate.  The coordinate jets
+    seeded to each order used are inputs too (``seeds``).  Op ``(fn, out,
     ins, constants, dead)`` sets slot ``out`` to ``fn(*ins values,
     *constants)``, or with ``fn`` None reads output ``out`` (a field's
-    arrays, or a key's jet) from slot ``ins[0]``; it then frees the slots in
-    ``dead``, whose last reader it is.
+    arrays to its read order, or a key's held jet) from slot ``ins[0]``; it
+    then frees the slots in ``dead``, whose last reader it is.
     A tensor stack is built only for an op that reads it; a field read of one
     that no op before it has stacked reads :func:`jets.components` instead.
     """
 
-    def __init__(self, chart: Chart, fields=(), keys=()):
+    def __init__(self, chart: Chart, fields=(), keys=(), orders=()):
         self.dim = chart.dim
         self.shapes = [field.shape for field in fields] + [None] * len(keys)
-        self.size, self.ops = chart.dim, []
-        self.slots = {}
-        self.coord_slots = {(j, 0): j for j in range(chart.dim)}
-        self.leads = {}  # operand chart -> {(operand, context): its input slot}
-        for index, field in enumerate(fields):
-            if field.op is _stack and (field, _ROOT) not in self.slots:
+        self.orders = list(orders)  # per field, then per key
+        self.size, self.ops = 0, []
+        self.slots = {}  # (field, context) -> (slot, order)
+        self.truncated = {}  # (slot, order) -> the slot of its truncation
+        self.seeds = {}  # order -> the first of the d slots of the coordinates seeded to it
+        self.coord_slots = {}
+        self.leads = {}  # operand chart -> {(operand, context): (input slot, order)}
+        for index in sorted(range(len(self.shapes)), key=lambda i: -self.orders[i]):
+            order = self.orders[index]
+            if index >= len(fields):  # held at the order evaluated, for later readers
+                slot = self.slot(*keys[index - len(fields)], order, exact=False)
+            elif fields[index].op is _stack and (fields[index], _ROOT) not in self.slots:
                 # no op has stacked the tensor: the read takes its components
-                comps = tuple([self.slot(f, _ROOT) for f in field.operands])
+                field = fields[index]
+                comps = tuple([self.slot(f, _ROOT, order) for f in field.operands])
                 slot = self.emit(_components, comps, field.constants)
             else:
-                slot = self.slot(field, _ROOT)
+                # at its own order, which partials reads down to the field's
+                slot = self.slot(fields[index], _ROOT, order, exact=False)
             self.ops.append((None, index, (slot,), ()))
-        for index, key in enumerate(keys, len(fields)):
-            self.ops.append((None, index, (self.slot(*key),), ()))
+        # each truncation right after the op making its operand (first, for a
+        # seeded coordinate): a jet read at a lower order then outlives only its
+        # readers at its own order
+        ops, cuts = [], {}
+        for op in self.ops:
+            if op[0] is jets.truncate:
+                cuts.setdefault(op[2][0], []).append(op)
+            else:
+                ops.append(op)
+        made = {op[1] for op in ops if op[0] is not None}  # an output read's op[1] is no slot
+        self.ops = [cut for s, group in cuts.items() if s not in made for cut in group]
+        for op in ops:
+            self.ops += [op] + (cuts.get(op[1], []) if op[0] is not None else [])
         last = {s: at for at, op in enumerate(self.ops) for s in op[2]}
         dead = [[] for _ in self.ops]
         for s, at in last.items():
             dead[at].append(s)
         self.ops = [op + (tuple(slots),) for op, slots in zip(self.ops, dead)]
 
-    def run(self, pts: np.ndarray, order: int, held: PullbackJets | None, start: int) -> list:
-        """Per field, its arrays as :func:`jet_data` gives them; per key, its jet."""
+    def run(self, pts: np.ndarray, held: PullbackJets | None, start: int) -> list:
+        """Per field, its arrays as :func:`jet_data` gives them; per key, its jet as :func:`jets.hold` keeps it."""
         n, d = pts.shape
-        vals = jets.seed(pts, order) + [None] * (self.size - d)
+        vals = [None] * self.size
+        for order, first in self.seeds.items():
+            vals[first:first + d] = jets.seed(pts, order)
         for chart, inputs in self.leads.items():
-            for slot, jet in zip(inputs.values(), held.read(chart, list(inputs), pts, order, start)):
+            got = held.read(chart, {key: order for key, (_, order) in inputs.items()}, pts, start)
+            for (slot, _), jet in zip(inputs.values(), got):
                 vals[slot] = jet
         read = vals.__getitem__
         out = [None] * len(self.shapes)
@@ -367,9 +409,9 @@ class _Plan:
             if fn is not None:
                 vals[at] = fn(*map(read, ins), *constants)
             elif self.shapes[at] is None:
-                out[at] = vals[ins[0]]
+                out[at] = jets.hold(vals[ins[0]])  # compact at once, so the full jet can go
             else:
-                out[at] = jets.partials(vals[ins[0]], n, d, order, self.shapes[at])
+                out[at] = jets.partials(vals[ins[0]], n, d, self.orders[at], self.shapes[at])
             for s in dead:
                 vals[s] = None
         return out
@@ -379,45 +421,59 @@ class _Plan:
         self.size += 1
         return self.size - 1
 
-    def coord(self, j: int, depth: int) -> int:
-        """Coordinate j under ``depth`` levels, every one on j."""
-        slot = self.coord_slots.get((j, depth))
+    def coord(self, j: int, depth: int, order: int) -> int:
+        """Coordinate j seeded to ``order``, under ``depth`` levels, every one on j."""
+        slot = self.coord_slots.get((j, depth, order))
         if slot is None:
-            slot = self.coord_slots[j, depth] = self.emit(Jet.lift, (self.coord(j, depth - 1),), (1.0,))
+            if depth:
+                slot = self.emit(Jet.lift, (self.coord(j, depth - 1, order),), (1.0,))
+            else:
+                if order not in self.seeds:
+                    self.seeds[order] = self.size
+                    self.size += self.dim
+                slot = self.seeds[order] + j
+            self.coord_slots[j, depth, order] = slot
         return slot
 
-    def slot(self, field: "TensorField", ctx: _Context) -> int:
+    def slot(self, field: "TensorField", ctx: _Context, order: int, exact: bool = True) -> int:
+        """The slot of ``field`` in ``ctx`` at ``order``; with ``exact`` False, at its own order."""
         key = (field, ctx)
-        slot = self.slots.get(key)
-        if slot is not None:
-            return slot
+        if key in self.slots:
+            slot, evaluated = self.slots[key]
+            if evaluated == order or not exact:
+                return slot
+            # planned from the highest order down: a value evaluated before is at a higher order
+            cut = self.truncated.get((slot, order))
+            if cut is None:
+                cut = self.truncated[slot, order] = self.emit(jets.truncate, (slot,), (evaluated, order))
+            return cut
         if ctx is not _ROOT and not ctx.lifted <= field.deps:
             inner, kept = ctx.reduce(field.deps)
-            slot = self.emit(jets.widen, (self.slot(field, inner),), (kept, len(ctx.levels)))
+            slot = self.emit(jets.widen, (self.slot(field, inner, order),), (kept, len(ctx.levels)))
         else:
             op = field.op
             if op.__class__ is not str:
-                ins = tuple([self.slot(f, ctx) for f in field.operands])
+                ins = tuple([self.slot(f, ctx, order) for f in field.operands])
                 slot = self.emit(op, ins, field.constants)
             elif op == PARTIAL:
                 lifted, above = ctx.lift(field.constants[0])
-                slot = self.emit(jets.coefficient, (self.slot(field.operands[0], lifted),), (above,))
+                slot = self.emit(jets.coefficient, (self.slot(field.operands[0], lifted, order),), (above,))
             elif op == LEAD:
                 # the operand's jet on its own chart, an input of the run
                 operand = field.operands[0]
-                self.leads.setdefault(operand.chart, {})[operand, ctx] = self.size
+                self.leads.setdefault(operand.chart, {})[operand, ctx] = (self.size, order)
                 self.size += 1
                 slot = self.emit(jets.embed, (self.size - 1,), (self.dim,))
             elif op == COORD:
                 # reduced, every level of the context is on this coordinate
-                slot = self.coord(field.constants[0], len(ctx.levels))
+                slot = self.coord(field.constants[0], len(ctx.levels), order)
             elif op == CONST:
                 # reduced to the root context: shaped like root coordinate 0
-                slot = self.emit(_constant, (0,), field.constants)
+                slot = self.emit(_constant, (self.coord(0, 0, order),), field.constants)
             else:  # OPAQUE
-                ins = tuple([self.slot(field.chart.coord(j), ctx) for j in range(field.chart.dim)])
+                ins = tuple([self.slot(field.chart.coord(j), ctx, order) for j in range(field.chart.dim)])
                 slot = self.emit(_opaque, ins, field.constants)
-        self.slots[key] = slot
+        self.slots[key] = (slot, order)
         return slot
 
 

@@ -5,7 +5,7 @@
     verify list [--machine]
 
 Exit codes: 0 all checks pass, 1 a check failed or could not be
-evaluated, 2 usage error.
+evaluated, 2 usage error (a run too large to allocate included).
 """
 
 from __future__ import annotations
@@ -116,6 +116,9 @@ def main(argv=None) -> int:
             code = _cmd_list(args)
     except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 2
+    except MemoryError as exc:
+        print(f"error: the run does not fit in memory: {exc}", file=sys.stderr)
         return 2
     return code
 

@@ -33,6 +33,7 @@ from .chart import (
     log as field_log,
     ordered_sum,
     pullback_oneform,
+    pullback_scalar,
     pullback_symmetric,
     extend_vector,
     symmetric_product,
@@ -90,33 +91,42 @@ class KahlerEinsteinChart:
     def j_field(self) -> Endomorphism:
         return Endomorphism(self.chart, self.complex_structure)
 
-    def levi_civita(self, pts, held=None):
-        """(h, Gamma, Ric, scal) of the metric h at ``pts``, from one order-2 batch.
+    def sample_fields(self, chart: Chart) -> dict:
+        """The base fields that :meth:`levi_civita` and :meth:`kahler_residuals` read, by
+        name, pulled back onto ``chart`` (one that this chart leads, or this chart)
+        with their base shapes, each with the order it is read at: h at 2, gamma and
+        the Ricci potential at 1."""
+        pull = np.frompyfunc(lambda f: pullback_scalar(chart, f), 1, 1)
+        return {
+            name: (_ComponentStack(chart, pull(field.components)), order)
+            for name, field, order in (
+                ("h", self.metric, 2), ("gamma", self.gamma, 1), ("ricci_potential", self.ricci_potential, 1)
+            )
+        }
+
+    def levi_civita(self, h_jets):
+        """(h, Gamma, Ric, scal) of the metric h, from its order-2 jet data (:func:`base_jets`).
 
         Ricci and the scalar come from :func:`levi_civita_ricci`, with no
-        curvature operator.  h is read as its pull-back onto its own chart,
-        so that ``held``, the :class:`PullbackJets` of the sample, holds its
-        components for the pull-backs of h that read them at order 2.
+        curvature operator.
         """
-        jets = jet_data(pullback_symmetric(self.chart, self.metric), pts, 2, held)
-        gamma, hinv = _christoffel_arrays(*jets[:2])
-        return (jets[0], gamma, *levi_civita_ricci(jets, gamma, hinv))
+        gamma, hinv = _christoffel_arrays(*h_jets[:2])
+        return (h_jets[0], gamma, *levi_civita_ricci(h_jets, gamma, hinv))
 
-    def kahler_residuals(self, pts, levi_civita, held=None) -> dict[str, np.ndarray]:
+    def kahler_residuals(self, levi_civita, data) -> dict[str, np.ndarray]:
         """Per point: dgamma = h(., J.), Ric = (scal/2m) h, nabla J = 0, da = Ric(., J.).
 
-        ``levi_civita`` is :meth:`levi_civita` at ``pts``; nabla J reads its
-        Christoffel symbols.  gamma and the Ricci potential are read as
-        :meth:`levi_civita` reads h, from ``held``.
+        ``levi_civita`` is :meth:`levi_civita` at the sample of ``data``, the
+        :func:`base_jets` of :meth:`sample_fields` by name; nabla J reads its
+        Christoffel symbols, and J, constant, is read as its matrix.
         """
         hval, gamma, ricci, scalar = levi_civita
         jmat = self.complex_structure
         omega = np.einsum("nia,aj->nij", hval, jmat)
-        (_, dgam), (_, da), (jval, dj) = jet_data_multi(
-            [pullback_oneform(self.chart, self.gamma), pullback_oneform(self.chart, self.ricci_potential),
-             self.j_field], pts, 1, held
-        )
+        dgam, da = data["gamma"][1], data["ricci_potential"][1]
         dgam, da = dgam - dgam.transpose(0, 2, 1), da - da.transpose(0, 2, 1)
+        jval = np.repeat(jmat[None], len(hval), axis=0)  # the jet data of the constant field
+        dj = np.zeros(jval.shape[:2] + jval.shape[1:])
         nabla_j = covariant_from_arrays(jval, dj, gamma, self.j_field.variance)
         ric_form = np.einsum("nia,aj->nij", ricci, jmat)
         out = {
@@ -128,6 +138,18 @@ class KahlerEinsteinChart:
             out["kahler_einstein_base"] = point_max(ricci - (self.scal_h / (2 * self.m)) * hval)
             out["kahler_scal_constant"] = np.abs(scalar - self.scal_h)
         return out
+
+
+def base_jets(data, n: int):
+    """Jet data ``[v, d1, ..]`` of pulled-back fields, by name, along the first n coordinates.
+
+    Each derivative axis keeps its first n entries, in a C-contiguous copy:
+    the arrays the same fields give on their n-coordinate chart.
+    """
+    return {
+        name: [np.ascontiguousarray(a[(slice(None),) + (slice(n),) * k]) for k, a in enumerate(arrays)]
+        for name, arrays in data.items()
+    }
 
 
 def _complex_structure_matrix(m: int) -> np.ndarray:
@@ -263,6 +285,14 @@ class AnticanonicalChart:
     def m(self) -> int:
         return self.base.m
 
+    @cached_property
+    def sample_fields(self) -> dict:
+        """The fields :func:`submersion_residuals` reads at a contact sample besides the
+        structure's, by name, each with its read order: the base's
+        (:meth:`KahlerEinsteinChart.sample_fields`, pulled back onto this chart)
+        and d(real rho_ac) at order 0."""
+        return {**self.base.sample_fields(self.chart), "d_rho": (exterior_derivative(self.connection), 0)}
+
 
 def anticanonical_structure(ke: KahlerEinsteinChart) -> AnticanonicalChart:
     """Induced contact structure on base x S^1 in the scalar-curvature gauge.
@@ -296,29 +326,30 @@ def submersion_residuals(ac: AnticanonicalChart, ws: WebsterSample) -> dict[str,
     The base's own rows (:meth:`KahlerEinsteinChart.kahler_residuals`), the
     connection curvature d(real rho_ac) = Ric_h(., J.), dtheta = h(J., .) on
     H, and the Ricci relations of the Riemannian submersion.  All are read
-    at the points of ``ws``: h and its Ricci come from one order-2 batch at
-    their base coordinates.
+    from the batch of ``ws``, a sample of ``ac.ph`` given ``ac.sample_fields`` as
+    its ``extra`` fields: h, gamma and the Ricci potential at their base
+    coordinates.
     """
     pts = ws.pts
     m = ac.m
     d = ac.chart.dim
     jmat = ac.base.complex_structure
-    base_pts = pts[:, : 2 * m]
-    levi_civita = ac.base.levi_civita(base_pts, ws.held)
+    base = base_jets({name: ws.extra_jets(name) for name in ("h", "gamma", "ricci_potential")}, 2 * m)
+    levi_civita = ac.base.levi_civita(base["h"])
     hval, ric_h = levi_civita[0], levi_civita[2]
 
-    da = jet_data(exterior_derivative(ac.connection), pts, 0, ws.held)[0]
+    da = ws.extra_jets("d_rho")[0]
     ric_form = np.zeros_like(da)
     ric_form[:, : 2 * m, : 2 * m] = np.einsum("nia,aj->nij", ric_h, jmat)
 
     hj = np.zeros((pts.shape[0], d, d))
     hj[:, : 2 * m, : 2 * m] = np.einsum("ai,naj->nij", jmat, hval)
-    (tval, _), (dtheta, _), (jval, _), (reeb, _), _ = ws.contact_jets
+    tval, dtheta, jval, reeb = (ws.jets(name)[0] for name in ("theta", "dtheta", "J", "reeb"))
     proj = ws.projector
     dt_h = np.einsum("nia,nij,njb->nab", proj, dtheta, proj)
     hj_h = np.einsum("nia,nij,njb->nab", proj, hj, proj)
 
-    gval = ws.connection_jets[0][0]
+    gval = ws.jets("metric")[0]
     curv = ws.lc_curvature
 
     # Ric(T,T) = (m/2) g(T,T)
@@ -340,7 +371,7 @@ def submersion_residuals(ac: AnticanonicalChart, ws: WebsterSample) -> dict[str,
     jlifts = np.einsum("nij,naj->nai", jval, lifts)
     w_up = np.einsum("nai,nbj,nij->nab", lifts, jlifts, ws.ricci[0])
     return {
-        **ac.base.kahler_residuals(base_pts, levi_civita, ws.held),
+        **ac.base.kahler_residuals(levi_civita, base),
         "connection_curvature": point_max(da - ric_form),
         "dtheta_pullback": point_max(dt_h - hj_h),
         "submersion_reeb_tt": np.abs(ric_tt - 0.5 * m * g_tt),
@@ -609,7 +640,7 @@ def _frame_families(m, sw, curv, gamma_f, frame, frame_grads, ws):
     rup, ric = curv.operator, curv.ricci
     # the Webster members first, while the frame contractions below hold nothing
     gamma_w, rup_w = ws.webster_symbols[0], ws.curvature[0]
-    _, (dtheta_m, _), (jval_m, _), _, _ = ws.contact_jets
+    dtheta_m, jval_m = ws.jets("dtheta")[0], ws.jets("J")[0]
     pval, tsval = frame[:, 0], frame[:, 1]
     k = frame.shape[1] - 2
     e_m = frame[:, 2:, :-1]
@@ -973,19 +1004,20 @@ def perturbed_structure(ac: AnticanonicalChart) -> PHStructure:
     return make_structure(chart, theta_p, ac.base.complex_structure, ac.m, ac.ph.levi_signature)
 
 
-def gauge_shift_scal_residual(ac: AnticanonicalChart, ws: WebsterSample) -> np.ndarray:
-    """scal_W from theta + df (basic f = 0.05 x1 y1) must agree with that of theta, read from ``ws``."""
+def gauge_shifted_structure(ac: AnticanonicalChart) -> PHStructure:
+    """The structure of theta + df, for the basic f = 0.05 x1 y1, with the Reeb field of theta."""
     chart = ac.chart
     f = chart.coord(0) * chart.coord(1) * 0.05
-    df = differential(f)
-    theta_hat = ac.ph.theta + df
-    ph_hat = make_structure(
+    return make_structure(
         chart,
-        theta_hat,
+        ac.ph.theta + differential(f),
         ac.base.complex_structure,
         ac.m,
         ac.ph.levi_signature,
         reeb_hint=ac.ph.reeb,
     )
-    scal_hat = WebsterSample(ph_hat, ws.pts, ws.held).ricci[1]
-    return np.abs(scal_hat - ws.ricci[1])
+
+
+def gauge_shift_scal_residual(ws: WebsterSample, shifted: WebsterSample) -> np.ndarray:
+    """scal_W of :func:`gauge_shifted_structure` (its sample ``shifted``) against that of theta (``ws``)."""
+    return np.abs(shifted.ricci[1] - ws.ricci[1])

@@ -9,6 +9,7 @@ truncation error.  Batches live in the trailing axes of ``comp``.
 
 This module alone knows the coefficient layout: :func:`seed` builds
 coordinate jets, :func:`partials` reads value and derivative arrays back,
+:func:`truncate` keeps the rows of a jet that a lower order has,
 :func:`stack` assembles the jet of a tensor from its components,
 :func:`components` holds them for a read without that jet,
 :func:`widen` gives a jet exact-zero rows for generators it does not read,
@@ -33,7 +34,8 @@ import numpy as np
 
 __all__ = [
     "Jet", "exp", "log", "sin", "cos", "sqrt", "powf",
-    "seed", "partials", "components", "stack", "widen", "coefficient", "Held", "hold", "embed", "jet_solve",
+    "seed", "partials", "truncate", "components", "stack", "widen", "coefficient", "Held", "hold", "embed",
+    "jet_solve",
 ]
 
 # smallest |det| of the order-zero matrix that jet_solve inverts
@@ -376,18 +378,54 @@ def seed(pts: np.ndarray, order: int) -> list[Jet]:
 def partials(x, n: int, d: int, order: int, shape: tuple) -> list[np.ndarray]:
     """``[v, d1, .., d_order]`` of a jet computed from :func:`seed` coordinates.
 
-    ``x`` is the jet of an array of value shape ``shape``, or what
-    :func:`components` gives for it.  ``v`` has shape ``(N, *shape)`` and
+    ``x`` is the jet of an array of value shape ``shape``, seeded to
+    ``order`` or more, or what :func:`components` gives for it; only the
+    arrays up to ``order`` are built.  ``v`` has shape ``(N, *shape)`` and
     ``d_r`` shape ``(N, d*r, *shape)``, where ``d_r[n, a, .., b]`` is the
     mixed partial along coordinates ``a..b``.
     """
+    first = x if isinstance(x, Jet) else x[0]
+    seeded = first.comp.shape[0].bit_length() - 1
     # the first r generators, seeded along batch axes 1..r
-    sels = [((1 << r) - 1,) + (slice(None),) * (1 + r) + (0,) * (order - r) for r in range(order + 1)]
+    sels = [((1 << r) - 1,) + (slice(None),) * (1 + r) + (0,) * (seeded - r) for r in range(order + 1)]
     if not isinstance(x, Jet):
         # each component's rows read, only along the axes they span
         return [_stacked([p.comp[sel] for p in x], shape) for sel in sels]
-    comp = np.broadcast_to(x.comp, (1 << order, n) + (d,) * order + tuple(shape))
+    comp = np.broadcast_to(x.comp, (1 << seeded, n) + (d,) * seeded + tuple(shape))
     return [np.array(comp[sel]) for sel in sels]
+
+
+def truncate(x, order: int, to: int):
+    """The jet ``x`` of ``order`` root generators cut to its first ``to``: a C-contiguous copy.
+
+    ``x`` is a :class:`Jet` (any lifts, any value shape) or a :class:`Held`.
+    It keeps the rows without the dropped generators, at the first entry of
+    the root axes they lose.  Each kept row is the sum of the same terms in
+    the same order as in the jet the same ops give at order ``to``, so where
+    the staged product runs at both orders (or k <= 2) it is that jet, bit
+    for bit.
+    """
+    if to == order:
+        return x
+    drop = (0,) * (order - to)
+    if isinstance(x, Held):
+        # each row is (lifts, N, root axes..)
+        rows = [np.ascontiguousarray(row[(slice(None),) * (2 + to) + drop]) for row in x.rows[:1 << to]]
+        for row in rows:
+            row.flags.writeable = False
+        bad = None
+        if x.bad is not None:
+            bad = np.logical_or.reduce(
+                [~np.isfinite(row).reshape(row.shape[0], row.shape[1], -1).all(axis=(0, 2)) for row in rows]
+            )
+            bad = bad if bad.any() else None
+        return Held(rows, min(x.roots, to), x.width if to else 0, bad)
+    comp = x.comp
+    lifts, batch = comp.shape[0] >> order, comp.shape[1:]
+    # the lift bits are above the root bits; keep the rows whose top order - to root bits are clear
+    rows = comp.reshape((lifts, 1 << (order - to), 1 << to) + batch)[:, 0]
+    rows = np.ascontiguousarray(rows[(slice(None),) * (3 + to) + drop])
+    return Jet(rows.reshape((lifts << to,) + rows.shape[2:]), min(x.roots, to))
 
 
 def components(parts, shape: tuple):
@@ -447,6 +485,11 @@ class Held:
 
     def __init__(self, rows, roots: int, width: int, bad):
         self.rows, self.roots, self.width, self.bad = rows, roots, width, bad
+
+    @property
+    def order(self) -> int:
+        """The number of root generators: the order it was seeded to."""
+        return len(self.rows).bit_length() - 1
 
 
 def hold(x: Jet) -> Held:
@@ -557,18 +600,24 @@ def _jet_matmul(a: Jet, b: Jet) -> Jet:
     return _convolve(a, b, np.matmul)
 
 
-def jet_solve(a: Jet, b: Jet) -> Jet:
+def jet_solve(a: Jet, b: Jet, singular: str = "raise") -> Jet:
     """Solve ``a @ x = b`` where a is (..., n, n) and b is (..., n).
 
     The order-zero part is inverted numerically; the nilpotent remainder
     is handled by a terminating Neumann series, so the result is exact.
+    Where |det| of the order-zero matrix is not above ``MIN_DET`` (or is
+    NaN) it raises DegeneracyError; with ``singular="nan"`` the solution is
+    NaN there instead, and every other point keeps its bits.
     """
     from .errors import DegeneracyError
 
     a0 = a.comp[0]
-    det = float(np.abs(np.linalg.det(a0)).min())
-    if not det > MIN_DET:  # negated, so that a NaN determinant is rejected too
-        raise DegeneracyError(f"singular linear system: min |det| = {det:.3e}")
+    dets = np.abs(np.linalg.det(a0))
+    bad = ~(dets > MIN_DET)  # negated, so that a NaN determinant is caught too
+    if bad.any():
+        if singular != "nan":
+            raise DegeneracyError(f"singular linear system: min |det| = {float(dets.min()):.3e}")
+        a0 = np.where(bad[..., None, None], np.eye(a0.shape[-1]), a0)
     inv0 = np.linalg.inv(a0)
     bj = Jet(b.comp[..., None])
     inv0j = Jet(np.concatenate([inv0[None], np.zeros((a.comp.shape[0] - 1,) + inv0.shape)]))
@@ -580,4 +629,7 @@ def jet_solve(a: Jet, b: Jet) -> Jet:
     for _ in range(a.order):
         term = Jet(-_jet_matmul(m, term).comp)
         x = Jet(x.comp + term.comp)
-    return Jet(x.comp[..., 0], min(a.roots, b.roots))
+    out = x.comp[..., 0]
+    if bad.any():
+        out[:, bad] = np.nan
+    return Jet(out, min(a.roots, b.roots))

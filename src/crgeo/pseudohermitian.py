@@ -15,6 +15,7 @@ W = -(scal_W / m) dtheta and scal_W = -sum_a eps_a W(e_a, J e_a).
 
 from __future__ import annotations
 
+import copy
 import functools
 import operator
 from functools import cached_property
@@ -33,8 +34,7 @@ from .chart import (
     VectorField,
     contract,
     exterior_derivative,
-    jet_data,
-    jet_data_multi,
+    jet_data_named,
     ordered_sum,
     symmetric_product,
 )
@@ -63,16 +63,19 @@ class ReebField(VectorField):
 
     The system matrix B_jk = theta_j theta_k - (dtheta)_jk is invertible
     exactly when theta is contact; T = B^{-1} theta is solved in jet
-    arithmetic so T stays exactly differentiable.
+    arithmetic so T stays exactly differentiable.  Where theta is not
+    contact the solve raises DegeneracyError, or, with ``singular="nan"``,
+    gives NaN at those points alone (:func:`jets.jet_solve`).
     """
 
-    def __init__(self, theta: OneForm, dtheta):
+    def __init__(self, theta: OneForm, dtheta, singular: str = "raise"):
         TensorField.__init__(self, theta.chart)
         self.theta = theta
         self.dtheta = dtheta
         th = theta.components
         bmat = np.multiply.outer(th, th) - dtheta.components
         self.op, self.operands = _solve, (GenericTensorField(self.chart, bmat, (-1, -1)), theta)
+        self.constants = (singular,)
         # each component indexes the one jointly solved jet
         self.shape = th.shape
         self.components = np.empty(self.shape, dtype=object)
@@ -84,9 +87,9 @@ class ReebField(VectorField):
         return VectorField(self.chart, components)
 
 
-def _solve(bmat, theta):
+def _solve(bmat, theta, singular):
     try:
-        return jets.jet_solve(bmat, theta)
+        return jets.jet_solve(bmat, theta, singular)
     except DegeneracyError as err:
         raise DegeneracyError(f"contact condition violated: {err}") from err
 
@@ -133,8 +136,8 @@ class PHStructure:
         """D^k_ij = (dtheta_ij T^k - theta_i J^k_j - theta_j J^k_i) / 2.
 
         nabla_W = nabla_{g_theta} + D holds for a transversally symmetric
-        structure only; :attr:`WebsterSample.connection_jets` checks that at
-        its own points before it reads D.
+        structure only; :attr:`WebsterSample.comparison` checks that at its
+        own points before it reads D.
         """
         dth, th = self.dtheta.components, self.theta.components
         t, j = self.reeb.components, self.J.components
@@ -149,6 +152,25 @@ class PHStructure:
         """Projections X_i = e_i - theta(e_i) T of the coordinate fields onto H."""
         theta_t = np.multiply.outer(self.theta.components, self.reeb.components)
         return [VectorField(self.chart, row) for row in np.eye(self.chart.dim) - theta_t]
+
+    def sample_fields(self, connection: bool = True) -> dict:
+        """The fields a :class:`WebsterSample` reads, by name, each with the order it is read at.
+
+        theta, dtheta, J, T, g_theta and the horizontal fields X_i and J X_i
+        (names ``("x", i)`` and ``("jx", i)``) at order 1.  With
+        ``connection``, g_theta at order 2, D at order 1, and the Reeb field
+        solved from theta at order 0, NaN where theta is not contact.
+        """
+        fields = {"theta": (self.theta, 1), "dtheta": (self.dtheta, 1), "J": (self.J, 1),
+                  "reeb": (self.reeb, 1), "metric": (self.metric, 2 if connection else 1)}
+        for i, x in enumerate(self.horizontal_fields()):
+            fields["x", i] = (x, 1)
+            fields["jx", i] = (self.J.apply(x), 1)
+        if connection:
+            fields["D"] = (self.comparison_tensor, 1)
+            # NaN where theta is not contact, so that the other fields still evaluate there
+            fields["solved_reeb"] = (ReebField(self.theta, self.dtheta, singular="nan"), 0)
+        return fields
 
 
 def _bracket(x, y) -> np.ndarray:
@@ -199,7 +221,11 @@ def _read_only(value):
     if isinstance(value, np.ndarray):
         value.setflags(write=False)
     else:
-        for item in value if isinstance(value, (tuple, list)) else vars(value).values():
+        if isinstance(value, dict):
+            items = value.values()
+        else:
+            items = value if isinstance(value, (tuple, list)) else vars(value).values()
+        for item in items:
             _read_only(item)
     return value
 
@@ -214,82 +240,95 @@ class WebsterSample:
 
     Its caller holds it while residuals read it, so each member is evaluated
     once per batch and every residual reading it shares the same arrays.
-    The contact and bracket members need no transversal symmetry; the
-    members built on D (:attr:`connection_jets` and all after it) do, and
-    the first of them to be read checks it at these points.  Its batches
-    read pulled-back operands from ``held``, the :class:`PullbackJets` of
-    the sample these points belong to; by default it holds its own.
+    Every field, to its order in :meth:`PHStructure.sample_fields`, comes
+    from one :func:`jet_data_multi` call (:attr:`batch`), which also reads
+    the ``extra`` fields (``{name: (field, order)}``, :meth:`extra_jets`)
+    and those of each structure in ``siblings``, whose samples at these
+    points are ``self.siblings``.  The contact and bracket fields need no
+    transversal symmetry; the members built on D (:attr:`comparison` and
+    those reading it) do, and the first of them read checks it at these
+    points.  Pulled-back operands come from ``held``, the
+    :class:`PullbackJets` of the sample these points belong to; by default
+    it holds its own.
     """
 
-    def __init__(self, ph: PHStructure, pts, held: PullbackJets | None = None):
+    def __init__(self, ph: PHStructure, pts, held: PullbackJets | None = None, extra=None, siblings=(),
+                 connection: bool = True):
         self.ph = ph
         self.pts = ph.chart.points(pts)
         self.held = PullbackJets(ph.chart, self.pts) if held is None else held
+        self.requests = {
+            (s, name): read for s in (ph, *siblings) for name, read in s.sample_fields(connection).items()
+        }
+        self.requests.update(((None, name), read) for name, read in (extra or {}).items())
+        self.data = {}  # filled by the first read of a batch, here or in a sibling
+        self.siblings = {}
+        for other in siblings:
+            sibling = self.siblings[other] = copy.copy(self)  # the same requests and data
+            sibling.ph, sibling.siblings = other, {}
 
     @_member
-    def contact_jets(self):
-        """Order-1 jet data ``[value, first partials]`` of theta, dtheta, J, T and g_theta."""
-        ph = self.ph
-        return jet_data_multi([ph.theta, ph.dtheta, ph.J, ph.reeb, ph.metric], self.pts, 1, self.held)
+    def batch(self):
+        """Jet data of every field, by (structure, or None for ``extra``, name)."""
+        if not self.data:
+            self.data.update(jet_data_named(self.requests, self.pts, self.held))
+        return self.data
+
+    def jets(self, name):
+        """The jet data of the structure's field ``name``."""
+        return self.batch[self.ph, name]
+
+    def extra_jets(self, name):
+        """The jet data of the ``extra`` field ``name``."""
+        return self.batch[None, name]
 
     @_member
-    def bracket_jets(self):
-        """Order-1 jet data of the horizontal fields X_i, then of their images J X_i."""
-        fields = self.ph.horizontal_fields()
-        return jet_data_multi(fields + [self.ph.J.apply(x) for x in fields], self.pts, 1, self.held)
+    def comparison(self):
+        """Jet data ``[D, dD]``, past the transversal-symmetry gate at these points.
 
-    @_member
-    def connection_jets(self):
-        """Jet data ``([g, dg, d2g], [D, dD])`` of g_theta and D, from one order-2 batch.
-
-        D is read past the transversal-symmetry gate, checked at these points
-        from the contact and bracket batches: PreconditionError if it fails.
+        PreconditionError if the gate fails.
         """
         res = transversal_symmetry_residual(self).max()
         if not res <= TSPH_TOL:  # negated, so that a NaN residual fails too
             raise PreconditionError(
                 f"structure is not transversally symmetric: residual {res:.3e} > {TSPH_TOL:g}"
             )
-        ph = self.ph
-        g_jets, (dval, dgrad, _) = jet_data_multi(
-            [ph.metric, ph.comparison_tensor], self.pts, 2, self.held
-        )
-        return g_jets, [dval, dgrad]  # D's second partials are read by nothing
+        return self.jets("D")
 
     @_member
     def projector(self):
         """P[n, i, j] = delta_ij - T^i theta_j, projection onto H along T."""
-        (tval, _), _, _, (reeb, _), _ = self.contact_jets
+        tval, reeb = self.jets("theta")[0], self.jets("reeb")[0]
         return np.eye(reeb.shape[1])[None] - np.einsum("ni,nj->nij", reeb, tval)
 
     @_member
     def levi_civita(self):
         """(Gamma, dGamma, g^-1) of g_theta."""
-        return levi_civita_arrays(*self.connection_jets[0])
+        return levi_civita_arrays(*self.jets("metric"))
 
     @_member
     def webster_symbols(self):
         """(Gamma_W, dGamma_W): the Levi-Civita symbols plus D, with their first partials."""
         gamma, dgamma, _ = self.levi_civita
-        dval, dgrad = self.connection_jets[1]
+        dval, dgrad = self.comparison
         return gamma + dval, dgamma + dgrad
 
     @_member
     def levi_form(self):
         """L = dtheta J from the held values, summed as :attr:`PHStructure.levi_form` sums it."""
-        _, (dtheta, _), (jval, _), _, _ = self.contact_jets
+        dtheta, jval = self.jets("dtheta")[0], self.jets("J")[0]
         d = dtheta.shape[1]
         return ordered_sum(dtheta[:, :, a, None] * jval[:, None, a, :] for a in range(d))
 
     @_member
     def levi_frame(self):
         """The :func:`levi_adapted_frame` (frame, eps) at these points, from held values."""
-        return _levi_frame(self.levi_form, self.projector, self.contact_jets[2][0], self.ph.m)
+        return _levi_frame(self.levi_form, self.projector, self.jets("J")[0], self.ph.m)
 
     @_member
     def curvature(self):
         """(R_W operator, R_W (4,0) tensor) of nabla_W, as :func:`curvature_from_connection`."""
-        return curvature_from_connection(*self.webster_symbols, self.connection_jets[0][0])
+        return curvature_from_connection(*self.webster_symbols, self.jets("metric")[0])
 
     @_member
     def ricci(self):
@@ -308,7 +347,7 @@ class WebsterSample:
     @_member
     def lc_curvature(self) -> CurvatureTensor:
         """Levi-Civita curvature of g_theta."""
-        return curvature_from_arrays(self.connection_jets[0][0], *self.levi_civita)
+        return curvature_from_arrays(self.jets("metric")[0], *self.levi_civita)
 
 
 # ----------------------------------------------------------------------
@@ -317,12 +356,12 @@ class WebsterSample:
 
 def structure_residuals(ws: WebsterSample) -> dict[str, np.ndarray]:
     """Contact determinant, J^2, Levi symmetry, CR integrability, the Reeb
-    equations and transversal symmetry of ``ws.ph``, from the sample's batches.
+    equations and transversal symmetry of ``ws.ph``, from the sample's batch.
 
-    Only the solved Reeb field, compared with ``ph.reeb``, is evaluated apart.
+    The solved Reeb field, compared with ``ph.reeb``, is read from it too.
     """
-    ph = ws.ph
-    (tval, _), (dtval, _), (jval, _), reeb_jets, g_jets = ws.contact_jets
+    tval, dtval, jval = (ws.jets(name)[0] for name in ("theta", "dtheta", "J"))
+    reeb_jets = ws.jets("reeb")
     reeb = reeb_jets[0]
     j2 = np.einsum("nij,njk->nik", jval, jval)
     levi = np.einsum("nia,naj->nij", dtval, jval)
@@ -334,24 +373,30 @@ def structure_residuals(ws: WebsterSample) -> dict[str, np.ndarray]:
         "reeb_defining": point_max(
             np.einsum("ni,ni->n", tval, reeb) - 1.0, np.einsum("ni,nij->nj", reeb, dtval)
         ),
-        "reeb_linear_solve": point_max(jet_data(ReebField(ph.theta, ph.dtheta), ws.pts, 0, ws.held)[0] - reeb),
+        "reeb_linear_solve": point_max(ws.jets("solved_reeb")[0] - reeb),
         "tsph_bracket": transversal_symmetry_residual(ws),
-        "tsph_killing": killing_residual(*g_jets, *reeb_jets),
+        "tsph_killing": killing_residual(*ws.jets("metric")[:2], *reeb_jets),
     }
 
 
 def contact_determinant(ws: WebsterSample) -> np.ndarray:
     """|det(theta_j theta_k - dtheta_jk)| per point: nonzero exactly where theta is contact."""
-    (tval, _), (dtval, _) = ws.contact_jets[:2]
+    tval, dtval = ws.jets("theta")[0], ws.jets("dtheta")[0]
     # the Reeb system matrix B_jk = theta_j theta_k - dtheta_jk of ReebField
     return np.abs(np.linalg.det(np.einsum("ni,nj->nij", tval, tval) - dtval))
+
+
+def _horizontal_jets(ws: WebsterSample):
+    """The order-1 jet data of the X_i, then of the J X_i."""
+    d = ws.ph.chart.dim
+    return [ws.jets(("x", i)) for i in range(d)], [ws.jets(("jx", i)) for i in range(d)]
 
 
 def integrability_residual(ws: WebsterSample) -> np.ndarray:
     """Nijenhuis residual J([JX,Y]+[X,JY]) - [JX,JY] + [X,Y] over H pairs."""
     d = ws.ph.chart.dim
-    x, jx = ws.bracket_jets[:d], ws.bracket_jets[d:]
-    (tval, _), _, (jval, _), _, _ = ws.contact_jets
+    x, jx = _horizontal_jets(ws)
+    tval, jval = ws.jets("theta")[0], ws.jets("J")[0]
     terms = []
     for i in range(d):
         for j in range(i + 1, d):
@@ -367,11 +412,9 @@ def integrability_residual(ws: WebsterSample) -> np.ndarray:
 
 def transversal_symmetry_residual(ws: WebsterSample) -> np.ndarray:
     """Per-point max over an H-frame of |[T,X] + J[T,JX]| / |X|_g."""
-    d = ws.ph.chart.dim
-    xs = ws.bracket_jets
-    _, _, (jval, _), t, (gval, _) = ws.contact_jets
+    jval, t, gval = ws.jets("J")[0], ws.jets("reeb"), ws.jets("metric")[0]
     terms = []
-    for x, jx in zip(xs[:d], xs[d:]):
+    for x, jx in zip(*_horizontal_jets(ws)):
         expr = _bracket(t, x) + np.einsum("nab,nb->na", jval, _bracket(t, jx))
         norm = np.sqrt(np.abs(np.einsum("nij,ni,nj->n", gval, x[0], x[0])))
         terms.append(np.abs(expr).max(axis=1) / np.maximum(norm, 1e-12))
@@ -384,14 +427,15 @@ def axiom_residuals(ws: WebsterSample) -> dict[str, np.ndarray]:
     Tor(T, X) = 0 is the transversal-symmetry residual.
     """
     gamma_w = ws.webster_symbols[0]
-    (gval, dg, _), _ = ws.connection_jets
+    gval, dg, _ = ws.jets("metric")
     metricity = (
         dg
         - np.einsum("nmai,nmj->naij", gamma_w, gval)
         - np.einsum("nmaj,nim->naij", gamma_w, gval)
     )
 
-    (tval, dtv), (dtheta, _), (jval, dj), (reeb, _), _ = ws.contact_jets
+    (tval, dtv), (jval, dj) = ws.jets("theta"), ws.jets("J")
+    dtheta, reeb = ws.jets("dtheta")[0], ws.jets("reeb")[0]
     parallel_theta = dtv - np.einsum("nmai,nm->nai", gamma_w, tval)
     nabla_j = (
         dj
@@ -428,7 +472,7 @@ def levi_adapted_frame(ph: PHStructure, pts):
     g_theta(e_a, e_a).  The candidates are the projections of the
     coordinate vectors onto H; pivots are on the largest |L(v, v)|.
     """
-    return WebsterSample(ph, pts).levi_frame
+    return WebsterSample(ph, pts, connection=False).levi_frame
 
 
 def _levi_frame(lval, proj, jval, m: int):
@@ -441,7 +485,7 @@ def curvature_symmetry_residual(ws: WebsterSample) -> np.ndarray:
     """R_W antisymmetries, J-symmetry and W antisymmetry, relative to max |R_W|."""
     r = ws.curvature[1]
     w = ws.ricci[0]
-    jval = ws.contact_jets[2][0]
+    jval = ws.jets("J")[0]
     scale = max(1.0, np.abs(r).max())
     j_sym = np.einsum("nijal,nak->nijkl", r, jval) + np.einsum(
         "nijka,nal->nijkl", r, jval
@@ -461,7 +505,7 @@ def ph_einstein_residual(ws: WebsterSample) -> dict:
     mean; ``scal_mean`` is the sample statistic.
     """
     w, scal = ws.ricci
-    res = w + (scal.mean() / ws.ph.m) * ws.contact_jets[1][0]
+    res = w + (scal.mean() / ws.ph.m) * ws.jets("dtheta")[0]
     return {
         "webster_einstein": point_max(res),
         "webster_scal_constant": np.abs(scal - scal.mean()),
@@ -478,12 +522,13 @@ def comparison_identities_residual(ws: WebsterSample) -> dict[str, np.ndarray]:
     (g) R(X, T)T = X/4 on H.
     """
     m = ws.ph.m
-    g = ws.connection_jets[0][0]
+    g = ws.jets("metric")[0]
     gamma = ws.levi_civita[0]
     rup_w, r4_w = ws.curvature
     curv_g = ws.lc_curvature
     rup_g = curv_g.operator
-    (tval, _), (dtheta, ddtheta), (jval, _), (reeb, _), _ = ws.contact_jets
+    dtheta, ddtheta = ws.jets("dtheta")
+    tval, jval, reeb = (ws.jets(name)[0] for name in ("theta", "J", "reeb"))
     eye = np.eye(ws.ph.chart.dim)
 
     # (a) R_W(X,Y)Z = R_g(X,Y)Z - (1/2)(nabla_Z dtheta)(X,Y) T

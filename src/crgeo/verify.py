@@ -21,7 +21,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .chart import PullbackJets, jet_data_multi
+from .chart import PullbackJets, jet_data_multi, jet_data_named
 from .constructions import (
     anticanonical_structure,
     correction_structure_residual,
@@ -33,6 +33,7 @@ from .constructions import (
     fefferman_ricci_residual,
     fefferman_structure_residuals,
     gauge_shift_scal_residual,
+    gauge_shifted_structure,
     make_kahler_einstein,
     make_product_base,
     perturbed_structure,
@@ -243,19 +244,21 @@ class Pipeline:
 
     Each ``*_record`` maps check names to residuals per sample point (or to
     one sample statistic), plus the constants that checks report.  Every
-    record reads its fields from jet batches held once per sample: the
-    structure's fields and Webster connection at the contact sample
-    (``webster_sample``), f, e^{2 phi} f and phi at order 2 and the
-    Fefferman frame, forms and base metric at order 1 at the Fefferman
-    sample (``f_jets``, ``f_fields``), and the explicit metrics at their
-    sample (``t2_jets``).
+    record reads its fields from jet batches held once per sample, each
+    from one ``jet_data_multi`` call that evaluates every node once, at the
+    highest order read: the structure's fields, the Webster connection and
+    the base fields at the contact sample (``webster_sample``), f, e^{2 phi}
+    f and phi at order 2 with the Fefferman frame, forms and base metric at
+    order 1 at the Fefferman sample (``f_sample``), and the explicit metrics
+    at their sample (``t2_jets``).
     The samples are nested (``Chart.sample``): ``m_pts`` is ``f_pts`` without
     s, so ``webster_sample`` also serves the Fefferman identities and the
     Einstein precondition of ``fc``.  A rescale or theorem2 run alone thus
     evaluates it too, at all ``points``.  Every one of these calls reads its
     pull-backs from one batch, ``held``, at ``m_pts``: ``f_pts`` shares its
     contact columns and ``t2_pts`` its base columns, so each pulled-back
-    operand is evaluated once per jet order.
+    operand is evaluated once per sample and held at the highest order
+    evaluated, which later calls read by truncation.
     """
 
     def __init__(self, example: str, m: int, points: int, seed: int):
@@ -313,15 +316,12 @@ class Pipeline:
         return PullbackJets(self.ac.chart, self.m_pts)
 
     @cached_property
-    def f_jets(self):
-        """Order-2 jet data of f, of its rescaling e^{2 phi} f and of phi at ``f_pts``."""
-        return jet_data_multi([self.fc.metric, self.rm.metric, self.rm.phi], self.f_pts, 2, self.held)
-
-    @cached_property
-    def f_fields(self):
-        """Order-1 jet data of ``fc.sample_fields`` at ``f_pts``, by the same names."""
-        fields = self.fc.sample_fields
-        return dict(zip(fields, jet_data_multi(list(fields.values()), self.f_pts, 1, self.held)))
+    def f_sample(self):
+        """Jet data at ``f_pts``, by name, from one call: ``fc.sample_fields`` at order 1,
+        and f, its rescaling e^{2 phi} f and phi (``f``, ``rescaled``, ``phi``) at order 2."""
+        fields = {name: (field, 1) for name, field in self.fc.sample_fields.items()}
+        fields.update(f=(self.fc.metric, 2), rescaled=(self.rm.metric, 2), phi=(self.rm.phi, 2))
+        return jet_data_named(fields, self.f_pts, self.held)
 
     @cached_property
     def t2_jets(self):
@@ -329,9 +329,18 @@ class Pipeline:
         return jet_data_multi(self.t2.checked_metrics, self.t2_pts, 2, self.held)
 
     @cached_property
+    def gauge_ph(self):
+        """The structure of theta + df that ``gauge_scal_invariance`` compares (:func:`gauge_shifted_structure`)."""
+        return gauge_shifted_structure(self.ac)
+
+    @cached_property
     def webster_sample(self):
-        """The structure's fields, Webster connection, curvature and Levi frame at ``m_pts``."""
-        return WebsterSample(self.ac.ph, self.m_pts, self.held)
+        """The structure's fields, Webster connection, curvature and Levi frame at ``m_pts``,
+        with the base fields the submersion record reads, and the sample of ``gauge_ph``
+        where its check applies, all from one call."""
+        siblings = (self.gauge_ph,) if self.applies("gauge_scal_invariance") else ()
+        extra = None if self.entry.negative else self.ac.sample_fields  # a control has no submersion record
+        return WebsterSample(self.ac.ph, self.m_pts, self.held, extra, siblings)
 
     # -- cached residual records --------------------------------------------
     @cached_property
@@ -348,7 +357,7 @@ class Pipeline:
         target = 0.5 * self.ke.scal_h
         rec["webster_scal_vs_base"] = abs(rec["scal_mean"] - target) / max(1.0, abs(target))
         if self.applies("gauge_scal_invariance"):
-            rec["gauge_scal_invariance"] = gauge_shift_scal_residual(self.ac, ws)
+            rec["gauge_scal_invariance"] = gauge_shift_scal_residual(ws, ws.siblings[self.gauge_ph])
         return rec
 
     @cached_property
@@ -361,29 +370,28 @@ class Pipeline:
 
     @cached_property
     def fefferman_record(self) -> dict:
-        f, fields = self.f_jets[0], self.f_fields
-        rec = fefferman_structure_residuals(self.fc, f[0], fields)
-        rec.update(fefferman_ricci_residual(self.fc, self.f_pts, self.webster_sample, f, fields))
-        rec["fefferman_expression"] = fefferman_expression_residual(self.fc, f[0], fields)
+        data = self.f_sample
+        f = data["f"]
+        rec = fefferman_structure_residuals(self.fc, f[0], data)
+        rec.update(fefferman_ricci_residual(self.fc, self.f_pts, self.webster_sample, f, data))
+        rec["fefferman_expression"] = fefferman_expression_residual(self.fc, f[0], data)
         return rec
 
     @cached_property
     def rescale_record(self) -> dict:
-        f_jets, rm_jets, phi_jets = self.f_jets
-        rec = rescale_residuals(self.rm, rm_jets, phi_jets)
+        data = self.f_sample
+        rec = rescale_residuals(self.rm, data["rescaled"], data["phi"])
         rec["slice_identity"] = slice_identity_residual(self.rm, self.f_pts, self.held)
         rec["einstein_constant"] = self.rm.einstein_constant
         if self.applies("correction_structure"):
-            rec["correction_structure"] = correction_structure_residual(
-                self.rm, f_jets, phi_jets, self.f_fields
-            )
+            rec["correction_structure"] = correction_structure_residual(self.rm, data["f"], data["phi"], data)
         return rec
 
     @cached_property
     def theorem2_record(self) -> dict:
         rec = explicit_einstein_residuals(self.t2, self.t2_pts, self.t2_jets, self.held)
         rec["pipeline_agreement"] = pipeline_agreement_residual(
-            self.rm, self.t2, self.f_pts, self.f_jets[1][0], self.held
+            self.rm, self.t2, self.f_pts, self.f_sample["rescaled"][0], self.held
         )
         try:
             self.t2.metric.verify_signature_values(self.t2_jets[0][0])
@@ -402,8 +410,8 @@ class Pipeline:
             rec["non_einstein_detected"] = ein["webster_einstein"].max()
             rec["control_still_tsph"] = transversal_symmetry_residual(self.webster_sample)
         if self.applies("non_tsph_detected"):
-            # the contact members of a sample need no transversal symmetry
-            wsp = WebsterSample(perturbed_structure(self.ac), self.m_pts, self.held)
+            # the contact and bracket fields alone, which need no transversal symmetry
+            wsp = WebsterSample(perturbed_structure(self.ac), self.m_pts, self.held, connection=False)
             rec["non_tsph_detected"] = transversal_symmetry_residual(wsp).max()
             rec["control_still_contact"] = contact_determinant(wsp)
         return rec
@@ -498,7 +506,11 @@ class SuiteConfig:
 
 
 def run_suite(cfg: SuiteConfig) -> dict:
-    """Execute the checks of one catalog entry; returns the report document."""
+    """Execute the checks of one catalog entry; returns the report document.
+
+    An exception inside a record fails each of its rows, with the error
+    named; a MemoryError ends the run instead.
+    """
     pipe = Pipeline(cfg.example, cfg.m, cfg.points, cfg.seed)
     checks_out = []
     overall = True
@@ -513,6 +525,8 @@ def run_suite(cfg: SuiteConfig) -> dict:
             residual = float(per_point.min() if check.kind == "lower" else per_point.max())
             value = float(rec[check.value]) if check.value else None
             error = None
+        except MemoryError:
+            raise  # a run too large for this machine fails as a whole, not check by check
         except Exception as exc:
             residual, value, error = float("nan"), None, f"{type(exc).__name__}: {exc}"
         if error is not None:

@@ -71,9 +71,9 @@ def jet_calls(monkeypatch):
     real = chart.jet_data_multi
     calls = []
 
-    def spy(fields, pts, order, held=None):
+    def spy(fields, pts, order, held=None, reads=None):
         calls.append((list(fields), np.array(pts), order))
-        return real(fields, pts, order, held)
+        return real(fields, pts, order, held, reads)
 
     for name, mod in list(sys.modules.items()):
         if name.startswith("crgeo") and getattr(mod, "jet_data_multi", None) is real:

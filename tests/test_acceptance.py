@@ -398,7 +398,7 @@ def test_dense_entry_matches_golden(m):
 
 @pytest.mark.parametrize(
     "min_width, example, m, points",
-    [(0, "all", 2, 2), (float("inf"), "complex_hyperbolic", 1, 128)],
+    [(0, "all", 1, 2), (0, "all", 2, 2), (float("inf"), "complex_hyperbolic", 1, 128)],
 )
 def test_both_product_paths_match_goldens(min_width, example, m, points, monkeypatch):
     # every product staged, or every product on the BLAS matmul: the same bytes

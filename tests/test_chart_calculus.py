@@ -446,6 +446,48 @@ def test_jet_data_multi_needs_a_field(chart):
         jet_data_multi([], chart.sample(2, 12), 1)
 
 
+def test_read_orders_are_checked(chart):
+    x, y = chart.coordinate_fields()
+    pts = chart.sample(2, 12)
+    for reads in ([1, 1], [2], [3, 1], [-1, 2]):  # none at the batch's order, too few, too high
+        with pytest.raises(ValueError, match="read order"):
+            jet_data_multi([x, y], pts, 2, reads=reads)
+
+
+@pytest.mark.parametrize("min_width", [0, 512])
+def test_each_field_is_read_to_its_own_order(chart, monkeypatch, min_width):
+    # every node once, at the highest order a field needing it is read at: the
+    # one-form reads g's order-2 jet to order 1, so it gives the leading arrays
+    # of a separate order-2 call; with every product staged, each field also
+    # gives those of the separate call at its own order
+    monkeypatch.setattr(jets, "STAGED_MIN_WIDTH", min_width)
+    x, y = chart.coordinate_fields()
+    g = exp(x * y) * sin(y)
+    fields = [g, g.partial(0), OneForm(chart, [g, y]), x * y]
+    pts = chart.sample(5, 3)
+    got = jet_data_multi(fields, pts, 2, reads=[2, 0, 1, 0])
+    assert [len(arrays) for arrays in got] == [3, 1, 2, 1]
+    for field, arrays in zip(fields, got):
+        assert all(np.array_equal(a, b) for a, b in zip(arrays, jet_data(field, pts, 2)))
+        if min_width == 0:
+            assert all(np.array_equal(a, b) for a, b in zip(arrays, jet_data(field, pts, len(arrays) - 1)))
+
+
+def test_a_batch_truncates_instead_of_evaluating_again(chart, monkeypatch):
+    # the order-1 and order-0 reads of g take truncations of its order-2 jet,
+    # and of the seeded coordinates, rather than a second evaluation of g
+    calls = []
+    real = jets.exp
+    monkeypatch.setattr(jets, "exp", lambda a: calls.append(a.comp.shape) or real(a))
+    x, y = chart.coordinate_fields()
+    g = exp(x * y) + x
+    pts = chart.sample(3, 4)
+    value, first, second = jet_data_multi([g, g * y, g * x], pts, 2, reads=[0, 1, 2])
+    assert calls == [(4, 3, 2, 2)]  # one exp, at order 2
+    assert np.array_equal(first[1], jet_data(g * y, pts, 2)[1])
+    assert np.array_equal(value[0], jet_data(g, pts, 2)[0])
+
+
 def test_sample_rejects_a_margin_outside_the_box():
     line = Chart(["x"], [(0.0, 1.0)])
     for margin in (1.5, 0.5, -0.5, float("nan")):
@@ -776,7 +818,7 @@ def test_a_non_finite_pulled_back_field_fails_its_row():
         ph = make_structure(ac.chart, OneForm(ac.chart, comps), ac.base.complex_structure, 1,
                             ac.ph.levi_signature, reeb_hint=ac.ph.reeb)
         with pytest.raises(PreconditionError, match="residual nan"):
-            WebsterSample(ph, pipe.m_pts).connection_jets
+            WebsterSample(ph, pipe.m_pts).comparison
 
 
 def test_a_pull_back_without_a_root_count_repeats_its_first_entry(monkeypatch):

@@ -194,6 +194,21 @@ def test_jet_solve_rejects_singular():
         jet_solve(a, b)
 
 
+def test_jet_solve_can_give_nan_at_singular_points_alone():
+    # with singular="nan" a singular or NaN matrix gives NaN at its point only;
+    # every other point keeps the bits of the solve without it
+    rng = np.random.default_rng(4)
+    a0 = rng.standard_normal((4, 2, 2)) + 3.0 * np.eye(2)
+    a0[1], a0[3, 0, 1] = 0.0, np.nan
+    a = Jet(np.stack([a0, rng.standard_normal((4, 2, 2))]))
+    b = Jet(rng.standard_normal((2, 4, 2)))
+    with np.errstate(invalid="ignore"):
+        x = jet_solve(a, b, singular="nan")
+    assert np.isnan(x.comp[:, [1, 3]]).all()
+    good = Jet(a.comp[:, [0, 2]]), Jet(b.comp[:, [0, 2]])
+    assert x.comp[:, [0, 2]].tobytes() == jet_solve(*good).comp.tobytes()
+
+
 def test_jet_solve_rejects_nan():
     # a NaN determinant fails the guard instead of passing NaN rows on
     a0 = np.eye(2)
@@ -431,3 +446,53 @@ def test_a_component_read_equals_the_stacked_read(order, shape):
         read = jets.partials(held, n, d, order, shape)
         assert [a.shape for a in read] == [(n,) + (d,) * r + shape for r in range(order + 1)]
         assert [a.tobytes() for a in read] == [a.tobytes() for a in stacked]
+
+
+def _ops(coords):
+    # a product, a series and a lift under a lift, on the coordinate jets of one order
+    x, y = coords[0], coords[1]
+    f = jets.exp(x * y) * jets.log(x + 2.0)
+    return [f, f.lift(0.5) * x.lift(0.0), jets.stack([f, x * y], (2,))]
+
+
+@pytest.mark.parametrize("to", [0, 1])
+def test_a_truncated_jet_is_the_jet_of_the_lower_order(to, monkeypatch):
+    # with every product staged, the ops at order 2 cut to ``to`` give the same
+    # ops at order ``to``, bit for bit, lifted and tensor-valued jets included
+    monkeypatch.setattr(jets, "STAGED_MIN_WIDTH", 0)
+    pts = np.random.default_rng(to).uniform(0.2, 0.8, (3, 2))
+    for high, low in zip(_ops(jets.seed(pts, 2)), _ops(jets.seed(pts, to))):
+        cut = jets.truncate(high, 2, to)
+        assert cut.comp.shape == low.comp.shape and cut.comp.flags.c_contiguous
+        assert cut.comp.tobytes() == low.comp.tobytes() and cut.roots == low.roots
+    x = jets.seed(pts, 2)[0]
+    assert jets.truncate(x, 2, 2) is x
+    # partials read a higher-order jet down to the order asked for
+    f = _ops(jets.seed(pts, 2))[0]
+    read = jets.partials(f, 3, 2, to, ())
+    assert [a.tobytes() for a in read] == [a.tobytes() for a in jets.partials(jets.truncate(f, 2, to), 3, 2, to, ())]
+
+
+@pytest.mark.parametrize("to", [0, 1])
+def test_a_truncated_held_jet_is_the_held_jet_of_the_lower_order(to, monkeypatch):
+    monkeypatch.setattr(jets, "STAGED_MIN_WIDTH", 0)
+    pts = np.random.default_rng(5).uniform(0.2, 0.8, (4, 2))
+    high, low = jets.hold(_ops(jets.seed(pts, 2))[1]), jets.hold(_ops(jets.seed(pts, to))[1])
+    assert high.order == 2 and low.order == to
+    cut = jets.truncate(high, high.order, to)
+    assert (cut.order, cut.roots, cut.width, cut.bad) == (low.order, low.roots, low.width, low.bad)
+    assert [r.tobytes() for r in cut.rows] == [r.tobytes() for r in low.rows]
+    assert not any(r.flags.writeable for r in cut.rows)
+    assert jets.embed(cut, 3).comp.tobytes() == jets.embed(low, 3).comp.tobytes()
+
+
+def test_a_truncated_held_jet_marks_only_its_own_bad_points():
+    # a coefficient that is infinite only at order 2 leaves the order-1 rows clean
+    x = jets.seed(np.array([[0.0, 0.5], [0.3, 0.5]]), 2)[0]
+    comp = np.array(x.comp)
+    comp[3, 0] = np.inf  # the second partials at the first point
+    held = jets.hold(Jet(comp, 2))
+    assert held.bad.tolist() == [True, False]
+    assert jets.truncate(held, 2, 1).bad is None
+    comp[1, 1] = np.nan  # a first partial at the second point
+    assert jets.truncate(jets.hold(Jet(comp, 2)), 2, 1).bad.tolist() == [False, True]

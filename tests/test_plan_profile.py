@@ -1,21 +1,56 @@
-"""Smoke test of tests/plan_profile.py: op times of one small pipeline, split by chart."""
+"""Smoke test of tests/plan_profile.py, and the plan ops of the Webster stage it counts."""
+
+import pytest
 
 from crgeo import chart
 from crgeo.verify import Pipeline
 from plan_profile import profile, report
 
+WEBSTER_STAGE = ("structure", "webster", "comparison", "submersion")
+
+
+def count(stats, group, at):
+    # ops of a group whose key field ``at`` (2: repeated, 3: at any order) is set
+    return sum(n for key, (_, n) in stats.items() if key[0] == group and key[at])
+
 
 def test_profile_splits_own_and_pulled_back_ops():
     stats, plans = profile("fubini_study", 1, 2, 7)
-    groups = {group for group, _, _ in stats}
+    groups = {group for group, *_ in stats}
     assert groups == {"own chart", "pulled back"}
     # the contact chart reads the base potential through pull-backs: embeds and logs
-    kinds = {kind for group, kind, _ in stats if group == "pulled back"}
+    kinds = {kind for group, kind, *_ in stats if group == "pulled back"}
     assert {"embed", "log"} <= kinds
     assert plans[2] and plans[3] and plans[4]  # base, contact and Fefferman plans ran
     text = report("fubini_study", 1, 2, 7, stats, plans)
     assert text.splitlines()[0].startswith("fubini_study m=1, 2 points, seed 7:")
     assert "| pulled back |" in text and "| embed |" in text
+    assert "| repeated at any order |" in text
     # the wrappers are gone again
     assert chart._Plan.run.__qualname__ == "_Plan.run"
     Pipeline("flat", 1, 2, 7).structure_record
+
+
+def test_any_order_repeats_include_the_cross_order_ones():
+    # a node under one pulled-back operand is evaluated again, at order 2, for
+    # another operand that a later call reads: a repeat at another order only
+    stats, _ = profile("fubini_study", 1, 2, 7)
+    for group in ("own chart", "pulled back"):
+        assert count(stats, group, 3) >= count(stats, group, 2)
+    assert count(stats, "pulled back", 3) > count(stats, "pulled back", 2)
+
+
+@pytest.mark.parametrize(
+    "example, m", [(e, m) for e in ("flat", "fubini_study", "complex_hyperbolic") for m in (1, 2)]
+)
+def test_the_webster_stage_evaluates_each_node_once(jet_calls, example, m):
+    # the structure, webster, comparison and submersion records read one batch
+    # per sample: no (node, context, point block) is evaluated twice, at any
+    # order, and the contact chart takes one jet_data_multi call (flat's
+    # gauge-shifted structure included)
+    stats, plans = profile(example, m, 3, 7, WEBSTER_STAGE)
+    assert count(stats, "own chart", 3) == count(stats, "pulled back", 3) == 0
+    assert sum(n for _, n in stats.values()) > 0
+    contact = [(fields, order) for fields, _, order in jet_calls if fields[0].chart.dim == 2 * m + 1]
+    assert len(contact) == 1 and contact[0][1] == 2
+    assert set(plans) == {2 * m, 2 * m + 1}  # the base operands' plan and the contact plan

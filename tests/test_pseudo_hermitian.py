@@ -218,7 +218,7 @@ def test_structure_residuals_need_no_transversal_symmetry(pipeline):
     assert all(np.isfinite(per_point).all() for per_point in res.values())
     assert res["tsph_bracket"].min() > 1e-3
     with pytest.raises(PreconditionError):
-        ws.connection_jets
+        ws.comparison
 
 
 def test_nan_structure_fails_the_transversal_symmetry_gate(pipeline):
@@ -236,7 +236,7 @@ def test_nan_structure_fails_the_transversal_symmetry_gate(pipeline):
     with np.errstate(invalid="ignore"):
         assert np.isnan(transversal_symmetry_residual(ws)).all()
         with pytest.raises(PreconditionError, match="residual nan"):
-            ws.connection_jets
+            ws.comparison
 
 
 # ----------------------------------------------------------------------
@@ -292,12 +292,11 @@ def test_connection_data_is_shared_across_records(jet_calls, monkeypatch):
     monkeypatch.setattr(pseudohermitian, "curvature_from_connection", counting_curvature)
     for record in ("webster", "comparison", "submersion"):
         getattr(pipe, f"{record}_record")
-    at_m = [c for c in jet_calls if np.array_equal(c[1], pts)]
-    # 8 when the Levi form and frame evaluated their own fields, 25 when each
-    # record did
-    assert len(at_m) <= 3
-    connection = [c[2] for c in at_m if c[0] == [ph.metric, ph.comparison_tensor]]
-    assert connection == [2]
+    # the structure record's one batch serves them: 25 calls at m_pts when each
+    # record evaluated its fields, 8 when the Levi form and frame did, 3 with a
+    # contact, a bracket and a connection batch, and base calls for submersion
+    assert jet_calls == []
+    assert ph.metric in [field for field, _ in pipe.webster_sample.requests.values()]
     # the Levi frame is built once, from the held values
     assert len(frames) == 1 and len(frames[0]) == len(pts)
     # R_W is built once; the Levi-Civita curvature goes through metric's binding
@@ -310,6 +309,8 @@ def test_connection_data_is_read_only_and_held(heisenberg, pts, jet_calls):
     def arrays(value):
         if isinstance(value, np.ndarray):
             return [value]
+        if isinstance(value, dict):
+            value = list(value.values())
         items = value if isinstance(value, (tuple, list)) else vars(value).values()
         return [a for item in items for a in arrays(item)]
 
@@ -318,18 +319,18 @@ def test_connection_data_is_read_only_and_held(heisenberg, pts, jet_calls):
     axiom_residuals(ws)
     comparison_identities_residual(ws)
     ph_einstein_residual(ws)
-    # one order-2 connection batch and one order-1 contact batch serve all
-    # three; the transversal-symmetry gate before D adds the order-1 bracket batch
-    assert sorted(order for _, _, order in jet_calls) == [1, 1, 2]
+    # one batch, to order 2, serves all three and the transversal-symmetry
+    # gate before D
+    assert [order for _, _, order in jet_calls] == [2]
     members = [n for n, v in vars(WebsterSample).items() if isinstance(v, cached_property)]
-    assert {"connection_jets", "contact_jets", "curvature", "lc_curvature"} <= set(members)
+    assert {"batch", "comparison", "curvature", "lc_curvature"} <= set(members)
     for name in members:
         assert getattr(ws, name) is getattr(ws, name)
         for arr in arrays(getattr(ws, name)):
             with pytest.raises(ValueError):
                 arr[...] = 0.0
     # the loop reads every member again, and evaluates nothing more
-    assert sorted(order for _, _, order in jet_calls) == [1, 1, 2]
+    assert [order for _, _, order in jet_calls] == [2]
 
 
 @pytest.mark.parametrize("n", [1, 2, 32])
@@ -339,16 +340,20 @@ def test_connection_data_is_read_only_and_held(heisenberg, pts, jet_calls):
      ("complex_hyperbolic", 1), ("complex_hyperbolic", 2), ("sphere_x_flat", 2)],
 )
 def test_sample_batches_equal_separate_evaluation(example, m, n):
-    # the sample's joint batches give the bits of the separate calls they replace
+    # the sample's one batch evaluates each node once, at the highest order read:
+    # theta, dtheta, J and T at order 2, under g_theta, so each read gives the
+    # bits of a separate order-2 call, to its own order
     from crgeo.chart import jet_data
     from crgeo.verify import Pipeline
 
     pipe = Pipeline(example, m, points=n, seed=7)
     ph, pts, ws = pipe.ac.ph, pipe.m_pts, pipe.webster_sample
-    for field, (val, grad) in zip([ph.theta, ph.dtheta, ph.J, ph.reeb, ph.metric], ws.contact_jets):
-        assert np.array_equal(val, field(pts))
-        assert np.array_equal(grad, jet_data(field, pts, 1)[1])
-    assert np.array_equal(ws.connection_jets[0][0], ph.metric(pts))
+    for name in ("theta", "dtheta", "J", "reeb", "metric"):
+        field, order = ph.sample_fields()[name]
+        read = ws.jets(name)
+        assert len(read) == order + 1
+        for held, separate in zip(read, jet_data(field, pts, 2)):
+            assert np.array_equal(held, separate)
     # the Levi form and frame built from the held values
     assert np.array_equal(ws.levi_form, ph.levi_form(pts))
     for held, separate in zip(ws.levi_frame, levi_adapted_frame(ph, pts)):
@@ -436,8 +441,21 @@ def test_contact_control_skips_the_nijenhuis_batch(monkeypatch):
     assert pipe.negative_record["control_still_contact"].min() > 1e-10
 
 
+def test_the_deformed_control_reads_no_connection_field(jet_calls):
+    # its two rows read the contact and bracket fields: one order-1 call, no D
+    from crgeo.verify import Pipeline
+
+    pipe = Pipeline("perturbed_non_tsph", 1, points=4, seed=7)
+    pipe.negative_record
+    ((fields, at, order),) = jet_calls
+    assert order == 1 and np.array_equal(at, pipe.m_pts)
+    assert sum(isinstance(f, ReebField) for f in fields) == 1  # its own T: no reference solve
+    assert all(f.shape != (3, 3, 3) for f in fields)  # and no comparison tensor
+
+
 def test_gauge_shift_preserves_scalar(pipeline):
     from crgeo.constructions import gauge_shift_scal_residual
 
     pipe = pipeline("flat", 1)
-    assert gauge_shift_scal_residual(pipe.ac, pipe.webster_sample).max() < 1e-6
+    ws = pipe.webster_sample
+    assert gauge_shift_scal_residual(ws, ws.siblings[pipe.gauge_ph]).max() < 1e-6

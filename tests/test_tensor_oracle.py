@@ -61,10 +61,10 @@ def reference_ricci(g, rup, ginv):
 def metric_jets(pipe):
     """(name, [g, dg, d2g]) of every metric the pipeline builds a curvature from."""
     yield "h", jet_data(pipe.ke.metric, pipe.m_pts[:, : 2 * pipe.m], 2)
-    yield "g_theta", pipe.webster_sample.connection_jets[0]
+    yield "g_theta", pipe.webster_sample.jets("metric")
     if pipe.entry.negative:
         return
-    yield "f", pipe.f_jets[0]
+    yield "f", pipe.f_sample["f"]
     for i, jets in enumerate(pipe.t2_jets):
         yield f"explicit[{i}]", jets
 
@@ -136,7 +136,7 @@ def reference_families(fc, pts, f_jets, fields):
     e_m_vals = [d[0] for d in me_data]
     ws = WebsterSample(fc.ac.ph, pts_m)
     gamma_w, rup_w = ws.webster_symbols[0], ws.curvature[0]
-    _, (dtheta_m, _), (jval_m, _), _, _ = ws.contact_jets
+    dtheta_m, jval_m = ws.jets("dtheta")[0], ws.jets("J")[0]
     k = len(e_vals)
 
     def nabla(gamma, a_vals, b_vals, b_grads):
@@ -201,9 +201,9 @@ def frame_data(fefferman_pipe):
     pipe = fefferman_pipe
     fc = pipe.fc
     pts = fc.chart.points(pipe.f_pts)
-    frame, frame_grads = pipe.f_fields["frame"]
+    frame, frame_grads = pipe.f_sample["frame"]
     frame_grads = frame_grads.swapaxes(1, 2)
-    fval, df, d2f = pipe.f_jets[0]
+    fval, df, d2f = pipe.f_sample["f"]
     gamma, dgamma, finv = levi_civita_arrays(fval, df, d2f)
     curv = curvature_from_arrays(fval, gamma, dgamma, finv)
     return pts, frame, frame_grads, gamma, curv
@@ -231,14 +231,14 @@ def test_fefferman_families_match_the_vector_by_vector_assembly(fefferman_pipe, 
     fc = pipe.fc
     ws = pipe.webster_sample
     new = _frame_families(fc.m, fc.sw, curv, gamma, frame, frame_grads, ws)
-    ref = reference_families(fc, pts, pipe.f_jets[0], pipe.f_fields)
+    ref = reference_families(fc, pts, pipe.f_sample["f"], pipe.f_sample)
     for new_family, ref_family in zip(new, ref, strict=True):
         assert len(new_family) == len(ref_family)
         for a, b in zip(new_family, ref_family):
             assert a.shape == b.shape
             assert_close(a, b)
     # and the record reduces exactly these families
-    rec = fefferman_ricci_residual(fc, pts, ws, pipe.f_jets[0], pipe.f_fields)
+    rec = fefferman_ricci_residual(fc, pts, ws, pipe.f_sample["f"], pipe.f_sample)
     names = ("fefferman_ricci_components", "fefferman_curvature_identities",
              "fefferman_covariant_table")
     for name, family in zip(names, new):
@@ -252,7 +252,7 @@ def test_frame_rows_without_s_are_the_contact_frame(fefferman_pipe):
     fc = pipe.fc
     contact = [horizontal_lift(fc.ac, x) for x in base_unitary_frame(fc.ac.base)]
     direct = jet_data_multi(contact, pipe.f_pts[:, :-1], 1)
-    e_data = frame_vectors(pipe.f_fields)[2:]
+    e_data = frame_vectors(pipe.f_sample)[2:]
     assert len(e_data) == len(direct) == 2 * fc.m
     for (val, grad), (val_m, grad_m) in zip(e_data, direct, strict=True):
         np.testing.assert_allclose(val[:, :-1], val_m, rtol=0, atol=1e-13)

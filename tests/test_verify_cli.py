@@ -332,6 +332,15 @@ def test_error_inside_a_record_fails_every_row_of_it(capsys, monkeypatch):
     assert all(row["error"] == "KeyError: 'inner'" for row in errors.values())
 
 
+def test_a_run_too_large_to_allocate_exits_2(capsys):
+    # numpy refuses 10**15 points at once, without touching memory: one error
+    # line and exit 2, not a report of failed rows
+    code, out, err = run_cli(capsys, "run", "--example", "flat", "--m", "1", "--points", str(10**15))
+    assert code == 2 and out == ""
+    (line,) = err.splitlines()
+    assert line.startswith("error: the run does not fit in memory: ") and "allocate" in line
+
+
 def test_signature_check_reports_unexpected_errors(capsys, monkeypatch):
     def broken(self, g):
         raise RuntimeError("eigensolver unavailable")
