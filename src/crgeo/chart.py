@@ -71,6 +71,68 @@ COORD, CONST, PARTIAL, LEAD, OPAQUE = "coord", "const", "partial", "lead", "opaq
 
 _pack_double = struct.Struct("<d").pack
 
+# numpy's SeedSequence and PCG64 (O'Neill, HMC-CS-2014-0905), so that
+# Chart.sample draws np.random.default_rng(seed).random bit for bit
+# without loading numpy.random
+_M32, _M64, _M128 = (1 << 32) - 1, (1 << 64) - 1, (1 << 128) - 1
+_PCG_MULT = 2549297995355413924 << 64 | 4865540595714422341
+
+
+def _pcg64_seed(seed) -> tuple[int, int]:
+    """The PCG64 (state, increment) that ``np.random.default_rng(seed)`` starts from."""
+    seed = operator.index(seed)  # a float seed raises TypeError, as in numpy
+    if seed < 0:
+        raise ValueError("expected non-negative integer")
+    words = [seed >> s & _M32 for s in range(0, max(seed.bit_length(), 1), 32)]
+    const = 0x43B0D7E5
+
+    def hashmix(value):
+        nonlocal const
+        value ^= const
+        const = const * 0x931E8875 & _M32
+        value = value * const & _M32
+        return value ^ value >> 16
+
+    def mix(x, y):
+        value = (0xCA01F9DD * x - 0x4973F715 * y) & _M32
+        return value ^ value >> 16
+
+    # SeedSequence's pool of four words: hash the leading words in, mix
+    # every pair, then fold in the words beyond the fourth
+    pool = [hashmix(w) for w in (words + [0, 0, 0])[:4]]
+    for src in range(4):
+        for dst in range(4):
+            if src != dst:
+                pool[dst] = mix(pool[dst], hashmix(pool[src]))
+    for w in words[4:]:
+        for dst in range(4):
+            pool[dst] = mix(pool[dst], hashmix(w))
+    # generate_state(4, uint64): eight 32-bit words, paired low word first
+    const, out = 0x8B51F9DD, []
+    for i in range(8):
+        value = pool[i % 4] ^ const
+        const = const * 0x58F38DED & _M32
+        value = value * const & _M32
+        out.append(value ^ value >> 16)
+    initstate, initseq = (out[j + 1] << 96 | out[j] << 64 | out[j + 3] << 32 | out[j + 2] for j in (0, 4))
+    # pcg_setseq_128_srandom: step from 0, add the initial state, step again
+    inc = (initseq << 1 | 1) & _M128
+    return ((inc + initstate) * _PCG_MULT + inc) & _M128, inc
+
+
+def _pcg64_random(seed, shape) -> np.ndarray:
+    """``np.random.default_rng(seed).random(shape)``, bit for bit."""
+    state, inc = _pcg64_seed(seed)
+    out = np.empty(shape)  # before the first draw, so that an impossible shape fails at once
+    flat = out.reshape(-1)
+    mult, m64, m128 = _PCG_MULT, _M64, _M128
+    for i in range(flat.size):
+        state = (state * mult + inc) & m128
+        rot = state >> 122
+        x = (state >> 64 ^ state) & m64  # XSL-RR: xor the halves, rotate right by the top 6 bits
+        flat[i] = (((x >> rot | x << 64 - rot) & m64) >> 11) * 2.0**-53
+    return out
+
 
 class Chart:
     """Open coordinate box in R^d with named coordinates."""
@@ -116,17 +178,20 @@ class Chart:
     def sample(self, n: int, seed: int, margin: float = 0.1) -> np.ndarray:
         """Deterministic uniform draws from the margin-shrunk box, one coordinate at a time.
 
-        The draws fill the columns in coordinate order, so the samples are
-        nested: a chart built by :meth:`extend` samples, for the same ``n``,
-        ``seed`` and ``margin``, its base chart's points bit for bit on its
-        leading coordinates.
+        The draws come from crgeo's own PCG64 stream, equal bit for bit to
+        ``np.random.default_rng(seed).random((dim, n))``, for any integer
+        seed >= 0 of any size; a negative seed raises ValueError and a
+        non-integer one TypeError.  They fill the columns in coordinate
+        order, so the samples are nested: a chart built by :meth:`extend`
+        samples, for the same ``n``, ``seed`` and ``margin``, its base
+        chart's points bit for bit on its leading coordinates.
         """
         if not 0.0 <= margin < 0.5:  # negated, so that a NaN margin is rejected too
             raise ValueError(f"sampling margin must lie in [0, 0.5), got {margin}")
-        rng = np.random.default_rng(seed)
+        draws = _pcg64_random(seed, (self.dim, n))
         lo = np.array([a + margin * (b - a) for a, b in self.bounds])
         hi = np.array([b - margin * (b - a) for a, b in self.bounds])
-        return np.ascontiguousarray(lo + (hi - lo) * rng.random((self.dim, n)).T)
+        return np.ascontiguousarray(lo + (hi - lo) * draws.T)
 
     # -- field constructors ----------------------------------------------
     def node(self, op, operands=(), constants=(), deps=None, value=None) -> "ScalarField":

@@ -715,7 +715,7 @@ def fefferman_ricci_residual(fc: FeffermanChart, pts, ws, f_jets, fields) -> dic
     # the one second-order metric evaluation feeds symbols, curvature, Ricci
     fval, df, d2f = f_jets
     gamma_f, dgamma_f, finv = levi_civita_arrays(fval, df, d2f)
-    curv = curvature_from_arrays(fval, gamma_f, dgamma_f, finv)
+    curv = curvature_from_arrays(gamma_f, dgamma_f, finv)
     ric, scalar = curv.ricci, curv.scalar
 
     frame, frame_grads = fields["frame"]

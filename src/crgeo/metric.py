@@ -129,34 +129,23 @@ def curvature_from_connection(gamma, dgamma, gval=None):
         + quad
         - quad.swapaxes(1, 2)
     )
-    return rup, None if gval is None else _lower_curvature(rup, gval)
-
-
-def _lower_curvature(rup, gval):
-    return np.einsum("nijkm,nml->nijkl", rup, gval)
+    return rup, None if gval is None else np.einsum("nijkm,nml->nijkl", rup, gval)
 
 
 @dataclass(frozen=True)
 class CurvatureTensor:
     """Curvature data of a metric at a point batch, for the records that read the operator.
 
-    Ricci and the scalar are traces of the operator.  The (4,0) tensor is
-    lowered from the operator with the metric values each time
-    :attr:`riemann` is read; no check of the pipeline reads it.  A record
-    that reads only Ricci and the scalar takes them from
-    :func:`levi_civita_ricci`, and the Sasaki product row comes from
-    :func:`curvature_row`; neither builds the operator.
+    Ricci and the scalar are traces of the operator.  No check of the
+    pipeline reads the Levi-Civita (4,0) tensor.  A record that reads only
+    Ricci and the scalar takes them from :func:`levi_civita_ricci`, and the
+    Sasaki product row comes from :func:`curvature_row`; neither builds
+    the operator.
     """
 
     operator: np.ndarray  # (N,d,d,d,d) R(e_i,e_j)e_k = operator[n,i,j,k,l] e_l
     ricci: np.ndarray  # (N,d,d)
     scalar: np.ndarray  # (N,)
-    metric: np.ndarray  # (N,d,d) the metric values the operator is lowered with
-
-    @property
-    def riemann(self) -> np.ndarray:
-        """(N,d,d,d,d) fully covariant R(e_i,e_j,e_k,e_l)."""
-        return _lower_curvature(self.operator, self.metric)
 
 
 def levi_civita_arrays(g, dg, d2g):
@@ -165,7 +154,7 @@ def levi_civita_arrays(g, dg, d2g):
     return gamma, _dchristoffel_arrays(dg, d2g, gamma, ginv), ginv
 
 
-def curvature_from_arrays(g, gamma, dgamma, ginv) -> CurvatureTensor:
+def curvature_from_arrays(gamma, dgamma, ginv) -> CurvatureTensor:
     """Curvature of the Levi-Civita connection given by its arrays at a point batch.
 
     Ricci is the trace of Z -> R(Z,X)Y on the operator,
@@ -174,7 +163,7 @@ def curvature_from_arrays(g, gamma, dgamma, ginv) -> CurvatureTensor:
     rup, _ = curvature_from_connection(gamma, dgamma)
     ricci = np.einsum("najka->njk", rup)
     scalar = np.einsum("njk,njk->n", ginv, ricci)
-    return CurvatureTensor(rup, ricci, scalar, g)
+    return CurvatureTensor(rup, ricci, scalar)
 
 
 def levi_civita_ricci(jets, gamma, ginv):
@@ -236,7 +225,7 @@ def curvature_row(jets, gamma, i):
 def riemann(metric: MetricField, pts) -> CurvatureTensor:
     """Curvature of a metric field at a point batch, from one order-2 jet evaluation."""
     g, dg, d2g = jet_data(metric, pts, 2)
-    return curvature_from_arrays(g, *levi_civita_arrays(g, dg, d2g))
+    return curvature_from_arrays(*levi_civita_arrays(g, dg, d2g))
 
 
 # ----------------------------------------------------------------------

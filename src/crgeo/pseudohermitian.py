@@ -347,7 +347,7 @@ class WebsterSample:
     @_member
     def lc_curvature(self) -> CurvatureTensor:
         """Levi-Civita curvature of g_theta."""
-        return curvature_from_arrays(self.jets("metric")[0], *self.levi_civita)
+        return curvature_from_arrays(*self.levi_civita)
 
 
 # ----------------------------------------------------------------------

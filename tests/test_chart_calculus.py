@@ -497,6 +497,31 @@ def test_sample_rejects_a_margin_outside_the_box():
     assert np.all((pts >= 0.0) & (pts < 1.0))
 
 
+# seeds of one to seven 32-bit words; SeedSequence folds the words past the
+# fourth in after the pool is mixed
+WIDE_SEEDS = [2**32 - 1, 2**32, 2**64 + 3, 10**30, 99999999999999999999999999999999999999, 2**128 + 5, 7**70]
+
+
+@pytest.mark.parametrize("seed", list(range(64)) + WIDE_SEEDS)
+def test_sample_draws_numpys_default_stream_bit_for_bit(seed):
+    for dim in range(1, 8):
+        box = Chart([f"x{i}" for i in range(dim)], [(-1.0 - i, 2.0 + 0.5 * i) for i in range(dim)])
+        lo = np.array([a + 0.1 * (b - a) for a, b in box.bounds])
+        hi = np.array([b - 0.1 * (b - a) for a, b in box.bounds])
+        for n in (1, 2, 3, 128, 129):
+            expected = lo + (hi - lo) * np.random.default_rng(seed).random((dim, n)).T
+            assert np.array_equal(box.sample(n, seed), expected), (dim, n)
+
+
+def test_sample_rejects_the_seeds_numpy_rejects():
+    line = Chart(["x"], [(0.0, 1.0)])
+    for seed, error in ((-1, ValueError), (-(2**70), ValueError), (1.5, TypeError), (2.0, TypeError)):
+        with pytest.raises(error):
+            np.random.default_rng(seed)
+        with pytest.raises(error):
+            line.sample(3, seed)
+
+
 # ----------------------------------------------------------------------
 # build-time folding of constants and coordinate-independent partials
 # ----------------------------------------------------------------------

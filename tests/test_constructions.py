@@ -564,8 +564,6 @@ def test_m2_pipeline_consistency(pipeline):
 
 def test_curvature_symmetries_catalog(pipeline, riemann_symmetries):
     """Riemann symmetries and first Bianchi on every catalog metric layer."""
-    from crgeo.metric import riemann
-
     cases = []
     for kind in ("flat", "fubini_study", "complex_hyperbolic"):
         for m in (1, 2):
@@ -575,5 +573,5 @@ def test_curvature_symmetries_catalog(pipeline, riemann_symmetries):
     cases.append((pipe.ac.ph.metric, pipe.m_pts))  # induced contact metric
     cases.append((pipe.fc.metric, pipe.f_pts))  # Lorentzian Fefferman metric
     for metric, pts in cases:
-        res = riemann_symmetries(riemann(metric, pts))
+        res = riemann_symmetries(metric, pts)
         assert max(res.values()) < 1e-9

@@ -233,6 +233,26 @@ def test_console_script_entry():
     assert "fubini_study" in proc.stdout
 
 
+def test_a_run_loads_no_numpy_random():
+    # pytest and hypothesis load numpy.random themselves, so the run gets a
+    # fresh interpreter
+    src = str(Path(crgeo.__file__).parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    script = (
+        "import contextlib, io, sys\n"
+        "from crgeo.cli import main\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        "    code = main(['run', '--example', 'all', '--m', '1', '--suite', 'all', '--points', '2'])\n"
+        "print(code, sorted(name for name in sys.modules if name.split('.')[:2] == ['numpy', 'random']))\n"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", script],
+        capture_output=True, text=True, timeout=120, env=dict(os.environ, PYTHONPATH=path),
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "0 []\n"
+
+
 def test_run_all_structure(capsys):
     code, out, _ = run_cli(
         capsys, "run", "--example", "all", "--m", "1",
