@@ -35,7 +35,7 @@ import numpy as np
 __all__ = [
     "Jet", "exp", "log", "sin", "cos", "sqrt", "powf",
     "seed", "partials", "truncate", "components", "stack", "widen", "coefficient", "Held", "hold", "embed",
-    "jet_solve",
+    "jet_solve", "solve_values",
 ]
 
 # smallest |det| of the order-zero matrix that jet_solve inverts
@@ -633,3 +633,12 @@ def jet_solve(a: Jet, b: Jet, singular: str = "raise") -> Jet:
     if bad.any():
         out[:, bad] = np.nan
     return Jet(out, min(a.roots, b.roots))
+
+
+def solve_values(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """The values x of ``a @ x = b``, a of shape (N, n, n) and b (N, n), NaN where a is singular.
+
+    This is :func:`jet_solve` with ``singular="nan"`` on order-zero jets
+    of the values: one inverse, then one matmul.
+    """
+    return jet_solve(Jet(a[None]), Jet(b[None]), singular="nan").comp[0]

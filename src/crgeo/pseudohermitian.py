@@ -11,6 +11,15 @@ which is exact in the transversally symmetric case; the defining axioms
 to residual checks.  The Webster-Ricci tensor is kept as its real
 representative W with Ric_W = i W, so the Einstein condition reads
 W = -(scal_W / m) dtheta and scal_W = -sum_a eps_a W(e_a, J e_a).
+
+A :class:`WebsterSample` evaluates theta, dtheta, J and T as jets, in one
+jet batch, and assembles the rest from their arrays: g_theta = L_theta +
+theta o theta, D, the horizontal fields X_i = e_i - theta_i T and J X_i,
+and the Reeb field solved from theta.  Each product carries value and
+partials by the Leibniz rule, and each sum runs over its terms in the
+order of the tensor formula's component trees, so every array equals the
+jet data of those trees (:attr:`PHStructure.metric` for g_theta) bit for
+bit, up to the sign of a zero.
 """
 
 from __future__ import annotations
@@ -64,18 +73,16 @@ class ReebField(VectorField):
     The system matrix B_jk = theta_j theta_k - (dtheta)_jk is invertible
     exactly when theta is contact; T = B^{-1} theta is solved in jet
     arithmetic so T stays exactly differentiable.  Where theta is not
-    contact the solve raises DegeneracyError, or, with ``singular="nan"``,
-    gives NaN at those points alone (:func:`jets.jet_solve`).
+    contact the solve raises DegeneracyError.
     """
 
-    def __init__(self, theta: OneForm, dtheta, singular: str = "raise"):
+    def __init__(self, theta: OneForm, dtheta):
         TensorField.__init__(self, theta.chart)
         self.theta = theta
         self.dtheta = dtheta
         th = theta.components
         bmat = np.multiply.outer(th, th) - dtheta.components
         self.op, self.operands = _solve, (GenericTensorField(self.chart, bmat, (-1, -1)), theta)
-        self.constants = (singular,)
         # each component indexes the one jointly solved jet
         self.shape = th.shape
         self.components = np.empty(self.shape, dtype=object)
@@ -87,9 +94,9 @@ class ReebField(VectorField):
         return VectorField(self.chart, components)
 
 
-def _solve(bmat, theta, singular):
+def _solve(bmat, theta):
     try:
-        return jets.jet_solve(bmat, theta, singular)
+        return jets.jet_solve(bmat, theta)
     except DegeneracyError as err:
         raise DegeneracyError(f"contact condition violated: {err}") from err
 
@@ -126,51 +133,25 @@ class PHStructure:
 
     @cached_property
     def metric(self) -> MetricField:
-        """g_theta = L_theta + theta o theta; one extra plus direction along T."""
+        """g_theta = L_theta + theta o theta; one extra plus direction along T.
+
+        A :class:`WebsterSample` assembles its jet data from the arrays of
+        theta, dtheta and J instead, bit for bit the same.
+        """
         g = self.levi_form + symmetric_product(self.theta, self.theta)
         p, q = self.levi_signature
         return MetricField(self.chart, g.components, (2 * p + 1, 2 * q))
 
-    @cached_property
-    def comparison_tensor(self) -> GenericTensorField:
-        """D^k_ij = (dtheta_ij T^k - theta_i J^k_j - theta_j J^k_i) / 2.
-
-        nabla_W = nabla_{g_theta} + D holds for a transversally symmetric
-        structure only; :attr:`WebsterSample.comparison` checks that at its
-        own points before it reads D.
-        """
-        dth, th = self.dtheta.components, self.theta.components
-        t, j = self.reeb.components, self.J.components
-        comp = (
-            dth[None] * t[:, None, None]
-            - th[None, :, None] * j[:, None, :]
-            - th[None, None, :] * j[:, :, None]
-        ) * 0.5
-        return GenericTensorField(self.chart, comp, (1, -1, -1))
-
-    def horizontal_fields(self) -> list[VectorField]:
-        """Projections X_i = e_i - theta(e_i) T of the coordinate fields onto H."""
-        theta_t = np.multiply.outer(self.theta.components, self.reeb.components)
-        return [VectorField(self.chart, row) for row in np.eye(self.chart.dim) - theta_t]
-
     def sample_fields(self, connection: bool = True) -> dict:
-        """The fields a :class:`WebsterSample` reads, by name, each with the order it is read at.
+        """The fields a :class:`WebsterSample` evaluates as jets, by name, each with its read order.
 
-        theta, dtheta, J, T, g_theta and the horizontal fields X_i and J X_i
-        (names ``("x", i)`` and ``("jx", i)``) at order 1.  With
-        ``connection``, g_theta at order 2, D at order 1, and the Reeb field
-        solved from theta at order 0, NaN where theta is not contact.
+        theta, dtheta and J at order 2 with ``connection`` (the order g_theta
+        is read at), else 1, and T at order 1.  The sample assembles g_theta,
+        D, the X_i, J X_i and the solved Reeb field from their arrays.
         """
-        fields = {"theta": (self.theta, 1), "dtheta": (self.dtheta, 1), "J": (self.J, 1),
-                  "reeb": (self.reeb, 1), "metric": (self.metric, 2 if connection else 1)}
-        for i, x in enumerate(self.horizontal_fields()):
-            fields["x", i] = (x, 1)
-            fields["jx", i] = (self.J.apply(x), 1)
-        if connection:
-            fields["D"] = (self.comparison_tensor, 1)
-            # NaN where theta is not contact, so that the other fields still evaluate there
-            fields["solved_reeb"] = (ReebField(self.theta, self.dtheta, singular="nan"), 0)
-        return fields
+        order = 2 if connection else 1
+        return {"theta": (self.theta, order), "dtheta": (self.dtheta, order), "J": (self.J, order),
+                "reeb": (self.reeb, 1)}
 
 
 def _bracket(x, y) -> np.ndarray:
@@ -214,6 +195,115 @@ def make_structure(
 
 
 # ----------------------------------------------------------------------
+# fields assembled from held jet data
+# ----------------------------------------------------------------------
+#
+# Jet data [v, d1, d2] (order <= 2) is laid out here with the point axis
+# last, so each elementwise op runs its inner loop over the points:
+# v[..], d1[a, ..], d2[a, b, ..], the value axes before the points.  A
+# product carries the rows of the jet engine's product of two jets seeded
+# on one generator per derivative order, summed as it sums them (t
+# ascending): a0 b0; a0 b1 + a1 b0; a0 b3 + a1 b2 + a2 b1 + a3 b0, where
+# rows 1 and 2 are the first partials along a and along b and row 3 the
+# second partial d2[a, b].  For two generators both of the engine's product
+# paths sum in that order, and a two-term sum is the same either way, so
+# each array keeps the bits of the tree whose left operands these are.
+
+def _points_last(arrays):
+    return [np.ascontiguousarray(a.reshape(len(a), -1).T).reshape(a.shape[1:] + a.shape[:1]) for a in arrays]
+
+
+def _points_first(arrays):
+    return [np.ascontiguousarray(a.reshape(-1, a.shape[-1]).T).reshape(a.shape[-1:] + a.shape[:-1]) for a in arrays]
+
+
+def _at(x, index):
+    """The jet data ``x`` at ``index`` of its value axes (an index of the value array)."""
+    return [a[(slice(None),) * r + index] for r, a in enumerate(x)]
+
+
+def _mul(a, b):
+    """a * b by the Leibniz rule, each row summed as described above."""
+    out = [a[0] * b[0]]
+    if len(a) > 1:
+        d1 = a[0] * b[1]
+        d1 += a[1] * b[0]
+        out.append(d1)
+    if len(a) > 2:
+        d2 = a[0] * b[2]
+        term = np.multiply(a[1][:, None], b[1])
+        d2 += term
+        d2 += np.multiply(a[1], b[1][:, None], out=term)
+        d2 += np.multiply(a[2], b[0], out=term)
+        out.append(d2)
+    return out
+
+
+def _metric_jets(ph: PHStructure, theta, dtheta, jmat):
+    """Jet data of g_theta = L + theta o theta from that of theta, dtheta and J, to their order.
+
+    L_ij = sum_k dtheta_ik J_kj over k ascending, as :func:`contract` sums
+    it, without the terms that fold to the constant 0 in its tree: every
+    term of a k where each dtheta_ik is the constant 0, and where J_kj is
+    the constant 0; a constant J_kj scales dtheta_ik.  Then (theta o
+    theta)_ij = (theta_i theta_j + theta_j theta_i) / 2.
+    """
+    th, dth = _points_last(theta), _points_last(dtheta)
+    every = slice(None)
+    sym = _mul(_at(th, (every, None)), _at(th, (None,)))
+    levi = [np.zeros(x.shape) for x in sym]
+    for k, (column, row) in enumerate(zip(ph.dtheta.components.T, ph.J.components)):
+        if all(c.value == 0.0 for c in column):
+            continue
+        if all(c.value is not None for c in row):
+            for col, c in enumerate(row):
+                if c.value != 0.0:
+                    for x, y in zip(levi, _at(dth, (every, k))):
+                        x[..., col, :] += y * c.value
+        else:
+            jrow = _points_last([x[..., k, None, :] for x in jmat])  # [1, j] = J_kj
+            for x, y in zip(levi, _mul(_at(dth, (every, k, None)), jrow)):
+                x += y
+    for x, y in zip(levi, sym):
+        x += (y + y.swapaxes(-3, -2)) * 0.5
+    return _points_first(levi)
+
+
+def _comparison_jets(th, dth, t, j):
+    """Jet data of D^k_ij = ((dtheta_ij T^k - theta_i J^k_j) - theta_j J^k_i) / 2 from that of
+    theta, dtheta, T and J, to order 1."""
+    every = slice(None)
+    tj = _mul(_at(th, (None, every, None)), _at(j, (every, None)))  # [k, i, j] = theta_i J^k_j
+    d = _mul(_at(dth, (None,)), _at(t, (every, None, None)))
+    for x, y in zip(d, tj):
+        x -= y
+        x -= y.swapaxes(-3, -2)  # theta_j J^k_i
+        x *= 0.5
+    return _points_first(d)
+
+
+def _horizontal_jets(th, t, j):
+    """Jet data of each X_i = e_i - theta_i T, then of each J X_i = sum_k J_.k X_i^k (k ascending),
+    from that of theta, T and J, to order 1."""
+    every = slice(None)
+    prod = _mul(_at(th, (every, None)), _at(t, (None,)))  # [i, k] = theta_i T^k
+    d = len(prod[0])
+    x = [np.eye(d)[..., None] - prod[0], -prod[1]]
+    jx = _mul(_at(j, (None, every, 0)), _at(x, (every, None, 0)))
+    for k in range(1, d):
+        for y, z in zip(jx, _mul(_at(j, (None, every, k)), _at(x, (every, None, k)))):
+            y += z
+    # the jet data of the vector field of row i, as jet_data gives it
+    x, jx = _points_first(x), _points_first(jx)
+    return tuple([[y[0][:, i], y[1][:, :, i]] for i in range(d)] for y in (x, jx))
+
+
+def _reeb_system(tval, dtval):
+    """The Reeb system matrix B_jk = theta_j theta_k - dtheta_jk of :class:`ReebField` from values."""
+    return tval[:, :, None] * tval[:, None, :] - dtval
+
+
+# ----------------------------------------------------------------------
 # the Webster sample
 # ----------------------------------------------------------------------
 
@@ -240,14 +330,20 @@ class WebsterSample:
 
     Its caller holds it while residuals read it, so each member is evaluated
     once per batch and every residual reading it shares the same arrays.
-    Every field, to its order in :meth:`PHStructure.sample_fields`, comes
-    from one :func:`jet_data_multi` call (:attr:`batch`), which also reads
-    the ``extra`` fields (``{name: (field, order)}``, :meth:`extra_jets`)
-    and those of each structure in ``siblings``, whose samples at these
-    points are ``self.siblings``.  The contact and bracket fields need no
+    The fields of :meth:`PHStructure.sample_fields` (theta, dtheta, J and
+    T) come as jets, to their orders, from one :func:`jet_data_multi` call
+    (:attr:`batch`), which also reads the ``extra`` fields (``{name:
+    (field, order)}``, :meth:`extra_jets`) and those of each structure in
+    ``siblings``, whose samples at these points are ``self.siblings``.  The
+    rest is assembled from those arrays (see the module docstring): g_theta
+    in the batch, to the order of theta, after which theta, dtheta and J
+    keep their first partials alone; D in :attr:`comparison`, the X_i and
+    J X_i in :attr:`horizontal` and the solved Reeb field in
+    :attr:`solved_reeb`.  The contact and bracket fields need no
     transversal symmetry; the members built on D (:attr:`comparison` and
     those reading it) do, and the first of them read checks it at these
-    points.  Pulled-back operands come from ``held``, the
+    points.  With ``connection`` False only theta, dtheta, J, T and g_theta
+    to order 1 are read.  Pulled-back operands come from ``held``, the
     :class:`PullbackJets` of the sample these points belong to; by default
     it holds its own.
     """
@@ -257,8 +353,9 @@ class WebsterSample:
         self.ph = ph
         self.pts = ph.chart.points(pts)
         self.held = PullbackJets(ph.chart, self.pts) if held is None else held
+        self.structures = (ph, *siblings)
         self.requests = {
-            (s, name): read for s in (ph, *siblings) for name, read in s.sample_fields(connection).items()
+            (s, name): read for s in self.structures for name, read in s.sample_fields(connection).items()
         }
         self.requests.update(((None, name), read) for name, read in (extra or {}).items())
         self.data = {}  # filled by the first read of a batch, here or in a sibling
@@ -269,13 +366,20 @@ class WebsterSample:
 
     @_member
     def batch(self):
-        """Jet data of every field, by (structure, or None for ``extra``, name)."""
+        """Jet data of every field, by (structure, or None for ``extra``, name), and of each
+        structure's g_theta (name ``metric``)."""
         if not self.data:
-            self.data.update(jet_data_named(self.requests, self.pts, self.held))
+            data = jet_data_named(self.requests, self.pts, self.held)
+            for s in self.structures:
+                data[s, "metric"] = _metric_jets(s, *(data[s, name] for name in ("theta", "dtheta", "J")))
+                for name in ("theta", "dtheta", "J"):
+                    data[s, name] = data[s, name][:2]  # no reader needs their second partials
+            self.data.update(data)
         return self.data
 
     def jets(self, name):
-        """The jet data of the structure's field ``name``."""
+        """The jet data of the structure's field ``name``: theta, dtheta, J and T to order 1,
+        g_theta (``metric``) to order 2, or 1 without ``connection``."""
         return self.batch[self.ph, name]
 
     def extra_jets(self, name):
@@ -293,7 +397,19 @@ class WebsterSample:
             raise PreconditionError(
                 f"structure is not transversally symmetric: residual {res:.3e} > {TSPH_TOL:g}"
             )
-        return self.jets("D")
+        return _comparison_jets(*(_points_last(self.jets(name)) for name in ("theta", "dtheta", "reeb", "J")))
+
+    @_member
+    def horizontal(self):
+        """(X, JX): the order-1 jet data of each X_i = e_i - theta(e_i) T, then of each J X_i."""
+        return _horizontal_jets(*(_points_last(self.jets(name)) for name in ("theta", "reeb", "J")))
+
+    @_member
+    def solved_reeb(self):
+        """The Reeb field solved from theta (:class:`ReebField`), NaN where theta is not contact,
+        so that the other fields still evaluate there."""
+        tval = self.jets("theta")[0]
+        return jets.solve_values(_reeb_system(tval, self.jets("dtheta")[0]), tval)
 
     @_member
     def projector(self):
@@ -373,7 +489,7 @@ def structure_residuals(ws: WebsterSample) -> dict[str, np.ndarray]:
         "reeb_defining": point_max(
             np.einsum("ni,ni->n", tval, reeb) - 1.0, np.einsum("ni,nij->nj", reeb, dtval)
         ),
-        "reeb_linear_solve": point_max(ws.jets("solved_reeb")[0] - reeb),
+        "reeb_linear_solve": point_max(ws.solved_reeb - reeb),
         "tsph_bracket": transversal_symmetry_residual(ws),
         "tsph_killing": killing_residual(*ws.jets("metric")[:2], *reeb_jets),
     }
@@ -381,21 +497,13 @@ def structure_residuals(ws: WebsterSample) -> dict[str, np.ndarray]:
 
 def contact_determinant(ws: WebsterSample) -> np.ndarray:
     """|det(theta_j theta_k - dtheta_jk)| per point: nonzero exactly where theta is contact."""
-    tval, dtval = ws.jets("theta")[0], ws.jets("dtheta")[0]
-    # the Reeb system matrix B_jk = theta_j theta_k - dtheta_jk of ReebField
-    return np.abs(np.linalg.det(np.einsum("ni,nj->nij", tval, tval) - dtval))
-
-
-def _horizontal_jets(ws: WebsterSample):
-    """The order-1 jet data of the X_i, then of the J X_i."""
-    d = ws.ph.chart.dim
-    return [ws.jets(("x", i)) for i in range(d)], [ws.jets(("jx", i)) for i in range(d)]
+    return np.abs(np.linalg.det(_reeb_system(ws.jets("theta")[0], ws.jets("dtheta")[0])))
 
 
 def integrability_residual(ws: WebsterSample) -> np.ndarray:
     """Nijenhuis residual J([JX,Y]+[X,JY]) - [JX,JY] + [X,Y] over H pairs."""
     d = ws.ph.chart.dim
-    x, jx = _horizontal_jets(ws)
+    x, jx = ws.horizontal
     tval, jval = ws.jets("theta")[0], ws.jets("J")[0]
     terms = []
     for i in range(d):
@@ -414,7 +522,7 @@ def transversal_symmetry_residual(ws: WebsterSample) -> np.ndarray:
     """Per-point max over an H-frame of |[T,X] + J[T,JX]| / |X|_g."""
     jval, t, gval = ws.jets("J")[0], ws.jets("reeb"), ws.jets("metric")[0]
     terms = []
-    for x, jx in zip(*_horizontal_jets(ws)):
+    for x, jx in zip(*ws.horizontal):
         expr = _bracket(t, x) + np.einsum("nab,nb->na", jval, _bracket(t, jx))
         norm = np.sqrt(np.abs(np.einsum("nij,ni,nj->n", gval, x[0], x[0])))
         terms.append(np.abs(expr).max(axis=1) / np.maximum(norm, 1e-12))

@@ -258,16 +258,20 @@ class Pipeline:
     pull-backs from one batch, ``held``, at ``m_pts``: ``f_pts`` shares its
     contact columns and ``t2_pts`` its base columns, so each pulled-back
     operand is evaluated once per sample and held at the highest order
-    evaluated, which later calls read by truncation.
+    evaluated, which later calls read by truncation.  ``records`` names
+    the records a run reads (every one by default): the base fields of
+    the submersion record join the Webster sample's call only when it is
+    among them.
     """
 
-    def __init__(self, example: str, m: int, points: int, seed: int):
+    def __init__(self, example: str, m: int, points: int, seed: int, records=None):
         # the request is checked by SuiteConfig
         self.entry = CATALOG[example]
         self.example = example
         self.m = m
         self.points = points
         self.seed = seed
+        self.records = records
 
     def applies(self, name: str) -> bool:
         return _applies(CHECKS_BY_NAME[name], self.example)
@@ -336,10 +340,12 @@ class Pipeline:
     @cached_property
     def webster_sample(self):
         """The structure's fields, Webster connection, curvature and Levi frame at ``m_pts``,
-        with the base fields the submersion record reads, and the sample of ``gauge_ph``
-        where its check applies, all from one call."""
+        with the base fields the submersion record reads where the run reads that record,
+        and the sample of ``gauge_ph`` where its check applies, all from one call."""
         siblings = (self.gauge_ph,) if self.applies("gauge_scal_invariance") else ()
-        extra = None if self.entry.negative else self.ac.sample_fields  # a control has no submersion record
+        # a control has no submersion record
+        reads_base = not self.entry.negative and (self.records is None or "submersion" in self.records)
+        extra = self.ac.sample_fields if reads_base else None
         return WebsterSample(self.ac.ph, self.m_pts, self.held, extra, siblings)
 
     # -- cached residual records --------------------------------------------
@@ -511,7 +517,7 @@ def run_suite(cfg: SuiteConfig) -> dict:
     An exception inside a record fails each of its rows, with the error
     named; a MemoryError ends the run instead.
     """
-    pipe = Pipeline(cfg.example, cfg.m, cfg.points, cfg.seed)
+    pipe = Pipeline(cfg.example, cfg.m, cfg.points, cfg.seed, {c.record for c in cfg.selected_checks()})
     checks_out = []
     overall = True
     for check in cfg.selected_checks():

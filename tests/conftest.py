@@ -1,15 +1,65 @@
-"""Shared fixtures: charts, cached construction pipelines and a jet-batch spy."""
+"""Shared fixtures: charts, cached construction pipelines and a jet-batch spy.
 
+Also the reference trees of the fields a Webster sample assembles from
+held arrays: each as a field of scalar expression trees, whose jet data
+the assembled arrays equal bit for bit.
+"""
+
+import functools
 import sys
 
 import numpy as np
 import pytest
 
-from crgeo import Chart, OneForm
-from crgeo.chart import jet_data
+from crgeo import Chart, OneForm, jets
+from crgeo.chart import GenericTensorField, VectorField, jet_data
 from crgeo.metric import riemann
-from crgeo.pseudohermitian import make_structure
+from crgeo.pseudohermitian import ReebField, make_structure
 from crgeo.verify import Pipeline
+
+
+def comparison_tensor(ph) -> GenericTensorField:
+    """D^k_ij = (dtheta_ij T^k - theta_i J^k_j - theta_j J^k_i) / 2, one tree per component."""
+    dth, th = ph.dtheta.components, ph.theta.components
+    t, j = ph.reeb.components, ph.J.components
+    comp = (
+        dth[None] * t[:, None, None]
+        - th[None, :, None] * j[:, None, :]
+        - th[None, None, :] * j[:, :, None]
+    ) * 0.5
+    return GenericTensorField(ph.chart, comp, (1, -1, -1))
+
+
+def horizontal_fields(ph) -> list[VectorField]:
+    """Projections X_i = e_i - theta(e_i) T of the coordinate fields onto H."""
+    theta_t = np.multiply.outer(ph.theta.components, ph.reeb.components)
+    return [VectorField(ph.chart, row) for row in np.eye(ph.chart.dim) - theta_t]
+
+
+def solved_reeb_field(ph) -> ReebField:
+    """The Reeb field solved from theta as a tree, NaN where theta is not contact."""
+    field = ReebField(ph.theta, ph.dtheta)
+    field.op = functools.partial(jets.jet_solve, singular="nan")
+    return field
+
+
+def reference_fields(ph, connection: bool = True) -> dict:
+    """The assembled fields of a Webster sample as trees, by name, each with its read order.
+
+    g_theta (``metric``), the X_i and J X_i (``("x", i)``, ``("jx", i)``),
+    and with ``connection`` D and the solved Reeb field; with theta, dtheta,
+    J and T, these are the fields a sample once evaluated in its one batch.
+    """
+    fields = {name: (field, 1) for name, field in
+              (("theta", ph.theta), ("dtheta", ph.dtheta), ("J", ph.J), ("reeb", ph.reeb))}
+    fields["metric"] = (ph.metric, 2 if connection else 1)
+    for i, x in enumerate(horizontal_fields(ph)):
+        fields["x", i] = (x, 1)
+        fields["jx", i] = (ph.J.apply(x), 1)
+    if connection:
+        fields["D"] = (comparison_tensor(ph), 1)
+        fields["solved_reeb"] = (solved_reeb_field(ph), 0)
+    return fields
 
 
 @pytest.fixture(scope="session")

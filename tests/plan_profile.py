@@ -17,7 +17,10 @@ and at the same points of the node's chart (the leading columns of the
 call's points), and *repeated at any order* when an earlier op evaluated
 that node, context and points at any jet order.  It prints the plan-op time
 and count per group and per op kind; the sum excludes the reads of field
-arrays and the time between ops.
+arrays and the time between ops.  Last, per record, the tree nodes built
+while it was read (constructions included, charged to the record that
+first reads them): the ``Chart.node`` calls, split into new nodes and
+interned hits, an equal node that the chart already held.
 """
 
 import argparse
@@ -35,8 +38,8 @@ def kind_of(fn) -> str:
 
 
 def profile(example: str, m: int, points: int, seed: int, records=RECORDS):
-    """(time, count) per (group, kind, repeated, repeated at any order), and the plan
-    runs per chart dimension.
+    """(time, count) per (group, kind, repeated, repeated at any order), the plan
+    runs per chart dimension, and per record [node calls, new nodes].
 
     The wrappers are removed again before it returns.
     """
@@ -49,7 +52,10 @@ def profile(example: str, m: int, points: int, seed: int, records=RECORDS):
     seen, seen_any = set(), set()
     call = {}  # the chart of the jet_data_multi call in progress
     plans = Counter()
+    nodes = {}
+    record = {}  # the record being read
     real_multi, real_init, real_run = chart_module.jet_data_multi, chart_module._Plan.__init__, chart_module._Plan.run
+    real_node = chart_module.Chart.node
 
     def multi(fields, *args, **kwargs):
         call["chart"] = fields[0].chart
@@ -93,6 +99,14 @@ def profile(example: str, m: int, points: int, seed: int, records=RECORDS):
 
         return op
 
+    def node(self, *args, **kwargs):
+        held = len(self._nodes)
+        field = real_node(self, *args, **kwargs)
+        entry = nodes[record["name"]]
+        entry[0] += 1
+        entry[1] += len(self._nodes) > held
+        return field
+
     def run(self, pts, *args):
         # (pts, order, held, start) before each node had its own order, (pts, held, start) since
         self.profile_run = (pts, args[0] if isinstance(args[0], int) else None)
@@ -104,21 +118,24 @@ def profile(example: str, m: int, points: int, seed: int, records=RECORDS):
     for mod in bound:
         mod.jet_data_multi = multi
     chart_module._Plan.__init__, chart_module._Plan.run = init, run
+    chart_module.Chart.node = node
     examples = [e for e, entry in CATALOG.items() if m in entry.ms] if example == "all" else [example]
     try:
         for name in examples:
             pipe = Pipeline(name, m, points, seed)
             # a negative control runs its negative suite alone
-            for record in records if not pipe.entry.negative else ("negative",):
-                getattr(pipe, f"{record}_record")
+            for record["name"] in records if not pipe.entry.negative else ("negative",):
+                nodes.setdefault(record["name"], [0, 0])  # listed when it builds none
+                getattr(pipe, f"{record['name']}_record")
     finally:
         for mod in bound:
             mod.jet_data_multi = real_multi
         chart_module._Plan.__init__, chart_module._Plan.run = real_init, real_run
-    return stats, plans
+        chart_module.Chart.node = real_node
+    return stats, plans, dict(nodes)
 
 
-def report(example, m, points, seed, stats, plans) -> str:
+def report(example, m, points, seed, stats, plans, nodes) -> str:
     total = sum(t for t, _ in stats.values())
     lines = [
         f"{example} m={m}, {points} points, seed {seed}: {sum(plans.values())} plan runs, "
@@ -144,6 +161,12 @@ def report(example, m, points, seed, stats, plans) -> str:
         per_kind[kind][at + 1] += t
     for kind, (on, ot, pn, pt) in sorted(per_kind.items(), key=lambda kv: -(kv[1][1] + kv[1][3])):
         lines.append(f"| {kind} | {on} | {ot:.4f} | {pn} | {pt:.4f} |")
+    lines += ["", "| record | node calls | new nodes | interned hits |", "|---|---|---|---|"]
+    for name in [r for r in RECORDS + ("negative",) if r in nodes]:
+        calls, new = nodes[name]
+        lines.append(f"| {name} | {calls} | {new} | {calls - new} |")
+    calls, new = (sum(column) for column in zip(*nodes.values())) if nodes else (0, 0)
+    lines.append(f"| total | {calls} | {new} | {calls - new} |")
     return "\n".join(lines)
 
 
@@ -163,8 +186,8 @@ def main(argv=None) -> int:
     # before numpy is imported: one BLAS thread
     os.environ.update(OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1", MKL_NUM_THREADS="1")
     sys.path.insert(0, args.src)
-    stats, plans = profile(args.example, args.m, args.points, args.seed, records)
-    print(report(args.example, args.m, args.points, args.seed, stats, plans))
+    stats, plans, nodes = profile(args.example, args.m, args.points, args.seed, records)
+    print(report(args.example, args.m, args.points, args.seed, stats, plans, nodes))
     return 0
 
 

@@ -245,7 +245,8 @@ def test_joint_metric_jets_equal_separate_evaluation(pipeline, m):
 
 def test_pipeline_evaluates_each_shared_metric_once(jet_calls):
     # f with e^{2 phi} f at f_pts, the explicit metric with its unrescaled
-    # factor at t2_pts and g_theta at m_pts each take one order-2 batch
+    # factor at t2_pts and theta, dtheta and J, of which the Webster sample
+    # assembles g_theta, at m_pts each take one order-2 batch
     from crgeo.verify import Pipeline
 
     pipe = Pipeline("fubini_study", 1, points=3, seed=7)
@@ -255,7 +256,7 @@ def test_pipeline_evaluates_each_shared_metric_once(jet_calls):
     shared = [
         ([pipe.fc.metric, pipe.rm.metric], pipe.f_pts),
         ([pipe.t2.metric, pipe.t2.unrescaled], pipe.t2_pts),
-        ([pipe.ac.ph.metric], pipe.m_pts),
+        ([pipe.ac.ph.theta, pipe.ac.ph.dtheta, pipe.ac.ph.J], pipe.m_pts),
     ]
     for metrics, pts in shared:
         batches = [
@@ -264,6 +265,7 @@ def test_pipeline_evaluates_each_shared_metric_once(jet_calls):
         ]
         assert len(batches) == 1
         assert all(f in batches[0] for f in metrics)
+    assert not any(pipe.ac.ph.metric in fields for fields, _, _ in jet_calls)
 
 
 @pytest.mark.parametrize("example, m", [("flat", 1), ("fubini_study", 2)])

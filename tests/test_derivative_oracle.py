@@ -12,6 +12,7 @@ import numpy as np
 import pytest
 
 from crgeo.chart import jet_data
+from conftest import comparison_tensor
 
 
 def _values(field, pts, offsets):
@@ -52,7 +53,7 @@ def _relative_error(approx, exact):
 
 FIELDS = {
     "g_theta": lambda pipe: pipe.ac.ph.metric,
-    "D": lambda pipe: pipe.ac.ph.comparison_tensor,
+    "D": lambda pipe: comparison_tensor(pipe.ac.ph),
     "fefferman": lambda pipe: pipe.fc.metric,
 }
 

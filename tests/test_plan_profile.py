@@ -1,10 +1,10 @@
-"""Smoke test of tests/plan_profile.py, and the plan ops of the Webster stage it counts."""
+"""Smoke test of tests/plan_profile.py, and the plan ops and tree nodes of the Webster stage it counts."""
 
 import pytest
 
 from crgeo import chart
 from crgeo.verify import Pipeline
-from plan_profile import profile, report
+from plan_profile import RECORDS, profile, report
 
 WEBSTER_STAGE = ("structure", "webster", "comparison", "submersion")
 
@@ -15,26 +15,45 @@ def count(stats, group, at):
 
 
 def test_profile_splits_own_and_pulled_back_ops():
-    stats, plans = profile("fubini_study", 1, 2, 7)
+    stats, plans, nodes = profile("fubini_study", 1, 2, 7)
     groups = {group for group, *_ in stats}
     assert groups == {"own chart", "pulled back"}
     # the contact chart reads the base potential through pull-backs: embeds and logs
     kinds = {kind for group, kind, *_ in stats if group == "pulled back"}
     assert {"embed", "log"} <= kinds
     assert plans[2] and plans[3] and plans[4]  # base, contact and Fefferman plans ran
-    text = report("fubini_study", 1, 2, 7, stats, plans)
+    text = report("fubini_study", 1, 2, 7, stats, plans, nodes)
     assert text.splitlines()[0].startswith("fubini_study m=1, 2 points, seed 7:")
     assert "| pulled back |" in text and "| embed |" in text
     assert "| repeated at any order |" in text
+    assert "| record | node calls | new nodes | interned hits |" in text
+    assert f"| total | {sum(c for c, _ in nodes.values())} |" in text
     # the wrappers are gone again
     assert chart._Plan.run.__qualname__ == "_Plan.run"
+    assert chart.Chart.node.__qualname__ == "Chart.node"
     Pipeline("flat", 1, 2, 7).structure_record
+
+
+def test_node_counts_per_record_cover_every_node_call(monkeypatch):
+    # each Chart.node call is charged to the record being read, as a new node
+    # or an interned hit; the webster and comparison records read the Webster
+    # sample's held and assembled arrays and build no tree
+    calls = []
+    real = chart.Chart.node
+    monkeypatch.setattr(chart.Chart, "node", lambda *args, **kwargs: calls.append(1) or real(*args, **kwargs))
+    _, _, nodes = profile("fubini_study", 1, 2, 7)
+    assert list(nodes) == list(RECORDS)
+    assert sum(c for c, _ in nodes.values()) == len(calls) > 0
+    assert all(0 <= new <= c for c, new in nodes.values())
+    assert nodes["webster"] == nodes["comparison"] == [0, 0]
+    # the structure record builds the base, the contact structure and its fields
+    assert nodes["structure"][0] > nodes["structure"][1] > 0
 
 
 def test_any_order_repeats_include_the_cross_order_ones():
     # a node under one pulled-back operand is evaluated again, at order 2, for
     # another operand that a later call reads: a repeat at another order only
-    stats, _ = profile("fubini_study", 1, 2, 7)
+    stats, _, _ = profile("fubini_study", 1, 2, 7)
     for group in ("own chart", "pulled back"):
         assert count(stats, group, 3) >= count(stats, group, 2)
     assert count(stats, "pulled back", 3) > count(stats, "pulled back", 2)
@@ -48,7 +67,7 @@ def test_the_webster_stage_evaluates_each_node_once(jet_calls, example, m):
     # per sample: no (node, context, point block) is evaluated twice, at any
     # order, and the contact chart takes one jet_data_multi call (flat's
     # gauge-shifted structure included)
-    stats, plans = profile(example, m, 3, 7, WEBSTER_STAGE)
+    stats, plans, _ = profile(example, m, 3, 7, WEBSTER_STAGE)
     assert count(stats, "own chart", 3) == count(stats, "pulled back", 3) == 0
     assert sum(n for _, n in stats.values()) > 0
     contact = [(fields, order) for fields, _, order in jet_calls if fields[0].chart.dim == 2 * m + 1]

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from crgeo import Chart, Endomorphism, OneForm, lie_bracket
+from crgeo import Chart, Endomorphism, OneForm, VectorField, lie_bracket
 from crgeo.errors import DegeneracyError, PreconditionError
 from crgeo.metric import point_max
 from crgeo.pseudohermitian import (
@@ -19,6 +19,8 @@ from crgeo.pseudohermitian import (
     structure_residuals,
     transversal_symmetry_residual,
 )
+from crgeo.chart import jet_data_named
+from conftest import horizontal_fields, reference_fields, solved_reeb_field
 
 BASE_J = np.array([[0.0, -1.0], [1.0, 0.0]])
 
@@ -82,7 +84,7 @@ def test_field_listed_before_its_reader_in_one_batch(heisenberg, pts):
     from crgeo.chart import jet_data, jet_data_multi
 
     assert isinstance(heisenberg.reeb, ReebField)
-    x = heisenberg.horizontal_fields()[0]
+    x = horizontal_fields(heisenberg)[0]
     fields = [heisenberg.reeb, heisenberg.J, x, heisenberg.J.apply(x)]
     for field, arrays in zip(fields, jet_data_multi(fields, pts, 2)):
         assert all(np.array_equal(a, b) for a, b in zip(arrays, jet_data(field, pts, 2)))
@@ -135,7 +137,7 @@ def test_heisenberg_tsph(heisenberg, pts):
 
 def reference_integrability(ph, pts):
     """Nijenhuis residual with every bracket a ``lie_bracket`` field on its own jet batch."""
-    fields = ph.horizontal_fields()
+    fields = horizontal_fields(ph)
     jf = [ph.J.apply(x) for x in fields]
     jval, tval = ph.J(pts), ph.theta(pts)
     terms = []
@@ -156,7 +158,7 @@ def reference_tsph(ph, pts):
     """max over X_i of |[T,X] + J[T,JX]| / |X|_g with ``lie_bracket`` fields."""
     jval, gval = ph.J(pts), ph.metric(pts)
     terms = []
-    for x in ph.horizontal_fields():
+    for x in horizontal_fields(ph):
         expr = lie_bracket(ph.reeb, x)(pts) + np.einsum(
             "nab,nb->na", jval, lie_bracket(ph.reeb, ph.J.apply(x))(pts)
         )
@@ -255,7 +257,7 @@ def test_heisenberg_horizontal_frames_parallel(heisenberg, pts):
     from crgeo.metric import covariant_from_arrays
 
     gamma_w = WebsterSample(heisenberg, pts).webster_symbols[0]
-    for field in heisenberg.horizontal_fields()[:2]:
+    for field in horizontal_fields(heisenberg)[:2]:
         nabla = covariant_from_arrays(*jet_data(field, pts, 1), gamma_w, field.variance)
         assert np.abs(nabla).max() < 1e-12
 
@@ -296,7 +298,10 @@ def test_connection_data_is_shared_across_records(jet_calls, monkeypatch):
     # record evaluated its fields, 8 when the Levi form and frame did, 3 with a
     # contact, a bracket and a connection batch, and base calls for submersion
     assert jet_calls == []
-    assert ph.metric in [field for field, _ in pipe.webster_sample.requests.values()]
+    # g_theta is assembled from the held theta, dtheta and J, never evaluated as a tree
+    requested = [field for field, _ in pipe.webster_sample.requests.values()]
+    assert all(field in requested for field in (ph.theta, ph.dtheta, ph.J, ph.reeb))
+    assert ph.metric not in requested
     # the Levi frame is built once, from the held values
     assert len(frames) == 1 and len(frames[0]) == len(pts)
     # R_W is built once; the Levi-Civita curvature goes through metric's binding
@@ -341,17 +346,18 @@ def test_connection_data_is_read_only_and_held(heisenberg, pts, jet_calls):
 )
 def test_sample_batches_equal_separate_evaluation(example, m, n):
     # the sample's one batch evaluates each node once, at the highest order read:
-    # theta, dtheta, J and T at order 2, under g_theta, so each read gives the
-    # bits of a separate order-2 call, to its own order
+    # theta, dtheta and J at order 2, and T under J, so each read gives the bits
+    # of a separate order-2 call, to order 1; g_theta, assembled from them, gives
+    # those of its tree to order 2
     from crgeo.chart import jet_data
     from crgeo.verify import Pipeline
 
     pipe = Pipeline(example, m, points=n, seed=7)
     ph, pts, ws = pipe.ac.ph, pipe.m_pts, pipe.webster_sample
     for name in ("theta", "dtheta", "J", "reeb", "metric"):
-        field, order = ph.sample_fields()[name]
+        field = ph.metric if name == "metric" else ph.sample_fields()[name][0]
         read = ws.jets(name)
-        assert len(read) == order + 1
+        assert len(read) == (3 if name == "metric" else 2)
         for held, separate in zip(read, jet_data(field, pts, 2)):
             assert np.array_equal(held, separate)
     # the Levi form and frame built from the held values
@@ -360,6 +366,107 @@ def test_sample_batches_equal_separate_evaluation(example, m, n):
         assert np.array_equal(held, separate)
 
 
+# catalog structures, flat's gauge sibling, the deformed control's contact-only
+# sample, and the same deformation over the round base with a connection: its
+# Reeb field is solved, so each term of L = dtheta J is a product of two jets
+# with second partials (in the catalog, J's rows there are constants)
+ASSEMBLY_CASES = [
+    ("flat", 1), ("flat", 2), ("fubini_study", 1), ("fubini_study", 2),
+    ("complex_hyperbolic", 1), ("complex_hyperbolic", 2), ("sphere_x_flat", 2),
+    ("flat gauge sibling", 1), ("deformed control", 1), ("deformed fubini_study", 1),
+]
+
+
+def _assembly_sample(case, m, n):
+    """(structure, its Webster sample at n points, whether it reads D) for one case."""
+    from crgeo.constructions import perturbed_structure
+    from crgeo.verify import Pipeline
+
+    if case == "flat gauge sibling":
+        pipe = Pipeline("flat", m, points=n, seed=7)
+        return pipe.gauge_ph, pipe.webster_sample.siblings[pipe.gauge_ph], True
+    if case == "deformed control":
+        pipe = Pipeline("perturbed_non_tsph", m, points=n, seed=7)
+        ph = perturbed_structure(pipe.ac)
+        return ph, WebsterSample(ph, pipe.m_pts, connection=False), False
+    if case == "deformed fubini_study":
+        pipe = Pipeline("fubini_study", m, points=n, seed=7)
+        ph = perturbed_structure(pipe.ac)
+        return ph, WebsterSample(ph, pipe.m_pts), False  # not transversally symmetric: no D
+    pipe = Pipeline(case, m, points=n, seed=7)
+    return pipe.ac.ph, pipe.webster_sample, True
+
+
+def _same(got, expected):
+    assert len(got) == len(expected)
+    assert all(a.shape == b.shape and np.array_equal(a, b) for a, b in zip(got, expected))
+
+
+@pytest.mark.parametrize("n", [1, 2, 5, 32, 129])
+@pytest.mark.parametrize("case, m", ASSEMBLY_CASES)
+def test_assembled_fields_equal_the_reference_trees(case, m, n):
+    # g_theta, D, the X_i, J X_i and the solved Reeb field, assembled from the
+    # held jets of theta, dtheta, J and T, equal the jet data of their trees
+    # evaluated in one call, bit for bit (129 points span two blocks)
+    ph, ws, reads_d = _assembly_sample(case, m, n)
+    connection = ws.requests[ph, "theta"][1] == 2
+    expected = jet_data_named(reference_fields(ph, connection), ws.pts)
+    for name in ("theta", "dtheta", "J", "reeb", "metric"):
+        _same(ws.jets(name), expected[name])
+    x, jx = ws.horizontal
+    for i in range(ph.chart.dim):
+        _same(x[i], expected["x", i])
+        _same(jx[i], expected["jx", i])
+    if connection:
+        assert np.array_equal(ws.solved_reeb, expected["solved_reeb"][0])
+    if reads_d:
+        _same(ws.comparison, expected["D"])
+
+
+def test_the_solved_reeb_field_is_nan_where_theta_is_not_contact():
+    # theta = -dt + (x^2 / 2) dy is contact off x = 0, with Reeb field -d_t; at
+    # a point on x = 0 the solve gives NaN there alone, equal to the tree's, and
+    # the rows reading the contact condition fail there
+    chart = Chart(["x", "y", "t"], [(-1.0, 1.0)] * 3)
+    x = chart.coord(0)
+    theta = OneForm(chart, [chart.constant(0.0), x * x * 0.5, chart.constant(-1.0)])
+    reeb = VectorField(chart, [chart.constant(0.0), chart.constant(0.0), chart.constant(-1.0)])
+    ph = make_structure(chart, theta, BASE_J, m=1, levi_signature=(1, 0), reeb_hint=reeb)
+    pts = chart.sample(5, 3)
+    pts[2, 0] = 0.0
+    ws = WebsterSample(ph, pts)
+    expected = jet_data_named({"solved": (solved_reeb_field(ph), 0)}, pts)["solved"][0]
+    assert np.array_equal(ws.solved_reeb, expected, equal_nan=True)
+    assert np.isnan(ws.solved_reeb).any(axis=1).tolist() == [False, False, True, False, False]
+    res = structure_residuals(ws)
+    solve = res["reeb_linear_solve"]
+    assert np.isnan(solve).tolist() == [False, False, True, False, False]
+    assert solve[[0, 1, 3, 4]].max() < 1e-10
+    # the row's reduction is NaN, which fails its upper check, as the
+    # determinant fails its lower one
+    assert not solve.max() < 1e-10
+    assert not res["contact_nondegenerate"].min() > 1e-10
+
+
+def test_the_webster_batch_requests_only_the_contact_fields(monkeypatch):
+    # theta, dtheta, J and T per structure (flat's gauge sibling included) and the
+    # base fields: no tree for g_theta, D, X, J X or the solved Reeb field is built
+    from crgeo import chart as chart_module
+    from crgeo.verify import Pipeline
+
+    pipe = Pipeline("flat", 1, points=3, seed=7)
+    ws = pipe.webster_sample
+    contact = {"theta", "dtheta", "J", "reeb"}
+    expected = {(s, name) for s in (pipe.ac.ph, pipe.gauge_ph) for name in contact}
+    assert set(ws.requests) == expected | {(None, name) for name in pipe.ac.sample_fields}
+    nodes = []
+    real = chart_module.Chart.node
+    monkeypatch.setattr(chart_module.Chart, "node", lambda *args, **kw: nodes.append(args) or real(*args, **kw))
+    for sample in (ws, ws.siblings[pipe.gauge_ph]):
+        sample.comparison, sample.horizontal, sample.solved_reeb
+    structure_residuals(ws)
+    assert nodes == []
+    assert "metric" not in vars(pipe.ac.ph)  # nor is the tree of g_theta built
 def test_webster_curvature_symmetries(pipeline):
     pipe = pipeline("fubini_study", 1)
     assert curvature_symmetry_residual(pipe.webster_sample).max() < 1e-8

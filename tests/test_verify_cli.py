@@ -195,6 +195,27 @@ def test_negative_entry_requires_all_suite():
         run_suite(SuiteConfig(example="perturbed_non_tsph", m=1, suites=("webster",), points=4))
 
 
+def test_a_webster_run_requests_no_base_field(monkeypatch):
+    # the Webster sample's one call carries the submersion record's base
+    # fields only when the run reads that record
+    from crgeo import pseudohermitian
+
+    requested = []
+    real = pseudohermitian.jet_data_named
+
+    def spy(fields, pts, held=None):
+        requested.append({name for _, name in fields})
+        return real(fields, pts, held)
+
+    monkeypatch.setattr(pseudohermitian, "jet_data_named", spy)
+    base = {"h", "gamma", "ricci_potential", "d_rho"}
+    for suites, expected in ((("webster",), set()), (("all",), base)):
+        requested.clear()
+        report = run_suite(SuiteConfig("fubini_study", 2, suites, points=2, seed=7))
+        assert report["overall_pass"]
+        assert len(requested) == 1 and requested[0] & base == expected
+
+
 def test_deterministic_output(capsys):
     args = ("run", "--example", "flat", "--m", "1", "--suite", "comparison", "--points", "5")
     _, out1, _ = run_cli(capsys, *args)
