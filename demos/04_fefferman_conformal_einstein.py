@@ -19,6 +19,7 @@ from crgeo.constructions import (
     pipeline_agreement_residual,
     rescale_residuals,
 )
+from crgeo.metric import levi_civita_arrays
 from crgeo.pseudohermitian import WebsterSample
 
 ke = make_kahler_einstein("fubini_study", m=1)  # scal_h = 2
@@ -35,7 +36,9 @@ f_jets, rm_jets, phi_jets = jet_data_multi([fc.metric, rm.metric, rm.phi], pts, 
 print("S_W = scal_h / (2m(m+1)) =", fc.sw)
 # the frame, forms and base metric by name, from one order-1 batch
 fields = dict(zip(fc.sample_fields, jet_data_multi(list(fc.sample_fields.values()), pts, 1)))
-rec = fefferman_ricci_residual(fc, pts, ws, f_jets, fields)
+# f's jets travel with its symbols and inverse, formed once for every reader
+gamma_f, _, finv = levi_civita_arrays(*f_jets)
+rec = fefferman_ricci_residual(fc, pts, ws, (f_jets, (gamma_f, finv)), fields)
 print("closed-form Ricci residual:     ", rec["fefferman_ricci_closed_form"].max())
 print("Ric(P,P)=m/2 etc residual:      ", rec["fefferman_ricci_components"].max())
 print("parallel field nabla(T*-S_W P): ", rec["parallel_vertical_field"].max())

@@ -20,7 +20,6 @@ from .chart import (
     exterior_derivative,
     lie_bracket,
     symmetric_product,
-    wedge,
 )
 from .errors import DegeneracyError, DomainError, PreconditionError, UsageError
 
@@ -37,7 +36,6 @@ __all__ = [
     "exterior_derivative",
     "lie_bracket",
     "symmetric_product",
-    "wedge",
     "DomainError",
     "DegeneracyError",
     "PreconditionError",

@@ -877,11 +877,6 @@ def symmetric_product(alpha: OneForm, beta: OneForm) -> SymmetricTwoTensor:
     return SymmetricTwoTensor(alpha.chart, (ab + ab.T) * 0.5)
 
 
-def wedge(alpha: OneForm, beta: OneForm) -> TwoForm:
-    ab = np.multiply.outer(alpha.components, beta.components)
-    return TwoForm(alpha.chart, ab - ab.T)
-
-
 # ----------------------------------------------------------------------
 # transport between a base chart and an extended (fiber) chart
 # ----------------------------------------------------------------------

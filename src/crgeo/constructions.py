@@ -42,6 +42,7 @@ from .errors import PreconditionError, UsageError
 from .metric import (
     MetricField,
     _christoffel_arrays,
+    _dchristoffel_arrays,
     conformal_ricci_correction,
     conformal_rescale,
     covariant_from_arrays,
@@ -49,7 +50,6 @@ from .metric import (
     curvature_from_connection,  # noqa: F401  kept bound: perfbench's tracer test wraps it here
     curvature_row,
     killing_residual,
-    levi_civita_arrays,
     levi_civita_ricci,
     point_max,
     tracefree_ricci_norm,
@@ -330,7 +330,6 @@ def submersion_residuals(ac: AnticanonicalChart, ws: WebsterSample) -> dict[str,
     its ``extra`` fields: h, gamma and the Ricci potential at their base
     coordinates.
     """
-    pts = ws.pts
     m = ac.m
     d = ac.chart.dim
     jmat = ac.base.complex_structure
@@ -342,38 +341,28 @@ def submersion_residuals(ac: AnticanonicalChart, ws: WebsterSample) -> dict[str,
     ric_form = np.zeros_like(da)
     ric_form[:, : 2 * m, : 2 * m] = np.einsum("nia,aj->nij", ric_h, jmat)
 
-    hj = np.zeros((pts.shape[0], d, d))
+    hj = np.zeros((len(hval), d, d))
     hj[:, : 2 * m, : 2 * m] = np.einsum("ai,naj->nij", jmat, hval)
-    tval, dtheta, jval, reeb = (ws.jets(name)[0] for name in ("theta", "dtheta", "J", "reeb"))
     proj = ws.projector
-    dt_h = np.einsum("nia,nij,njb->nab", proj, dtheta, proj)
     hj_h = np.einsum("nia,nij,njb->nab", proj, hj, proj)
 
-    gval = ws.jets("metric")[0]
-    curv = ws.lc_curvature
-
     # Ric(T,T) = (m/2) g(T,T)
-    ric_tt = np.einsum("ni,nj,nij->n", reeb, reeb, curv.ricci)
-    g_tt = np.einsum("ni,nj,nij->n", reeb, reeb, gval)
+    ric_t, ric_tt, g_tt = ws.reeb_ricci
 
-    # horizontal lifts of the base coordinate fields: X* = X-hat - theta(X-hat) T
-    lifts = np.zeros((pts.shape[0], 2 * m, d))
-    for a in range(2 * m):
-        lifts[:, a, a] = 1.0
-        lifts[:, a, :] -= tval[:, a, None] * reeb
+    # the horizontal lifts X* = X-hat - theta(X-hat) T of the base coordinate fields: the
+    # sample's first 2m fields X_a, and their images J X_a
+    lifts, jlifts = (np.stack([x[0] for x in fields[: 2 * m]], axis=1) for fields in ws.horizontal)
 
     # Ric(T, X*) = 0 and Ric_h(X,Y) = Ric_g(X*,Y*) + (1/2) g(X*,Y*)
-    ric_t = np.einsum("ni,nij->nj", reeb, curv.ricci)
-    ric_up = np.einsum("nai,nbj,nij->nab", lifts, lifts, curv.ricci)
-    g_up = np.einsum("nai,nbj,nij->nab", lifts, lifts, gval)
+    ric_up = np.einsum("nai,nbj,nij->nab", lifts, lifts, ws.lc_curvature.ricci)
+    g_up = np.einsum("nai,nbj,nij->nab", lifts, lifts, ws.jets("metric")[0])
 
     # Ric_h(X,Y) = -W(X*, J Y*)
-    jlifts = np.einsum("nij,naj->nai", jval, lifts)
     w_up = np.einsum("nai,nbj,nij->nab", lifts, jlifts, ws.ricci[0])
     return {
         **ac.base.kahler_residuals(levi_civita, base),
         "connection_curvature": point_max(da - ric_form),
-        "dtheta_pullback": point_max(dt_h - hj_h),
+        "dtheta_pullback": point_max(ws.dtheta_h - hj_h),
         "submersion_reeb_tt": np.abs(ric_tt - 0.5 * m * g_tt),
         "submersion_reeb_mixed": point_max(np.einsum("nj,naj->na", ric_t, lifts)),
         "submersion_base": point_max(ric_h - ric_up - 0.5 * g_up),
@@ -592,13 +581,15 @@ def _frame_nabla(gamma, vals, grads):
 # Fefferman residual record
 # ----------------------------------------------------------------------
 
-def fefferman_structure_residuals(fc: FeffermanChart, fval, fields) -> dict[str, np.ndarray]:
+def fefferman_structure_residuals(fc: FeffermanChart, f, fields) -> dict[str, np.ndarray]:
     """Per point: normalization, lightlike fibers and forms, the closed form.
 
-    ``fval`` is the value of the Fefferman metric and ``fields`` the order-1
-    jet data of ``fc.sample_fields`` by name, both at one point batch.
+    ``f`` is (jets, christoffel) of the Fefferman metric, as
+    :func:`fefferman_ricci_residual` reads it, and ``fields`` the order-1 jet
+    data of ``fc.sample_fields`` by name, both at one point batch.
     """
     m = fc.m
+    (fval, *_), (_, finv) = f
     pval, tsval = fields["frame"][0].swapaxes(0, 1)[:2]
     thval, athval = fields["theta"][0], fields["a_theta"][0]
     bval, db = fields["b"]
@@ -606,7 +597,6 @@ def fefferman_structure_residuals(fc: FeffermanChart, fval, fields) -> dict[str,
     f_pp = np.einsum("nij,ni,nj->n", fval, pval, pval)
     f_tt = np.einsum("nij,ni,nj->n", fval, tsval, tsval)
 
-    finv = np.linalg.inv(fval)
     light_theta = np.einsum("nij,ni,nj->n", finv, thval, thval)
     light_a = np.einsum("nij,ni,nj->n", finv, athval, athval)
 
@@ -691,12 +681,13 @@ def _frame_families(m, sw, curv, gamma_f, frame, frame_grads, ws):
     return components, identities, table
 
 
-def fefferman_ricci_residual(fc: FeffermanChart, pts, ws, f_jets, fields) -> dict[str, np.ndarray]:
+def fefferman_ricci_residual(fc: FeffermanChart, pts, ws, f, fields) -> dict[str, np.ndarray]:
     """Per-point curvature identities of the Fefferman metric.
 
     ``ws`` is the Webster sample of ``fc.ac.ph`` at ``pts`` without s (a
-    ValueError otherwise), ``f_jets`` the order-2 ``jet_data``
-    ``[f, df, d2f]`` of the metric and ``fields`` the order-1 jet data of
+    ValueError otherwise), ``f`` is (jets, christoffel): the order-2
+    ``jet_data`` ``[f, df, d2f]`` of the metric and its (Gamma, f^-1) from
+    :func:`_christoffel_arrays`, and ``fields`` the order-1 jet data of
     ``fc.sample_fields`` by name, both at ``pts``.
 
     (a) closed form Ric = m S_W f + (2m/(m+2)^2) b o b with b the real
@@ -713,9 +704,8 @@ def fefferman_ricci_residual(fc: FeffermanChart, pts, ws, f_jets, fields) -> dic
     sw = fc.sw
 
     # the one second-order metric evaluation feeds symbols, curvature, Ricci
-    fval, df, d2f = f_jets
-    gamma_f, dgamma_f, finv = levi_civita_arrays(fval, df, d2f)
-    curv = curvature_from_arrays(gamma_f, dgamma_f, finv)
+    (fval, df, d2f), (gamma_f, finv) = f
+    curv = curvature_from_arrays(gamma_f, _dchristoffel_arrays(df, d2f, gamma_f, finv), finv)
     ric, scalar = curv.ricci, curv.scalar
 
     frame, frame_grads = fields["frame"]
@@ -814,14 +804,15 @@ def slice_identity_residual(rm: RescaledMetric, pts, held=None) -> np.ndarray:
     return point_max(g_rm - g_f)
 
 
-def correction_structure_residual(rm: RescaledMetric, f_jets, phi_jets, fields) -> np.ndarray:
+def correction_structure_residual(rm: RescaledMetric, f, phi_jets, fields) -> np.ndarray:
     """Ricci-flat gauge: the conformal correction has only a (P,P) component.
 
-    ``f_jets`` and ``phi_jets`` are the order-2 ``jet_data`` of f and phi and
-    ``fields`` the order-1 jet data of ``rm.fc.sample_fields`` by name, all
-    at one point batch.
+    ``f`` is (jets, christoffel) of f as :func:`fefferman_ricci_residual` reads
+    it, ``phi_jets`` the order-2 ``jet_data`` of phi and ``fields`` the order-1
+    jet data of ``rm.fc.sample_fields`` by name, all at one point batch.
     """
-    corr = conformal_ricci_correction(*f_jets[:2], *phi_jets[1:])
+    (fval, *_), christoffel = f
+    corr = conformal_ricci_correction(fval, christoffel, *phi_jets[1:])
     pvals, tsval, *vecs = fields["frame"][0].swapaxes(0, 1)
     vecs.append(tsval)
     terms = [

@@ -263,7 +263,7 @@ def killing_residual(g, dg, x, dx) -> np.ndarray:
         + np.einsum("nkj,nik->nij", g, dx)
         + np.einsum("nik,njk->nij", g, dx)
     )
-    return np.abs(lie).max(axis=(1, 2))
+    return point_max(lie)
 
 
 # ----------------------------------------------------------------------
@@ -275,18 +275,18 @@ def conformal_rescale(metric: MetricField, phi: ScalarField) -> MetricField:
     return metric.scaled(field_exp(phi * 2.0))
 
 
-def conformal_ricci_correction(g, dg, dphi, d2phi) -> np.ndarray:
+def conformal_ricci_correction(g, christoffel, dphi, d2phi) -> np.ndarray:
     """Ricci change under g -> e^{2 phi} g, dimension n = dim:
 
         C = -(n-2) (Hess phi - dphi o dphi) + (-lap phi - (n-2) |dphi|^2) g
 
     with lap = trace_g Hess and |dphi|^2 taken with the inverse metric
-    (no absolute values in indefinite signature), from the order-1 jet data
-    of g and the first and second partials of phi.  Must equal
-    Ric(e^{2 phi} g) - Ric(g) computed directly.
+    (no absolute values in indefinite signature), from the values of g, its
+    (Gamma, g^-1) from :func:`_christoffel_arrays` and the first and second
+    partials of phi.  Must equal Ric(e^{2 phi} g) - Ric(g) computed directly.
     """
     coeff = g.shape[-1] - 2
-    gamma, ginv = _christoffel_arrays(g, dg)
+    gamma, ginv = christoffel
     hess = d2phi - np.einsum("nkij,nk->nij", gamma, dphi)
     lap = np.einsum("nij,nij->n", ginv, hess)
     grad_sq = np.einsum("nij,ni,nj->n", ginv, dphi, dphi)
@@ -372,5 +372,4 @@ def tracefree_ricci_norm(g, ricci, scalar) -> np.ndarray:
     """Frame-normalized max norm of Ric - (scal/n) g per point, from the values of a metric."""
     tf = ricci - (scalar / g.shape[-1])[:, None, None] * g
     frame, _ = orthonormal_frame(g)
-    comps = np.einsum("nai,nbj,nij->nab", frame, frame, tf)
-    return np.abs(comps).max(axis=(1, 2))
+    return point_max(np.einsum("nai,nbj,nij->nab", frame, frame, tf))

@@ -44,7 +44,6 @@ from .chart import (
     contract,
     exterior_derivative,
     jet_data_named,
-    ordered_sum,
     symmetric_product,
 )
 from .errors import DegeneracyError, PreconditionError
@@ -240,13 +239,14 @@ def _mul(a, b):
 
 
 def _metric_jets(ph: PHStructure, theta, dtheta, jmat):
-    """Jet data of g_theta = L + theta o theta from that of theta, dtheta and J, to their order.
+    """The values of L and the jet data of g_theta = L + theta o theta, from theta, dtheta and J.
 
-    L_ij = sum_k dtheta_ik J_kj over k ascending, as :func:`contract` sums
-    it, without the terms that fold to the constant 0 in its tree: every
-    term of a k where each dtheta_ik is the constant 0, and where J_kj is
-    the constant 0; a constant J_kj scales dtheta_ik.  Then (theta o
-    theta)_ij = (theta_i theta_j + theta_j theta_i) / 2.
+    g_theta is to the order of the jet data given.  L_ij = sum_k dtheta_ik
+    J_kj over k ascending, as :func:`contract` sums it, without the terms
+    that fold to the constant 0 in its tree: every term of a k where each
+    dtheta_ik is the constant 0, and where J_kj is the constant 0; a
+    constant J_kj scales dtheta_ik.  Then (theta o theta)_ij = (theta_i
+    theta_j + theta_j theta_i) / 2.
     """
     th, dth = _points_last(theta), _points_last(dtheta)
     every = slice(None)
@@ -264,9 +264,11 @@ def _metric_jets(ph: PHStructure, theta, dtheta, jmat):
             jrow = _points_last([x[..., k, None, :] for x in jmat])  # [1, j] = J_kj
             for x, y in zip(levi, _mul(_at(dth, (every, k, None)), jrow)):
                 x += y
+    # a copy: at one point _points_first returns a view, and the sum below runs in place
+    lval = _points_first([levi[0].copy()])[0]
     for x, y in zip(levi, sym):
         x += (y + y.swapaxes(-3, -2)) * 0.5
-    return _points_first(levi)
+    return lval, _points_first(levi)
 
 
 def _comparison_jets(th, dth, t, j):
@@ -336,13 +338,16 @@ class WebsterSample:
     (field, order)}``, :meth:`extra_jets`) and those of each structure in
     ``siblings``, whose samples at these points are ``self.siblings``.  The
     rest is assembled from those arrays (see the module docstring): g_theta
-    in the batch, to the order of theta, after which theta, dtheta and J
-    keep their first partials alone; D in :attr:`comparison`, the X_i and
-    J X_i in :attr:`horizontal` and the solved Reeb field in
-    :attr:`solved_reeb`.  The contact and bracket fields need no
-    transversal symmetry; the members built on D (:attr:`comparison` and
-    those reading it) do, and the first of them read checks it at these
-    points.  With ``connection`` False only theta, dtheta, J, T and g_theta
+    in the batch, to the order of theta, with the values of its first term
+    L (:attr:`levi_form`), after which theta, dtheta and J keep their first
+    partials alone; D in :attr:`comparison`, the X_i and J X_i in
+    :attr:`horizontal` and the solved Reeb field in :attr:`solved_reeb`.
+    Each other quantity is formed once, from these: the projector P, whose
+    columns are the X_i, dtheta on H from P, and the Reeb components of the
+    Levi-Civita Ricci from :attr:`lc_curvature`.  The contact and bracket
+    fields need no transversal symmetry; the members built on D
+    (:attr:`comparison` and those reading it) do, and the first of them
+    read checks it at these points.  With ``connection`` False only theta, dtheta, J, T and g_theta
     to order 1 are read.  Pulled-back operands come from ``held``, the
     :class:`PullbackJets` of the sample these points belong to; by default
     it holds its own.
@@ -367,13 +372,14 @@ class WebsterSample:
     @_member
     def batch(self):
         """Jet data of every field, by (structure, or None for ``extra``, name), and of each
-        structure's g_theta (name ``metric``)."""
+        structure's g_theta (name ``metric``), with the values of its Levi form (``levi_form``)."""
         if not self.data:
             data = jet_data_named(self.requests, self.pts, self.held)
             for s in self.structures:
-                data[s, "metric"] = _metric_jets(s, *(data[s, name] for name in ("theta", "dtheta", "J")))
-                for name in ("theta", "dtheta", "J"):
-                    data[s, name] = data[s, name][:2]  # no reader needs their second partials
+                contact = {name: data[s, name] for name in ("theta", "dtheta", "J")}
+                data[s, "levi_form"], data[s, "metric"] = _metric_jets(s, *contact.values())
+                for name, jet in contact.items():
+                    data[s, name] = jet[:2]  # no reader needs their second partials
             self.data.update(data)
         return self.data
 
@@ -413,9 +419,15 @@ class WebsterSample:
 
     @_member
     def projector(self):
-        """P[n, i, j] = delta_ij - T^i theta_j, projection onto H along T."""
-        tval, reeb = self.jets("theta")[0], self.jets("reeb")[0]
-        return np.eye(reeb.shape[1])[None] - np.einsum("ni,nj->nij", reeb, tval)
+        """P[n, i, j] = delta_ij - T^i theta_j, projection onto H along T: the values of the
+        X_j of :attr:`horizontal` as its columns."""
+        return np.stack([x[0] for x in self.horizontal[0]], axis=-1)
+
+    @_member
+    def dtheta_h(self):
+        """dtheta on H: dtheta(X_a, X_b) = (P^T dtheta P)[n, a, b]."""
+        proj = self.projector
+        return np.einsum("nia,nij,njb->nab", proj, self.jets("dtheta")[0], proj)
 
     @_member
     def levi_civita(self):
@@ -429,12 +441,10 @@ class WebsterSample:
         dval, dgrad = self.comparison
         return gamma + dval, dgamma + dgrad
 
-    @_member
+    @property
     def levi_form(self):
-        """L = dtheta J from the held values, summed as :attr:`PHStructure.levi_form` sums it."""
-        dtheta, jval = self.jets("dtheta")[0], self.jets("J")[0]
-        d = dtheta.shape[1]
-        return ordered_sum(dtheta[:, :, a, None] * jval[:, None, a, :] for a in range(d))
+        """The values of L = dtheta J, summed in :attr:`batch` as g_theta's first term."""
+        return self.batch[self.ph, "levi_form"]
 
     @_member
     def levi_frame(self):
@@ -465,6 +475,13 @@ class WebsterSample:
         """Levi-Civita curvature of g_theta."""
         return curvature_from_arrays(*self.levi_civita)
 
+    @_member
+    def reeb_ricci(self):
+        """(Ric_g(T, .), Ric_g(T, T), g(T, T)) of g_theta's Levi-Civita Ricci and the Reeb field T."""
+        reeb, ricci, gval = self.jets("reeb")[0], self.lc_curvature.ricci, self.jets("metric")[0]
+        ric_tt, g_tt = (np.einsum("ni,nj,nij->n", reeb, reeb, a) for a in (ricci, gval))
+        return np.einsum("ni,nij->nj", reeb, ricci), ric_tt, g_tt
+
 
 # ----------------------------------------------------------------------
 # structural residuals (per sample point)
@@ -480,7 +497,7 @@ def structure_residuals(ws: WebsterSample) -> dict[str, np.ndarray]:
     reeb_jets = ws.jets("reeb")
     reeb = reeb_jets[0]
     j2 = np.einsum("nij,njk->nik", jval, jval)
-    levi = np.einsum("nia,naj->nij", dtval, jval)
+    levi = ws.levi_form
     return {
         "contact_nondegenerate": contact_determinant(ws),
         "complex_structure": point_max(j2 + ws.projector, np.einsum("nij,nj->ni", jval, reeb)),
@@ -543,7 +560,7 @@ def axiom_residuals(ws: WebsterSample) -> dict[str, np.ndarray]:
     )
 
     (tval, dtv), (jval, dj) = ws.jets("theta"), ws.jets("J")
-    dtheta, reeb = ws.jets("dtheta")[0], ws.jets("reeb")[0]
+    reeb = ws.jets("reeb")[0]
     parallel_theta = dtv - np.einsum("nmai,nm->nai", gamma_w, tval)
     nabla_j = (
         dj
@@ -555,8 +572,8 @@ def axiom_residuals(ws: WebsterSample) -> dict[str, np.ndarray]:
     proj = ws.projector
     tor = gamma_w - np.einsum("nkji->nkij", gamma_w)
     tor_h = np.einsum("nia,nkib->nkab", proj, np.einsum("nkij,njb->nkib", tor, proj))
-    dth_h = np.einsum("nia,nij,njb->nab", proj, dtheta, proj)
-    jproj = np.einsum("nki,nia->nka", jval, proj)
+    dth_h = ws.dtheta_h
+    jproj = np.stack([jx[0] for jx in ws.horizontal[1]], axis=-1)  # [n, k, a] = (J X_a)^k
     levi_jh = np.einsum("nka,nkl,nlb->nab", jproj, ws.levi_form, proj)
     return {
         "webster_metricity": point_max(metricity),
@@ -675,9 +692,7 @@ def comparison_identities_residual(ws: WebsterSample) -> dict[str, np.ndarray]:
     w_t = np.einsum("ni,nij->nj", reeb, w)
 
     # (f) Ric_g(T,T) = (m/2) g(T,T) and Ric_g(T, X) = 0 for X in H
-    ric_tt = np.einsum("ni,nj,nij->n", reeb, reeb, ricci_g)
-    g_tt = np.einsum("ni,nj,nij->n", reeb, reeb, g)
-    ric_t = np.einsum("ni,nij->nj", reeb, ricci_g)
+    ric_t, ric_tt, g_tt = ws.reeb_ricci
 
     # (g) R_g(X, T)T = X/4 for X in H
     rxtt = np.einsum("nijkl,nj,nk->nil", rup_g, reeb, reeb)

@@ -12,7 +12,6 @@ nondegeneracy certificates), which pass above it.
 
 from __future__ import annotations
 
-import dataclasses
 import datetime
 import json
 import math
@@ -43,6 +42,7 @@ from .constructions import (
     submersion_residuals,
 )
 from .errors import DegeneracyError, UsageError
+from .metric import _christoffel_arrays
 from .pseudohermitian import (
     WebsterSample,
     axiom_residuals,
@@ -261,7 +261,7 @@ class Pipeline:
     evaluated, which later calls read by truncation.  ``records`` names
     the records a run reads (every one by default): the base fields of
     the submersion record join the Webster sample's call only when it is
-    among them.
+    among them, and flat's gauge sibling only with the webster record.
     """
 
     def __init__(self, example: str, m: int, points: int, seed: int, records=None):
@@ -271,7 +271,7 @@ class Pipeline:
         self.m = m
         self.points = points
         self.seed = seed
-        self.records = records
+        self.records = {c.record for c in CHECKS} if records is None else set(records)
 
     def applies(self, name: str) -> bool:
         return _applies(CHECKS_BY_NAME[name], self.example)
@@ -328,6 +328,13 @@ class Pipeline:
         return jet_data_named(fields, self.f_pts, self.held)
 
     @cached_property
+    def f_metric(self):
+        """(jets, christoffel) of f at ``f_pts``: its order-2 jet data from ``f_sample`` and its
+        (Gamma, f^-1), formed once for every record that reads them.  dGamma, which only the
+        curvature identities read, is not held."""
+        return self.f_sample["f"], _christoffel_arrays(*self.f_sample["f"][:2])
+
+    @cached_property
     def t2_jets(self):
         """Order-2 jet data of the explicit metrics at ``t2_pts``."""
         return jet_data_multi(self.t2.checked_metrics, self.t2_pts, 2, self.held)
@@ -340,12 +347,12 @@ class Pipeline:
     @cached_property
     def webster_sample(self):
         """The structure's fields, Webster connection, curvature and Levi frame at ``m_pts``,
-        with the base fields the submersion record reads where the run reads that record,
-        and the sample of ``gauge_ph`` where its check applies, all from one call."""
-        siblings = (self.gauge_ph,) if self.applies("gauge_scal_invariance") else ()
+        with the base fields where the run reads the submersion record, and the sample of
+        ``gauge_ph`` where the run reads the webster record and its check applies, from one call."""
+        gauge = "webster" in self.records and self.applies("gauge_scal_invariance")
+        siblings = (self.gauge_ph,) if gauge else ()
         # a control has no submersion record
-        reads_base = not self.entry.negative and (self.records is None or "submersion" in self.records)
-        extra = self.ac.sample_fields if reads_base else None
+        extra = self.ac.sample_fields if not self.entry.negative and "submersion" in self.records else None
         return WebsterSample(self.ac.ph, self.m_pts, self.held, extra, siblings)
 
     # -- cached residual records --------------------------------------------
@@ -376,11 +383,10 @@ class Pipeline:
 
     @cached_property
     def fefferman_record(self) -> dict:
-        data = self.f_sample
-        f = data["f"]
-        rec = fefferman_structure_residuals(self.fc, f[0], data)
+        data, f = self.f_sample, self.f_metric
+        rec = fefferman_structure_residuals(self.fc, f, data)
         rec.update(fefferman_ricci_residual(self.fc, self.f_pts, self.webster_sample, f, data))
-        rec["fefferman_expression"] = fefferman_expression_residual(self.fc, f[0], data)
+        rec["fefferman_expression"] = fefferman_expression_residual(self.fc, data["f"][0], data)
         return rec
 
     @cached_property
@@ -390,7 +396,7 @@ class Pipeline:
         rec["slice_identity"] = slice_identity_residual(self.rm, self.f_pts, self.held)
         rec["einstein_constant"] = self.rm.einstein_constant
         if self.applies("correction_structure"):
-            rec["correction_structure"] = correction_structure_residual(self.rm, data["f"], data["phi"], data)
+            rec["correction_structure"] = correction_structure_residual(self.rm, self.f_metric, data["phi"], data)
         return rec
 
     @cached_property
@@ -517,10 +523,22 @@ def run_suite(cfg: SuiteConfig) -> dict:
     An exception inside a record fails each of its rows, with the error
     named; a MemoryError ends the run instead.
     """
-    pipe = Pipeline(cfg.example, cfg.m, cfg.points, cfg.seed, {c.record for c in cfg.selected_checks()})
+    return _run_entry(cfg, cfg.example)
+
+
+def run_all(cfg: SuiteConfig) -> dict:
+    """Run every catalog entry supporting the requested m."""
+    runs = [_run_entry(cfg, name) for name in cfg.examples()]
+    return _report(cfg, "all", cfg.suites, runs=runs, overall_pass=all(r["overall_pass"] for r in runs))
+
+
+def _run_entry(cfg: SuiteConfig, example: str) -> dict:
+    """The report of the checks ``cfg`` selects for one catalog entry, as :func:`run_suite`."""
+    selected = cfg.selected_checks(example)
+    pipe = Pipeline(example, cfg.m, cfg.points, cfg.seed, {c.record for c in selected})
     checks_out = []
     overall = True
-    for check in cfg.selected_checks():
+    for check in selected:
         tol = float(cfg.tol_overrides.get(check.name, check.tol))
         try:
             # a missing residual or a failing construction is a failed row
@@ -556,25 +574,7 @@ def run_suite(cfg: SuiteConfig) -> dict:
         if error is not None:
             row["error"] = error
         checks_out.append(row)
-    return _report(cfg, cfg.example, cfg.resolved_suites(), checks=checks_out, overall_pass=overall)
-
-
-def run_all(cfg: SuiteConfig) -> dict:
-    """Run every catalog entry supporting the requested m."""
-    # every entry's request is checked before any check runs; an override
-    # goes only to the entries that select its check
-    subs = []
-    for name in cfg.examples():
-        selected = {c.name for c in cfg.selected_checks(name)}
-        tols = {check: tol for check, tol in cfg.tol_overrides.items() if check in selected}
-        subs.append(dataclasses.replace(cfg, example=name, tol_overrides=tols))
-    runs = []
-    overall = True
-    for sub in subs:
-        report = run_suite(sub)
-        overall = overall and report["overall_pass"]
-        runs.append(report)
-    return _report(cfg, "all", cfg.suites, runs=runs, overall_pass=overall)
+    return _report(cfg, example, cfg.resolved_suites(example), checks=checks_out, overall_pass=overall)
 
 
 def _report(cfg: SuiteConfig, example: str, suites, **body) -> dict:

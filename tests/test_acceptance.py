@@ -211,6 +211,7 @@ def test_criterion_8_oracles():
     from crgeo.chart import jet_data, log as flog, sin as fsin
     from crgeo.metric import (
         MetricField,
+        _christoffel_arrays,
         conformal_rescale,
         conformal_ricci_correction,
         riemann,
@@ -237,7 +238,8 @@ def test_criterion_8_oracles():
         w = rng.standard_normal(2) * 0.4
         phi = x * float(w[0]) + fsin(y * 2.0) * float(w[1])
         pts = chart.sample(16, 42)
-        corr = conformal_ricci_correction(*jet_data(g, pts, 1), *jet_data(phi, pts, 2)[1:])
+        g_jets = jet_data(g, pts, 1)
+        corr = conformal_ricci_correction(g_jets[0], _christoffel_arrays(*g_jets), *jet_data(phi, pts, 2)[1:])
         direct = riemann(conformal_rescale(g, phi), pts).ricci - riemann(g, pts).ricci
         worst_corr = max(worst_corr, float(np.abs(corr - direct).max()))
 

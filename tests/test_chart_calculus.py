@@ -14,7 +14,6 @@ from crgeo import (
     exterior_derivative,
     lie_bracket,
     symmetric_product,
-    wedge,
 )
 from crgeo import chart as chart_module, jets
 from crgeo.chart import (
@@ -252,7 +251,9 @@ def test_d_squared_and_leibniz(coeffs):
 
     f_omega = OneForm(chart, [f * omega.components[0], f * omega.components[1]])
     lhs = exterior_derivative(f_omega)(pts)
-    rhs = wedge(differential(f), omega)(pts)
+    # (df ^ omega)_ij = df_i omega_j - df_j omega_i
+    df_omega = np.einsum("ni,nj->nij", differential(f)(pts), omega(pts))
+    rhs = df_omega - df_omega.transpose(0, 2, 1)
     domega = exterior_derivative(omega)(pts)
     rhs = rhs + f(pts)[:, None, None] * domega
     assert np.abs(lhs - rhs).max() < 1e-10

@@ -211,10 +211,9 @@ def test_fefferman_reads_the_sample_of_its_structure(pipeline):
     other = WebsterSample(perturbed_structure(pipe.ac), pipe.m_pts)
     with pytest.raises(ValueError):
         fefferman_metric(pipe.ac, other)
-    f, fields = pipe.f_sample["f"], pipe.f_sample
     for ws in (other, WebsterSample(pipe.ac.ph, pipe.m_pts[::-1])):
         with pytest.raises(ValueError):
-            fefferman_ricci_residual(pipe.fc, pipe.f_pts, ws, f, fields)
+            fefferman_ricci_residual(pipe.fc, pipe.f_pts, ws, pipe.f_metric, pipe.f_sample)
 
 
 def test_fefferman_flat_expression(pipeline):
@@ -284,6 +283,42 @@ def test_fefferman_and_rescale_records_read_the_held_batches(jet_calls, example,
     assert [(fields, order) for fields, _, order in jet_calls] == [
         ([pipe.rm.metric, pipe.fc.metric], 0)
     ]
+
+
+@pytest.mark.parametrize("example, m", [("flat", 1), ("flat", 2), ("fubini_study", 1)])
+def test_a_pipeline_inverts_f_once(monkeypatch, example, m):
+    # f^-1 and the symbols of f are formed once per Fefferman sample
+    # (Pipeline.f_metric): the fefferman rows and flat's conformal correction read them
+    from crgeo.verify import Pipeline
+
+    pipe = Pipeline(example, m, points=3, seed=7)
+    fval = pipe.f_sample["f"][0]
+    inverted = []
+    inv = np.linalg.inv
+    monkeypatch.setattr(np.linalg, "inv", lambda a: inverted.append(a) or inv(a))
+    for record in ("fefferman", "rescale", "theorem2"):
+        getattr(pipe, f"{record}_record")
+    assert ("correction_structure" in pipe.rescale_record) == (example == "flat")
+    assert sum(a.shape == fval.shape and np.array_equal(a, fval) for a in inverted) == 1
+
+
+def test_a_degenerate_f_fails_every_fefferman_row(monkeypatch):
+    # f^-1 is formed with the singularity check of every metric inverse, so a
+    # degenerate f names itself in each row
+    from crgeo import verify
+
+    real = verify.Pipeline.f_sample.func
+
+    def degenerate(self):
+        data = real(self)
+        data["f"] = [np.zeros_like(a) for a in data["f"]]
+        return data
+
+    monkeypatch.setattr(verify.Pipeline, "f_sample", property(degenerate))
+    cfg = verify.SuiteConfig("flat", 1, suites=("fefferman",), points=2)
+    rows = verify.run_suite(cfg)["checks"]
+    assert len(rows) == len(cfg.selected_checks()) > 0
+    assert all(not row["pass"] and row["error"].startswith("DegeneracyError: singular metric") for row in rows)
 
 
 def test_slice_identity_reads_the_run_points(jet_calls):
@@ -530,7 +565,8 @@ def test_only_operator_records_build_the_operator(monkeypatch, kind, m):
 
         return counted
 
-    monkeypatch.setattr(metric, "_dchristoffel_arrays", spy("dgamma", metric._dchristoffel_arrays))
+    for mod in (metric, constructions):
+        monkeypatch.setattr(mod, "_dchristoffel_arrays", spy("dgamma", mod._dchristoffel_arrays))
     for mod in (metric, pseudohermitian, constructions):
         monkeypatch.setattr(
             mod, "curvature_from_connection", spy("operator", mod.curvature_from_connection)

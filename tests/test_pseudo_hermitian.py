@@ -423,6 +423,23 @@ def test_assembled_fields_equal_the_reference_trees(case, m, n):
         _same(ws.comparison, expected["D"])
 
 
+@pytest.mark.parametrize("n", [1, 2, 129])
+@pytest.mark.parametrize("case, m", ASSEMBLY_CASES)
+def test_the_levi_form_and_projector_come_from_the_assembly(case, m, n):
+    # L is g_theta's first term, summed once in the batch and held apart from
+    # g_theta's arrays (at one point a view of them would be g_theta itself);
+    # P's columns are the values of the X_j, P = delta - T (x) theta
+    ph, ws, _ = _assembly_sample(case, m, n)
+    tval, gval = ws.jets("theta")[0], ws.jets("metric")[0]
+    sym = tval[:, :, None] * tval[:, None, :]
+    assert np.array_equal(ws.levi_form + (sym + sym.transpose(0, 2, 1)) * 0.5, gval)
+    assert not any(np.shares_memory(ws.levi_form, a) for a in ws.jets("metric"))
+    columns = np.stack([x[0] for x in ws.horizontal[0]], axis=-1)
+    assert np.array_equal(ws.projector, columns)
+    reeb = ws.jets("reeb")[0]
+    assert np.array_equal(ws.projector, np.eye(ph.chart.dim) - np.einsum("ni,nj->nij", reeb, tval))
+
+
 def test_the_solved_reeb_field_is_nan_where_theta_is_not_contact():
     # theta = -dt + (x^2 / 2) dy is contact off x = 0, with Reeb field -d_t; at
     # a point on x = 0 the solve gives NaN there alone, equal to the tree's, and
@@ -467,6 +484,17 @@ def test_the_webster_batch_requests_only_the_contact_fields(monkeypatch):
     structure_residuals(ws)
     assert nodes == []
     assert "metric" not in vars(pipe.ac.ph)  # nor is the tree of g_theta built
+def test_the_gauge_sibling_joins_only_a_run_that_reads_the_webster_record():
+    # only gauge_scal_invariance, a webster row, reads flat's gauge-shifted sibling
+    from crgeo.verify import Pipeline
+
+    for records, sibling in (({"comparison"}, False), ({"webster"}, True), ({"webster", "comparison"}, True)):
+        pipe = Pipeline("flat", 1, 2, 7, records)
+        ws = pipe.webster_sample
+        assert len(ws.requests) == (8 if sibling else 4)
+        assert {s for s, _ in ws.requests} == ({pipe.ac.ph, pipe.gauge_ph} if sibling else {pipe.ac.ph})
+
+
 def test_webster_curvature_symmetries(pipeline):
     pipe = pipeline("fubini_study", 1)
     assert curvature_symmetry_residual(pipe.webster_sample).max() < 1e-8

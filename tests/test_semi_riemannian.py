@@ -235,7 +235,8 @@ def test_killing_translation_in_exponential_metric(plane):
 def test_conformal_correction_constant_phi(plane, sphere):
     pts = plane.sample(8, 42)
     phi_jets = jet_data(plane.constant(0.7), pts, 2)
-    corr = conformal_ricci_correction(*jet_data(sphere, pts, 1), *phi_jets[1:])
+    sphere_jets = jet_data(sphere, pts, 1)
+    corr = conformal_ricci_correction(sphere_jets[0], _christoffel_arrays(*sphere_jets), *phi_jets[1:])
     assert np.abs(corr).max() < 1e-13
 
 
@@ -243,7 +244,8 @@ def test_conformal_correction_matches_direct(plane, sphere):
     x, y = plane.coordinate_fields()
     phi = x
     pts = plane.sample(16, 42)
-    corr = conformal_ricci_correction(*jet_data(sphere, pts, 1), *jet_data(phi, pts, 2)[1:])
+    sphere_jets = jet_data(sphere, pts, 1)
+    corr = conformal_ricci_correction(sphere_jets[0], _christoffel_arrays(*sphere_jets), *jet_data(phi, pts, 2)[1:])
     direct = riemann(conformal_rescale(sphere, phi), pts).ricci - riemann(sphere, pts).ricci
     assert np.abs(corr - direct).max() < 1e-12
 
@@ -272,7 +274,8 @@ def test_conformal_correction_random_fixtures():
 
         phi = x * float(coeff[0]) + fsin(y) * float(coeff[1]) + z * z * float(coeff[2])
         pts = chart.sample(16, 42)
-        corr = conformal_ricci_correction(*jet_data(g, pts, 1), *jet_data(phi, pts, 2)[1:])
+        g_jets = jet_data(g, pts, 1)
+        corr = conformal_ricci_correction(g_jets[0], _christoffel_arrays(*g_jets), *jet_data(phi, pts, 2)[1:])
         direct = riemann(conformal_rescale(g, phi), pts).ricci - riemann(g, pts).ricci
         assert np.abs(corr - direct).max() < 1e-7
 

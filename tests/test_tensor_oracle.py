@@ -236,7 +236,7 @@ def test_fefferman_families_match_the_vector_by_vector_assembly(fefferman_pipe, 
             assert a.shape == b.shape
             assert_close(a, b)
     # and the record reduces exactly these families
-    rec = fefferman_ricci_residual(fc, pts, ws, pipe.f_sample["f"], pipe.f_sample)
+    rec = fefferman_ricci_residual(fc, pts, ws, pipe.f_metric, pipe.f_sample)
     names = ("fefferman_ricci_components", "fefferman_curvature_identities",
              "fefferman_covariant_table")
     for name, family in zip(names, new):
