@@ -343,15 +343,14 @@ def submersion_residuals(ac: AnticanonicalChart, ws: WebsterSample) -> dict[str,
 
     hj = np.zeros((len(hval), d, d))
     hj[:, : 2 * m, : 2 * m] = np.einsum("ai,naj->nij", jmat, hval)
-    proj = ws.projector
-    hj_h = np.einsum("nia,nij,njb->nab", proj, hj, proj)
+    hj_h = np.einsum("nia,nij,njb->nab", ws.projector, hj, ws.projector)
 
     # Ric(T,T) = (m/2) g(T,T)
     ric_t, ric_tt, g_tt = ws.reeb_ricci
 
     # the horizontal lifts X* = X-hat - theta(X-hat) T of the base coordinate fields: the
-    # sample's first 2m fields X_a, and their images J X_a
-    lifts, jlifts = (np.stack([x[0] for x in fields[: 2 * m]], axis=1) for fields in ws.horizontal)
+    # first 2m columns X_a of P, and of J P their images J X_a
+    lifts, jlifts = (cols[:, :, : 2 * m].transpose(0, 2, 1) for cols in (ws.projector, ws.jprojector))
 
     # Ric(T, X*) = 0 and Ric_h(X,Y) = Ric_g(X*,Y*) + (1/2) g(X*,Y*)
     ric_up = np.einsum("nai,nbj,nij->nab", lifts, lifts, ws.lc_curvature.ricci)

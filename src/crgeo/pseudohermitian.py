@@ -342,15 +342,15 @@ class WebsterSample:
     L (:attr:`levi_form`), after which theta, dtheta and J keep their first
     partials alone; D in :attr:`comparison`, the X_i and J X_i in
     :attr:`horizontal` and the solved Reeb field in :attr:`solved_reeb`.
-    Each other quantity is formed once, from these: the projector P, whose
-    columns are the X_i, dtheta on H from P, and the Reeb components of the
-    Levi-Civita Ricci from :attr:`lc_curvature`.  The contact and bracket
-    fields need no transversal symmetry; the members built on D
-    (:attr:`comparison` and those reading it) do, and the first of them
-    read checks it at these points.  With ``connection`` False only theta, dtheta, J, T and g_theta
-    to order 1 are read.  Pulled-back operands come from ``held``, the
-    :class:`PullbackJets` of the sample these points belong to; by default
-    it holds its own.
+    Each other quantity is formed once, from these: the projector P and J P,
+    whose columns are the X_i and the J X_i, dtheta on H from P, and the
+    Reeb components of the Levi-Civita Ricci from :attr:`lc_curvature`.  The
+    contact and bracket fields need no transversal symmetry; the members
+    built on D (:attr:`comparison` and those reading it) do, and the first
+    of them read checks it at these points.  With ``connection`` False only
+    theta, dtheta, J, T and g_theta to order 1 are read.  Pulled-back
+    operands come from ``held``, the :class:`PullbackJets` of the sample
+    these points belong to; by default it holds its own.
     """
 
     def __init__(self, ph: PHStructure, pts, held: PullbackJets | None = None, extra=None, siblings=(),
@@ -424,10 +424,14 @@ class WebsterSample:
         return np.stack([x[0] for x in self.horizontal[0]], axis=-1)
 
     @_member
+    def jprojector(self):
+        """J P: the values of the J X_j of :attr:`horizontal` as its columns."""
+        return np.stack([jx[0] for jx in self.horizontal[1]], axis=-1)
+
+    @_member
     def dtheta_h(self):
         """dtheta on H: dtheta(X_a, X_b) = (P^T dtheta P)[n, a, b]."""
-        proj = self.projector
-        return np.einsum("nia,nij,njb->nab", proj, self.jets("dtheta")[0], proj)
+        return np.einsum("nia,nij,njb->nab", self.projector, self.jets("dtheta")[0], self.projector)
 
     @_member
     def levi_civita(self):
@@ -573,8 +577,7 @@ def axiom_residuals(ws: WebsterSample) -> dict[str, np.ndarray]:
     tor = gamma_w - np.einsum("nkji->nkij", gamma_w)
     tor_h = np.einsum("nia,nkib->nkab", proj, np.einsum("nkij,njb->nkib", tor, proj))
     dth_h = ws.dtheta_h
-    jproj = np.stack([jx[0] for jx in ws.horizontal[1]], axis=-1)  # [n, k, a] = (J X_a)^k
-    levi_jh = np.einsum("nka,nkl,nlb->nab", jproj, ws.levi_form, proj)
+    levi_jh = np.einsum("nka,nkl,nlb->nab", ws.jprojector, ws.levi_form, proj)
     return {
         "webster_metricity": point_max(metricity),
         "webster_parallel_theta": point_max(parallel_theta),

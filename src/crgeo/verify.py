@@ -463,26 +463,25 @@ class SuiteConfig:
             for s in self.suites:
                 if s not in SUITES + ("negative",):
                     raise UsageError(f"unknown suite {s!r}")
-        if self.example == "all":
-            if "negative" in self.suites and "all" not in self.suites:
-                controls = [e.example for e in CATALOG.values() if e.negative and self.m in e.ms]
-                raise UsageError(
-                    "with --example all the negative controls run under --suite all; "
-                    f"or run a control entry on its own: --example {' / '.join(controls)}"
-                )
-        else:
-            entry = CATALOG[self.example]
-            suites = self.resolved_suites()
+        if self.example == "all" and "negative" in self.suites and "all" not in self.suites:
+            controls = [e.example for e in CATALOG.values() if e.negative and self.m in e.ms]
+            raise UsageError(
+                "with --example all the negative controls run under --suite all; "
+                f"or run a control entry on its own: --example {' / '.join(controls)}"
+            )
+        for example in self.examples():
+            entry = CATALOG[example]
+            suites = self.resolved_suites(example)
             if entry.negative and any(s != "negative" for s in suites):
                 raise UsageError(
-                    f"example {self.example!r} is a negative control; run it with --suite all"
+                    f"example {example!r} is a negative control; run it with --suite all"
                 )
             if self.m not in entry.ms:
-                raise UsageError(f"example {self.example!r} supports m in {entry.ms}, got {self.m}")
-            if not self.selected_checks():
+                raise UsageError(f"example {example!r} supports m in {entry.ms}, got {self.m}")
+            if not self.selected_checks(example):
                 raise UsageError(
                     f"suites {','.join(suites) or '(none)'} select no check "
-                    f"for example {self.example!r}"
+                    f"for example {example!r}"
                 )
         # an override of a check that no entry of the run selects would be dropped unseen
         selected = {c.name for example in self.examples() for c in self.selected_checks(example)}

@@ -438,6 +438,9 @@ def test_the_levi_form_and_projector_come_from_the_assembly(case, m, n):
     assert np.array_equal(ws.projector, columns)
     reeb = ws.jets("reeb")[0]
     assert np.array_equal(ws.projector, np.eye(ph.chart.dim) - np.einsum("ni,nj->nij", reeb, tval))
+    # J P's columns are the values of the J X_j
+    assert np.array_equal(ws.jprojector, np.stack([jx[0] for jx in ws.horizontal[1]], axis=-1))
+    assert np.allclose(ws.jprojector, np.einsum("nij,njk->nik", ws.jets("J")[0], ws.projector), atol=1e-12)
 
 
 def test_the_solved_reeb_field_is_nan_where_theta_is_not_contact():
@@ -484,6 +487,8 @@ def test_the_webster_batch_requests_only_the_contact_fields(monkeypatch):
     structure_residuals(ws)
     assert nodes == []
     assert "metric" not in vars(pipe.ac.ph)  # nor is the tree of g_theta built
+
+
 def test_the_gauge_sibling_joins_only_a_run_that_reads_the_webster_record():
     # only gauge_scal_invariance, a webster row, reads flat's gauge-shifted sibling
     from crgeo.verify import Pipeline

@@ -105,6 +105,7 @@ def test_usage_errors_exit_two(capsys):
         SuiteConfig(example="flat", m=3).validate()
     # suites that select no check, and a tolerance that no residual can be compared with
     assert run_cli(capsys, "run", "--example", "flat", "--m", "1", "--suite", ",")[0] == 2
+    assert run_cli(capsys, "run", "--example", "all", "--m", "1", "--suite", ",")[0] == 2
     assert run_cli(capsys, "run", "--example", "flat", "--m", "1", "--suite", "negative")[0] == 2
     assert run_cli(
         capsys, "run", "--example", "all", "--m", "1", "--suite", "negative", "--points", "2"
