@@ -15,6 +15,7 @@ from crgeo.constructions import (
     explicit_einstein_residuals,
     fefferman_metric,
     fefferman_ricci_residual,
+    fefferman_sample,
     make_kahler_einstein,
     pipeline_agreement_residual,
     rescale_residuals,
@@ -25,17 +26,20 @@ from crgeo.pseudohermitian import WebsterSample
 ke = make_kahler_einstein("fubini_study", m=1)  # scal_h = 2
 ac = anticanonical_structure(ke)
 # the Webster sample checks the Einstein condition and measures scal_W; the
-# Fefferman points below extend its points by s (Chart.sample is nested)
-ws = WebsterSample(ac.ph, ac.chart.sample(16, seed=42))
+# Fefferman points below extend its points by s (Chart.sample is nested).  It
+# also holds theta, the Levi form and the base metric h, from which the
+# Fefferman sample is assembled
+ws = WebsterSample(ac.ph, ac.chart.sample(16, seed=42), extra={"h": ac.sample_fields["h"]}, fefferman=True)
 fc = fefferman_metric(ac, ws)
 pts = fc.chart.sample(16, seed=42)
 rm = einstein_rescale(fc)
-# f, e^{2 phi} f and phi share their components: one jet batch evaluates all three
-f_jets, rm_jets, phi_jets = jet_data_multi([fc.metric, rm.metric, rm.phi], pts, 2)
+# f, e^{2 phi} f and phi, and the frame, forms and base metric, by name: each
+# pull-back of a contact-chart field has zero s-partials and phi depends on s
+# alone, so the product rule gives them all, with no jet evaluation at pts
+fields = fefferman_sample(fc, ws, pts)
+f_jets, rm_jets, phi_jets = fields["f"], fields["rescaled"], fields["phi"]
 
 print("S_W = scal_h / (2m(m+1)) =", fc.sw)
-# the frame, forms and base metric by name, from one order-1 batch
-fields = dict(zip(fc.sample_fields, jet_data_multi(list(fc.sample_fields.values()), pts, 1)))
 # f's jets travel with its symbols and inverse, formed once for every reader
 gamma_f, _, finv = levi_civita_arrays(*f_jets)
 rec = fefferman_ricci_residual(fc, pts, ws, (f_jets, (gamma_f, finv)), fields)

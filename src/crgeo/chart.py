@@ -787,18 +787,10 @@ class OneForm(_ComponentStack):
     rank = 1
     variance = (-1,)
 
-    def pair(self, x: VectorField) -> ScalarField:
-        """Contraction omega(X)."""
-        return ordered_sum(self.components * x.components)
-
 
 class _Matrix(_ComponentStack):
     rank = 2
     variance = (-1, -1)
-
-    def apply(self, x: VectorField, y: VectorField) -> ScalarField:
-        """Bilinear evaluation sum_ij c_ij X^i Y^j."""
-        return ordered_sum((self.components * x.components[:, None] * y.components).flat)
 
 
 class TwoForm(_Matrix):
@@ -813,9 +805,6 @@ class Endomorphism(_Matrix):
     """(1,1)-tensor with components J^i_j (output index first)."""
 
     variance = (1, -1)
-
-    def apply(self, x: VectorField) -> VectorField:
-        return VectorField(self.chart, contract(self.components, x.components))
 
 
 class GenericTensorField(_ComponentStack):
@@ -910,7 +899,3 @@ def pullback_oneform(total: Chart, omega: OneForm) -> OneForm:
 def pullback_symmetric(total: Chart, s: SymmetricTwoTensor) -> SymmetricTwoTensor:
     return SymmetricTwoTensor(total, _pulled_back(total, s))
 
-
-def extend_vector(total: Chart, x: VectorField) -> VectorField:
-    """Extend a base vector field by zero fiber components."""
-    return VectorField(total, _pulled_back(total, x))

@@ -18,6 +18,7 @@ from functools import cached_property
 
 import numpy as np
 
+from . import jets
 from .chart import (
     Chart,
     Endomorphism,
@@ -35,7 +36,6 @@ from .chart import (
     pullback_oneform,
     pullback_scalar,
     pullback_symmetric,
-    extend_vector,
     symmetric_product,
 )
 from .errors import PreconditionError, UsageError
@@ -43,6 +43,7 @@ from .metric import (
     MetricField,
     _christoffel_arrays,
     _dchristoffel_arrays,
+    check_signature,
     conformal_ricci_correction,
     conformal_rescale,
     covariant_from_arrays,
@@ -57,6 +58,10 @@ from .metric import (
 from .pseudohermitian import (
     PHStructure,
     WebsterSample,
+    _at,
+    _mul,
+    _points_first,
+    _points_last,
     make_structure,
     ph_einstein_residual,
 )
@@ -86,10 +91,6 @@ class KahlerEinsteinChart:
     ricci_potential: OneForm  # potential of the Ricci form: da = Ric(., J.)
     scal_h: float
     einstein: bool = True
-
-    @cached_property
-    def j_field(self) -> Endomorphism:
-        return Endomorphism(self.chart, self.complex_structure)
 
     def sample_fields(self, chart: Chart) -> dict:
         """The base fields that :meth:`levi_civita` and :meth:`kahler_residuals` read, by
@@ -127,7 +128,7 @@ class KahlerEinsteinChart:
         dgam, da = dgam - dgam.transpose(0, 2, 1), da - da.transpose(0, 2, 1)
         jval = np.repeat(jmat[None], len(hval), axis=0)  # the jet data of the constant field
         dj = np.zeros(jval.shape[:2] + jval.shape[1:])
-        nabla_j = covariant_from_arrays(jval, dj, gamma, self.j_field.variance)
+        nabla_j = covariant_from_arrays(jval, dj, gamma, Endomorphism.variance)
         ric_form = np.einsum("nia,aj->nij", ricci, jmat)
         out = {
             "kahler_potential": point_max(dgam - omega),
@@ -375,53 +376,40 @@ def submersion_residuals(ac: AnticanonicalChart, ws: WebsterSample) -> dict[str,
 
 @dataclass
 class FeffermanChart:
-    """Fefferman metric data on base x (t, s)."""
+    """f = L + (4/(m+2)) theta o A_theta on base x (t, s), ``chart``, with A_theta = A_W -
+    (scal_W/(2(m+1))) theta and A_W = ((m+2)/2) (ds + (2 scal_W/(m(m+2))) theta) in real
+    representatives.  :func:`fefferman_sample` assembles its jets; :attr:`metric` is its tree."""
 
     ac: AnticanonicalChart
     chart: Chart
-    webster_connection_form: OneForm  # A_W = i * this real representative
-    fefferman_connection_form: OneForm  # A_theta = i * this real representative
-    metric: MetricField
-    vertical_canonical: VectorField  # P, the canonical fiber direction
-    reeb_lift: VectorField  # T*
-    parallel_one_form: OneForm  # real rep of rho_c + rho_ac; closed and parallel
     scal_w: float
     sw: float  # S_W = scal_h / (2m(m+1))
-    theta_total: OneForm
 
     @property
     def m(self) -> int:
         return self.ac.m
 
     @cached_property
-    def sample_fields(self) -> dict:
-        """The fields the Fefferman residuals read at order 1, by name: the
-        ``frame`` stack (P, T*, e_1*, .., e_2m*), e_i* the horizontal lifts of
-        the base unitary frame extended by zero along s (H-fields lift with
-        zero canonical-fiber component because A_theta already annihilates
-        them), the ``vertical`` field T* - S_W P, the forms theta, A_theta, b
-        and A_W, and the base metric h."""
-        lifts = [horizontal_lift(self.ac, x) for x in base_unitary_frame(self.ac.base)]
-        frame = [self.vertical_canonical, self.reeb_lift]
-        frame += [extend_vector(self.chart, x) for x in lifts]
-        return {
-            "frame": _ComponentStack(self.chart, [x.components for x in frame]),
-            "vertical": self.reeb_lift - self.vertical_canonical.scaled(self.sw),
-            "theta": self.theta_total,
-            "a_theta": self.fefferman_connection_form,
-            "b": self.parallel_one_form,
-            "a_w": self.webster_connection_form,
-            "h": pullback_symmetric(self.chart, self.ac.base.metric),
-        }
+    def metric(self) -> MetricField:
+        """f's tree, of signature (2p + 1, 2q + 1) for the Levi signature (p, q), built on first use."""
+        m, scal_w, chart, ph = self.m, self.scal_w, self.chart, self.ac.ph
+        theta = pullback_oneform(chart, ph.theta)
+        ds = _coordinate_field(OneForm, chart, chart.dim - 1)
+        a_w = (ds + theta.scaled(2.0 * scal_w / (m * (m + 2)))).scaled(0.5 * (m + 2))
+        a_theta = a_w - theta.scaled(scal_w / (2.0 * (m + 1)))
+        f_comp = symmetric_product(theta, a_theta).scaled(4.0 / (m + 2))
+        (p, q), levi = ph.levi_signature, pullback_symmetric(chart, ph.levi_form)
+        return MetricField(chart, (levi + f_comp).components, (2 * p + 1, 2 * q + 1))
 
 
 def fefferman_metric(ac: AnticanonicalChart, ws: WebsterSample) -> FeffermanChart:
-    """Assemble the Fefferman metric of a pseudo-Hermitian Einstein structure.
+    """The Fefferman metric of a pseudo-Hermitian Einstein structure.
 
     Requires the Einstein condition: only then does the Webster connection
     form admit the local potential A_W = i (m+2)/2 (ds + (2 scal_W / (m(m+2))) theta).
     It is checked, and scal_W measured, on ``ws``, a Webster sample of
     ``ac.ph``; at one point the constancy of scal_W reads that point alone.
+    So is the Levi signature that f's is declared from (DegeneracyError).
     """
     if ws.ph is not ac.ph:
         raise ValueError("ws must be a Webster sample of ac.ph")
@@ -434,41 +422,14 @@ def fefferman_metric(ac: AnticanonicalChart, ws: WebsterSample) -> FeffermanChar
             f"input is not pseudo-Hermitian Einstein: residual {residual:.3e}, "
             f"scalar deviation {deviation:.3e}"
         )
+    p, q = ac.ph.levi_signature  # g_theta = L + theta o theta has signature (2p + 1, 2q)
+    check_signature(ws.jets("metric")[0], (2 * p + 1, 2 * q))
     # measured Webster scalar; snap the Ricci-flat gauge exactly to zero
     scal_mean = ein["scal_mean"]
     scal_w = scal_mean if abs(scal_mean) > 1e-10 else 0.0
     m = ac.m
     chart = ac.chart.extend("s", (-2.8, 2.8))
-    theta_total = pullback_oneform(chart, ac.ph.theta)
-    levi_total = pullback_symmetric(chart, ac.ph.levi_form)
-
-    ds = _coordinate_field(OneForm, chart, chart.dim - 1)
-    a_w = (ds + theta_total.scaled(2.0 * scal_w / (m * (m + 2)))).scaled(0.5 * (m + 2))
-    a_theta = a_w - theta_total.scaled(scal_w / (2.0 * (m + 1)))
-
-    f_comp = symmetric_product(theta_total, a_theta).scaled(4.0 / (m + 2))
-    p, q = ac.ph.levi_signature
-    metric = MetricField(chart, (levi_total + f_comp).components, (2 * p + 1, 2 * q + 1))
-
-    p_field = _coordinate_field(VectorField, chart, chart.dim - 1)
-    sw = scal_w / (m * (m + 1.0))
-    t_hat = extend_vector(chart, ac.ph.reeb)
-    t_star = t_hat - p_field.scaled(sw)
-
-    parallel = a_theta - theta_total.scaled(0.5 * (m + 2) * sw)
-    return FeffermanChart(
-        ac=ac,
-        chart=chart,
-        webster_connection_form=a_w,
-        fefferman_connection_form=a_theta,
-        metric=metric,
-        vertical_canonical=p_field,
-        reeb_lift=t_star,
-        parallel_one_form=parallel,
-        scal_w=scal_w,
-        sw=sw,
-        theta_total=theta_total,
-    )
+    return FeffermanChart(ac=ac, chart=chart, scal_w=scal_w, sw=scal_w / (m * (m + 1.0)))
 
 
 # ----------------------------------------------------------------------
@@ -517,37 +478,98 @@ def einstein_rescale(fc: FeffermanChart) -> RescaledMetric:
 
 
 # ----------------------------------------------------------------------
-# adapted frames and lifts
+# the Fefferman sample: jet data laid out points last and summed as the
+# fields' trees sum, as in pseudohermitian's assembly
 # ----------------------------------------------------------------------
 
-def base_unitary_frame(ke: KahlerEinsteinChart) -> list[VectorField]:
-    """Smooth h-orthonormal frame fields paired as (e_1..e_m, J e_1..J e_m).
+def _padded(x, dim: int, axes: int):
+    """Jet data with every derivative axis and the last ``axes`` value axes widened to ``dim``
+    by exact zeros: on a chart extending the field's, as :func:`jets.embed` lays it out."""
+    out = [np.zeros([dim if i < r or i >= a.ndim - 1 - axes else k for i, k in enumerate(a.shape[:-1])]
+                    + [a.shape[-1]]) for r, a in enumerate(x)]
+    for wide, a in zip(out, x):
+        wide[tuple(map(slice, a.shape))] = a
+    return out
 
-    Fixed-order Gram-Schmidt; valid for the positive-definite catalog
-    bases, where J e is automatically unit and orthogonal.
+
+def _ordered_sum(x):
+    """The sum over the last value axis, term by term, as :func:`crgeo.chart.ordered_sum` sums."""
+    return [np.add.accumulate(a, axis=-2)[..., -1, :] for a in x]
+
+
+def _unitary_lifts(h, jmat, theta, reeb):
+    """Order-1 jet data of the lifts X* = X - theta(X) T of the base's h-unitary frame (e_1, ..,
+    e_m, J e_1, .., J e_m), stacked, from that of h (base-shaped), theta and T on one chart: each
+    e_a is v = d/dx_(2a) - h(v, u) u over the e and J e kept, then v / sqrt(h(v, v)).  The trees
+    read h at order 1, which can differ in the last bits from the order-2 jets given here."""
+    k, (d, n) = len(jmat), theta[0].shape  # 2m, coordinates, points
+    every = slice(None)
+
+    def pair(v, u):  # h_ij v^i u^j summed over (i, j) in row-major order
+        terms = _mul(_mul(h, _at(v, (every, None))), _at(u, (None,)))
+        return _ordered_sum([a.reshape(a.shape[:-3] + (-1, n)) for a in terms])
+
+    kept = []
+    for a in range(k // 2):
+        v = [np.zeros((k, n)), np.zeros((d, k, n))]
+        v[0][2 * a] = 1.0
+        for u in kept:
+            v = [x - y for x, y in zip(v, _mul(u, _at(pair(v, u), (None,))))]
+        norm = jets.from_partials(_points_first(pair(v, v)))
+        v = _mul(v, _at(_points_last(jets.partials(1.0 / jets.sqrt(norm), n, d, 1, ())), (None,)))
+        kept.insert(a, v)
+        kept.append(_ordered_sum([x[..., None, :, :] * jmat[:, :, None] for x in v]))  # J v
+    # the stack, zero along the fiber coordinates; theta(X) sums over them too
+    x = _padded([np.stack([v[r] for v in kept], axis=r) for r in range(2)], d, 1)
+    theta_x = _ordered_sum(_mul(_at(theta, (None, every)), x))
+    return [a - b for a, b in zip(x, _mul(_at(reeb, (None, every)), _at(theta_x, (every, None))))]
+
+
+def fefferman_sample(fc: FeffermanChart, ws: WebsterSample, pts) -> dict:
+    """The jet data at ``pts`` that the fefferman, rescale and theorem2 records read, from ``ws``: the
+    Webster sample of ``fc.ac.ph`` at ``pts`` without s, made with ``fefferman`` and extra ``h``.
+
+    ``f``, ``rescaled`` (e^{2 phi} f) and ``phi`` to order 2; ``frame`` (P, T*, e_1*, .., e_2m*),
+    ``vertical`` (T* - S_W P), ``b`` and ``a_w`` to order 1; ``theta``, ``a_theta`` and ``h`` values.
+    All but ds and phi(s) are contact-chart fields, zero along s: the product rule gives each from
+    theta and L, T and h, equal to its tree's jet data up to a zero's sign (see _unitary_lifts).
     """
-    chart = ke.chart
-    m = ke.m
-    h = ke.metric
-    from .chart import sqrt as field_sqrt
+    pts = fc.chart.points(pts)
+    if ws.ph is not fc.ac.ph or not np.array_equal(ws.pts, pts[:, :-1]):
+        raise ValueError("ws must be the Webster sample of fc.ac.ph at pts without s")
+    m, dim, scal_w, sw = fc.m, fc.chart.dim, fc.scal_w, fc.sw
+    theta, levi = (_padded(x, dim, axes) for x, axes in zip(ws.fefferman_jets(), (1, 2)))
+    ds = np.eye(dim)[-1][:, None]  # the values of ds, and of P, at every point
 
-    es: list[VectorField] = []
-    js: list[VectorField] = []
-    for a in range(m):
-        v = _coordinate_field(VectorField, chart, 2 * a)
-        for u in es + js:
-            v = v - u.scaled(h.apply(v, u))
-        v = v.scaled(1.0 / field_sqrt(h.apply(v, v)))
-        es.append(v)
-        js.append(ke.j_field.apply(v))
-    return es + js
+    # A_W, A_theta and b = A_theta - ((m+2)/2) S_W theta, as FeffermanChart.metric builds them
+    a_w = [(x * (2.0 * scal_w / (m * (m + 2))) + y) * (0.5 * (m + 2)) for x, y in zip(theta, (ds, 0.0, 0.0))]
+    a_theta = [x - y * (scal_w / (2.0 * (m + 1))) for x, y in zip(a_w, theta)]
+    b = [x - y * (0.5 * (m + 2) * sw) for x, y in zip(a_theta, theta)]
+
+    # f = L + (theta o A_theta) 4/(m+2) and e^{2 phi} f
+    prod = _mul(_at(theta, (slice(None), None)), _at(a_theta, (None,)))  # [i, j] = theta_i A_j
+    f = [x + (y + y.swapaxes(-3, -2)) * 0.5 * (4.0 / (m + 2)) for x, y in zip(levi, prod)]
+    s = jets.seed(pts, 2)[-1]
+    phi = -jets.log(jets.cos(s * 0.5))
+    factor = _points_last(jets.partials(jets.exp(phi * 2.0), len(pts), dim, 2, ()))
+    rescaled = _mul(f, _at(factor, (None, None)))
+
+    h = _points_last(ws.extra_jets("h"))
+    reeb = _padded(_points_last(ws.jets("reeb")), dim, 1)
+    lifts = _unitary_lifts(_padded(h[:2], dim, 0), fc.ac.base.complex_structure, theta[:2], reeb)
+    p_field = [np.broadcast_to(ds, reeb[0].shape), np.zeros(reeb[1].shape)]
+    t_star = [x - y * sw for x, y in zip(reeb, p_field)]
+    vertical = [x - y * sw for x, y in zip(t_star, p_field)]
+    frame = [np.concatenate([np.expand_dims(x, r), np.expand_dims(y, r), z], axis=r)
+             for r, (x, y, z) in enumerate(zip(p_field, t_star, lifts))]
+    held = {"f": f, "rescaled": rescaled, "frame": frame, "vertical": vertical, "theta": theta[:1],
+            "a_theta": a_theta[:1], "b": b[:2], "a_w": a_w[:2], "h": _padded(h[:1], dim, 2)}
+    return {"phi": jets.partials(phi, len(pts), dim, 2, ()), **{k: _points_first(x) for k, x in held.items()}}
 
 
-def horizontal_lift(ac: AnticanonicalChart, x_base: VectorField) -> VectorField:
-    """theta-horizontal lift X* = X-hat - theta(X-hat) T to the contact chart."""
-    xhat = extend_vector(ac.chart, x_base)
-    return xhat - ac.ph.reeb.scaled(ac.ph.theta.pair(xhat))
-
+# ----------------------------------------------------------------------
+# contractions on the adapted frame
+# ----------------------------------------------------------------------
 
 def _zero_along_s(x):
     # (..., d) vectors of the contact chart as vectors of the Fefferman chart
@@ -583,13 +605,13 @@ def _frame_nabla(gamma, vals, grads):
 def fefferman_structure_residuals(fc: FeffermanChart, f, fields) -> dict[str, np.ndarray]:
     """Per point: normalization, lightlike fibers and forms, the closed form.
 
-    ``f`` is (jets, christoffel) of the Fefferman metric, as
-    :func:`fefferman_ricci_residual` reads it, and ``fields`` the order-1 jet
-    data of ``fc.sample_fields`` by name, both at one point batch.
+    ``f`` is (jets, christoffel) of f, as :func:`fefferman_ricci_residual`
+    reads it, and ``fields`` the :func:`fefferman_sample` at its points.
     """
     m = fc.m
     (fval, *_), (_, finv) = f
     pval, tsval = fields["frame"][0].swapaxes(0, 1)[:2]
+    vvals = fields["vertical"][0]
     thval, athval = fields["theta"][0], fields["a_theta"][0]
     bval, db = fields["b"]
     f_pt = np.einsum("nij,ni,nj->n", fval, pval, tsval)
@@ -602,7 +624,6 @@ def fefferman_structure_residuals(fc: FeffermanChart, f, fields) -> dict[str, np
     db = db - db.transpose(0, 2, 1)
 
     # f-dual of T* - S_W P is (2/(m+2)) * (rho_c + rho_ac) in real reps
-    vvals = tsval - fc.sw * pval
     dual = np.einsum("nij,ni->nj", fval, vvals)
 
     return {
@@ -684,10 +705,9 @@ def fefferman_ricci_residual(fc: FeffermanChart, pts, ws, f, fields) -> dict[str
     """Per-point curvature identities of the Fefferman metric.
 
     ``ws`` is the Webster sample of ``fc.ac.ph`` at ``pts`` without s (a
-    ValueError otherwise), ``f`` is (jets, christoffel): the order-2
-    ``jet_data`` ``[f, df, d2f]`` of the metric and its (Gamma, f^-1) from
-    :func:`_christoffel_arrays`, and ``fields`` the order-1 jet data of
-    ``fc.sample_fields`` by name, both at ``pts``.
+    ValueError otherwise), ``f`` is (jets, christoffel): ``[f, df, d2f]``
+    and (Gamma, f^-1) from :func:`_christoffel_arrays`, and ``fields`` the
+    :func:`fefferman_sample` at ``pts``.
 
     (a) closed form Ric = m S_W f + (2m/(m+2)^2) b o b with b the real
     representative of rho_c + rho_ac; (b) vertical component values;
@@ -747,8 +767,8 @@ def fefferman_expression_residual(fc: FeffermanChart, fval, fields) -> np.ndarra
     f = h + (4m(m+1)/((m+2)^2 scal_h)) (-(b o b) + (c o c)) with
     b, c the real representatives of rho_c + rho_ac and
     rho_c - rho_ac/(m+1); iR-valued squares expand with (i b)^2 = -b o b.
-    ``fval`` is the value of the Fefferman metric and ``fields`` the order-1
-    jet data of ``fc.sample_fields`` by name, both at one point batch.
+    ``fval`` is the value of f and ``fields`` the :func:`fefferman_sample`
+    at its points.
     """
     m = fc.m
     hval, thval = fields["h"][0], fields["theta"][0]
@@ -807,8 +827,8 @@ def correction_structure_residual(rm: RescaledMetric, f, phi_jets, fields) -> np
     """Ricci-flat gauge: the conformal correction has only a (P,P) component.
 
     ``f`` is (jets, christoffel) of f as :func:`fefferman_ricci_residual` reads
-    it, ``phi_jets`` the order-2 ``jet_data`` of phi and ``fields`` the order-1
-    jet data of ``rm.fc.sample_fields`` by name, all at one point batch.
+    it, ``phi_jets`` the order-2 jet data of phi and ``fields`` the
+    :func:`fefferman_sample`, all at one point batch.
     """
     (fval, *_), christoffel = f
     corr = conformal_ricci_correction(fval, christoffel, *phi_jets[1:])

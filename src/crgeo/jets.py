@@ -9,6 +9,7 @@ truncation error.  Batches live in the trailing axes of ``comp``.
 
 This module alone knows the coefficient layout: :func:`seed` builds
 coordinate jets, :func:`partials` reads value and derivative arrays back,
+:func:`from_partials` makes a jet of order 1 from such arrays,
 :func:`truncate` keeps the rows of a jet that a lower order has,
 :func:`stack` assembles the jet of a tensor from its components,
 :func:`components` holds them for a read without that jet,
@@ -34,7 +35,8 @@ import numpy as np
 
 __all__ = [
     "Jet", "exp", "log", "sin", "cos", "sqrt", "powf",
-    "seed", "partials", "truncate", "components", "stack", "widen", "coefficient", "Held", "hold", "embed",
+    "seed", "partials", "from_partials", "truncate", "components", "stack", "widen", "coefficient",
+    "Held", "hold", "embed",
     "jet_solve", "solve_values",
 ]
 
@@ -393,6 +395,11 @@ def partials(x, n: int, d: int, order: int, shape: tuple) -> list[np.ndarray]:
         return [_stacked([p.comp[sel] for p in x], shape) for sel in sels]
     comp = np.broadcast_to(x.comp, (1 << seeded, n) + (d,) * seeded + tuple(shape))
     return [np.array(comp[sel]) for sel in sels]
+
+
+def from_partials(arrays) -> Jet:
+    """The order-1 jet whose :func:`partials` are ``arrays``: [v (N, *shape), d1 (N, d, *shape)]."""
+    return Jet(np.stack([np.broadcast_to(arrays[0][:, None], arrays[1].shape), arrays[1]]), 1)
 
 
 def truncate(x, order: int, to: int):

@@ -45,24 +45,25 @@ class MetricField(SymmetricTwoTensor):
 
     def verify_signature(self, pts) -> None:
         """Raise DegeneracyError at the first degenerate or wrongly signed point."""
-        self.verify_signature_values(self(pts))
+        check_signature(self(pts), self.signature)
 
-    def verify_signature_values(self, g: np.ndarray) -> None:
-        """:meth:`verify_signature` of the metric values ``g`` (N, d, d)."""
-        det = np.abs(np.linalg.det(g))
-        eig = np.linalg.eigvalsh(g)
-        signs = np.stack([(eig > 0).sum(axis=1), (eig < 0).sum(axis=1)], axis=1)
-        degenerate = ~(det > _DET_FLOOR)  # negated, so that a NaN determinant is degenerate
-        bad = np.flatnonzero(degenerate | (signs != self.signature).any(axis=1))
-        if not bad.size:
-            return
-        n = bad[0]
-        if degenerate[n]:
-            raise DegeneracyError(f"metric degenerate at sample point {n}: |det| = {det[n]:.3e}")
-        raise DegeneracyError(
-            f"eigenvalue signs {tuple(map(int, signs[n]))} at sample point {n} do not match "
-            f"declared signature {self.signature}"
-        )
+
+def check_signature(g: np.ndarray, signature) -> None:
+    """Raise DegeneracyError at the first point where the values ``g`` are degenerate or not of ``signature``."""
+    det = np.abs(np.linalg.det(g))
+    eig = np.linalg.eigvalsh(g)
+    signs = np.stack([(eig > 0).sum(axis=1), (eig < 0).sum(axis=1)], axis=1)
+    degenerate = ~(det > _DET_FLOOR)  # negated, so that a NaN determinant is degenerate
+    bad = np.flatnonzero(degenerate | (signs != signature).any(axis=1))
+    if not bad.size:
+        return
+    n = bad[0]
+    if degenerate[n]:
+        raise DegeneracyError(f"metric degenerate at sample point {n}: |det| = {det[n]:.3e}")
+    raise DegeneracyError(
+        f"eigenvalue signs {tuple(map(int, signs[n]))} at sample point {n} do not match "
+        f"declared signature {tuple(signature)}"
+    )
 
 
 def point_max(*arrays) -> np.ndarray:

@@ -18,8 +18,7 @@ theta o theta, D, the horizontal fields X_i = e_i - theta_i T and J X_i,
 and the Reeb field solved from theta.  Each product carries value and
 partials by the Leibniz rule, and each sum runs over its terms in the
 order of the tensor formula's component trees, so every array equals the
-jet data of those trees (:attr:`PHStructure.metric` for g_theta) bit for
-bit, up to the sign of a zero.
+jet data of those trees bit for bit, up to the sign of a zero.
 """
 
 from __future__ import annotations
@@ -44,12 +43,10 @@ from .chart import (
     contract,
     exterior_derivative,
     jet_data_named,
-    symmetric_product,
 )
 from .errors import DegeneracyError, PreconditionError
 from .metric import (
     CurvatureTensor,
-    MetricField,
     covariant_from_arrays,
     curvature_from_arrays,
     curvature_from_connection,
@@ -129,17 +126,6 @@ class PHStructure:
     def levi_form(self) -> SymmetricTwoTensor:
         """L(X, Y) = dtheta(X, J Y), a full symmetric component matrix."""
         return SymmetricTwoTensor(self.chart, contract(self.dtheta.components, self.J.components))
-
-    @cached_property
-    def metric(self) -> MetricField:
-        """g_theta = L_theta + theta o theta; one extra plus direction along T.
-
-        A :class:`WebsterSample` assembles its jet data from the arrays of
-        theta, dtheta and J instead, bit for bit the same.
-        """
-        g = self.levi_form + symmetric_product(self.theta, self.theta)
-        p, q = self.levi_signature
-        return MetricField(self.chart, g.components, (2 * p + 1, 2 * q))
 
     def sample_fields(self, connection: bool = True) -> dict:
         """The fields a :class:`WebsterSample` evaluates as jets, by name, each with its read order.
@@ -239,14 +225,13 @@ def _mul(a, b):
 
 
 def _metric_jets(ph: PHStructure, theta, dtheta, jmat):
-    """The values of L and the jet data of g_theta = L + theta o theta, from theta, dtheta and J.
+    """The values of L, the jet data of g_theta = L + theta o theta, and that of (theta, L) laid
+    out points last, from theta, dtheta and J, each to their order.
 
-    g_theta is to the order of the jet data given.  L_ij = sum_k dtheta_ik
-    J_kj over k ascending, as :func:`contract` sums it, without the terms
-    that fold to the constant 0 in its tree: every term of a k where each
-    dtheta_ik is the constant 0, and where J_kj is the constant 0; a
-    constant J_kj scales dtheta_ik.  Then (theta o theta)_ij = (theta_i
-    theta_j + theta_j theta_i) / 2.
+    L_ij = sum_k dtheta_ik J_kj over k ascending, as :func:`contract` sums it, without the
+    terms that fold to the constant 0 in its tree: every term of a k where each dtheta_ik is
+    the constant 0, and where J_kj is the constant 0; a constant J_kj scales dtheta_ik.  Then
+    (theta o theta)_ij = (theta_i theta_j + theta_j theta_i) / 2.
     """
     th, dth = _points_last(theta), _points_last(dtheta)
     every = slice(None)
@@ -264,11 +249,8 @@ def _metric_jets(ph: PHStructure, theta, dtheta, jmat):
             jrow = _points_last([x[..., k, None, :] for x in jmat])  # [1, j] = J_kj
             for x, y in zip(levi, _mul(_at(dth, (every, k, None)), jrow)):
                 x += y
-    # a copy: at one point _points_first returns a view, and the sum below runs in place
-    lval = _points_first([levi[0].copy()])[0]
-    for x, y in zip(levi, sym):
-        x += (y + y.swapaxes(-3, -2)) * 0.5
-    return lval, _points_first(levi)
+    g = [x + (y + y.swapaxes(-3, -2)) * 0.5 for x, y in zip(levi, sym)]
+    return _points_first(levi[:1])[0], _points_first(g), (th, levi)
 
 
 def _comparison_jets(th, dth, t, j):
@@ -348,16 +330,18 @@ class WebsterSample:
     contact and bracket fields need no transversal symmetry; the members
     built on D (:attr:`comparison` and those reading it) do, and the first
     of them read checks it at these points.  With ``connection`` False only
-    theta, dtheta, J, T and g_theta to order 1 are read.  Pulled-back
+    theta, dtheta, J, T and g_theta to order 1 are read; with ``fefferman``
+    theta and L to order 2 too, for :meth:`fefferman_jets`.  Pulled-back
     operands come from ``held``, the :class:`PullbackJets` of the sample
     these points belong to; by default it holds its own.
     """
 
     def __init__(self, ph: PHStructure, pts, held: PullbackJets | None = None, extra=None, siblings=(),
-                 connection: bool = True):
+                 connection: bool = True, fefferman: bool = False):
         self.ph = ph
         self.pts = ph.chart.points(pts)
         self.held = PullbackJets(ph.chart, self.pts) if held is None else held
+        self.fefferman = fefferman
         self.structures = (ph, *siblings)
         self.requests = {
             (s, name): read for s in self.structures for name, read in s.sample_fields(connection).items()
@@ -377,11 +361,20 @@ class WebsterSample:
             data = jet_data_named(self.requests, self.pts, self.held)
             for s in self.structures:
                 contact = {name: data[s, name] for name in ("theta", "dtheta", "J")}
-                data[s, "levi_form"], data[s, "metric"] = _metric_jets(s, *contact.values())
+                data[s, "levi_form"], data[s, "metric"], operands = _metric_jets(s, *contact.values())
+                if self.fefferman and s is self.structures[0]:
+                    data[s, "fefferman"] = operands
                 for name, jet in contact.items():
-                    data[s, name] = jet[:2]  # no reader needs their second partials
+                    data[s, name] = jet[:2]  # no other reader needs their second partials
             self.data.update(data)
         return self.data
+
+    def fefferman_jets(self):
+        """The order-2 jet data of theta and L laid out points last, which f is built from: held
+        by a sample made with ``fefferman`` for this one read, which releases them."""
+        if (self.ph, "fefferman") not in self.batch:
+            raise ValueError("theta and L are held for one read, by a sample made with fefferman=True")
+        return self.batch.pop((self.ph, "fefferman"))
 
     def jets(self, name):
         """The jet data of the structure's field ``name``: theta, dtheta, J and T to order 1,

@@ -20,7 +20,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .chart import PullbackJets, jet_data_multi, jet_data_named
+from .chart import PullbackJets, jet_data_multi
 from .constructions import (
     anticanonical_structure,
     correction_structure_residual,
@@ -30,6 +30,7 @@ from .constructions import (
     fefferman_expression_residual,
     fefferman_metric,
     fefferman_ricci_residual,
+    fefferman_sample,
     fefferman_structure_residuals,
     gauge_shift_scal_residual,
     gauge_shifted_structure,
@@ -42,7 +43,7 @@ from .constructions import (
     submersion_residuals,
 )
 from .errors import DegeneracyError, UsageError
-from .metric import _christoffel_arrays
+from .metric import _christoffel_arrays, check_signature
 from .pseudohermitian import (
     WebsterSample,
     axiom_residuals,
@@ -243,25 +244,17 @@ class Pipeline:
     """Lazy, cached construction pipeline for one catalog entry.
 
     Each ``*_record`` maps check names to residuals per sample point (or to
-    one sample statistic), plus the constants that checks report.  Every
-    record reads its fields from jet batches held once per sample, each
-    from one ``jet_data_multi`` call that evaluates every node once, at the
-    highest order read: the structure's fields, the Webster connection and
-    the base fields at the contact sample (``webster_sample``), f, e^{2 phi}
-    f and phi at order 2 with the Fefferman frame, forms and base metric at
-    order 1 at the Fefferman sample (``f_sample``), and the explicit metrics
-    at their sample (``t2_jets``).
-    The samples are nested (``Chart.sample``): ``m_pts`` is ``f_pts`` without
-    s, so ``webster_sample`` also serves the Fefferman identities and the
-    Einstein precondition of ``fc``.  A rescale or theorem2 run alone thus
-    evaluates it too, at all ``points``.  Every one of these calls reads its
-    pull-backs from one batch, ``held``, at ``m_pts``: ``f_pts`` shares its
-    contact columns and ``t2_pts`` its base columns, so each pulled-back
-    operand is evaluated once per sample and held at the highest order
-    evaluated, which later calls read by truncation.  ``records`` names
-    the records a run reads (every one by default): the base fields of
-    the submersion record join the Webster sample's call only when it is
-    among them, and flat's gauge sibling only with the webster record.
+    one sample statistic), plus the constants that checks report, read from
+    arrays held once per sample: the structure's fields, the base fields
+    and the jets f is built from at ``m_pts`` (``webster_sample``), and the
+    explicit metrics at ``t2_pts`` (``t2_jets``), each from one
+    ``jet_data_multi`` call that evaluates every node once, at the highest
+    order read.  The samples are nested (``Chart.sample``): ``f_pts`` is
+    ``m_pts`` with s appended, so ``f_sample`` assembles f, e^{2 phi} f, phi
+    and the Fefferman frame and forms from ``webster_sample``'s arrays, on
+    which ``fc`` checks its Einstein precondition too.  Every call reads its
+    pull-backs from one batch, ``held``, at ``m_pts``.  ``records`` names
+    the records a run reads (every one by default).
     """
 
     def __init__(self, example: str, m: int, points: int, seed: int, records=None):
@@ -321,11 +314,9 @@ class Pipeline:
 
     @cached_property
     def f_sample(self):
-        """Jet data at ``f_pts``, by name, from one call: ``fc.sample_fields`` at order 1,
-        and f, its rescaling e^{2 phi} f and phi (``f``, ``rescaled``, ``phi``) at order 2."""
-        fields = {name: (field, 1) for name, field in self.fc.sample_fields.items()}
-        fields.update(f=(self.fc.metric, 2), rescaled=(self.rm.metric, 2), phi=(self.rm.phi, 2))
-        return jet_data_named(fields, self.f_pts, self.held)
+        """Jet data at ``f_pts`` by name, assembled from ``webster_sample``'s arrays
+        (:func:`fefferman_sample`)."""
+        return fefferman_sample(self.fc, self.webster_sample, self.f_pts)
 
     @cached_property
     def f_metric(self):
@@ -346,14 +337,16 @@ class Pipeline:
 
     @cached_property
     def webster_sample(self):
-        """The structure's fields, Webster connection, curvature and Levi frame at ``m_pts``,
-        with the base fields where the run reads the submersion record, and the sample of
-        ``gauge_ph`` where the run reads the webster record and its check applies, from one call."""
+        """The structure's fields, Webster connection, curvature and Levi frame at ``m_pts``, with
+        the base fields where the run reads the submersion record or a record of f, the jets f is
+        built from where it reads the latter, and the sample of ``gauge_ph`` where it reads the
+        webster record and its check applies, from one call."""
         gauge = "webster" in self.records and self.applies("gauge_scal_invariance")
         siblings = (self.gauge_ph,) if gauge else ()
-        # a control has no submersion record
-        extra = self.ac.sample_fields if not self.entry.negative and "submersion" in self.records else None
-        return WebsterSample(self.ac.ph, self.m_pts, self.held, extra, siblings)
+        # a control has no submersion or Fefferman record
+        reads_f = not self.entry.negative and bool(self.records & {"fefferman", "rescale", "theorem2"})
+        extra = self.ac.sample_fields if reads_f or not self.entry.negative and "submersion" in self.records else None
+        return WebsterSample(self.ac.ph, self.m_pts, self.held, extra, siblings, fefferman=reads_f)
 
     # -- cached residual records --------------------------------------------
     @cached_property
@@ -406,7 +399,7 @@ class Pipeline:
             self.rm, self.t2, self.f_pts, self.f_sample["rescaled"][0], self.held
         )
         try:
-            self.t2.metric.verify_signature_values(self.t2_jets[0][0])
+            check_signature(self.t2_jets[0][0], self.t2.metric.signature)
             rec["explicit_signature"] = 0.0
         except DegeneracyError:
             rec["explicit_signature"] = 1.0

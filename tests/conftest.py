@@ -12,8 +12,8 @@ import numpy as np
 import pytest
 
 from crgeo import Chart, OneForm, jets
-from crgeo.chart import GenericTensorField, VectorField, jet_data
-from crgeo.metric import riemann
+from crgeo.chart import GenericTensorField, VectorField, contract, jet_data, symmetric_product
+from crgeo.metric import MetricField, riemann
 from crgeo.pseudohermitian import ReebField, make_structure
 from crgeo.verify import Pipeline
 
@@ -30,10 +30,22 @@ def comparison_tensor(ph) -> GenericTensorField:
     return GenericTensorField(ph.chart, comp, (1, -1, -1))
 
 
+def g_theta(ph) -> MetricField:
+    """g_theta = L_theta + theta o theta as a tree, with one extra plus direction along T."""
+    p, q = ph.levi_signature
+    return MetricField(ph.chart, (ph.levi_form + symmetric_product(ph.theta, ph.theta)).components,
+                       (2 * p + 1, 2 * q))
+
+
 def horizontal_fields(ph) -> list[VectorField]:
     """Projections X_i = e_i - theta(e_i) T of the coordinate fields onto H."""
     theta_t = np.multiply.outer(ph.theta.components, ph.reeb.components)
     return [VectorField(ph.chart, row) for row in np.eye(ph.chart.dim) - theta_t]
+
+
+def j_image(ph, x) -> VectorField:
+    """J X as a tree: (J X)^i = sum_k J^i_k X^k over k ascending."""
+    return VectorField(ph.chart, contract(ph.J.components, x.components))
 
 
 def solved_reeb_field(ph) -> ReebField:
@@ -52,10 +64,10 @@ def reference_fields(ph, connection: bool = True) -> dict:
     """
     fields = {name: (field, 1) for name, field in
               (("theta", ph.theta), ("dtheta", ph.dtheta), ("J", ph.J), ("reeb", ph.reeb))}
-    fields["metric"] = (ph.metric, 2 if connection else 1)
+    fields["metric"] = (g_theta(ph), 2 if connection else 1)
     for i, x in enumerate(horizontal_fields(ph)):
         fields["x", i] = (x, 1)
-        fields["jx", i] = (ph.J.apply(x), 1)
+        fields["jx", i] = (j_image(ph, x), 1)
     if connection:
         fields["D"] = (comparison_tensor(ph), 1)
         fields["solved_reeb"] = (solved_reeb_field(ph), 0)

@@ -25,12 +25,13 @@ from crgeo.chart import (
     log,
     ordered_sum,
     pullback_scalar,
+    pullback_symmetric,
     sin,
 )
 from crgeo.errors import DomainError
 from crgeo.jets import Jet
 from crgeo.verify import Pipeline, SuiteConfig, run_suite
-from conftest import comparison_tensor
+from conftest import comparison_tensor, g_theta
 
 
 @pytest.fixture(scope="module")
@@ -633,7 +634,7 @@ def _structure_jets(example, m):
     for n in (1, 2, 65):
         m_pts = ph.chart.sample(n, n)
         for order in range(3):
-            fields = [ph.theta, ph.dtheta, ph.metric, ph.J, comparison_tensor(ph)]
+            fields = [ph.theta, ph.dtheta, g_theta(ph), ph.J, comparison_tensor(ph)]
             for per_field in jet_data_multi(fields, m_pts, order):
                 arrays += per_field
             if fc is not None:
@@ -714,7 +715,7 @@ def test_mixed_partials_commute_bit_for_bit(example, m):
     groups = [
         [_potential(pipe.ke)],
         list(pipe.ke.metric.components.flat),
-        list(pipe.ac.ph.metric.components.flat),
+        list(g_theta(pipe.ac.ph).components.flat),
         list(pipe.fc.metric.components.flat),
     ]
     for scalars in groups:
@@ -814,7 +815,8 @@ def test_a_held_batch_at_other_points_is_refused():
 
     pipe = Pipeline("fubini_study", 1, points=3, seed=4)
     held = PullbackJets(pipe.ac.chart, pipe.m_pts)
-    fields = list(pipe.fc.sample_fields.values())
+    # f reads contact-chart operands, the pulled-back h base-chart ones
+    fields = [pipe.fc.metric, pullback_symmetric(pipe.fc.chart, pipe.ke.metric)]
     jet_data_multi(fields, pipe.f_pts, 1, held)  # f_pts starts with m_pts
     moved = pipe.f_pts.copy()
     moved[1, 0] += 1e-3  # one base coordinate of one point

@@ -17,6 +17,7 @@ from crgeo.constructions import (
 )
 from crgeo.errors import PreconditionError, UsageError
 from crgeo.pseudohermitian import WebsterSample
+from conftest import g_theta
 
 
 def kahler_residuals(ke, pts):
@@ -139,7 +140,7 @@ def test_dtheta_pullback_and_connection_curvature(pipeline):
 
 def test_signature_strictly_pseudoconvex(pipeline):
     pipe = pipeline("fubini_study", 1)
-    pipe.ac.ph.metric.verify_signature(pipe.m_pts)  # (2m+1, 0)
+    g_theta(pipe.ac.ph).verify_signature(pipe.m_pts)  # (2m+1, 0)
 
 
 # ----------------------------------------------------------------------
@@ -243,17 +244,17 @@ def test_joint_metric_jets_equal_separate_evaluation(pipeline, m):
 
 
 def test_pipeline_evaluates_each_shared_metric_once(jet_calls):
-    # f with e^{2 phi} f at f_pts, the explicit metric with its unrescaled
-    # factor at t2_pts and theta, dtheta and J, of which the Webster sample
-    # assembles g_theta, at m_pts each take one order-2 batch
+    # the explicit metric with its unrescaled factor at t2_pts and theta,
+    # dtheta and J, of which the Webster sample assembles g_theta and f, at
+    # m_pts each take one order-2 batch; f and e^{2 phi} f take none at f_pts
     from crgeo.verify import Pipeline
 
     pipe = Pipeline("fubini_study", 1, points=3, seed=7)
     for record in ("structure", "webster", "comparison", "submersion",
                    "fefferman", "rescale", "theorem2"):
         getattr(pipe, f"{record}_record")
+    assert not any(np.array_equal(at, pipe.f_pts) for _, at, _ in jet_calls)
     shared = [
-        ([pipe.fc.metric, pipe.rm.metric], pipe.f_pts),
         ([pipe.t2.metric, pipe.t2.unrescaled], pipe.t2_pts),
         ([pipe.ac.ph.theta, pipe.ac.ph.dtheta, pipe.ac.ph.J], pipe.m_pts),
     ]
@@ -264,20 +265,24 @@ def test_pipeline_evaluates_each_shared_metric_once(jet_calls):
         ]
         assert len(batches) == 1
         assert all(f in batches[0] for f in metrics)
-    assert not any(pipe.ac.ph.metric in fields for fields, _, _ in jet_calls)
+    g = g_theta(pipe.ac.ph).components  # g_theta's tree, whose components are interned
+    assert not any(f.shape == g.shape and (f.components == g).all() for fields, _, _ in jet_calls for f in fields)
 
 
 @pytest.mark.parametrize("example, m", [("flat", 1), ("fubini_study", 2)])
 def test_fefferman_and_rescale_records_read_the_held_batches(jet_calls, example, m):
-    # with f_sample held, the two records evaluate only the s = 0
-    # slice of slice_identity_residual: the contact frame, f and h are read
-    # from the held batches, and the Webster connection from the pipeline's
-    # Webster sample, which building f has already read
+    # f_sample is assembled from the Webster sample's arrays with no jet call;
+    # then the two records evaluate only the s = 0 slice of
+    # slice_identity_residual: the contact frame, f and h are read from
+    # f_sample, and the Webster connection from the pipeline's Webster sample,
+    # which building f has already read
     from crgeo.verify import Pipeline
 
     pipe = Pipeline(example, m, points=3, seed=7)
-    pipe.f_sample  # held before the records run
+    pipe.webster_sample.batch
     jet_calls.clear()
+    pipe.f_sample  # held before the records run
+    assert jet_calls == []
     pipe.fefferman_record, pipe.rescale_record
     assert ("correction_structure" in pipe.rescale_record) == (example == "flat")
     assert [(fields, order) for fields, _, order in jet_calls] == [
@@ -307,18 +312,53 @@ def test_a_degenerate_f_fails_every_fefferman_row(monkeypatch):
     # degenerate f names itself in each row
     from crgeo import verify
 
-    real = verify.Pipeline.f_sample.func
+    real = verify.fefferman_sample
 
-    def degenerate(self):
-        data = real(self)
+    def degenerate(*args):
+        data = real(*args)
         data["f"] = [np.zeros_like(a) for a in data["f"]]
         return data
 
-    monkeypatch.setattr(verify.Pipeline, "f_sample", property(degenerate))
+    monkeypatch.setattr(verify, "fefferman_sample", degenerate)
     cfg = verify.SuiteConfig("flat", 1, suites=("fefferman",), points=2)
     rows = verify.run_suite(cfg)["checks"]
     assert len(rows) == len(cfg.selected_checks()) > 0
     assert all(not row["pass"] and row["error"].startswith("DegeneracyError: singular metric") for row in rows)
+
+
+@pytest.mark.parametrize("m", [1, 2])
+def test_a_catalog_run_makes_15_jet_calls(jet_calls, m):
+    # per regular entry: the Webster sample, the slice, the explicit metrics and
+    # the pipeline agreement, and the Sasaki factor for the curved bases; per
+    # control, its Webster sample and the deformed structure's (m = 1) or none
+    from crgeo.verify import SuiteConfig, run_all
+
+    assert run_all(SuiteConfig("all", m, points=2))["overall_pass"]
+    assert len(jet_calls) == 15
+
+
+@pytest.mark.parametrize("example, m", [("fubini_study", 1), ("complex_hyperbolic", 2)])
+def test_a_wrongly_declared_levi_signature_fails_every_fefferman_row(monkeypatch, example, m):
+    # the Levi form of a catalog structure is positive definite: declared
+    # (0, m), g_theta's values at the Webster sample refute the signature
+    # (1, 2m) that f's is declared from
+    from crgeo import verify
+
+    real = verify.anticanonical_structure
+
+    def redeclared(ke):
+        ac = real(ke)
+        ac.ph.levi_signature = (0, ac.m)
+        return ac
+
+    monkeypatch.setattr(verify, "anticanonical_structure", redeclared)
+    cfg = verify.SuiteConfig(example, m, suites=("fefferman",), points=4)
+    rows = verify.run_suite(cfg)["checks"]
+    assert len(rows) == len(cfg.selected_checks()) > 0
+    assert all(not row["pass"] and row["error"].startswith(
+        f"DegeneracyError: eigenvalue signs ({2 * m + 1}, 0) at sample point 0 do not match "
+        f"declared signature (1, {2 * m})"
+    ) for row in rows)
 
 
 def test_slice_identity_reads_the_run_points(jet_calls):
@@ -349,7 +389,9 @@ def test_no_field_is_evaluated_twice_per_sample(jet_calls):
     for record in ("structure", "webster", "comparison", "submersion",
                    "fefferman", "rescale", "theorem2"):
         getattr(pipe, f"{record}_record")
-    samples = {"m": pipe.m_pts, "f": pipe.f_pts, "t2": pipe.t2_pts}
+    # the Fefferman sample is assembled from the contact sample's arrays
+    samples = {"m": pipe.m_pts, "t2": pipe.t2_pts}
+    assert not any(np.array_equal(at, pipe.f_pts) for _, at, _ in jet_calls)
 
     def key(field):
         # a field built twice from the same interned components is one field
@@ -409,7 +451,7 @@ def test_fefferman_ricci_isotropic_flat(pipeline):
     from crgeo.metric import riemann
 
     curv = riemann(pipe.fc.metric, pipe.f_pts)
-    pval = pipe.fc.vertical_canonical(pipe.f_pts)
+    pval = pipe.f_sample["frame"][0][:, 0]  # P = d/ds
     ric_pp = np.einsum("nij,ni,nj->n", curv.ricci, pval, pval)
     np.testing.assert_allclose(ric_pp, 0.5, atol=1e-10)  # m/2 with m = 1
 
@@ -608,7 +650,7 @@ def test_curvature_symmetries_catalog(pipeline, riemann_symmetries):
             pipe = pipeline(kind, m)
             cases.append((pipe.ke.metric, pipe.m_pts[:, : 2 * m]))
     pipe = pipeline("fubini_study", 1)
-    cases.append((pipe.ac.ph.metric, pipe.m_pts))  # induced contact metric
+    cases.append((g_theta(pipe.ac.ph), pipe.m_pts))  # induced contact metric
     cases.append((pipe.fc.metric, pipe.f_pts))  # Lorentzian Fefferman metric
     for metric, pts in cases:
         res = riemann_symmetries(metric, pts)

@@ -36,8 +36,8 @@ def test_profile_splits_own_and_pulled_back_ops():
 
 def test_node_counts_per_record_cover_every_node_call(monkeypatch):
     # each Chart.node call is charged to the record being read, as a new node
-    # or an interned hit; the webster and comparison records read the Webster
-    # sample's held and assembled arrays and build no tree
+    # or an interned hit; the webster, comparison and fefferman records read the
+    # Webster sample's held and assembled arrays and build no tree
     calls = []
     real = chart.Chart.node
     monkeypatch.setattr(chart.Chart, "node", lambda *args, **kwargs: calls.append(1) or real(*args, **kwargs))
@@ -46,6 +46,8 @@ def test_node_counts_per_record_cover_every_node_call(monkeypatch):
     assert sum(c for c, _ in nodes.values()) == len(calls) > 0
     assert all(0 <= new <= c for c, new in nodes.values())
     assert nodes["webster"] == nodes["comparison"] == [0, 0]
+    # nor does the fefferman record: f, its frame and forms are assembled from arrays
+    assert nodes["fefferman"] == [0, 0]
     # the structure record builds the base, the contact structure and its fields
     assert nodes["structure"][0] > nodes["structure"][1] > 0
 

@@ -20,7 +20,7 @@ from crgeo.pseudohermitian import (
     transversal_symmetry_residual,
 )
 from crgeo.chart import jet_data_named
-from conftest import horizontal_fields, reference_fields, solved_reeb_field
+from conftest import g_theta, horizontal_fields, j_image, reference_fields, solved_reeb_field
 
 BASE_J = np.array([[0.0, -1.0], [1.0, 0.0]])
 
@@ -85,7 +85,7 @@ def test_field_listed_before_its_reader_in_one_batch(heisenberg, pts):
 
     assert isinstance(heisenberg.reeb, ReebField)
     x = horizontal_fields(heisenberg)[0]
-    fields = [heisenberg.reeb, heisenberg.J, x, heisenberg.J.apply(x)]
+    fields = [heisenberg.reeb, heisenberg.J, x, j_image(heisenberg, x)]
     for field, arrays in zip(fields, jet_data_multi(fields, pts, 2)):
         assert all(np.array_equal(a, b) for a, b in zip(arrays, jet_data(field, pts, 2)))
 
@@ -99,7 +99,7 @@ def test_heisenberg_structure_residuals(heisenberg, pts):
 
 
 def test_g_theta_decomposition(heisenberg, pts):
-    g = heisenberg.metric
+    g = g_theta(heisenberg)
     gval = g(pts)
     reeb = heisenberg.reeb(pts)
     # g(T, T) = 1
@@ -131,14 +131,14 @@ def test_heisenberg_tsph(heisenberg, pts):
     from crgeo.metric import killing_residual
 
     assert transversal_symmetry_residual(WebsterSample(heisenberg, pts)).max() < 1e-12
-    g_jets, reeb_jets = jet_data(heisenberg.metric, pts, 1), jet_data(heisenberg.reeb, pts, 1)
+    g_jets, reeb_jets = jet_data(g_theta(heisenberg), pts, 1), jet_data(heisenberg.reeb, pts, 1)
     assert killing_residual(*g_jets, *reeb_jets).max() < 1e-12
 
 
 def reference_integrability(ph, pts):
     """Nijenhuis residual with every bracket a ``lie_bracket`` field on its own jet batch."""
     fields = horizontal_fields(ph)
-    jf = [ph.J.apply(x) for x in fields]
+    jf = [j_image(ph, x) for x in fields]
     jval, tval = ph.J(pts), ph.theta(pts)
     terms = []
     for i in range(len(fields)):
@@ -156,11 +156,11 @@ def reference_integrability(ph, pts):
 
 def reference_tsph(ph, pts):
     """max over X_i of |[T,X] + J[T,JX]| / |X|_g with ``lie_bracket`` fields."""
-    jval, gval = ph.J(pts), ph.metric(pts)
+    jval, gval = ph.J(pts), g_theta(ph)(pts)
     terms = []
     for x in horizontal_fields(ph):
         expr = lie_bracket(ph.reeb, x)(pts) + np.einsum(
-            "nab,nb->na", jval, lie_bracket(ph.reeb, ph.J.apply(x))(pts)
+            "nab,nb->na", jval, lie_bracket(ph.reeb, j_image(ph, x))(pts)
         )
         norm = np.sqrt(np.abs(np.einsum("nij,ni,nj->n", gval, x(pts), x(pts))))
         terms.append(np.abs(expr).max(axis=1) / np.maximum(norm, 1e-12))
@@ -301,7 +301,7 @@ def test_connection_data_is_shared_across_records(jet_calls, monkeypatch):
     # g_theta is assembled from the held theta, dtheta and J, never evaluated as a tree
     requested = [field for field, _ in pipe.webster_sample.requests.values()]
     assert all(field in requested for field in (ph.theta, ph.dtheta, ph.J, ph.reeb))
-    assert ph.metric not in requested
+    assert [name for s, name in pipe.webster_sample.requests if s is ph] == ["theta", "dtheta", "J", "reeb"]
     # the Levi frame is built once, from the held values
     assert len(frames) == 1 and len(frames[0]) == len(pts)
     # R_W is built once; the Levi-Civita curvature goes through metric's binding
@@ -355,7 +355,7 @@ def test_sample_batches_equal_separate_evaluation(example, m, n):
     pipe = Pipeline(example, m, points=n, seed=7)
     ph, pts, ws = pipe.ac.ph, pipe.m_pts, pipe.webster_sample
     for name in ("theta", "dtheta", "J", "reeb", "metric"):
-        field = ph.metric if name == "metric" else ph.sample_fields()[name][0]
+        field = g_theta(ph) if name == "metric" else ph.sample_fields()[name][0]
         read = ws.jets(name)
         assert len(read) == (3 if name == "metric" else 2)
         for held, separate in zip(read, jet_data(field, pts, 2)):
@@ -486,7 +486,6 @@ def test_the_webster_batch_requests_only_the_contact_fields(monkeypatch):
         sample.comparison, sample.horizontal, sample.solved_reeb
     structure_residuals(ws)
     assert nodes == []
-    assert "metric" not in vars(pipe.ac.ph)  # nor is the tree of g_theta built
 
 
 def test_the_gauge_sibling_joins_only_a_run_that_reads_the_webster_record():
@@ -549,7 +548,7 @@ def test_reeb_ricci_value(pipeline):
     from crgeo.metric import riemann
 
     pipe = pipeline("fubini_study", 1)
-    curv = riemann(pipe.ac.ph.metric, pipe.m_pts)
+    curv = riemann(g_theta(pipe.ac.ph), pipe.m_pts)
     reeb = pipe.ac.ph.reeb(pipe.m_pts)
     ric_tt = np.einsum("nij,ni,nj->n", curv.ricci, reeb, reeb)
     np.testing.assert_allclose(ric_tt, 0.5, atol=1e-9)
@@ -563,7 +562,7 @@ def test_curvature_from_connection_data_equals_riemann(pipeline, m):
 
     pipe = pipeline("complex_hyperbolic", m)
     held = pipe.webster_sample.lc_curvature
-    alone = riemann(pipe.ac.ph.metric, pipe.m_pts)
+    alone = riemann(g_theta(pipe.ac.ph), pipe.m_pts)
     for name in ("ricci", "scalar", "operator"):
         assert np.array_equal(getattr(held, name), getattr(alone, name))
 

@@ -54,7 +54,6 @@ UNREACHED = {
     "jets.Jet.__truediv__": f"{_PUBLIC}: behind field division",
     "jets.sin": f"{_PUBLIC}: behind chart.sin",
     "metric.MetricField.verify_signature": f"{_PUBLIC}: the signature at points, not values",
-    "pseudohermitian.PHStructure.metric": "g_theta's tree, the tests' bitwise reference for the assembled g_theta",
     "metric.christoffel": _TRACED,
     "metric.riemann": _TRACED,
     "pseudohermitian.levi_adapted_frame": _TRACED,

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from crgeo import Chart, VectorField
+from crgeo import Chart, Endomorphism, VectorField
 from crgeo.chart import exp as fexp, jet_data, log as flog
 from crgeo.errors import DegeneracyError
 from crgeo.metric import (
@@ -208,7 +208,7 @@ def test_fubini_study_complex_structure_parallel():
     for m in (1, 2):
         ke = make_kahler_einstein("fubini_study", m)
         pts = ke.chart.sample(8, 42)
-        j = ke.j_field
+        j = Endomorphism(ke.chart, ke.complex_structure)
         nabla_j = covariant_from_arrays(
             *jet_data(j, pts, 1), christoffel(ke.metric, pts), j.variance
         )

@@ -6,21 +6,39 @@ and raising it again, and the Fefferman identities and covariant table
 one frame vector (or pair) at a time with multi-operand einsums.  The
 package's arrays must equal them to rtol 1e-12, with an absolute floor
 of 1e-12 times the largest entry for entries that vanish.
+
+The Fefferman sample, which the package assembles from the Webster
+sample's arrays, is checked against the trees it replaced: f, e^{2 phi} f
+and phi, the adapted frame as the horizontal lifts of the base's unitary
+frame (:func:`base_unitary_frame`, :func:`horizontal_lift`), and the
+forms, evaluated in one jet call.
 """
 
 import numpy as np
 import pytest
 
-from crgeo.chart import jet_data, jet_data_multi
+from crgeo.chart import (
+    Endomorphism,
+    OneForm,
+    VectorField,
+    _ComponentStack,
+    contract,
+    jet_data,
+    jet_data_multi,
+    jet_data_named,
+    ordered_sum,
+    pullback_oneform,
+    pullback_scalar,
+    pullback_symmetric,
+    sqrt as field_sqrt,
+)
 from crgeo.constructions import (
     _frame_curvature,
     _frame_families,
     _frame_nabla,
     _pair_values,
     _zero_along_s,
-    base_unitary_frame,
     fefferman_ricci_residual,
-    horizontal_lift,
 )
 from crgeo.metric import (
     curvature_from_arrays,
@@ -36,6 +54,66 @@ from crgeo.verify import Pipeline
 REGULAR = [(example, m) for example in ("flat", "fubini_study", "complex_hyperbolic") for m in (1, 2)]
 # the non-Einstein control has a base and a contact structure, but no Fefferman metric
 CASES = REGULAR + [("sphere_x_flat", 2)]
+
+
+def extend_vector(total, x):
+    """The vector field x on a chart that extends its chart, zero along the new coordinates."""
+    zeros = [total.constant(0.0)] * (total.dim - x.chart.dim)
+    return VectorField(total, [pullback_scalar(total, c) for c in x.components] + zeros)
+
+
+def base_unitary_frame(ke):
+    """Smooth h-orthonormal frame fields paired as (e_1..e_m, J e_1..J e_m), as trees.
+
+    Fixed-order Gram-Schmidt on the coordinate vectors d/dx_(2a); valid for
+    the positive-definite catalog bases, where J e is unit and orthogonal.
+    """
+    chart, jmat = ke.chart, Endomorphism(ke.chart, ke.complex_structure).components
+
+    def h(x, y):  # sum_ij h_ij X^i Y^j over (i, j) in row-major order
+        return ordered_sum((ke.metric.components * x.components[:, None] * y.components).flat)
+
+    es, js = [], []
+    for a in range(ke.m):
+        v = VectorField(chart, [chart.constant(1.0 if k == 2 * a else 0.0) for k in range(chart.dim)])
+        for u in es + js:
+            v = v - u.scaled(h(v, u))
+        v = v.scaled(1.0 / field_sqrt(h(v, v)))
+        es.append(v)
+        js.append(VectorField(chart, contract(jmat, v.components)))
+    return es + js
+
+
+def horizontal_lift(ac, x_base):
+    """theta-horizontal lift X* = X-hat - theta(X-hat) T to the contact chart, as a tree."""
+    xhat = extend_vector(ac.chart, x_base)
+    return xhat - ac.ph.reeb.scaled(ordered_sum(ac.ph.theta.components * xhat.components))
+
+
+def fefferman_trees(fc, rm):
+    """{name: (tree, order)} of every array of ``Pipeline.f_sample``: the trees that one jet
+    call evaluated before the package assembled them from the Webster sample."""
+    ac, chart, m, scal_w, sw = fc.ac, fc.chart, fc.m, fc.scal_w, fc.sw
+    theta = pullback_oneform(chart, ac.ph.theta)
+    ds = OneForm(chart, [chart.constant(float(k == chart.dim - 1)) for k in range(chart.dim)])
+    a_w = (ds + theta.scaled(2.0 * scal_w / (m * (m + 2)))).scaled(0.5 * (m + 2))
+    a_theta = a_w - theta.scaled(scal_w / (2.0 * (m + 1)))
+    p_field = VectorField(chart, ds.components)
+    t_star = extend_vector(chart, ac.ph.reeb) - p_field.scaled(sw)
+    frame = [p_field, t_star]
+    frame += [extend_vector(chart, horizontal_lift(ac, x)) for x in base_unitary_frame(ac.base)]
+    return {
+        "phi": (rm.phi, 2),
+        "f": (fc.metric, 2),
+        "rescaled": (rm.metric, 2),
+        "frame": (_ComponentStack(chart, [x.components for x in frame]), 1),
+        "vertical": (t_star - p_field.scaled(sw), 1),
+        "theta": (theta, 1),
+        "a_theta": (a_theta, 1),
+        "b": (a_theta - theta.scaled(0.5 * (m + 2) * sw), 1),
+        "a_w": (a_w, 1),
+        "h": (pullback_symmetric(chart, ac.base.metric), 1),
+    }
 
 
 def assert_close(new, ref, name=""):
@@ -282,3 +360,37 @@ def test_webster_ricci_trace_keeps_the_frame_signs(heisenberg):
     w = np.einsum("na,nak,nal,nijkl->nij", eps, e, je, r4)
     assert_close(ws.ricci[0], w)
     assert_close(ws.ricci[1], -np.einsum("na,nai,naj,nij->n", eps, e, je, w))
+
+
+@pytest.mark.parametrize("n", [1, 2, 129])
+@pytest.mark.parametrize("example, m", REGULAR)
+def test_the_assembled_fefferman_sample_equals_its_trees(example, m, n):
+    # every array equals the jet data of its tree, evaluated at the same points on
+    # the pipeline's held batch, up to the sign of a zero (array_equal).  The one
+    # exception is the frame's first partials where the order-1 jets of h differ
+    # from the first partials of its order-2 jets (at some N <= 5 and in a final
+    # point block of one or two points): the frame's tree evaluates h at order 1,
+    # the assembly reads the order-2 jets of h that the Webster sample holds.
+    # There they agree to 2 ulp of the largest partial (1 ulp at most over seeds
+    # 7, 42 and 1234 and N = 1, 2, 3, 5, 129 and 130).
+    pipe = Pipeline(example, m, points=n, seed=42)
+    got = pipe.f_sample
+    trees = fefferman_trees(pipe.fc, pipe.rm)
+    assert list(got) == list(trees)
+    expected = jet_data_named(trees, pipe.f_pts, pipe.held)
+    base_pts = pipe.m_pts[:, : 2 * m]
+    h1, h2 = jet_data(pipe.ke.metric, base_pts, 1), jet_data(pipe.ke.metric, base_pts, 2)
+    h_agrees = all(np.array_equal(a, b) for a, b in zip(h1, h2))
+    # each name holds the orders its readers read: the theta, a_theta and h rows read values alone
+    assert {name: len(arrays) for name, arrays in got.items()} == {
+        "f": 3, "rescaled": 3, "phi": 3, "frame": 2, "vertical": 2,
+        "theta": 1, "a_theta": 1, "b": 2, "a_w": 2, "h": 1,
+    }
+    for name, arrays in expected.items():
+        for order, (a, b) in enumerate(zip(got[name], arrays)):
+            assert a.shape == b.shape, (name, order)
+            if name == "frame" and order == 1 and not h_agrees:
+                ulp = np.spacing(np.abs(b).max())
+                assert np.abs(a - b).max() <= 2 * ulp, (name, order)
+            else:
+                assert np.array_equal(a, b), (name, order)

@@ -14,7 +14,6 @@ import crgeo
 import crgeo.verify
 from crgeo.cli import main
 from crgeo.errors import UsageError
-from crgeo.metric import MetricField
 from crgeo.verify import SuiteConfig, render_report, run_suite
 
 STRIP_TIMESTAMP = re.compile(r'^\s*"generated_at".*$', re.MULTILINE)
@@ -384,10 +383,10 @@ def test_a_run_too_large_to_allocate_exits_2(capsys):
 
 
 def test_signature_check_reports_unexpected_errors(capsys, monkeypatch):
-    def broken(self, g):
+    def broken(g, signature):
         raise RuntimeError("eigensolver unavailable")
 
-    monkeypatch.setattr(MetricField, "verify_signature_values", broken)
+    monkeypatch.setattr(crgeo.verify, "check_signature", broken)
     code, _, errors = error_rows(capsys, "--suite", "theorem2")
     assert code == 1
     row = errors["explicit_signature"]
