@@ -64,7 +64,7 @@ print("agreement with the pipeline under the fiber identification:",
 
 print("\nRicci-flat case (flat base): the rescaled metric is flat-Ricci")
 ac0 = anticanonical_structure(make_kahler_einstein("flat", 1))
-rm0 = einstein_rescale(fefferman_metric(ac0, WebsterSample(ac0.ph, ac0.chart.sample(16, seed=42))))
-pts0 = rm0.fc.chart.sample(16, seed=42)
-_, rm0_jets, phi0_jets = jet_data_multi([rm0.fc.metric, rm0.metric, rm0.phi], pts0, 2)
-print("max |Ric| =", rescale_residuals(rm0, rm0_jets, phi0_jets)["rescaled_einstein"].max())
+ws0 = WebsterSample(ac0.ph, ac0.chart.sample(16, seed=42), extra={"h": ac0.sample_fields["h"]}, fefferman=True)
+rm0 = einstein_rescale(fefferman_metric(ac0, ws0))
+fields0 = fefferman_sample(rm0.fc, ws0, rm0.fc.chart.sample(16, seed=42))
+print("max |Ric| =", rescale_residuals(rm0, fields0["rescaled"], fields0["phi"])["rescaled_einstein"].max())

@@ -30,7 +30,6 @@ from .chart import (
     differential,
     exterior_derivative,
     jet_data,
-    jet_data_multi,
     log as field_log,
     ordered_sum,
     pullback_oneform,
@@ -45,7 +44,6 @@ from .metric import (
     _dchristoffel_arrays,
     check_signature,
     conformal_ricci_correction,
-    conformal_rescale,
     covariant_from_arrays,
     curvature_from_arrays,
     curvature_from_connection,  # noqa: F401  kept bound: perfbench's tracer test wraps it here
@@ -438,11 +436,10 @@ def fefferman_metric(ac: AnticanonicalChart, ws: WebsterSample) -> FeffermanChar
 
 @dataclass
 class RescaledMetric:
-    """Conformally rescaled Fefferman metric e^{2 phi} f."""
+    """Conformally rescaled Fefferman metric e^{2 phi} f, phi = -log cos(s/2), by its constants:
+    :func:`fefferman_sample` assembles the jets of e^{2 phi} f and phi (:func:`_conformal_factor`)."""
 
     fc: FeffermanChart
-    phi: ScalarField
-    metric: MetricField
     einstein_constant: float
     # affine fiber coordinate with the conformal ODE normalization:
     # t = t_scale * s, phi = -log(cos(t / (m+2)))
@@ -468,19 +465,21 @@ def einstein_rescale(fc: FeffermanChart) -> RescaledMetric:
     lambda = (2m+1) scal_h / (4m(m+1)); in the Ricci-flat gauge lambda = 0.
     """
     m = fc.m
-    chart = fc.chart
-    s_field = chart.coord(chart.dim - 1)
-    phi = -field_log(field_cos(s_field * 0.5))
-    metric = conformal_rescale(fc.metric, phi)
     scal_h = 2.0 * fc.scal_w
     lam = (2 * m + 1) * scal_h / (4.0 * m * (m + 1))
-    return RescaledMetric(fc=fc, phi=phi, metric=metric, einstein_constant=lam, t_scale=0.5 * (m + 2))
+    return RescaledMetric(fc=fc, einstein_constant=lam, t_scale=0.5 * (m + 2))
 
 
 # ----------------------------------------------------------------------
 # the Fefferman sample: jet data laid out points last and summed as the
 # fields' trees sum, as in pseudohermitian's assembly
 # ----------------------------------------------------------------------
+
+def _conformal_factor(pts, order: int):
+    """[v, d1, .., d_order] of phi = -log cos(s/2) and of e^{2 phi} at ``pts``, s their last coordinate."""
+    phi = -jets.log(jets.cos(jets.seed(pts, order)[-1] * 0.5))
+    return [jets.partials(x, len(pts), pts.shape[1], order, ()) for x in (phi, jets.exp(phi * 2.0))]
+
 
 def _padded(x, dim: int, axes: int):
     """Jet data with every derivative axis and the last ``axes`` value axes widened to ``dim``
@@ -549,10 +548,8 @@ def fefferman_sample(fc: FeffermanChart, ws: WebsterSample, pts) -> dict:
     # f = L + (theta o A_theta) 4/(m+2) and e^{2 phi} f
     prod = _mul(_at(theta, (slice(None), None)), _at(a_theta, (None,)))  # [i, j] = theta_i A_j
     f = [x + (y + y.swapaxes(-3, -2)) * 0.5 * (4.0 / (m + 2)) for x, y in zip(levi, prod)]
-    s = jets.seed(pts, 2)[-1]
-    phi = -jets.log(jets.cos(s * 0.5))
-    factor = _points_last(jets.partials(jets.exp(phi * 2.0), len(pts), dim, 2, ()))
-    rescaled = _mul(f, _at(factor, (None, None)))
+    phi, factor = _conformal_factor(pts, 2)
+    rescaled = _mul(f, _at(_points_last(factor), (None, None)))
 
     h = _points_last(ws.extra_jets("h"))
     reeb = _padded(_points_last(ws.jets("reeb")), dim, 1)
@@ -564,7 +561,7 @@ def fefferman_sample(fc: FeffermanChart, ws: WebsterSample, pts) -> dict:
              for r, (x, y, z) in enumerate(zip(p_field, t_star, lifts))]
     held = {"f": f, "rescaled": rescaled, "frame": frame, "vertical": vertical, "theta": theta[:1],
             "a_theta": a_theta[:1], "b": b[:2], "a_w": a_w[:2], "h": _padded(h[:1], dim, 2)}
-    return {"phi": jets.partials(phi, len(pts), dim, 2, ()), **{k: _points_first(x) for k, x in held.items()}}
+    return {"phi": phi, **{k: _points_first(x) for k, x in held.items()}}
 
 
 # ----------------------------------------------------------------------
@@ -814,13 +811,12 @@ def rescale_residuals(rm: RescaledMetric, jets, phi_jets) -> dict[str, np.ndarra
     }
 
 
-def slice_identity_residual(rm: RescaledMetric, pts, held=None) -> np.ndarray:
-    """At s = 0 the rescaled metric coincides with the Fefferman metric: checked
-    at ``pts`` with s set to 0, which keeps the leading columns ``held`` is at."""
-    fc = rm.fc
-    pts = _zero_along_s(fc.chart.points(pts)[:, :-1])
-    (g_rm,), (g_f,) = jet_data_multi([rm.metric, fc.metric], pts, 0, held)
-    return point_max(g_rm - g_f)
+def slice_identity_residual(rm: RescaledMetric, pts, fval) -> np.ndarray:
+    """At s = 0 the rescaled metric coincides with the Fefferman metric: e^{2 phi} f - f at
+    ``pts`` with s set to 0.  ``fval`` is the value of f at ``pts``, which f, independent of
+    s, keeps on the slice."""
+    _, (factor,) = _conformal_factor(_zero_along_s(rm.fc.chart.points(pts)[:, :-1]), 0)
+    return point_max(fval * factor[:, None, None] - fval)
 
 
 def correction_structure_residual(rm: RescaledMetric, f, phi_jets, fields) -> np.ndarray:

@@ -16,9 +16,7 @@ import numpy as np
 
 from .chart import (
     Chart,
-    ScalarField,
     SymmetricTwoTensor,
-    exp as field_exp,
     jet_data,
 )
 from .errors import DegeneracyError
@@ -270,11 +268,6 @@ def killing_residual(g, dg, x, dx) -> np.ndarray:
 # ----------------------------------------------------------------------
 # conformal rescaling
 # ----------------------------------------------------------------------
-
-def conformal_rescale(metric: MetricField, phi: ScalarField) -> MetricField:
-    """The metric e^{2 phi} g as a new field."""
-    return metric.scaled(field_exp(phi * 2.0))
-
 
 def conformal_ricci_correction(g, christoffel, dphi, d2phi) -> np.ndarray:
     """Ricci change under g -> e^{2 phi} g, dimension n = dim:

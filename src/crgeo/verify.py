@@ -252,7 +252,8 @@ class Pipeline:
     order read.  The samples are nested (``Chart.sample``): ``f_pts`` is
     ``m_pts`` with s appended, so ``f_sample`` assembles f, e^{2 phi} f, phi
     and the Fefferman frame and forms from ``webster_sample``'s arrays, on
-    which ``fc`` checks its Einstein precondition too.  Every call reads its
+    which ``fc`` checks its Einstein precondition too; no record builds a
+    tree or makes a jet call on the Fefferman chart.  Every call reads its
     pull-backs from one batch, ``held``, at ``m_pts``.  ``records`` names
     the records a run reads (every one by default).
     """
@@ -386,7 +387,7 @@ class Pipeline:
     def rescale_record(self) -> dict:
         data = self.f_sample
         rec = rescale_residuals(self.rm, data["rescaled"], data["phi"])
-        rec["slice_identity"] = slice_identity_residual(self.rm, self.f_pts, self.held)
+        rec["slice_identity"] = slice_identity_residual(self.rm, self.f_pts, data["f"][0])
         rec["einstein_constant"] = self.rm.einstein_constant
         if self.applies("correction_structure"):
             rec["correction_structure"] = correction_structure_residual(self.rm, self.f_metric, data["phi"], data)

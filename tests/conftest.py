@@ -1,7 +1,8 @@
 """Shared fixtures: charts, cached construction pipelines and a jet-batch spy.
 
 Also the reference trees of the fields a Webster sample assembles from
-held arrays: each as a field of scalar expression trees, whose jet data
+held arrays, and of phi and e^{2 phi} f, which the Fefferman sample
+assembles: each as a field of scalar expression trees, whose jet data
 the assembled arrays equal bit for bit.
 """
 
@@ -12,7 +13,16 @@ import numpy as np
 import pytest
 
 from crgeo import Chart, OneForm, jets
-from crgeo.chart import GenericTensorField, VectorField, contract, jet_data, symmetric_product
+from crgeo.chart import (
+    GenericTensorField,
+    VectorField,
+    contract,
+    cos as fcos,
+    exp as fexp,
+    jet_data,
+    log as flog,
+    symmetric_product,
+)
 from crgeo.metric import MetricField, riemann
 from crgeo.pseudohermitian import ReebField, make_structure
 from crgeo.verify import Pipeline
@@ -53,6 +63,18 @@ def solved_reeb_field(ph) -> ReebField:
     field = ReebField(ph.theta, ph.dtheta)
     field.op = functools.partial(jets.jet_solve, singular="nan")
     return field
+
+
+def conformal_rescale(metric: MetricField, phi) -> MetricField:
+    """The metric e^{2 phi} g as a tree."""
+    return metric.scaled(fexp(phi * 2.0))
+
+
+def rescale_trees(fc) -> tuple:
+    """(phi, e^{2 phi} f) as trees on the Fefferman chart of ``fc``, phi = -log cos(s/2) of its
+    last coordinate s: what ``fefferman_sample`` and the slice_identity row assemble."""
+    phi = -flog(fcos(fc.chart.coord(fc.chart.dim - 1) * 0.5))
+    return phi, conformal_rescale(fc.metric, phi)
 
 
 def reference_fields(ph, connection: bool = True) -> dict:

@@ -24,6 +24,7 @@ interned hits, an equal node that the chart already held.
 """
 
 import argparse
+import functools
 import os
 import sys
 import time
@@ -43,10 +44,26 @@ def profile(example: str, m: int, points: int, seed: int, records=RECORDS):
 
     The wrappers are removed again before it returns.
     """
+    from crgeo.verify import CATALOG, Pipeline
+
+    examples = [e for e, entry in CATALOG.items() if m in entry.ms] if example == "all" else [example]
+
+    def reads():
+        for name in examples:
+            pipe = Pipeline(name, m, points, seed)
+            # a negative control runs its negative suite alone
+            for record in records if not pipe.entry.negative else ("negative",):
+                yield record, functools.partial(getattr, pipe, f"{record}_record")
+
+    return profile_reads(reads())
+
+
+def profile_reads(reads):
+    """:func:`profile` of the ``(name, read)`` pairs of ``reads``: each ``read()`` is called in
+    turn, and the tree nodes it builds are charged to its ``name``."""
     import numpy as np
 
     from crgeo import chart as chart_module
-    from crgeo.verify import CATALOG, Pipeline
 
     stats = defaultdict(lambda: [0.0, 0])
     seen, seen_any = set(), set()
@@ -119,14 +136,10 @@ def profile(example: str, m: int, points: int, seed: int, records=RECORDS):
         mod.jet_data_multi = multi
     chart_module._Plan.__init__, chart_module._Plan.run = init, run
     chart_module.Chart.node = node
-    examples = [e for e, entry in CATALOG.items() if m in entry.ms] if example == "all" else [example]
     try:
-        for name in examples:
-            pipe = Pipeline(name, m, points, seed)
-            # a negative control runs its negative suite alone
-            for record["name"] in records if not pipe.entry.negative else ("negative",):
-                nodes.setdefault(record["name"], [0, 0])  # listed when it builds none
-                getattr(pipe, f"{record['name']}_record")
+        for record["name"], read in reads:
+            nodes.setdefault(record["name"], [0, 0])  # listed when it builds none
+            read()
     finally:
         for mod in bound:
             mod.jet_data_multi = real_multi

@@ -1,6 +1,10 @@
 """Compare the report matrix of another source tree with this one's, check by check.
 
     python tests/report_matrix.py OLD_SRC    # OLD_SRC holds the crgeo package
+    python tests/report_matrix.py REV        # a git revision of this repository, e.g. HEAD
+
+A revision's ``src`` is exported with ``git archive`` into a temporary
+directory, removed afterwards; the checkout is not touched.
 
 The matrix is 24 ``verify run --suite all`` reports: ``--example all`` at
 2, 5 and 32 points and ``complex_hyperbolic`` at 128 points, each for
@@ -16,9 +20,13 @@ points, seed).
 """
 
 import argparse
+import contextlib
+import io
 import os
 import subprocess
 import sys
+import tarfile
+import tempfile
 from pathlib import Path
 
 HERE = Path(__file__).resolve().parent
@@ -103,10 +111,26 @@ def format_table(table: dict, reports: int, moved_reports) -> str:
     return "\n".join(lines)
 
 
+@contextlib.contextmanager
+def exported(old, repo=HERE.parent):
+    """``old`` if it is a directory, else the ``src`` of the git revision ``old`` of ``repo``,
+    exported into a temporary directory removed on exit."""
+    if Path(old).is_dir():
+        yield Path(old)
+        return
+    proc = subprocess.run(["git", "-C", str(repo), "archive", "--format=tar", old, "src"], capture_output=True)
+    if proc.returncode:
+        raise SystemExit(f"{old}: neither a directory nor a revision with a src tree\n{proc.stderr.decode()}")
+    with tempfile.TemporaryDirectory() as tmp, tarfile.open(fileobj=io.BytesIO(proc.stdout)) as tar:
+        tar.extractall(tmp, filter="data")
+        yield Path(tmp) / "src"
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("old_src", help="directory holding the crgeo package to compare with")
-    return compare(Path(parser.parse_args(argv).old_src), MATRIX)
+    parser.add_argument("old", help="directory holding the crgeo package, or a git revision of this repository")
+    with exported(parser.parse_args(argv).old) as old_src:
+        return compare(old_src, MATRIX)
 
 
 def compare(old_src, matrix) -> int:

@@ -209,13 +209,8 @@ def test_criterion_7_conformal_einstein(pipeline):
 def test_criterion_8_oracles():
     from crgeo import Chart
     from crgeo.chart import jet_data, log as flog, sin as fsin
-    from crgeo.metric import (
-        MetricField,
-        _christoffel_arrays,
-        conformal_rescale,
-        conformal_ricci_correction,
-        riemann,
-    )
+    from crgeo.metric import MetricField, _christoffel_arrays, conformal_ricci_correction, riemann
+    from conftest import conformal_rescale
 
     # randomized (metric, phi) fixtures: correction equals direct recomputation
     chart = Chart(["x", "y", "z"], [(-1.0, 1.0)] * 3)

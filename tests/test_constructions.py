@@ -17,7 +17,7 @@ from crgeo.constructions import (
 )
 from crgeo.errors import PreconditionError, UsageError
 from crgeo.pseudohermitian import WebsterSample
-from conftest import g_theta
+from conftest import g_theta, rescale_trees
 
 
 def kahler_residuals(ke, pts):
@@ -232,7 +232,7 @@ def test_joint_metric_jets_equal_separate_evaluation(pipeline, m):
     from crgeo.chart import jet_data, jet_data_multi
 
     pipe = pipeline("complex_hyperbolic", m)
-    pairs = [(pipe.fc.metric, pipe.rm.metric), tuple(pipe.t2.checked_metrics)]
+    pairs = [(pipe.fc.metric, rescale_trees(pipe.fc)[1]), tuple(pipe.t2.checked_metrics)]
     assert len(pairs[1]) == 2  # the Sasaki entries check the unrescaled metric too
     for fields in pairs:
         for n in (3, 16):
@@ -272,10 +272,10 @@ def test_pipeline_evaluates_each_shared_metric_once(jet_calls):
 @pytest.mark.parametrize("example, m", [("flat", 1), ("fubini_study", 2)])
 def test_fefferman_and_rescale_records_read_the_held_batches(jet_calls, example, m):
     # f_sample is assembled from the Webster sample's arrays with no jet call;
-    # then the two records evaluate only the s = 0 slice of
-    # slice_identity_residual: the contact frame, f and h are read from
-    # f_sample, and the Webster connection from the pipeline's Webster sample,
-    # which building f has already read
+    # then the two records make none either: the contact frame, f, e^{2 phi} f,
+    # phi and h are read from f_sample, the s = 0 slice of slice_identity
+    # scales f's values there, and the Webster connection is read from the
+    # pipeline's Webster sample, which building f has already read
     from crgeo.verify import Pipeline
 
     pipe = Pipeline(example, m, points=3, seed=7)
@@ -285,9 +285,7 @@ def test_fefferman_and_rescale_records_read_the_held_batches(jet_calls, example,
     assert jet_calls == []
     pipe.fefferman_record, pipe.rescale_record
     assert ("correction_structure" in pipe.rescale_record) == (example == "flat")
-    assert [(fields, order) for fields, _, order in jet_calls] == [
-        ([pipe.rm.metric, pipe.fc.metric], 0)
-    ]
+    assert jet_calls == []
 
 
 @pytest.mark.parametrize("example, m", [("flat", 1), ("flat", 2), ("fubini_study", 1)])
@@ -327,14 +325,15 @@ def test_a_degenerate_f_fails_every_fefferman_row(monkeypatch):
 
 
 @pytest.mark.parametrize("m", [1, 2])
-def test_a_catalog_run_makes_15_jet_calls(jet_calls, m):
-    # per regular entry: the Webster sample, the slice, the explicit metrics and
-    # the pipeline agreement, and the Sasaki factor for the curved bases; per
-    # control, its Webster sample and the deformed structure's (m = 1) or none
+def test_a_catalog_run_makes_12_jet_calls(jet_calls, m):
+    # per regular entry: the Webster sample, the explicit metrics and the
+    # pipeline agreement, and the Sasaki factor for the curved bases; per
+    # control, its Webster sample and the deformed structure's (m = 1) or none.
+    # None is made on the Fefferman chart
     from crgeo.verify import SuiteConfig, run_all
 
     assert run_all(SuiteConfig("all", m, points=2))["overall_pass"]
-    assert len(jet_calls) == 15
+    assert len(jet_calls) == 12
 
 
 @pytest.mark.parametrize("example, m", [("fubini_study", 1), ("complex_hyperbolic", 2)])
@@ -361,18 +360,23 @@ def test_a_wrongly_declared_levi_signature_fails_every_fefferman_row(monkeypatch
     ) for row in rows)
 
 
-def test_slice_identity_reads_the_run_points(jet_calls):
-    # the slice is the Fefferman sample with s set to 0, at every run point
+def test_slice_identity_reads_the_run_points(monkeypatch):
+    # the slice is the Fefferman sample with s set to 0, at every run point: its
+    # conformal factor is read there, at order 0, and scales f's values
+    from crgeo import constructions
     from crgeo.verify import Pipeline
 
     pipe = Pipeline("fubini_study", 1, points=32, seed=42)
     pipe.f_sample
-    jet_calls.clear()
+    calls = []
+    real = constructions._conformal_factor
+    monkeypatch.setattr(constructions, "_conformal_factor",
+                        lambda pts, order: calls.append((np.array(pts), order)) or real(pts, order))
     rec = pipe.rescale_record
-    (at,) = [at for fields, at, _ in jet_calls if fields == [pipe.rm.metric, pipe.fc.metric]]
+    ((at, order),) = calls
     expected = pipe.f_pts.copy()
     expected[:, -1] = 0.0
-    assert np.array_equal(at, expected)
+    assert np.array_equal(at, expected) and order == 0
     assert rec["slice_identity"].shape == (32,)
     assert pipe.f_pts[:, -1].all()  # the held sample is not moved onto the slice
 
@@ -411,8 +415,10 @@ def test_no_pulled_back_operand_is_evaluated_twice_per_sample(monkeypatch, examp
     # over every plan of a pipeline, the base- and contact-chart nodes that
     # pull-backs read are evaluated into the pipeline's one batch once per
     # (node, context) and sample, at one order, however many calls read them:
-    # the Webster sample, f_sample, the slice, t2_jets and the Sasaki metric
-    # (nodes under an operand are not held, and may repeat)
+    # the Webster sample, t2_jets and the Sasaki metric (nodes under an operand
+    # are not held, and may repeat).  Only base-chart nodes are pulled back: no
+    # call is made on the Fefferman chart, the one chart that pulls back the
+    # contact chart's
     from collections import Counter
 
     from crgeo import chart as chart_module
@@ -435,7 +441,7 @@ def test_no_pulled_back_operand_is_evaluated_twice_per_sample(monkeypatch, examp
     for record in ("structure", "webster", "comparison", "submersion",
                    "fefferman", "rescale", "theorem2"):
         getattr(pipe, f"{record}_record")
-    assert {key[0].chart for key, *_ in evaluated} == {pipe.ke.chart, pipe.ac.chart}
+    assert {key[0].chart for key, *_ in evaluated} == {pipe.ke.chart}
     assert {held for _, _, held, _ in evaluated} == {pipe.held}
     counts = Counter((key, pts) for key, _, _, pts in evaluated)
     assert max(counts.values()) == 1
@@ -496,7 +502,43 @@ def test_rescale_constants(pipeline):
 
 def test_rescale_slice_identity(pipeline):
     pipe = pipeline("fubini_study", 1)
-    assert slice_identity_residual(pipe.rm, pipe.f_pts).max() < 1e-12
+    assert slice_identity_residual(pipe.rm, pipe.f_pts, pipe.f_sample["f"][0]).max() < 1e-12
+
+
+@pytest.mark.parametrize(
+    "example, m", [(e, m) for e in ("flat", "fubini_study", "complex_hyperbolic") for m in (1, 2)]
+)
+def test_slice_identity_equals_its_trees(pipeline, example, m):
+    # the row scales f's values by e^{2 phi} on the s = 0 slice: the trees of f and
+    # e^{2 phi} f, evaluated there, give its residual bit for bit, and f's tree there
+    # the values of f at the run points, on which f does not depend through s
+    from crgeo.chart import jet_data_multi
+    from crgeo.metric import point_max
+
+    pipe = pipeline(example, m)
+    at = pipe.f_pts.copy()
+    at[:, -1] = 0.0
+    (g_rm,), (g_f,) = jet_data_multi([rescale_trees(pipe.fc)[1], pipe.fc.metric], at, 0)
+    assert np.array_equal(g_f, pipe.f_sample["f"][0])
+    assert np.array_equal(pipe.rescale_record["slice_identity"], point_max(g_rm - g_f))
+
+
+@pytest.mark.parametrize("example", ["flat", "fubini_study"])
+def test_slice_identity_detects_a_wrong_conformal_factor(monkeypatch, example):
+    # e^{2 phi} off by a relative 1e-9, as a wrong normalisation of phi makes it
+    from crgeo import constructions
+    from crgeo.verify import SuiteConfig, run_suite
+
+    real = constructions._conformal_factor
+
+    def scaled(pts, order):
+        phi, factor = real(pts, order)
+        return phi, [a * (1.0 + 1e-9) for a in factor]
+
+    monkeypatch.setattr(constructions, "_conformal_factor", scaled)
+    rows = run_suite(SuiteConfig(example, 1, suites=("rescale",), points=4))["checks"]
+    (row,) = [row for row in rows if row["name"] == "slice_identity"]
+    assert not row["pass"] and row["max_residual"] > 1e-12
 
 
 def test_correction_structure_flat(pipeline):
@@ -512,7 +554,9 @@ def test_rescale_out_of_range_points_rejected(pipeline):
     bad = pipe.f_pts.copy()
     bad[0, -1] = 3.5  # outside the fiber interval (-2.8, 2.8), cos would vanish later
     with pytest.raises(DomainError):
-        pipe.rm.metric(bad)
+        rescale_trees(pipe.fc)[1](bad)
+    with pytest.raises(DomainError):  # the slice is read at the points given, s set to 0
+        slice_identity_residual(pipe.rm, bad, pipe.f_sample["f"][0])
 
 
 # ----------------------------------------------------------------------

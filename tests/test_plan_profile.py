@@ -1,10 +1,13 @@
-"""Smoke test of tests/plan_profile.py, and the plan ops and tree nodes of the Webster stage it counts."""
+"""Smoke test of tests/plan_profile.py, and the plan ops and tree nodes it counts: of the Webster
+stage, of whole catalog runs, and of two calls that read one operand at two orders."""
+
+import functools
 
 import pytest
 
-from crgeo import chart
+from crgeo import Chart, chart
 from crgeo.verify import Pipeline
-from plan_profile import RECORDS, profile, report
+from plan_profile import RECORDS, profile, profile_reads, report
 
 WEBSTER_STAGE = ("structure", "webster", "comparison", "submersion")
 
@@ -21,7 +24,7 @@ def test_profile_splits_own_and_pulled_back_ops():
     # the contact chart reads the base potential through pull-backs: embeds and logs
     kinds = {kind for group, kind, *_ in stats if group == "pulled back"}
     assert {"embed", "log"} <= kinds
-    assert plans[2] and plans[3] and plans[4]  # base, contact and Fefferman plans ran
+    assert plans[2] and plans[3] and plans[4]  # base, contact and explicit-metric plans ran
     text = report("fubini_study", 1, 2, 7, stats, plans, nodes)
     assert text.splitlines()[0].startswith("fubini_study m=1, 2 points, seed 7:")
     assert "| pulled back |" in text and "| embed |" in text
@@ -46,19 +49,41 @@ def test_node_counts_per_record_cover_every_node_call(monkeypatch):
     assert sum(c for c, _ in nodes.values()) == len(calls) > 0
     assert all(0 <= new <= c for c, new in nodes.values())
     assert nodes["webster"] == nodes["comparison"] == [0, 0]
-    # nor does the fefferman record: f, its frame and forms are assembled from arrays
-    assert nodes["fefferman"] == [0, 0]
+    # nor do the fefferman and rescale records: f, e^{2 phi} f, phi, the frame and
+    # forms are assembled from arrays, and the s = 0 slice scales f's values
+    assert nodes["fefferman"] == nodes["rescale"] == [0, 0]
     # the structure record builds the base, the contact structure and its fields
     assert nodes["structure"][0] > nodes["structure"][1] > 0
 
 
+@pytest.mark.parametrize(
+    "example, m", [(e, m) for e in ("flat", "fubini_study", "complex_hyperbolic") for m in (1, 2)]
+)
+def test_a_catalog_run_repeats_no_op_at_any_order(example, m):
+    # over every record, as over the Webster stage: each (node, context, point
+    # block) is evaluated once, at one order
+    stats, _, _ = profile(example, m, 3, 7)
+    assert sum(n for _, n in stats.values()) > 0
+    assert count(stats, "own chart", 3) == count(stats, "pulled back", 3) == 0
+
+
 def test_any_order_repeats_include_the_cross_order_ones():
-    # a node under one pulled-back operand is evaluated again, at order 2, for
-    # another operand that a later call reads: a repeat at another order only
-    stats, _, _ = profile("fubini_study", 1, 2, 7)
-    for group in ("own chart", "pulled back"):
-        assert count(stats, group, 3) >= count(stats, group, 2)
-    assert count(stats, "pulled back", 3) > count(stats, "pulled back", 2)
+    # two calls read one pulled-back operand from one batch, at orders 1 and 2:
+    # the second evaluates it and the nodes under it again, a repeat at another
+    # order only
+    base = Chart(["x", "y"], [(-1.0, 1.0)] * 2)
+    total = base.extend("t", (-1.0, 1.0))
+    x, y = base.coordinate_fields()
+    pulled = chart.pullback_scalar(total, chart.sin(x) * y)
+    pts = total.sample(3, 7)
+    held = chart.PullbackJets(total, pts)
+    # lazily, so that each call reads the profiler's wrapper
+    stats, _, nodes = profile_reads(
+        (f"order {k}", functools.partial(chart.jet_data_multi, [pulled], pts, k, held)) for k in (1, 2)
+    )
+    assert list(nodes) == ["order 1", "order 2"]
+    assert count(stats, "own chart", 3) == count(stats, "own chart", 2) == 0
+    assert count(stats, "pulled back", 3) > count(stats, "pulled back", 2) == 0
 
 
 @pytest.mark.parametrize(

@@ -34,6 +34,7 @@ RUNS = [
 
 _PUBLIC = "public chart and jet API that the tests and demos use"
 _TRACED = "named by perfbench/tracer.py's SPANS"
+_F_TREE = "f's reference tree, which test_tensor_oracle.py and test_derivative_oracle.py read"
 
 # module.qualname of each function no run reaches, with its reason
 UNREACHED = {
@@ -57,6 +58,9 @@ UNREACHED = {
     "metric.christoffel": _TRACED,
     "metric.riemann": _TRACED,
     "pseudohermitian.levi_adapted_frame": _TRACED,
+    "constructions.FeffermanChart.metric": _F_TREE,
+    "pseudohermitian.PHStructure.levi_form": f"{_F_TREE}: its Levi form term",
+    "chart._ComponentStack.__sub__": f"{_F_TREE}: A_theta = A_W - c theta",
 }
 
 

@@ -1,8 +1,11 @@
 """Smoke test of tests/report_matrix.py: the moved-row table of two source trees."""
 
 import json
+import subprocess
 
-from report_matrix import MATRIX, SRC, compare, format_table, summarize
+import pytest
+
+from report_matrix import MATRIX, SRC, compare, exported, format_table, summarize
 from test_acceptance import golden_text
 
 
@@ -68,3 +71,25 @@ def test_compare_names_the_reports_that_moved(monkeypatch, capsys, tmp_path):
     out = capsys.readouterr().out
     assert out.startswith("1 of 2 reports byte-identical")
     assert out.rstrip().endswith("(example, m, points, seed):\n  flat, 1, 2, 42")
+
+
+def test_a_revision_is_exported_without_touching_the_checkout(tmp_path):
+    # a repository of one commit, whose src is then edited in the checkout
+    repo = tmp_path / "repo"
+    (repo / "src" / "crgeo").mkdir(parents=True)
+    (repo / "src" / "crgeo" / "__init__.py").write_text("committed = True\n")
+    (repo / "notes.txt").write_text("outside src\n")
+    git = ["git", "-C", str(repo), "-c", "user.name=t", "-c", "user.email=t@t", "-c", "commit.gpgsign=false"]
+    for args in (["init", "-q"], ["add", "-A"], ["commit", "-q", "-m", "one"]):
+        subprocess.run(git + args, check=True)
+    (repo / "src" / "crgeo" / "__init__.py").write_text("committed = False\n")
+    with exported("HEAD", repo) as src:
+        assert (src / "crgeo" / "__init__.py").read_text() == "committed = True\n"
+        assert sorted(p.name for p in src.parent.iterdir()) == ["src"]
+    assert not src.exists()
+    assert (repo / "src" / "crgeo" / "__init__.py").read_text() == "committed = False\n"
+    with exported(repo / "src", repo) as src:  # a directory is itself
+        assert src == repo / "src"
+    with pytest.raises(SystemExit, match="no-such-revision: neither a directory nor a revision"):
+        with exported("no-such-revision", repo):
+            pass

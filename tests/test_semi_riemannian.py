@@ -11,7 +11,6 @@ from crgeo.metric import (
     _christoffel_arrays,
     _dchristoffel_arrays,
     christoffel,
-    conformal_rescale,
     conformal_ricci_correction,
     covariant_from_arrays,
     curvature_from_connection,
@@ -21,6 +20,7 @@ from crgeo.metric import (
     riemann,
     tracefree_ricci_norm,
 )
+from conftest import conformal_rescale
 
 
 @pytest.fixture(scope="module")

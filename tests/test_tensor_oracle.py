@@ -50,6 +50,7 @@ from crgeo.metric import (
 )
 from crgeo.pseudohermitian import WebsterSample
 from crgeo.verify import Pipeline
+from conftest import rescale_trees
 
 REGULAR = [(example, m) for example in ("flat", "fubini_study", "complex_hyperbolic") for m in (1, 2)]
 # the non-Einstein control has a base and a contact structure, but no Fefferman metric
@@ -90,10 +91,11 @@ def horizontal_lift(ac, x_base):
     return xhat - ac.ph.reeb.scaled(ordered_sum(ac.ph.theta.components * xhat.components))
 
 
-def fefferman_trees(fc, rm):
+def fefferman_trees(fc):
     """{name: (tree, order)} of every array of ``Pipeline.f_sample``: the trees that one jet
     call evaluated before the package assembled them from the Webster sample."""
     ac, chart, m, scal_w, sw = fc.ac, fc.chart, fc.m, fc.scal_w, fc.sw
+    phi, rescaled = rescale_trees(fc)
     theta = pullback_oneform(chart, ac.ph.theta)
     ds = OneForm(chart, [chart.constant(float(k == chart.dim - 1)) for k in range(chart.dim)])
     a_w = (ds + theta.scaled(2.0 * scal_w / (m * (m + 2)))).scaled(0.5 * (m + 2))
@@ -103,9 +105,9 @@ def fefferman_trees(fc, rm):
     frame = [p_field, t_star]
     frame += [extend_vector(chart, horizontal_lift(ac, x)) for x in base_unitary_frame(ac.base)]
     return {
-        "phi": (rm.phi, 2),
+        "phi": (phi, 2),
         "f": (fc.metric, 2),
-        "rescaled": (rm.metric, 2),
+        "rescaled": (rescaled, 2),
         "frame": (_ComponentStack(chart, [x.components for x in frame]), 1),
         "vertical": (t_star - p_field.scaled(sw), 1),
         "theta": (theta, 1),
@@ -375,7 +377,7 @@ def test_the_assembled_fefferman_sample_equals_its_trees(example, m, n):
     # 7, 42 and 1234 and N = 1, 2, 3, 5, 129 and 130).
     pipe = Pipeline(example, m, points=n, seed=42)
     got = pipe.f_sample
-    trees = fefferman_trees(pipe.fc, pipe.rm)
+    trees = fefferman_trees(pipe.fc)
     assert list(got) == list(trees)
     expected = jet_data_named(trees, pipe.f_pts, pipe.held)
     base_pts = pipe.m_pts[:, : 2 * m]
