@@ -27,8 +27,8 @@ ke = make_kahler_einstein("fubini_study", m=1)  # scal_h = 2
 ac = anticanonical_structure(ke)
 # the Webster sample checks the Einstein condition and measures scal_W; the
 # Fefferman points below extend its points by s (Chart.sample is nested).  It
-# also holds theta, the Levi form and the base metric h, from which the
-# Fefferman sample is assembled
+# also holds theta, the Levi form and the base metric h, which it hands over,
+# with the Webster values that the Fefferman rows read, to the Fefferman sample
 ws = WebsterSample(ac.ph, ac.chart.sample(16, seed=42), extra={"h": ac.sample_fields["h"]}, fefferman=True)
 fc = fefferman_metric(ac, ws)
 pts = fc.chart.sample(16, seed=42)
@@ -36,13 +36,13 @@ rm = einstein_rescale(fc)
 # f, e^{2 phi} f and phi, and the frame, forms and base metric, by name: each
 # pull-back of a contact-chart field has zero s-partials and phi depends on s
 # alone, so the product rule gives them all, with no jet evaluation at pts
-fields = fefferman_sample(fc, ws, pts)
+fields = fefferman_sample(fc, ws.fefferman_inputs(), pts)
 f_jets, rm_jets, phi_jets = fields["f"], fields["rescaled"], fields["phi"]
 
 print("S_W = scal_h / (2m(m+1)) =", fc.sw)
 # f's jets travel with its symbols and inverse, formed once for every reader
 gamma_f, _, finv = levi_civita_arrays(*f_jets)
-rec = fefferman_ricci_residual(fc, pts, ws, (f_jets, (gamma_f, finv)), fields)
+rec = fefferman_ricci_residual(fc, (f_jets, (gamma_f, finv)), fields)
 print("closed-form Ricci residual:     ", rec["fefferman_ricci_closed_form"].max())
 print("Ric(P,P)=m/2 etc residual:      ", rec["fefferman_ricci_components"].max())
 print("parallel field nabla(T*-S_W P): ", rec["parallel_vertical_field"].max())
@@ -66,5 +66,5 @@ print("\nRicci-flat case (flat base): the rescaled metric is flat-Ricci")
 ac0 = anticanonical_structure(make_kahler_einstein("flat", 1))
 ws0 = WebsterSample(ac0.ph, ac0.chart.sample(16, seed=42), extra={"h": ac0.sample_fields["h"]}, fefferman=True)
 rm0 = einstein_rescale(fefferman_metric(ac0, ws0))
-fields0 = fefferman_sample(rm0.fc, ws0, rm0.fc.chart.sample(16, seed=42))
+fields0 = fefferman_sample(rm0.fc, ws0.fefferman_inputs(), rm0.fc.chart.sample(16, seed=42))
 print("max |Ric| =", rescale_residuals(rm0, fields0["rescaled"], fields0["phi"])["rescaled_einstein"].max())

@@ -11,7 +11,7 @@ evaluated, 2 usage error (a run too large to allocate included).
 from __future__ import annotations
 
 import argparse
-import os
+import contextlib
 import sys
 
 from .errors import UsageError
@@ -72,19 +72,17 @@ def _cmd_run(args) -> int:
         seed=args.seed,
         tol_overrides=_parse_tols(args.tol),
     )
-    if args.out:
-        # found before any check runs, not after the report is printed
-        out_dir = os.path.dirname(os.path.abspath(args.out))
-        if not os.path.isdir(out_dir):
-            raise UsageError(f"--out directory does not exist: {out_dir}")
-        if os.path.isdir(args.out):
-            raise UsageError(f"--out names a directory: {args.out}")
-    report = run_all(cfg) if args.example == "all" else run_suite(cfg)
-    text = render_report(report)
-    sys.stdout.write(text)
-    if args.out:
-        with open(args.out, "w") as handle:
-            handle.write(text)
+    # opened before any check runs, so that a path that cannot be written is found then
+    try:
+        out = open(args.out, "w") if args.out else contextlib.nullcontext()
+    except OSError as exc:
+        raise UsageError(f"--out cannot be written: {args.out}: {exc.strerror}") from exc
+    with out:
+        report = run_all(cfg) if args.example == "all" else run_suite(cfg)
+        text = render_report(report)
+        sys.stdout.write(text)
+        if args.out:
+            out.write(text)
     return 0 if report["overall_pass"] else 1
 
 

@@ -13,8 +13,8 @@ i * (real one-form) in a fixed trivialization.  Conventions pinned here:
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import cached_property
+from typing import NamedTuple
 
 import numpy as np
 
@@ -76,8 +76,7 @@ def _coordinate_field(kind, chart: Chart, i: int, c: float = 1.0):
 # Kaehler(-Einstein) base charts from a potential
 # ----------------------------------------------------------------------
 
-@dataclass
-class KahlerEinsteinChart:
+class KahlerEinsteinChart(NamedTuple):
     """Kaehler base data on a 2m-chart in coordinates (x_1, y_1, .., x_m, y_m)."""
 
     kind: str
@@ -271,14 +270,15 @@ def make_product_base() -> KahlerEinsteinChart:
 # anticanonical circle-bundle structure (pseudo-Hermitian Einstein gauge)
 # ----------------------------------------------------------------------
 
-@dataclass
 class AnticanonicalChart:
-    """Chart model of the anticanonical circle bundle with its contact gauge."""
+    """Chart model of the anticanonical circle bundle with its contact gauge; ``connection`` is
+    the real representative of rho_ac, rho_ac = i * connection."""
 
-    base: KahlerEinsteinChart
-    chart: Chart
-    connection: OneForm  # rho_ac = i * this real representative
-    ph: PHStructure
+    def __init__(self, base: KahlerEinsteinChart, chart: Chart, connection: OneForm, ph: PHStructure):
+        self.base = base
+        self.chart = chart
+        self.connection = connection
+        self.ph = ph
 
     @property
     def m(self) -> int:
@@ -372,16 +372,17 @@ def submersion_residuals(ac: AnticanonicalChart, ws: WebsterSample) -> dict[str,
 # Fefferman construction
 # ----------------------------------------------------------------------
 
-@dataclass
 class FeffermanChart:
     """f = L + (4/(m+2)) theta o A_theta on base x (t, s), ``chart``, with A_theta = A_W -
     (scal_W/(2(m+1))) theta and A_W = ((m+2)/2) (ds + (2 scal_W/(m(m+2))) theta) in real
-    representatives.  :func:`fefferman_sample` assembles its jets; :attr:`metric` is its tree."""
+    representatives, and ``sw`` = S_W = scal_h / (2m(m+1)).  :func:`fefferman_sample` assembles
+    its jets; :attr:`metric` is its tree."""
 
-    ac: AnticanonicalChart
-    chart: Chart
-    scal_w: float
-    sw: float  # S_W = scal_h / (2m(m+1))
+    def __init__(self, ac: AnticanonicalChart, chart: Chart, scal_w: float, sw: float):
+        self.ac = ac
+        self.chart = chart
+        self.scal_w = scal_w
+        self.sw = sw
 
     @property
     def m(self) -> int:
@@ -434,8 +435,7 @@ def fefferman_metric(ac: AnticanonicalChart, ws: WebsterSample) -> FeffermanChar
 # conformal Einstein rescaling
 # ----------------------------------------------------------------------
 
-@dataclass
-class RescaledMetric:
+class RescaledMetric(NamedTuple):
     """Conformally rescaled Fefferman metric e^{2 phi} f, phi = -log cos(s/2), by its constants:
     :func:`fefferman_sample` assembles the jets of e^{2 phi} f and phi (:func:`_conformal_factor`)."""
 
@@ -524,20 +524,33 @@ def _unitary_lifts(h, jmat, theta, reeb):
     return [a - b for a, b in zip(x, _mul(_at(reeb, (None, every)), _at(theta_x, (every, None))))]
 
 
-def fefferman_sample(fc: FeffermanChart, ws: WebsterSample, pts) -> dict:
-    """The jet data at ``pts`` that the fefferman, rescale and theorem2 records read, from ``ws``: the
-    Webster sample of ``fc.ac.ph`` at ``pts`` without s, made with ``fefferman`` and extra ``h``.
+def _handed_points_first(x):
+    """The jet data ``x`` laid out points first, each array released from the list ``x`` as it is
+    converted, so that one array at a time is held in both layouts."""
+    out = []
+    for r in range(len(x)):
+        out.append(_points_first(x[r:r + 1])[0])
+        x[r] = None
+    return out
+
+
+def fefferman_sample(fc: FeffermanChart, inputs: dict, pts) -> dict:
+    """The jet data at ``pts`` that the fefferman, rescale and theorem2 records read, from ``inputs``:
+    :meth:`WebsterSample.fefferman_inputs` of the Webster sample of ``fc.ac.ph`` at ``pts`` without s,
+    made with ``fefferman`` and extra ``h``, which hands its jets over: they are taken out of
+    ``inputs``, and each is released once it is read.
 
     ``f``, ``rescaled`` (e^{2 phi} f) and ``phi`` to order 2; ``frame`` (P, T*, e_1*, .., e_2m*),
-    ``vertical`` (T* - S_W P), ``b`` and ``a_w`` to order 1; ``theta``, ``a_theta`` and ``h`` values.
-    All but ds and phi(s) are contact-chart fields, zero along s: the product rule gives each from
-    theta and L, T and h, equal to its tree's jet data up to a zero's sign (see _unitary_lifts).
+    ``vertical`` (T* - S_W P), ``b`` and ``a_w`` to order 1; ``theta``, ``a_theta`` and ``h`` values;
+    and ``webster``, the values of the Webster sample that the fefferman record reads, at the contact
+    points.  All but ds and phi(s) are contact-chart fields, zero along s: the product rule gives each
+    from theta and L, T and h, equal to its tree's jet data up to a zero's sign (see _unitary_lifts).
     """
     pts = fc.chart.points(pts)
-    if ws.ph is not fc.ac.ph or not np.array_equal(ws.pts, pts[:, :-1]):
-        raise ValueError("ws must be the Webster sample of fc.ac.ph at pts without s")
+    if inputs["ph"] is not fc.ac.ph or not np.array_equal(inputs["pts"], pts[:, :-1]):
+        raise ValueError("inputs must come from the Webster sample of fc.ac.ph at pts without s")
     m, dim, scal_w, sw = fc.m, fc.chart.dim, fc.scal_w, fc.sw
-    theta, levi = (_padded(x, dim, axes) for x, axes in zip(ws.fefferman_jets(), (1, 2)))
+    theta = _padded(inputs.pop("theta"), dim, 1)
     ds = np.eye(dim)[-1][:, None]  # the values of ds, and of P, at every point
 
     # A_W, A_theta and b = A_theta - ((m+2)/2) S_W theta, as FeffermanChart.metric builds them
@@ -545,23 +558,28 @@ def fefferman_sample(fc: FeffermanChart, ws: WebsterSample, pts) -> dict:
     a_theta = [x - y * (scal_w / (2.0 * (m + 1))) for x, y in zip(a_w, theta)]
     b = [x - y * (0.5 * (m + 2) * sw) for x, y in zip(a_theta, theta)]
 
-    # f = L + (theta o A_theta) 4/(m+2) and e^{2 phi} f
+    # f = L + (theta o A_theta) 4/(m+2), summed into the padded L, and e^{2 phi} f
+    f = _padded(inputs.pop("levi"), dim, 2)
     prod = _mul(_at(theta, (slice(None), None)), _at(a_theta, (None,)))  # [i, j] = theta_i A_j
-    f = [x + (y + y.swapaxes(-3, -2)) * 0.5 * (4.0 / (m + 2)) for x, y in zip(levi, prod)]
+    for r, y in enumerate(prod):
+        f[r] += (y + y.swapaxes(-3, -2)) * 0.5 * (4.0 / (m + 2))
+    del prod, y
     phi, factor = _conformal_factor(pts, 2)
     rescaled = _mul(f, _at(_points_last(factor), (None, None)))
+    f, rescaled = _handed_points_first(f), _handed_points_first(rescaled)
 
-    h = _points_last(ws.extra_jets("h"))
-    reeb = _padded(_points_last(ws.jets("reeb")), dim, 1)
+    h = _points_last(inputs.pop("h"))
+    reeb = _padded(_points_last(inputs.pop("reeb")), dim, 1)
     lifts = _unitary_lifts(_padded(h[:2], dim, 0), fc.ac.base.complex_structure, theta[:2], reeb)
     p_field = [np.broadcast_to(ds, reeb[0].shape), np.zeros(reeb[1].shape)]
     t_star = [x - y * sw for x, y in zip(reeb, p_field)]
     vertical = [x - y * sw for x, y in zip(t_star, p_field)]
     frame = [np.concatenate([np.expand_dims(x, r), np.expand_dims(y, r), z], axis=r)
              for r, (x, y, z) in enumerate(zip(p_field, t_star, lifts))]
-    held = {"f": f, "rescaled": rescaled, "frame": frame, "vertical": vertical, "theta": theta[:1],
-            "a_theta": a_theta[:1], "b": b[:2], "a_w": a_w[:2], "h": _padded(h[:1], dim, 2)}
-    return {"phi": phi, **{k: _points_first(x) for k, x in held.items()}}
+    held = {"frame": frame, "vertical": vertical, "theta": theta[:1], "a_theta": a_theta[:1], "b": b[:2],
+            "a_w": a_w[:2], "h": _padded(h[:1], dim, 2)}
+    return {"phi": phi, "f": f, "rescaled": rescaled, **{k: _points_first(x) for k, x in held.items()},
+            "webster": inputs["webster"]}
 
 
 # ----------------------------------------------------------------------
@@ -632,22 +650,22 @@ def fefferman_structure_residuals(fc: FeffermanChart, f, fields) -> dict[str, np
     }
 
 
-def _frame_families(m, sw, curv, gamma_f, frame, frame_grads, ws):
+def _frame_families(m, sw, curv, gamma_f, frame, frame_grads, webster):
     """Residual arrays of the Fefferman identities on the adapted frame, per family.
 
     ``frame`` (N, 2m + 2, d) stacks (P, T*, e_1*, .., e_2m*) at the Fefferman
     points and ``frame_grads[n, q, a, k]`` = d_a frame[n, q, k]; ``curv`` and
-    ``gamma_f`` are the curvature and symbols of f there.  ``ws`` is the
-    Webster sample at the contact-chart points, where the contact frame e_i
-    and its first partials are the rows after P and T* without the s entry
-    and the s-partial.  Returns the lists (b) Ricci components,
-    (c) curvature identities and (d) covariant table; each family is one
-    array, read from slices of one staged contraction over the stack.
+    ``gamma_f`` are the curvature and symbols of f there.  ``webster`` holds
+    the values of Gamma_W, the R_W operator, dtheta and J at the contact-chart
+    points (:func:`fefferman_sample`), where the contact frame e_i and its
+    first partials are the rows after P and T* without the s entry and the
+    s-partial.  Returns the lists (b) Ricci components, (c) curvature
+    identities and (d) covariant table; each family is one array, read from
+    slices of one staged contraction over the stack.
     """
     rup, ric = curv.operator, curv.ricci
-    # the Webster members first, while the frame contractions below hold nothing
-    gamma_w, rup_w = ws.webster_symbols[0], ws.curvature[0]
-    dtheta_m, jval_m = ws.jets("dtheta")[0], ws.jets("J")[0]
+    gamma_w, rup_w = webster["gamma_w"], webster["rup_w"]
+    dtheta_m, jval_m = webster["dtheta"], webster["J"]
     pval, tsval = frame[:, 0], frame[:, 1]
     k = frame.shape[1] - 2
     e_m = frame[:, 2:, :-1]
@@ -698,13 +716,13 @@ def _frame_families(m, sw, curv, gamma_f, frame, frame_grads, ws):
     return components, identities, table
 
 
-def fefferman_ricci_residual(fc: FeffermanChart, pts, ws, f, fields) -> dict[str, np.ndarray]:
+def fefferman_ricci_residual(fc: FeffermanChart, f, fields) -> dict[str, np.ndarray]:
     """Per-point curvature identities of the Fefferman metric.
 
-    ``ws`` is the Webster sample of ``fc.ac.ph`` at ``pts`` without s (a
-    ValueError otherwise), ``f`` is (jets, christoffel): ``[f, df, d2f]``
-    and (Gamma, f^-1) from :func:`_christoffel_arrays`, and ``fields`` the
-    :func:`fefferman_sample` at ``pts``.
+    ``f`` is (jets, christoffel): ``[f, df, d2f]`` and (Gamma, f^-1) from
+    :func:`_christoffel_arrays`, and ``fields`` the :func:`fefferman_sample`
+    at its points, whose ``webster`` values give the Webster connection,
+    curvature and Ricci there.
 
     (a) closed form Ric = m S_W f + (2m/(m+2)^2) b o b with b the real
     representative of rho_c + rho_ac; (b) vertical component values;
@@ -713,9 +731,6 @@ def fefferman_ricci_residual(fc: FeffermanChart, pts, ws, f, fields) -> dict[str
     (f) the Killing residual of T*; (g) the never-Einstein certificate;
     (h) dA_W = -Ric_W in real representatives.
     """
-    pts = fc.chart.points(pts)
-    if ws.ph is not fc.ac.ph or not np.array_equal(ws.pts, pts[:, :-1]):
-        raise ValueError("ws must be the Webster sample of fc.ac.ph at pts without s")
     m = fc.m
     sw = fc.sw
 
@@ -729,7 +744,7 @@ def fefferman_ricci_residual(fc: FeffermanChart, pts, ws, f, fields) -> dict[str
     tsval, dts = frame[:, 1], frame_grads[:, 1]
     vval, dv = fields["vertical"]
     bval, da_w = fields["b"][0], fields["a_w"][1]
-    components, identities, table = _frame_families(m, sw, curv, gamma_f, frame, frame_grads, ws)
+    components, identities, table = _frame_families(m, sw, curv, gamma_f, frame, frame_grads, fields["webster"])
 
     closed = m * sw * fval + (2.0 * m / (m + 2) ** 2) * np.einsum("ni,nj->nij", bval, bval)
     scale = max(1.0, np.abs(ric).max())
@@ -741,7 +756,7 @@ def fefferman_ricci_residual(fc: FeffermanChart, pts, ws, f, fields) -> dict[str
     # (h) dA_W = -pullback(Ric_W) in real representatives: d(a_W) = -W
     da_w = da_w - da_w.transpose(0, 2, 1)
     w_full = np.zeros_like(da_w)
-    w_full[:, :-1, :-1] = ws.ricci[0]
+    w_full[:, :-1, :-1] = fields["webster"]["w"]
 
     return {
         "fefferman_connection_curvature": point_max(da_w + w_full),
@@ -845,8 +860,7 @@ def correction_structure_residual(rm: RescaledMetric, f, phi_jets, fields) -> np
 # explicit conformally-Einstein metrics on their own charts
 # ----------------------------------------------------------------------
 
-@dataclass
-class ExplicitEinsteinMetric:
+class ExplicitEinsteinMetric(NamedTuple):
     """Closed-form conformally-Fefferman Einstein metric, built independently."""
 
     base: KahlerEinsteinChart

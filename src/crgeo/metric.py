@@ -10,7 +10,7 @@ pure; there is no shared mutable state.
 from __future__ import annotations
 
 import string
-from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -131,8 +131,7 @@ def curvature_from_connection(gamma, dgamma, gval=None):
     return rup, None if gval is None else np.einsum("nijkm,nml->nijkl", rup, gval)
 
 
-@dataclass(frozen=True)
-class CurvatureTensor:
+class CurvatureTensor(NamedTuple):
     """Curvature data of a metric at a point batch, for the records that read the operator.
 
     Ricci and the scalar are traces of the operator.  No check of the

@@ -331,7 +331,7 @@ class WebsterSample:
     built on D (:attr:`comparison` and those reading it) do, and the first
     of them read checks it at these points.  With ``connection`` False only
     theta, dtheta, J, T and g_theta to order 1 are read; with ``fefferman``
-    theta and L to order 2 too, for :meth:`fefferman_jets`.  Pulled-back
+    theta and L to order 2 too, for :meth:`fefferman_inputs`.  Pulled-back
     operands come from ``held``, the :class:`PullbackJets` of the sample
     these points belong to; by default it holds its own.
     """
@@ -369,12 +369,20 @@ class WebsterSample:
             self.data.update(data)
         return self.data
 
-    def fefferman_jets(self):
-        """The order-2 jet data of theta and L laid out points last, which f is built from: held
-        by a sample made with ``fefferman`` for this one read, which releases them."""
+    def fefferman_inputs(self) -> dict:
+        """What a Fefferman sample is assembled from and its records read of this sample, by name,
+        so that the sample itself can go once it is taken: the order-2 jet data of theta and L
+        laid out points last (``theta``, ``levi``), held by a sample made with ``fefferman`` for
+        this one read, which releases them; the jet data of T (``reeb``) and of the extra field
+        ``h``; in ``webster`` the values of Gamma_W (``gamma_w``), the R_W operator (``rup_w``),
+        W (``w``), dtheta and J; and the structure (``ph``) and points (``pts``) they belong to."""
         if (self.ph, "fefferman") not in self.batch:
             raise ValueError("theta and L are held for one read, by a sample made with fefferman=True")
-        return self.batch.pop((self.ph, "fefferman"))
+        webster = {"gamma_w": self.webster_symbols[0], "rup_w": self.curvature[0], "w": self.ricci[0],
+                   "dtheta": self.jets("dtheta")[0], "J": self.jets("J")[0]}
+        theta, levi = self.batch.pop((self.ph, "fefferman"))
+        return {"ph": self.ph, "pts": self.pts, "theta": theta, "levi": levi, "reeb": self.jets("reeb"),
+                "h": self.extra_jets("h"), "webster": webster}
 
     def jets(self, name):
         """The jet data of the structure's field ``name``: theta, dtheta, J and T to order 1,

@@ -15,8 +15,8 @@ from __future__ import annotations
 import datetime
 import json
 import math
-from dataclasses import dataclass, field
 from functools import cached_property
+from typing import NamedTuple
 
 import numpy as np
 
@@ -57,6 +57,12 @@ from .pseudohermitian import (
 
 SUITES = ("webster", "comparison", "submersion", "fefferman", "rescale", "theorem2")
 
+# the records of a Pipeline in the order a run reads them; those that read its Webster
+# sample, and those that read the Fefferman sample built from it
+RECORDS = ("structure", "webster", "comparison", "submersion", "fefferman", "rescale", "theorem2", "negative")
+WEBSTER_READERS = {"structure", "webster", "comparison", "submersion", "negative"}
+F_READERS = {"fefferman", "rescale", "theorem2"}
+
 CONVENTIONS = {
     "laplacian": "lap(phi) = trace_g Hess(phi)",
     "imaginary_square": "(i*beta)^2 expands to -(beta o beta) for real beta",
@@ -66,8 +72,7 @@ CONVENTIONS = {
 }
 
 
-@dataclass(frozen=True)
-class CatalogEntry:
+class CatalogEntry(NamedTuple):
     example: str
     ms: tuple[int, ...]
     negative: bool
@@ -101,8 +106,7 @@ CATALOG: dict[str, CatalogEntry] = {
 SUPPORTED_M = tuple(sorted({m for entry in CATALOG.values() for m in entry.ms}))
 
 
-@dataclass(frozen=True)
-class Check:
+class Check(NamedTuple):
     """One residual check, read from ``Pipeline.<record>_record[name]``."""
 
     name: str
@@ -251,11 +255,24 @@ class Pipeline:
     ``jet_data_multi`` call that evaluates every node once, at the highest
     order read.  The samples are nested (``Chart.sample``): ``f_pts`` is
     ``m_pts`` with s appended, so ``f_sample`` assembles f, e^{2 phi} f, phi
-    and the Fefferman frame and forms from ``webster_sample``'s arrays, on
-    which ``fc`` checks its Einstein precondition too; no record builds a
-    tree or makes a jet call on the Fefferman chart.  Every call reads its
-    pull-backs from one batch, ``held``, at ``m_pts``.  ``records`` names
-    the records a run reads (every one by default).
+    and the Fefferman frame and forms from what ``webster_sample`` hands
+    over (``f_inputs``), on which ``fc`` checks its Einstein precondition
+    too; no record builds a tree or makes a jet call on the Fefferman chart.
+    Every call reads its pull-backs from one batch, ``held``, at ``m_pts``.
+    ``records`` names the records a run reads (every one by default).
+
+    A member read as an attribute is evaluated on first use and kept.  A
+    run reads its records through :meth:`read`, in ``RECORDS`` order, and
+    each member's lifetime ends at its last reader among them.
+    ``webster_sample`` is read by the structure, webster, comparison,
+    submersion and negative records, and by ``fc`` and ``f_inputs``, which
+    take from it what the records of f (fefferman, rescale, theorem2)
+    read: after the last of those records, and before the first record of
+    f, the two are formed and the sample goes as a whole.  ``f_metric`` is
+    read by the fefferman and rescale records and ``f_sample`` by theorem2
+    too, which reads only the rescaled metric's values: before theorem2
+    ``f_metric`` and what is left of ``f_inputs`` go, and ``f_sample``
+    keeps those values alone.  The rest lasts as long as the pipeline.
     """
 
     def __init__(self, example: str, m: int, points: int, seed: int, records=None):
@@ -314,16 +331,21 @@ class Pipeline:
         return PullbackJets(self.ac.chart, self.m_pts)
 
     @cached_property
+    def f_inputs(self):
+        """What ``f_sample`` is assembled from and the fefferman record reads of ``webster_sample``
+        (:meth:`WebsterSample.fefferman_inputs`); ``f_sample`` takes its jets out."""
+        return self.webster_sample.fefferman_inputs()
+
+    @cached_property
     def f_sample(self):
-        """Jet data at ``f_pts`` by name, assembled from ``webster_sample``'s arrays
-        (:func:`fefferman_sample`)."""
-        return fefferman_sample(self.fc, self.webster_sample, self.f_pts)
+        """Jet data at ``f_pts`` by name, assembled from ``f_inputs`` (:func:`fefferman_sample`)."""
+        return fefferman_sample(self.fc, self.f_inputs, self.f_pts)
 
     @cached_property
     def f_metric(self):
         """(jets, christoffel) of f at ``f_pts``: its order-2 jet data from ``f_sample`` and its
         (Gamma, f^-1), formed once for every record that reads them.  dGamma, which only the
-        curvature identities read, is not held."""
+        curvature identities read, is formed there and not held."""
         return self.f_sample["f"], _christoffel_arrays(*self.f_sample["f"][:2])
 
     @cached_property
@@ -348,6 +370,23 @@ class Pipeline:
         reads_f = not self.entry.negative and bool(self.records & {"fefferman", "rescale", "theorem2"})
         extra = self.ac.sample_fields if reads_f or not self.entry.negative and "submersion" in self.records else None
         return WebsterSample(self.ac.ph, self.m_pts, self.held, extra, siblings, fefferman=reads_f)
+
+    # -- a run -------------------------------------------------------------
+    def read(self, record: str) -> dict:
+        """``<record>_record``, read as a run reads it: each record of ``records`` once, in
+        ``RECORDS`` order.  First every member that neither this record nor a later one of
+        ``records`` reads is released (see the class docstring)."""
+        ahead = (self.records | {record}) & set(RECORDS[RECORDS.index(record):])
+        kept = vars(self)
+        if not ahead & WEBSTER_READERS:
+            if ahead & F_READERS:
+                self.fc, self.f_inputs  # what the records of f read of the sample, taken before it goes
+            kept.pop("webster_sample", None)
+        if ahead == {"theorem2"}:  # which reads only the rescaled metric's values of f
+            self.f_sample = {"rescaled": self.f_sample["rescaled"][:1]}
+            kept.pop("f_metric", None)
+            kept.pop("f_inputs", None)
+        return getattr(self, f"{record}_record")
 
     # -- cached residual records --------------------------------------------
     @cached_property
@@ -379,7 +418,7 @@ class Pipeline:
     def fefferman_record(self) -> dict:
         data, f = self.f_sample, self.f_metric
         rec = fefferman_structure_residuals(self.fc, f, data)
-        rec.update(fefferman_ricci_residual(self.fc, self.f_pts, self.webster_sample, f, data))
+        rec.update(fefferman_ricci_residual(self.fc, f, data))
         rec["fefferman_expression"] = fefferman_expression_residual(self.fc, data["f"][0], data)
         return rec
 
@@ -423,20 +462,22 @@ class Pipeline:
         return rec
 
 
-@dataclass
 class SuiteConfig:
-    """One run request, checked when it is made: a bad request raises :class:`UsageError`."""
+    """One run request, checked when it is made: a bad request raises :class:`UsageError`.
 
-    example: str  # a catalog entry, or "all"
-    m: int
-    suites: tuple[str, ...] = ("all",)
-    points: int = 32
-    seed: int = 42
-    tol_overrides: dict = field(default_factory=dict)
+    ``example`` is a catalog entry or ``all``; ``tol_overrides`` maps check
+    names to tolerances.
+    """
 
-    def __post_init__(self):
+    def __init__(self, example: str, m: int, suites: tuple[str, ...] = ("all",), points: int = 32,
+                 seed: int = 42, tol_overrides: dict | None = None):
+        self.example = example
+        self.m = m
         # a suite named twice runs and is reported once
-        self.suites = tuple(dict.fromkeys(self.suites))
+        self.suites = tuple(dict.fromkeys(suites))
+        self.points = points
+        self.seed = seed
+        self.tol_overrides = {} if tol_overrides is None else tol_overrides
         if self.points < 1:
             raise UsageError("points must be >= 1")
         if self.seed < 0:
@@ -529,23 +570,33 @@ def _run_entry(cfg: SuiteConfig, example: str) -> dict:
     """The report of the checks ``cfg`` selects for one catalog entry, as :func:`run_suite`."""
     selected = cfg.selected_checks(example)
     pipe = Pipeline(example, cfg.m, cfg.points, cfg.seed, {c.record for c in selected})
+    records = {}  # each record the run reads, or the error that fails each of its rows
+    for record in RECORDS:
+        if record in pipe.records:
+            try:
+                records[record] = pipe.read(record)
+            except MemoryError:
+                raise  # a run too large for this machine fails as a whole, not check by check
+            except Exception as exc:
+                records[record] = f"{type(exc).__name__}: {exc}"
     checks_out = []
     overall = True
     for check in selected:
         tol = float(cfg.tol_overrides.get(check.name, check.tol))
-        try:
-            # a missing residual or a failing construction is a failed row
-            rec = getattr(pipe, f"{check.record}_record")
-            if check.name not in rec:
-                raise LookupError(f"the {check.record} record has no residual {check.name!r}")
-            per_point = np.asarray(rec[check.name])
-            residual = float(per_point.min() if check.kind == "lower" else per_point.max())
-            value = float(rec[check.value]) if check.value else None
-            error = None
-        except MemoryError:
-            raise  # a run too large for this machine fails as a whole, not check by check
-        except Exception as exc:
-            residual, value, error = float("nan"), None, f"{type(exc).__name__}: {exc}"
+        rec = records[check.record]
+        residual, value, error = float("nan"), None, rec if isinstance(rec, str) else None
+        if error is None:
+            try:
+                # a missing residual is a failed row
+                if check.name not in rec:
+                    raise LookupError(f"the {check.record} record has no residual {check.name!r}")
+                per_point = np.asarray(rec[check.name])
+                residual = float(per_point.min() if check.kind == "lower" else per_point.max())
+                value = float(rec[check.value]) if check.value else None
+            except MemoryError:
+                raise
+            except Exception as exc:
+                residual, value, error = float("nan"), None, f"{type(exc).__name__}: {exc}"
         if error is not None:
             passed = False
         elif check.kind == "lower":

@@ -206,15 +206,25 @@ def test_fefferman_rejects_a_nan_einstein_residual(pipeline, monkeypatch):
 
 
 def test_fefferman_reads_the_sample_of_its_structure(pipeline):
-    from crgeo.constructions import fefferman_ricci_residual, perturbed_structure
+    from crgeo.constructions import fefferman_sample, perturbed_structure
 
     pipe = pipeline("flat", 1)
-    other = WebsterSample(perturbed_structure(pipe.ac), pipe.m_pts)
+    other = perturbed_structure(pipe.ac)
     with pytest.raises(ValueError):
-        fefferman_metric(pipe.ac, other)
-    for ws in (other, WebsterSample(pipe.ac.ph, pipe.m_pts[::-1])):
-        with pytest.raises(ValueError):
-            fefferman_ricci_residual(pipe.fc, pipe.f_pts, ws, pipe.f_metric, pipe.f_sample)
+        fefferman_metric(pipe.ac, WebsterSample(other, pipe.m_pts))
+    # the Fefferman sample is assembled from what the sample of its structure at its
+    # points without s hands over, once, and only by a sample made with fefferman
+    ws = WebsterSample(pipe.ac.ph, pipe.m_pts, extra={"h": pipe.ac.sample_fields["h"]}, fefferman=True)
+    inputs = ws.fefferman_inputs()
+    for bad in (dict(inputs, ph=other), dict(inputs, pts=pipe.m_pts[::-1])):
+        with pytest.raises(ValueError, match="inputs must come from"):
+            fefferman_sample(pipe.fc, bad, pipe.f_pts)
+    for sample in (ws, WebsterSample(pipe.ac.ph, pipe.m_pts)):
+        with pytest.raises(ValueError, match="held for one read"):
+            sample.fefferman_inputs()
+    data = fefferman_sample(pipe.fc, inputs, pipe.f_pts)
+    assert all(np.array_equal(data[name][0], pipe.f_sample[name][0]) for name in ("f", "frame"))
+    assert not {"theta", "levi", "reeb", "h"} & set(inputs)  # taken out, so released once read
 
 
 def test_fefferman_flat_expression(pipeline):

@@ -307,8 +307,7 @@ def test_fefferman_families_match_the_vector_by_vector_assembly(fefferman_pipe, 
     pipe = fefferman_pipe
     pts, frame, frame_grads, gamma, curv = frame_data
     fc = pipe.fc
-    ws = pipe.webster_sample
-    new = _frame_families(fc.m, fc.sw, curv, gamma, frame, frame_grads, ws)
+    new = _frame_families(fc.m, fc.sw, curv, gamma, frame, frame_grads, pipe.f_sample["webster"])
     ref = reference_families(fc, pts, pipe.f_sample["f"], pipe.f_sample)
     for new_family, ref_family in zip(new, ref, strict=True):
         assert len(new_family) == len(ref_family)
@@ -316,7 +315,7 @@ def test_fefferman_families_match_the_vector_by_vector_assembly(fefferman_pipe, 
             assert a.shape == b.shape
             assert_close(a, b)
     # and the record reduces exactly these families
-    rec = fefferman_ricci_residual(fc, pts, ws, pipe.f_metric, pipe.f_sample)
+    rec = fefferman_ricci_residual(fc, pipe.f_metric, pipe.f_sample)
     names = ("fefferman_ricci_components", "fefferman_curvature_identities",
              "fefferman_covariant_table")
     for name, family in zip(names, new):
@@ -378,13 +377,18 @@ def test_the_assembled_fefferman_sample_equals_its_trees(example, m, n):
     pipe = Pipeline(example, m, points=n, seed=42)
     got = pipe.f_sample
     trees = fefferman_trees(pipe.fc)
-    assert list(got) == list(trees)
+    assert list(got) == [*trees, "webster"]
+    # with the values of the Webster sample that the fefferman record reads, as it holds them
+    ws = pipe.webster_sample
+    assert all(got["webster"][name] is value for name, value in (
+        ("gamma_w", ws.webster_symbols[0]), ("rup_w", ws.curvature[0]), ("w", ws.ricci[0]),
+        ("dtheta", ws.jets("dtheta")[0]), ("J", ws.jets("J")[0])))
     expected = jet_data_named(trees, pipe.f_pts, pipe.held)
     base_pts = pipe.m_pts[:, : 2 * m]
     h1, h2 = jet_data(pipe.ke.metric, base_pts, 1), jet_data(pipe.ke.metric, base_pts, 2)
     h_agrees = all(np.array_equal(a, b) for a, b in zip(h1, h2))
     # each name holds the orders its readers read: the theta, a_theta and h rows read values alone
-    assert {name: len(arrays) for name, arrays in got.items()} == {
+    assert {name: len(got[name]) for name in trees} == {
         "f": 3, "rescaled": 3, "phi": 3, "frame": 2, "vertical": 2,
         "theta": 1, "a_theta": 1, "b": 2, "a_w": 2, "h": 1,
     }

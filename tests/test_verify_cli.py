@@ -241,6 +241,22 @@ def test_out_file_written(tmp_path, capsys):
     assert target.read_text() == out
 
 
+def test_an_out_path_that_cannot_be_opened_fails_before_any_check(tmp_path, capsys, monkeypatch):
+    # a file name too long for the file system fails to open even as root, and so
+    # does a directory; either is a usage error, found before the run starts
+    import crgeo.cli
+
+    runs = []
+    monkeypatch.setattr(crgeo.cli, "run_suite", lambda cfg: runs.append(cfg))
+    for target in (tmp_path / ("a" * 300 + ".json"), tmp_path):
+        code, out, err = run_cli(
+            capsys, "run", "--example", "flat", "--m", "1", "--suite", "webster", "--points", "1",
+            "--out", str(target),
+        )
+        assert (code, out) == (2, "") and err.startswith("error: --out cannot be written")
+    assert runs == []
+
+
 def test_console_script_entry():
     # the child imports the same crgeo as this session, installed or not
     src = str(Path(crgeo.__file__).parents[1])
