@@ -58,8 +58,6 @@ from .pseudohermitian import (
     WebsterSample,
     _at,
     _mul,
-    _points_first,
-    _points_last,
     make_structure,
     ph_einstein_residual,
 )
@@ -471,8 +469,8 @@ def einstein_rescale(fc: FeffermanChart) -> RescaledMetric:
 
 
 # ----------------------------------------------------------------------
-# the Fefferman sample: jet data laid out points last and summed as the
-# fields' trees sum, as in pseudohermitian's assembly
+# the Fefferman sample: jet data laid out as jet_data gives it and summed
+# as the fields' trees sum, as in pseudohermitian's assembly
 # ----------------------------------------------------------------------
 
 def _conformal_factor(pts, order: int):
@@ -484,8 +482,8 @@ def _conformal_factor(pts, order: int):
 def _padded(x, dim: int, axes: int):
     """Jet data with every derivative axis and the last ``axes`` value axes widened to ``dim``
     by exact zeros: on a chart extending the field's, as :func:`jets.embed` lays it out."""
-    out = [np.zeros([dim if i < r or i >= a.ndim - 1 - axes else k for i, k in enumerate(a.shape[:-1])]
-                    + [a.shape[-1]]) for r, a in enumerate(x)]
+    out = [np.zeros([dim if 0 < i <= r or i >= a.ndim - axes else k for i, k in enumerate(a.shape)])
+           for r, a in enumerate(x)]
     for wide, a in zip(out, x):
         wide[tuple(map(slice, a.shape))] = a
     return out
@@ -493,7 +491,7 @@ def _padded(x, dim: int, axes: int):
 
 def _ordered_sum(x):
     """The sum over the last value axis, term by term, as :func:`crgeo.chart.ordered_sum` sums."""
-    return [np.add.accumulate(a, axis=-2)[..., -1, :] for a in x]
+    return [np.add.accumulate(a, axis=-1)[..., -1] for a in x]
 
 
 def _unitary_lifts(h, jmat, theta, reeb):
@@ -501,37 +499,27 @@ def _unitary_lifts(h, jmat, theta, reeb):
     e_m, J e_1, .., J e_m), stacked, from that of h (base-shaped), theta and T on one chart: each
     e_a is v = d/dx_(2a) - h(v, u) u over the e and J e kept, then v / sqrt(h(v, v)).  The trees
     read h at order 1, which can differ in the last bits from the order-2 jets given here."""
-    k, (d, n) = len(jmat), theta[0].shape  # 2m, coordinates, points
+    k, (n, d) = len(jmat), theta[0].shape  # 2m, points, coordinates
     every = slice(None)
 
     def pair(v, u):  # h_ij v^i u^j summed over (i, j) in row-major order
         terms = _mul(_mul(h, _at(v, (every, None))), _at(u, (None,)))
-        return _ordered_sum([a.reshape(a.shape[:-3] + (-1, n)) for a in terms])
+        return _ordered_sum([a.reshape(a.shape[:-2] + (-1,)) for a in terms])
 
     kept = []
     for a in range(k // 2):
-        v = [np.zeros((k, n)), np.zeros((d, k, n))]
-        v[0][2 * a] = 1.0
+        v = [np.zeros((n, k)), np.zeros((n, d, k))]
+        v[0][:, 2 * a] = 1.0
         for u in kept:
             v = [x - y for x, y in zip(v, _mul(u, _at(pair(v, u), (None,))))]
-        norm = jets.from_partials(_points_first(pair(v, v)))
-        v = _mul(v, _at(_points_last(jets.partials(1.0 / jets.sqrt(norm), n, d, 1, ())), (None,)))
+        norm = jets.from_partials(pair(v, v))
+        v = _mul(v, _at(jets.partials(1.0 / jets.sqrt(norm), n, d, 1, ()), (None,)))
         kept.insert(a, v)
-        kept.append(_ordered_sum([x[..., None, :, :] * jmat[:, :, None] for x in v]))  # J v
+        kept.append(_ordered_sum([x[..., None, :] * jmat for x in v]))  # J v
     # the stack, zero along the fiber coordinates; theta(X) sums over them too
-    x = _padded([np.stack([v[r] for v in kept], axis=r) for r in range(2)], d, 1)
+    x = _padded([np.stack([v[r] for v in kept], axis=1 + r) for r in range(2)], d, 1)
     theta_x = _ordered_sum(_mul(_at(theta, (None, every)), x))
     return [a - b for a, b in zip(x, _mul(_at(reeb, (None, every)), _at(theta_x, (every, None))))]
-
-
-def _handed_points_first(x):
-    """The jet data ``x`` laid out points first, each array released from the list ``x`` as it is
-    converted, so that one array at a time is held in both layouts."""
-    out = []
-    for r in range(len(x)):
-        out.append(_points_first(x[r:r + 1])[0])
-        x[r] = None
-    return out
 
 
 def fefferman_sample(fc: FeffermanChart, inputs: dict, pts) -> dict:
@@ -551,7 +539,7 @@ def fefferman_sample(fc: FeffermanChart, inputs: dict, pts) -> dict:
         raise ValueError("inputs must come from the Webster sample of fc.ac.ph at pts without s")
     m, dim, scal_w, sw = fc.m, fc.chart.dim, fc.scal_w, fc.sw
     theta = _padded(inputs.pop("theta"), dim, 1)
-    ds = np.eye(dim)[-1][:, None]  # the values of ds, and of P, at every point
+    ds = np.eye(dim)[-1]  # the values of ds, and of P, at every point
 
     # A_W, A_theta and b = A_theta - ((m+2)/2) S_W theta, as FeffermanChart.metric builds them
     a_w = [(x * (2.0 * scal_w / (m * (m + 2))) + y) * (0.5 * (m + 2)) for x, y in zip(theta, (ds, 0.0, 0.0))]
@@ -562,23 +550,21 @@ def fefferman_sample(fc: FeffermanChart, inputs: dict, pts) -> dict:
     f = _padded(inputs.pop("levi"), dim, 2)
     prod = _mul(_at(theta, (slice(None), None)), _at(a_theta, (None,)))  # [i, j] = theta_i A_j
     for r, y in enumerate(prod):
-        f[r] += (y + y.swapaxes(-3, -2)) * 0.5 * (4.0 / (m + 2))
+        f[r] += (y + y.swapaxes(-2, -1)) * 0.5 * (4.0 / (m + 2))
     del prod, y
     phi, factor = _conformal_factor(pts, 2)
-    rescaled = _mul(f, _at(_points_last(factor), (None, None)))
-    f, rescaled = _handed_points_first(f), _handed_points_first(rescaled)
+    rescaled = _mul(f, _at(factor, (None, None)))
 
-    h = _points_last(inputs.pop("h"))
-    reeb = _padded(_points_last(inputs.pop("reeb")), dim, 1)
+    h = inputs.pop("h")
+    reeb = _padded(inputs.pop("reeb"), dim, 1)
     lifts = _unitary_lifts(_padded(h[:2], dim, 0), fc.ac.base.complex_structure, theta[:2], reeb)
     p_field = [np.broadcast_to(ds, reeb[0].shape), np.zeros(reeb[1].shape)]
     t_star = [x - y * sw for x, y in zip(reeb, p_field)]
     vertical = [x - y * sw for x, y in zip(t_star, p_field)]
-    frame = [np.concatenate([np.expand_dims(x, r), np.expand_dims(y, r), z], axis=r)
+    frame = [np.concatenate([np.expand_dims(x, 1 + r), np.expand_dims(y, 1 + r), z], axis=1 + r)
              for r, (x, y, z) in enumerate(zip(p_field, t_star, lifts))]
-    held = {"frame": frame, "vertical": vertical, "theta": theta[:1], "a_theta": a_theta[:1], "b": b[:2],
-            "a_w": a_w[:2], "h": _padded(h[:1], dim, 2)}
-    return {"phi": phi, "f": f, "rescaled": rescaled, **{k: _points_first(x) for k, x in held.items()},
+    return {"phi": phi, "f": f, "rescaled": rescaled, "frame": frame, "vertical": vertical,
+            "theta": theta[:1], "a_theta": a_theta[:1], "b": b[:2], "a_w": a_w[:2], "h": _padded(h[:1], dim, 2),
             "webster": inputs["webster"]}
 
 

@@ -122,9 +122,9 @@ def curvature_from_connection(gamma, dgamma, gval=None):
     """
     # Gamma^l_ia Gamma^a_jk; the second quadratic term is its (i, j) transpose
     quad = np.einsum("nlia,najk->nijkl", gamma, gamma)
+    # formed C-ordered: the two transposes of dgamma are strided views
     rup = (
-        np.einsum("niljk->nijkl", dgamma)
-        - np.einsum("njlik->nijkl", dgamma)
+        np.subtract(np.einsum("niljk->nijkl", dgamma), np.einsum("njlik->nijkl", dgamma), order="C")
         + quad
         - quad.swapaxes(1, 2)
     )

@@ -183,59 +183,51 @@ def make_structure(
 # fields assembled from held jet data
 # ----------------------------------------------------------------------
 #
-# Jet data [v, d1, d2] (order <= 2) is laid out here with the point axis
-# last, so each elementwise op runs its inner loop over the points:
-# v[..], d1[a, ..], d2[a, b, ..], the value axes before the points.  A
-# product carries the rows of the jet engine's product of two jets seeded
-# on one generator per derivative order, summed as it sums them (t
-# ascending): a0 b0; a0 b1 + a1 b0; a0 b3 + a1 b2 + a2 b1 + a3 b0, where
-# rows 1 and 2 are the first partials along a and along b and row 3 the
-# second partial d2[a, b].  For two generators both of the engine's product
-# paths sum in that order, and a two-term sum is the same either way, so
-# each array keeps the bits of the tree whose left operands these are.
-
-def _points_last(arrays):
-    return [np.ascontiguousarray(a.reshape(len(a), -1).T).reshape(a.shape[1:] + a.shape[:1]) for a in arrays]
-
-
-def _points_first(arrays):
-    return [np.ascontiguousarray(a.reshape(-1, a.shape[-1]).T).reshape(a.shape[-1:] + a.shape[:-1]) for a in arrays]
-
+# Jet data [v, d1, d2] (order <= 2) is laid out as jet_data gives it, the
+# point axis first and the value axes last: v[n, ..], d1[n, a, ..],
+# d2[n, a, b, ..].  A product carries the rows of the jet engine's product
+# of two jets seeded on one generator per derivative order, summed as it
+# sums them (t ascending): a0 b0; a0 b1 + a1 b0; a0 b3 + a1 b2 + a2 b1 +
+# a3 b0, where rows 1 and 2 are the first partials along a and along b and
+# row 3 the second partial d2[a, b].  For two generators both of the
+# engine's product paths sum in that order, and a two-term sum is the same
+# either way, so each array keeps the bits of the tree whose left operands
+# these are.
 
 def _at(x, index):
     """The jet data ``x`` at ``index`` of its value axes (an index of the value array)."""
-    return [a[(slice(None),) * r + index] for r, a in enumerate(x)]
+    return [a[(slice(None),) * (1 + r) + index] for r, a in enumerate(x)]
 
 
 def _mul(a, b):
-    """a * b by the Leibniz rule, each row summed as described above."""
+    """a * b by the Leibniz rule, each row summed as described above; the value axes of ``a``
+    and ``b`` broadcast, and each derivative axis is inserted after the point axis."""
     out = [a[0] * b[0]]
     if len(a) > 1:
-        d1 = a[0] * b[1]
-        d1 += a[1] * b[0]
+        d1 = a[0][:, None] * b[1]
+        d1 += a[1] * b[0][:, None]
         out.append(d1)
     if len(a) > 2:
-        d2 = a[0] * b[2]
-        term = np.multiply(a[1][:, None], b[1])
+        d2 = a[0][:, None, None] * b[2]
+        term = np.multiply(a[1][:, :, None], b[1][:, None])
         d2 += term
-        d2 += np.multiply(a[1], b[1][:, None], out=term)
-        d2 += np.multiply(a[2], b[0], out=term)
+        d2 += np.multiply(a[1][:, None], b[1][:, :, None], out=term)
+        d2 += np.multiply(a[2], b[0][:, None, None], out=term)
         out.append(d2)
     return out
 
 
 def _metric_jets(ph: PHStructure, theta, dtheta, jmat):
-    """The values of L, the jet data of g_theta = L + theta o theta, and that of (theta, L) laid
-    out points last, from theta, dtheta and J, each to their order.
+    """The values of L, the jet data of g_theta = L + theta o theta, and that of (theta, L), from
+    theta, dtheta and J, each to their order.
 
     L_ij = sum_k dtheta_ik J_kj over k ascending, as :func:`contract` sums it, without the
     terms that fold to the constant 0 in its tree: every term of a k where each dtheta_ik is
     the constant 0, and where J_kj is the constant 0; a constant J_kj scales dtheta_ik.  Then
     (theta o theta)_ij = (theta_i theta_j + theta_j theta_i) / 2.
     """
-    th, dth = _points_last(theta), _points_last(dtheta)
     every = slice(None)
-    sym = _mul(_at(th, (every, None)), _at(th, (None,)))
+    sym = _mul(_at(theta, (every, None)), _at(theta, (None,)))
     levi = [np.zeros(x.shape) for x in sym]
     for k, (column, row) in enumerate(zip(ph.dtheta.components.T, ph.J.components)):
         if all(c.value == 0.0 for c in column):
@@ -243,14 +235,13 @@ def _metric_jets(ph: PHStructure, theta, dtheta, jmat):
         if all(c.value is not None for c in row):
             for col, c in enumerate(row):
                 if c.value != 0.0:
-                    for x, y in zip(levi, _at(dth, (every, k))):
-                        x[..., col, :] += y * c.value
+                    for x, y in zip(levi, _at(dtheta, (every, k))):
+                        x[..., col] += y * c.value
         else:
-            jrow = _points_last([x[..., k, None, :] for x in jmat])  # [1, j] = J_kj
-            for x, y in zip(levi, _mul(_at(dth, (every, k, None)), jrow)):
+            for x, y in zip(levi, _mul(_at(dtheta, (every, k, None)), _at(jmat, (k, None)))):  # [i, j] = dtheta_ik J_kj
                 x += y
-    g = [x + (y + y.swapaxes(-3, -2)) * 0.5 for x, y in zip(levi, sym)]
-    return _points_first(levi[:1])[0], _points_first(g), (th, levi)
+    g = [x + (y + y.swapaxes(-2, -1)) * 0.5 for x, y in zip(levi, sym)]
+    return levi[0], g, (theta, levi)
 
 
 def _comparison_jets(th, dth, t, j):
@@ -261,9 +252,9 @@ def _comparison_jets(th, dth, t, j):
     d = _mul(_at(dth, (None,)), _at(t, (every, None, None)))
     for x, y in zip(d, tj):
         x -= y
-        x -= y.swapaxes(-3, -2)  # theta_j J^k_i
+        x -= y.swapaxes(-2, -1)  # theta_j J^k_i
         x *= 0.5
-    return _points_first(d)
+    return d
 
 
 def _horizontal_jets(th, t, j):
@@ -271,14 +262,13 @@ def _horizontal_jets(th, t, j):
     from that of theta, T and J, to order 1."""
     every = slice(None)
     prod = _mul(_at(th, (every, None)), _at(t, (None,)))  # [i, k] = theta_i T^k
-    d = len(prod[0])
-    x = [np.eye(d)[..., None] - prod[0], -prod[1]]
+    d = prod[0].shape[-1]
+    x = [np.eye(d) - prod[0], -prod[1]]
     jx = _mul(_at(j, (None, every, 0)), _at(x, (every, None, 0)))
     for k in range(1, d):
         for y, z in zip(jx, _mul(_at(j, (None, every, k)), _at(x, (every, None, k)))):
             y += z
     # the jet data of the vector field of row i, as jet_data gives it
-    x, jx = _points_first(x), _points_first(jx)
     return tuple([[y[0][:, i], y[1][:, :, i]] for i in range(d)] for y in (x, jx))
 
 
@@ -372,7 +362,7 @@ class WebsterSample:
     def fefferman_inputs(self) -> dict:
         """What a Fefferman sample is assembled from and its records read of this sample, by name,
         so that the sample itself can go once it is taken: the order-2 jet data of theta and L
-        laid out points last (``theta``, ``levi``), held by a sample made with ``fefferman`` for
+        (``theta``, ``levi``), the batch's own arrays, held by a sample made with ``fefferman`` for
         this one read, which releases them; the jet data of T (``reeb``) and of the extra field
         ``h``; in ``webster`` the values of Gamma_W (``gamma_w``), the R_W operator (``rup_w``),
         W (``w``), dtheta and J; and the structure (``ph``) and points (``pts``) they belong to."""
@@ -404,12 +394,12 @@ class WebsterSample:
             raise PreconditionError(
                 f"structure is not transversally symmetric: residual {res:.3e} > {TSPH_TOL:g}"
             )
-        return _comparison_jets(*(_points_last(self.jets(name)) for name in ("theta", "dtheta", "reeb", "J")))
+        return _comparison_jets(*(self.jets(name) for name in ("theta", "dtheta", "reeb", "J")))
 
     @_member
     def horizontal(self):
         """(X, JX): the order-1 jet data of each X_i = e_i - theta(e_i) T, then of each J X_i."""
-        return _horizontal_jets(*(_points_last(self.jets(name)) for name in ("theta", "reeb", "J")))
+        return _horizontal_jets(*(self.jets(name) for name in ("theta", "reeb", "J")))
 
     @_member
     def solved_reeb(self):

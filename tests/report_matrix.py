@@ -20,13 +20,9 @@ points, seed).
 """
 
 import argparse
-import contextlib
-import io
 import os
 import subprocess
 import sys
-import tarfile
-import tempfile
 from pathlib import Path
 
 HERE = Path(__file__).resolve().parent
@@ -34,6 +30,7 @@ SRC = HERE.parent / "src"
 # test_acceptance imports crgeo; the reports themselves run in subprocesses
 sys.path[:0] = [str(SRC), str(HERE)]
 
+from source_tree import exported  # noqa: E402
 from test_acceptance import GENERATED_AT, check_rows, moved_fields  # noqa: E402
 
 # (example, m, points, seed) of every report compared
@@ -109,21 +106,6 @@ def format_table(table: dict, reports: int, moved_reports) -> str:
         lines += ["", "reports not byte-identical (example, m, points, seed):"]
         lines += [f"  {example}, {m}, {points}, {seed}" for example, m, points, seed in moved_reports]
     return "\n".join(lines)
-
-
-@contextlib.contextmanager
-def exported(old, repo=HERE.parent):
-    """``old`` if it is a directory, else the ``src`` of the git revision ``old`` of ``repo``,
-    exported into a temporary directory removed on exit."""
-    if Path(old).is_dir():
-        yield Path(old)
-        return
-    proc = subprocess.run(["git", "-C", str(repo), "archive", "--format=tar", old, "src"], capture_output=True)
-    if proc.returncode:
-        raise SystemExit(f"{old}: neither a directory nor a revision with a src tree\n{proc.stderr.decode()}")
-    with tempfile.TemporaryDirectory() as tmp, tarfile.open(fileobj=io.BytesIO(proc.stdout)) as tar:
-        tar.extractall(tmp, filter="data")
-        yield Path(tmp) / "src"
 
 
 def main(argv=None) -> int:

@@ -227,6 +227,38 @@ def test_fefferman_reads_the_sample_of_its_structure(pipeline):
     assert not {"theta", "levi", "reeb", "h"} & set(inputs)  # taken out, so released once read
 
 
+def _arrays(x):
+    """Every array in nested dicts, lists and tuples."""
+    if isinstance(x, np.ndarray):
+        yield x
+    elif isinstance(x, (dict, list, tuple)):
+        for item in x.values() if isinstance(x, dict) else x:
+            yield from _arrays(item)
+
+
+@pytest.mark.parametrize("n", [2, 129])
+@pytest.mark.parametrize("example, m", [(e, m) for e in ("flat", "fubini_study", "complex_hyperbolic")
+                                        for m in (1, 2)])
+def test_the_samples_hand_out_one_layout(example, m, n):
+    # every array of the Webster sample's batch (each field's jet data, g_theta, L and
+    # the jets held for f), D, what the sample hands over to the Fefferman sample and
+    # every array of that sample, its Webster values included, has the point axis first,
+    # of length N, and is C-contiguous, as jet_data gives its arrays: np.einsum can pick
+    # another inner loop for a strided operand, and so change a residual's bits
+    from crgeo.verify import Pipeline
+
+    pipe = Pipeline(example, m, points=n, seed=7)
+    ws = pipe.webster_sample
+    assert (ws.ph, "fefferman") in ws.batch
+    held = [ws.batch, ws.comparison]
+    held.append(dict(pipe.f_inputs))  # before f_sample takes its jets out
+    held.append(pipe.f_sample)
+    arrays = [a for x in held for a in _arrays(x)]
+    assert len(arrays) > 40
+    for a in arrays:
+        assert a.shape[0] == n and a.flags.c_contiguous, a.shape
+
+
 def test_fefferman_flat_expression(pipeline):
     # Ricci-flat gauge: f = h + (4/(m+2)) theta o (real rho_c), checked
     # against an independent assembly of the displayed expansion

@@ -1,6 +1,6 @@
 """The lifetimes of a run's held arrays: each member of a Pipeline and of its Webster sample is
-evaluated once per run, released after its last reader, and the dense m=2 run stays within
-its memory budget."""
+evaluated once per run, released after its last reader, and the dense m=2 run and its
+structure stretch stay within their memory budgets."""
 
 import tracemalloc
 from collections import Counter
@@ -11,12 +11,19 @@ import pytest
 
 from crgeo.pseudohermitian import WebsterSample
 from crgeo.verify import RECORDS, Pipeline, SuiteConfig, run_all, run_suite
+from memory_profile import profile
 
 # the tracemalloc peak of run_suite for complex_hyperbolic, m=2, 128 points, seed 42,
 # measured at 11.68 MB (11.53 MB at seed 7) once each array is released after its last
 # reader, against 20.89 MB while every array of the Webster sample was held to the end
 # of the run; the budget is 1.24 times the measurement
 DENSE_M2_BUDGET = 14.5e6
+# the traced peak of the same run's structure stretch (tests/memory_profile.py), from the
+# first structure_record call to the webster record, where the Webster sample's batch is
+# evaluated and g_theta assembled: 6.37 MB at seeds 42 and 7 with the assembly laid out as
+# jet_data gives its arrays, against 8.08 MB while theta and dtheta were copied into a
+# second layout with the point axis last; the budget is 1.15 times the measurement
+STRUCTURE_BUDGET = 7.3e6
 
 
 def test_the_dense_m2_run_stays_within_its_memory_budget():
@@ -30,6 +37,13 @@ def test_the_dense_m2_run_stays_within_its_memory_budget():
         tracemalloc.stop()
     assert report["overall_pass"]
     assert peak < DENSE_M2_BUDGET, f"traced peak {peak / 1e6:.2f} MB"
+
+
+def test_the_dense_m2_structure_stretch_stays_within_its_memory_budget():
+    rows, report = profile("complex_hyperbolic", 2, 128, 42)
+    assert report["overall_pass"]
+    peak, at = {name: (peak, at) for name, _, peak, at in rows}["structure"]
+    assert peak < STRUCTURE_BUDGET, f"structure stretch peak {peak / 1e6:.2f} MB at {at}"
 
 
 @pytest.mark.parametrize("m", [1, 2])
