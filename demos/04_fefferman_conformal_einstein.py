@@ -29,7 +29,7 @@ ac = anticanonical_structure(ke)
 # Fefferman points below extend its points by s (Chart.sample is nested).  It
 # also holds theta, the Levi form and the base metric h, which it hands over,
 # with the Webster values that the Fefferman rows read, to the Fefferman sample
-ws = WebsterSample(ac.ph, ac.chart.sample(16, seed=42), extra={"h": ac.sample_fields["h"]}, fefferman=True)
+ws = WebsterSample(ac.ph, ac.chart.sample(16, seed=42), extra={"h": ac.sample_fields["h"]})
 fc = fefferman_metric(ac, ws)
 pts = fc.chart.sample(16, seed=42)
 rm = einstein_rescale(fc)
@@ -64,7 +64,7 @@ print("agreement with the pipeline under the fiber identification:",
 
 print("\nRicci-flat case (flat base): the rescaled metric is flat-Ricci")
 ac0 = anticanonical_structure(make_kahler_einstein("flat", 1))
-ws0 = WebsterSample(ac0.ph, ac0.chart.sample(16, seed=42), extra={"h": ac0.sample_fields["h"]}, fefferman=True)
+ws0 = WebsterSample(ac0.ph, ac0.chart.sample(16, seed=42), extra={"h": ac0.sample_fields["h"]})
 rm0 = einstein_rescale(fefferman_metric(ac0, ws0))
 fields0 = fefferman_sample(rm0.fc, ws0.fefferman_inputs(), rm0.fc.chart.sample(16, seed=42))
 print("max |Ric| =", rescale_residuals(rm0, fields0["rescaled"], fields0["phi"])["rescaled_einstein"].max())

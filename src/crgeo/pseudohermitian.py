@@ -142,14 +142,16 @@ class PHStructure:
 def _bracket(x, y) -> np.ndarray:
     """[X, Y]^k = X^i d_i Y^k - Y^i d_i X^k from order-1 ``jet_data`` of X and Y.
 
-    Summed in the order of :func:`crgeo.chart.lie_bracket`, so it equals the
-    bracket field evaluated at the same points.
+    X and Y may be stacks of fields, ``[v (N, .., k), d1 (N, a, .., k)]`` with the field
+    axes before the value axis, that broadcast against each other.  Summed in the order
+    of :func:`crgeo.chart.lie_bracket`, so each bracket equals the bracket field
+    evaluated at the same points.
     """
     (xv, dx), (yv, dy) = x, y
-    total = xv[:, 0, None] * dy[:, 0] - yv[:, 0, None] * dx[:, 0]
-    for i in range(1, xv.shape[1]):
-        total = total + xv[:, i, None] * dy[:, i]
-        total = total - yv[:, i, None] * dx[:, i]
+    total = xv[..., 0, None] * dy[:, 0] - yv[..., 0, None] * dx[:, 0]
+    for i in range(1, xv.shape[-1]):
+        total = total + xv[..., i, None] * dy[:, i]
+        total = total - yv[..., i, None] * dx[:, i]
     return total
 
 
@@ -258,8 +260,9 @@ def _comparison_jets(th, dth, t, j):
 
 
 def _horizontal_jets(th, t, j):
-    """Jet data of each X_i = e_i - theta_i T, then of each J X_i = sum_k J_.k X_i^k (k ascending),
-    from that of theta, T and J, to order 1."""
+    """Jet data of the stacked X_i = e_i - theta_i T, then of the stacked J X_i = sum_k J_.k X_i^k
+    (k ascending), from that of theta, T and J, to order 1: ``[v (N, i, k), d1 (N, a, i, k)]``,
+    the field index i on a value axis before the component k."""
     every = slice(None)
     prod = _mul(_at(th, (every, None)), _at(t, (None,)))  # [i, k] = theta_i T^k
     d = prod[0].shape[-1]
@@ -268,8 +271,7 @@ def _horizontal_jets(th, t, j):
     for k in range(1, d):
         for y, z in zip(jx, _mul(_at(j, (None, every, k)), _at(x, (every, None, k)))):
             y += z
-    # the jet data of the vector field of row i, as jet_data gives it
-    return tuple([[y[0][:, i], y[1][:, :, i]] for i in range(d)] for y in (x, jx))
+    return x, jx
 
 
 def _reeb_system(tval, dtval):
@@ -312,7 +314,9 @@ class WebsterSample:
     rest is assembled from those arrays (see the module docstring): g_theta
     in the batch, to the order of theta, with the values of its first term
     L (:attr:`levi_form`), after which theta, dtheta and J keep their first
-    partials alone; D in :attr:`comparison`, the X_i and J X_i in
+    partials alone, while the structure's own theta and L keep theirs to
+    order 2 until :meth:`fefferman_inputs` takes them; D in
+    :attr:`comparison`, the X_i and J X_i, each stacked over i, in
     :attr:`horizontal` and the solved Reeb field in :attr:`solved_reeb`.
     Each other quantity is formed once, from these: the projector P and J P,
     whose columns are the X_i and the J X_i, dtheta on H from P, and the
@@ -320,18 +324,16 @@ class WebsterSample:
     contact and bracket fields need no transversal symmetry; the members
     built on D (:attr:`comparison` and those reading it) do, and the first
     of them read checks it at these points.  With ``connection`` False only
-    theta, dtheta, J, T and g_theta to order 1 are read; with ``fefferman``
-    theta and L to order 2 too, for :meth:`fefferman_inputs`.  Pulled-back
+    theta, dtheta, J, T and g_theta to order 1 are read.  Pulled-back
     operands come from ``held``, the :class:`PullbackJets` of the sample
     these points belong to; by default it holds its own.
     """
 
     def __init__(self, ph: PHStructure, pts, held: PullbackJets | None = None, extra=None, siblings=(),
-                 connection: bool = True, fefferman: bool = False):
+                 connection: bool = True):
         self.ph = ph
         self.pts = ph.chart.points(pts)
         self.held = PullbackJets(ph.chart, self.pts) if held is None else held
-        self.fefferman = fefferman
         self.structures = (ph, *siblings)
         self.requests = {
             (s, name): read for s in self.structures for name, read in s.sample_fields(connection).items()
@@ -352,7 +354,7 @@ class WebsterSample:
             for s in self.structures:
                 contact = {name: data[s, name] for name in ("theta", "dtheta", "J")}
                 data[s, "levi_form"], data[s, "metric"], operands = _metric_jets(s, *contact.values())
-                if self.fefferman and s is self.structures[0]:
+                if s is self.structures[0]:
                     data[s, "fefferman"] = operands
                 for name, jet in contact.items():
                     data[s, name] = jet[:2]  # no other reader needs their second partials
@@ -362,12 +364,12 @@ class WebsterSample:
     def fefferman_inputs(self) -> dict:
         """What a Fefferman sample is assembled from and its records read of this sample, by name,
         so that the sample itself can go once it is taken: the order-2 jet data of theta and L
-        (``theta``, ``levi``), the batch's own arrays, held by a sample made with ``fefferman`` for
-        this one read, which releases them; the jet data of T (``reeb``) and of the extra field
+        (``theta``, ``levi``), the batch's own arrays, held for this one read, which releases
+        them; the jet data of T (``reeb``) and of the extra field
         ``h``; in ``webster`` the values of Gamma_W (``gamma_w``), the R_W operator (``rup_w``),
         W (``w``), dtheta and J; and the structure (``ph``) and points (``pts``) they belong to."""
         if (self.ph, "fefferman") not in self.batch:
-            raise ValueError("theta and L are held for one read, by a sample made with fefferman=True")
+            raise ValueError("theta and L are held for one read, and it has been taken")
         webster = {"gamma_w": self.webster_symbols[0], "rup_w": self.curvature[0], "w": self.ricci[0],
                    "dtheta": self.jets("dtheta")[0], "J": self.jets("J")[0]}
         theta, levi = self.batch.pop((self.ph, "fefferman"))
@@ -398,7 +400,8 @@ class WebsterSample:
 
     @_member
     def horizontal(self):
-        """(X, JX): the order-1 jet data of each X_i = e_i - theta(e_i) T, then of each J X_i."""
+        """(X, JX): the order-1 jet data of the X_i = e_i - theta(e_i) T, then of the J X_i, each
+        stacked over i as ``[v (N, i, k), d1 (N, a, i, k)]``."""
         return _horizontal_jets(*(self.jets(name) for name in ("theta", "reeb", "J")))
 
     @_member
@@ -412,12 +415,12 @@ class WebsterSample:
     def projector(self):
         """P[n, i, j] = delta_ij - T^i theta_j, projection onto H along T: the values of the
         X_j of :attr:`horizontal` as its columns."""
-        return np.stack([x[0] for x in self.horizontal[0]], axis=-1)
+        return np.ascontiguousarray(self.horizontal[0][0].swapaxes(-2, -1))
 
     @_member
     def jprojector(self):
         """J P: the values of the J X_j of :attr:`horizontal` as its columns."""
-        return np.stack([jx[0] for jx in self.horizontal[1]], axis=-1)
+        return np.ascontiguousarray(self.horizontal[1][0].swapaxes(-2, -1))
 
     @_member
     def dtheta_h(self):
@@ -513,32 +516,24 @@ def contact_determinant(ws: WebsterSample) -> np.ndarray:
 
 
 def integrability_residual(ws: WebsterSample) -> np.ndarray:
-    """Nijenhuis residual J([JX,Y]+[X,JY]) - [JX,JY] + [X,Y] over H pairs."""
-    d = ws.ph.chart.dim
-    x, jx = ws.horizontal
+    """Nijenhuis residual J([JX,Y]+[X,JY]) - [JX,JY] + [X,Y] over the H pairs i < j, stacked."""
     tval, jval = ws.jets("theta")[0], ws.jets("J")[0]
-    terms = []
-    for i in range(d):
-        for j in range(i + 1, d):
-            b1 = _bracket(jx[i], x[j]) + _bracket(x[i], jx[j])
-            expr = (
-                np.einsum("nab,nb->na", jval, b1)
-                - _bracket(jx[i], jx[j])
-                + _bracket(x[i], x[j])
-            )
-            terms += [expr, np.einsum("na,na->n", tval, b1)]
-    return point_max(*terms)
+    first, second = np.triu_indices(ws.ph.chart.dim, 1)
+    (x, y), (jx, jy) = ([[v[:, first], d1[:, :, first]], [v[:, second], d1[:, :, second]]]
+                        for v, d1 in ws.horizontal)
+    b1 = _bracket(jx, y) + _bracket(x, jy)
+    expr = np.einsum("nab,npb->npa", jval, b1) - _bracket(jx, jy) + _bracket(x, y)
+    return point_max(expr, np.einsum("na,npa->np", tval, b1))
 
 
 def transversal_symmetry_residual(ws: WebsterSample) -> np.ndarray:
-    """Per-point max over an H-frame of |[T,X] + J[T,JX]| / |X|_g."""
-    jval, t, gval = ws.jets("J")[0], ws.jets("reeb"), ws.jets("metric")[0]
-    terms = []
-    for x, jx in zip(*ws.horizontal):
-        expr = _bracket(t, x) + np.einsum("nab,nb->na", jval, _bracket(t, jx))
-        norm = np.sqrt(np.abs(np.einsum("nij,ni,nj->n", gval, x[0], x[0])))
-        terms.append(np.abs(expr).max(axis=1) / np.maximum(norm, 1e-12))
-    return np.max(terms, axis=0)
+    """Per-point max over an H-frame of |[T,X] + J[T,JX]| / |X|_g, T broadcast against every X_i."""
+    jval, (tv, dt), gval = ws.jets("J")[0], ws.jets("reeb"), ws.jets("metric")[0]
+    t = [tv[:, None], dt[:, :, None]]
+    x, jx = ws.horizontal
+    expr = _bracket(t, x) + np.einsum("nab,nib->nia", jval, _bracket(t, jx))
+    norm = np.sqrt(np.abs(np.einsum("njk,nij,nik->ni", gval, x[0], x[0])))
+    return (np.abs(expr).max(axis=2) / np.maximum(norm, 1e-12)).max(axis=1)
 
 
 def axiom_residuals(ws: WebsterSample) -> dict[str, np.ndarray]:
@@ -597,7 +592,7 @@ def levi_adapted_frame(ph: PHStructure, pts):
 def _levi_frame(lval, proj, jval, m: int):
     # the frame of levi_adapted_frame from the values of L, the projector onto H and J
     vecs, signs = pivoted_frame(lval, proj.transpose(0, 2, 1), m, partner=jval)
-    return np.concatenate([vecs[:, 0::2], vecs[:, 1::2]], axis=1), signs[:, 0::2]
+    return np.concatenate([vecs[:, 0::2], vecs[:, 1::2]], axis=1), np.ascontiguousarray(signs[:, 0::2])
 
 
 def curvature_symmetry_residual(ws: WebsterSample) -> np.ndarray:

@@ -361,15 +361,14 @@ class Pipeline:
     @cached_property
     def webster_sample(self):
         """The structure's fields, Webster connection, curvature and Levi frame at ``m_pts``, with
-        the base fields where the run reads the submersion record or a record of f, the jets f is
-        built from where it reads the latter, and the sample of ``gauge_ph`` where it reads the
-        webster record and its check applies, from one call."""
+        the base fields where the run reads the submersion record or a record of f and the sample
+        of ``gauge_ph`` where it reads the webster record and its check applies, from one call."""
         gauge = "webster" in self.records and self.applies("gauge_scal_invariance")
         siblings = (self.gauge_ph,) if gauge else ()
         # a control has no submersion or Fefferman record
         reads_f = not self.entry.negative and bool(self.records & {"fefferman", "rescale", "theorem2"})
         extra = self.ac.sample_fields if reads_f or not self.entry.negative and "submersion" in self.records else None
-        return WebsterSample(self.ac.ph, self.m_pts, self.held, extra, siblings, fefferman=reads_f)
+        return WebsterSample(self.ac.ph, self.m_pts, self.held, extra, siblings)
 
     # -- a run -------------------------------------------------------------
     def read(self, record: str) -> dict:

@@ -17,6 +17,10 @@ largest change of its max_residual or value, whether any max_residual
 rose, and whether every row of the new reports passes.  Below the table,
 each report that is not byte-identical is named by its (example, m,
 points, seed).
+
+Exit status: 0 when every report is byte-identical, 1 when a row of the
+new reports fails, 3 when every row passes but some report moved, and 2
+when ``OLD_SRC`` holds no crgeo package.
 """
 
 import argparse
@@ -116,7 +120,8 @@ def main(argv=None) -> int:
 
 
 def compare(old_src, matrix) -> int:
-    """Run ``matrix`` under both trees and print the table; 1 if a new row fails."""
+    """Run ``matrix`` under both trees and print the table; 0 if every report is byte-identical,
+    else 1 if a new row fails and 3 if none does."""
     if not (Path(old_src) / "crgeo").is_dir():
         print(f"{old_src}: no crgeo package there", file=sys.stderr)
         return 2
@@ -124,7 +129,9 @@ def compare(old_src, matrix) -> int:
     table = summarize(pairs)
     moved = [config for config, (old, new) in zip(matrix, pairs) if old != new]
     print(format_table(table, len(pairs), moved))
-    return 0 if all(e["all_pass"] for e in table.values()) else 1
+    if not all(e["all_pass"] for e in table.values()):
+        return 1
+    return 3 if moved else 0
 
 
 if __name__ == "__main__":

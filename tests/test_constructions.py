@@ -213,15 +213,14 @@ def test_fefferman_reads_the_sample_of_its_structure(pipeline):
     with pytest.raises(ValueError):
         fefferman_metric(pipe.ac, WebsterSample(other, pipe.m_pts))
     # the Fefferman sample is assembled from what the sample of its structure at its
-    # points without s hands over, once, and only by a sample made with fefferman
-    ws = WebsterSample(pipe.ac.ph, pipe.m_pts, extra={"h": pipe.ac.sample_fields["h"]}, fefferman=True)
+    # points without s hands over, once: a second read raises
+    ws = WebsterSample(pipe.ac.ph, pipe.m_pts, extra={"h": pipe.ac.sample_fields["h"]})
     inputs = ws.fefferman_inputs()
     for bad in (dict(inputs, ph=other), dict(inputs, pts=pipe.m_pts[::-1])):
         with pytest.raises(ValueError, match="inputs must come from"):
             fefferman_sample(pipe.fc, bad, pipe.f_pts)
-    for sample in (ws, WebsterSample(pipe.ac.ph, pipe.m_pts)):
-        with pytest.raises(ValueError, match="held for one read"):
-            sample.fefferman_inputs()
+    with pytest.raises(ValueError, match="held for one read"):
+        ws.fefferman_inputs()
     data = fefferman_sample(pipe.fc, inputs, pipe.f_pts)
     assert all(np.array_equal(data[name][0], pipe.f_sample[name][0]) for name in ("f", "frame"))
     assert not {"theta", "levi", "reeb", "h"} & set(inputs)  # taken out, so released once read
@@ -241,20 +240,24 @@ def _arrays(x):
                                         for m in (1, 2)])
 def test_the_samples_hand_out_one_layout(example, m, n):
     # every array of the Webster sample's batch (each field's jet data, g_theta, L and
-    # the jets held for f), D, what the sample hands over to the Fefferman sample and
-    # every array of that sample, its Webster values included, has the point axis first,
-    # of length N, and is C-contiguous, as jet_data gives its arrays: np.einsum can pick
-    # another inner loop for a strided operand, and so change a residual's bits
+    # the jets held for f), of each of its members, what the sample hands over to the
+    # Fefferman sample and every array of that sample, its Webster values included, has
+    # the point axis first, of length N, and is C-contiguous, as jet_data gives its
+    # arrays: np.einsum can pick another inner loop for a strided operand, and so change
+    # a residual's bits
     from crgeo.verify import Pipeline
 
     pipe = Pipeline(example, m, points=n, seed=7)
     ws = pipe.webster_sample
     assert (ws.ph, "fefferman") in ws.batch
-    held = [ws.batch, ws.comparison]
+    members = ("comparison", "horizontal", "solved_reeb", "projector", "jprojector", "dtheta_h",
+               "levi_civita", "webster_symbols", "levi_frame", "curvature", "ricci", "lc_curvature",
+               "reeb_ricci")
+    held = [ws.batch, *(getattr(ws, name) for name in members)]
     held.append(dict(pipe.f_inputs))  # before f_sample takes its jets out
     held.append(pipe.f_sample)
     arrays = [a for x in held for a in _arrays(x)]
-    assert len(arrays) > 40
+    assert len(arrays) > 80
     for a in arrays:
         assert a.shape[0] == n and a.flags.c_contiguous, a.shape
 

@@ -9,6 +9,7 @@ from crgeo.metric import point_max
 from crgeo.pseudohermitian import (
     ReebField,
     WebsterSample,
+    _bracket,
     axiom_residuals,
     comparison_identities_residual,
     curvature_symmetry_residual,
@@ -191,6 +192,49 @@ def test_batched_brackets_match_the_bracket_fields(heisenberg, pipeline):
         if label == "perturbed":
             # an order-one residual, so the comparison above is not vacuous
             assert transversal_symmetry_residual(ws).min() > 1e-3
+
+
+def _field(stack, i):
+    """The order-1 jet data of field i of a stack ``[v (N, i, k), d1 (N, a, i, k)]``."""
+    return [stack[0][:, i], stack[1][:, :, i]]
+
+
+def looped_brackets(ws):
+    """Both bracket residuals by a loop over the pairs X_i, X_j (i < j), then over the X_i, with
+    each bracket taken by ``_bracket`` from single-field slices of ``ws.horizontal``."""
+    x, jx = ws.horizontal
+    tval, jval, gval = (ws.jets(name)[0] for name in ("theta", "J", "metric"))
+    t = ws.jets("reeb")
+    d = ws.ph.chart.dim
+    terms = []
+    for i in range(d):
+        for j in range(i + 1, d):
+            b1 = _bracket(_field(jx, i), _field(x, j)) + _bracket(_field(x, i), _field(jx, j))
+            expr = (
+                np.einsum("nab,nb->na", jval, b1)
+                - _bracket(_field(jx, i), _field(jx, j))
+                + _bracket(_field(x, i), _field(x, j))
+            )
+            terms += [expr, np.einsum("na,na->n", tval, b1)]
+    tsph = []
+    for i in range(d):
+        expr = _bracket(t, _field(x, i)) + np.einsum("nab,nb->na", jval, _bracket(t, _field(jx, i)))
+        norm = np.sqrt(np.abs(np.einsum("nij,ni,nj->n", gval, x[0][:, i], x[0][:, i])))
+        tsph.append(np.abs(expr).max(axis=1) / np.maximum(norm, 1e-12))
+    return point_max(*terms), np.max(tsph, axis=0)
+
+
+@pytest.mark.parametrize("n", [1, 2, 129])
+def test_one_pass_brackets_equal_the_looped_brackets(heisenberg, pipeline, n):
+    # the residuals bracket every pair, and T with every field, along a value axis in
+    # one pass; each bracket keeps the bits of the loop's, and so does each residual
+    for label, ph, _ in oracle_structures(heisenberg, pipeline):
+        ws = WebsterSample(ph, ph.chart.sample(n, 42))
+        integrability, tsph = looped_brackets(ws)
+        assert np.array_equal(integrability_residual(ws), integrability), label
+        assert np.array_equal(transversal_symmetry_residual(ws), tsph), label
+        if label == "perturbed":
+            assert tsph.min() > 1e-3  # an order-one residual, so the comparison is not vacuous
 
 
 def test_theorem_structures_are_tsph(pipeline):
@@ -415,8 +459,8 @@ def test_assembled_fields_equal_the_reference_trees(case, m, n):
         _same(ws.jets(name), expected[name])
     x, jx = ws.horizontal
     for i in range(ph.chart.dim):
-        _same(x[i], expected["x", i])
-        _same(jx[i], expected["jx", i])
+        _same(_field(x, i), expected["x", i])
+        _same(_field(jx, i), expected["jx", i])
     if connection:
         assert np.array_equal(ws.solved_reeb, expected["solved_reeb"][0])
     if reads_d:
@@ -434,12 +478,13 @@ def test_the_levi_form_and_projector_come_from_the_assembly(case, m, n):
     sym = tval[:, :, None] * tval[:, None, :]
     assert np.array_equal(ws.levi_form + (sym + sym.transpose(0, 2, 1)) * 0.5, gval)
     assert not any(np.shares_memory(ws.levi_form, a) for a in ws.jets("metric"))
-    columns = np.stack([x[0] for x in ws.horizontal[0]], axis=-1)
-    assert np.array_equal(ws.projector, columns)
+    x, jx = ws.horizontal
+    for j in range(ph.chart.dim):
+        assert np.array_equal(ws.projector[:, :, j], x[0][:, j])
+        # J P's columns are the values of the J X_j
+        assert np.array_equal(ws.jprojector[:, :, j], jx[0][:, j])
     reeb = ws.jets("reeb")[0]
     assert np.array_equal(ws.projector, np.eye(ph.chart.dim) - np.einsum("ni,nj->nij", reeb, tval))
-    # J P's columns are the values of the J X_j
-    assert np.array_equal(ws.jprojector, np.stack([jx[0] for jx in ws.horizontal[1]], axis=-1))
     assert np.allclose(ws.jprojector, np.einsum("nij,njk->nik", ws.jets("J")[0], ws.projector), atol=1e-12)
 
 

@@ -67,7 +67,7 @@ def test_compare_names_the_reports_that_moved(monkeypatch, capsys, tmp_path):
 
     (tmp_path / "crgeo").mkdir()
     monkeypatch.setattr(report_matrix, "report_text", fake_report)
-    assert compare(tmp_path, [("flat", 1, 2, 7), ("flat", 1, 2, 42)]) == 0
+    assert compare(tmp_path, [("flat", 1, 2, 7), ("flat", 1, 2, 42)]) == 3  # every row passes, one report moved
     out = capsys.readouterr().out
     assert out.startswith("1 of 2 reports byte-identical")
     assert out.rstrip().endswith("(example, m, points, seed):\n  flat, 1, 2, 42")
