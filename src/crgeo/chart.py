@@ -240,8 +240,9 @@ def jet_data(field: "TensorField", pts, order: int, held=None) -> list[np.ndarra
 # Points per block of a plan run.  Intermediate jets grow with the batch, so a
 # bound on it bounds the peak memory, and each block reruns the op list.  With
 # each jet freed after its last reader, the plan runs of the m=2 128-point
-# complex_hyperbolic run peak in one block, at its theorem-2 record, at 10.6 MB
-# traced by tracemalloc, under the run's 11.7 MB; its max RSS is about 45 MB.
+# complex_hyperbolic run, all in the Webster sample's one call in its structure
+# record, peak in one block at 6.0 MB traced by tracemalloc, under the run's
+# 11.8 MB; its max RSS is about 45 MB.
 BLOCK_POINTS = 128
 
 
@@ -762,9 +763,6 @@ class _ComponentStack(TensorField):
     def __add__(self, other):
         return self._like(self.components + other.components)
 
-    def __sub__(self, other):
-        return self._like(self.components - other.components)
-
     def scaled(self, f):
         return self._like(self.components * f)
 
@@ -895,8 +893,3 @@ def _pulled_back(total: Chart, field: _ComponentStack) -> np.ndarray:
 def pullback_oneform(total: Chart, omega: OneForm) -> OneForm:
     """Pull a base one-form back along the projection onto leading coordinates."""
     return OneForm(total, _pulled_back(total, omega))
-
-
-def pullback_symmetric(total: Chart, s: SymmetricTwoTensor) -> SymmetricTwoTensor:
-    return SymmetricTwoTensor(total, _pulled_back(total, s))
-

@@ -26,16 +26,12 @@ from .chart import (
     ScalarField,
     VectorField,
     _ComponentStack,
-    cos as field_cos,
     differential,
     exterior_derivative,
-    jet_data,
     log as field_log,
     ordered_sum,
     pullback_oneform,
     pullback_scalar,
-    pullback_symmetric,
-    symmetric_product,
 )
 from .errors import PreconditionError, UsageError
 from .metric import (
@@ -88,15 +84,15 @@ class KahlerEinsteinChart(NamedTuple):
     einstein: bool = True
 
     def sample_fields(self, chart: Chart) -> dict:
-        """The base fields that :meth:`levi_civita` and :meth:`kahler_residuals` read, by
-        name, pulled back onto ``chart`` (one that this chart leads, or this chart)
-        with their base shapes, each with the order it is read at: h at 2, gamma and
-        the Ricci potential at 1."""
+        """The base fields that :meth:`levi_civita`, :meth:`kahler_residuals` and the explicit
+        metrics (:meth:`ExplicitEinsteinMetric.jets`) read, by name, pulled back onto
+        ``chart`` (one that this chart leads, or this chart) with their base shapes, each
+        with the order it is read at: h and gamma at 2, the Ricci potential at 1."""
         pull = np.frompyfunc(lambda f: pullback_scalar(chart, f), 1, 1)
         return {
             name: (_ComponentStack(chart, pull(field.components)), order)
             for name, field, order in (
-                ("h", self.metric, 2), ("gamma", self.gamma, 1), ("ricci_potential", self.ricci_potential, 1)
+                ("h", self.metric, 2), ("gamma", self.gamma, 2), ("ricci_potential", self.ricci_potential, 1)
             )
         }
 
@@ -374,7 +370,7 @@ class FeffermanChart:
     """f = L + (4/(m+2)) theta o A_theta on base x (t, s), ``chart``, with A_theta = A_W -
     (scal_W/(2(m+1))) theta and A_W = ((m+2)/2) (ds + (2 scal_W/(m(m+2))) theta) in real
     representatives, and ``sw`` = S_W = scal_h / (2m(m+1)).  :func:`fefferman_sample` assembles
-    its jets; :attr:`metric` is its tree."""
+    its jets."""
 
     def __init__(self, ac: AnticanonicalChart, chart: Chart, scal_w: float, sw: float):
         self.ac = ac
@@ -385,18 +381,6 @@ class FeffermanChart:
     @property
     def m(self) -> int:
         return self.ac.m
-
-    @cached_property
-    def metric(self) -> MetricField:
-        """f's tree, of signature (2p + 1, 2q + 1) for the Levi signature (p, q), built on first use."""
-        m, scal_w, chart, ph = self.m, self.scal_w, self.chart, self.ac.ph
-        theta = pullback_oneform(chart, ph.theta)
-        ds = _coordinate_field(OneForm, chart, chart.dim - 1)
-        a_w = (ds + theta.scaled(2.0 * scal_w / (m * (m + 2)))).scaled(0.5 * (m + 2))
-        a_theta = a_w - theta.scaled(scal_w / (2.0 * (m + 1)))
-        f_comp = symmetric_product(theta, a_theta).scaled(4.0 / (m + 2))
-        (p, q), levi = ph.levi_signature, pullback_symmetric(chart, ph.levi_form)
-        return MetricField(chart, (levi + f_comp).components, (2 * p + 1, 2 * q + 1))
 
 
 def fefferman_metric(ac: AnticanonicalChart, ws: WebsterSample) -> FeffermanChart:
@@ -541,7 +525,7 @@ def fefferman_sample(fc: FeffermanChart, inputs: dict, pts) -> dict:
     theta = _padded(inputs.pop("theta"), dim, 1)
     ds = np.eye(dim)[-1]  # the values of ds, and of P, at every point
 
-    # A_W, A_theta and b = A_theta - ((m+2)/2) S_W theta, as FeffermanChart.metric builds them
+    # A_W, A_theta and b = A_theta - ((m+2)/2) S_W theta, as f's tree builds them
     a_w = [(x * (2.0 * scal_w / (m * (m + 2))) + y) * (0.5 * (m + 2)) for x, y in zip(theta, (ds, 0.0, 0.0))]
     a_theta = [x - y * (scal_w / (2.0 * (m + 1))) for x, y in zip(a_w, theta)]
     b = [x - y * (0.5 * (m + 2) * sw) for x, y in zip(a_theta, theta)]
@@ -843,32 +827,61 @@ def correction_structure_residual(rm: RescaledMetric, f, phi_jets, fields) -> np
 
 
 # ----------------------------------------------------------------------
-# explicit conformally-Einstein metrics on their own charts
+# explicit conformally-Einstein metrics, assembled from the base's h and gamma
 # ----------------------------------------------------------------------
 
 class ExplicitEinsteinMetric(NamedTuple):
-    """Closed-form conformally-Fefferman Einstein metric, built independently."""
+    """Closed-form conformally-Fefferman Einstein metric by its constants, built independently of
+    the pipeline: :meth:`jets` assembles it from the base's h and gamma alone."""
 
-    base: KahlerEinsteinChart
     chart: Chart
-    metric: MetricField  # the rescaled (Einstein) metric
-    unrescaled: MetricField  # cos^2 factor removed
+    signature: tuple[int, int]  # declared, (2p + 1, 2q + 1) for h's (2p, 2q)
+    scal_h: float
     einstein_constant: float
     # affine identification from Fefferman-chart coordinates (base, t, s)
     # to this chart's coordinates; rows are this chart's coordinates
     identification: np.ndarray
-    sasaki_metric: MetricField | None = None
     sasaki_constant: float = 0.0
 
     @property
-    def checked_metrics(self) -> list[MetricField]:
-        """The metrics whose order-2 jets :func:`explicit_einstein_residuals` reads,
-        in its order: the rescaled metric, and the unrescaled product with a
-        Sasaki factor.  The first is built from the components of the second,
-        so one jet batch evaluates both."""
-        if self.sasaki_metric is None:
-            return [self.metric]
-        return [self.metric, self.unrescaled]
+    def sasaki(self) -> bool:
+        """Whether U is the product of a line with a Sasaki-Einstein factor: scal_h != 0."""
+        return self.scal_h != 0.0
+
+    def jets(self, base, pts, order: int = 2):
+        """``[g, U]``: the jet data of the explicit metric g = cos^-2(t) U and of U to ``order`` at
+        ``pts``, from ``base``, that of h and gamma (by name) at their base coordinates, to
+        ``order`` or more (:func:`base_jets`).
+
+        Each sum runs in the order of the tree the formula gives (see
+        :func:`explicit_einstein_metric`), and each product by the product
+        rule, so each array equals that tree's jet data, up to the sign of a
+        zero; the constant forms dt, dv and ds carry zero partials.  Without
+        its last coordinate, the line t, U is the Sasaki factor.
+        """
+        pts = self.chart.points(pts)
+        dim, m, scal_h = self.chart.dim, self.chart.dim // 2 - 1, self.scal_h
+        line = dim - 1 if self.sasaki else dim - 2
+        cos = jets.cos(jets.seed(pts, order)[line])
+        factor = jets.partials(1.0 / (cos * cos), len(pts), dim, order, ())
+        gamma = _padded(base["gamma"][:order + 1], dim, 1)
+        every = slice(None)
+
+        def dx(i):  # the jet data of the coordinate form dx_i
+            x = [np.zeros(a.shape) for a in gamma]
+            x[0][:, i] = 1.0
+            return x
+
+        if self.sasaki:  # (h + (dt o dt) c) + (r o r) c' on base x (v, t), r = dv + (scal_h / 2m) gamma
+            r = [x + y * (scal_h / (2.0 * m)) for x, y in zip(dx(dim - 2), gamma)]
+            terms = ((dx(dim - 1), dx(dim - 1), -4.0 * m * (m + 1) / scal_h), (r, r, 4.0 * m / ((m + 1) * scal_h)))
+        else:  # h + (dt o (gamma + ds)) 4 on base x (t, s)
+            terms = ((dx(dim - 2), [x + y for x, y in zip(gamma, dx(dim - 1))], 4.0),)
+        u = _padded(base["h"][:order + 1], dim, 2)
+        for a, b, c in terms:  # u + (a o b) c, (a o b)_ij = (a_i b_j + a_j b_i) / 2
+            for x, y in zip(u, _mul(_at(a, (every, None)), _at(b, (None,)))):
+                x += (y + y.swapaxes(-2, -1)) * 0.5 * c
+        return [_mul(u, _at(factor, (None, None))), u]
 
 
 def explicit_einstein_metric(ke: KahlerEinsteinChart) -> ExplicitEinsteinMetric:
@@ -879,79 +892,37 @@ def explicit_einstein_metric(ke: KahlerEinsteinChart) -> ExplicitEinsteinMetric:
     Otherwise, with r = dv + (scal_h/2m) gamma on the circle-bundle chart:
         cos^{-2}(t) (h - (4m(m+1)/scal_h) dt o dt + (4m/((m+1) scal_h)) r o r),
     whose cos^2 part is the product of a line with the Sasaki-Einstein
-    metric h + (4m/((m+1) scal_h)) r o r.
+    metric h + (4m/((m+1) scal_h)) r o r.  For h of declared signature
+    (2p, 2q) the metric is declared (2p + 1, 2q + 1).
     """
-    m = ke.m
-    base_dim = 2 * m
+    m, scal_h = ke.m, ke.scal_h
     if not ke.einstein:
         raise PreconditionError("explicit Einstein construction needs an Einstein base")
-    if ke.scal_h == 0.0:
+    p, q = ke.metric.signature
+    ident = np.zeros((2 * m + 2, 2 * m + 2))
+    ident[: 2 * m, : 2 * m] = np.eye(2 * m)
+    if scal_h == 0.0:
         chart = ke.chart.extend("t", (-1.4, 1.4)).extend("s", (-6.0, 6.0))
-        gamma_t = pullback_oneform(chart, ke.gamma)
-        dt = _coordinate_field(OneForm, chart, base_dim)
-        ds = _coordinate_field(OneForm, chart, base_dim + 1)
-        fiber = symmetric_product(dt, gamma_t + ds).scaled(4.0)
-        h_t = pullback_symmetric(chart, ke.metric)
-        unrescaled = MetricField(chart, (h_t + fiber).components, (base_dim + 1, 1))
-        lam = 0.0
         # Fefferman coordinates (base, t_ac, s_c) map by t = -s_c/2, s = t_ac
-        ident = np.zeros((chart.dim, chart.dim))
-        ident[:base_dim, :base_dim] = np.eye(base_dim)
-        ident[base_dim, base_dim + 1] = -0.5
-        ident[base_dim + 1, base_dim] = 1.0
-        sasaki_metric = None
-        sasaki_constant = 0.0
-    else:
-        scal_h = ke.scal_h
-        sasaki_chart = ke.chart.extend("v", (-6.0, 6.0))
-        gamma_v = pullback_oneform(sasaki_chart, ke.gamma)
-        dv = _coordinate_field(OneForm, sasaki_chart, base_dim)
-        r_ac = dv + gamma_v.scaled(scal_h / (2.0 * m))
-        sas_fiber = symmetric_product(r_ac, r_ac).scaled(4.0 * m / ((m + 1) * scal_h))
-        h_v = pullback_symmetric(sasaki_chart, ke.metric)
-        sas_sig = (base_dim + 1, 0) if scal_h > 0 else (base_dim, 1)
-        sasaki_metric = MetricField(sasaki_chart, (h_v + sas_fiber).components, sas_sig)
-        sasaki_constant = scal_h / (2.0 * (m + 1))
-
-        chart = sasaki_chart.extend("t", (-1.4, 1.4))
-        gamma_tt = pullback_oneform(chart, ke.gamma)
-        dv_t = _coordinate_field(OneForm, chart, base_dim)
-        dt = _coordinate_field(OneForm, chart, base_dim + 1)
-        r_t = dv_t + gamma_tt.scaled(scal_h / (2.0 * m))
-        fiber = symmetric_product(dt, dt).scaled(-4.0 * m * (m + 1) / scal_h)
-        fiber2 = symmetric_product(r_t, r_t).scaled(4.0 * m / ((m + 1) * scal_h))
-        h_t = pullback_symmetric(chart, ke.metric)
-        unrescaled = MetricField(chart, (h_t + fiber + fiber2).components, (base_dim + 1, 1))
-        lam = (2 * m + 1) * scal_h / (4.0 * m * (m + 1))
-        # Fefferman coordinates (base, t_ac, s_c): v = t_ac - ((m+1)/2) s_c, t = s_c/2
-        ident = np.zeros((chart.dim, chart.dim))
-        ident[:base_dim, :base_dim] = np.eye(base_dim)
-        ident[base_dim, base_dim] = 1.0
-        ident[base_dim, base_dim + 1] = -(m + 1) / 2.0
-        ident[base_dim + 1, base_dim + 1] = 0.5
-
-    t_field = chart.coord(chart.dim - 1) if ke.scal_h != 0.0 else chart.coord(base_dim)
-    factor = 1.0 / (field_cos(t_field) * field_cos(t_field))
-    return ExplicitEinsteinMetric(
-        base=ke,
-        chart=chart,
-        metric=unrescaled.scaled(factor),
-        unrescaled=unrescaled,
-        einstein_constant=lam,
-        identification=ident,
-        sasaki_metric=sasaki_metric,
-        sasaki_constant=sasaki_constant,
-    )
+        ident[2 * m, 2 * m + 1] = -0.5
+        ident[2 * m + 1, 2 * m] = 1.0
+        return ExplicitEinsteinMetric(chart, (p + 1, q + 1), scal_h, 0.0, ident)
+    chart = ke.chart.extend("v", (-6.0, 6.0)).extend("t", (-1.4, 1.4))
+    # Fefferman coordinates (base, t_ac, s_c): v = t_ac - ((m+1)/2) s_c, t = s_c/2
+    ident[2 * m, 2 * m] = 1.0
+    ident[2 * m, 2 * m + 1] = -(m + 1) / 2.0
+    ident[2 * m + 1, 2 * m + 1] = 0.5
+    lam = (2 * m + 1) * scal_h / (4.0 * m * (m + 1))
+    return ExplicitEinsteinMetric(chart, (p + 1, q + 1), scal_h, lam, ident, scal_h / (2.0 * (m + 1)))
 
 
-def explicit_einstein_residuals(t2: ExplicitEinsteinMetric, pts, jets, held=None) -> dict[str, np.ndarray]:
+def explicit_einstein_residuals(t2: ExplicitEinsteinMetric, jets) -> dict[str, np.ndarray]:
     """Per point: Einstein condition, product structure, and Sasaki cross-check.
 
-    ``jets`` is ``jet_data_multi(t2.checked_metrics, pts, 2, held)``.  The
-    Sasaki factor is checked at the same points without the line coordinate
-    t, reading its pull-backs from ``held`` too.
+    ``jets`` is ``t2.jets(base, pts)`` at one point batch.  The Sasaki
+    factor is checked at the same points without the line coordinate t,
+    the last: U without its row, column and partials along t.
     """
-    pts = t2.chart.points(pts)
     gval = jets[0][0]
     ricci, scalar = levi_civita_ricci(jets[0], *_christoffel_arrays(*jets[0][:2]))
     lam = t2.einstein_constant
@@ -960,8 +931,8 @@ def explicit_einstein_residuals(t2: ExplicitEinsteinMetric, pts, jets, held=None
         "explicit_scalar": _scalar_residual(scalar, lam * t2.chart.dim),
     }
 
-    if t2.sasaki_metric is not None:
-        s_jets = jet_data(t2.sasaki_metric, pts[:, :-1], 2, held)
+    if t2.sasaki:
+        s_jets = [np.ascontiguousarray(a[(slice(None),) + (slice(-1),) * (a.ndim - 1)]) for a in jets[1]]
         s_ricci, _ = levi_civita_ricci(s_jets, *_christoffel_arrays(*s_jets[:2]))
         out["sasaki_einstein"] = point_max(s_ricci - t2.sasaki_constant * s_jets[0])
         # product structure of the unrescaled metric along the line factor,
@@ -975,21 +946,19 @@ def explicit_einstein_residuals(t2: ExplicitEinsteinMetric, pts, jets, held=None
     return out
 
 
-def pipeline_agreement_residual(
-    rm: RescaledMetric, t2: ExplicitEinsteinMetric, pts, f_pipe, held=None
-) -> np.ndarray:
+def pipeline_agreement_residual(rm: RescaledMetric, t2: ExplicitEinsteinMetric, pts, f_pipe, base) -> np.ndarray:
     """The pipeline rescaled metric equals the explicit one under the
     documented affine fiber identification.
 
     ``f_pipe`` is the value of the rescaled metric at ``pts``.  The
-    identification keeps the base coordinates, so the explicit metric reads
-    its pull-backs from ``held`` too.
+    identification keeps the base coordinates, so the explicit metric's
+    values there are assembled from ``base``, the values of h and gamma at
+    the base coordinates of ``pts``, as :meth:`ExplicitEinsteinMetric.jets`
+    reads them.
     """
-    fc = rm.fc
-    pts = fc.chart.points(pts)
+    pts = rm.fc.chart.points(pts)
     a = t2.identification
-    mapped = pts @ a.T
-    f_exp = jet_data(t2.metric, mapped, 0, held)[0]
+    f_exp = t2.jets(base, pts @ a.T, 0)[0][0]
     pulled = np.einsum("ca,ncd,db->nab", a, f_exp, a)
     return point_max(pulled - f_pipe)
 

@@ -37,7 +37,6 @@ from .chart import (
     GenericTensorField,
     OneForm,
     PullbackJets,
-    SymmetricTwoTensor,
     TensorField,
     VectorField,
     contract,
@@ -121,11 +120,6 @@ class PHStructure:
         self.J = j_endo
         self.m = int(m)
         self.levi_signature = tuple(levi_signature)
-
-    @cached_property
-    def levi_form(self) -> SymmetricTwoTensor:
-        """L(X, Y) = dtheta(X, J Y), a full symmetric component matrix."""
-        return SymmetricTwoTensor(self.chart, contract(self.dtheta.components, self.J.components))
 
     def sample_fields(self, connection: bool = True) -> dict:
         """The fields a :class:`WebsterSample` evaluates as jets, by name, each with its read order.

@@ -20,9 +20,10 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .chart import PullbackJets, jet_data_multi
+from .chart import PullbackJets
 from .constructions import (
     anticanonical_structure,
+    base_jets,
     correction_structure_residual,
     einstein_rescale,
     explicit_einstein_metric,
@@ -250,29 +251,32 @@ class Pipeline:
     Each ``*_record`` maps check names to residuals per sample point (or to
     one sample statistic), plus the constants that checks report, read from
     arrays held once per sample: the structure's fields, the base fields
-    and the jets f is built from at ``m_pts`` (``webster_sample``), and the
-    explicit metrics at ``t2_pts`` (``t2_jets``), each from one
+    and the jets f is built from at ``m_pts`` (``webster_sample``), from one
     ``jet_data_multi`` call that evaluates every node once, at the highest
-    order read.  The samples are nested (``Chart.sample``): ``f_pts`` is
-    ``m_pts`` with s appended, so ``f_sample`` assembles f, e^{2 phi} f, phi
-    and the Fefferman frame and forms from what ``webster_sample`` hands
-    over (``f_inputs``), on which ``fc`` checks its Einstein precondition
-    too; no record builds a tree or makes a jet call on the Fefferman chart.
-    Every call reads its pull-backs from one batch, ``held``, at ``m_pts``.
-    ``records`` names the records a run reads (every one by default).
+    order read; it reads its pull-backs from one batch, ``held``.  The
+    samples are nested (``Chart.sample``): ``f_pts`` is ``m_pts`` with s
+    appended, so ``f_sample`` assembles f, e^{2 phi} f, phi and the
+    Fefferman frame and forms from what ``webster_sample`` hands over
+    (``f_inputs``), on which ``fc`` checks its Einstein precondition too,
+    and ``t2_pts`` has the base coordinates of ``m_pts``, so ``t2_jets``
+    assembles the explicit metrics from the base's h and gamma alone
+    (``t2_base``).  No record builds a tree or makes a jet call on the
+    Fefferman chart or the explicit metrics' charts.  ``records`` names the
+    records a run reads (every one by default).
 
     A member read as an attribute is evaluated on first use and kept.  A
     run reads its records through :meth:`read`, in ``RECORDS`` order, and
     each member's lifetime ends at its last reader among them.
     ``webster_sample`` is read by the structure, webster, comparison,
-    submersion and negative records, and by ``fc`` and ``f_inputs``, which
-    take from it what the records of f (fefferman, rescale, theorem2)
-    read: after the last of those records, and before the first record of
-    f, the two are formed and the sample goes as a whole.  ``f_metric`` is
-    read by the fefferman and rescale records and ``f_sample`` by theorem2
-    too, which reads only the rescaled metric's values: before theorem2
-    ``f_metric`` and what is left of ``f_inputs`` go, and ``f_sample``
-    keeps those values alone.  The rest lasts as long as the pipeline.
+    submersion and negative records, and by ``fc``, ``f_inputs`` and
+    ``t2_base``, which take from it what the records of f (fefferman,
+    rescale, theorem2) read: after the last of those records, and before
+    the first record of f, they are formed and the sample goes as a whole,
+    with ``held``.  ``f_metric`` is read by the fefferman and rescale
+    records and ``f_sample`` by theorem2 too, which reads only the rescaled
+    metric's values: before theorem2 ``f_metric`` and what is left of
+    ``f_inputs`` go, and ``f_sample`` keeps those values alone.  The rest
+    lasts as long as the pipeline.
     """
 
     def __init__(self, example: str, m: int, points: int, seed: int, records=None):
@@ -349,9 +353,17 @@ class Pipeline:
         return self.f_sample["f"], _christoffel_arrays(*self.f_sample["f"][:2])
 
     @cached_property
+    def t2_base(self):
+        """The order-2 jet data of h and gamma, by name, at the base coordinates of the samples,
+        taken from ``webster_sample``: all that the explicit metrics are assembled from."""
+        ws = self.webster_sample
+        return base_jets({name: ws.extra_jets(name) for name in ("h", "gamma")}, 2 * self.m)
+
+    @cached_property
     def t2_jets(self):
-        """Order-2 jet data of the explicit metrics at ``t2_pts``."""
-        return jet_data_multi(self.t2.checked_metrics, self.t2_pts, 2, self.held)
+        """Order-2 jet data of the explicit metric and of its cos^2 part at ``t2_pts``, assembled
+        from ``t2_base`` (:meth:`ExplicitEinsteinMetric.jets`)."""
+        return self.t2.jets(self.t2_base, self.t2_pts)
 
     @cached_property
     def gauge_ph(self):
@@ -380,7 +392,10 @@ class Pipeline:
         if not ahead & WEBSTER_READERS:
             if ahead & F_READERS:
                 self.fc, self.f_inputs  # what the records of f read of the sample, taken before it goes
+            if "theorem2" in ahead:
+                self.t2_base  # and the base fields that the explicit metrics are assembled from
             kept.pop("webster_sample", None)
+            kept.pop("held", None)  # its pulled-back operands, which only Webster samples read
         if ahead == {"theorem2"}:  # which reads only the rescaled metric's values of f
             self.f_sample = {"rescaled": self.f_sample["rescaled"][:1]}
             kept.pop("f_metric", None)
@@ -433,12 +448,12 @@ class Pipeline:
 
     @cached_property
     def theorem2_record(self) -> dict:
-        rec = explicit_einstein_residuals(self.t2, self.t2_pts, self.t2_jets, self.held)
+        rec = explicit_einstein_residuals(self.t2, self.t2_jets)
         rec["pipeline_agreement"] = pipeline_agreement_residual(
-            self.rm, self.t2, self.f_pts, self.f_sample["rescaled"][0], self.held
+            self.rm, self.t2, self.f_pts, self.f_sample["rescaled"][0], self.t2_base
         )
         try:
-            check_signature(self.t2_jets[0][0], self.t2.metric.signature)
+            check_signature(self.t2_jets[0][0], self.t2.signature)
             rec["explicit_signature"] = 0.0
         except DegeneracyError:
             rec["explicit_signature"] = 1.0

@@ -1,9 +1,11 @@
 """Shared fixtures: charts, cached construction pipelines and a jet-batch spy.
 
 Also the reference trees of the fields a Webster sample assembles from
-held arrays, and of phi and e^{2 phi} f, which the Fefferman sample
-assembles: each as a field of scalar expression trees, whose jet data
-the assembled arrays equal bit for bit.
+held arrays, of f, phi and e^{2 phi} f, which the Fefferman sample
+assembles, and of the explicit metrics of Theorem 2, which
+``ExplicitEinsteinMetric.jets`` assembles from h and gamma: each as a
+field of scalar expression trees, whose jet data the assembled arrays
+equal bit for bit.
 """
 
 import functools
@@ -15,17 +17,85 @@ import pytest
 from crgeo import Chart, OneForm, jets
 from crgeo.chart import (
     GenericTensorField,
+    SymmetricTwoTensor,
     VectorField,
+    _pulled_back,
     contract,
     cos as fcos,
     exp as fexp,
     jet_data,
     log as flog,
+    pullback_oneform,
     symmetric_product,
 )
 from crgeo.metric import MetricField, riemann
 from crgeo.pseudohermitian import ReebField, make_structure
 from crgeo.verify import Pipeline
+
+
+def sub(a, b):
+    """a - b of two tensor fields of one kind, component by component, as a field of a's kind."""
+    return a._like(a.components - b.components)
+
+
+def pullback_symmetric(total: Chart, s) -> SymmetricTwoTensor:
+    """A base chart's symmetric 2-tensor on a chart extending it, zero along the new coordinates."""
+    return SymmetricTwoTensor(total, _pulled_back(total, s))
+
+
+def coordinate_form(chart: Chart, i: int) -> OneForm:
+    """The constant coordinate form dx_i."""
+    return OneForm(chart, [chart.constant(1.0 if k == i else 0.0) for k in range(chart.dim)])
+
+
+def levi_form(ph) -> SymmetricTwoTensor:
+    """L(X, Y) = dtheta(X, J Y) as a tree, a full symmetric component matrix."""
+    return SymmetricTwoTensor(ph.chart, contract(ph.dtheta.components, ph.J.components))
+
+
+@functools.cache
+def fefferman_tree(fc) -> MetricField:
+    """f = L + (4/(m+2)) theta o A_theta as a tree on the Fefferman chart of ``fc``, of signature
+    (2p + 1, 2q + 1) for the Levi signature (p, q): what ``fefferman_sample`` assembles."""
+    m, scal_w, chart, ph = fc.m, fc.scal_w, fc.chart, fc.ac.ph
+    theta = pullback_oneform(chart, ph.theta)
+    ds = coordinate_form(chart, chart.dim - 1)
+    a_w = (ds + theta.scaled(2.0 * scal_w / (m * (m + 2)))).scaled(0.5 * (m + 2))
+    a_theta = sub(a_w, theta.scaled(scal_w / (2.0 * (m + 1))))
+    f_comp = symmetric_product(theta, a_theta).scaled(4.0 / (m + 2))
+    (p, q), levi = ph.levi_signature, pullback_symmetric(chart, levi_form(ph))
+    return MetricField(chart, (levi + f_comp).components, (2 * p + 1, 2 * q + 1))
+
+
+def explicit_trees(ke, t2) -> tuple:
+    """(g, U, S): the explicit metric g = cos^-2(t) U of ``t2``, its cos^2 part U and its Sasaki
+    factor S (None for a Ricci-flat base), as trees on ``t2.chart``, and S on that chart without
+    its last coordinate t: what ``ExplicitEinsteinMetric.jets`` assembles from h and gamma."""
+    m, scal_h, chart = ke.m, ke.scal_h, t2.chart
+    base_dim = 2 * m
+    sasaki = None
+    if scal_h == 0.0:
+        dt, ds = coordinate_form(chart, base_dim), coordinate_form(chart, base_dim + 1)
+        fiber = symmetric_product(dt, pullback_oneform(chart, ke.gamma) + ds).scaled(4.0)
+        unrescaled = MetricField(chart, (pullback_symmetric(chart, ke.metric) + fiber).components, t2.signature)
+        line = base_dim
+    else:
+        sasaki_chart = Chart(chart.names[:-1], chart.bounds[:-1])
+        r_ac = coordinate_form(sasaki_chart, base_dim) + pullback_oneform(sasaki_chart, ke.gamma).scaled(
+            scal_h / (2.0 * m))
+        sas_fiber = symmetric_product(r_ac, r_ac).scaled(4.0 * m / ((m + 1) * scal_h))
+        sas_sig = (base_dim + 1, 0) if scal_h > 0 else (base_dim, 1)
+        sasaki = MetricField(sasaki_chart, (pullback_symmetric(sasaki_chart, ke.metric) + sas_fiber).components,
+                             sas_sig)
+        dt = coordinate_form(chart, base_dim + 1)
+        r_t = coordinate_form(chart, base_dim) + pullback_oneform(chart, ke.gamma).scaled(scal_h / (2.0 * m))
+        fiber = symmetric_product(dt, dt).scaled(-4.0 * m * (m + 1) / scal_h)
+        fiber2 = symmetric_product(r_t, r_t).scaled(4.0 * m / ((m + 1) * scal_h))
+        h_t = pullback_symmetric(chart, ke.metric)
+        unrescaled = MetricField(chart, (h_t + fiber + fiber2).components, t2.signature)
+        line = chart.dim - 1
+    t = chart.coord(line)
+    return unrescaled.scaled(1.0 / (fcos(t) * fcos(t))), unrescaled, sasaki
 
 
 def comparison_tensor(ph) -> GenericTensorField:
@@ -43,7 +113,7 @@ def comparison_tensor(ph) -> GenericTensorField:
 def g_theta(ph) -> MetricField:
     """g_theta = L_theta + theta o theta as a tree, with one extra plus direction along T."""
     p, q = ph.levi_signature
-    return MetricField(ph.chart, (ph.levi_form + symmetric_product(ph.theta, ph.theta)).components,
+    return MetricField(ph.chart, (levi_form(ph) + symmetric_product(ph.theta, ph.theta)).components,
                        (2 * p + 1, 2 * q))
 
 
@@ -74,7 +144,7 @@ def rescale_trees(fc) -> tuple:
     """(phi, e^{2 phi} f) as trees on the Fefferman chart of ``fc``, phi = -log cos(s/2) of its
     last coordinate s: what ``fefferman_sample`` and the slice_identity row assemble."""
     phi = -flog(fcos(fc.chart.coord(fc.chart.dim - 1) * 0.5))
-    return phi, conformal_rescale(fc.metric, phi)
+    return phi, conformal_rescale(fefferman_tree(fc), phi)
 
 
 def reference_fields(ph, connection: bool = True) -> dict:

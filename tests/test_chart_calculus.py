@@ -25,13 +25,12 @@ from crgeo.chart import (
     log,
     ordered_sum,
     pullback_scalar,
-    pullback_symmetric,
     sin,
 )
 from crgeo.errors import DomainError
 from crgeo.jets import Jet
 from crgeo.verify import Pipeline, SuiteConfig, run_suite
-from conftest import comparison_tensor, g_theta
+from conftest import comparison_tensor, fefferman_tree, g_theta, pullback_symmetric
 
 
 @pytest.fixture(scope="module")
@@ -113,7 +112,7 @@ def test_field_algebra_keeps_the_kind(chart):
     x, y = chart.coordinate_fields()
     p = [[0.5, 0.25]]
     v, w = VectorField(chart, [x, y]), VectorField(chart, [y, 1.0])
-    assert type(v + w) is VectorField and (v - w)(p).tolist() == [[0.25, -0.75]]
+    assert type(v + w) is VectorField and (v + w)(p).tolist() == [[0.75, 1.25]]
     alpha = OneForm(chart, [x, y]).scaled(y)
     assert type(alpha) is OneForm and alpha(p).tolist() == [[0.125, 0.0625]]
     g = MetricField(chart, [[1.0, 0.0], [0.0, -1.0]], (1, 1)).scaled(2.0)
@@ -638,7 +637,7 @@ def _structure_jets(example, m):
             for per_field in jet_data_multi(fields, m_pts, order):
                 arrays += per_field
             if fc is not None:
-                arrays += jet_data(fc.metric, fc.chart.sample(n, n), order)
+                arrays += jet_data(fefferman_tree(fc), fc.chart.sample(n, n), order)
     return arrays
 
 
@@ -716,7 +715,7 @@ def test_mixed_partials_commute_bit_for_bit(example, m):
         [_potential(pipe.ke)],
         list(pipe.ke.metric.components.flat),
         list(g_theta(pipe.ac.ph).components.flat),
-        list(pipe.fc.metric.components.flat),
+        list(fefferman_tree(pipe.fc).components.flat),
     ]
     for scalars in groups:
         pairs = [pair for f in dict.fromkeys(scalars) for pair in _mixed_pairs(f)]
@@ -816,7 +815,7 @@ def test_a_held_batch_at_other_points_is_refused():
     pipe = Pipeline("fubini_study", 1, points=3, seed=4)
     held = PullbackJets(pipe.ac.chart, pipe.m_pts)
     # f reads contact-chart operands, the pulled-back h base-chart ones
-    fields = [pipe.fc.metric, pullback_symmetric(pipe.fc.chart, pipe.ke.metric)]
+    fields = [fefferman_tree(pipe.fc), pullback_symmetric(pipe.fc.chart, pipe.ke.metric)]
     jet_data_multi(fields, pipe.f_pts, 1, held)  # f_pts starts with m_pts
     moved = pipe.f_pts.copy()
     moved[1, 0] += 1e-3  # one base coordinate of one point

@@ -17,7 +17,7 @@ from crgeo.constructions import (
 )
 from crgeo.errors import PreconditionError, UsageError
 from crgeo.pseudohermitian import WebsterSample
-from conftest import g_theta, rescale_trees
+from conftest import explicit_trees, fefferman_tree, g_theta, rescale_trees
 
 
 def kahler_residuals(ke, pts):
@@ -272,13 +272,12 @@ def test_fefferman_flat_expression(pipeline):
 
 @pytest.mark.parametrize("m", [1, 2])
 def test_joint_metric_jets_equal_separate_evaluation(pipeline, m):
-    # the premise of the shared batches: a metric built from another's
-    # components evaluates on one batch to the same bits as on its own
+    # the premise of the reference trees' joint batches: a metric built from
+    # another's components evaluates on one batch to the same bits as on its own
     from crgeo.chart import jet_data, jet_data_multi
 
     pipe = pipeline("complex_hyperbolic", m)
-    pairs = [(pipe.fc.metric, rescale_trees(pipe.fc)[1]), tuple(pipe.t2.checked_metrics)]
-    assert len(pairs[1]) == 2  # the Sasaki entries check the unrescaled metric too
+    pairs = [(fefferman_tree(pipe.fc), rescale_trees(pipe.fc)[1]), explicit_trees(pipe.ke, pipe.t2)[:2]]
     for fields in pairs:
         for n in (3, 16):
             pts = fields[0].chart.sample(n, 42)
@@ -289,27 +288,23 @@ def test_joint_metric_jets_equal_separate_evaluation(pipeline, m):
 
 
 def test_pipeline_evaluates_each_shared_metric_once(jet_calls):
-    # the explicit metric with its unrescaled factor at t2_pts and theta,
-    # dtheta and J, of which the Webster sample assembles g_theta and f, at
-    # m_pts each take one order-2 batch; f and e^{2 phi} f take none at f_pts
+    # theta, dtheta and J, of which the Webster sample assembles g_theta and f,
+    # take one order-2 batch at m_pts; f and e^{2 phi} f take none at f_pts, and
+    # the explicit metric and its unrescaled factor none at t2_pts
     from crgeo.verify import Pipeline
 
     pipe = Pipeline("fubini_study", 1, points=3, seed=7)
     for record in ("structure", "webster", "comparison", "submersion",
                    "fefferman", "rescale", "theorem2"):
         getattr(pipe, f"{record}_record")
-    assert not any(np.array_equal(at, pipe.f_pts) for _, at, _ in jet_calls)
-    shared = [
-        ([pipe.t2.metric, pipe.t2.unrescaled], pipe.t2_pts),
-        ([pipe.ac.ph.theta, pipe.ac.ph.dtheta, pipe.ac.ph.J], pipe.m_pts),
+    assert not any(np.array_equal(at, pts) for _, at, _ in jet_calls for pts in (pipe.f_pts, pipe.t2_pts))
+    metrics = [pipe.ac.ph.theta, pipe.ac.ph.dtheta, pipe.ac.ph.J]
+    batches = [
+        fields for fields, at, order in jet_calls
+        if order == 2 and np.array_equal(at, pipe.m_pts) and any(f in fields for f in metrics)
     ]
-    for metrics, pts in shared:
-        batches = [
-            fields for fields, at, order in jet_calls
-            if order == 2 and np.array_equal(at, pts) and any(f in fields for f in metrics)
-        ]
-        assert len(batches) == 1
-        assert all(f in batches[0] for f in metrics)
+    assert len(batches) == 1
+    assert all(f in batches[0] for f in metrics)
     g = g_theta(pipe.ac.ph).components  # g_theta's tree, whose components are interned
     assert not any(f.shape == g.shape and (f.components == g).all() for fields, _, _ in jet_calls for f in fields)
 
@@ -370,15 +365,14 @@ def test_a_degenerate_f_fails_every_fefferman_row(monkeypatch):
 
 
 @pytest.mark.parametrize("m", [1, 2])
-def test_a_catalog_run_makes_12_jet_calls(jet_calls, m):
-    # per regular entry: the Webster sample, the explicit metrics and the
-    # pipeline agreement, and the Sasaki factor for the curved bases; per
-    # control, its Webster sample and the deformed structure's (m = 1) or none.
-    # None is made on the Fefferman chart
+def test_a_catalog_run_makes_4_jet_calls(jet_calls, m):
+    # one per entry: the Webster sample of each regular entry and of the
+    # non-Einstein control (m = 2), and the deformed structure's (m = 1).  None
+    # is made on the Fefferman chart or on the explicit metrics' charts
     from crgeo.verify import SuiteConfig, run_all
 
     assert run_all(SuiteConfig("all", m, points=2))["overall_pass"]
-    assert len(jet_calls) == 12
+    assert len(jet_calls) == 4
 
 
 @pytest.mark.parametrize("example, m", [("fubini_study", 1), ("complex_hyperbolic", 2)])
@@ -438,9 +432,10 @@ def test_no_field_is_evaluated_twice_per_sample(jet_calls):
     for record in ("structure", "webster", "comparison", "submersion",
                    "fefferman", "rescale", "theorem2"):
         getattr(pipe, f"{record}_record")
-    # the Fefferman sample is assembled from the contact sample's arrays
-    samples = {"m": pipe.m_pts, "t2": pipe.t2_pts}
-    assert not any(np.array_equal(at, pipe.f_pts) for _, at, _ in jet_calls)
+    # the Fefferman sample and the explicit metrics are assembled from the
+    # contact sample's arrays
+    samples = {"m": pipe.m_pts}
+    assert not any(np.array_equal(at, pts) for _, at, _ in jet_calls for pts in (pipe.f_pts, pipe.t2_pts))
 
     def key(field):
         # a field built twice from the same interned components is one field
@@ -460,10 +455,10 @@ def test_no_pulled_back_operand_is_evaluated_twice_per_sample(monkeypatch, examp
     # over every plan of a pipeline, the base- and contact-chart nodes that
     # pull-backs read are evaluated into the pipeline's one batch once per
     # (node, context) and sample, at one order, however many calls read them:
-    # the Webster sample, t2_jets and the Sasaki metric (nodes under an operand
-    # are not held, and may repeat).  Only base-chart nodes are pulled back: no
-    # call is made on the Fefferman chart, the one chart that pulls back the
-    # contact chart's
+    # the Webster sample (nodes under an operand are not held, and may repeat).
+    # Only base-chart nodes are pulled back: no call is made on the Fefferman
+    # chart, the one chart that pulls back the contact chart's, nor on the
+    # explicit metrics' charts
     from collections import Counter
 
     from crgeo import chart as chart_module
@@ -490,9 +485,9 @@ def test_no_pulled_back_operand_is_evaluated_twice_per_sample(monkeypatch, examp
     assert {held for _, _, held, _ in evaluated} == {pipe.held}
     counts = Counter((key, pts) for key, _, _, pts in evaluated)
     assert max(counts.values()) == 1
-    # h at order 2: read by the base record, the explicit metric and the Sasaki factor
-    h = pipe.ke.metric.components[0, 0]
-    assert [order for key, order, _, _ in evaluated if key == (h, chart_module._ROOT)] == [2]
+    # h and gamma at order 2: read by the base record, the explicit metric and the Sasaki factor
+    for field in (pipe.ke.metric.components[0, 0], pipe.ke.gamma.components[0]):
+        assert [order for key, order, _, _ in evaluated if key == (field, chart_module._ROOT)] == [2]
 
 
 def test_fefferman_ricci_isotropic_flat(pipeline):
@@ -501,7 +496,7 @@ def test_fefferman_ricci_isotropic_flat(pipeline):
     assert rec["fefferman_ricci_components"].max() < 1e-10  # Ric(T*,T*) = Ric(T*,P) = 0 when S_W = 0
     from crgeo.metric import riemann
 
-    curv = riemann(pipe.fc.metric, pipe.f_pts)
+    curv = riemann(fefferman_tree(pipe.fc), pipe.f_pts)
     pval = pipe.f_sample["frame"][0][:, 0]  # P = d/ds
     ric_pp = np.einsum("nij,ni,nj->n", curv.ricci, pval, pval)
     np.testing.assert_allclose(ric_pp, 0.5, atol=1e-10)  # m/2 with m = 1
@@ -521,7 +516,7 @@ def test_fefferman_never_einstein(pipeline):
 
 def test_fefferman_lorentzian_signature(pipeline):
     pipe = pipeline("fubini_study", 1)
-    pipe.fc.metric.verify_signature(pipe.f_pts)  # (3, 1)
+    fefferman_tree(pipe.fc).verify_signature(pipe.f_pts)  # (3, 1)
 
 
 # ----------------------------------------------------------------------
@@ -563,7 +558,7 @@ def test_slice_identity_equals_its_trees(pipeline, example, m):
     pipe = pipeline(example, m)
     at = pipe.f_pts.copy()
     at[:, -1] = 0.0
-    (g_rm,), (g_f,) = jet_data_multi([rescale_trees(pipe.fc)[1], pipe.fc.metric], at, 0)
+    (g_rm,), (g_f,) = jet_data_multi([rescale_trees(pipe.fc)[1], fefferman_tree(pipe.fc)], at, 0)
     assert np.array_equal(g_f, pipe.f_sample["f"][0])
     assert np.array_equal(pipe.rescale_record["slice_identity"], point_max(g_rm - g_f))
 
@@ -630,7 +625,7 @@ def test_explicit_scalar_value(pipeline):
     from crgeo.metric import riemann
 
     pipe = pipeline("fubini_study", 1)
-    scal = riemann(pipe.t2.metric, pipe.t2_pts).scalar
+    scal = riemann(explicit_trees(pipe.ke, pipe.t2)[0], pipe.t2_pts).scalar
     np.testing.assert_allclose(scal, 3.0, atol=1e-9)
 
 
@@ -638,9 +633,11 @@ def test_explicit_negative_case(pipeline):
     from crgeo.metric import riemann
 
     pipe = pipeline("complex_hyperbolic", 1)
-    scal = riemann(pipe.t2.metric, pipe.t2_pts).scalar
+    metric = explicit_trees(pipe.ke, pipe.t2)[0]
+    scal = riemann(metric, pipe.t2_pts).scalar
     np.testing.assert_allclose(scal, -3.0, atol=1e-9)
-    pipe.t2.metric.verify_signature(pipe.t2_pts)  # (3, 1)
+    assert metric.signature == pipe.t2.signature == (3, 1)
+    metric.verify_signature(pipe.t2_pts)
 
 
 def test_pipeline_agreement_under_identification(pipeline):
@@ -661,17 +658,23 @@ def test_sasaki_cross_check(pipeline):
 
 @pytest.mark.parametrize("kind", ["fubini_study", "complex_hyperbolic"])
 def test_sasaki_factor_is_checked_at_the_run_points(jet_calls, kind):
-    # the Sasaki factor is evaluated at the theorem-2 points without t, so
-    # the seed moves its row as it moves every other theorem2 row
+    # the Sasaki factor is assembled at the theorem-2 points without t, with no
+    # jet call: its row is that of its tree there, and the seed moves it as it
+    # moves every other theorem2 row
+    from crgeo.chart import jet_data
+    from crgeo.metric import _christoffel_arrays, levi_civita_ricci, point_max
     from crgeo.verify import Pipeline
 
     rows = {}
     for seed in (7, 42):
         pipe = Pipeline(kind, 1, points=2, seed=seed)
+        pipe.t2_base
         jet_calls.clear()
         rows[seed] = pipe.theorem2_record["sasaki_einstein"]
-        sasaki_at = [at for fields, at, _ in jet_calls if fields == [pipe.t2.sasaki_metric]]
-        assert len(sasaki_at) == 1 and np.array_equal(sasaki_at[0], pipe.t2_pts[:, :-1])
+        assert jet_calls == []
+        s_jets = jet_data(explicit_trees(pipe.ke, pipe.t2)[2], pipe.t2_pts[:, :-1], 2, pipe.held)
+        s_ricci, _ = levi_civita_ricci(s_jets, *_christoffel_arrays(*s_jets[:2]))
+        assert np.array_equal(rows[seed], point_max(s_ricci - pipe.t2.sasaki_constant * s_jets[0]))
     # per point: the ulp-level maxima of the two seeds may coincide
     assert not np.array_equal(rows[7], rows[42])
 
@@ -710,6 +713,81 @@ def test_only_operator_records_build_the_operator(monkeypatch, kind, m):
     assert calls == {"dgamma": 2 + gauge, "operator": 3 + gauge}
 
 
+@pytest.mark.parametrize("seed", [7, 42])
+@pytest.mark.parametrize("points", [1, 2, 129])
+@pytest.mark.parametrize(
+    "example, m", [(e, m) for e in ("flat", "fubini_study", "complex_hyperbolic") for m in (1, 2)]
+)
+def test_the_assembled_explicit_metrics_equal_their_trees(example, m, points, seed):
+    # the explicit metric, its unrescaled product and the Sasaki factor (the
+    # product without the line t) at t2_pts, and the explicit metric's values at
+    # the identified Fefferman points, equal their trees' jet data, evaluated on
+    # the pipeline's held h and gamma; 129 points make two point blocks
+    from crgeo.chart import jet_data, jet_data_multi
+    from crgeo.verify import Pipeline
+
+    pipe = Pipeline(example, m, points, seed)
+    pipe.t2_base
+    g, u, sasaki = explicit_trees(pipe.ke, pipe.t2)
+    for arrays, tree in zip(pipe.t2_jets, jet_data_multi([g, u], pipe.t2_pts, 2, pipe.held)):
+        assert all(np.array_equal(a, b) for a, b in zip(arrays, tree))
+    assert (sasaki is None) == (example == "flat")
+    if sasaki is not None:
+        tree = jet_data(sasaki, pipe.t2_pts[:, :-1], 2, pipe.held)
+        line = (slice(None),) + (slice(-1),) * (2 * m + 2)
+        assert all(np.array_equal(a[line[:a.ndim]], b) for a, b in zip(pipe.t2_jets[1], tree))
+    mapped = pipe.f_pts @ pipe.t2.identification.T
+    assembled = pipe.t2.jets(pipe.t2_base, mapped, 0)[0]
+    assert len(assembled) == 1 and np.array_equal(assembled[0], jet_data(g, mapped, 0, pipe.held)[0])
+
+
+@pytest.mark.parametrize(
+    "example, m", [(e, m) for e in ("flat", "fubini_study", "complex_hyperbolic") for m in (1, 2)]
+)
+def test_the_theorem2_record_builds_no_tree_and_makes_no_jet_call(monkeypatch, jet_calls, example, m):
+    # the explicit metrics are assembled from h and gamma, taken from the
+    # Webster sample before it goes: no Chart.node call and no jet call
+    from crgeo import chart
+    from crgeo.verify import RECORDS, Pipeline
+
+    pipe = Pipeline(example, m, 2, 7, set(RECORDS) - {"negative"})
+    for record in RECORDS[:RECORDS.index("theorem2")]:
+        pipe.read(record)
+    assert "webster_sample" not in vars(pipe) and "t2_base" in vars(pipe)
+    nodes = []
+    real = chart.Chart.node
+    monkeypatch.setattr(chart.Chart, "node", lambda *args, **kwargs: nodes.append(1) or real(*args, **kwargs))
+    jet_calls.clear()
+    rec = pipe.read("theorem2")
+    assert nodes == [] and jet_calls == []
+    assert rec["explicit_signature"] == 0.0 and rec["pipeline_agreement"].max() < 1e-6
+
+
+def test_the_explicit_signature_is_declared_from_h(monkeypatch):
+    # h declared (2p, 2q) declares the explicit metric (2p + 1, 2q + 1): the round
+    # base's h re-declared (2, 2) declares (3, 3), which the explicit metric's
+    # values refute, and moves no other theorem2 row
+    from crgeo import verify
+
+    cfg = verify.SuiteConfig("fubini_study", 2, suites=("theorem2",), points=4)
+    rows = {row["name"]: row for row in verify.run_suite(cfg)["checks"]}
+    assert verify.Pipeline("fubini_study", 2, 4, 42).t2.signature == (5, 1)
+    real = verify.make_kahler_einstein
+
+    def redeclared(kind, m):
+        ke = real(kind, m)
+        ke.metric.signature = (2, 2)
+        return ke
+
+    monkeypatch.setattr(verify, "make_kahler_einstein", redeclared)
+    assert verify.Pipeline("fubini_study", 2, 4, 42).t2.signature == (3, 3)
+    moved = {row["name"]: row for row in verify.run_suite(cfg)["checks"]}
+    assert rows["explicit_signature"]["max_residual"] == 0.0 and rows["explicit_signature"]["pass"]
+    assert moved["explicit_signature"]["max_residual"] == 1.0 and not moved["explicit_signature"]["pass"]
+    del rows["explicit_signature"], moved["explicit_signature"]
+    assert moved == rows and len(rows) == 6
+
+
 def test_explicit_requires_einstein_base():
     with pytest.raises(PreconditionError):
         explicit_einstein_metric(make_product_base())
@@ -740,7 +818,7 @@ def test_curvature_symmetries_catalog(pipeline, riemann_symmetries):
             cases.append((pipe.ke.metric, pipe.m_pts[:, : 2 * m]))
     pipe = pipeline("fubini_study", 1)
     cases.append((g_theta(pipe.ac.ph), pipe.m_pts))  # induced contact metric
-    cases.append((pipe.fc.metric, pipe.f_pts))  # Lorentzian Fefferman metric
+    cases.append((fefferman_tree(pipe.fc), pipe.f_pts))  # Lorentzian Fefferman metric
     for metric, pts in cases:
         res = riemann_symmetries(metric, pts)
         assert max(res.values()) < 1e-9

@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 
 from crgeo.chart import jet_data
-from conftest import comparison_tensor, g_theta
+from conftest import comparison_tensor, fefferman_tree, g_theta
 
 
 def _values(field, pts, offsets):
@@ -54,7 +54,7 @@ def _relative_error(approx, exact):
 FIELDS = {
     "g_theta": lambda pipe: g_theta(pipe.ac.ph),
     "D": lambda pipe: comparison_tensor(pipe.ac.ph),
-    "fefferman": lambda pipe: pipe.fc.metric,
+    "fefferman": lambda pipe: fefferman_tree(pipe.fc),
 }
 
 

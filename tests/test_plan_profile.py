@@ -24,7 +24,7 @@ def test_profile_splits_own_and_pulled_back_ops():
     # the contact chart reads the base potential through pull-backs: embeds and logs
     kinds = {kind for group, kind, *_ in stats if group == "pulled back"}
     assert {"embed", "log"} <= kinds
-    assert plans[2] and plans[3] and plans[4]  # base, contact and explicit-metric plans ran
+    assert set(plans) == {2, 3}  # the base operands' and the contact plans; none on the explicit chart
     text = report("fubini_study", 1, 2, 7, stats, plans, nodes)
     assert text.splitlines()[0].startswith("fubini_study m=1, 2 points, seed 7:")
     assert "| pulled back |" in text and "| embed |" in text
@@ -49,9 +49,10 @@ def test_node_counts_per_record_cover_every_node_call(monkeypatch):
     assert sum(c for c, _ in nodes.values()) == len(calls) > 0
     assert all(0 <= new <= c for c, new in nodes.values())
     assert nodes["webster"] == nodes["comparison"] == [0, 0]
-    # nor do the fefferman and rescale records: f, e^{2 phi} f, phi, the frame and
-    # forms are assembled from arrays, and the s = 0 slice scales f's values
-    assert nodes["fefferman"] == nodes["rescale"] == [0, 0]
+    # nor do the fefferman, rescale and theorem2 records: f, e^{2 phi} f, phi, the
+    # frame and forms are assembled from arrays, the s = 0 slice scales f's values,
+    # and the explicit metrics are assembled from the held h and gamma
+    assert nodes["fefferman"] == nodes["rescale"] == nodes["theorem2"] == [0, 0]
     # the structure record builds the base, the contact structure and its fields
     assert nodes["structure"][0] > nodes["structure"][1] > 0
 

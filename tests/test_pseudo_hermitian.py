@@ -21,7 +21,7 @@ from crgeo.pseudohermitian import (
     transversal_symmetry_residual,
 )
 from crgeo.chart import jet_data_named
-from conftest import g_theta, horizontal_fields, j_image, reference_fields, solved_reeb_field
+from conftest import g_theta, horizontal_fields, j_image, levi_form, reference_fields, solved_reeb_field
 
 BASE_J = np.array([[0.0, -1.0], [1.0, 0.0]])
 
@@ -106,7 +106,7 @@ def test_g_theta_decomposition(heisenberg, pts):
     # g(T, T) = 1
     np.testing.assert_allclose(np.einsum("nij,ni,nj->n", gval, reeb, reeb), 1.0, atol=1e-12)
     # g restricted to H equals the Levi form
-    lval = heisenberg.levi_form(pts)
+    lval = levi_form(heisenberg)(pts)
     proj = WebsterSample(heisenberg, pts).projector
     gh = np.einsum("nia,nij,njb->nab", proj, gval, proj)
     lh = np.einsum("nia,nij,njb->nab", proj, lval, proj)
@@ -116,7 +116,7 @@ def test_g_theta_decomposition(heisenberg, pts):
 
 def test_levi_frame_normalization(heisenberg, pts):
     frame, eps = levi_adapted_frame(heisenberg, pts)
-    lval = heisenberg.levi_form(pts)
+    lval = levi_form(heisenberg)(pts)
     gram = np.einsum("nai,nij,nbj->nab", frame, lval, frame)
     expected = np.stack([np.diag([e, e]) for e in eps[:, 0]])
     np.testing.assert_allclose(gram, expected, atol=1e-10)
@@ -405,7 +405,7 @@ def test_sample_batches_equal_separate_evaluation(example, m, n):
         for held, separate in zip(read, jet_data(field, pts, 2)):
             assert np.array_equal(held, separate)
     # the Levi form and frame built from the held values
-    assert np.array_equal(ws.levi_form, ph.levi_form(pts))
+    assert np.array_equal(ws.levi_form, levi_form(ph)(pts))
     for held, separate in zip(ws.levi_frame, levi_adapted_frame(ph, pts)):
         assert np.array_equal(held, separate)
 

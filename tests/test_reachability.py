@@ -34,7 +34,6 @@ RUNS = [
 
 _PUBLIC = "public chart and jet API that the tests and demos use"
 _TRACED = "named by perfbench/tracer.py's SPANS"
-_F_TREE = "f's reference tree, which test_tensor_oracle.py and test_derivative_oracle.py read"
 
 # module.qualname of each function no run reaches, with its reason
 UNREACHED = {
@@ -58,9 +57,12 @@ UNREACHED = {
     "metric.christoffel": _TRACED,
     "metric.riemann": _TRACED,
     "pseudohermitian.levi_adapted_frame": _TRACED,
-    "constructions.FeffermanChart.metric": _F_TREE,
-    "pseudohermitian.PHStructure.levi_form": f"{_F_TREE}: its Levi form term",
-    "chart._ComponentStack.__sub__": f"{_F_TREE}: A_theta = A_W - c theta",
+    "chart.jet_data": f"{_PUBLIC}: the jet data of one field, as demo 01 reads it",
+    "chart.symmetric_product": f"{_PUBLIC}: in crgeo.__all__, and the tests' reference trees",
+    "chart.ScalarField.__truediv__": f"{_PUBLIC}: field / field and field / number",
+    "chart.ScalarField.__rtruediv__": f"{_PUBLIC}: number / field, as the reference trees' cos^-2",
+    "chart._rdiv": f"{_PUBLIC}: the evaluation of number / field",
+    "metric.MetricField._like": f"{_PUBLIC}: algebra on metrics, keeping the signature",
 }
 
 

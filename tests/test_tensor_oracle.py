@@ -29,7 +29,6 @@ from crgeo.chart import (
     ordered_sum,
     pullback_oneform,
     pullback_scalar,
-    pullback_symmetric,
     sqrt as field_sqrt,
 )
 from crgeo.constructions import (
@@ -50,7 +49,7 @@ from crgeo.metric import (
 )
 from crgeo.pseudohermitian import WebsterSample
 from crgeo.verify import Pipeline
-from conftest import rescale_trees
+from conftest import fefferman_tree, pullback_symmetric, rescale_trees, sub
 
 REGULAR = [(example, m) for example in ("flat", "fubini_study", "complex_hyperbolic") for m in (1, 2)]
 # the non-Einstein control has a base and a contact structure, but no Fefferman metric
@@ -78,7 +77,7 @@ def base_unitary_frame(ke):
     for a in range(ke.m):
         v = VectorField(chart, [chart.constant(1.0 if k == 2 * a else 0.0) for k in range(chart.dim)])
         for u in es + js:
-            v = v - u.scaled(h(v, u))
+            v = sub(v, u.scaled(h(v, u)))
         v = v.scaled(1.0 / field_sqrt(h(v, v)))
         es.append(v)
         js.append(VectorField(chart, contract(jmat, v.components)))
@@ -88,7 +87,7 @@ def base_unitary_frame(ke):
 def horizontal_lift(ac, x_base):
     """theta-horizontal lift X* = X-hat - theta(X-hat) T to the contact chart, as a tree."""
     xhat = extend_vector(ac.chart, x_base)
-    return xhat - ac.ph.reeb.scaled(ordered_sum(ac.ph.theta.components * xhat.components))
+    return sub(xhat, ac.ph.reeb.scaled(ordered_sum(ac.ph.theta.components * xhat.components)))
 
 
 def fefferman_trees(fc):
@@ -99,20 +98,20 @@ def fefferman_trees(fc):
     theta = pullback_oneform(chart, ac.ph.theta)
     ds = OneForm(chart, [chart.constant(float(k == chart.dim - 1)) for k in range(chart.dim)])
     a_w = (ds + theta.scaled(2.0 * scal_w / (m * (m + 2)))).scaled(0.5 * (m + 2))
-    a_theta = a_w - theta.scaled(scal_w / (2.0 * (m + 1)))
+    a_theta = sub(a_w, theta.scaled(scal_w / (2.0 * (m + 1))))
     p_field = VectorField(chart, ds.components)
-    t_star = extend_vector(chart, ac.ph.reeb) - p_field.scaled(sw)
+    t_star = sub(extend_vector(chart, ac.ph.reeb), p_field.scaled(sw))
     frame = [p_field, t_star]
     frame += [extend_vector(chart, horizontal_lift(ac, x)) for x in base_unitary_frame(ac.base)]
     return {
         "phi": (phi, 2),
-        "f": (fc.metric, 2),
+        "f": (fefferman_tree(fc), 2),
         "rescaled": (rescaled, 2),
         "frame": (_ComponentStack(chart, [x.components for x in frame]), 1),
-        "vertical": (t_star - p_field.scaled(sw), 1),
+        "vertical": (sub(t_star, p_field.scaled(sw)), 1),
         "theta": (theta, 1),
         "a_theta": (a_theta, 1),
-        "b": (a_theta - theta.scaled(0.5 * (m + 2) * sw), 1),
+        "b": (sub(a_theta, theta.scaled(0.5 * (m + 2) * sw)), 1),
         "a_w": (a_w, 1),
         "h": (pullback_symmetric(chart, ac.base.metric), 1),
     }
